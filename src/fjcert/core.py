@@ -337,7 +337,7 @@ class QExpansion:
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = QExpansion(1, {0: Fraction(other)}, self.prec)
+            other = QExpansion.one(self.prec).scalar_mul(other)
         a, b, L = self._pair(other)
         prec = min(a.prec, b.prec)
         bound = prec * L
@@ -365,21 +365,15 @@ class QExpansion:
             return self.scalar_mul(other)
         a, b, L = self._pair(other)
         prec = min(a.prec, b.prec)
-        bound = prec * L
-        out: dict = {}
-        bi = sorted(b.coeffs.items())
-        for e1, v1 in sorted(a.coeffs.items()):
-            lim = bound - e1
-            if bi and bi[0][0] >= lim:
-                break
-            for e2, v2 in bi:
-                if e2 >= lim:
-                    break
-                e = e1 + e2
-                prev = out.get(e)
-                tv = _vmul(v1, v2)
-                out[e] = tv if prev is None else _vadd(prev, tv)
-        return QExpansion(L, {e: v for e, v in out.items() if not _viszero(v)}, prec)
+        emax = math.ceil(prec * L)
+        orders = [v.L for v in (*a.coeffs.values(), *b.coeffs.values()) if isinstance(v, CycElem)]
+        if not orders:
+            return QExpansion(L, _dict_mul(a.coeffs, b.coeffs, emax), prec)
+        # one row per exponent, indexed by the root e(j/R); CycElem folds j mod R
+        R = math.lcm(*orders)
+        rows_a = {e: CycElem.coerce(v, R).w for e, v in a.coeffs.items()}
+        rows_b = {e: CycElem.coerce(v, R).w for e, v in b.coeffs.items()}
+        return QExpansion(L, {e: CycElem(R, w) for e, w in _kron_rows(rows_a, rows_b, emax).items()}, prec)
 
     __rmul__ = __mul__
 
@@ -444,31 +438,94 @@ def _eis_dict(k: int, emax: int) -> dict:
 # ---------------------------------------------------------------------------
 # integer-keyed series helpers (internal work horses)
 #
-# Plain dicts {exponent: value} truncated below emax, with integer values on
-# the hot paths.  These back the generator constructions in the jacobi
-# module, where convolutions at length in the low thousands must stay fast.
+# Plain dicts {exponent: value} truncated below emax.  Every series product
+# in the package runs through one exact kernel, _kron_rows, by Kronecker
+# substitution: denominators are cleared, each row of integer coefficients
+# is packed into one Python int as base-X digits with X = 2^(8w), and
+# CPython's bignum multiply does the convolution.  A product coefficient is
+# a sum of at most t = min(len a, len b) terms, so
+# |c| < 2^(bits max|a| + bits max|b| + bits t); a slot of
+# 8w >= that + 2 bits holds it with room for its sign.  Signs are handled by
+# a bias: with half = 2^(8w-1) added to every slot, each slot is a
+# nonnegative digit below X and no slot borrows from its neighbour.  So
+# packing is one int.from_bytes of the joined slot bytes of v + half, minus
+# the bias (int.from_bytes of n copies of the slot bytes of 0), and
+# unpacking is one int.to_bytes of the biased product, sliced into slots.
+
+
+def _kron_pack(row: dict, lo: int, w: int):
+    """(sum_e row[e] X^(e - lo) with X = 2^(8w), its slot count); keys >= lo."""
+    n = max(row) - lo + 1
+    half = 1 << (8 * w - 1)
+    zero = half.to_bytes(w, "little")
+    slots = [zero] * n
+    for e, v in row.items():
+        slots[e - lo] = (v + half).to_bytes(w, "little")
+    return int.from_bytes(b"".join(slots), "little") - int.from_bytes(zero * n, "little"), n
+
+
+def _kron_unpack(x: int, lo: int, n: int, w: int, keep: int) -> dict:
+    """The nonzero digits k < keep of x = sum_{k<n} c_k X^k, |c_k| < X/2,
+    keyed lo + k."""
+    half = 1 << (8 * w - 1)
+    buf = (x + int.from_bytes(half.to_bytes(w, "little") * n, "little")).to_bytes(n * w, "little")
+    out = {}
+    for k in range(min(n, keep)):
+        v = int.from_bytes(buf[k * w : k * w + w], "little") - half
+        if v:
+            out[lo + k] = v
+    return out
+
+
+def _kron_rows(a: dict, b: dict, nmax: int, emax=None) -> dict:
+    """Exact product of two-variable series {n: {e: rational}}.
+
+    Returns the nonzero rows n < nmax, each holding the exponents e below
+    emax (all of them when emax is None).  Each input row is packed once,
+    the row products are summed per output row, and each output row is
+    unpacked once.
+    """
+    a = {n: row for n, row in a.items() if n < nmax and row}
+    b = {n: row for n, row in b.items() if n < nmax and row}
+    if not a or not b:
+        return {}
+    alo = min(min(row) for row in a.values())
+    blo = min(min(row) for row in b.values())
+    if emax is not None:
+        if alo + blo >= emax:
+            return {}
+        a = {n: {e: v for e, v in row.items() if e < emax - blo} for n, row in a.items()}
+        b = {n: {e: v for e, v in row.items() if e < emax - alo} for n, row in b.items()}
+    den_a = math.lcm(*(v.denominator for row in a.values() for v in row.values()))
+    den_b = math.lcm(*(v.denominator for row in b.values() for v in row.values()))
+    a = {n: {e: v.numerator * (den_a // v.denominator) for e, v in row.items()} for n, row in a.items() if row}
+    b = {n: {e: v.numerator * (den_b // v.denominator) for e, v in row.items()} for n, row in b.items() if row}
+    terms = min(sum(map(len, a.values())), sum(map(len, b.values())))
+    bits_a = max(max(map(abs, row.values())) for row in a.values()).bit_length()
+    bits_b = max(max(map(abs, row.values())) for row in b.values()).bit_length()
+    w = (bits_a + bits_b + terms.bit_length() + 2 + 7) // 8
+    packed_a = [(n, *_kron_pack(row, alo, w)) for n, row in sorted(a.items())]
+    packed_b = [(n, *_kron_pack(row, blo, w)) for n, row in sorted(b.items())]
+    acc: dict = {}
+    for n1, x1, l1 in packed_a:
+        for n2, x2, l2 in packed_b:
+            n = n1 + n2
+            if n >= nmax:
+                break
+            x, slots = acc.get(n, (0, 0))
+            acc[n] = (x + x1 * x2, max(slots, l1 + l2 - 1))
+    d = den_a * den_b
+    out = {}
+    for n, (x, slots) in acc.items():
+        row = _kron_unpack(x, alo + blo, slots, w, slots if emax is None else emax - alo - blo)
+        if row:
+            out[n] = row if d == 1 else {e: Fraction(v, d) for e, v in row.items()}
+    return out
 
 
 def _dict_mul(a: dict, b: dict, emax: int) -> dict:
-    if not a or not b:
-        return {}
-    if len(a) > len(b):
-        a, b = b, a
-    ai = sorted(a.items())
-    bi = sorted(b.items())
-    b0 = bi[0][0]
-    out: dict = {}
-    for e1, v1 in ai:
-        lim = emax - e1
-        if b0 >= lim:
-            break
-        for e2, v2 in bi:
-            if e2 >= lim:
-                break
-            e = e1 + e2
-            prev = out.get(e)
-            out[e] = v1 * v2 if prev is None else prev + v1 * v2
-    return {e: v for e, v in out.items() if v}
+    """Exact truncated product of one-variable series."""
+    return _kron_rows({0: a}, {0: b}, 1, emax).get(0, {})
 
 
 def _dict_div(num: dict, den: dict, emax: int) -> dict:
@@ -515,7 +572,3 @@ def _dict_add(a: dict, b: dict) -> dict:
         elif e in out:
             del out[e]
     return out
-
-
-def _dict_shift(a: dict, s: int) -> dict:
-    return {e + s: v for e, v in a.items()}

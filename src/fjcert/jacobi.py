@@ -31,8 +31,8 @@ from .core import (
     _dict_div,
     _dict_mul,
     _dict_scale,
-    _dict_shift,
     _eis_dict,
+    _kron_rows,
     cyc_eval,
     parse_rat,
     rat_str,
@@ -203,47 +203,16 @@ def index0_from_qexp(k: int, qe: QExpansion) -> JacobiFormQExp:
 def multiply(a: JacobiFormQExp, b: JacobiFormQExp) -> JacobiFormQExp:
     """Product of Jacobi forms; weights and indices add, precision is the min."""
     prec = min(a.prec, b.prec)
-    k = a.k + b.k
-    m = a.m + b.m
-    if not a.coeffs or not b.coeffs:
-        return JacobiFormQExp.zero(k, m, prec)
-    den_a = 1
-    for v in a.coeffs.values():
-        den_a = den_a * Fraction(v).denominator // math.gcd(den_a, Fraction(v).denominator)
-    den_b = 1
-    for v in b.coeffs.values():
-        den_b = den_b * Fraction(v).denominator // math.gcd(den_b, Fraction(v).denominator)
-    a_by_n: dict = {}
-    for (n, r), v in a.coeffs.items():
-        if n < prec:
-            a_by_n.setdefault(n, []).append((r, int(v * den_a)))
-    b_by_n: dict = {}
-    for (n, r), v in b.coeffs.items():
-        if n < prec:
-            b_by_n.setdefault(n, []).append((r, int(v * den_b)))
-    bns = sorted(b_by_n)
-    acc: dict = {}
-    for n1 in sorted(a_by_n):
-        rows1 = a_by_n[n1]
-        for n2 in bns:
-            n = n1 + n2
-            if n >= prec:
-                break
-            rows2 = b_by_n[n2]
-            for r1, v1 in rows1:
-                for r2, v2 in rows2:
-                    key = (n, r1 + r2)
-                    prev = acc.get(key)
-                    acc[key] = v1 * v2 if prev is None else prev + v1 * v2
-    d = den_a * den_b
-    if d == 1:
-        out = {key: v for key, v in acc.items() if v}
-    else:
-        out = {}
-        for key, v in acc.items():
-            if v:
-                out[key] = Fraction(v, d)
-    return JacobiFormQExp(k, m, prec, out)
+    rows = _kron_rows(_rows_by_n(a), _rows_by_n(b), prec)
+    coeffs = {(n, r): v for n, row in rows.items() for r, v in row.items()}
+    return JacobiFormQExp(a.k + b.k, a.m + b.m, prec, coeffs)
+
+
+def _rows_by_n(phi: JacobiFormQExp) -> dict:
+    rows: dict = {}
+    for (n, r), v in phi.coeffs.items():
+        rows.setdefault(n, {})[r] = v
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -257,10 +226,19 @@ def multiply(a: JacobiFormQExp, b: JacobiFormQExp) -> JacobiFormQExp:
 #   weight -2:  H0 = -2 SA' / P6,             H1 = SBq / P6
 #   weight  0:  H0 = 2 SA'/T2 + 8 SBq T32/T44, H1 = SBq/T2 - 64 q SA' T2d/T44
 #
-# where P6 is the sixth power of the eta product without its q^(1/4)
-# prefactor, T2 = (sum q^(n(n+1)/2))^2, T2d the same at doubled argument,
-# T32 = theta_3(2 tau)^2 and T44 = theta_4(2 tau)^4.  The tests pin these
-# against a brute-force two-variable theta quotient.
+# The denominators are never expanded.  Each is a power of a sparse series
+# with constant term 1, and the quotient is taken one factor at a time, so
+# every step is an exact integer division whose cost is the quotient length
+# times the factor's O(sqrt(emax)) terms:
+#
+#   P6  = P3^2,   P3 = prod (1 - q^n)^3 = sum_j (-1)^j (2j+1) q^(j(j+1)/2)
+#   T2  = B^2,    B = sum_{n>=0} q^(n(n+1)/2)
+#   T44 = Th4^4,  Th4 = 1 + 2 sum_{n>=1} (-1)^n q^(n^2), the theta_4(2 tau) series
+#
+# P6 is the sixth power of the eta product without its q^(1/4) prefactor.
+# T2d = (sum q^(n(n+1)))^2 and T32 = theta_3(2 tau)^2 = SBq^2 appear only
+# as factors of numerators.  The tests pin these against a brute-force
+# two-variable theta quotient.
 
 
 @lru_cache(maxsize=None)
@@ -294,57 +272,32 @@ def _series_p3(emax: int):
 
 
 @lru_cache(maxsize=None)
-def _series_p6(emax: int):
-    p3 = _series_p3(emax)
-    return _dict_mul(p3, p3, emax)
+def _series_b(emax: int):
+    return {n * (n + 1) // 2: 1 for n in range(math.isqrt(8 * emax) + 1) if n * (n + 1) // 2 < emax}
 
 
 @lru_cache(maxsize=None)
-def _series_t2(emax: int):
-    base = {}
-    n = 0
-    while n * (n + 1) // 2 < emax:
-        base[n * (n + 1) // 2] = 1
-        n += 1
-    return _dict_mul(base, base, emax)
+def _series_th4(emax: int):
+    return {e: (-v if math.isqrt(e) % 2 else v) for e, v in _series_sbq(emax).items()}
 
 
 @lru_cache(maxsize=None)
 def _series_t2_double(emax: int):
-    base = {}
-    n = 0
-    while n * (n + 1) < emax:
-        base[n * (n + 1)] = 1
-        n += 1
+    base = {2 * e: v for e, v in _series_b(emax).items() if 2 * e < emax}
     return _dict_mul(base, base, emax)
 
 
-@lru_cache(maxsize=None)
-def _series_t32(emax: int):
-    base = {0: 1}
-    n = 1
-    while n * n < emax:
-        base[n * n] = 2
-        n += 1
-    return _dict_mul(base, base, emax)
-
-
-@lru_cache(maxsize=None)
-def _series_t44(emax: int):
-    base = {0: 1}
-    n = 1
-    while n * n < emax:
-        base[n * n] = -2 if n % 2 else 2
-        n += 1
-    sq = _dict_mul(base, base, emax)
-    return _dict_mul(sq, sq, emax)
+def _div_factors(num: dict, factors, emax: int) -> dict:
+    for f in factors:
+        num = _dict_div(num, f, emax)
+    return num
 
 
 @lru_cache(maxsize=None)
 def _phi_m2_components(jlen: int):
-    p6 = _series_p6(jlen)
-    h0 = _dict_scale(_dict_div(_series_sa(jlen), p6, jlen), -2)
-    h1 = _dict_div(_series_sbq(jlen), p6, jlen)
+    p6 = (_series_p3(jlen),) * 2
+    h0 = _dict_scale(_div_factors(_series_sa(jlen), p6, jlen), -2)
+    h1 = _div_factors(_series_sbq(jlen), p6, jlen)
     return h0, h1
 
 
@@ -352,18 +305,24 @@ def _phi_m2_components(jlen: int):
 def _phi0_components(jlen: int):
     sa = _series_sa(jlen)
     sbq = _series_sbq(jlen)
-    t2 = _series_t2(jlen)
-    t44 = _series_t44(jlen)
+    t2 = (_series_b(jlen),) * 2
+    t44 = (_series_th4(jlen),) * 4
+    t32 = _dict_mul(sbq, sbq, jlen)
     h0 = _dict_add(
-        _dict_scale(_dict_div(sa, t2, jlen), 2),
-        _dict_scale(_dict_div(_dict_mul(sbq, _series_t32(jlen), jlen), t44, jlen), 8),
+        _dict_scale(_div_factors(sa, t2, jlen), 2),
+        _dict_scale(_div_factors(_dict_mul(sbq, t32, jlen), t44, jlen), 8),
     )
-    corr = _dict_div(_dict_mul(sa, _series_t2_double(jlen), jlen), t44, jlen)
+    corr = _div_factors(_dict_mul(sa, _series_t2_double(jlen), jlen), t44, jlen)
     h1 = _dict_add(
-        _dict_div(sbq, t2, jlen),
-        {e: v for e, v in _dict_shift(_dict_scale(corr, -64), 1).items() if e < jlen},
+        _div_factors(sbq, t2, jlen),
+        {e + 1: -64 * v for e, v in corr.items() if e + 1 < jlen},
     )
     return h0, h1
+
+
+def _index1_coeff(h0: dict, h1: dict, n: int, r: int):
+    d = 4 * n - r * r
+    return h0.get(d // 4, 0) if d % 4 == 0 else h1.get((d + 1) // 4, 0)
 
 
 def _materialize_index1(k: int, prec: int, h0: dict, h1: dict) -> JacobiFormQExp:
@@ -371,11 +330,7 @@ def _materialize_index1(k: int, prec: int, h0: dict, h1: dict) -> JacobiFormQExp
     for n in range(prec):
         rmax = math.isqrt(4 * n + 1)
         for r in range(-rmax, rmax + 1):
-            d = 4 * n - r * r
-            if d % 4 == 0:
-                v = h0.get(d // 4, 0)
-            else:
-                v = h1.get((d + 1) // 4, 0)
+            v = _index1_coeff(h0, h1, n, r)
             if v:
                 coeffs[(n, r)] = v
     return JacobiFormQExp(k, 1, prec, coeffs)
@@ -478,38 +433,28 @@ def jacobi_space(k: int, cusp: bool, prec: int):
     basis_vecs = _kernel_basis(rows, ncand)
     if not basis_vecs:
         return []
-    h_m2 = _phi_m2_components(prec)
-    h_0 = None
     out = []
     for vec in basis_vecs:
         acc0: dict = {}
         acc1: dict = {}
-        for i, x in enumerate(vec):
-            if not x:
-                continue
-            if i < na:
-                mon = mons_a[i]
-                comp = h_m2
-            else:
-                mon = mons_b[i - na]
-                if h_0 is None:
-                    h_0 = _phi0_components(prec)
-                comp = h_0
-            acc0 = _dict_add(acc0, _dict_scale(_dict_mul(mon, comp[0], prec), x))
-            acc1 = _dict_add(acc1, _dict_scale(_dict_mul(mon, comp[1], prec), x))
-        form = _materialize_index1(k, prec, acc0, acc1)
-        out.append(_lex_normalize(form))
+        # sum_i x_i mon_i h = (sum_i x_i mon_i) h: one product per generator
+        for mons, xs, components in ((mons_a, vec[:na], _phi_m2_components), (mons_b, vec[na:], _phi0_components)):
+            mon: dict = {}
+            for m, x in zip(mons, xs):
+                mon = _dict_add(mon, _dict_scale(m, x))
+            if mon:
+                h0, h1 = components(prec)
+                acc0 = _dict_add(acc0, _dict_mul(mon, h0, prec))
+                acc1 = _dict_add(acc1, _dict_mul(mon, h1, prec))
+        # c(n, r) = c(n, -r), so the lead in (n, |r|) order is the first
+        # nonzero value over n, then r >= 0; scale the components, not the form
+        rs = ((n, r) for n in range(prec) for r in range(math.isqrt(4 * n + 1) + 1))
+        lead = next((v for n, r in rs if (v := _index1_coeff(acc0, acc1, n, r))), 1)
+        if lead != 1:
+            inv = Fraction(1) / Fraction(lead)
+            acc0, acc1 = _dict_scale(acc0, inv), _dict_scale(acc1, inv)
+        out.append(_materialize_index1(k, prec, acc0, acc1))
     return out
-
-
-def _lex_normalize(phi: JacobiFormQExp) -> JacobiFormQExp:
-    lead = min(phi.coeffs, key=lambda nr: (nr[0], abs(nr[1]), nr[1])) if phi.coeffs else None
-    if lead is None:
-        return phi
-    c = phi.coeffs[lead]
-    if c == 1:
-        return phi
-    return phi.scalar_mul(Fraction(1) / Fraction(c))
 
 
 # ---------------------------------------------------------------------------

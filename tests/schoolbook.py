@@ -1,0 +1,282 @@
+"""Schoolbook series products: the differential oracle for the kernel.
+
+These are the package's original pure-Python convolution loops, kept
+verbatim (apart from being free functions here) so that tests can assert
+that the Kronecker-substitution kernel in ``fjcert.core`` gives equal
+results: ``dict_mul`` is the old ``core._dict_mul``, ``qexp_mul`` the old
+``QExpansion.__mul__`` and ``jacobi_multiply`` the old ``jacobi.multiply``.
+
+``jacobi_space`` rebuilds the index-one spaces the old way: every product
+through ``dict_mul``, the generator denominators P6, T2 and T44 expanded
+to dense series and divided out whole, and the normalization applied to
+the materialized form.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from functools import lru_cache
+
+from fjcert.core import CycElem, QExpansion, _dict_add, _dict_div, _dict_scale, _eis_dict, _vadd, _vmul, _viszero
+from fjcert.jacobi import (
+    JacobiFormQExp,
+    _kernel_basis,
+    _materialize_index1,
+    _series_p3,
+    _series_sa,
+    _series_sbq,
+)
+
+
+def dict_mul(a: dict, b: dict, emax: int) -> dict:
+    if not a or not b:
+        return {}
+    if len(a) > len(b):
+        a, b = b, a
+    ai = sorted(a.items())
+    bi = sorted(b.items())
+    b0 = bi[0][0]
+    out: dict = {}
+    for e1, v1 in ai:
+        lim = emax - e1
+        if b0 >= lim:
+            break
+        for e2, v2 in bi:
+            if e2 >= lim:
+                break
+            e = e1 + e2
+            prev = out.get(e)
+            out[e] = v1 * v2 if prev is None else prev + v1 * v2
+    return {e: v for e, v in out.items() if v}
+
+
+def qexp_mul(self: QExpansion, other) -> QExpansion:
+    if isinstance(other, (int, Fraction, CycElem)):
+        return self.scalar_mul(other)
+    a, b, L = self._pair(other)
+    prec = min(a.prec, b.prec)
+    bound = prec * L
+    out: dict = {}
+    bi = sorted(b.coeffs.items())
+    for e1, v1 in sorted(a.coeffs.items()):
+        lim = bound - e1
+        if bi and bi[0][0] >= lim:
+            break
+        for e2, v2 in bi:
+            if e2 >= lim:
+                break
+            e = e1 + e2
+            prev = out.get(e)
+            tv = _vmul(v1, v2)
+            out[e] = tv if prev is None else _vadd(prev, tv)
+    return QExpansion(L, {e: v for e, v in out.items() if not _viszero(v)}, prec)
+
+
+def jacobi_multiply(a: JacobiFormQExp, b: JacobiFormQExp) -> JacobiFormQExp:
+    """Product of Jacobi forms; weights and indices add, precision is the min."""
+    prec = min(a.prec, b.prec)
+    k = a.k + b.k
+    m = a.m + b.m
+    if not a.coeffs or not b.coeffs:
+        return JacobiFormQExp.zero(k, m, prec)
+    den_a = 1
+    for v in a.coeffs.values():
+        den_a = den_a * Fraction(v).denominator // math.gcd(den_a, Fraction(v).denominator)
+    den_b = 1
+    for v in b.coeffs.values():
+        den_b = den_b * Fraction(v).denominator // math.gcd(den_b, Fraction(v).denominator)
+    a_by_n: dict = {}
+    for (n, r), v in a.coeffs.items():
+        if n < prec:
+            a_by_n.setdefault(n, []).append((r, int(v * den_a)))
+    b_by_n: dict = {}
+    for (n, r), v in b.coeffs.items():
+        if n < prec:
+            b_by_n.setdefault(n, []).append((r, int(v * den_b)))
+    bns = sorted(b_by_n)
+    acc: dict = {}
+    for n1 in sorted(a_by_n):
+        rows1 = a_by_n[n1]
+        for n2 in bns:
+            n = n1 + n2
+            if n >= prec:
+                break
+            rows2 = b_by_n[n2]
+            for r1, v1 in rows1:
+                for r2, v2 in rows2:
+                    key = (n, r1 + r2)
+                    prev = acc.get(key)
+                    acc[key] = v1 * v2 if prev is None else prev + v1 * v2
+    d = den_a * den_b
+    if d == 1:
+        out = {key: v for key, v in acc.items() if v}
+    else:
+        out = {}
+        for key, v in acc.items():
+            if v:
+                out[key] = Fraction(v, d)
+    return JacobiFormQExp(k, m, prec, out)
+
+
+# the old generator construction: dense denominators, schoolbook products
+
+
+def _dict_shift(a: dict, s: int) -> dict:
+    return {e + s: v for e, v in a.items()}
+
+
+@lru_cache(maxsize=None)
+def _series_p6(emax: int):
+    p3 = _series_p3(emax)
+    return dict_mul(p3, p3, emax)
+
+
+@lru_cache(maxsize=None)
+def _series_t2(emax: int):
+    base = {}
+    n = 0
+    while n * (n + 1) // 2 < emax:
+        base[n * (n + 1) // 2] = 1
+        n += 1
+    return dict_mul(base, base, emax)
+
+
+@lru_cache(maxsize=None)
+def _series_t2_double(emax: int):
+    base = {}
+    n = 0
+    while n * (n + 1) < emax:
+        base[n * (n + 1)] = 1
+        n += 1
+    return dict_mul(base, base, emax)
+
+
+@lru_cache(maxsize=None)
+def _series_t32(emax: int):
+    base = {0: 1}
+    n = 1
+    while n * n < emax:
+        base[n * n] = 2
+        n += 1
+    return dict_mul(base, base, emax)
+
+
+@lru_cache(maxsize=None)
+def _series_t44(emax: int):
+    base = {0: 1}
+    n = 1
+    while n * n < emax:
+        base[n * n] = -2 if n % 2 else 2
+        n += 1
+    sq = dict_mul(base, base, emax)
+    return dict_mul(sq, sq, emax)
+
+
+@lru_cache(maxsize=None)
+def _phi_m2_components(jlen: int):
+    p6 = _series_p6(jlen)
+    h0 = _dict_scale(_dict_div(_series_sa(jlen), p6, jlen), -2)
+    h1 = _dict_div(_series_sbq(jlen), p6, jlen)
+    return h0, h1
+
+
+@lru_cache(maxsize=None)
+def _phi0_components(jlen: int):
+    sa = _series_sa(jlen)
+    sbq = _series_sbq(jlen)
+    t2 = _series_t2(jlen)
+    t44 = _series_t44(jlen)
+    h0 = _dict_add(
+        _dict_scale(_dict_div(sa, t2, jlen), 2),
+        _dict_scale(_dict_div(dict_mul(sbq, _series_t32(jlen), jlen), t44, jlen), 8),
+    )
+    corr = _dict_div(dict_mul(sa, _series_t2_double(jlen), jlen), t44, jlen)
+    h1 = _dict_add(
+        _dict_div(sbq, t2, jlen),
+        {e: v for e, v in _dict_shift(_dict_scale(corr, -64), 1).items() if e < jlen},
+    )
+    return h0, h1
+
+
+@lru_cache(maxsize=None)  # the only change: the oracle grid reuses each weight four times
+def _mform_monomials(w: int, emax: int):
+    """Integer q-expansions of the monomials E4^a E6^b of weight w, a descending."""
+    if w < 0 or w % 2 == 1 or w == 2:
+        return []
+    if w == 0:
+        return [{0: 1}]
+    out = []
+    for a in range(w // 4, -1, -1):
+        rem = w - 4 * a
+        if rem % 6:
+            continue
+        b = rem // 6
+        cur = {0: 1}
+        e4 = _eis_dict(4, emax)
+        e6 = _eis_dict(6, emax)
+        for _ in range(a):
+            cur = dict_mul(cur, e4, emax)
+        for _ in range(b):
+            cur = dict_mul(cur, e6, emax)
+        out.append(cur)
+    return out
+
+
+def jacobi_space(k: int, cusp: bool, prec: int):
+    """Basis of the index-one space of weight k, holomorphic or cuspidal.
+
+    Each basis element is normalized so its first nonzero coefficient in
+    lexicographic (n, |r|) order equals one.  Returns [] when the space is
+    trivial.
+    """
+    if k < 4 or k % 2 == 1:
+        raise ValueError("weight must be an even integer at least 4")
+    if prec < 1:
+        raise ValueError("precision must be at least 1")
+    mons_a = _mform_monomials(k + 2, prec)
+    mons_b = _mform_monomials(k, prec)
+    na, nb = len(mons_a), len(mons_b)
+    ncand = na + nb
+    if ncand == 0:
+        return []
+    # the only linear conditions are at discriminants -1 (holomorphy) and 0
+    # (cuspidality); both generators contribute their constant there
+    rows = [[Fraction(1)] * ncand]
+    if cusp:
+        rows.append([Fraction(-2)] * na + [Fraction(10)] * nb)
+    basis_vecs = _kernel_basis(rows, ncand)
+    if not basis_vecs:
+        return []
+    h_m2 = _phi_m2_components(prec)
+    h_0 = None
+    out = []
+    for vec in basis_vecs:
+        acc0: dict = {}
+        acc1: dict = {}
+        for i, x in enumerate(vec):
+            if not x:
+                continue
+            if i < na:
+                mon = mons_a[i]
+                comp = h_m2
+            else:
+                mon = mons_b[i - na]
+                if h_0 is None:
+                    h_0 = _phi0_components(prec)
+                comp = h_0
+            acc0 = _dict_add(acc0, _dict_scale(dict_mul(mon, comp[0], prec), x))
+            acc1 = _dict_add(acc1, _dict_scale(dict_mul(mon, comp[1], prec), x))
+        form = _materialize_index1(k, prec, acc0, acc1)
+        out.append(_lex_normalize(form))
+    return out
+
+
+def _lex_normalize(phi: JacobiFormQExp) -> JacobiFormQExp:
+    lead = min(phi.coeffs, key=lambda nr: (nr[0], abs(nr[1]), nr[1])) if phi.coeffs else None
+    if lead is None:
+        return phi
+    c = phi.coeffs[lead]
+    if c == 1:
+        return phi
+    return phi.scalar_mul(Fraction(1) / Fraction(c))

@@ -143,6 +143,12 @@ def test_qexpansion_add_min_precision():
         h.coeff(Fraction(4))
 
 
+def test_qexpansion_scalar_add_at_precision_zero():
+    for f in (QExpansion.zero(0), QExpansion.zero(0) + 1, QExpansion.zero(0) - 1, 1 + QExpansion.zero(0, 3)):
+        assert f.prec == 0 and f.is_zero()
+    assert QExpansion.zero(Fraction(1, 2)) + 5 == _qe(1, Fraction(1, 2), {0: 5})
+
+
 def test_qexpansion_mul_min_precision_and_values():
     f = _qe(1, 4, {0: 1, 1: 1})
     g = _qe(1, 6, {0: 1, 1: -1})

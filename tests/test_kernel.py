@@ -1,0 +1,117 @@
+"""Differential tests: the Kronecker-substitution kernel against the
+schoolbook loops it replaced (tests/schoolbook.py)."""
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import schoolbook
+from fjcert import CycElem, QExpansion, jacobi_space
+from fjcert.core import _dict_mul
+from fjcert.jacobi import JacobiFormQExp, multiply
+
+small = st.integers(-50, 50)
+huge = st.integers(2**2000, 2**2100).flatmap(lambda v: st.sampled_from([v, -v]))
+fracs = st.fractions(min_value=-40, max_value=40, max_denominator=30)
+
+
+def series(values, lo=0, width=40):
+    """Sparse {exponent: value} dicts, zero values allowed, keys from lo."""
+    return st.dictionaries(st.integers(lo, lo + width), values, max_size=30)
+
+
+@st.composite
+def series_pair(draw, values):
+    offset = draw(st.sampled_from([0, 0, 7, -12, 10**6, -(10**6)]))
+    a = draw(series(values, offset))
+    b = draw(series(values, draw(st.integers(-20, 20))))
+    return a, b
+
+
+def emax_cases(a, b):
+    """Every product exponent boundary that matters, plus 0 and 1."""
+    cases = {0, 1}
+    if a and b:
+        lo = min(a) + min(b)
+        hi = max(a) + max(b)
+        cases |= {lo - 1, lo, lo + 1, (lo + hi) // 2, hi, hi + 1, hi + 5}
+    return sorted(cases)
+
+
+@given(series_pair(small))
+def test_dict_mul_signed_sparse(pair):
+    a, b = pair
+    for emax in emax_cases(a, b):
+        assert _dict_mul(a, b, emax) == schoolbook.dict_mul(a, b, emax)
+
+
+@given(series_pair(st.one_of(huge, small, st.just(0))))
+def test_dict_mul_huge_coefficients(pair):
+    a, b = pair
+    for emax in emax_cases(a, b):
+        assert _dict_mul(a, b, emax) == schoolbook.dict_mul(a, b, emax)
+
+
+@given(series_pair(fracs))
+def test_dict_mul_mixed_denominators(pair):
+    a, b = pair
+    for emax in emax_cases(a, b):
+        assert _dict_mul(a, b, emax) == schoolbook.dict_mul(a, b, emax)
+
+
+def test_dict_mul_edge_cases():
+    a = {5: 3, 6: -2}
+    b = {9: 4}
+    for emax in (0, 1, 13, 14):
+        assert _dict_mul(a, b, emax) == {}
+    assert _dict_mul(a, b, 15) == {14: 12}
+    assert _dict_mul({0: 1, 1: 1}, {0: 1, 1: -1}, 5) == {0: 1, 2: -1}
+    assert _dict_mul({}, b, 10) == {} and _dict_mul({3: 0}, b, 20) == {}
+
+
+cyc = st.builds(
+    lambda L, w: CycElem(L, w),
+    st.sampled_from([1, 2, 3, 4, 6, 9]),
+    st.dictionaries(st.integers(0, 8), fracs, max_size=4),
+)
+
+
+@st.composite
+def qexp(draw, values):
+    L = draw(st.sampled_from([1, 2, 3, 4]))
+    prec = draw(st.fractions(min_value=0, max_value=8, max_denominator=3))
+    bound = prec * L
+    keys = st.integers(0, max(0, -(-bound.numerator // bound.denominator) - 1))
+    coeffs = draw(st.dictionaries(keys, values, max_size=12)) if bound > 0 else {}
+    return QExpansion(L, coeffs, prec)
+
+
+@given(qexp(fracs), qexp(fracs))
+def test_qexpansion_mul_rational(f, g):
+    assert f * g == schoolbook.qexp_mul(f, g)
+
+
+@given(qexp(st.one_of(cyc, fracs)), qexp(cyc))
+def test_qexpansion_mul_cyclotomic_mixed_orders(f, g):
+    assert f * g == schoolbook.qexp_mul(f, g)
+    assert g * f == schoolbook.qexp_mul(g, f)
+
+
+@st.composite
+def jacobi_form(draw, m):
+    prec = draw(st.integers(0, 6))
+    keys = st.tuples(st.integers(0, max(0, prec - 1)), st.integers(-7, 7))
+    coeffs = draw(st.dictionaries(keys, st.one_of(fracs, huge, small), max_size=25)) if prec else {}
+    return JacobiFormQExp(4, m, prec, coeffs)
+
+
+@given(jacobi_form(1), jacobi_form(2))
+def test_jacobi_multiply(a, b):
+    assert multiply(a, b) == schoolbook.jacobi_multiply(a, b)
+
+
+@pytest.mark.parametrize("prec", [1, 2, 7, 60, 301])
+def test_jacobi_space_matches_schoolbook_construction(prec):
+    for k in range(4, 33, 2):
+        for cusp in (False, True):
+            assert jacobi_space(k, cusp, prec) == schoolbook.jacobi_space(k, cusp, prec), (k, cusp)
