@@ -3,8 +3,6 @@ one, reduction theory for small quadratic forms, and sampled numerical
 certification of convergence behavior at rational torsion points."""
 
 from .core import (
-    BigRational,
-    ComplexVal,
     CycElem,
     PrecisionError,
     QExpansion,

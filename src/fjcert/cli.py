@@ -1,8 +1,7 @@
 """Batch command line front-end.
 
 Subcommands: gen-lift, check-symmetry, certify, bound-report, reduce.
-Flags override config-file entries, which override defaults; the thread
-count may also come from FJCERT_THREADS (a flag still wins).  Reports are
+Flags override config-file entries, which override defaults.  Reports are
 always written, even for failing runs, so CI can archive them.
 
 Exit codes are a stable contract:
@@ -20,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -94,7 +92,6 @@ _CONVERTERS = {
     "M": int,
     "points": int,
     "cap": int,
-    "threads": int,
     "theta": float,
     "eps": float,
     "kappa": float,
@@ -106,7 +103,7 @@ _CONVERTERS = {
 
 
 class _Run:
-    """Resolved parameters: flag > config > environment > default."""
+    """Resolved parameters: flag > config > default."""
 
     def __init__(self, args):
         self.args = args
@@ -117,12 +114,6 @@ class _Run:
             except (OSError, ValueError) as e:
                 _fail_usage("cannot read config: %s" % e)
         self.json_out = bool(getattr(args, "json", False))
-        self.threads = self.get("threads", 0)
-        if not self.threads:
-            env = os.environ.get("FJCERT_THREADS")
-            self.threads = int(env) if env and env.isdigit() else 1
-        if self.threads < 1:
-            _fail_usage("thread count must be positive")
 
     def get(self, name, default=None):
         v = getattr(self.args, name, None)
@@ -231,6 +222,8 @@ def _cmd_certify(run: _Run) -> int:
     report_path = run.need("report")
     p = run.get("torsion", TorsionPoint(1, (0,), (0,)))
     tau1 = run.get("tau1", 1j)
+    if tau1.imag <= 0:
+        _fail_usage("tau1 must have positive imaginary part")
     theta = run.get("theta", 0.1)
     if not 0 < theta < 1:
         _fail_usage("theta must lie in (0, 1)")
@@ -283,11 +276,12 @@ def _cmd_bound_report(run: _Run) -> int:
     eps = run.get("eps", box_rec.get("eps"))
     if eps is None:
         _fail_usage("no eps given (flag or box file)")
-    if not 0 < eps < 1:
-        _fail_usage("eps must lie in (0, 1)")
     report_path = run.need("report")
     try:
-        box = CompactBoxSpec(tuple((complex(t), complex(z)) for t, z in box_rec["U"]), float(eps))
+        eps = float(eps)
+        if not 0 < eps < 1:
+            _fail_usage("eps must lie in (0, 1)")
+        box = CompactBoxSpec(tuple(box_rec["U"]), eps)
     except (KeyError, TypeError, ValueError) as e:
         print("error: cannot parse box: %s" % e, file=sys.stderr)
         return 3
@@ -341,7 +335,6 @@ def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable stdout")
     common.add_argument("--config", help="key=value config file (flags win)")
-    common.add_argument("--threads", type=int, help="worker count (or FJCERT_THREADS)")
 
     parser = _Parser(prog="fjcert", description="formal Fourier-Jacobi series toolkit")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")

@@ -20,8 +20,9 @@ from fractions import Fraction
 from statistics import linear_regression
 
 from .core import PrecisionError, cyc_eval
-from .fjseries import FormalFJ, PolynomialOverM, evaluate_partial, poly_eval
-from .jacobi import SpecializedExpansion, TorsionPoint, evaluate, fe_norm
+# evaluate_partial and evaluate are not called here: bench/spans.py traces calls under these names
+from .fjseries import FormalFJ, PolynomialOverM, evaluate_partial, poly_eval, q2_sum, rho, siegel_point, slice_values  # noqa: F401
+from .jacobi import SpecializedExpansion, TorsionPoint, evaluate, fe_norm  # noqa: F401
 
 __all__ = [
     "BoundConfig",
@@ -181,19 +182,6 @@ def c_constant(tau1: complex, p: TorsionPoint) -> float:
     return float(c_constant_exact(Fraction(complex(tau1).imag), p))
 
 
-def rho(tau) -> float:
-    """Schur complement of Im(tau): Im(tau2) - (Im z)^2 / Im(tau1).
-
-    Im(tau) is positive definite iff Im(tau1) > 0 and rho(tau) > 0.
-    """
-    t1 = complex(tau[0][0])
-    z = complex(tau[0][1])
-    t2 = complex(tau[1][1])
-    if t1.imag <= 0:
-        raise ValueError("Im(tau1) must be positive")
-    return t2.imag - z.imag * z.imag / t1.imag
-
-
 def torsion_approximate(tau1: complex, z: complex, delta: float) -> TorsionPoint:
     """Smallest-N torsion point with |tau1 lambda + mu - z| < delta, found
     by rounding the real coordinates of z in the lattice basis (tau1, 1)."""
@@ -302,10 +290,7 @@ def pointwise_convergence_check(
     radius = math.exp(-2 * math.pi * c_val)
     q2_abs = theta * radius
     z = p.z_at(tau1)
-    terms = [0.0]
-    for m in range(1, 2 * M + 1):
-        val = evaluate(f.phis[m], tau1, z).value
-        terms.append(abs(val) * q2_abs**m)
+    terms = [abs(v) * q2_abs**m for m, v in enumerate(slice_values(f, tau1, z, 2 * M))]
     sums = [0.0]
     for m in range(1, 2 * M + 1):
         sums.append(sums[-1] + terms[m])
@@ -371,19 +356,23 @@ def k_eps_grid(box: CompactBoxSpec, eps_scale: float = 1.0, points: int = 5):
 
 
 def d_eps(q: PolynomialOverM, box: CompactBoxSpec, grid) -> float:
-    """Sampled sup of 1 + sum of |a_i(tau)| over the grid, i < degree."""
+    """Sampled sup of 1 + sum of |a_i(tau)| over the grid, i < degree;
+    slice values are computed once per distinct (tau1, z) of the grid."""
     if not q.is_monic():
         raise ValueError("polynomial must be monic")
     grid = list(grid)
     if not grid:
         raise ValueError("empty sample grid")
+    coeffs = [a for a in q.coeffs[:-1] if not a.is_zero()]
+    values = {}
     best = 0.0
     for tau in grid:
+        t1, z, t2 = siegel_point(tau)
+        if (t1, z) not in values:
+            values[t1, z] = [slice_values(a, t1, z, a.M_max) for a in coeffs]
         total = 1.0
-        for a in q.coeffs[:-1]:
-            if a.is_zero():
-                continue
-            total += abs(evaluate_partial(a, tau, a.M_max))
+        for vals in values[t1, z]:
+            total += abs(q2_sum(vals, t2))
         best = max(best, total)
     return best
 
@@ -446,9 +435,7 @@ def partial_sum_bound_check(
     argmax = None
     rows = {m: 0.0 for m in M_list}
     for t1, z in box.U:
-        slice_vals = [0j]
-        for m in range(1, mtop + 1):
-            slice_vals.append(evaluate(f.phis[m], t1, z).value)
+        slice_vals = slice_values(f, t1, z, mtop)
         near = _is_near_torsion(t1, z)
         base = z.imag * z.imag / t1.imag
         for i in range(points):

@@ -1,12 +1,12 @@
 """Exact arithmetic primitives: rationals, roots of unity, q-expansions.
 
 Coefficient arithmetic throughout the package is exact.  Rational numbers
-are ``fractions.Fraction`` (re-exported as ``BigRational``); coefficients
-mixing rationals with roots of unity use :class:`CycElem`, a formal group
-ring element ``sum_j w[j] * e(j/L)`` with ``e(x) = exp(2 pi i x)``.  The
-group ring is deliberately not reduced modulo cyclotomic relations, so
-equality of ``CycElem`` values is formal; numerical comparisons must go
-through :func:`cyc_eval`.
+are ``fractions.Fraction``; coefficients mixing rationals with roots of
+unity use :class:`CycElem`, a formal group ring element
+``sum_j w[j] * e(j/L)`` with ``e(x) = exp(2 pi i x)``.  The group ring is
+deliberately not reduced modulo cyclotomic relations, so equality of
+``CycElem`` values is formal; numerical comparisons must go through
+:func:`cyc_eval`.
 
 A :class:`QExpansion` is a truncated series ``sum c(x) q^x`` whose
 exponents ``x`` are nonnegative elements of ``(1/L) * Z`` below a rational
@@ -21,12 +21,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-BigRational = Fraction
-ComplexVal = complex
-
 __all__ = [
-    "BigRational",
-    "ComplexVal",
     "PrecisionError",
     "CycElem",
     "QExpansion",

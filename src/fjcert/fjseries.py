@@ -32,6 +32,8 @@ __all__ = [
     "extract_phi_m",
     "poly_eval",
     "monicize",
+    "rho",
+    "slice_values",
     "evaluate_partial",
 ]
 
@@ -429,11 +431,48 @@ def monicize(q: PolynomialOverM, f: FormalFJ, f_c: FormalFJ):
     return PolynomialOverM(bs, 0, step), h
 
 
-def _rho2(tau) -> float:
+def rho(tau) -> float:
+    """Schur complement of Im(tau): Im(tau2) - (Im z)^2 / Im(tau1).
+
+    Im(tau) is positive definite iff Im(tau1) > 0 and rho(tau) > 0.
+    """
     t1 = complex(tau[0][0])
     z = complex(tau[0][1])
     t2 = complex(tau[1][1])
+    if t1.imag <= 0:
+        raise ValueError("Im(tau1) must be positive")
     return t2.imag - z.imag * z.imag / t1.imag
+
+
+def siegel_point(tau):
+    """(tau1, z, tau2) of a 2x2 complex symmetric tau; raises ValueError
+    unless Im(tau) is positive definite."""
+    if complex(tau[0][1]) != complex(tau[1][0]):
+        raise ValueError("tau must be symmetric")
+    t1 = complex(tau[0][0])
+    if t1.imag <= 0 or rho(tau) <= 0:
+        raise ValueError("imaginary part of tau is not positive definite")
+    return t1, complex(tau[0][1]), complex(tau[1][1])
+
+
+def slice_values(f: FormalFJ, tau1: complex, z: complex, M: int) -> list:
+    """[phi_0(tau1, z), ..., phi_M(tau1, z)], with 0j for zero slices.
+
+    Every point evaluation of the slices of a series goes through here;
+    callers compute it once per (tau1, z) and reuse it for every tau2.
+    """
+    return [0j if phi.is_zero() else evaluate(phi, tau1, z).value for phi in f.phis[: M + 1]]
+
+
+def q2_sum(values, tau2: complex) -> complex:
+    """Sum of values[m] q2^m, q2 = e(tau2), each part added by math.fsum."""
+    q2 = cmath.exp(2j * math.pi * tau2)
+    terms = []
+    w = 1.0 + 0j
+    for v in values:
+        terms.append(v * w)
+        w *= q2
+    return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
 
 
 def evaluate_partial(f: FormalFJ, tau, M: int) -> complex:
@@ -444,21 +483,5 @@ def evaluate_partial(f: FormalFJ, tau, M: int) -> complex:
     """
     if M > f.M_max:
         raise PrecisionError("partial sum M=%d is beyond M_max=%d" % (M, f.M_max))
-    if complex(tau[0][1]) != complex(tau[1][0]):
-        raise ValueError("tau must be symmetric")
-    t1 = complex(tau[0][0])
-    z = complex(tau[0][1])
-    t2 = complex(tau[1][1])
-    if t1.imag <= 0 or _rho2(tau) <= 0:
-        raise ValueError("imaginary part of tau is not positive definite")
-    q2 = cmath.exp(2j * math.pi * t2)
-    res = []
-    ims = []
-    w = 1.0 + 0j
-    for m in range(M + 1):
-        if not f.phis[m].is_zero():
-            v = evaluate(f.phis[m], t1, z).value * w
-            res.append(v.real)
-            ims.append(v.imag)
-        w *= q2
-    return complex(math.fsum(res), math.fsum(ims))
+    t1, z, t2 = siegel_point(tau)
+    return q2_sum(slice_values(f, t1, z, M), t2)

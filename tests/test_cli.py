@@ -205,6 +205,7 @@ def test_certify_non_cuspidal_exits_4(tmp_path, capsys):
 def test_certify_usage_errors(tmp_path, lift_file):
     report = str(tmp_path / "cert.txt")
     assert main(["certify", "--in", str(lift_file), "--report", report, "--theta", "1.5"]) == 64
+    assert main(["certify", "--in", str(lift_file), "--report", report, "--tau1", "1+0i"]) == 64
     assert main(["certify", "--in", str(lift_file), "--report", report, "--M", "5"]) == 64
     assert main(["certify", "--in", str(lift_file)]) == 64
 
@@ -283,6 +284,18 @@ def test_bound_report_parse_errors_exit_3(tmp_path, lift_file, relation_files):
     assert main(["bound-report", "--in", str(bad), "--poly", str(poly), "--box", str(box), "--report", report]) == 3
 
 
+def test_bound_report_reads_eps_string_from_box(tmp_path, lift_file, relation_files, capsys):
+    poly, box = relation_files
+    report = str(tmp_path / "bound.txt")
+    rec = json.loads(box.read_text())
+    base = ["bound-report", "--in", str(lift_file), "--poly", str(poly), "--points", "2", "--report", report]
+    for eps, code in (("0.1", 0), ("abc", 3), ([0.1], 3)):
+        path = tmp_path / "box.json"
+        path.write_text(json.dumps(dict(rec, eps=eps)))
+        assert main(base + ["--box", str(path)]) == code
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_bound_report_bad_eps_is_usage_error(tmp_path, lift_file, relation_files):
     poly, box = relation_files
     rc = main(
@@ -340,17 +353,15 @@ def test_flag_beats_config_beats_default(tmp_path, lift_file, capsys):
     assert json.loads(capsys.readouterr().out)["bound"] == 7
 
 
-def test_threads_env_fallback(tmp_path, lift_file, monkeypatch):
+def test_no_threads_knob(tmp_path, lift_file, monkeypatch, capsys):
     report = str(tmp_path / "r.txt")
     base = ["check-symmetry", "--in", str(lift_file), "--report", report]
-    monkeypatch.setenv("FJCERT_THREADS", "3")
-    assert main(base) == 0
-    monkeypatch.setenv("FJCERT_THREADS", "nonsense")  # ignored, falls back to 1
-    assert main(base) == 0
+    with pytest.raises(SystemExit) as e:
+        main(base + ["--threads", "2"])
+    assert e.value.code == 64
+    assert "unrecognized arguments: --threads" in capsys.readouterr().err
     monkeypatch.setenv("FJCERT_THREADS", "0")
-    assert main(base) == 64
-    monkeypatch.delenv("FJCERT_THREADS")
-    assert main(base + ["--threads", "-2"]) == 64
+    assert main(base) == 0
 
 
 def test_config_file_errors(tmp_path, lift_file):

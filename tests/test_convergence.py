@@ -3,12 +3,14 @@
 import csv
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fjcert import fjseries
 from fjcert.convergence import (
     BoundConfig,
     CompactBoxSpec,
@@ -28,7 +30,7 @@ from fjcert.convergence import (
 )
 from fjcert.core import PrecisionError, eisenstein_qexp
 from fjcert.fjseries import FormalFJ, PolynomialOverM, evaluate_partial
-from fjcert.jacobi import JacobiFormQExp, TorsionPoint, specialize_torsion
+from fjcert.jacobi import JacobiFormQExp, TorsionPoint, evaluate, specialize_torsion
 from fjcert.reduction import enumerate_S
 
 
@@ -339,10 +341,22 @@ def test_d_eps_matches_direct_sup(lift8):
     q = square_relation(f)
     box = CompactBoxSpec(((1j, 0.25j), (1j, 0.1 + 0.05j)), 0.1)
     grid = k_eps_grid(box, points=3)
+    random.Random(7).shuffle(grid)  # repeated (tau1, z) are no longer adjacent
     got = d_eps(q, box, grid)
     want = max(1.0 + abs(evaluate_partial(q.coeffs[0], tau, q.coeffs[0].M_max)) for tau in grid)
-    assert got == pytest.approx(want, rel=1e-12)
+    assert got == want
     assert got > 1.0
+
+
+def test_d_eps_evaluates_each_slice_once_per_point(lift8, monkeypatch):
+    f, _ = lift8
+    q = square_relation(f)
+    box = CompactBoxSpec(((1j, 0.25j), (1j, 0.1 + 0.05j), (0.5 + 1j, 0.15j)), 0.1)
+    calls = []
+    monkeypatch.setattr(fjseries, "evaluate", lambda phi, t1, z: calls.append((id(phi), t1, z)) or evaluate(phi, t1, z))
+    d_eps(q, box, k_eps_grid(box, points=5))
+    nonzero = sum(not phi.is_zero() for a in q.coeffs[:-1] for phi in a.phis)
+    assert len(calls) == len(set(calls)) == len(box.U) * nonzero
 
 
 def test_d_eps_is_one_for_plain_x():
