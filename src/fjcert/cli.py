@@ -273,6 +273,9 @@ def _cmd_bound_report(run: _Run) -> int:
         print("error: cannot parse polynomial: %s" % e, file=sys.stderr)
         return 3
     box_rec = _load_json(run.need("box"))
+    if not isinstance(box_rec, dict):
+        print("error: cannot parse box: expected a JSON object", file=sys.stderr)
+        return 3
     eps = run.get("eps", box_rec.get("eps"))
     if eps is None:
         _fail_usage("no eps given (flag or box file)")
@@ -316,6 +319,8 @@ def _cmd_reduce(run: _Run) -> int:
         n = SymMatQ.from_text(text)
     except (ValueError, IndexError) as e:
         _fail_usage("cannot parse matrix %r: %s" % (text, e))
+    if n.size > 3:
+        _fail_usage("reduce takes matrices of size one to three")
     if not is_positive_definite(n):
         print("error: matrix is not positive definite", file=sys.stderr)
         return 6

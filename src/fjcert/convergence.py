@@ -23,6 +23,7 @@ from .core import PrecisionError, cyc_eval
 # evaluate_partial and evaluate are not called here: bench/spans.py traces calls under these names
 from .fjseries import FormalFJ, PolynomialOverM, evaluate_partial, poly_eval, q2_sum, rho, siegel_point, slice_values  # noqa: F401
 from .jacobi import SpecializedExpansion, TorsionPoint, evaluate, fe_norm  # noqa: F401
+from .reduction import CapacityError
 
 __all__ = [
     "BoundConfig",
@@ -40,6 +41,10 @@ __all__ = [
     "hecke_coeff_check",
     "torsion_approximate",
 ]
+
+
+# largest N that torsion_approximate tries before it gives up
+TORSION_SEARCH_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -184,23 +189,32 @@ def c_constant(tau1: complex, p: TorsionPoint) -> float:
 
 def torsion_approximate(tau1: complex, z: complex, delta: float) -> TorsionPoint:
     """Smallest-N torsion point with |tau1 lambda + mu - z| < delta, found
-    by rounding the real coordinates of z in the lattice basis (tau1, 1)."""
+    by rounding the real coordinates of z in the lattice basis (tau1, 1).
+    Raises CapacityError when no N up to TORSION_SEARCH_CAP qualifies."""
     tau1 = complex(tau1)
     z = complex(z)
     if tau1.imag <= 0:
         raise ValueError("Im(tau1) must be positive")
     if delta <= 0:
         raise ValueError("delta must be positive")
+    p = _torsion_search(tau1, z, delta, TORSION_SEARCH_CAP)
+    if p is None:
+        raise CapacityError("no torsion point with N <= %d lies within %g of z" % (TORSION_SEARCH_CAP, delta))
+    return p
+
+
+def _torsion_search(tau1: complex, z: complex, tol: float, n_cap: int):
+    """Torsion point of smallest N <= n_cap with |tau1 lambda + mu - z| < tol,
+    or None.  For each N the numerators round N times the real coordinates of
+    z in the lattice basis (tau1, 1)."""
     lam_star = z.imag / tau1.imag
     mu_star = z.real - tau1.real * lam_star
-    n = 1
-    while True:
+    for n in range(1, n_cap + 1):
         a = round(n * lam_star)
         c = round(n * mu_star)
-        approx = tau1 * (a / n) + (c / n)
-        if abs(approx - z) < delta:
+        if abs(tau1 * (a / n) + (c / n) - z) < tol:
             return TorsionPoint(n, (a,), (c,))
-        n += 1
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -378,14 +392,7 @@ def d_eps(q: PolynomialOverM, box: CompactBoxSpec, grid) -> float:
 
 
 def _is_near_torsion(tau1: complex, z: complex, n_cap: int = 16, tol: float = 1e-9) -> bool:
-    lam_star = z.imag / tau1.imag
-    mu_star = z.real - tau1.real * lam_star
-    for n in range(1, n_cap + 1):
-        a = round(n * lam_star)
-        c = round(n * mu_star)
-        if abs(tau1 * (a / n) + (c / n) - z) < tol:
-            return True
-    return False
+    return _torsion_search(tau1, z, tol, n_cap) is not None
 
 
 def partial_sum_bound_check(

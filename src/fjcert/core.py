@@ -43,7 +43,12 @@ def rat_str(x) -> str:
 
 
 def parse_rat(s: str) -> Fraction:
-    return Fraction(str(s).strip())
+    """Fraction from text such as "3", "-7/2" or "0.25"; ValueError on bad text,
+    a zero denominator included."""
+    try:
+        return Fraction(str(s).strip())
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % (s,)) from None
 
 
 # ---------------------------------------------------------------------------

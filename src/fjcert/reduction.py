@@ -12,6 +12,7 @@ keep integer entries and determinant +-1 as a constructor invariant.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,7 +38,7 @@ __all__ = [
 
 
 class CapacityError(RuntimeError):
-    """Raised when an enumeration would exceed its configured cap."""
+    """Raised when an enumeration or a search would exceed its cap."""
 
 
 # ---------------------------------------------------------------------------
@@ -251,11 +252,6 @@ def act(t: SymMatQ, u) -> SymMatQ:
     return SymMatQ(_matmul([list(r) for r in ut], inner))
 
 
-def _form_value(t: SymMatQ, x) -> Fraction:
-    s = t.size
-    return sum(t.rows[i][j] * x[i] * x[j] for i in range(s) for j in range(s))
-
-
 def _round_half_up(x: Fraction) -> int:
     return math.floor(x + Fraction(1, 2))
 
@@ -268,179 +264,118 @@ def _round_half_to_zero(x: Fraction) -> int:
     return math.floor(x + Fraction(1, 2))
 
 
-def _reduce2(t: SymMatQ):
-    u = UnimodularMat.identity(2)
-    swap = UnimodularMat([[0, 1], [1, 0]])
-    for _ in range(10000):
-        if t[0, 0] > t[1, 1]:
-            t, u = act(t, swap), u @ swap
-        r = _round_half_to_zero(t[0, 1] / t[0, 0])
-        if r != 0:
-            shear = UnimodularMat([[1, -r], [0, 1]])
-            t, u = act(t, shear), u @ shear
-        if r == 0 and t[0, 0] <= t[1, 1]:
-            break
-    else:  # pragma: no cover
-        raise RuntimeError("reduction failed to terminate")
-    if t[0, 1] < 0:
-        flip = UnimodularMat([[1, 0], [0, -1]])
-        t, u = act(t, flip), u @ flip
-    return t, u
+def _integral(t: SymMatQ):
+    """(g, D): the entries of t times D = lcm of their denominators, as int lists."""
+    scale = math.lcm(*(x.denominator for row in t.rows for x in row))
+    return [[x.numerator * (scale // x.denominator) for x in row] for row in t.rows], scale
 
 
-def _inv_diag(t: SymMatQ):
-    d = t.det()
-    adj = _adjugate(t.rows)
-    return [adj[i][i] / d for i in range(t.size)]
+# every nonzero x in {-1, 0, 1}^s, in itertools.product order, with the index
+# of its last nonzero entry
+_CONDITIONS = {
+    s: [(x, max(i for i in range(s) if x[i])) for x in itertools.product((-1, 0, 1), repeat=s) if any(x)]
+    for s in (1, 2, 3)
+}
 
 
-def _min_vector(t: SymMatQ):
-    """Lexicographically smallest integer vector achieving the exact minimum."""
-    s = t.size
-    bound0 = min(t.rows[i][i] for i in range(s))
-    inv = _inv_diag(t)
-    # x' t x <= m forces x_i^2 <= m * (t^{-1})_ii by Cauchy-Schwarz
-    box = [math.isqrt(math.floor(bound0 * inv[i])) for i in range(s)]
-    volume = 1
-    for b in box:
-        volume *= 2 * b + 1
-    if volume > 10**7:
-        raise CapacityError("exact minimum search box is too large")
-    best = None
-    best_key = None
-    def rec(i, x):
-        nonlocal best, best_key
-        if i == s:
-            if not any(x):
-                return
-            # only canonical representative of +-x: first nonzero positive
-            lead = next(v for v in x if v != 0)
-            if lead < 0:
-                return
-            val = _form_value(t, x)
-            key = (val, tuple(x))
-            if best_key is None or key < best_key:
-                best, best_key = (val, tuple(x)), key
-        else:
-            for v in range(-box[i], box[i] + 1):
-                rec(i + 1, x + [v])
-    rec(0, [])
-    return best  # (value, vector)
+def _first_violation(g):
+    """The first (x, j) in _CONDITIONS with g[x] < g_kk for some k <= j, or None.
+
+    For s <= 3 the inequalities g[x] >= g_kk, over every nonzero x in
+    {-1, 0, 1}^s and every k up to the last nonzero index j of x, are the
+    whole of Minkowski reduction (Cassels, Rational Quadratic Forms, ch. 12).
+    x = e_j orders the diagonal and x = e_j +- e_i bounds 2|g_ij| by g_ii.
+    """
+    s = len(g)
+    for x, j in _CONDITIONS[s]:
+        value = sum(g[a][b] * x[a] * x[b] for a in range(s) for b in range(s))
+        if any(value < g[k][k] for k in range(j + 1)):
+            return x, j
+    return None
 
 
-def _first_column_completion(v) -> UnimodularMat:
-    """Unimodular matrix whose first column is the primitive vector v."""
-    w = unimodular_completion(tuple(v))
-    # completion has v as its last row; transpose puts it in the last
-    # column, the corner swap moves it to the front
-    s = len(v)
-    return w.transpose() @ corner_swap(s)
+def _swap(g, u, i):
+    """Exchange basis vectors i and i + 1: columns of u, rows and columns of g."""
+    for m in (g, u):
+        for row in m:
+            row[i], row[i + 1] = row[i + 1], row[i]
+    g[i], g[i + 1] = g[i + 1], g[i]
 
 
-def _reduce3(t: SymMatQ):
-    u = UnimodularMat.identity(3)
-    for _ in range(1000):
-        val, v = _min_vector(t)
-        if val < t[0, 0]:
-            c = _first_column_completion(_primitive(v))
-            t, u = act(t, c), u @ c
-        # clear first-row off-diagonals, then reduce the trailing block,
-        # and iterate: each pass only shrinks the scaled entry vector
-        changed = True
-        inner = 0
-        while changed:
-            inner += 1
-            if inner > 1000:  # pragma: no cover
-                raise RuntimeError("reduction failed to terminate")
-            changed = False
-            for j in (1, 2):
-                r = _round_half_to_zero(t[0, j] / t[0, 0])
-                if r:
-                    rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-                    rows[0][j] = -r
-                    shear = UnimodularMat(rows)
-                    t, u = act(t, shear), u @ shear
-                    changed = True
-            block = SymMatQ([[t[1, 1], t[1, 2]], [t[2, 1], t[2, 2]]])
-            rb, ub = _reduce2(block)
-            if ub != UnimodularMat.identity(2):
-                rows = [
-                    [1, 0, 0],
-                    [0, ub.rows[0][0], ub.rows[0][1]],
-                    [0, ub.rows[1][0], ub.rows[1][1]],
-                ]
-                emb = UnimodularMat(rows)
-                moved = act(t, emb)
-                if moved != t:
-                    t, u = moved, u @ emb
-                    changed = True
-        ok = (
-            t[0, 0] <= t[1, 1] <= t[2, 2]
-            and 2 * abs(t[0, 1]) <= t[0, 0]
-            and 2 * abs(t[0, 2]) <= t[0, 0]
-            and 2 * abs(t[1, 2]) <= t[1, 1]
-            and _min_vector(t)[0] == t[0, 0]
-        )
-        if ok:
-            break
-    else:  # pragma: no cover
-        raise RuntimeError("reduction failed to terminate")
-    # deterministic sign normalization on the off-diagonal entries
-    s2 = -1 if t[0, 1] < 0 else 1
-    s3 = -1 if t[0, 2] < 0 else 1
-    if s2 < 0 or s3 < 0:
-        flip = UnimodularMat([[1, 0, 0], [0, s2, 0], [0, 0, s3]])
-        t, u = act(t, flip), u @ flip
-    return t, u
-
-
-def _primitive(v):
-    g = 0
-    for x in v:
-        g = math.gcd(g, abs(x))
-    return tuple(x // g for x in v)
+def _replace(g, u, j, c):
+    """Replace basis vector j by sum_i c_i b_i (c_j = +-1, so u stays unimodular)."""
+    for m in (g, u):
+        for row in m:
+            row[j] = sum(ci * v for ci, v in zip(c, row))
+    g[j] = [sum(ci * row[k] for ci, row in zip(c, g)) for k in range(len(g))]
 
 
 def minkowski_reduce(n: SymMatQ):
-    """Reduce a positive definite matrix of size one to three.
+    """Minkowski-reduce a positive definite matrix of size one to three.
 
-    Returns (reduced, rho) with reduced = n[rho], rho unimodular, the
-    diagonal of the result nondecreasing with twice each off-diagonal entry
-    bounded by the matching diagonal entry, and the leading entry equal to
-    the exact minimum of the form over nonzero integer vectors.
+    Returns (reduced, rho) with reduced = n[rho] and rho unimodular, where
+    reduced[x] >= reduced_kk for every nonzero x in {-1, 0, 1}^s and every k
+    up to the last nonzero index of x.  At these sizes that finite list is
+    Minkowski reduction: the diagonal is nondecreasing, 2|reduced_ij| <=
+    reduced_ii for i < j, and reduced_00 is the minimum of the form over
+    nonzero integer vectors.  Signs are normalized so that reduced_01 and
+    reduced_02 are nonnegative.
     """
     if not is_positive_definite(n):
         raise ValueError("matrix must be positive definite")
-    if n.size == 1:
-        return n, UnimodularMat.identity(1)
-    if n.size == 2:
-        return _reduce2(n)
-    if n.size == 3:
-        return _reduce3(n)
-    raise ValueError("reduction implemented for sizes one to three only")
+    s = n.size
+    if s > 3:
+        raise ValueError("reduction implemented for sizes one to three only")
+    g, scale = _integral(n)
+    u = [[int(i == j) for j in range(s)] for i in range(s)]
+    # Swaps keep the trace of g and sort the diagonal in finitely many steps.
+    # A shear with r != 0 lowers g_jj, and a replacement by x lowers g_jj to
+    # g[x] < g_kk <= g_jj, so each lowers the positive integer trace of g and
+    # the loop ends.
+    while True:
+        changed = False
+        for end in range(s - 1, 0, -1):
+            for i in range(end):
+                if g[i][i] > g[i + 1][i + 1]:
+                    _swap(g, u, i)
+                    changed = True
+        for i in range(s):
+            for j in range(i + 1, s):
+                r = _round_half_to_zero(Fraction(g[i][j], g[i][i]))
+                if r:
+                    _replace(g, u, j, [int(k == j) - r * int(k == i) for k in range(s)])
+                    changed = True
+        if not changed:
+            bad = _first_violation(g)
+            if bad is None:
+                break
+            x, j = bad
+            _replace(g, u, j, x)
+    for j in range(1, s):
+        if g[0][j] < 0:
+            _replace(g, u, j, [-int(k == j) for k in range(s)])
+    return SymMatQ([[Fraction(x, scale) for x in row] for row in g]), UnimodularMat(u)
 
 
 _HERMITE_POW = {1: Fraction(1), 2: Fraction(4, 3), 3: Fraction(2)}
 
 
 def hermite_check(n: SymMatQ) -> bool:
-    """Check (n_11)^s <= gamma_s^s det(n) for a Minkowski reduced matrix.
+    """Check (n_00)^s <= gamma_s^s det(n) for a Minkowski reduced matrix.
 
-    gamma_s^s is 1, 4/3, 2 at sizes 1, 2, 3.  Raises if the input does not
-    satisfy the reduction conditions.
+    gamma_s^s is 1, 4/3, 2 at sizes 1, 2, 3.  Raises ValueError unless n is
+    positive definite and n[x] >= n_kk for every nonzero x in {-1, 0, 1}^s
+    and every k up to the last nonzero index of x, the condition list that
+    minkowski_reduce establishes.
     """
     s = n.size
     if s not in _HERMITE_POW:
         raise ValueError("size must be one to three")
-    for i in range(s - 1):
-        if n[i, i] > n[i + 1, i + 1]:
-            raise ValueError("input is not Minkowski reduced (diagonal order)")
-    for i in range(s):
-        for j in range(i + 1, s):
-            if 2 * abs(n[i, j]) > n[i, i]:
-                raise ValueError("input is not Minkowski reduced (off-diagonal bound)")
     if not is_positive_definite(n):
         raise ValueError("matrix must be positive definite")
+    bad = _first_violation(_integral(n)[0])
+    if bad is not None:
+        raise ValueError("input is not Minkowski reduced: n[x] < n_kk at x = %s" % (bad[0],))
     return n[0, 0] ** s <= _HERMITE_POW[s] * n.det()
 
 

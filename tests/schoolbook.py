@@ -1,4 +1,5 @@
-"""Schoolbook series products: the differential oracle for the kernel.
+"""Schoolbook series products and binary reduction: the differential oracles
+for the kernel and for the Minkowski loop.
 
 These are the package's original pure-Python convolution loops, kept
 verbatim (apart from being free functions here) so that tests can assert
@@ -10,6 +11,10 @@ results: ``dict_mul`` is the old ``core._dict_mul``, ``qexp_mul`` the old
 through ``dict_mul``, the generator denominators P6, T2 and T44 expanded
 to dense series and divided out whole, and the normalization applied to
 the materialized form.
+
+``reduce2`` is the old ``reduction._reduce2``, the Gauss reduction loop
+for binary forms that the general Minkowski loop replaced; on binary forms
+the two must return the same (form, transform) pair.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from fjcert.jacobi import (
     _series_sa,
     _series_sbq,
 )
+from fjcert.reduction import SymMatQ, UnimodularMat, _round_half_to_zero, act
 
 
 def dict_mul(a: dict, b: dict, emax: int) -> dict:
@@ -280,3 +286,23 @@ def _lex_normalize(phi: JacobiFormQExp) -> JacobiFormQExp:
     if c == 1:
         return phi
     return phi.scalar_mul(Fraction(1) / Fraction(c))
+
+
+def reduce2(t: SymMatQ):
+    u = UnimodularMat.identity(2)
+    swap = UnimodularMat([[0, 1], [1, 0]])
+    for _ in range(10000):
+        if t[0, 0] > t[1, 1]:
+            t, u = act(t, swap), u @ swap
+        r = _round_half_to_zero(t[0, 1] / t[0, 0])
+        if r != 0:
+            shear = UnimodularMat([[1, -r], [0, 1]])
+            t, u = act(t, shear), u @ shear
+        if r == 0 and t[0, 0] <= t[1, 1]:
+            break
+    else:  # pragma: no cover
+        raise RuntimeError("reduction failed to terminate")
+    if t[0, 1] < 0:
+        flip = UnimodularMat([[1, 0], [0, -1]])
+        t, u = act(t, flip), u @ flip
+    return t, u

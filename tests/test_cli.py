@@ -284,6 +284,39 @@ def test_bound_report_parse_errors_exit_3(tmp_path, lift_file, relation_files):
     assert main(["bound-report", "--in", str(bad), "--poly", str(poly), "--box", str(box), "--report", report]) == 3
 
 
+def test_bound_report_box_must_be_an_object(tmp_path, lift_file, relation_files):
+    poly, _ = relation_files
+    box = tmp_path / "box.json"
+    box.write_text("[]")
+    rc = main(["bound-report", "--in", str(lift_file), "--poly", str(poly), "--box", str(box),
+               "--report", str(tmp_path / "r.txt")])
+    assert rc == 3
+
+
+def with_zero_denominator(series_rec):
+    """The series record with its first stored coefficient replaced by "1/0"."""
+    phi = next(phi for phi in series_rec["phis"] if phi["coeffs"])
+    phi["coeffs"][0][2] = "1/0"
+    return series_rec
+
+
+def test_series_zero_denominator_exits_3(tmp_path, lift_file):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(with_zero_denominator(json.loads(lift_file.read_text()))))
+    assert main(["check-symmetry", "--in", str(bad), "--report", str(tmp_path / "r.txt")]) == 3
+
+
+def test_poly_zero_denominator_exits_3(tmp_path, lift_file, relation_files):
+    poly, box = relation_files
+    rec = json.loads(poly.read_text())
+    with_zero_denominator(rec["coeffs"][0])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(rec))
+    rc = main(["bound-report", "--in", str(lift_file), "--poly", str(bad), "--box", str(box),
+               "--report", str(tmp_path / "r.txt")])
+    assert rc == 3
+
+
 def test_bound_report_reads_eps_string_from_box(tmp_path, lift_file, relation_files, capsys):
     poly, box = relation_files
     report = str(tmp_path / "bound.txt")
@@ -333,6 +366,8 @@ def test_reduce_rejects_indefinite(capsys):
 
 def test_reduce_usage_errors():
     assert main(["reduce", "--matrix", "1,2;2"]) == 64
+    assert main(["reduce", "--matrix", "1/0,0;0,1"]) == 64
+    assert main(["reduce", "--matrix", "1,0,0,0;0,1,0,0;0,0,1,0;0,0,0,1"]) == 64
     assert main(["reduce"]) == 64
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fjcert import fjseries
+from fjcert import convergence, fjseries
 from fjcert.convergence import (
     BoundConfig,
     CompactBoxSpec,
@@ -31,7 +31,7 @@ from fjcert.convergence import (
 from fjcert.core import PrecisionError, eisenstein_qexp
 from fjcert.fjseries import FormalFJ, PolynomialOverM, evaluate_partial
 from fjcert.jacobi import JacobiFormQExp, TorsionPoint, evaluate, specialize_torsion
-from fjcert.reduction import enumerate_S
+from fjcert.reduction import CapacityError, enumerate_S
 
 
 def square_relation(f):
@@ -108,6 +108,14 @@ def test_torsion_approximate_is_minimal_and_close(n, a, c):
     got = torsion_approximate(tau1, z, 1e-9)
     assert got.N <= n
     assert abs(got.z_at(tau1) - z) < 1e-9
+
+
+def test_torsion_approximate_search_is_capped(monkeypatch):
+    monkeypatch.setattr(convergence, "TORSION_SEARCH_CAP", 50)
+    tau1 = 0.3 + 1.1j
+    assert torsion_approximate(tau1, tau1 * (5 / 47) + 3 / 47, 1e-12) == TorsionPoint(47, (5,), (3,))
+    with pytest.raises(CapacityError):
+        torsion_approximate(tau1, tau1 * (5 / 53) + 3 / 53, 1e-12)
 
 
 def test_torsion_approximate_validation():

@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
+import schoolbook
 from fjcert.reduction import (
     CapacityError,
     SymMatQ,
@@ -213,6 +214,83 @@ def test_minkowski_three_by_three_conditions():
         assert hermite_check(reduced)
 
 
+def test_minkowski_binary_matches_gauss_oracle():
+    # criterion-2-style rational binary forms: form and transform both equal
+    # to the Gauss loop the general Minkowski loop replaced
+    rng = random.Random(414213)
+    for _ in range(300):
+        while True:
+            a, b, c, d = (rng.randrange(-6, 7) for _ in range(4))
+            if a * d - b * c != 0:
+                break
+        den = rng.randrange(1, 7)
+        off = Fraction(a * b + c * d, den)
+        t = mat2(Fraction(a * a + c * c, den), off, off, Fraction(b * b + d * d, den))
+        assert minkowski_reduce(t) == schoolbook.reduce2(t)
+
+
+def shear_word_form(rng, length=6):
+    """D[u] for a random diagonal D and a word u of elementary shears."""
+    d = [rng.randint(1, 9) for _ in range(3)]
+    u = [[int(i == j) for j in range(3)] for i in range(3)]
+    for _ in range(length):
+        i, j = rng.sample(range(3), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        for row in u:
+            row[j] += c * row[i]
+    return SymMatQ(
+        [[Fraction(sum(u[k][a] * d[k] * u[k][b] for k in range(3))) for b in range(3)] for a in range(3)]
+    )
+
+
+# forms the brute-force size-3 reduction got wrong: the first and last came
+# back unreduced, the second (diag(1, 2, 3) under three shears) overflowed
+# its search box
+EDGE_FORMS = [
+    "4,2,2;2,6,-2;2,-2,10",
+    "1844517422,1718986,63602569;1718986,1602,59274;63602569,59274,2193141",
+    "1,0,0;0,1,0;0,0,1",
+    "9/2,3,1;3,7,2;1,2,11/3",
+]
+
+
+def ternary_forms(source):
+    rng = random.Random(31)
+    if source == "random":
+        return [random_pd3(rng) for _ in range(40)]
+    if source == "shear-words":
+        return [shear_word_form(rng) for _ in range(80)]
+    return [SymMatQ.from_text(text) for text in EDGE_FORMS]
+
+
+@pytest.mark.parametrize("source", ["random", "shear-words", "edge"])
+def test_minkowski_ternary_full_condition_list(source):
+    for t in ternary_forms(source):
+        reduced, u = minkowski_reduce(t)
+        assert act(t, u) == reduced
+        for x in product((-1, 0, 1), repeat=3):
+            value = sum(reduced[i, j] * x[i] * x[j] for i in range(3) for j in range(3))
+            for k in range(3):
+                if any(x[k:]):
+                    assert value >= reduced[k, k], (t, reduced, x, k)
+        assert reduced[0, 1] >= 0 and reduced[0, 2] >= 0
+        assert minkowski_reduce(reduced)[0] == reduced
+
+
+def test_minkowski_edge_form_values():
+    reduced, _ = minkowski_reduce(SymMatQ.from_text(EDGE_FORMS[1]))
+    assert reduced == SymMatQ.from_text("1,0,0;0,2,0;0,0,3")
+    reduced, _ = minkowski_reduce(SymMatQ.from_text(EDGE_FORMS[3]))
+    assert [reduced[i, i] for i in range(3)] == [Fraction(11, 3), Fraction(9, 2), Fraction(11, 2)]
+
+
+def test_minkowski_sizes_one_and_four():
+    t = SymMatQ([[Fraction(7, 2)]])
+    assert minkowski_reduce(t) == (t, UnimodularMat.identity(1))
+    with pytest.raises(ValueError):
+        minkowski_reduce(SymMatQ([[Fraction(int(i == j)) for j in range(4)] for i in range(4)]))
+
+
 # ---------------------------------------------------------------------------
 # Hermite bound check
 
@@ -223,6 +301,9 @@ def test_hermite_examples():
     assert hermite_check(mat2(1, Fraction(1, 2), Fraction(1, 2), 1))
     with pytest.raises(ValueError):
         hermite_check(mat2(2, 0, 0, 1))
+    # sorted and size-reduced, but x = (-1, 1, 1) gives 8 < 10
+    with pytest.raises(ValueError):
+        hermite_check(SymMatQ.from_text("4,2,2;2,6,-2;2,-2,10"))
 
 
 def test_hermite_one_by_one():
