@@ -6,8 +6,8 @@ from fjcert import evaluate, jacobi_space, weak_generators
 phi_m2, phi_0 = weak_generators(8)
 print("weak generators, first rows:")
 for phi in (phi_m2, phi_0):
-    row = [(r, phi.coeff(0, r)) for r in (-1, 0, 1)]
-    print("  weight %3d, n=0:" % phi.k, row)
+    row = " ".join(str(phi.coeff(0, r)) for r in (-1, 0, 1))
+    print("  weight %3d, n=0, r = -1, 0, 1: %s" % (phi.k, row))
 
 # holomorphic and cuspidal spaces at weight 10
 full = jacobi_space(10, False, 8)
@@ -21,4 +21,4 @@ for (n, r), v in sorted(phi.coeffs.items())[:6]:
 
 # numerical evaluation at a point in the upper half plane
 val = evaluate(phi, 1j, 0.3 + 0.2j)
-print("phi(i, 0.3+0.2i) = %.6g + %.6gi (truncation bound %.1e)" % (val.value.real, val.value.imag, val.tail_bound))
+print("phi(i, 0.3+0.2i) = %.6g + %.6gi (heuristic tail estimate %.1e)" % (val.value.real, val.value.imag, val.tail_bound))

@@ -21,6 +21,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from .convergence import (
     BoundConfig,
@@ -336,6 +337,7 @@ def _cmd_reduce(run: _Run) -> int:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)  # built on the first main() call; parse_args keeps no state between calls
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable stdout")

@@ -373,7 +373,7 @@ class QExpansion:
         R = math.lcm(*orders)
         rows_a = {e: CycElem.coerce(v, R).w for e, v in a.coeffs.items()}
         rows_b = {e: CycElem.coerce(v, R).w for e, v in b.coeffs.items()}
-        return QExpansion(L, {e: CycElem(R, w) for e, w in _kron_rows(rows_a, rows_b, emax).items()}, prec)
+        return QExpansion(L, {e: CycElem(R, w) for e, w in _kron_rational(rows_a, rows_b, emax).items()}, prec)
 
     __rmul__ = __mul__
 
@@ -440,9 +440,10 @@ def _eis_dict(k: int, emax: int) -> dict:
 #
 # Plain dicts {exponent: value} truncated below emax.  Every series product
 # in the package runs through one exact kernel, _kron_rows, by Kronecker
-# substitution: denominators are cleared, each row of integer coefficients
-# is packed into one Python int as base-X digits with X = 2^(8w), and
-# CPython's bignum multiply does the convolution.  A product coefficient is
+# substitution on integer rows (rational series clear their denominators
+# in _kron_rational first): each row is packed into one Python int as
+# base-X digits with X = 2^(8w), and CPython's bignum multiply does the
+# convolution.  A product coefficient is
 # a sum of at most t = min(len a, len b) terms, so
 # |c| < 2^(bits max|a| + bits max|b| + bits t); a slot of
 # 8w >= that + 2 bits holds it with room for its sign.  Signs are handled by
@@ -478,7 +479,7 @@ def _kron_unpack(x: int, lo: int, n: int, w: int, keep: int) -> dict:
 
 
 def _kron_rows(a: dict, b: dict, nmax: int, emax=None) -> dict:
-    """Exact product of two-variable series {n: {e: rational}}.
+    """Exact product of two-variable integer series {n: {e: int}}.
 
     Returns the nonzero rows n < nmax, each holding the exponents e below
     emax (all of them when emax is None).  Each input row is packed once,
@@ -496,10 +497,8 @@ def _kron_rows(a: dict, b: dict, nmax: int, emax=None) -> dict:
             return {}
         a = {n: {e: v for e, v in row.items() if e < emax - blo} for n, row in a.items()}
         b = {n: {e: v for e, v in row.items() if e < emax - alo} for n, row in b.items()}
-    den_a = math.lcm(*(v.denominator for row in a.values() for v in row.values()))
-    den_b = math.lcm(*(v.denominator for row in b.values() for v in row.values()))
-    a = {n: {e: v.numerator * (den_a // v.denominator) for e, v in row.items()} for n, row in a.items() if row}
-    b = {n: {e: v.numerator * (den_b // v.denominator) for e, v in row.items()} for n, row in b.items() if row}
+    a = {n: row for n, row in a.items() if row}
+    b = {n: row for n, row in b.items() if row}
     terms = min(sum(map(len, a.values())), sum(map(len, b.values())))
     bits_a = max(max(map(abs, row.values())) for row in a.values()).bit_length()
     bits_b = max(max(map(abs, row.values())) for row in b.values()).bit_length()
@@ -514,18 +513,27 @@ def _kron_rows(a: dict, b: dict, nmax: int, emax=None) -> dict:
                 break
             x, slots = acc.get(n, (0, 0))
             acc[n] = (x + x1 * x2, max(slots, l1 + l2 - 1))
-    d = den_a * den_b
     out = {}
     for n, (x, slots) in acc.items():
         row = _kron_unpack(x, alo + blo, slots, w, slots if emax is None else emax - alo - blo)
         if row:
-            out[n] = row if d == 1 else {e: Fraction(v, d) for e, v in row.items()}
+            out[n] = row
     return out
+
+
+def _kron_rational(a: dict, b: dict, nmax: int, emax=None) -> dict:
+    """_kron_rows for rational values, each factor scaled by the lcm of its denominators."""
+    den_a = math.lcm(*(v.denominator for row in a.values() for v in row.values()))
+    den_b = math.lcm(*(v.denominator for row in b.values() for v in row.values()))
+    a = {n: {e: v.numerator * (den_a // v.denominator) for e, v in row.items()} for n, row in a.items()}
+    b = {n: {e: v.numerator * (den_b // v.denominator) for e, v in row.items()} for n, row in b.items()}
+    rows, d = _kron_rows(a, b, nmax, emax), den_a * den_b
+    return rows if d == 1 else {n: {e: Fraction(v, d) for e, v in row.items()} for n, row in rows.items()}
 
 
 def _dict_mul(a: dict, b: dict, emax: int) -> dict:
     """Exact truncated product of one-variable series."""
-    return _kron_rows({0: a}, {0: b}, 1, emax).get(0, {})
+    return _kron_rational({0: a}, {0: b}, 1, emax).get(0, {})
 
 
 def _dict_div(num: dict, den: dict, emax: int) -> dict:

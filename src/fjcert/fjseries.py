@@ -20,7 +20,7 @@ import math
 from fractions import Fraction
 
 from .core import PrecisionError, parse_rat, rat_str
-from .jacobi import JacobiFormQExp, evaluate, index0_from_qexp, multiply
+from .jacobi import JacobiFormQExp, _rows_by_n, _sum_forms, evaluate, index0_from_qexp, multiply
 from .reduction import HalfIntIndex
 
 __all__ = [
@@ -37,16 +37,10 @@ __all__ = [
     "evaluate_partial",
 ]
 
-# generators of GL2(Z): swap, a reflection, a shear
-_GENERATORS = (
-    ((0, 1), (1, 0)),
-    ((1, 0), (0, -1)),
-    ((1, 0), (1, 1)),
-)
-
-
-def _gen_det(u) -> int:
-    return u[0][0] * u[1][1] - u[0][1] * u[1][0]
+# generators of GL2(Z), as they label violations: swap, reflection, shear
+_SWAP = ((0, 1), (1, 0))
+_REFLECTION = ((1, 0), (0, -1))
+_SHEAR = ((1, 0), (1, 1))
 
 
 class FormalFJ:
@@ -146,14 +140,9 @@ class FormalFJ:
         prec = min(self.prec, other.prec)
         slices = []
         for m in range(mmax + 1):
-            acc = None
-            for i in range(m + 1):
-                a, b = self.phis[i], other.phis[m - i]
-                if a.is_zero() or b.is_zero():
-                    continue
-                p = multiply(a, b).truncated(prec)
-                acc = p if acc is None else acc.add(p)
-            slices.append(acc if acc is not None else JacobiFormQExp.zero(k, m, prec))
+            pairs = ((self.phis[i], other.phis[m - i]) for i in range(m + 1))
+            products = (multiply(a, b) for a, b in pairs if not (a.is_zero() or b.is_zero()))
+            slices.append(_sum_forms(k, m, prec, products))
         return FormalFJ(k, mmax, slices)
 
     def __mul__(self, other):
@@ -237,42 +226,40 @@ def check_symmetry(f: FormalFJ, bound: int) -> SymmetryReport:
     """Audit c(f; t[u]) = det(u)^k c(f; t) on the window n, m <= bound,
     |r| <= 2 bound, for the three GL2(Z) generators.
 
-    Images falling outside the stored window are skipped and counted, not
-    treated as violations.
+    With t = (n, r, m) for [[n, r/2], [r/2, m]], the images t[u] are the
+    swap (m, r, n) and the reflection (n, -r, m), both of det -1, and the
+    shear (n + r + m, r + 2m, m).  The first two stay in the window, as
+    bound <= M_max and bound < prec; shear images with n + r + m outside
+    [0, prec) are skipped and counted, not treated as violations.  Integer
+    numerators are compared, cross-multiplied by the slice denominators.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     if bound > f.M_max or bound >= f.prec:
         raise ValueError("bound %d exceeds stored precision (prec %d, M_max %d)" % (bound, f.prec, f.M_max))
     sign = -1 if f.k % 2 else 1
-    checked = 0
-    skipped = 0
-    violations = []
     prec = f.prec
+    # rows[m][n] maps r to the numerator of c(n, r, m) over f.phis[m].den
+    rows = [_rows_by_n(phi) for phi in f.phis[: bound + 1]]
+    skipped = 0
+    bad = []  # (t, u, lhs numerator, its denominator, rhs numerator, its denominator)
     for n in range(bound + 1):
         for m in range(bound + 1):
+            row, row_swap, den, den_swap = rows[m].get(n, {}), rows[n].get(m, {}), f.phis[m].den, f.phis[n].den
             for r in range(-2 * bound, 2 * bound + 1):
-                for u in _GENERATORS:
-                    # doubled Gram matrix keeps everything integral
-                    a, b = u[0]
-                    c, d = u[1]
-                    t00, t01, t11 = 2 * n, r, 2 * m
-                    # u^T T u
-                    s00 = a * (a * t00 + c * t01) + c * (a * t01 + c * t11)
-                    s01 = b * (a * t00 + c * t01) + d * (a * t01 + c * t11)
-                    s11 = b * (b * t00 + d * t01) + d * (b * t01 + d * t11)
-                    n2, r2, m2 = s00 // 2, s01, s11 // 2
-                    if n2 < 0 or m2 < 0 or n2 >= prec or m2 > f.M_max:
-                        skipped += 1
-                        continue
-                    det = _gen_det(u)
-                    lhs = f.phis[m2].coeffs.get((n2, r2), Fraction(0))
-                    rhs = f.phis[m].coeffs.get((n, r), Fraction(0))
-                    if det == -1 and sign == -1:
-                        rhs = -rhs
-                    checked += 1
-                    if lhs != rhs:
-                        violations.append({"t": (n, r, m), "u": u, "lhs": lhs, "rhs": rhs})
+                v = row.get(r, 0)
+                w = row_swap.get(r, 0)
+                if w * den != sign * v * den_swap:
+                    bad.append(((n, r, m), _SWAP, w, den_swap, sign * v, den))
+                w = row.get(-r, 0)
+                if w != sign * v:
+                    bad.append(((n, r, m), _REFLECTION, w, den, sign * v, den))
+                if not 0 <= n + r + m < prec:
+                    skipped += 1
+                elif (w := rows[m].get(n + r + m, {}).get(r + 2 * m, 0)) != v:
+                    bad.append(((n, r, m), _SHEAR, w, den, v, den))
+    checked = 3 * (bound + 1) ** 2 * (4 * bound + 1) - skipped
+    violations = [{"t": t, "u": u, "lhs": Fraction(a, da), "rhs": Fraction(b, db)} for t, u, a, da, b, db in bad]
     return SymmetryReport(f.k, bound, checked, skipped, violations)
 
 
@@ -281,7 +268,8 @@ def gritsenko_lift(phi: JacobiFormQExp, M_max: int, prec: int) -> FormalFJ:
     series: c(F; n, r, m) = sum over d | gcd(n, r, m) of d^(k-1)
     c(phi; n m / d^2, r / d).
 
-    Needs phi stored past (prec - 1) * M_max.
+    Needs phi stored past (prec - 1) * M_max.  The sums run on integer
+    numerators over phi's denominator (times that of d^(k-1) when k < 1).
     """
     if phi.m != 1:
         raise ValueError("lift input must have index 1")
@@ -293,25 +281,28 @@ def gritsenko_lift(phi: JacobiFormQExp, M_max: int, prec: int) -> FormalFJ:
             "generator stores %d rows; the requested series needs more than %d" % (phi.prec, need)
         )
     k = phi.k
-    dpow = {d: Fraction(d) ** (k - 1) for d in range(1, max(M_max, 1) + 1)}
-    table = phi.coeffs
+    dpow = [Fraction(d) ** (k - 1) for d in range(1, max(M_max, 1) + 1)]
+    scale = math.lcm(*(p.denominator for p in dpow))
+    weight = [0] + [p.numerator * (scale // p.denominator) for p in dpow]
+    table = phi.num
     slices = [JacobiFormQExp.zero(k, 0, prec)]
     for m in range(1, M_max + 1):
-        coeffs = {}
+        num = {}
         for n in range(1, prec):
             rb = math.isqrt(4 * n * m - 1)
+            g0 = math.gcd(n, m)
             for r in range(-rb, rb + 1):
-                g = math.gcd(math.gcd(n, m), abs(r))
-                total = Fraction(0)
-                for d in range(1, g + 1):
-                    if g % d:
-                        continue
-                    v = table.get((n * m // (d * d), r // d))
-                    if v:
-                        total += dpow[d] * v
+                g = math.gcd(g0, r)
+                if g == 1:
+                    total = table.get((n * m, r), 0) * weight[1]
+                else:
+                    total = 0
+                    for d in range(1, g + 1):
+                        if g % d == 0:
+                            total += weight[d] * table.get((n * m // (d * d), r // d), 0)
                 if total:
-                    coeffs[(n, r)] = total
-        slices.append(JacobiFormQExp(k, m, prec, coeffs))
+                    num[(n, r)] = total
+        slices.append(JacobiFormQExp._trusted(k, m, prec, phi.den * scale, num))
     return FormalFJ(k, M_max, slices)
 
 

@@ -2,8 +2,11 @@
 torsion specialization, and numerical point evaluation.
 
 A :class:`JacobiFormQExp` stores coefficients c(n, r) of a weight-k,
-index-m form for integer n below the precision bound; missing entries
-under the bound are zero.  Index-one forms are built internally from their
+index-m form for integer n below the precision bound, as one positive
+denominator den and a dict num of integer numerators; missing entries
+under the bound are zero, and coeffs is a read-only Fraction view built on
+access.  Products, sums, the lift and the series I/O work on num directly.
+Index-one forms are built internally from their
 two theta components, the series h_0 and h_1 collecting coefficients with
 even and odd r.  For index one c(n, r) depends only on 4n - r^2 and the
 parity of r, which is what makes the large-precision constructions cheap:
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -35,7 +39,6 @@ from .core import (
     _kron_rows,
     cyc_eval,
     parse_rat,
-    rat_str,
 )
 
 __all__ = [
@@ -56,79 +59,74 @@ __all__ = [
 class JacobiFormQExp:
     """Truncated Fourier expansion of a Jacobi form of weight k and index m.
 
-    coeffs maps integer pairs (n, r) to exact values for 0 <= n < prec.
-    For index zero only r = 0 occurs.  Weak forms may carry entries with
-    4 n m - r^2 < 0; holomorphic and cusp forms are recognized by
-    :meth:`is_holomorphic` and :meth:`is_cusp`.
+    The coefficient c(n, r), for 0 <= n < prec, is num[(n, r)] / den: num
+    holds the nonzero integer numerators and den is the lcm of the reduced
+    denominators, so equal forms have equal (den, num).  coeffs is a
+    read-only Fraction view of the same values.  For index zero only r = 0
+    occurs.  Weak forms may carry entries with 4 n m - r^2 < 0; holomorphic
+    and cusp forms are recognized by :meth:`is_holomorphic` and
+    :meth:`is_cusp`.
     """
 
-    __slots__ = ("k", "m", "prec", "coeffs", "_fterms")
+    __slots__ = ("k", "m", "prec", "den", "num", "_fterms")
 
     def __init__(self, k: int, m: int, prec: int, coeffs: dict):
-        if m < 0:
-            raise ValueError("index must be nonnegative")
-        if prec < 0:
-            raise ValueError("precision must be nonnegative")
-        self.k = int(k)
-        self.m = int(m)
-        self.prec = int(prec)
-        out = {}
-        for (n, r), v in coeffs.items():
-            if not v:
-                continue
-            if n < 0 or n >= prec:
-                raise ValueError("stored n outside [0, prec)")
-            if m == 0 and r != 0:
-                raise ValueError("index zero forms have r = 0 only")
-            out[(int(n), int(r))] = v
-        self.coeffs = out
-        self._fterms = None
+        """Validating constructor from {(n, r): int or Fraction}."""
+        vals = {(int(n), int(r)): v if type(v) is int else Fraction(v) for (n, r), v in coeffs.items()}
+        den, num = _checked(m, prec, vals)
+        self.k, self.m, self.prec, self.den, self.num, self._fterms = int(k), int(m), int(prec), den, num, None
+
+    @classmethod
+    def _trusted(cls, k: int, m: int, prec: int, den: int, num: dict) -> "JacobiFormQExp":
+        """Form from nonzero int numerators keyed 0 <= n < prec over den > 0,
+        without checks; only a common factor of den and num is cancelled."""
+        g = math.gcd(den, *num.values())
+        self = cls.__new__(cls)
+        self.k, self.m, self.prec, self.den, self._fterms = k, m, prec, den // g, None
+        self.num = num if g == 1 else {key: v // g for key, v in num.items()}
+        return self
 
     @classmethod
     def zero(cls, k: int, m: int, prec: int) -> "JacobiFormQExp":
         return cls(k, m, prec, {})
+
+    @property
+    def coeffs(self) -> "_FractionView":
+        return _FractionView(self.num, self.den)
 
     def coeff(self, n: int, r: int):
         if n >= self.prec:
             raise PrecisionError("coefficient n=%d is beyond precision %d" % (n, self.prec))
         if n < 0:
             raise ValueError("n must be nonnegative")
-        return self.coeffs.get((n, r), Fraction(0))
+        return Fraction(self.num.get((n, r), 0), self.den)
 
     def support(self):
-        return sorted(self.coeffs)
+        return sorted(self.num)
 
     def truncated(self, prec: int) -> "JacobiFormQExp":
         if prec > self.prec:
             raise PrecisionError("cannot extend precision from %d to %d" % (self.prec, prec))
         if prec == self.prec:
             return self
-        return JacobiFormQExp(self.k, self.m, prec, {key: v for key, v in self.coeffs.items() if key[0] < prec})
+        num = {key: v for key, v in self.num.items() if key[0] < prec}
+        return JacobiFormQExp._trusted(self.k, self.m, prec, self.den, num)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def is_holomorphic(self) -> bool:
-        return all(4 * n * self.m - r * r >= 0 for (n, r) in self.coeffs)
+        return all(4 * n * self.m - r * r >= 0 for (n, r) in self.num)
 
     def is_cusp(self) -> bool:
-        return all(4 * n * self.m - r * r > 0 for (n, r) in self.coeffs)
+        return all(4 * n * self.m - r * r > 0 for (n, r) in self.num)
 
     def add(self, other: "JacobiFormQExp") -> "JacobiFormQExp":
         if self.k != other.k:
             raise ValueError("weight mismatch in addition")
         if self.m != other.m:
             raise ValueError("index mismatch in addition")
-        prec = min(self.prec, other.prec)
-        out = {key: v for key, v in self.coeffs.items() if key[0] < prec}
-        for key, v in other.coeffs.items():
-            if key[0] < prec:
-                w = out.get(key, 0) + v
-                if w:
-                    out[key] = w
-                elif key in out:
-                    del out[key]
-        return JacobiFormQExp(self.k, self.m, prec, out)
+        return _sum_forms(self.k, self.m, min(self.prec, other.prec), (self, other))
 
     __add__ = add
 
@@ -136,7 +134,8 @@ class JacobiFormQExp:
         c = Fraction(c)
         if not c:
             return JacobiFormQExp.zero(self.k, self.m, self.prec)
-        return JacobiFormQExp(self.k, self.m, self.prec, {key: v * c for key, v in self.coeffs.items()})
+        num = {key: v * c.numerator for key, v in self.num.items()}
+        return JacobiFormQExp._trusted(self.k, self.m, self.prec, self.den * c.denominator, num)
 
     def __neg__(self):
         return self.scalar_mul(-1)
@@ -158,38 +157,97 @@ class JacobiFormQExp:
             self.k == other.k
             and self.m == other.m
             and self.prec == other.prec
-            and len(self.coeffs) == len(other.coeffs)
-            and all(other.coeffs.get(key) == v for key, v in self.coeffs.items())
+            and self.den == other.den
+            and self.num == other.num
         )
 
     def __hash__(self):
-        return hash((self.k, self.m, self.prec, len(self.coeffs)))
+        return hash((self.k, self.m, self.prec, len(self.num)))
 
     def __repr__(self):
         return "JacobiFormQExp(k=%d, m=%d, prec=%d, %d terms)" % (
             self.k,
             self.m,
             self.prec,
-            len(self.coeffs),
+            len(self.num),
         )
 
     def to_record(self):
+        den = self.den
+        text = str if den == 1 else lambda v: str(Fraction(v, den))
         return {
             "k": self.k,
             "m": self.m,
             "prec": self.prec,
-            "coeffs": [[n, r, rat_str(v)] for (n, r), v in sorted(self.coeffs.items())],
+            "coeffs": [[n, r, text(v)] for (n, r), v in sorted(self.num.items())],
         }
 
     @classmethod
     def from_record(cls, rec) -> "JacobiFormQExp":
-        coeffs = {(int(n), int(r)): parse_rat(v) for n, r, v in rec["coeffs"]}
-        return cls(int(rec["k"]), int(rec["m"]), int(rec["prec"]), coeffs)
+        k, m, prec = int(rec["k"]), int(rec["m"]), int(rec["prec"])
+        # int() reads plain integer text as parse_rat does, only faster
+        vals = {
+            (int(n), int(r)): int(v) if type(v) is str and v.removeprefix("-").isdecimal() else parse_rat(v)
+            for n, r, v in rec["coeffs"]
+        }
+        return cls._trusted(k, m, prec, *_checked(m, prec, vals))
 
     def float_terms(self):
         if self._fterms is None:
-            self._fterms = [(n, r, float(v)) for (n, r), v in sorted(self.coeffs.items())]
+            # int true division is correctly rounded, as float(Fraction) is
+            den = self.den
+            self._fterms = [(n, r, v / den) for (n, r), v in sorted(self.num.items())]
         return self._fterms
+
+
+def _checked(m: int, prec: int, vals: dict):
+    """(den, num) from {(n, r): int or Fraction} for a form of index m and
+    precision prec; ValueError on values such a form cannot hold."""
+    if m < 0:
+        raise ValueError("index must be nonnegative")
+    if prec < 0:
+        raise ValueError("precision must be nonnegative")
+    if not all(vals.values()):
+        vals = {key: v for key, v in vals.items() if v}
+    if vals and (min(vals)[0] < 0 or max(vals)[0] >= prec):
+        raise ValueError("stored n outside [0, prec)")
+    if m == 0 and any(r for _, r in vals):
+        raise ValueError("index zero forms have r = 0 only")
+    fracs = [v for v in vals.values() if type(v) is not int]
+    if not fracs:
+        return 1, vals
+    den = math.lcm(*(v.denominator for v in fracs))
+    return den, {key: v.numerator * (den // v.denominator) for key, v in vals.items()}
+
+
+class _FractionView(Mapping):
+    """Read-only {(n, r): Fraction} view of integer numerators over den."""
+
+    def __init__(self, num: dict, den: int):
+        self._num, self._den = num, den
+
+    def __getitem__(self, key):
+        return Fraction(self._num[key], self._den)
+
+    def __iter__(self):
+        return iter(self._num)
+
+    def __len__(self):
+        return len(self._num)
+
+
+def _sum_forms(k: int, m: int, prec: int, forms) -> JacobiFormQExp:
+    """Sum of an iterable of forms of weight k and index m, truncated to prec."""
+    den, num = 1, {}
+    for f in forms:
+        if den % f.den:
+            d = math.lcm(den, f.den)
+            num, den = {key: v * (d // den) for key, v in num.items()}, d
+        s = den // f.den
+        for key, v in f.num.items():
+            if key[0] < prec:
+                num[key] = num.get(key, 0) + v * s
+    return JacobiFormQExp._trusted(k, m, prec, den, {key: v for key, v in num.items() if v})
 
 
 def index0_from_qexp(k: int, qe: QExpansion) -> JacobiFormQExp:
@@ -204,13 +262,13 @@ def multiply(a: JacobiFormQExp, b: JacobiFormQExp) -> JacobiFormQExp:
     """Product of Jacobi forms; weights and indices add, precision is the min."""
     prec = min(a.prec, b.prec)
     rows = _kron_rows(_rows_by_n(a), _rows_by_n(b), prec)
-    coeffs = {(n, r): v for n, row in rows.items() for r, v in row.items()}
-    return JacobiFormQExp(a.k + b.k, a.m + b.m, prec, coeffs)
+    num = {(n, r): v for n, row in rows.items() for r, v in row.items()}
+    return JacobiFormQExp._trusted(a.k + b.k, a.m + b.m, prec, a.den * b.den, num)
 
 
 def _rows_by_n(phi: JacobiFormQExp) -> dict:
     rows: dict = {}
-    for (n, r), v in phi.coeffs.items():
+    for (n, r), v in phi.num.items():
         rows.setdefault(n, {})[r] = v
     return rows
 
@@ -326,14 +384,16 @@ def _index1_coeff(h0: dict, h1: dict, n: int, r: int):
 
 
 def _materialize_index1(k: int, prec: int, h0: dict, h1: dict) -> JacobiFormQExp:
-    coeffs = {}
+    den = math.lcm(*(v.denominator for h in (h0, h1) for v in h.values()))
+    h0, h1 = ({e: v.numerator * (den // v.denominator) for e, v in h.items()} for h in (h0, h1))
+    num = {}
     for n in range(prec):
         rmax = math.isqrt(4 * n + 1)
         for r in range(-rmax, rmax + 1):
             v = _index1_coeff(h0, h1, n, r)
             if v:
-                coeffs[(n, r)] = v
-    return JacobiFormQExp(k, 1, prec, coeffs)
+                num[(n, r)] = v
+    return JacobiFormQExp._trusted(k, 1, prec, den, num)
 
 
 @lru_cache(maxsize=None)
@@ -540,7 +600,7 @@ def specialize_torsion(phi: JacobiFormQExp, p: TorsionPoint) -> SpecializedExpan
         p2 = Fraction(0)
     bound_num = p2 * L
     acc: dict = {}
-    for (n, r), v in phi.coeffs.items():
+    for (n, r), v in phi.num.items():
         num = n * L + r * a * N + m * a * a
         if num < 0:
             raise ValueError("specialization needs nonnegative exponents; input is not holomorphic")
@@ -548,8 +608,9 @@ def specialize_torsion(phi: JacobiFormQExp, p: TorsionPoint) -> SpecializedExpan
             continue
         j = (r * c * N) % L
         slot = acc.setdefault(num, {})
-        slot[j] = slot.get(j, Fraction(0)) + Fraction(v)
-    coeffs = {num: CycElem(L, w) for num, w in acc.items()}
+        slot[j] = slot.get(j, 0) + v
+    den = phi.den
+    coeffs = {num: CycElem(L, {j: Fraction(v, den) for j, v in w.items()}) for num, w in acc.items()}
     coeffs = {num: v for num, v in coeffs.items() if not v.is_zero()}
     return SpecializedExpansion(phi.k, N, QExpansion(L, coeffs, p2))
 
@@ -576,6 +637,8 @@ def fe_norm(eta: SpecializedExpansion, S) -> float:
 
 @dataclass(frozen=True)
 class EvalResult:
+    """A point value; tail_bound is a heuristic tail estimate, not a certified bound."""
+
     value: complex
     tail_bound: float
 
@@ -613,12 +676,13 @@ def evaluate(phi: JacobiFormQExp, tau1: complex, z: complex) -> EvalResult:
     res = []
     ims = []
     wabs = abs(y)
+    wpw = {r: wabs ** r for r in ypw}
     rowsums: dict = {}
     for n, r, c in terms:
         v = c * xs[n] * ypw[r]
         res.append(v.real)
         ims.append(v.imag)
-        rowsums[n] = rowsums.get(n, 0.0) + abs(c) * wabs ** r
+        rowsums[n] = rowsums.get(n, 0.0) + abs(c) * wpw[r]
     t = abs(x)
     rowmax = max(rowsums.values())
     tail = rowmax * t ** phi.prec / (1.0 - t)

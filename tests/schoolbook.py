@@ -15,6 +15,11 @@ the materialized form.
 ``reduce2`` is the old ``reduction._reduce2``, the Gauss reduction loop
 for binary forms that the general Minkowski loop replaced; on binary forms
 the two must return the same (form, transform) pair.
+
+``check_symmetry`` is the old ``fjseries.check_symmetry``: it forms every
+image t[u] = u^T t u with generic 2x2 arithmetic and reads the Fraction
+view of the slices.  The closed-form integer audit must return an equal
+report: counts, violations in the same order, the same values.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from fjcert.core import CycElem, QExpansion, _dict_add, _dict_div, _dict_scale, _eis_dict, _vadd, _vmul, _viszero
+from fjcert.fjseries import FormalFJ, SymmetryReport
 from fjcert.jacobi import (
     JacobiFormQExp,
     _kernel_basis,
@@ -306,3 +312,69 @@ def reduce2(t: SymMatQ):
         flip = UnimodularMat([[1, 0], [0, -1]])
         t, u = act(t, flip), u @ flip
     return t, u
+
+
+# generators of GL2(Z): swap, a reflection, a shear
+GENERATORS = (
+    ((0, 1), (1, 0)),
+    ((1, 0), (0, -1)),
+    ((1, 0), (1, 1)),
+)
+
+
+def _gen_det(u) -> int:
+    return u[0][0] * u[1][1] - u[0][1] * u[1][0]
+
+
+def check_symmetry(f: FormalFJ, bound: int) -> SymmetryReport:
+    if bound < 0:
+        raise ValueError("bound must be nonnegative")
+    if bound > f.M_max or bound >= f.prec:
+        raise ValueError("bound %d exceeds stored precision (prec %d, M_max %d)" % (bound, f.prec, f.M_max))
+    sign = -1 if f.k % 2 else 1
+    checked = 0
+    skipped = 0
+    violations = []
+    prec = f.prec
+    for n in range(bound + 1):
+        for m in range(bound + 1):
+            for r in range(-2 * bound, 2 * bound + 1):
+                for u in GENERATORS:
+                    # doubled Gram matrix keeps everything integral
+                    a, b = u[0]
+                    c, d = u[1]
+                    t00, t01, t11 = 2 * n, r, 2 * m
+                    # u^T T u
+                    s00 = a * (a * t00 + c * t01) + c * (a * t01 + c * t11)
+                    s01 = b * (a * t00 + c * t01) + d * (a * t01 + c * t11)
+                    s11 = b * (b * t00 + d * t01) + d * (b * t01 + d * t11)
+                    n2, r2, m2 = s00 // 2, s01, s11 // 2
+                    if n2 < 0 or m2 < 0 or n2 >= prec or m2 > f.M_max:
+                        skipped += 1
+                        continue
+                    det = _gen_det(u)
+                    lhs = f.phis[m2].coeffs.get((n2, r2), Fraction(0))
+                    rhs = f.phis[m].coeffs.get((n, r), Fraction(0))
+                    if det == -1 and sign == -1:
+                        rhs = -rhs
+                    checked += 1
+                    if lhs != rhs:
+                        violations.append({"t": (n, r, m), "u": u, "lhs": lhs, "rhs": rhs})
+    return SymmetryReport(f.k, bound, checked, skipped, violations)
+
+
+def series_multiply(f: FormalFJ, g: FormalFJ) -> FormalFJ:
+    """Slice-by-slice product: phi_m = sum_i f_i g_(m-i), each term by the
+    schoolbook jacobi_multiply, summed as Fractions below the common prec."""
+    k = f.k + g.k
+    mmax = min(f.M_max, g.M_max)
+    prec = min(f.prec, g.prec)
+    slices = []
+    for m in range(mmax + 1):
+        acc: dict = {}
+        for i in range(m + 1):
+            for (n, r), v in jacobi_multiply(f.phis[i], g.phis[m - i]).coeffs.items():
+                if n < prec:
+                    acc[(n, r)] = acc.get((n, r), Fraction(0)) + v
+        slices.append(JacobiFormQExp(k, m, prec, acc))
+    return FormalFJ(k, mmax, slices)

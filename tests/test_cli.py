@@ -60,6 +60,20 @@ def test_unknown_command_exits_64():
     assert e.value.code == 64
 
 
+def test_main_calls_in_one_process_are_independent(tmp_path, capsys):
+    # the parser is built once per process; nothing may carry over between calls
+    assert main(["reduce", "--json", "--matrix", "5,4;4,5"]) == 0
+    assert json.loads(capsys.readouterr().out)["reduced"] == "2,1;1,5"
+    with pytest.raises(SystemExit) as e:
+        main(["reduce", "--matrix", "5,4;4,5", "--bogus"])
+    assert e.value.code == 64
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    assert main(["check-symmetry", "--in", str(tmp_path / "missing.json"), "--report", str(tmp_path / "r.txt")]) == 3
+    assert "cannot parse" in capsys.readouterr().err
+    assert main(["reduce", "--matrix", "5,4;4,5"]) == 0
+    assert capsys.readouterr().out == "reduced: 2,1;1,5\ntransform: -1,-1;1,0\nhermite_ok: True\n"
+
+
 def test_bad_flag_value_exits_64():
     with pytest.raises(SystemExit) as e:
         main(["certify", "--theta", "abc"])
@@ -293,17 +307,19 @@ def test_bound_report_box_must_be_an_object(tmp_path, lift_file, relation_files)
     assert rc == 3
 
 
-def with_zero_denominator(series_rec):
-    """The series record with its first stored coefficient replaced by "1/0"."""
+def with_zero_denominator(series_rec, text="1/0"):
+    """The series record with its first stored coefficient replaced by text."""
     phi = next(phi for phi in series_rec["phis"] if phi["coeffs"])
-    phi["coeffs"][0][2] = "1/0"
+    phi["coeffs"][0][2] = text
     return series_rec
 
 
-def test_series_zero_denominator_exits_3(tmp_path, lift_file):
+def test_series_zero_denominator_exits_3(tmp_path, lift_file, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(with_zero_denominator(json.loads(lift_file.read_text()))))
-    assert main(["check-symmetry", "--in", str(bad), "--report", str(tmp_path / "r.txt")]) == 3
+    for text in ("1/0", "x"):
+        bad.write_text(json.dumps(with_zero_denominator(json.loads(lift_file.read_text()), text)))
+        assert main(["check-symmetry", "--in", str(bad), "--report", str(tmp_path / "r.txt")]) == 3
+        assert "Traceback" not in capsys.readouterr().err
 
 
 def test_poly_zero_denominator_exits_3(tmp_path, lift_file, relation_files):

@@ -1,13 +1,17 @@
 """Tests for formal Fourier-Jacobi series, the lift, and polynomial algebra."""
 
 import cmath
+import hashlib
+import json
 import math
+import random
 from collections import deque
 from fractions import Fraction
 
 import pytest
 
-from fjcert.core import PrecisionError, QExpansion, eisenstein_qexp
+import schoolbook
+from fjcert.core import PrecisionError, QExpansion, eisenstein_qexp, parse_rat
 from fjcert.fjseries import (
     FormalFJ,
     PolynomialOverM,
@@ -94,6 +98,55 @@ def test_record_round_trip(lift8):
     f, _ = lift8
     rec = f.to_record()
     assert FormalFJ.from_record(rec) == f
+
+
+# sha256 of json.dumps(record), recorded while slices still held Fraction
+# values: the integer storage must write the same bytes
+LIFT8_SHA256 = "2f054e79f849262b8dc3062d8c23ca1c8a87f3d8949885b4ef2c4079b3ed7701"
+RELATION8_SHA256 = "aa6bb1502858385e5f193e6d277e6de8d61c7e84d0fb5823316fb3194326a3d6"
+
+
+def sha256_of(rec) -> str:
+    return hashlib.sha256(json.dumps(rec).encode()).hexdigest()
+
+
+def test_lift_and_relation_records_are_pinned(lift8):
+    f, _ = lift8
+    assert sha256_of(f.to_record()) == LIFT8_SHA256
+    prod = f.multiply(f)
+    q = PolynomialOverM(
+        [
+            FormalFJ.zero(2 * f.k, prod.M_max, prod.prec) - prod,
+            FormalFJ.zero(f.k, f.M_max, f.prec),
+            FormalFJ.one(f.M_max, f.prec),
+        ],
+        0,
+        f.k,
+    )
+    assert sha256_of(q.to_record()) == RELATION8_SHA256
+
+
+@pytest.mark.parametrize("text", ["2/4", " 3 ", "0.25", "-0", "-3/6", "+5", "1_000", "-12345678901234567890123", 3, 0.25])
+def test_record_values_read_as_parse_rat(text):
+    rec = {"k": 4, "m": 1, "prec": 3, "coeffs": [[1, 0, text], [2, 1, "1/3"]]}
+    phi = JacobiFormQExp.from_record(rec)
+    assert phi.coeff(1, 0) == parse_rat(text)
+    assert phi.coeff(2, 1) == Fraction(1, 3)
+    assert phi.den == math.lcm(parse_rat(text).denominator, 3)
+    back = JacobiFormQExp.from_record(phi.to_record())
+    assert back == phi and back.to_record() == phi.to_record()
+
+
+def test_slice_storage_is_canonical():
+    half = JacobiFormQExp(4, 1, 3, {(1, 0): Fraction(1, 2), (2, 1): Fraction(3, 2)})
+    assert (half.den, half.num) == (2, {(1, 0): 1, (2, 1): 3})
+    assert half.coeffs == {(1, 0): Fraction(1, 2), (2, 1): Fraction(3, 2)}
+    whole = half + half
+    assert (whole.den, whole.num) == (1, {(1, 0): 1, (2, 1): 3})
+    assert whole == JacobiFormQExp(4, 1, 3, {(1, 0): 1, (2, 1): Fraction(6, 2)})
+    assert half.scalar_mul(4).den == 1 and half.scalar_mul(Fraction(1, 3)).den == 6
+    mixed = JacobiFormQExp(4, 1, 3, {(1, 0): 1, (2, 1): Fraction(1, 2)})
+    assert mixed.truncated(2).den == 1 and (mixed - mixed).den == 1
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +316,52 @@ def test_odd_weight_sign_convention():
     bad = check_symmetry(g, 4)
     assert not bad.ok
     assert any(v["lhs"] == -v["rhs"] for v in bad.violations)
+
+
+# ---------------------------------------------------------------------------
+# the closed-form audit against the generic u^T t u loop of tests/schoolbook.py
+
+
+def corrupted(f, m, key, delta):
+    """f with delta added to its coefficient at (n, r) = key in slice m."""
+    slices = list(f.phis)
+    bad = dict(slices[m].coeffs)
+    bad[key] = bad.get(key, Fraction(0)) + delta
+    slices[m] = JacobiFormQExp(f.k, m, slices[m].prec, bad)
+    return FormalFJ(f.k, f.M_max, slices)
+
+
+def audit_record(f, bound):
+    """The audit's record, asserted equal to the oracle's."""
+    rec = check_symmetry(f, bound).to_record()
+    assert rec == schoolbook.check_symmetry(f, bound).to_record()
+    return rec
+
+
+def test_audit_matches_generic_oracle(lift8):
+    f, _ = lift8
+    assert audit_record(f, 7)["violations"] == []
+    assert audit_record(f.multiply(f), 7)["violations"] == []
+    half = corrupted(f, 3, (2, 1), Fraction(1, 2))
+    assert half.phis[3].den == 2
+    rec = audit_record(half, 7)
+    assert any(v["lhs"].endswith("/2") or v["rhs"].endswith("/2") for v in rec["violations"])
+    # odd weight: every swap and reflection compares against -c(f; t)
+    odd = orbit_series(9, 8, 4, (3, 1, 2), 5)
+    assert audit_record(odd, 4)["violations"] == []
+    assert audit_record(corrupted(odd, 2, (3, 1), Fraction(1, 3)), 4)["violations"]
+    even = FormalFJ(10, odd.M_max, [JacobiFormQExp(10, phi.m, phi.prec, dict(phi.coeffs)) for phi in odd.phis])
+    assert audit_record(even, 4)["violations"]
+
+
+def test_audit_matches_generic_oracle_on_random_corruptions(lift8):
+    f, _ = lift8
+    rng = random.Random(6)
+    for _ in range(20):
+        m = rng.randrange(1, f.M_max + 1)
+        key = (rng.randrange(f.prec), rng.randrange(-2 * f.prec, 2 * f.prec + 1))
+        delta = Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2, 3]))
+        audit_record(corrupted(f, m, key, delta), rng.randrange(f.prec))
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Differential tests: the Kronecker-substitution kernel against the
 schoolbook loops it replaced (tests/schoolbook.py)."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import schoolbook
-from fjcert import CycElem, QExpansion, jacobi_space
+from fjcert import CycElem, FormalFJ, QExpansion, jacobi_space
 from fjcert.core import _dict_mul
 from fjcert.jacobi import JacobiFormQExp, multiply
 
@@ -98,16 +100,39 @@ def test_qexpansion_mul_cyclotomic_mixed_orders(f, g):
 
 
 @st.composite
-def jacobi_form(draw, m):
-    prec = draw(st.integers(0, 6))
-    keys = st.tuples(st.integers(0, max(0, prec - 1)), st.integers(-7, 7))
-    coeffs = draw(st.dictionaries(keys, st.one_of(fracs, huge, small), max_size=25)) if prec else {}
+def jacobi_form(draw, m, values=st.one_of(fracs, huge, small), max_prec=6):
+    prec = draw(st.integers(0, max_prec))
+    keys = st.tuples(st.integers(0, max(0, prec - 1)), st.just(0) if m == 0 else st.integers(-7, 7))
+    coeffs = draw(st.dictionaries(keys, values, max_size=25)) if prec else {}
     return JacobiFormQExp(4, m, prec, coeffs)
 
 
 @given(jacobi_form(1), jacobi_form(2))
 def test_jacobi_multiply(a, b):
     assert multiply(a, b) == schoolbook.jacobi_multiply(a, b)
+
+
+# integers over the denominators 1, 2, 3 and 6, so slices of one product
+# carry different common denominators
+mixed_den = st.builds(Fraction, st.integers(-40, 40), st.sampled_from([1, 2, 3, 6]))
+
+
+@given(jacobi_form(1, mixed_den), jacobi_form(2, mixed_den))
+def test_jacobi_multiply_mixed_denominators(a, b):
+    assert multiply(a, b) == schoolbook.jacobi_multiply(a, b)
+
+
+@st.composite
+def formal_series(draw):
+    M_max = draw(st.integers(0, 3))
+    phis = [draw(jacobi_form(m, mixed_den, 5).filter(lambda phi: phi.prec > 0)) for m in range(M_max + 1)]
+    prec = min(phi.prec for phi in phis)
+    return FormalFJ(4, M_max, [phi.truncated(prec) for phi in phis])
+
+
+@given(formal_series(), formal_series())
+def test_series_multiply_matches_slice_sum(f, g):
+    assert f.multiply(g) == schoolbook.series_multiply(f, g)
 
 
 @pytest.mark.parametrize("prec", [1, 2, 7, 60, 301])
