@@ -30,7 +30,6 @@ from .reduction import (
     unimodular_completion,
 )
 from .jacobi import (
-    EvalResult,
     JacobiFormQExp,
     SpecializedExpansion,
     TorsionPoint,

@@ -111,8 +111,7 @@ class CycElem:
             raise ValueError("order must be a positive integer")
         self.L = L
         acc: dict = {}
-        items = weights.items() if isinstance(weights, dict) else weights
-        for j, c in items:
+        for j, c in weights.items():
             c = Fraction(c)
             if c:
                 j = j % L
@@ -127,7 +126,7 @@ class CycElem:
     @classmethod
     def coerce(cls, x, L: int = 1) -> "CycElem":
         if isinstance(x, CycElem):
-            return x if L % x.L == 0 and L == x.L else x.rescaled(_lcm(x.L, L))
+            return x if L == x.L else x.rescaled(math.lcm(x.L, L))
         return cls(L, {0: Fraction(x)})
 
     def rescaled(self, L2: int) -> "CycElem":
@@ -144,7 +143,7 @@ class CycElem:
 
     def _pair(self, other):
         other = CycElem.coerce(other)
-        L = _lcm(self.L, other.L)
+        L = math.lcm(self.L, other.L)
         a = self if self.L == L else self.rescaled(L)
         b = other if other.L == L else other.rescaled(L)
         return a, b, L
@@ -206,10 +205,6 @@ class CycElem:
     @classmethod
     def from_record(cls, rec) -> "CycElem":
         return cls(int(rec["L"]), {int(j): parse_rat(c) for j, c in rec["w"]})
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)
 
 
 def cyc_eval(x) -> complex:
@@ -330,7 +325,7 @@ class QExpansion:
         return QExpansion(self.L, {e: v for e, v in self.coeffs.items() if e < bound}, prec2)
 
     def _pair(self, other):
-        L = _lcm(self.L, other.L)
+        L = math.lcm(self.L, other.L)
         a = self if self.L == L else self.rescaled(L)
         b = other if other.L == L else other.rescaled(L)
         return a, b, L
@@ -421,7 +416,8 @@ def eisenstein_qexp(k: int, prec) -> QExpansion:
 
 
 @lru_cache(maxsize=None)
-def _eis_dict_cached(k: int, emax: int):
+def _eis_dict(k: int, emax: int) -> dict:
+    """{n: c_n} of E_k below emax; cached and shared, so callers must not mutate it."""
     factor = -2 * k / bernoulli(k)
     assert factor.denominator == 1
     factor = int(factor)
@@ -429,10 +425,6 @@ def _eis_dict_cached(k: int, emax: int):
     for n in range(1, emax):
         d[n] = factor * sigma(k - 1, n)
     return d
-
-
-def _eis_dict(k: int, emax: int) -> dict:
-    return dict(_eis_dict_cached(k, emax))
 
 
 # ---------------------------------------------------------------------------
@@ -537,29 +529,23 @@ def _dict_mul(a: dict, b: dict, emax: int) -> dict:
 
 
 def _dict_div(num: dict, den: dict, emax: int) -> dict:
-    """Exact truncated quotient num/den of integer-keyed series."""
-    if not den:
-        raise ZeroDivisionError("division by zero series")
-    e0 = min(den)
-    c0 = den[e0]
-    if num and min(num) < e0:
+    """Exact truncated quotient num/den of integer-keyed series; den must
+    have constant term 1 and no negative exponents."""
+    if den.get(0) != 1 or min(den) < 0:
+        raise ValueError("divisor must have constant term 1")
+    if num and min(num) < 0:
         raise ValueError("quotient would have exponents below zero")
-    tail = sorted((e - e0, c) for e, c in den.items() if e != e0)
-    unit = c0 == 1
+    tail = sorted((e, c) for e, c in den.items() if e)
     res: dict = {}
-    nmin = (min(num) - e0) if num else 0
+    nmin = min(num) if num else 0
     for k in range(nmin, emax):
-        v = num.get(k + e0, 0)
+        v = num.get(k, 0)
         for j, c in tail:
             if j > k - nmin:
                 break
             prev = res.get(k - j)
             if prev is not None:
                 v -= c * prev
-        if not unit:
-            v = Fraction(v, c0) if not isinstance(v, Fraction) else v / c0
-            if v.denominator == 1:
-                v = int(v)
         if v:
             res[k] = v
     return res

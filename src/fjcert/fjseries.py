@@ -67,7 +67,7 @@ class FormalFJ:
 
     @classmethod
     def one(cls, M_max: int, prec: int) -> "FormalFJ":
-        phis = [JacobiFormQExp(0, 0, prec, {(0, 0): Fraction(1)})]
+        phis = [JacobiFormQExp(0, 0, prec, {(0, 0): 1} if prec > 0 else {})]
         phis += [JacobiFormQExp.zero(0, m, prec) for m in range(1, M_max + 1)]
         return cls(0, M_max, phis)
 
@@ -452,7 +452,7 @@ def slice_values(f: FormalFJ, tau1: complex, z: complex, M: int) -> list:
     Every point evaluation of the slices of a series goes through here;
     callers compute it once per (tau1, z) and reuse it for every tau2.
     """
-    return [0j if phi.is_zero() else evaluate(phi, tau1, z).value for phi in f.phis[: M + 1]]
+    return [0j if phi.is_zero() else evaluate(phi, tau1, z) for phi in f.phis[: M + 1]]
 
 
 def q2_sum(values, tau2: complex) -> complex:

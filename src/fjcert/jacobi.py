@@ -45,7 +45,6 @@ __all__ = [
     "JacobiFormQExp",
     "TorsionPoint",
     "SpecializedExpansion",
-    "EvalResult",
     "weak_generators",
     "jacobi_space",
     "multiply",
@@ -383,9 +382,11 @@ def _index1_coeff(h0: dict, h1: dict, n: int, r: int):
     return h0.get(d // 4, 0) if d % 4 == 0 else h1.get((d + 1) // 4, 0)
 
 
-def _materialize_index1(k: int, prec: int, h0: dict, h1: dict) -> JacobiFormQExp:
-    den = math.lcm(*(v.denominator for h in (h0, h1) for v in h.values()))
-    h0, h1 = ({e: v.numerator * (den // v.denominator) for e, v in h.items()} for h in (h0, h1))
+def _materialize_index1(k: int, prec: int, h0: dict, h1: dict, den: int = 1) -> JacobiFormQExp:
+    """Index-one form with integer theta components h0 / den and h1 / den."""
+    # cancel on the components, so that the form shares their ints and _trusted copies nothing
+    g = math.gcd(den, *h0.values(), *h1.values()) * (-1 if den < 0 else 1)
+    h0, h1 = ({e: v // g for e, v in h.items()} for h in (h0, h1))
     num = {}
     for n in range(prec):
         rmax = math.isqrt(4 * n + 1)
@@ -393,7 +394,7 @@ def _materialize_index1(k: int, prec: int, h0: dict, h1: dict) -> JacobiFormQExp
             v = _index1_coeff(h0, h1, n, r)
             if v:
                 num[(n, r)] = v
-    return JacobiFormQExp._trusted(k, 1, prec, den, num)
+    return JacobiFormQExp._trusted(k, 1, prec, den // g, num)
 
 
 @lru_cache(maxsize=None)
@@ -435,39 +436,6 @@ def _mform_monomials(w: int, emax: int):
     return out
 
 
-def _kernel_basis(rows, ncols):
-    """Reduced kernel basis of a small rational matrix, deterministic order."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, len(mat)):
-            if mat[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[rank])]
-        pivots.append(col)
-        rank += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            vec[p] = -mat[i][f]
-        basis.append(vec)
-    return basis
-
-
 def jacobi_space(k: int, cusp: bool, prec: int):
     """Basis of the index-one space of weight k, holomorphic or cuspidal.
 
@@ -482,19 +450,17 @@ def jacobi_space(k: int, cusp: bool, prec: int):
     mons_a = _mform_monomials(k + 2, prec)
     mons_b = _mform_monomials(k, prec)
     na, nb = len(mons_a), len(mons_b)
-    ncand = na + nb
-    if ncand == 0:
-        return []
     # the only linear conditions are at discriminants -1 (holomorphy) and 0
-    # (cuspidality); both generators contribute their constant there
-    rows = [[Fraction(1)] * ncand]
-    if cusp:
-        rows.append([Fraction(-2)] * na + [Fraction(10)] * nb)
-    basis_vecs = _kernel_basis(rows, ncand)
-    if not basis_vecs:
-        return []
+    # (cuspidality): sum x = 0 and, for cusp forms, -2 sum_{i<na} x_i + 10 sum_{i>=na} x_i
+    # = 0.  Their reduced kernel basis is e_f - e_p over the non-pivots f; the pivots
+    # are 0 and, for cusp forms with both blocks nonempty, na.
+    both = cusp and na > 0 and nb > 0
     out = []
-    for vec in basis_vecs:
+    for f in range(1, na + nb):
+        if both and f == na:
+            continue
+        vec = [0] * (na + nb)
+        vec[f], vec[na if both and f > na else 0] = 1, -1
         acc0: dict = {}
         acc1: dict = {}
         # sum_i x_i mon_i h = (sum_i x_i mon_i) h: one product per generator
@@ -507,13 +473,10 @@ def jacobi_space(k: int, cusp: bool, prec: int):
                 acc0 = _dict_add(acc0, _dict_mul(mon, h0, prec))
                 acc1 = _dict_add(acc1, _dict_mul(mon, h1, prec))
         # c(n, r) = c(n, -r), so the lead in (n, |r|) order is the first
-        # nonzero value over n, then r >= 0; scale the components, not the form
+        # nonzero value over n, then r >= 0; it becomes the denominator
         rs = ((n, r) for n in range(prec) for r in range(math.isqrt(4 * n + 1) + 1))
         lead = next((v for n, r in rs if (v := _index1_coeff(acc0, acc1, n, r))), 1)
-        if lead != 1:
-            inv = Fraction(1) / Fraction(lead)
-            acc0, acc1 = _dict_scale(acc0, inv), _dict_scale(acc1, inv)
-        out.append(_materialize_index1(k, prec, acc0, acc1))
+        out.append(_materialize_index1(k, prec, acc0, acc1, lead))
     return out
 
 
@@ -598,7 +561,7 @@ def specialize_torsion(phi: JacobiFormQExp, p: TorsionPoint) -> SpecializedExpan
     p2 = Fraction(P) + Fraction(m * a * a, L) - shift
     if p2 < 0:
         p2 = Fraction(0)
-    bound_num = p2 * L
+    bound_num = math.ceil(p2 * L)
     acc: dict = {}
     for (n, r), v in phi.num.items():
         num = n * L + r * a * N + m * a * a
@@ -610,8 +573,7 @@ def specialize_torsion(phi: JacobiFormQExp, p: TorsionPoint) -> SpecializedExpan
         slot = acc.setdefault(num, {})
         slot[j] = slot.get(j, 0) + v
     den = phi.den
-    coeffs = {num: CycElem(L, {j: Fraction(v, den) for j, v in w.items()}) for num, w in acc.items()}
-    coeffs = {num: v for num, v in coeffs.items() if not v.is_zero()}
+    coeffs = {num: CycElem(L, {j: Fraction(v, den) for j, v in w.items()}) for num, w in acc.items() if any(w.values())}
     return SpecializedExpansion(phi.k, N, QExpansion(L, coeffs, p2))
 
 
@@ -635,21 +597,8 @@ def fe_norm(eta: SpecializedExpansion, S) -> float:
 # numerical evaluation
 
 
-@dataclass(frozen=True)
-class EvalResult:
-    """A point value; tail_bound is a heuristic tail estimate, not a certified bound."""
-
-    value: complex
-    tail_bound: float
-
-
-def evaluate(phi: JacobiFormQExp, tau1: complex, z: complex) -> EvalResult:
-    """Numerical value sum c(n, r) e(n tau1 + r z) over the stored window.
-
-    The tail estimate is the geometric majorant with ratio |e(tau1)| per
-    missing row, anchored at the largest stored row sums; it is a heuristic
-    truncation indicator, not a certified bound.
-    """
+def evaluate(phi: JacobiFormQExp, tau1: complex, z: complex) -> complex:
+    """Numerical value sum c(n, r) e(n tau1 + r z) over the stored window."""
     t_im = tau1.imag
     if t_im <= 0:
         raise ValueError("tau1 must have positive imaginary part")
@@ -657,7 +606,7 @@ def evaluate(phi: JacobiFormQExp, tau1: complex, z: complex) -> EvalResult:
     y = cmath.exp(2j * math.pi * z)
     terms = phi.float_terms()
     if not terms:
-        return EvalResult(0j, 0.0)
+        return 0j
     xs = [1.0 + 0j]
     for _ in range(phi.prec - 1):
         xs.append(xs[-1] * x)
@@ -675,15 +624,8 @@ def evaluate(phi: JacobiFormQExp, tau1: complex, z: complex) -> EvalResult:
         ypw[r] = cur
     res = []
     ims = []
-    wabs = abs(y)
-    wpw = {r: wabs ** r for r in ypw}
-    rowsums: dict = {}
     for n, r, c in terms:
         v = c * xs[n] * ypw[r]
         res.append(v.real)
         ims.append(v.imag)
-        rowsums[n] = rowsums.get(n, 0.0) + abs(c) * wpw[r]
-    t = abs(x)
-    rowmax = max(rowsums.values())
-    tail = rowmax * t ** phi.prec / (1.0 - t)
-    return EvalResult(complex(math.fsum(res), math.fsum(ims)), tail)
+    return complex(math.fsum(res), math.fsum(ims))

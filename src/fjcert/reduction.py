@@ -125,9 +125,6 @@ class UnimodularMat:
     def __matmul__(self, other: "UnimodularMat") -> "UnimodularMat":
         return UnimodularMat(_matmul(self.rows, other.rows))
 
-    def transpose(self) -> "UnimodularMat":
-        return UnimodularMat(list(zip(*self.rows)))
-
     def inverse(self) -> "UnimodularMat":
         d = self.det()
         adj = _adjugate(self.rows)

@@ -7,10 +7,13 @@ that the Kronecker-substitution kernel in ``fjcert.core`` gives equal
 results: ``dict_mul`` is the old ``core._dict_mul``, ``qexp_mul`` the old
 ``QExpansion.__mul__`` and ``jacobi_multiply`` the old ``jacobi.multiply``.
 
-``jacobi_space`` rebuilds the index-one spaces the old way: every product
+``jacobi_space`` rebuilds the index-one spaces the old way: the kernel of
+the holomorphy and cusp conditions by generic Gaussian elimination over Q
+(``_kernel_basis``, the old ``jacobi._kernel_basis``), every product
 through ``dict_mul``, the generator denominators P6, T2 and T44 expanded
-to dense series and divided out whole, and the normalization applied to
-the materialized form.
+to dense series and divided out whole, rational theta components
+materialized through the validating constructor, and the normalization
+applied to the materialized form.
 
 ``reduce2`` is the old ``reduction._reduce2``, the Gauss reduction loop
 for binary forms that the general Minkowski loop replaced; on binary forms
@@ -32,8 +35,6 @@ from fjcert.core import CycElem, QExpansion, _dict_add, _dict_div, _dict_scale, 
 from fjcert.fjseries import FormalFJ, SymmetryReport
 from fjcert.jacobi import (
     JacobiFormQExp,
-    _kernel_basis,
-    _materialize_index1,
     _series_p3,
     _series_sa,
     _series_sbq,
@@ -233,6 +234,53 @@ def _mform_monomials(w: int, emax: int):
             cur = dict_mul(cur, e6, emax)
         out.append(cur)
     return out
+
+
+def _kernel_basis(rows, ncols):
+    """Reduced kernel basis of a small rational matrix, deterministic order."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    rank = 0
+    for col in range(ncols):
+        piv = None
+        for i in range(rank, len(mat)):
+            if mat[i][col]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        inv = 1 / mat[rank][col]
+        mat[rank] = [x * inv for x in mat[rank]]
+        for i in range(len(mat)):
+            if i != rank and mat[i][col]:
+                f = mat[i][col]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[rank])]
+        pivots.append(col)
+        rank += 1
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for f in free:
+        vec = [Fraction(0)] * ncols
+        vec[f] = Fraction(1)
+        for i, p in enumerate(pivots):
+            vec[p] = -mat[i][f]
+        basis.append(vec)
+    return basis
+
+
+def _materialize_index1(k: int, prec: int, h0: dict, h1: dict) -> JacobiFormQExp:
+    """Index-one form from rational theta components, through the validating
+    constructor: c(n, r) is h0[d/4] for d = 4n - r^2 divisible by 4, else h1[(d+1)/4]."""
+    coeffs = {}
+    for n in range(prec):
+        rmax = math.isqrt(4 * n + 1)
+        for r in range(-rmax, rmax + 1):
+            d = 4 * n - r * r
+            v = h0.get(d // 4, 0) if d % 4 == 0 else h1.get((d + 1) // 4, 0)
+            if v:
+                coeffs[(n, r)] = v
+    return JacobiFormQExp(k, 1, prec, coeffs)
 
 
 def jacobi_space(k: int, cusp: bool, prec: int):

@@ -16,6 +16,7 @@ from fjcert import (
     rat_str,
     sigma,
 )
+from fjcert.core import _dict_div
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=12
@@ -232,3 +233,11 @@ def test_discriminant_combination():
     expect = {1: 1, 2: -24, 3: 252, 4: -1472, 5: 4830}
     for n, c in expect.items():
         assert delta.coeff(Fraction(n)) == c
+
+
+def test_dict_div_needs_constant_term_one():
+    num = {0: 1, 1: 2}
+    assert _dict_div(num, {0: 1, 1: -1}, 4) == {0: 1, 1: 3, 2: 3, 3: 3}
+    for den in ({0: 2, 1: 1}, {0: -1}, {1: 1}, {}, {-1: 1, 0: 1}):
+        with pytest.raises(ValueError):
+            _dict_div(num, den, 4)

@@ -424,6 +424,16 @@ def test_is_monic_rejects_scaled_leading(lift8):
     assert not doubled.is_monic()
 
 
+def test_precision_zero_polynomials_answer():
+    one = FormalFJ.one(2, 0)
+    assert one.prec == 0 and one.is_zero() and one == FormalFJ.zero(0, 2, 0)
+    q = PolynomialOverM([FormalFJ.zero(20, 2, 0), FormalFJ.zero(10, 2, 0), one], 0, 10)
+    assert q.is_monic()
+    # at precision 0 every series is zero, the leading coefficient included
+    with pytest.raises(ValueError, match="leading coefficient is zero"):
+        monicize(q, FormalFJ.zero(10, 2, 0), FormalFJ.zero(10, 2, 0))
+
+
 def test_poly_eval_identity_and_root(lift8):
     f, _ = lift8
     ident = PolynomialOverM(

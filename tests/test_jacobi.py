@@ -15,7 +15,6 @@ from hypothesis import given, strategies as st
 
 from fjcert.core import CycElem, PrecisionError, QExpansion, cyc_eval, eisenstein_qexp
 from fjcert.jacobi import (
-    EvalResult,
     JacobiFormQExp,
     SpecializedExpansion,
     TorsionPoint,
@@ -571,29 +570,27 @@ def test_evaluate_weight_zero_generator_is_twelve_at_origin():
     for n in range(1, 30):
         assert sum(v for (nn, r), v in phi_0.coeffs.items() if nn == n) == 0
     assert sum(v for (nn, r), v in phi_0.coeffs.items() if nn == 0) == 12
-    res = evaluate(phi_0, 1j, 0j)
-    assert abs(res.value - 12) < 1e-9
+    assert abs(evaluate(phi_0, 1j, 0j) - 12) < 1e-9
 
 
 def test_evaluate_matches_numeric_theta_quotient():
     _, phi_0 = weak_generators(40)
     for tau, z in [(1j, 0.2 + 0.1j), (0.3 + 1.1j, 0.05 - 0.2j)]:
-        got = evaluate(phi_0, tau, z).value
+        got = evaluate(phi_0, tau, z)
         want = numeric_theta_quotient(tau, z)
         assert abs(got - want) < 1e-8
 
 
 def test_evaluate_weight_minus_two_vanishes_at_origin():
     phi_m2, _ = weak_generators(25)
-    assert abs(evaluate(phi_m2, 0.7j, 0j).value) < 1e-12
+    assert abs(evaluate(phi_m2, 0.7j, 0j)) < 1e-12
 
 
 def test_evaluate_constant_and_zero():
     one = index0_from_qexp(0, QExpansion.one(5))
-    assert evaluate(one, 1j, 0.3j).value == 1
+    assert evaluate(one, 1j, 0.3j) == 1
     zero = JacobiFormQExp.zero(5, 1, 5)
-    res = evaluate(zero, 1j, 0j)
-    assert res.value == 0 and res.tail_bound == 0.0
+    assert evaluate(zero, 1j, 0j) == 0j
 
 
 def test_evaluate_validates_upper_half_plane(phi10):
@@ -604,8 +601,8 @@ def test_evaluate_validates_upper_half_plane(phi10):
 
 
 def test_evaluate_tail_shrinks_with_precision(phi10):
-    lo = evaluate(phi10.truncated(8), 1j, 0.1j)
-    hi = evaluate(phi10, 1j, 0.1j)
-    assert isinstance(lo, EvalResult)
-    assert hi.tail_bound < lo.tail_bound
-    assert abs(hi.value - lo.value) < lo.tail_bound * 2
+    # the truncation error |phi10_P - phi10| at a fixed point falls as P grows;
+    # at |q| = exp(-0.8 pi) the gap at P = 16 stays far above round-off
+    full = evaluate(phi10, 0.4j, 0.1j)
+    gaps = [abs(evaluate(phi10.truncated(P), 0.4j, 0.1j) - full) for P in (8, 12, 16)]
+    assert gaps[0] > gaps[1] > gaps[2] > 0
