@@ -231,7 +231,10 @@ def _cmd_certify(run: _Run) -> int:
     m_terms = run.get("M", f.M_max // 2)
     if m_terms < 1 or 2 * m_terms > f.M_max:
         _fail_usage("M must satisfy 1 <= M and 2M <= M_max")
-    cfg = BoundConfig(b=run.get("b", Fraction(1)), slack=run.get("slack", 0.5), caps=run.get("cap", 10**6))
+    try:
+        cfg = BoundConfig(b=run.get("b", Fraction(1)), slack=run.get("slack", 0.5), caps=run.get("cap", 10**6))
+    except ValueError as e:
+        _fail_usage(str(e))
     if not f.is_cuspidal():
         _write_text(report_path, "verdict: hypothesis-failure\nfailed_precondition: series is not cuspidal\n")
         print("error: input series is not cuspidal", file=sys.stderr)
@@ -283,16 +286,22 @@ def _cmd_bound_report(run: _Run) -> int:
     report_path = run.need("report")
     try:
         eps = float(eps)
-        if not 0 < eps < 1:
-            _fail_usage("eps must lie in (0, 1)")
+        if not 0 < eps < 0.5:
+            _fail_usage("eps must lie in (0, 1/2)")
         box = CompactBoxSpec(tuple(box_rec["U"]), eps)
     except (KeyError, TypeError, ValueError) as e:
         print("error: cannot parse box: %s" % e, file=sys.stderr)
         return 3
     mtop = run.get("mmax", f.M_max)
-    rep = partial_sum_bound_check(
-        f, q, box, range(1, mtop + 1), kappa=run.get("kappa", 1.1), points=run.get("points", 5)
-    )
+    if not 1 <= mtop <= f.M_max:
+        _fail_usage("mmax must lie in [1, %d]" % f.M_max)
+    points = run.get("points", 5)
+    if points < 1:
+        _fail_usage("points must be positive")
+    try:
+        rep = partial_sum_bound_check(f, q, box, range(1, mtop + 1), kappa=run.get("kappa", 1.1), points=points)
+    except CapacityError as e:
+        _fail_usage(str(e))
     _write_text(report_path, rep.to_text())
     if "partial_sums" in rep.series:
         write_csv(report_path + ".partial_sums.csv", *rep.series["partial_sums"])

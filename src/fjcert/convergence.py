@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from statistics import linear_regression
 
-from .core import PrecisionError, cyc_eval
-# evaluate_partial and evaluate are not called here: bench/spans.py traces calls under these names
+from .core import PrecisionError
+# evaluate_partial, evaluate and fe_norm are not called here: bench/spans.py traces calls under these names
 from .fjseries import FormalFJ, PolynomialOverM, evaluate_partial, poly_eval, q2_sum, rho, siegel_point, slice_values  # noqa: F401
-from .jacobi import SpecializedExpansion, TorsionPoint, evaluate, fe_norm  # noqa: F401
+from .jacobi import TorsionPoint, evaluate, fe_norm, window_abs  # noqa: F401
 from .reduction import CapacityError
 
 __all__ = [
@@ -45,12 +45,15 @@ __all__ = [
 
 # largest N that torsion_approximate tries before it gives up
 TORSION_SEARCH_CAP = 10**6
+# most points that k_eps_grid samples
+GRID_CAP = 10**6
 
 
 @dataclass(frozen=True)
 class BoundConfig:
     """Knobs for the sampled bounds: the coefficient-determination constant
-    b, the slack allowed on fitted exponents, and enumeration caps."""
+    b, the slack allowed on fitted exponents, and the enumeration cap, which
+    counts the candidates enumerate_S examines (not the matrices it keeps)."""
 
     b: Fraction = Fraction(1)
     slack: float = 0.5
@@ -75,6 +78,8 @@ class CompactBoxSpec:
         if not 0 < self.eps < 1:
             raise ValueError("eps must lie in (0, 1)")
         pts = tuple((complex(t), complex(z)) for t, z in self.U)
+        if not pts:
+            raise ValueError("U must hold at least one point")
         for t, _ in pts:
             if t.imag <= 0:
                 raise ValueError("tau1 samples need positive imaginary part")
@@ -238,17 +243,13 @@ def growth_fit(etas, k: int, g: int, S, cfg: BoundConfig) -> ConvergenceReport:
         "FE-norms of torsion specializations grow at most like "
         "m^(k + (g-1)/2) = m^%.1f up to a constant" % exponent
     )
+    S = list(S)
     norms = []
     ratio_max = 0.0
-    for i, eta in enumerate(etas):
-        m = i + 1
-        norm = fe_norm(eta, S)
-        norms.append((m, norm))
-        exp_obj = eta.expansion if isinstance(eta, SpecializedExpansion) else eta
-        for t in S:
-            x = t[0, 0] if hasattr(t, "rows") else Fraction(t)
-            ratio = abs(cyc_eval(exp_obj.coeff(x))) / m**exponent
-            ratio_max = max(ratio_max, ratio)
+    for m, eta in enumerate(etas, 1):
+        vals = window_abs(eta, S)
+        norms.append((m, math.fsum(vals)))
+        ratio_max = max(ratio_max, max(vals, default=0.0) / m**exponent)
     pts = [(math.log(m), math.log(norm)) for m, norm in norms if norm > 0]
     tolerances = {"slack": cfg.slack, "threshold": threshold}
     series = {"fe_norms": (["m", "fe_norm"], [[m, norm] for m, norm in norms])}
@@ -257,7 +258,7 @@ def growth_fit(etas, k: int, g: int, S, cfg: BoundConfig) -> ConvergenceReport:
             "growth-bound",
             claim,
             "degenerate-pass",
-            {"b": cfg.b, "nonzero_points": len(pts), "ratio_max": ratio_max, "window_size": len(list(S))},
+            {"b": cfg.b, "nonzero_points": len(pts), "ratio_max": ratio_max, "window_size": len(S)},
             tolerances,
             series,
         )
@@ -269,7 +270,7 @@ def growth_fit(etas, k: int, g: int, S, cfg: BoundConfig) -> ConvergenceReport:
         "intercept": fit.intercept,
         "ratio_max": ratio_max,
         "nonzero_points": len(pts),
-        "window_size": len(list(S)),
+        "window_size": len(S),
     }
     return ConvergenceReport("growth-bound", claim, verdict, witnesses, tolerances, series)
 
@@ -353,10 +354,13 @@ def pointwise_convergence_check(
 def k_eps_grid(box: CompactBoxSpec, eps_scale: float = 1.0, points: int = 5):
     """Deterministic tensor sample of the box: every (tau1, z) in U crossed
     with `points` values of the Schur complement in [eps', 1/eps'] and of
-    Re(tau2) in [0, 1), eps' = eps_scale * eps."""
+    Re(tau2) in [0, 1), eps' = eps_scale * eps.  Raises CapacityError
+    when the grid would hold more than GRID_CAP points."""
     eps = box.eps * eps_scale
     if not 0 < eps < 1:
         raise ValueError("scaled eps leaves (0, 1)")
+    if len(box.U) * points * points > GRID_CAP:
+        raise CapacityError("a grid of %d x %d^2 points exceeds cap %d" % (len(box.U), points, GRID_CAP))
     grid = []
     for t1, z in box.U:
         base = z.imag * z.imag / t1.imag
@@ -407,33 +411,32 @@ def partial_sum_bound_check(
 
     For tau sampled in K_{2 eps}(U), every partial sum with M in M_list
     must stay below kappa * D_eps(U) * e^(-2 pi eps) / (1 - e^(-2 pi eps)).
-    Monicity of q, cuspidality of f, and q(f) = 0 are hypotheses; their
-    failure is reported as such, not as a bound violation.
+    The sample is k_eps_grid(box, 2.0, points), so eps must lie in
+    (0, 1/2).  Monicity of q, cuspidality of f, a polynomial step equal to
+    the weight of f, and q(f) = 0 are hypotheses; their failure is
+    reported as such, not as a bound violation.
     """
     claim = "partial sums on the shrunken box stay below the geometric majorant"
     tolerances = {"kappa": kappa, "eps": box.eps}
+    failed = None
     if not q.is_monic():
+        failed = "polynomial is not monic"
+    elif not f.is_cuspidal():
+        failed = "series is not cuspidal"
+    elif q.k != f.k:
+        failed = "series weight %d does not match polynomial step %d" % (f.k, q.k)
+    elif not poly_eval(q, f).is_zero():
+        failed = "q(f) is nonzero to stored precision"
+    if failed is not None:
         return ConvergenceReport(
-            "partial-sum-bound", claim, "hypothesis-failure",
-            {"failed_precondition": "polynomial is not monic"}, tolerances,
-        )
-    if not f.is_cuspidal():
-        return ConvergenceReport(
-            "partial-sum-bound", claim, "hypothesis-failure",
-            {"failed_precondition": "series is not cuspidal"}, tolerances,
-        )
-    residue = poly_eval(q, f)
-    if not residue.is_zero():
-        return ConvergenceReport(
-            "partial-sum-bound", claim, "hypothesis-failure",
-            {"failed_precondition": "q(f) is nonzero to stored precision"}, tolerances,
+            "partial-sum-bound", claim, "hypothesis-failure", {"failed_precondition": failed}, tolerances
         )
     M_list = sorted(set(int(m) for m in M_list))
     if not M_list or M_list[0] < 1 or M_list[-1] > f.M_max:
         raise ValueError("M_list entries must lie in [1, M_max]")
-    eps = box.eps
+    grid = k_eps_grid(box, 2.0, points)
     d_val = d_eps(q, box, k_eps_grid(box, 1.0, points))
-    decay = math.exp(-2 * math.pi * eps)
+    decay = math.exp(-2 * math.pi * box.eps)
     bound = kappa * d_val * decay / (1.0 - decay)
     mtop = M_list[-1]
     max_abs = 0.0
@@ -441,32 +444,30 @@ def partial_sum_bound_check(
     max_abs_other = 0.0
     argmax = None
     rows = {m: 0.0 for m in M_list}
-    for t1, z in box.U:
-        slice_vals = slice_values(f, t1, z, mtop)
-        near = _is_near_torsion(t1, z)
-        base = z.imag * z.imag / t1.imag
-        for i in range(points):
-            r = 2 * eps + (1 / (2 * eps) - 2 * eps) * i / (points - 1) if points > 1 else 2 * eps
-            for j in range(points):
-                t2 = complex(j / points, base + r)
-                q2 = cmath.exp(2j * math.pi * t2)
-                acc = 0j
-                w = 1.0 + 0j
-                idx = 0
-                for m in range(1, mtop + 1):
-                    w *= q2
-                    acc += slice_vals[m] * w
-                    if idx < len(M_list) and M_list[idx] == m:
-                        a = abs(acc)
-                        rows[m] = max(rows[m], a)
-                        if a > max_abs:
-                            max_abs = a
-                            argmax = (m, t1, z, t2)
-                        if near:
-                            max_abs_torsion = max(max_abs_torsion, a)
-                        else:
-                            max_abs_other = max(max_abs_other, a)
-                        idx += 1
+    per_point = {}
+    for tau in grid:
+        t1, z, t2 = siegel_point(tau)
+        if (t1, z) not in per_point:
+            per_point[t1, z] = slice_values(f, t1, z, mtop), _is_near_torsion(t1, z)
+        slice_vals, near = per_point[t1, z]
+        q2 = cmath.exp(2j * math.pi * t2)
+        acc = 0j
+        w = 1.0 + 0j
+        idx = 0
+        for m in range(1, mtop + 1):
+            w *= q2
+            acc += slice_vals[m] * w
+            if idx < len(M_list) and M_list[idx] == m:
+                a = abs(acc)
+                rows[m] = max(rows[m], a)
+                if a > max_abs:
+                    max_abs = a
+                    argmax = (m, t1, z, t2)
+                if near:
+                    max_abs_torsion = max(max_abs_torsion, a)
+                else:
+                    max_abs_other = max(max_abs_other, a)
+                idx += 1
     verdict = "pass" if max_abs <= bound else "fail"
     witnesses = {
         "D_eps": d_val,
@@ -476,7 +477,7 @@ def partial_sum_bound_check(
         "max_on_torsion_subgrid": max_abs_torsion,
         "max_off_torsion": max_abs_other,
         "torsion_subgrid_pass": max_abs_torsion <= bound,
-        "grid_size": len(box.U) * points * points,
+        "grid_size": len(grid),
     }
     if argmax is not None:
         witnesses["argmax"] = "M=%d tau1=%s z=%s tau2=%s" % (argmax[0], _cplx_str(argmax[1]), _cplx_str(argmax[2]), _cplx_str(argmax[3]))

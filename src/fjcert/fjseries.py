@@ -112,7 +112,10 @@ class FormalFJ:
         return out
 
     def is_cuspidal(self) -> bool:
-        return self.phis[0].is_zero()
+        """phi_0 vanishes and every other slice is a cusp form (4nm - r^2 > 0
+        on its support); for symmetric series of holomorphic slices the
+        second part follows from the first."""
+        return self.phis[0].is_zero() and all(phi.is_cusp() for phi in self.phis[1:])
 
     def is_zero(self) -> bool:
         return all(phi.is_zero() for phi in self.phis)

@@ -50,6 +50,7 @@ __all__ = [
     "multiply",
     "specialize_torsion",
     "fe_norm",
+    "window_abs",
     "evaluate",
     "index0_from_qexp",
 ]
@@ -577,20 +578,28 @@ def specialize_torsion(phi: JacobiFormQExp, p: TorsionPoint) -> SpecializedExpan
     return SpecializedExpansion(phi.k, N, QExpansion(L, coeffs, p2))
 
 
-def fe_norm(eta: SpecializedExpansion, S) -> float:
-    """Sum of coefficient magnitudes of eta over the exponent window S.
+def window_abs(eta: SpecializedExpansion, S) -> list:
+    """|c_x(eta)| for each exponent x of the window S, in the order of S.
 
     S is a list of 1x1 matrices (or plain rationals).  Every requested
     exponent must lie below the certified precision of eta.
     """
     exp = eta.expansion if isinstance(eta, SpecializedExpansion) else eta
-    vals = []
+    out = []
     for t in S:
         x = t[0, 0] if hasattr(t, "rows") else Fraction(t)
         if x >= exp.prec:
             raise PrecisionError("window exponent %s is beyond specialized precision %s" % (x, exp.prec))
-        vals.append(abs(cyc_eval(exp.coeff(x))))
-    return math.fsum(vals)
+        e = x * exp.L
+        c = exp.coeffs.get(e.numerator) if e.denominator == 1 else None
+        out.append(0.0 if c is None else abs(cyc_eval(c)))
+    return out
+
+
+def fe_norm(eta: SpecializedExpansion, S) -> float:
+    """Sum of coefficient magnitudes of eta over the exponent window S
+    (see :func:`window_abs`)."""
+    return math.fsum(window_abs(eta, S))
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +617,7 @@ def evaluate(phi: JacobiFormQExp, tau1: complex, z: complex) -> complex:
     if not terms:
         return 0j
     xs = [1.0 + 0j]
-    for _ in range(phi.prec - 1):
+    for _ in range(terms[-1][0]):  # terms are sorted, so this is the largest stored n
         xs.append(xs[-1] * x)
     ypw = {0: 1.0 + 0j}
     rmin = min(r for _, r, _ in terms)

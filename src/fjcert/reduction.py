@@ -71,9 +71,6 @@ class SymMatQ:
     def det(self) -> Fraction:
         return _det([list(r) for r in self.rows])
 
-    def leading_minor(self, k: int) -> Fraction:
-        return _det([list(self.rows[i][:k]) for i in range(k)])
-
     def scaled_entries(self):
         """Diagonal-then-off-diagonal entry tuple, used for deterministic order."""
         s = self.size
@@ -234,9 +231,15 @@ def _rows_of(u):
 # core operations
 
 
+def _positive_definite(g) -> bool:
+    """True iff every leading principal minor of the square matrix g is positive."""
+    return all(_det([row[:k] for row in g[:k]]) > 0 for k in range(1, len(g) + 1))
+
+
 def is_positive_definite(t: SymMatQ) -> bool:
-    """True iff all leading principal minors are positive."""
-    return all(t.leading_minor(k) > 0 for k in range(1, t.size + 1))
+    """True iff all leading principal minors are positive, tested on the
+    integer matrix D t (D > 0 clears the denominators; the signs agree)."""
+    return _positive_definite(_integral(t)[0])
 
 
 def act(t: SymMatQ, u) -> SymMatQ:
@@ -318,12 +321,12 @@ def minkowski_reduce(n: SymMatQ):
     nonzero integer vectors.  Signs are normalized so that reduced_01 and
     reduced_02 are nonnegative.
     """
-    if not is_positive_definite(n):
+    g, scale = _integral(n)
+    if not _positive_definite(g):
         raise ValueError("matrix must be positive definite")
     s = n.size
     if s > 3:
         raise ValueError("reduction implemented for sizes one to three only")
-    g, scale = _integral(n)
     u = [[int(i == j) for j in range(s)] for i in range(s)]
     # Swaps keep the trace of g and sort the diagonal in finitely many steps.
     # A shear with r != 0 lowers g_jj, and a replacement by x lowers g_jj to
@@ -368,9 +371,10 @@ def hermite_check(n: SymMatQ) -> bool:
     s = n.size
     if s not in _HERMITE_POW:
         raise ValueError("size must be one to three")
-    if not is_positive_definite(n):
+    g = _integral(n)[0]
+    if not _positive_definite(g):
         raise ValueError("matrix must be positive definite")
-    bad = _first_violation(_integral(n)[0])
+    bad = _first_violation(g)
     if bad is not None:
         raise ValueError("input is not Minkowski reduced: n[x] < n_kk at x = %s" % (bad[0],))
     return n[0, 0] ** s <= _HERMITE_POW[s] * n.det()
@@ -546,10 +550,9 @@ def _strict_int_bound(x: Fraction) -> int:
     return math.floor(x)
 
 
-def enumerate_S(N: int, b, g: int, cap: int = 10**6):
-    """Exponent window: positive definite (g-1)-matrices over (1/(2 N^2)) Z
-    with diagonal entries below b * N^(8 (g-1)^2), in lexicographic order of
-    scaled entries."""
+def _window(N: int, b, g: int):
+    """(s, den, top) for the windows at level N: size s = g - 1, entry
+    denominator den = 2 N^2 and bound top = b N^(8 s^2)."""
     if N < 1:
         raise ValueError("N must be positive")
     b = Fraction(b)
@@ -558,56 +561,42 @@ def enumerate_S(N: int, b, g: int, cap: int = 10**6):
     s = g - 1
     if s < 1 or s > 3:
         raise ValueError("unsupported genus")
-    den = 2 * N * N
-    kmax = _strict_int_bound(b * N ** (8 * s * s) * den)
+    return s, 2 * N * N, b * N ** (8 * s * s)
+
+
+def enumerate_S(N: int, b, g: int, cap: int = 10**6):
+    """Exponent window: positive definite (g-1)-matrices over (1/(2 N^2)) Z
+    with diagonal entries below b * N^(8 (g-1)^2), in lexicographic order of
+    scaled entries.
+
+    The candidates are the integer matrices k = 2 N^2 t with diagonal in
+    [1, kmax]^s and |k_ij| <= isqrt(k_ii k_jj - 1), which positive
+    definiteness requires.  cap bounds the number of candidates examined;
+    they are counted before any is built, and CapacityError is raised past
+    cap.  At sizes one and two every candidate is kept.
+    """
+    s, den, top = _window(N, b, g)
+    kmax = max(_strict_int_bound(top * den), 0)
+    pairs = list(itertools.combinations(range(s), 2))
+
+    def boxes():
+        for d in itertools.product(range(1, kmax + 1), repeat=s):
+            yield d, [range(-x, x + 1) for x in (math.isqrt(d[i] * d[j] - 1) for i, j in pairs)]
+
+    # every diagonal has at least one candidate, so kmax^s settles wide windows
+    # at once; otherwise the running count stops at the first diagonal past cap
+    counts = itertools.accumulate(math.prod(map(len, offs)) for _, offs in boxes())
+    if kmax**s > cap or any(n > cap for n in counts):
+        raise CapacityError("more than %d candidates to examine" % cap)
+    # product order is the lexicographic order of (diagonal, off-diagonal), so no sort
     out = []
-    if s == 1:
-        for k in range(1, kmax + 1):
-            out.append(SymMatQ([[Fraction(k, den)]]))
-            if len(out) > cap:
-                raise CapacityError("enumeration exceeds cap")
-        return out
-    if s == 2:
-        for k11 in range(1, kmax + 1):
-            for k22 in range(1, kmax + 1):
-                lim = math.isqrt(k11 * k22)
-                if lim * lim == k11 * k22:
-                    lim -= 1
-                for k12 in range(-lim, lim + 1):
-                    out.append(
-                        SymMatQ(
-                            [
-                                [Fraction(k11, den), Fraction(k12, den)],
-                                [Fraction(k12, den), Fraction(k22, den)],
-                            ]
-                        )
-                    )
-                    if len(out) > cap:
-                        raise CapacityError("enumeration exceeds cap")
-        out.sort(key=lambda t: tuple(x * den for x in t.scaled_entries()))
-        return out
-    # s == 3: diagonal loops with positive definiteness filtered exactly
-    for k11 in range(1, kmax + 1):
-        for k22 in range(1, kmax + 1):
-            for k33 in range(1, kmax + 1):
-                l12 = math.isqrt(k11 * k22)
-                l13 = math.isqrt(k11 * k33)
-                l23 = math.isqrt(k22 * k33)
-                for k12 in range(-l12, l12 + 1):
-                    for k13 in range(-l13, l13 + 1):
-                        for k23 in range(-l23, l23 + 1):
-                            t = SymMatQ(
-                                [
-                                    [Fraction(k11, den), Fraction(k12, den), Fraction(k13, den)],
-                                    [Fraction(k12, den), Fraction(k22, den), Fraction(k23, den)],
-                                    [Fraction(k13, den), Fraction(k23, den), Fraction(k33, den)],
-                                ]
-                            )
-                            if is_positive_definite(t):
-                                out.append(t)
-                                if len(out) > cap:
-                                    raise CapacityError("enumeration exceeds cap")
-    out.sort(key=lambda t: tuple(x * den for x in t.scaled_entries()))
+    for d, offs in boxes():
+        for off in itertools.product(*offs):
+            g = [[d[i] if i == j else 0 for j in range(s)] for i in range(s)]
+            for (i, j), x in zip(pairs, off):
+                g[i][j] = g[j][i] = x
+            if _positive_definite(g):
+                out.append(SymMatQ([[Fraction(x, den) for x in row] for row in g]))
     return out
 
 
@@ -619,34 +608,13 @@ class RVectors(list):
 
 def enumerate_r(m: int, b, N: int, g: int) -> RVectors:
     """Shift range: vectors r in (1/(2 N^2)) Z^(g-1) with every component
-    satisfying r_i^2 < 4 m b N^(8 (g-1)^2).  The returned list carries
-    count_constant = len / m^((g-1)/2)."""
+    satisfying r_i^2 < 4 m b N^(8 (g-1)^2), in lexicographic order.  The
+    returned list carries count_constant = len / m^((g-1)/2)."""
     if m < 1:
         raise ValueError("m must be positive")
-    if N < 1:
-        raise ValueError("N must be positive")
-    b = Fraction(b)
-    if b < 0:
-        raise ValueError("b must be nonnegative")
-    s = g - 1
-    if s < 1 or s > 3:
-        raise ValueError("unsupported genus")
-    den = 2 * N * N
-    bound = 4 * m * b * N ** (8 * s * s) * den * den  # j^2 < bound for j = r*den
-    jmax = 0
-    if bound > 0:
-        jmax = math.isqrt(math.floor(bound))
-        if Fraction(jmax * jmax) >= bound:
-            jmax -= 1
-    vals = [Fraction(j, den) for j in range(-jmax, jmax + 1)] if bound > 0 else []
-    out = RVectors()
-    if vals:
-        def rec(i, acc):
-            if i == s:
-                out.append(tuple(acc))
-            else:
-                for v in vals:
-                    rec(i + 1, acc + [v])
-        rec(0, [])
+    s, den, top = _window(N, b, g)
+    k = _strict_int_bound(4 * m * top * den * den)  # j^2 <= k for j = r * den
+    jmax = math.isqrt(k) if k >= 0 else -1
+    out = RVectors(itertools.product([Fraction(j, den) for j in range(-jmax, jmax + 1)], repeat=s))
     out.count_constant = len(out) / m ** (s / 2)
     return out

@@ -1,16 +1,19 @@
 """End-to-end exit-code and file-format tests for the command line."""
 
+import contextlib
 import csv
+import io
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fjcert.cli import main
 from fjcert.convergence import CompactBoxSpec
 from fjcert.core import eisenstein_qexp
-from fjcert.fjseries import FormalFJ, PolynomialOverM
-from fjcert.jacobi import JacobiFormQExp
+from fjcert.fjseries import FormalFJ, PolynomialOverM, gritsenko_lift
+from fjcert.jacobi import JacobiFormQExp, jacobi_space
 
 
 @pytest.fixture(scope="module")
@@ -345,15 +348,15 @@ def test_bound_report_reads_eps_string_from_box(tmp_path, lift_file, relation_fi
     assert "Traceback" not in capsys.readouterr().err
 
 
-def test_bound_report_bad_eps_is_usage_error(tmp_path, lift_file, relation_files):
+def test_bound_report_bad_eps_is_usage_error(tmp_path, lift_file, relation_files, capsys):
+    # K_2eps samples Schur complements in [2 eps, 1/(2 eps)], which is empty from eps = 1/2 on
     poly, box = relation_files
-    rc = main(
-        [
-            "bound-report", "--in", str(lift_file), "--poly", str(poly), "--box", str(box),
-            "--eps", "1.5", "--report", str(tmp_path / "r.txt"),
-        ]
-    )
-    assert rc == 64
+    base = ["bound-report", "--in", str(lift_file), "--poly", str(poly), "--box", str(box),
+            "--points", "2", "--report", str(tmp_path / "r.txt")]
+    for eps in ("1.5", "0.5", "0.7"):
+        assert main(base + ["--eps", eps]) == 64
+        assert "eps must lie in (0, 1/2)" in capsys.readouterr().err
+    assert main(base + ["--eps", "0.49"]) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -424,3 +427,109 @@ def test_config_file_errors(tmp_path, lift_file):
     assert main(base + ["--config", str(cfg)]) == 64
     cfg.write_text("bound = shrug\n")
     assert main(base + ["--config", str(cfg)]) == 64
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract under malformed input
+
+CONTRACT = set(range(7)) | {64}
+
+
+def exit_code(argv):
+    """Exit code of main(argv); stdout and stderr are swallowed, and stderr
+    must show no traceback."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+    assert "Traceback" not in err.getvalue()
+    return code
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """A directory holding a prec-4, M_max-8 lift, its X^2 - f*f relation and
+    a two-point box, with the three records; step12.json is the plain X over
+    ladder step 12, which the weight-10 lift cannot satisfy."""
+    base = tmp_path_factory.mktemp("fuzz")
+    f = gritsenko_lift(jacobi_space(10, True, 3 * 8 + 1)[0], 8, 4)
+    box = CompactBoxSpec(((1j, 0.25j), (1j, 0.1 + 0.05j)), 0.1)
+    recs = {"in": f.to_record(), "poly": square_relation(f).to_record(), "box": box.to_record()}
+    for name, rec in recs.items():
+        (base / (name + ".json")).write_text(json.dumps(rec))
+    step12 = PolynomialOverM([FormalFJ.zero(12, f.M_max, f.prec), FormalFJ.one(f.M_max, f.prec)], 0, 12)
+    (base / "step12.json").write_text(json.dumps(step12.to_record()))
+    return base, recs
+
+
+def fuzz_argv(base, command):
+    files = ["--in", str(base / "in.json")]
+    if command == "bound-report":
+        files += ["--poly", str(base / "poly.json"), "--box", str(base / "box.json"), "--points", "2"]
+    return [command] + files + ["--report", str(base / "report.txt")]
+
+
+@pytest.mark.parametrize(
+    "extra, code",
+    [
+        (["bound-report", "--mmax", "0"], 64),
+        (["bound-report", "--mmax", "9"], 64),  # M_max of the lift is 8
+        (["bound-report", "--points", "0"], 64),
+        (["bound-report", "--points", "-2"], 64),
+        (["bound-report", "--points", "1000000000"], 64),
+        (["bound-report", "--poly", "step12.json"], 5),
+        (["certify", "--slack", "-1"], 64),
+        (["certify", "--b", "0"], 64),
+    ],
+)
+def test_bad_values_exit_per_contract(fuzz_inputs, extra, code):
+    base, _ = fuzz_inputs
+    flags = [str(base / x) if x.endswith(".json") else x for x in extra[1:]]
+    assert exit_code(fuzz_argv(base, extra[0]) + flags) == code
+
+
+FLAGS = {
+    "certify": ["--torsion", "--tau1", "--theta", "--M", "--b", "--slack", "--cap"],
+    "bound-report": ["--eps", "--kappa", "--mmax", "--points"],
+}
+FLAG_VALUES = ["0", "-1", "-3", "1000000000", "1/3", "1/0", "2.5", "nan", "abc", ""]
+
+
+@settings(max_examples=60)
+@given(st.sampled_from([(c, flag) for c, flags in FLAGS.items() for flag in flags]), st.sampled_from(FLAG_VALUES))
+def test_flag_values_keep_the_contract(fuzz_inputs, command_flag, value):
+    base, _ = fuzz_inputs
+    command, flag = command_flag
+    assert exit_code(fuzz_argv(base, command) + [flag, value]) in CONTRACT
+
+
+def json_paths(rec, here=()):
+    """Every position below the root of a JSON value, as a key path."""
+    items = rec.items() if isinstance(rec, dict) else enumerate(rec) if isinstance(rec, list) else ()
+    out = []
+    for key, v in items:
+        out.append(here + (key,))
+        out += json_paths(v, here + (key,))
+    return out
+
+
+JSON_VALUES = [0, -1, 10**9, -(10**9), 2.5, "1/3", "1/0", "abc", "", None, [], {}, True]
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_one_field_json_mutations_keep_the_contract(fuzz_inputs, data):
+    base, recs = fuzz_inputs
+    name = data.draw(st.sampled_from(sorted(recs)))
+    path = data.draw(st.sampled_from(json_paths(recs[name])))
+    rec = json.loads(json.dumps(recs[name]))
+    node = rec
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = data.draw(st.sampled_from(JSON_VALUES))
+    mutated = base / "mutated.json"
+    mutated.write_text(json.dumps(rec))
+    for command in ("certify", "bound-report") if name == "in" else ("bound-report",):
+        assert exit_code(fuzz_argv(base, command) + ["--" + name, str(mutated)]) in CONTRACT

@@ -148,6 +148,8 @@ def test_compact_box_validates_and_round_trips():
         CompactBoxSpec(((1j, 0j),), 1.0)
     with pytest.raises(ValueError):
         CompactBoxSpec(((1.0 + 0j, 0j),), 0.5)
+    with pytest.raises(ValueError):
+        CompactBoxSpec((), 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +422,7 @@ def test_box_certificate_passes_on_square_relation(lift8):
     assert rep.tolerances == {"kappa": 1.1, "eps": 0.1}
 
 
-def test_box_certificate_reports_hypothesis_failures(lift8):
+def test_box_certificate_reports_hypothesis_failures(lift8, monkeypatch):
     f, _ = lift8
     box = CompactBoxSpec(((1j, 0.25j),), 0.1)
     doubled = PolynomialOverM(
@@ -440,6 +442,38 @@ def test_box_certificate_reports_hypothesis_failures(lift8):
     rep = partial_sum_bound_check(f, plain_x, box, [1], points=2)
     assert rep.verdict == "hypothesis-failure"
     assert rep.witnesses["failed_precondition"] == "q(f) is nonzero to stored precision"
+
+    # a step other than the weight of f is reported before poly_eval would reject it
+    step12 = PolynomialOverM([FormalFJ.zero(12, f.M_max, f.prec), FormalFJ.one(f.M_max, f.prec)], 0, 12)
+    monkeypatch.setattr(convergence, "poly_eval", None)  # a call would raise TypeError
+    rep = partial_sum_bound_check(f, step12, box, [1], points=2)
+    assert rep.verdict == "hypothesis-failure"
+    assert rep.witnesses["failed_precondition"] == "series weight 10 does not match polynomial step 12"
+
+
+def test_box_certificate_samples_the_shrunken_box(lift8, monkeypatch):
+    f, _ = lift8
+    q = square_relation(f)
+    box = CompactBoxSpec(((1j, 0.25j), (1j, 0.1 + 0.05j)), 0.1)
+    scales = []
+    grid = convergence.k_eps_grid
+    monkeypatch.setattr(convergence, "k_eps_grid", lambda b, scale, points: scales.append(scale) or grid(b, scale, points))
+    rep = partial_sum_bound_check(f, q, box, [1, 8], points=3)
+    assert sorted(scales) == [1.0, 2.0] and rep.witnesses["grid_size"] == 18
+    # from eps = 1/2 on, [2 eps, 1/(2 eps)] is empty
+    for eps in (0.5, 0.7):
+        with pytest.raises(ValueError):
+            partial_sum_bound_check(f, q, CompactBoxSpec(box.U, eps), [1], points=2)
+
+
+def test_k_eps_grid_is_capped(monkeypatch):
+    box = CompactBoxSpec(((1j, 0.25j), (1j, 0.1 + 0.05j)), 0.1)
+    with pytest.raises(CapacityError):
+        k_eps_grid(box, points=10**9)
+    monkeypatch.setattr(convergence, "GRID_CAP", 50)
+    assert len(k_eps_grid(box, points=5)) == 50
+    with pytest.raises(CapacityError):
+        k_eps_grid(box, points=6)
 
 
 def test_box_certificate_mlist_validation(lift8):

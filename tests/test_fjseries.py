@@ -59,6 +59,14 @@ def test_one_and_zero_and_pad():
     assert not e4.is_cuspidal()
 
 
+def test_cuspidal_needs_cusp_slices(lift8):
+    f, _ = lift8
+    weak = JacobiFormQExp(10, 2, f.prec, {(1, 3): 1})  # 4nm - r^2 = -1
+    bent = FormalFJ(10, f.M_max, f.phis[:2] + (weak,) + f.phis[3:])
+    assert f.is_cuspidal() and not bent.is_cuspidal()
+    assert bent.phis[0].is_zero()
+
+
 def test_coeff_access_forms(lift8):
     f, _ = lift8
     t = HalfIntIndex(Fraction(2), Fraction(1), 2)

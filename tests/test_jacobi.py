@@ -8,6 +8,7 @@ column in the elliptic variable.  None of it shares code with the library.
 
 import cmath
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -591,6 +592,19 @@ def test_evaluate_constant_and_zero():
     assert evaluate(one, 1j, 0.3j) == 1
     zero = JacobiFormQExp.zero(5, 1, 5)
     assert evaluate(zero, 1j, 0j) == 0j
+
+
+def test_evaluate_work_follows_the_stored_rows(phi10):
+    # a declared precision far above the stored rows allocates nothing and changes no bit
+    wide = JacobiFormQExp._trusted(phi10.k, phi10.m, 10**6, phi10.den, phi10.num)
+    tracemalloc.start()
+    try:
+        value = evaluate(wide, 0.4j, 0.1j)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == evaluate(phi10, 0.4j, 0.1j)
+    assert peak < 10**6
 
 
 def test_evaluate_validates_upper_half_plane(phi10):

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import isqrt
 
 import pytest
 from hypothesis import given, strategies as st
@@ -497,6 +498,35 @@ def test_enumerate_s_ordering_is_deterministic():
     assert keys == sorted(keys)
 
 
+def test_enumerate_s_genus_four_matches_brute_force():
+    # den = 2 and diagonal numerators 1..4: filter every integer candidate of
+    # the box exactly; |k_ij| <= 3 since k_ij^2 < k_ii k_jj <= 16
+    want = []
+    for k11, k22, k33 in product(range(1, 5), repeat=3):
+        for k12, k13, k23 in product(range(-3, 4), repeat=3):
+            t = SymMatQ([[k11, k12, k13], [k12, k22, k23], [k13, k23, k33]])
+            if is_positive_definite(t):
+                want.append(SymMatQ([[x / 2 for x in row] for row in t.rows]))
+    want.sort(key=lambda t: t.scaled_entries())
+    assert len(want) == 4320
+    assert enumerate_S(1, Fraction(5, 2), 4) == want
+
+
+def test_enumerate_s_cap_counts_candidates_before_enumerating():
+    # 1999^3 diagonals alone pass the cap, so nothing is enumerated
+    with pytest.raises(CapacityError):
+        enumerate_S(1, 10**3, 4, cap=10)
+    # at size three the cap counts candidates, not the positive definite outputs
+    candidates = sum(
+        (2 * isqrt(a * b - 1) + 1) * (2 * isqrt(a * c - 1) + 1) * (2 * isqrt(b * c - 1) + 1)
+        for a, b, c in product(range(1, 5), repeat=3)
+    )
+    assert candidates > 4320
+    assert len(enumerate_S(1, Fraction(5, 2), 4, cap=candidates)) == 4320
+    with pytest.raises(CapacityError):
+        enumerate_S(1, Fraction(5, 2), 4, cap=candidates - 1)
+
+
 def test_enumerate_r_small_windows():
     out = enumerate_r(1, Fraction(1, 16), 1, 2)
     assert list(out) == [(Fraction(0),)]
@@ -527,3 +557,12 @@ def test_enumerate_r_count_ratio_bounded():
         out = enumerate_r(m, 1, 1, 2)
         assert out.count_constant == len(out) / m ** 0.5
         assert out.count_constant <= 9.0
+
+
+def test_enumerate_r_higher_genus_is_the_product_of_the_components():
+    m, b, N = 2, Fraction(1, 3), 1
+    line = [r for (r,) in enumerate_r(m, b, N, 2)]
+    for g in (3, 4):
+        out = enumerate_r(m, b, N, g)
+        assert list(out) == list(product(line, repeat=g - 1))
+        assert out.count_constant == len(line) ** (g - 1) / m ** ((g - 1) / 2)
