@@ -431,19 +431,22 @@ def partial_sum_bound_check(
         return ConvergenceReport(
             "partial-sum-bound", claim, "hypothesis-failure", {"failed_precondition": failed}, tolerances
         )
-    M_list = sorted(set(int(m) for m in M_list))
-    if not M_list or M_list[0] < 1 or M_list[-1] > f.M_max:
-        raise ValueError("M_list entries must lie in [1, M_max]")
+    rows = {}  # M -> largest |partial sum| over the grid; a bad entry fails before the rest is read
+    for m in map(int, M_list):
+        if not 1 <= m <= f.M_max:
+            raise ValueError("M_list entries must lie in [1, M_max]")
+        rows[m] = 0.0
+    if not rows:
+        raise ValueError("M_list is empty")
     grid = k_eps_grid(box, 2.0, points)
     d_val = d_eps(q, box, k_eps_grid(box, 1.0, points))
     decay = math.exp(-2 * math.pi * box.eps)
     bound = kappa * d_val * decay / (1.0 - decay)
-    mtop = M_list[-1]
+    mtop = max(rows)
     max_abs = 0.0
     max_abs_torsion = 0.0
     max_abs_other = 0.0
     argmax = None
-    rows = {m: 0.0 for m in M_list}
     per_point = {}
     for tau in grid:
         t1, z, t2 = siegel_point(tau)
@@ -453,11 +456,10 @@ def partial_sum_bound_check(
         q2 = cmath.exp(2j * math.pi * t2)
         acc = 0j
         w = 1.0 + 0j
-        idx = 0
         for m in range(1, mtop + 1):
             w *= q2
             acc += slice_vals[m] * w
-            if idx < len(M_list) and M_list[idx] == m:
+            if m in rows:
                 a = abs(acc)
                 rows[m] = max(rows[m], a)
                 if a > max_abs:
@@ -467,7 +469,6 @@ def partial_sum_bound_check(
                     max_abs_torsion = max(max_abs_torsion, a)
                 else:
                     max_abs_other = max(max_abs_other, a)
-                idx += 1
     verdict = "pass" if max_abs <= bound else "fail"
     witnesses = {
         "D_eps": d_val,
@@ -481,7 +482,7 @@ def partial_sum_bound_check(
     }
     if argmax is not None:
         witnesses["argmax"] = "M=%d tau1=%s z=%s tau2=%s" % (argmax[0], _cplx_str(argmax[1]), _cplx_str(argmax[2]), _cplx_str(argmax[3]))
-    series = {"partial_sums": (["M", "max_abs_partial_sum"], [[m, rows[m]] for m in M_list])}
+    series = {"partial_sums": (["M", "max_abs_partial_sum"], [[m, rows[m]] for m in sorted(rows)])}
     return ConvergenceReport("partial-sum-bound", claim, verdict, witnesses, tolerances, series)
 
 

@@ -434,98 +434,98 @@ def _eis_dict(k: int, emax: int) -> dict:
 # in the package runs through one exact kernel, _kron_rows, by Kronecker
 # substitution on integer rows (rational series clear their denominators
 # in _kron_rational first): each row is packed into one Python int as
-# base-X digits with X = 2^(8w), and CPython's bignum multiply does the
-# convolution.  A product coefficient is
-# a sum of at most t = min(len a, len b) terms, so
+# base-X digits with X = 2^(8w), from that row's own lowest exponent, and
+# CPython's bignum multiply does the convolution.  A row product starts at
+# the sum of its two rows' lowest exponents; it is shifted by whole slots
+# (<< 8w * shift) onto the lowest exponent of its output row and summed
+# there, so an output row, however many slice and row pairs land on it, is
+# unpacked once.  A product coefficient is a sum of at most t terms, t the
+# smaller term count of the two factors, so
 # |c| < 2^(bits max|a| + bits max|b| + bits t); a slot of
 # 8w >= that + 2 bits holds it with room for its sign.  Signs are handled by
 # a bias: with half = 2^(8w-1) added to every slot, each slot is a
 # nonnegative digit below X and no slot borrows from its neighbour.  So
 # packing is one int.from_bytes of the joined slot bytes of v + half, minus
 # the bias (int.from_bytes of n copies of the slot bytes of 0), and
-# unpacking is one int.to_bytes of the biased product, sliced into slots.
+# unpacking is one int.to_bytes of the biased sum, sliced into slots.
 
 
-def _kron_pack(row: dict, lo: int, w: int):
-    """(sum_e row[e] X^(e - lo) with X = 2^(8w), its slot count); keys >= lo."""
+def _kron_pack(row: dict, w: int):
+    """(lo, sum_e row[e] X^(e - lo) with X = 2^(8w), its slot count), lo = min(row)."""
+    lo = min(row)
     n = max(row) - lo + 1
     half = 1 << (8 * w - 1)
     zero = half.to_bytes(w, "little")
     slots = [zero] * n
     for e, v in row.items():
         slots[e - lo] = (v + half).to_bytes(w, "little")
-    return int.from_bytes(b"".join(slots), "little") - int.from_bytes(zero * n, "little"), n
+    return lo, int.from_bytes(b"".join(slots), "little") - int.from_bytes(zero * n, "little"), n
 
 
-def _kron_unpack(x: int, lo: int, n: int, w: int, keep: int) -> dict:
-    """The nonzero digits k < keep of x = sum_{k<n} c_k X^k, |c_k| < X/2,
-    keyed lo + k."""
+def _kron_unpack(x: int, lo: int, n: int, w: int) -> dict:
+    """The nonzero digits of x = sum_{k<n} c_k X^k, |c_k| < X/2, keyed lo + k."""
     half = 1 << (8 * w - 1)
     buf = (x + int.from_bytes(half.to_bytes(w, "little") * n, "little")).to_bytes(n * w, "little")
     out = {}
-    for k in range(min(n, keep)):
+    for k in range(n):
         v = int.from_bytes(buf[k * w : k * w + w], "little") - half
         if v:
             out[lo + k] = v
     return out
 
 
-def _kron_rows(a: dict, b: dict, nmax: int, emax=None) -> dict:
-    """Exact product of two-variable integer series {n: {e: int}}.
+def _kron_rows(a: list, b: list, nmax: int) -> list:
+    """c[m] = sum_i a[i] * b[m - i] for m < min(len a, len b), on
+    two-variable integer series {n: {e: int}}, each c[m] holding its
+    nonzero rows n < nmax.
 
-    Returns the nonzero rows n < nmax, each holding the exponents e below
-    emax (all of them when emax is None).  Each input row is packed once,
-    the row products are summed per output row, and each output row is
-    unpacked once.
+    Each input row is packed once, the shifted row products are summed
+    per (m, n), and each output row is unpacked once.
     """
-    a = {n: row for n, row in a.items() if n < nmax and row}
-    b = {n: row for n, row in b.items() if n < nmax and row}
-    if not a or not b:
-        return {}
-    alo = min(min(row) for row in a.values())
-    blo = min(min(row) for row in b.values())
-    if emax is not None:
-        if alo + blo >= emax:
-            return {}
-        a = {n: {e: v for e, v in row.items() if e < emax - blo} for n, row in a.items()}
-        b = {n: {e: v for e, v in row.items() if e < emax - alo} for n, row in b.items()}
-    a = {n: row for n, row in a.items() if row}
-    b = {n: row for n, row in b.items() if row}
-    terms = min(sum(map(len, a.values())), sum(map(len, b.values())))
-    bits_a = max(max(map(abs, row.values())) for row in a.values()).bit_length()
-    bits_b = max(max(map(abs, row.values())) for row in b.values()).bit_length()
+    out = [{} for _ in range(min(len(a), len(b)))]
+    a = [{n: row for n, row in s.items() if n < nmax and row} for s in a[: len(out)]]
+    b = [{n: row for n, row in s.items() if n < nmax and row} for s in b[: len(out)]]
+    rows_a = [row for s in a for row in s.values()]
+    rows_b = [row for s in b for row in s.values()]
+    terms = min(sum(map(len, rows_a)), sum(map(len, rows_b)))
+    bits_a = max((max(map(abs, row.values())) for row in rows_a), default=0).bit_length()
+    bits_b = max((max(map(abs, row.values())) for row in rows_b), default=0).bit_length()
     w = (bits_a + bits_b + terms.bit_length() + 2 + 7) // 8
-    packed_a = [(n, *_kron_pack(row, alo, w)) for n, row in sorted(a.items())]
-    packed_b = [(n, *_kron_pack(row, blo, w)) for n, row in sorted(b.items())]
-    acc: dict = {}
-    for n1, x1, l1 in packed_a:
-        for n2, x2, l2 in packed_b:
-            n = n1 + n2
-            if n >= nmax:
-                break
-            x, slots = acc.get(n, (0, 0))
-            acc[n] = (x + x1 * x2, max(slots, l1 + l2 - 1))
-    out = {}
-    for n, (x, slots) in acc.items():
-        row = _kron_unpack(x, alo + blo, slots, w, slots if emax is None else emax - alo - blo)
-        if row:
-            out[n] = row
+    packed_a = [[(n, *_kron_pack(row, w)) for n, row in sorted(s.items())] for s in a]
+    packed_b = [[(n, *_kron_pack(row, w)) for n, row in sorted(s.items())] for s in b]
+    for m, c in enumerate(out):
+        acc: dict = {}  # n -> (lowest exponent, sum of the products shifted onto it, slot count)
+        for i in range(m + 1):
+            for n1, lo1, x1, l1 in packed_a[i]:
+                for n2, lo2, x2, l2 in packed_b[m - i]:
+                    n = n1 + n2
+                    if n >= nmax:
+                        break
+                    lo = lo1 + lo2
+                    base, x, slots = acc.get(n, (lo, 0, 0))
+                    if lo < base:
+                        base, x, slots = lo, x << 8 * w * (base - lo), slots + base - lo
+                    acc[n] = (base, x + ((x1 * x2) << 8 * w * (lo - base)), max(slots, lo - base + l1 + l2 - 1))
+        for n, (base, x, slots) in acc.items():
+            row = _kron_unpack(x, base, slots, w)
+            if row:
+                c[n] = row
     return out
 
 
-def _kron_rational(a: dict, b: dict, nmax: int, emax=None) -> dict:
-    """_kron_rows for rational values, each factor scaled by the lcm of its denominators."""
+def _kron_rational(a: dict, b: dict, nmax: int) -> dict:
+    """_kron_rows of one rational series by another, each scaled by the lcm of its denominators."""
     den_a = math.lcm(*(v.denominator for row in a.values() for v in row.values()))
     den_b = math.lcm(*(v.denominator for row in b.values() for v in row.values()))
     a = {n: {e: v.numerator * (den_a // v.denominator) for e, v in row.items()} for n, row in a.items()}
     b = {n: {e: v.numerator * (den_b // v.denominator) for e, v in row.items()} for n, row in b.items()}
-    rows, d = _kron_rows(a, b, nmax, emax), den_a * den_b
+    rows, d = _kron_rows([a], [b], nmax)[0], den_a * den_b
     return rows if d == 1 else {n: {e: Fraction(v, d) for e, v in row.items()} for n, row in rows.items()}
 
 
 def _dict_mul(a: dict, b: dict, emax: int) -> dict:
     """Exact truncated product of one-variable series."""
-    return _kron_rational({0: a}, {0: b}, 1, emax).get(0, {})
+    return {e: v for e, v in _kron_rational({0: a}, {0: b}, 1).get(0, {}).items() if e < emax}
 
 
 def _dict_div(num: dict, den: dict, emax: int) -> dict:

@@ -20,7 +20,8 @@ import math
 from fractions import Fraction
 
 from .core import PrecisionError, parse_rat, rat_str
-from .jacobi import JacobiFormQExp, _rows_by_n, _sum_forms, evaluate, index0_from_qexp, multiply
+# multiply is not called here: bench/spans.py traces calls under this name
+from .jacobi import JacobiFormQExp, _common_rows, _convolve, evaluate, index0_from_qexp, multiply  # noqa: F401
 from .reduction import HalfIntIndex
 
 __all__ = [
@@ -138,15 +139,8 @@ class FormalFJ:
         return self.add(other.scalar_mul(-1))
 
     def multiply(self, other: "FormalFJ") -> "FormalFJ":
-        k = self.k + other.k
-        mmax = min(self.M_max, other.M_max)
-        prec = min(self.prec, other.prec)
-        slices = []
-        for m in range(mmax + 1):
-            pairs = ((self.phis[i], other.phis[m - i]) for i in range(m + 1))
-            products = (multiply(a, b) for a, b in pairs if not (a.is_zero() or b.is_zero()))
-            slices.append(_sum_forms(k, m, prec, products))
-        return FormalFJ(k, mmax, slices)
+        slices = _convolve(self.phis, other.phis)
+        return FormalFJ(self.k + other.k, len(slices) - 1, slices)
 
     def __mul__(self, other):
         if isinstance(other, FormalFJ):
@@ -234,7 +228,7 @@ def check_symmetry(f: FormalFJ, bound: int) -> SymmetryReport:
     shear (n + r + m, r + 2m, m).  The first two stay in the window, as
     bound <= M_max and bound < prec; shear images with n + r + m outside
     [0, prec) are skipped and counted, not treated as violations.  Integer
-    numerators are compared, cross-multiplied by the slice denominators.
+    numerators over the slices' common denominator are compared.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
@@ -242,27 +236,25 @@ def check_symmetry(f: FormalFJ, bound: int) -> SymmetryReport:
         raise ValueError("bound %d exceeds stored precision (prec %d, M_max %d)" % (bound, f.prec, f.M_max))
     sign = -1 if f.k % 2 else 1
     prec = f.prec
-    # rows[m][n] maps r to the numerator of c(n, r, m) over f.phis[m].den
-    rows = [_rows_by_n(phi) for phi in f.phis[: bound + 1]]
+    # rows[m][n] maps r to the numerator of c(n, r, m) over den
+    den, rows = _common_rows(f.phis[: bound + 1])
     skipped = 0
-    bad = []  # (t, u, lhs numerator, its denominator, rhs numerator, its denominator)
+    bad = []  # (t, u, lhs numerator, rhs numerator)
     for n in range(bound + 1):
         for m in range(bound + 1):
-            row, row_swap, den, den_swap = rows[m].get(n, {}), rows[n].get(m, {}), f.phis[m].den, f.phis[n].den
+            row, row_swap = rows[m].get(n, {}), rows[n].get(m, {})
             for r in range(-2 * bound, 2 * bound + 1):
                 v = row.get(r, 0)
-                w = row_swap.get(r, 0)
-                if w * den != sign * v * den_swap:
-                    bad.append(((n, r, m), _SWAP, w, den_swap, sign * v, den))
-                w = row.get(-r, 0)
-                if w != sign * v:
-                    bad.append(((n, r, m), _REFLECTION, w, den, sign * v, den))
+                if (w := row_swap.get(r, 0)) != sign * v:
+                    bad.append(((n, r, m), _SWAP, w, sign * v))
+                if (w := row.get(-r, 0)) != sign * v:
+                    bad.append(((n, r, m), _REFLECTION, w, sign * v))
                 if not 0 <= n + r + m < prec:
                     skipped += 1
                 elif (w := rows[m].get(n + r + m, {}).get(r + 2 * m, 0)) != v:
-                    bad.append(((n, r, m), _SHEAR, w, den, v, den))
+                    bad.append(((n, r, m), _SHEAR, w, v))
     checked = 3 * (bound + 1) ** 2 * (4 * bound + 1) - skipped
-    violations = [{"t": t, "u": u, "lhs": Fraction(a, da), "rhs": Fraction(b, db)} for t, u, a, da, b, db in bad]
+    violations = [{"t": t, "u": u, "lhs": Fraction(a, den), "rhs": Fraction(b, den)} for t, u, a, b in bad]
     return SymmetryReport(f.k, bound, checked, skipped, violations)
 
 

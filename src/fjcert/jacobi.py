@@ -126,7 +126,13 @@ class JacobiFormQExp:
             raise ValueError("weight mismatch in addition")
         if self.m != other.m:
             raise ValueError("index mismatch in addition")
-        return _sum_forms(self.k, self.m, min(self.prec, other.prec), (self, other))
+        prec, den = min(self.prec, other.prec), math.lcm(self.den, other.den)
+        num = {key: v * (den // self.den) for key, v in self.num.items() if key[0] < prec}
+        s = den // other.den
+        for key, v in other.num.items():
+            if key[0] < prec:
+                num[key] = num.get(key, 0) + v * s
+        return JacobiFormQExp._trusted(self.k, self.m, prec, den, {key: v for key, v in num.items() if v})
 
     __add__ = add
 
@@ -236,20 +242,6 @@ class _FractionView(Mapping):
         return len(self._num)
 
 
-def _sum_forms(k: int, m: int, prec: int, forms) -> JacobiFormQExp:
-    """Sum of an iterable of forms of weight k and index m, truncated to prec."""
-    den, num = 1, {}
-    for f in forms:
-        if den % f.den:
-            d = math.lcm(den, f.den)
-            num, den = {key: v * (d // den) for key, v in num.items()}, d
-        s = den // f.den
-        for key, v in f.num.items():
-            if key[0] < prec:
-                num[key] = num.get(key, 0) + v * s
-    return JacobiFormQExp._trusted(k, m, prec, den, {key: v for key, v in num.items() if v})
-
-
 def index0_from_qexp(k: int, qe: QExpansion) -> JacobiFormQExp:
     """Embed an integer-exponent q-expansion as an index-zero Jacobi form."""
     if qe.L != 1:
@@ -260,17 +252,32 @@ def index0_from_qexp(k: int, qe: QExpansion) -> JacobiFormQExp:
 
 def multiply(a: JacobiFormQExp, b: JacobiFormQExp) -> JacobiFormQExp:
     """Product of Jacobi forms; weights and indices add, precision is the min."""
-    prec = min(a.prec, b.prec)
-    rows = _kron_rows(_rows_by_n(a), _rows_by_n(b), prec)
-    num = {(n, r): v for n, row in rows.items() for r, v in row.items()}
-    return JacobiFormQExp._trusted(a.k + b.k, a.m + b.m, prec, a.den * b.den, num)
+    return _convolve([a], [b])[0]
 
 
-def _rows_by_n(phi: JacobiFormQExp) -> dict:
-    rows: dict = {}
-    for (n, r), v in phi.num.items():
-        rows.setdefault(n, {})[r] = v
-    return rows
+def _convolve(fa, fb) -> list:
+    """[sum_i fa[i] * fb[m - i] for m < min(len fa, len fb)], by one kernel
+    call, for forms whose index grows by one per list position."""
+    k, m0 = fa[0].k + fb[0].k, fa[0].m + fb[0].m
+    prec = min(phi.prec for phi in (*fa, *fb))
+    (den_a, rows_a), (den_b, rows_b) = _common_rows(fa), _common_rows(fb)
+    out = []
+    for m, rows in enumerate(_kron_rows(rows_a, rows_b, prec)):
+        num = {(n, r): v for n, row in rows.items() for r, v in row.items()}
+        out.append(JacobiFormQExp._trusted(k, m0 + m, prec, den_a * den_b, num))
+    return out
+
+
+def _common_rows(phis):
+    """(den, rows): rows[i] maps n to {r: numerator of c(n, r) in phis[i]},
+    every form written over den, the lcm of their denominators."""
+    den = math.lcm(*(phi.den for phi in phis))
+    rows = [{} for _ in phis]
+    for phi, out in zip(phis, rows):
+        s = den // phi.den
+        for (n, r), v in phi.num.items():
+            out.setdefault(n, {})[r] = v * s
+    return den, rows
 
 
 # ---------------------------------------------------------------------------

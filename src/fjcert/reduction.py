@@ -543,11 +543,8 @@ def _rho_transform(size: int, vhat: UnimodularMat) -> UnimodularMat:
 # exponent window and shift range enumeration
 
 
-def _strict_int_bound(x: Fraction) -> int:
-    """Largest integer k with k < x."""
-    if x.denominator == 1:
-        return x.numerator - 1
-    return math.floor(x)
+# default cap of enumerate_S on candidates, and cap of enumerate_r on vectors
+WINDOW_CAP = 10**6
 
 
 def _window(N: int, b, g: int):
@@ -564,7 +561,7 @@ def _window(N: int, b, g: int):
     return s, 2 * N * N, b * N ** (8 * s * s)
 
 
-def enumerate_S(N: int, b, g: int, cap: int = 10**6):
+def enumerate_S(N: int, b, g: int, cap: int = WINDOW_CAP):
     """Exponent window: positive definite (g-1)-matrices over (1/(2 N^2)) Z
     with diagonal entries below b * N^(8 (g-1)^2), in lexicographic order of
     scaled entries.
@@ -576,7 +573,7 @@ def enumerate_S(N: int, b, g: int, cap: int = 10**6):
     cap.  At sizes one and two every candidate is kept.
     """
     s, den, top = _window(N, b, g)
-    kmax = max(_strict_int_bound(top * den), 0)
+    kmax = max(math.ceil(top * den) - 1, 0)  # largest integer below top * den, or 0
     pairs = list(itertools.combinations(range(s), 2))
 
     def boxes():
@@ -608,13 +605,15 @@ class RVectors(list):
 
 def enumerate_r(m: int, b, N: int, g: int) -> RVectors:
     """Shift range: vectors r in (1/(2 N^2)) Z^(g-1) with every component
-    satisfying r_i^2 < 4 m b N^(8 (g-1)^2), in lexicographic order.  The
-    returned list carries count_constant = len / m^((g-1)/2)."""
+    satisfying r_i^2 < 4 m b N^(8 (g-1)^2), in lexicographic order, carrying
+    count_constant = len / m^((g-1)/2); CapacityError past WINDOW_CAP."""
     if m < 1:
         raise ValueError("m must be positive")
     s, den, top = _window(N, b, g)
-    k = _strict_int_bound(4 * m * top * den * den)  # j^2 <= k for j = r * den
+    k = math.ceil(4 * m * top * den * den) - 1  # largest integer below, so j^2 <= k for j = r * den
     jmax = math.isqrt(k) if k >= 0 else -1
+    if (2 * jmax + 1) ** s > WINDOW_CAP:
+        raise CapacityError("more than %d shift vectors" % WINDOW_CAP)
     out = RVectors(itertools.product([Fraction(j, den) for j in range(-jmax, jmax + 1)], repeat=s))
     out.count_constant = len(out) / m ** (s / 2)
     return out

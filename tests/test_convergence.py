@@ -490,6 +490,25 @@ def test_box_certificate_mlist_validation(lift8):
     assert [m for m, _ in rep.series["partial_sums"][1]] == [2]
 
 
+def test_box_certificate_checks_mlist_entries_as_read(lift8):
+    # a billion-entry M_list fails at its first entry past M_max, not after collecting it
+    f, _ = lift8
+    q = square_relation(f)
+    box = CompactBoxSpec(((1j, 0.25j),), 0.1)
+    read = []
+
+    def entries():
+        for m in range(1, 10**9 + 1):
+            read.append(m)
+            yield m
+
+    with pytest.raises(ValueError, match="M_max"):
+        partial_sum_bound_check(f, q, box, entries(), points=2)
+    assert len(read) == f.M_max + 1
+    with pytest.raises(ValueError, match="M_max"):
+        partial_sum_bound_check(f, q, box, range(1, 10**9 + 1), points=2)
+
+
 # ---------------------------------------------------------------------------
 # coefficient bound stability
 

@@ -4,7 +4,7 @@ schoolbook loops it replaced (tests/schoolbook.py)."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import schoolbook
@@ -125,13 +125,22 @@ def test_jacobi_multiply_mixed_denominators(a, b):
 
 @st.composite
 def formal_series(draw):
-    M_max = draw(st.integers(0, 3))
-    phis = [draw(jacobi_form(m, mixed_den, 5).filter(lambda phi: phi.prec > 0)) for m in range(M_max + 1)]
-    prec = min(phi.prec for phi in phis)
-    return FormalFJ(4, M_max, [phi.truncated(prec) for phi in phis])
+    # one slot width and the row shifts are shared by every slice pair of a
+    # product, so mix huge and small signed values with mixed denominators,
+    # and let the slice precisions differ
+    M_max = draw(st.integers(0, 4))
+    values = st.one_of(mixed_den, huge, small)
+    phis = [draw(jacobi_form(m, values, 5).filter(lambda phi: phi.prec > 0)) for m in range(M_max + 1)]
+    return FormalFJ(4, M_max, phis)
+
+
+# nine products of 6-bit values land on one coefficient: a slot sized for
+# the terms of one slice pair overflows
+aligned = FormalFJ(4, 8, [JacobiFormQExp(4, m, 1, {(0, 0): 63}) for m in range(9)])
 
 
 @given(formal_series(), formal_series())
+@example(aligned, aligned)
 def test_series_multiply_matches_slice_sum(f, g):
     assert f.multiply(g) == schoolbook.series_multiply(f, g)
 

@@ -559,6 +559,12 @@ def test_enumerate_r_count_ratio_bounded():
         assert out.count_constant <= 9.0
 
 
+def test_enumerate_r_is_capped_before_building():
+    # (2 jmax + 1)^2 is about 4.4e12 vectors here; the cap is checked before any is built
+    with pytest.raises(CapacityError):
+        enumerate_r(1, 1, 2, 3)
+
+
 def test_enumerate_r_higher_genus_is_the_product_of_the_components():
     m, b, N = 2, Fraction(1, 3), 1
     line = [r for (r,) in enumerate_r(m, b, N, 2)]
