@@ -480,11 +480,14 @@ def _kron_rows(a: list, b: list, nmax: int) -> list:
     nonzero rows n < nmax.
 
     Each input row is packed once, the shifted row products are summed
-    per (m, n), and each output row is unpacked once.
+    per (m, n), and each output row is unpacked once.  When a and b are
+    equal (a square), each unordered pair (i, m - i) is multiplied once and
+    doubled.
     """
     out = [{} for _ in range(min(len(a), len(b)))]
     a = [{n: row for n, row in s.items() if n < nmax and row} for s in a[: len(out)]]
     b = [{n: row for n, row in s.items() if n < nmax and row} for s in b[: len(out)]]
+    same = a == b
     rows_a = [row for s in a for row in s.values()]
     rows_b = [row for s in b for row in s.values()]
     terms = min(sum(map(len, rows_a)), sum(map(len, rows_b)))
@@ -492,10 +495,11 @@ def _kron_rows(a: list, b: list, nmax: int) -> list:
     bits_b = max((max(map(abs, row.values())) for row in rows_b), default=0).bit_length()
     w = (bits_a + bits_b + terms.bit_length() + 2 + 7) // 8
     packed_a = [[(n, *_kron_pack(row, w)) for n, row in sorted(s.items())] for s in a]
-    packed_b = [[(n, *_kron_pack(row, w)) for n, row in sorted(s.items())] for s in b]
+    packed_b = packed_a if same else [[(n, *_kron_pack(row, w)) for n, row in sorted(s.items())] for s in b]
     for m, c in enumerate(out):
         acc: dict = {}  # n -> (lowest exponent, sum of the products shifted onto it, slot count)
-        for i in range(m + 1):
+        for i in range(m // 2 + 1 if same else m + 1):
+            dbl = same and i < m - i  # this product stands for that of (m - i, i) too: shift one more bit
             for n1, lo1, x1, l1 in packed_a[i]:
                 for n2, lo2, x2, l2 in packed_b[m - i]:
                     n = n1 + n2
@@ -505,7 +509,7 @@ def _kron_rows(a: list, b: list, nmax: int) -> list:
                     base, x, slots = acc.get(n, (lo, 0, 0))
                     if lo < base:
                         base, x, slots = lo, x << 8 * w * (base - lo), slots + base - lo
-                    acc[n] = (base, x + ((x1 * x2) << 8 * w * (lo - base)), max(slots, lo - base + l1 + l2 - 1))
+                    acc[n] = (base, x + ((x1 * x2) << 8 * w * (lo - base) + dbl), max(slots, lo - base + l1 + l2 - 1))
         for n, (base, x, slots) in acc.items():
             row = _kron_unpack(x, base, slots, w)
             if row:

@@ -378,8 +378,13 @@ def poly_eval(q: PolynomialOverM, f: FormalFJ) -> FormalFJ:
     """Horner evaluation sum a_i f^i."""
     if f.k != q.k:
         raise ValueError("series weight %d does not match polynomial step %d" % (f.k, q.k))
-    acc = q.coeffs[-1]
-    for i in range(q.degree - 1, -1, -1):
+    acc, top = q.coeffs[-1], q.degree - 1
+    if top >= 0 and acc == FormalFJ.one(acc.M_max, acc.prec):
+        # 1 * f is f on the common (M_max, prec): skip that product
+        mmax, prec = min(acc.M_max, f.M_max), min(acc.prec, f.prec)
+        acc = FormalFJ(f.k, mmax, [phi.truncated(prec) for phi in f.phis[: mmax + 1]]).add(q.coeffs[top])
+        top -= 1
+    for i in range(top, -1, -1):
         acc = acc.multiply(f).add(q.coeffs[i])
     return acc
 

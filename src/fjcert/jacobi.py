@@ -40,6 +40,7 @@ from .core import (
     cyc_eval,
     parse_rat,
 )
+from .reduction import WINDOW_CAP
 
 __all__ = [
     "JacobiFormQExp",
@@ -180,12 +181,16 @@ class JacobiFormQExp:
 
     def to_record(self):
         den = self.den
-        text = str if den == 1 else lambda v: str(Fraction(v, den))
+
+        def text(v):  # str(Fraction(v, den)), without building the Fraction
+            g = math.gcd(v, den)
+            return str(v // g) if g == den else "%d/%d" % (v // g, den // g)
+
         return {
             "k": self.k,
             "m": self.m,
             "prec": self.prec,
-            "coeffs": [[n, r, text(v)] for (n, r), v in sorted(self.num.items())],
+            "coeffs": [[n, r, str(v) if den == 1 else text(v)] for (n, r), v in sorted(self.num.items())],
         }
 
     @classmethod
@@ -199,10 +204,15 @@ class JacobiFormQExp:
         return cls._trusted(k, m, prec, *_checked(m, prec, vals))
 
     def float_terms(self):
+        """(terms, nmax, rmin, rmax), computed once: the (n, r, float c(n, r))
+        sorted by (n, r), the largest stored n, and the span rmin <= 0 <= rmax
+        of the powers of y that :func:`evaluate` tabulates for them."""
         if self._fterms is None:
             # int true division is correctly rounded, as float(Fraction) is
             den = self.den
-            self._fterms = [(n, r, v / den) for (n, r), v in sorted(self.num.items())]
+            terms = [(n, r, v / den) for (n, r), v in sorted(self.num.items())]
+            rs = [0, *(r for _, r in self.num)]
+            self._fterms = terms, terms[-1][0] if terms else 0, min(rs), max(rs)
         return self._fterms
 
 
@@ -614,21 +624,24 @@ def fe_norm(eta: SpecializedExpansion, S) -> float:
 
 
 def evaluate(phi: JacobiFormQExp, tau1: complex, z: complex) -> complex:
-    """Numerical value sum c(n, r) e(n tau1 + r z) over the stored window."""
+    """Numerical value sum c(n, r) e(n tau1 + r z) over the stored window.
+
+    Raises ValueError, before building anything, when the table of powers
+    y^r over the stored r span would hold more than WINDOW_CAP entries."""
     t_im = tau1.imag
     if t_im <= 0:
         raise ValueError("tau1 must have positive imaginary part")
     x = cmath.exp(2j * math.pi * tau1)
     y = cmath.exp(2j * math.pi * z)
-    terms = phi.float_terms()
+    terms, nmax, rmin, rmax = phi.float_terms()
     if not terms:
         return 0j
+    if rmax - rmin + 1 > WINDOW_CAP:
+        raise ValueError("r span %d..%d needs more than %d powers of y" % (rmin, rmax, WINDOW_CAP))
     xs = [1.0 + 0j]
-    for _ in range(terms[-1][0]):  # terms are sorted, so this is the largest stored n
+    for _ in range(nmax):
         xs.append(xs[-1] * x)
     ypw = {0: 1.0 + 0j}
-    rmin = min(r for _, r, _ in terms)
-    rmax = max(r for _, r, _ in terms)
     cur = 1.0 + 0j
     for r in range(1, rmax + 1):
         cur *= y
@@ -638,10 +651,5 @@ def evaluate(phi: JacobiFormQExp, tau1: complex, z: complex) -> complex:
     for r in range(-1, rmin - 1, -1):
         cur *= yinv
         ypw[r] = cur
-    res = []
-    ims = []
-    for n, r, c in terms:
-        v = c * xs[n] * ypw[r]
-        res.append(v.real)
-        ims.append(v.imag)
-    return complex(math.fsum(res), math.fsum(ims))
+    vals = [c * xs[n] * ypw[r] for n, r, c in terms]
+    return complex(math.fsum(v.real for v in vals), math.fsum(v.imag for v in vals))

@@ -543,7 +543,8 @@ def _rho_transform(size: int, vhat: UnimodularMat) -> UnimodularMat:
 # exponent window and shift range enumeration
 
 
-# default cap of enumerate_S on candidates, and cap of enumerate_r on vectors
+# default cap of enumerate_S on candidates, cap of enumerate_r on vectors and
+# of jacobi.evaluate on powers of y
 WINDOW_CAP = 10**6
 
 

@@ -23,10 +23,17 @@ the two must return the same (form, transform) pair.
 image t[u] = u^T t u with generic 2x2 arithmetic and reads the Fraction
 view of the slices.  The closed-form integer audit must return an equal
 report: counts, violations in the same order, the same values.
+
+``poly_eval`` is the old ``fjseries.poly_eval``: Horner from the leading
+coefficient, every step one product by f (here through ``series_multiply``),
+with no shortcut for a leading coefficient of one.  ``evaluate`` is the old
+``jacobi.evaluate``: it scans the terms for the r span at every call and
+sums them term by term, reading the Fraction view of the form.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -426,3 +433,45 @@ def series_multiply(f: FormalFJ, g: FormalFJ) -> FormalFJ:
                     acc[(n, r)] = acc.get((n, r), Fraction(0)) + v
         slices.append(JacobiFormQExp(k, m, prec, acc))
     return FormalFJ(k, mmax, slices)
+
+
+def poly_eval(q, f: FormalFJ) -> FormalFJ:
+    """Horner evaluation sum a_i f^i, one schoolbook product per step."""
+    acc = q.coeffs[-1]
+    for i in range(q.degree - 1, -1, -1):
+        acc = series_multiply(acc, f).add(q.coeffs[i])
+    return acc
+
+
+def evaluate(phi: JacobiFormQExp, tau1: complex, z: complex) -> complex:
+    """Numerical value sum c(n, r) e(n tau1 + r z) over the stored window."""
+    t_im = tau1.imag
+    if t_im <= 0:
+        raise ValueError("tau1 must have positive imaginary part")
+    x = cmath.exp(2j * math.pi * tau1)
+    y = cmath.exp(2j * math.pi * z)
+    terms = sorted((n, r, float(c)) for (n, r), c in phi.coeffs.items())
+    if not terms:
+        return 0j
+    xs = [1.0 + 0j]
+    for _ in range(terms[-1][0]):  # terms are sorted, so this is the largest stored n
+        xs.append(xs[-1] * x)
+    ypw = {0: 1.0 + 0j}
+    rmin = min(r for _, r, _ in terms)
+    rmax = max(r for _, r, _ in terms)
+    cur = 1.0 + 0j
+    for r in range(1, rmax + 1):
+        cur *= y
+        ypw[r] = cur
+    cur = 1.0 + 0j
+    yinv = 1.0 / y
+    for r in range(-1, rmin - 1, -1):
+        cur *= yinv
+        ypw[r] = cur
+    res = []
+    ims = []
+    for n, r, c in terms:
+        v = c * xs[n] * ypw[r]
+        res.append(v.real)
+        ims.append(v.imag)
+    return complex(math.fsum(res), math.fsum(ims))

@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from fjcert import jacobi
 from fjcert.core import CycElem, PrecisionError, QExpansion, cyc_eval, eisenstein_qexp
 from fjcert.jacobi import (
     JacobiFormQExp,
@@ -258,6 +259,14 @@ def test_record_round_trip():
     rec = phi.to_record()
     assert rec["k"] == 10 and rec["m"] == 1
     assert JacobiFormQExp.from_record(rec) == phi
+
+
+def test_record_text_is_the_reduced_fraction():
+    coeffs = {(1, r): Fraction(r, 6) for r in range(-12, 13) if r}
+    coeffs[(0, 0)] = Fraction(2**200 + 1, 6)
+    coeffs[(0, 1)] = Fraction(-3 * 2**200, 6)
+    for phi in (JacobiFormQExp(4, 1, 2, coeffs), JacobiFormQExp(4, 1, 2, {(1, 1): 5, (0, 0): -2**90})):
+        assert phi.to_record()["coeffs"] == [[n, r, str(c)] for (n, r), c in sorted(phi.coeffs.items())]
 
 
 # ---------------------------------------------------------------------------
@@ -605,6 +614,22 @@ def test_evaluate_work_follows_the_stored_rows(phi10):
         tracemalloc.stop()
     assert value == evaluate(phi10, 0.4j, 0.1j)
     assert peak < 10**6
+
+
+@pytest.mark.parametrize("r", [10**9, -(10**9)])
+def test_evaluate_caps_the_y_power_table(r):
+    # one coefficient at r = +-10^9 would need 10^9 powers of y
+    with pytest.raises(ValueError, match="powers of y"):
+        evaluate(JacobiFormQExp(4, 1, 2, {(1, r): 1}), 1j, 0.1j)
+
+
+def test_evaluate_cap_counts_every_tabulated_power(monkeypatch):
+    # the table runs from min(r, 0) to max(r, 0): y^-4 .. y^5 is 10 powers
+    monkeypatch.setattr(jacobi, "WINDOW_CAP", 10)
+    assert evaluate(JacobiFormQExp(4, 1, 2, {(1, -4): 1, (1, 5): 2}), 0.5j, 0.1j)
+    for coeffs in ({(1, -5): 1, (1, 5): 2}, {(1, 10): 1}, {(1, -10): 1}):
+        with pytest.raises(ValueError, match="powers of y"):
+            evaluate(JacobiFormQExp(4, 1, 2, coeffs), 0.5j, 0.1j)
 
 
 def test_evaluate_validates_upper_half_plane(phi10):

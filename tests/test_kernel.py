@@ -1,5 +1,6 @@
-"""Differential tests: the Kronecker-substitution kernel against the
-schoolbook loops it replaced (tests/schoolbook.py)."""
+"""Differential tests: the Kronecker-substitution kernel, the Horner loop
+and point evaluation against the schoolbook loops they replaced
+(tests/schoolbook.py)."""
 
 from fractions import Fraction
 
@@ -8,10 +9,11 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import schoolbook
-from fjcert import CycElem, FormalFJ, QExpansion, jacobi_space
+from fjcert import CycElem, FormalFJ, PolynomialOverM, QExpansion, jacobi_space
 from fjcert.core import _dict_mul
 from fjcert import jacobi
-from fjcert.jacobi import JacobiFormQExp, multiply
+from fjcert.fjseries import poly_eval
+from fjcert.jacobi import JacobiFormQExp, evaluate, multiply
 
 small = st.integers(-50, 50)
 huge = st.integers(2**2000, 2**2100).flatmap(lambda v: st.sampled_from([v, -v]))
@@ -101,11 +103,11 @@ def test_qexpansion_mul_cyclotomic_mixed_orders(f, g):
 
 
 @st.composite
-def jacobi_form(draw, m, values=st.one_of(fracs, huge, small), max_prec=6):
+def jacobi_form(draw, m, values=st.one_of(fracs, huge, small), max_prec=6, k=4):
     prec = draw(st.integers(0, max_prec))
     keys = st.tuples(st.integers(0, max(0, prec - 1)), st.just(0) if m == 0 else st.integers(-7, 7))
     coeffs = draw(st.dictionaries(keys, values, max_size=25)) if prec else {}
-    return JacobiFormQExp(4, m, prec, coeffs)
+    return JacobiFormQExp(k, m, prec, coeffs)
 
 
 @given(jacobi_form(1), jacobi_form(2))
@@ -124,14 +126,14 @@ def test_jacobi_multiply_mixed_denominators(a, b):
 
 
 @st.composite
-def formal_series(draw):
+def formal_series(draw, k=4):
     # one slot width and the row shifts are shared by every slice pair of a
     # product, so mix huge and small signed values with mixed denominators,
     # and let the slice precisions differ
     M_max = draw(st.integers(0, 4))
     values = st.one_of(mixed_den, huge, small)
-    phis = [draw(jacobi_form(m, values, 5).filter(lambda phi: phi.prec > 0)) for m in range(M_max + 1)]
-    return FormalFJ(4, M_max, phis)
+    phis = [draw(jacobi_form(m, values, 5, k).filter(lambda phi: phi.prec > 0)) for m in range(M_max + 1)]
+    return FormalFJ(k, M_max, phis)
 
 
 # nine products of 6-bit values land on one coefficient: a slot sized for
@@ -143,6 +145,75 @@ aligned = FormalFJ(4, 8, [JacobiFormQExp(4, m, 1, {(0, 0): 63}) for m in range(9
 @example(aligned, aligned)
 def test_series_multiply_matches_slice_sum(f, g):
     assert f.multiply(g) == schoolbook.series_multiply(f, g)
+
+
+@given(formal_series())
+@example(aligned)
+def test_square_matches_slice_sum(f):
+    # a square multiplies each unordered slice pair once and doubles it; the
+    # kernel must see a square in a copy equal by value, as poly_eval passes
+    # it, and M_max 0-4 gives output slices with and without a diagonal pair
+    want = schoolbook.series_multiply(f, f)
+    assert f.multiply(f) == want
+    assert f.multiply(FormalFJ.from_record(f.to_record())) == want
+
+
+@st.composite
+def relation(draw, k):
+    """a_d X^d + ... + a_0 with step k, d = 1..3: a_d is one, with its own
+    M_max and precision (a monic relation), or a random weight-0 series."""
+    d = draw(st.integers(1, 3))
+    lead = draw(st.one_of(st.builds(FormalFJ.one, st.integers(0, 4), st.integers(0, 5)), formal_series(0)))
+    return PolynomialOverM([draw(formal_series((d - i) * k)) for i in range(d)] + [lead], 0, k)
+
+
+@given(formal_series(), relation(4))
+def test_poly_eval_matches_schoolbook_horner(f, q):
+    assert poly_eval(q, f) == schoolbook.poly_eval(q, f)
+
+
+def test_poly_eval_matches_schoolbook_horner_on_lift(lift8):
+    f = lift8[0]
+    one = FormalFJ.one(f.M_max, f.prec)
+    zero = FormalFJ.zero(2 * f.k, f.M_max, f.prec)
+    f2 = f.multiply(f)
+    f3 = f2.multiply(f)
+    cases = [
+        [-f, one],
+        [zero - f2, FormalFJ.zero(f.k, f.M_max, f.prec), one],  # X^2 - f*f: the residue is zero
+        [3 * f2, -2 * f, one],
+        [-f3, 2 * f2, 5 * f, one],
+    ]
+    for coeffs in cases:
+        q = PolynomialOverM(coeffs, 0, f.k)
+        assert poly_eval(q, f) == schoolbook.poly_eval(q, f)
+    assert poly_eval(PolynomialOverM(cases[1], 0, f.k), f).is_zero()
+
+
+@st.composite
+def signed_form(draw):
+    """A form of index 1-3 whose r are of any sign, all <= 0 or all >= 0;
+    zero forms included.  Values stay finite as floats."""
+    phi = draw(jacobi_form(draw(st.integers(1, 3)), st.one_of(mixed_den, fracs, small), 8))
+    sign = draw(st.sampled_from([None, -1, 1]))
+    if sign is None:
+        return phi
+    return JacobiFormQExp(phi.k, phi.m, phi.prec, {(n, sign * abs(r)): c for (n, r), c in phi.coeffs.items()})
+
+
+point = st.tuples(
+    st.builds(complex, st.floats(-1, 1), st.floats(0.05, 2)),
+    st.builds(complex, st.floats(-1, 1), st.floats(-1, 1)),
+)
+
+
+@given(signed_form(), st.lists(point, min_size=1, max_size=3))
+@example(JacobiFormQExp.zero(4, 1, 5), [(1j, 0.3j)])
+def test_evaluate_matches_schoolbook(phi, points):
+    # exact equality: the cached span and the one-pass sum change no bit;
+    # the second and third points read the cached terms
+    for tau1, z in points:
+        assert evaluate(phi, tau1, z) == schoolbook.evaluate(phi, tau1, z)
 
 
 @pytest.mark.parametrize("prec", [1, 2, 7, 60, 301])
