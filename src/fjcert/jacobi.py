@@ -6,11 +6,12 @@ index-m form for integer n below the precision bound, as one positive
 denominator den and a dict num of integer numerators; missing entries
 under the bound are zero, and coeffs is a read-only Fraction view built on
 access.  Products, sums, the lift and the series I/O work on num directly.
-Index-one forms are built internally from their
-two theta components, the series h_0 and h_1 collecting coefficients with
-even and odd r.  For index one c(n, r) depends only on 4n - r^2 and the
-parity of r, which is what makes the large-precision constructions cheap:
-every product and division happens on one-variable integer series.
+Index-one forms are built internally from their two theta components, the
+series h_0 and h_1 collecting coefficients with even and odd r.  For index
+one c(n, r) depends only on 4n - r^2 and the parity of r, so every product
+and division happens on one-variable integer series.  Both weak generators
+are division-free numerators over P6 = prod (1 - q^n)^6, and an index-one
+basis element sums numerator products and is divided by P6 once.
 
 Restriction to a rational torsion point (N, lambda, mu) with z = tau1 *
 lambda + mu produces a :class:`SpecializedExpansion`, a q-expansion in
@@ -25,7 +26,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .core import (
     CycElem,
@@ -271,11 +272,21 @@ def _convolve(fa, fb) -> list:
     k, m0 = fa[0].k + fb[0].k, fa[0].m + fb[0].m
     prec = min(phi.prec for phi in (*fa, *fb))
     (den_a, rows_a), (den_b, rows_b) = _common_rows(fa), _common_rows(fb)
+    # the kernel packs one slot per r of a row's span; a product row spans both
+    span = _r_span(rows_a[: len(fb)], prec) + _r_span(rows_b[: len(fa)], prec) + 1
+    if span > WINDOW_CAP:
+        raise ValueError("product rows span %d values of r, more than %d" % (span, WINDOW_CAP))
     out = []
     for m, rows in enumerate(_kron_rows(rows_a, rows_b, prec)):
         num = {(n, r): v for n, row in rows.items() for r, v in row.items()}
         out.append(JacobiFormQExp._trusted(k, m0 + m, prec, den_a * den_b, num))
     return out
+
+
+def _r_span(rows, prec: int) -> int:
+    """max r - min r over the rows n < prec of the forms in rows, 0 if none."""
+    ends = [r for s in rows for n, row in s.items() if n < prec for r in (min(row), max(row))]
+    return max(ends) - min(ends) if ends else 0
 
 
 def _common_rows(phis):
@@ -296,24 +307,23 @@ def _common_rows(phis):
 # All building blocks are integer-keyed series.  With SA' = sum over odd
 # j >= 1 of q^((j^2-1)/4) and SBq = 1 + 2 sum_{i>=1} q^(i^2), the two weak
 # generators have theta components (even-r series H0[j] at discriminant 4j,
-# odd-r series H1[j] at discriminant 4j - 1):
+# odd-r series H1[j] at discriminant 4j - 1) U / P6 and W / P6, where
 #
-#   weight -2:  H0 = -2 SA' / P6,             H1 = SBq / P6
-#   weight  0:  H0 = 2 SA'/T2 + 8 SBq T32/T44, H1 = SBq/T2 - 64 q SA' T2d/T44
-#
-# The denominators are never expanded.  Each is a power of a sparse series
-# with constant term 1, and the quotient is taken one factor at a time, so
-# every step is an exact integer division whose cost is the quotient length
-# times the factor's O(sqrt(emax)) terms:
+#   weight -2:  U = (-2 SA',  SBq)
+#   weight  0:  W = (2 SA' T44 + 8 SBq^3 T2,  SBq T44 - 64 q SA' T2d T2)
 #
 #   P6  = P3^2,   P3 = prod (1 - q^n)^3 = sum_j (-1)^j (2j+1) q^(j(j+1)/2)
 #   T2  = B^2,    B = sum_{n>=0} q^(n(n+1)/2)
 #   T44 = Th4^4,  Th4 = 1 + 2 sum_{n>=1} (-1)^n q^(n^2), the theta_4(2 tau) series
+#   T2d = (sum q^(n(n+1)))^2
 #
-# P6 is the sixth power of the eta product without its q^(1/4) prefactor.
-# T2d = (sum q^(n(n+1)))^2 and T32 = theta_3(2 tau)^2 = SBq^2 appear only
-# as factors of numerators.  The tests pin these against a brute-force
-# two-variable theta quotient.
+# W is the weight-0 theta quotient (2 SA'/T2 + 8 SBq^3/T44, SBq/T2 - 64 q SA'
+# T2d/T44) times T2 T44 = P6, since B Th4^2 = P3: psi(q) phi(-q)^2 = f(-q)^3
+# by phi(-q) = f(-q)^2/f(-q^2) and psi(q) = f(-q^2)^2/f(-q).  So a basis
+# element sums products of numerators with small coefficients and divides by
+# P6 once, as two exact divisions by P3, each costing the quotient length
+# times P3's O(sqrt(emax)) terms.  The tests pin the identity and the
+# components against a brute-force two-variable theta quotient.
 
 
 @lru_cache(maxsize=None)
@@ -362,37 +372,26 @@ def _series_t2_double(emax: int):
     return _dict_mul(base, base, emax)
 
 
-def _div_factors(num: dict, factors, emax: int) -> dict:
-    for f in factors:
-        num = _dict_div(num, f, emax)
-    return num
-
-
 @lru_cache(maxsize=None)
-def _phi_m2_components(jlen: int):
-    p6 = (_series_p3(jlen),) * 2
-    h0 = _dict_scale(_div_factors(_series_sa(jlen), p6, jlen), -2)
-    h1 = _div_factors(_series_sbq(jlen), p6, jlen)
-    return h0, h1
+def _numerators(jlen: int):
+    """The theta components (U, W) of P6 times the weak generators of
+    weights -2 and 0, below discriminant index jlen."""
+    sa, sbq, b, th4 = _series_sa(jlen), _series_sbq(jlen), _series_b(jlen), _series_th4(jlen)
+
+    def mul(*factors):
+        return reduce(lambda f, g: _dict_mul(f, g, jlen), factors)
+
+    t2, th4sq = mul(b, b), mul(th4, th4)
+    t44, corr = mul(th4sq, th4sq), mul(sa, _series_t2_double(jlen), t2)
+    w0 = _dict_add(_dict_scale(mul(sa, t44), 2), _dict_scale(mul(sbq, sbq, sbq, t2), 8))
+    w1 = _dict_add(mul(sbq, t44), {e + 1: -64 * v for e, v in corr.items() if e + 1 < jlen})
+    return (_dict_scale(sa, -2), sbq), (w0, w1)
 
 
-@lru_cache(maxsize=None)
-def _phi0_components(jlen: int):
-    sa = _series_sa(jlen)
-    sbq = _series_sbq(jlen)
-    t2 = (_series_b(jlen),) * 2
-    t44 = (_series_th4(jlen),) * 4
-    t32 = _dict_mul(sbq, sbq, jlen)
-    h0 = _dict_add(
-        _dict_scale(_div_factors(sa, t2, jlen), 2),
-        _dict_scale(_div_factors(_dict_mul(sbq, t32, jlen), t44, jlen), 8),
-    )
-    corr = _div_factors(_dict_mul(sa, _series_t2_double(jlen), jlen), t44, jlen)
-    h1 = _dict_add(
-        _div_factors(sbq, t2, jlen),
-        {e + 1: -64 * v for e, v in corr.items() if e + 1 < jlen},
-    )
-    return h0, h1
+def _over_p6(h: dict, jlen: int) -> dict:
+    """The exact quotient h / P6 below jlen, as two divisions by P3."""
+    p3 = _series_p3(jlen)
+    return _dict_div(_dict_div(h, p3, jlen), p3, jlen)
 
 
 def _index1_coeff(h0: dict, h1: dict, n: int, r: int):
@@ -424,11 +423,8 @@ def weak_generators(prec: int):
     """
     if prec < 1:
         raise ValueError("precision must be at least 1")
-    h0, h1 = _phi_m2_components(prec)
-    phi_m2 = _materialize_index1(-2, prec, h0, h1)
-    g0, g1 = _phi0_components(prec)
-    phi_0 = _materialize_index1(0, prec, g0, g1)
-    return phi_m2, phi_0
+    u, w = _numerators(prec)
+    return tuple(_materialize_index1(k, prec, _over_p6(h0, prec), _over_p6(h1, prec)) for k, (h0, h1) in ((-2, u), (0, w)))
 
 
 def _mform_monomials(w: int, emax: int):
@@ -479,17 +475,16 @@ def jacobi_space(k: int, cusp: bool, prec: int):
             continue
         vec = [0] * (na + nb)
         vec[f], vec[na if both and f > na else 0] = 1, -1
-        acc0: dict = {}
-        acc1: dict = {}
-        # sum_i x_i mon_i h = (sum_i x_i mon_i) h: one product per generator
-        for mons, xs, components in ((mons_a, vec[:na], _phi_m2_components), (mons_b, vec[na:], _phi0_components)):
+        acc0, acc1 = {}, {}
+        # sum_i x_i mon_i h / P6 = ((sum_i x_i mon_i) h) / P6: one product per numerator
+        for mons, xs, (h0, h1) in zip((mons_a, mons_b), (vec[:na], vec[na:]), _numerators(prec)):
             mon: dict = {}
             for m, x in zip(mons, xs):
                 mon = _dict_add(mon, _dict_scale(m, x))
             if mon:
-                h0, h1 = components(prec)
                 acc0 = _dict_add(acc0, _dict_mul(mon, h0, prec))
                 acc1 = _dict_add(acc1, _dict_mul(mon, h1, prec))
+        acc0, acc1 = _over_p6(acc0, prec), _over_p6(acc1, prec)
         # c(n, r) = c(n, -r), so the lead in (n, |r|) order is the first
         # nonzero value over n, then r >= 0; it becomes the denominator
         rs = ((n, r) for n in range(prec) for r in range(math.isqrt(4 * n + 1) + 1))
@@ -626,8 +621,8 @@ def fe_norm(eta: SpecializedExpansion, S) -> float:
 def evaluate(phi: JacobiFormQExp, tau1: complex, z: complex) -> complex:
     """Numerical value sum c(n, r) e(n tau1 + r z) over the stored window.
 
-    Raises ValueError, before building anything, when the table of powers
-    y^r over the stored r span would hold more than WINDOW_CAP entries."""
+    Raises ValueError, before building anything, when the table of powers x^n
+    or that of powers y^r would hold more than WINDOW_CAP entries."""
     t_im = tau1.imag
     if t_im <= 0:
         raise ValueError("tau1 must have positive imaginary part")
@@ -636,6 +631,8 @@ def evaluate(phi: JacobiFormQExp, tau1: complex, z: complex) -> complex:
     terms, nmax, rmin, rmax = phi.float_terms()
     if not terms:
         return 0j
+    if nmax + 1 > WINDOW_CAP:
+        raise ValueError("n up to %d needs more than %d powers of x" % (nmax, WINDOW_CAP))
     if rmax - rmin + 1 > WINDOW_CAP:
         raise ValueError("r span %d..%d needs more than %d powers of y" % (rmin, rmax, WINDOW_CAP))
     xs = [1.0 + 0j]

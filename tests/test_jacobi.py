@@ -269,6 +269,34 @@ def test_record_text_is_the_reduced_fraction():
         assert phi.to_record()["coeffs"] == [[n, r, str(c)] for (n, r), c in sorted(phi.coeffs.items())]
 
 
+def test_theta_denominators_are_p6():
+    # B Th4^2 = P3 (psi(q) phi(-q)^2 = f(-q)^3), so T2 T44 = P6: one denominator serves both generators
+    e = 2000
+    b, th4, p3 = jacobi._series_b(e), jacobi._series_th4(e), jacobi._series_p3(e)
+    th4sq = jacobi._dict_mul(th4, th4, e)
+    assert jacobi._dict_mul(b, th4sq, e) == p3
+    t2, t44 = jacobi._dict_mul(b, b, e), jacobi._dict_mul(th4sq, th4sq, e)
+    assert jacobi._dict_mul(t2, t44, e) == jacobi._dict_mul(p3, p3, e)
+
+
+def test_generators_divide_only_by_p3(monkeypatch):
+    divisors, divide = [], jacobi._dict_div
+
+    def spy(num, den, emax):
+        divisors.append((den, emax))
+        return divide(num, den, emax)
+
+    monkeypatch.setattr(jacobi, "_dict_div", spy)
+    weak_generators.cache_clear()
+    weak_generators(23)
+    for k in range(4, 41, 2):
+        for cusp in (False, True):
+            jacobi_space(k, cusp, 23)
+    weak_generators.cache_clear()
+    assert divisors
+    assert all(den == jacobi._series_p3(emax) for den, emax in divisors)
+
+
 # ---------------------------------------------------------------------------
 # multiplication
 
@@ -296,6 +324,26 @@ def test_multiply_weights_and_convolution():
 def test_multiply_commutes_on_generators():
     phi_m2, phi_0 = weak_generators(6)
     assert multiply(phi_m2, phi_0) == multiply(phi_0, phi_m2)
+
+
+def test_multiply_caps_the_r_span():
+    # the kernel would pack 10^9 slots for the row n = 1 alone
+    a = JacobiFormQExp(0, 1, 3, {(1, 0): 1, (1, 10**9): 1})
+    with pytest.raises(ValueError, match="span"):
+        multiply(a, a)
+
+
+def test_multiply_cap_counts_the_product_span(monkeypatch):
+    # rows spanning 0..4 and -5..0 give product rows spanning -5..4: 10 slots
+    monkeypatch.setattr(jacobi, "WINDOW_CAP", 10)
+    a = JacobiFormQExp(0, 1, 3, {(0, 0): 1, (1, 4): 1})
+    b = JacobiFormQExp(0, 1, 3, {(1, -5): 1, (1, 0): 1})
+    assert multiply(a, b) == conv_oracle(a, b)
+    with pytest.raises(ValueError, match="span"):
+        multiply(a, JacobiFormQExp(0, 1, 3, {(1, -6): 1, (1, 0): 1}))
+    # rows at or beyond the product precision are not packed, so they do not count
+    c = JacobiFormQExp(0, 1, 4, {(0, 0): 1, (3, -6): 1})
+    assert multiply(a, c) == conv_oracle(a, c)
 
 
 def test_index_zero_embedding_requires_integer_lattice():
@@ -630,6 +678,19 @@ def test_evaluate_cap_counts_every_tabulated_power(monkeypatch):
     for coeffs in ({(1, -5): 1, (1, 5): 2}, {(1, 10): 1}, {(1, -10): 1}):
         with pytest.raises(ValueError, match="powers of y"):
             evaluate(JacobiFormQExp(4, 1, 2, coeffs), 0.5j, 0.1j)
+
+
+def test_evaluate_caps_the_x_power_table():
+    # one coefficient at n = 10^9 would need 10^9 powers of x
+    with pytest.raises(ValueError, match="powers of x"):
+        evaluate(JacobiFormQExp(4, 1, 10**9 + 1, {(10**9, 0): 1}), 1j, 0.1j)
+
+
+def test_evaluate_x_cap_counts_x_to_the_zero(monkeypatch):
+    monkeypatch.setattr(jacobi, "WINDOW_CAP", 10)
+    assert evaluate(JacobiFormQExp(4, 1, 10, {(9, 0): 1}), 0.5j, 0.1j)
+    with pytest.raises(ValueError, match="powers of x"):
+        evaluate(JacobiFormQExp(4, 1, 11, {(10, 0): 1}), 0.5j, 0.1j)
 
 
 def test_evaluate_validates_upper_half_plane(phi10):
