@@ -33,7 +33,7 @@ from .convergence import (
 )
 from .core import PrecisionError, parse_rat
 from .fjseries import FormalFJ, PolynomialOverM, check_symmetry, gritsenko_lift
-from .jacobi import TorsionPoint, jacobi_space, specialize_torsion
+from .jacobi import TorsionPoint, check_point, jacobi_space, specialize_torsion
 from .reduction import CapacityError, SymMatQ, enumerate_S, hermite_check, is_positive_definite, minkowski_reduce
 
 __all__ = ["main"]
@@ -156,10 +156,11 @@ def _load_json(path: str):
         raise SystemExit(3)
 
 
-def _load_series(path: str) -> FormalFJ:
+def _load_record(path: str, cls):
+    """cls.from_record of the JSON record in path; exit 3 if either fails."""
     rec = _load_json(path)
     try:
-        return FormalFJ.from_record(rec)
+        return cls.from_record(rec)
     except (KeyError, TypeError, ValueError) as e:
         print("error: cannot parse %s: %s" % (path, e), file=sys.stderr)
         raise SystemExit(3)
@@ -168,6 +169,13 @@ def _load_series(path: str) -> FormalFJ:
 def _write_text(path: str, text: str):
     with open(path, "w") as fh:
         fh.write(text)
+
+
+def _hypothesis_failure(report_path: str, reason, code: int) -> int:
+    """Write certify's hypothesis-failure report and error line; return code."""
+    _write_text(report_path, "verdict: hypothesis-failure\nfailed_precondition: %s\n" % reason)
+    print("error: %s" % reason, file=sys.stderr)
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +199,7 @@ def _cmd_gen_lift(run: _Run) -> int:
         print("error: cusp space of weight %d is empty" % k, file=sys.stderr)
         return 2
     lift = gritsenko_lift(basis[0], mmax, prec)
+    del basis  # the generator's coefficients outweigh the lift's; free them before serialising
     _write_text(out, json.dumps(lift.to_record()))
     run.emit(
         {"out": out, "weight": k, "prec": prec, "M_max": mmax, "cuspidal": lift.is_cuspidal()},
@@ -200,7 +209,7 @@ def _cmd_gen_lift(run: _Run) -> int:
 
 
 def _cmd_check_symmetry(run: _Run) -> int:
-    f = _load_series(run.need("infile"))
+    f = _load_record(run.need("infile"), FormalFJ)
     bound = run.get("bound", min(f.M_max, f.prec - 1))
     report_path = run.need("report")
     try:
@@ -219,12 +228,14 @@ def _cmd_check_symmetry(run: _Run) -> int:
 
 
 def _cmd_certify(run: _Run) -> int:
-    f = _load_series(run.need("infile"))
+    f = _load_record(run.need("infile"), FormalFJ)
     report_path = run.need("report")
     p = run.get("torsion", TorsionPoint(1, (0,), (0,)))
     tau1 = run.get("tau1", 1j)
-    if tau1.imag <= 0:
-        _fail_usage("tau1 must have positive imaginary part")
+    try:
+        check_point(tau1)
+    except ValueError as e:
+        _fail_usage(str(e))
     theta = run.get("theta", 0.1)
     if not 0 < theta < 1:
         _fail_usage("theta must lie in (0, 1)")
@@ -236,21 +247,17 @@ def _cmd_certify(run: _Run) -> int:
     except ValueError as e:
         _fail_usage(str(e))
     if not f.is_cuspidal():
-        _write_text(report_path, "verdict: hypothesis-failure\nfailed_precondition: series is not cuspidal\n")
-        print("error: input series is not cuspidal", file=sys.stderr)
-        return 4
+        return _hypothesis_failure(report_path, "series is not cuspidal", 4)
     try:
         s_window = enumerate_S(p.N, cfg.b, 2, cap=cfg.caps)
         etas = [specialize_torsion(f.phis[m], p) for m in range(1, f.M_max + 1)]
         growth = growth_fit(etas, f.k, 2, s_window, cfg)
+        pointwise = pointwise_convergence_check(f, p, tau1, theta, m_terms)
     except CapacityError as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
     except (ValueError, PrecisionError) as e:
-        _write_text(report_path, "verdict: hypothesis-failure\nfailed_precondition: %s\n" % e)
-        print("error: %s" % e, file=sys.stderr)
-        return 1
-    pointwise = pointwise_convergence_check(f, p, tau1, theta, m_terms)
+        return _hypothesis_failure(report_path, e, 1)
     text = growth.to_text() + "\n" + pointwise.to_text()
     _write_text(report_path, text)
     write_csv(report_path + ".fe_norms.csv", *growth.series["fe_norms"])
@@ -269,13 +276,8 @@ def _cmd_certify(run: _Run) -> int:
 
 
 def _cmd_bound_report(run: _Run) -> int:
-    f = _load_series(run.need("infile"))
-    poly_rec = _load_json(run.need("poly"))
-    try:
-        q = PolynomialOverM.from_record(poly_rec)
-    except (KeyError, TypeError, ValueError) as e:
-        print("error: cannot parse polynomial: %s" % e, file=sys.stderr)
-        return 3
+    f = _load_record(run.need("infile"), FormalFJ)
+    q = _load_record(run.need("poly"), PolynomialOverM)
     box_rec = _load_json(run.need("box"))
     if not isinstance(box_rec, dict):
         print("error: cannot parse box: expected a JSON object", file=sys.stderr)
@@ -302,6 +304,9 @@ def _cmd_bound_report(run: _Run) -> int:
         rep = partial_sum_bound_check(f, q, box, range(1, mtop + 1), kappa=run.get("kappa", 1.1), points=points)
     except CapacityError as e:
         _fail_usage(str(e))
+    except ValueError as e:  # a box point whose slice values overflow floats
+        print("error: %s" % e, file=sys.stderr)
+        return 1
     _write_text(report_path, rep.to_text())
     if "partial_sums" in rep.series:
         write_csv(report_path + ".partial_sums.csv", *rep.series["partial_sums"])

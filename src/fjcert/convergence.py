@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from statistics import linear_regression
 
-from .core import PrecisionError
+from .core import PrecisionError, rat_str
 # evaluate_partial, evaluate and fe_norm are not called here: bench/spans.py traces calls under these names
 from .fjseries import FormalFJ, PolynomialOverM, evaluate_partial, poly_eval, q2_sum, rho, siegel_point, slice_values  # noqa: F401
-from .jacobi import TorsionPoint, evaluate, fe_norm, window_abs  # noqa: F401
+from .jacobi import TorsionPoint, check_point, evaluate, fe_norm, window_abs  # noqa: F401
 from .reduction import CapacityError
 
 __all__ = [
@@ -80,9 +80,8 @@ class CompactBoxSpec:
         pts = tuple((complex(t), complex(z)) for t, z in self.U)
         if not pts:
             raise ValueError("U must hold at least one point")
-        for t, _ in pts:
-            if t.imag <= 0:
-                raise ValueError("tau1 samples need positive imaginary part")
+        for t, z in pts:
+            check_point(t, z)
         object.__setattr__(self, "U", pts)
 
     def to_record(self):
@@ -90,10 +89,7 @@ class CompactBoxSpec:
 
     @classmethod
     def from_record(cls, rec) -> "CompactBoxSpec":
-        return cls(
-            tuple((complex(t), complex(z)) for t, z in rec["U"]),
-            float(rec["eps"]),
-        )
+        return cls(tuple(rec["U"]), float(rec["eps"]))
 
 
 def _cplx_str(x: complex) -> str:
@@ -151,13 +147,12 @@ class ConvergenceReport:
             fh.write(self.to_text())
 
     def save_csv(self, name: str, path):
-        header, rows = self.series[name]
-        write_csv(path, header, rows)
+        write_csv(path, *self.series[name])
 
 
 def _plain(v):
     if isinstance(v, Fraction):
-        return "%d/%d" % (v.numerator, v.denominator) if v.denominator != 1 else str(v.numerator)
+        return rat_str(v)
     if isinstance(v, complex):
         return _cplx_str(v)
     if isinstance(v, (list, tuple)):
@@ -198,9 +193,8 @@ def torsion_approximate(tau1: complex, z: complex, delta: float) -> TorsionPoint
     Raises CapacityError when no N up to TORSION_SEARCH_CAP qualifies."""
     tau1 = complex(tau1)
     z = complex(z)
-    if tau1.imag <= 0:
-        raise ValueError("Im(tau1) must be positive")
-    if delta <= 0:
+    check_point(tau1, z)
+    if not delta > 0:  # NaN too
         raise ValueError("delta must be positive")
     p = _torsion_search(tau1, z, delta, TORSION_SEARCH_CAP)
     if p is None:
@@ -251,27 +245,14 @@ def growth_fit(etas, k: int, g: int, S, cfg: BoundConfig) -> ConvergenceReport:
         norms.append((m, math.fsum(vals)))
         ratio_max = max(ratio_max, max(vals, default=0.0) / m**exponent)
     pts = [(math.log(m), math.log(norm)) for m, norm in norms if norm > 0]
+    witnesses = {"b": cfg.b, "ratio_max": ratio_max, "nonzero_points": len(pts), "window_size": len(S)}
+    verdict = "degenerate-pass"
+    if len(pts) >= 2:
+        fit = linear_regression([x for x, _ in pts], [y for _, y in pts])
+        witnesses.update(slope=fit.slope, intercept=fit.intercept)
+        verdict = "pass" if fit.slope <= threshold else "fail"
     tolerances = {"slack": cfg.slack, "threshold": threshold}
     series = {"fe_norms": (["m", "fe_norm"], [[m, norm] for m, norm in norms])}
-    if len(pts) < 2:
-        return ConvergenceReport(
-            "growth-bound",
-            claim,
-            "degenerate-pass",
-            {"b": cfg.b, "nonzero_points": len(pts), "ratio_max": ratio_max, "window_size": len(S)},
-            tolerances,
-            series,
-        )
-    fit = linear_regression([x for x, _ in pts], [y for _, y in pts])
-    verdict = "pass" if fit.slope <= threshold else "fail"
-    witnesses = {
-        "b": cfg.b,
-        "slope": fit.slope,
-        "intercept": fit.intercept,
-        "ratio_max": ratio_max,
-        "nonzero_points": len(pts),
-        "window_size": len(S),
-    }
     return ConvergenceReport("growth-bound", claim, verdict, witnesses, tolerances, series)
 
 

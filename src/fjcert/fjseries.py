@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .core import PrecisionError, parse_rat, rat_str
 # multiply is not called here: bench/spans.py traces calls under this name
-from .jacobi import JacobiFormQExp, _common_rows, _convolve, evaluate, index0_from_qexp, multiply  # noqa: F401
+from .jacobi import JacobiFormQExp, _common_rows, _convolve, check_point, evaluate, index0_from_qexp, multiply  # noqa: F401
 from .reduction import HalfIntIndex
 
 __all__ = [
@@ -379,7 +379,7 @@ def poly_eval(q: PolynomialOverM, f: FormalFJ) -> FormalFJ:
     if f.k != q.k:
         raise ValueError("series weight %d does not match polynomial step %d" % (f.k, q.k))
     acc, top = q.coeffs[-1], q.degree - 1
-    if top >= 0 and acc == FormalFJ.one(acc.M_max, acc.prec):
+    if top >= 0 and q.is_monic():
         # 1 * f is f on the common (M_max, prec): skip that product
         mmax, prec = min(acc.M_max, f.M_max), min(acc.prec, f.prec)
         acc = FormalFJ(f.k, mmax, [phi.truncated(prec) for phi in f.phis[: mmax + 1]]).add(q.coeffs[top])
@@ -425,25 +425,25 @@ def monicize(q: PolynomialOverM, f: FormalFJ, f_c: FormalFJ):
 def rho(tau) -> float:
     """Schur complement of Im(tau): Im(tau2) - (Im z)^2 / Im(tau1).
 
-    Im(tau) is positive definite iff Im(tau1) > 0 and rho(tau) > 0.
+    Im(tau) is positive definite iff Im(tau1) > 0 and rho(tau) > 0.  Raises
+    ValueError unless tau1 and z pass check_point and tau2 is finite.
     """
-    t1 = complex(tau[0][0])
-    z = complex(tau[0][1])
-    t2 = complex(tau[1][1])
-    if t1.imag <= 0:
-        raise ValueError("Im(tau1) must be positive")
+    t1, z, t2 = complex(tau[0][0]), complex(tau[0][1]), complex(tau[1][1])
+    check_point(t1, z)
+    if not cmath.isfinite(t2):
+        raise ValueError("tau2 must be finite")
     return t2.imag - z.imag * z.imag / t1.imag
 
 
 def siegel_point(tau):
     """(tau1, z, tau2) of a 2x2 complex symmetric tau; raises ValueError
-    unless Im(tau) is positive definite."""
+    unless rho accepts tau and Im(tau) is positive definite."""
+    schur = rho(tau)
     if complex(tau[0][1]) != complex(tau[1][0]):
         raise ValueError("tau must be symmetric")
-    t1 = complex(tau[0][0])
-    if t1.imag <= 0 or rho(tau) <= 0:
+    if schur <= 0:
         raise ValueError("imaginary part of tau is not positive definite")
-    return t1, complex(tau[0][1]), complex(tau[1][1])
+    return complex(tau[0][0]), complex(tau[0][1]), complex(tau[1][1])
 
 
 def slice_values(f: FormalFJ, tau1: complex, z: complex, M: int) -> list:

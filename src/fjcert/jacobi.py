@@ -53,6 +53,7 @@ __all__ = [
     "specialize_torsion",
     "fe_norm",
     "window_abs",
+    "check_point",
     "evaluate",
     "index0_from_qexp",
 ]
@@ -305,24 +306,24 @@ def _common_rows(phis):
 # index-one generator series
 #
 # All building blocks are integer-keyed series.  With SA' = sum over odd
-# j >= 1 of q^((j^2-1)/4) and SBq = 1 + 2 sum_{i>=1} q^(i^2), the two weak
-# generators have theta components (even-r series H0[j] at discriminant 4j,
-# odd-r series H1[j] at discriminant 4j - 1) U / P6 and W / P6, where
+# j >= 1 of q^((j^2-1)/4) = sum_{n>=0} q^(n(n+1)) and SBq = 1 + 2 sum_{i>=1}
+# q^(i^2), the two weak generators have theta components (even-r series H0[j]
+# at discriminant 4j, odd-r series H1[j] at discriminant 4j - 1) U / P6 and
+# W / P6, where
 #
 #   weight -2:  U = (-2 SA',  SBq)
-#   weight  0:  W = (2 SA' T44 + 8 SBq^3 T2,  SBq T44 - 64 q SA' T2d T2)
+#   weight  0:  W = (2 SA' T44 + 8 SBq^3 T2,  SBq T44 - 64 q SA'^3 T2)
 #
 #   P6  = P3^2,   P3 = prod (1 - q^n)^3 = sum_j (-1)^j (2j+1) q^(j(j+1)/2)
-#   T2  = B^2,    B = sum_{n>=0} q^(n(n+1)/2)
+#   T2  = B^2,    B = sum_{n>=0} q^(n(n+1)/2), so SA' = B(q^2)
 #   T44 = Th4^4,  Th4 = 1 + 2 sum_{n>=1} (-1)^n q^(n^2), the theta_4(2 tau) series
-#   T2d = (sum q^(n(n+1)))^2
 #
-# W is the weight-0 theta quotient (2 SA'/T2 + 8 SBq^3/T44, SBq/T2 - 64 q SA'
-# T2d/T44) times T2 T44 = P6, since B Th4^2 = P3: psi(q) phi(-q)^2 = f(-q)^3
+# W is the weight-0 theta quotient (2 SA'/T2 + 8 SBq^3/T44, SBq/T2 - 64 q
+# SA'^3/T44) times T2 T44 = P6, since B Th4^2 = P3: psi(q) phi(-q)^2 = f(-q)^3
 # by phi(-q) = f(-q)^2/f(-q^2) and psi(q) = f(-q^2)^2/f(-q).  So a basis
 # element sums products of numerators with small coefficients and divides by
 # P6 once, as two exact divisions by P3, each costing the quotient length
-# times P3's O(sqrt(emax)) terms.  The tests pin the identity and the
+# times P3's O(sqrt(emax)) terms.  The tests pin the identities and the
 # components against a brute-force two-variable theta quotient.
 
 
@@ -367,12 +368,6 @@ def _series_th4(emax: int):
 
 
 @lru_cache(maxsize=None)
-def _series_t2_double(emax: int):
-    base = {2 * e: v for e, v in _series_b(emax).items() if 2 * e < emax}
-    return _dict_mul(base, base, emax)
-
-
-@lru_cache(maxsize=None)
 def _numerators(jlen: int):
     """The theta components (U, W) of P6 times the weak generators of
     weights -2 and 0, below discriminant index jlen."""
@@ -382,7 +377,7 @@ def _numerators(jlen: int):
         return reduce(lambda f, g: _dict_mul(f, g, jlen), factors)
 
     t2, th4sq = mul(b, b), mul(th4, th4)
-    t44, corr = mul(th4sq, th4sq), mul(sa, _series_t2_double(jlen), t2)
+    t44, corr = mul(th4sq, th4sq), mul(sa, sa, sa, t2)
     w0 = _dict_add(_dict_scale(mul(sa, t44), 2), _dict_scale(mul(sbq, sbq, sbq, t2), 8))
     w1 = _dict_add(mul(sbq, t44), {e + 1: -64 * v for e, v in corr.items() if e + 1 < jlen})
     return (_dict_scale(sa, -2), sbq), (w0, w1)
@@ -596,7 +591,7 @@ def window_abs(eta: SpecializedExpansion, S) -> list:
     S is a list of 1x1 matrices (or plain rationals).  Every requested
     exponent must lie below the certified precision of eta.
     """
-    exp = eta.expansion if isinstance(eta, SpecializedExpansion) else eta
+    exp = eta.expansion
     out = []
     for t in S:
         x = t[0, 0] if hasattr(t, "rows") else Fraction(t)
@@ -618,16 +613,29 @@ def fe_norm(eta: SpecializedExpansion, S) -> float:
 # numerical evaluation
 
 
+def check_point(tau1: complex, z: complex = 0j) -> None:
+    """Raise ValueError unless tau1 and z are finite and Im tau1 > 0."""
+    if not (cmath.isfinite(tau1) and cmath.isfinite(z)):
+        raise ValueError("tau1 and z must be finite")
+    if tau1.imag <= 0:
+        raise ValueError("tau1 must have positive imaginary part")
+
+
 def evaluate(phi: JacobiFormQExp, tau1: complex, z: complex) -> complex:
     """Numerical value sum c(n, r) e(n tau1 + r z) over the stored window.
 
-    Raises ValueError, before building anything, when the table of powers x^n
-    or that of powers y^r would hold more than WINDOW_CAP entries."""
-    t_im = tau1.imag
-    if t_im <= 0:
-        raise ValueError("tau1 must have positive imaginary part")
+    Raises ValueError when the point fails :func:`check_point`, when e(z) or
+    e(-z) is 0 or overflows, when a term overflows, and, before building
+    anything, when the table of powers x^n or y^r would exceed WINDOW_CAP."""
+    check_point(tau1, z)
     x = cmath.exp(2j * math.pi * tau1)
-    y = cmath.exp(2j * math.pi * z)
+    try:
+        y = cmath.exp(2j * math.pi * z)
+        yinv = 1.0 / y
+    except (OverflowError, ZeroDivisionError):
+        yinv = cmath.inf
+    if cmath.isinf(yinv):
+        raise ValueError("e(z) or e(-z) is 0 or overflows at z = %r" % z)
     terms, nmax, rmin, rmax = phi.float_terms()
     if not terms:
         return 0j
@@ -644,9 +652,14 @@ def evaluate(phi: JacobiFormQExp, tau1: complex, z: complex) -> complex:
         cur *= y
         ypw[r] = cur
     cur = 1.0 + 0j
-    yinv = 1.0 / y
     for r in range(-1, rmin - 1, -1):
         cur *= yinv
         ypw[r] = cur
     vals = [c * xs[n] * ypw[r] for n, r, c in terms]
-    return complex(math.fsum(v.real for v in vals), math.fsum(v.imag for v in vals))
+    try:  # fsum raises on an overflowing sum and on inf - inf
+        total = complex(math.fsum(v.real for v in vals), math.fsum(v.imag for v in vals))
+    except (OverflowError, ValueError):
+        total = cmath.nan
+    if not cmath.isfinite(total):
+        raise ValueError("a term overflows at tau1 = %r, z = %r" % (tau1, z))
+    return total

@@ -219,6 +219,15 @@ def test_certify_non_cuspidal_exits_4(tmp_path, capsys):
     assert "not cuspidal" in capsys.readouterr().err
 
 
+def test_certify_overflowing_tau1_exits_1(tmp_path, lift_file, capsys):
+    # at tau1 = 300j the torsion point z = tau1 / 2 makes e(z) underflow to 0
+    report = tmp_path / "cert.txt"
+    argv = ["certify", "--in", str(lift_file), "--report", str(report), "--torsion", "2,1,0", "--b", "1/128"]
+    assert main(argv + ["--tau1", "300j"]) == 1
+    assert capsys.readouterr().err.count("error:") == 1
+    assert "hypothesis-failure" in report.read_text() and "overflows" in report.read_text()
+
+
 def test_certify_usage_errors(tmp_path, lift_file):
     report = str(tmp_path / "cert.txt")
     assert main(["certify", "--in", str(lift_file), "--report", report, "--theta", "1.5"]) == 64
@@ -308,6 +317,22 @@ def test_bound_report_box_must_be_an_object(tmp_path, lift_file, relation_files)
     rc = main(["bound-report", "--in", str(lift_file), "--poly", str(poly), "--box", str(box),
                "--report", str(tmp_path / "r.txt")])
     assert rc == 3
+
+
+@pytest.mark.parametrize(
+    "tau1, z, code",
+    [("nanj", "0.25j", 3), ("1e400+1j", "0.25j", 3), ("1j", "nanj", 3), ("1j", "1e400j", 3), ("1j", "200j", 1)],
+)
+def test_bound_report_non_finite_or_overflowing_box_point(tmp_path, lift_file, relation_files, capsys, tau1, z, code):
+    # a non-finite box entry cannot be parsed; at the finite z = 200j, e(z)
+    # underflows to 0 and the run exits 1 with one error line
+    poly, _ = relation_files
+    box = tmp_path / "box.json"
+    box.write_text(json.dumps({"U": [[tau1, z]], "eps": 0.1}))
+    argv = ["bound-report", "--in", str(lift_file), "--poly", str(poly), "--box", str(box), "--report", str(tmp_path / "r.txt")]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and ("finite" if code == 3 else "overflows") in err
 
 
 def with_zero_denominator(series_rec, text="1/0"):
@@ -482,6 +507,9 @@ def fuzz_argv(base, command):
         (["bound-report", "--poly", "step12.json"], 5),
         (["certify", "--slack", "-1"], 64),
         (["certify", "--b", "0"], 64),
+        (["certify", "--tau1", "nanj"], 64),
+        (["certify", "--tau1", "1e400j"], 64),
+        (["certify", "--tau1", "nan+1j"], 64),
     ],
 )
 def test_bad_values_exit_per_contract(fuzz_inputs, extra, code):
@@ -494,7 +522,7 @@ FLAGS = {
     "certify": ["--torsion", "--tau1", "--theta", "--M", "--b", "--slack", "--cap"],
     "bound-report": ["--eps", "--kappa", "--mmax", "--points"],
 }
-FLAG_VALUES = ["0", "-1", "-3", "1000000000", "1/3", "1/0", "2.5", "nan", "abc", ""]
+FLAG_VALUES = ["0", "-1", "-3", "1000000000", "1/3", "1/0", "2.5", "nan", "abc", "", "nanj", "1e400j"]
 
 
 @settings(max_examples=60)
@@ -515,7 +543,7 @@ def json_paths(rec, here=()):
     return out
 
 
-JSON_VALUES = [0, -1, 10**9, -(10**9), 2.5, "1/3", "1/0", "abc", "", None, [], {}, True]
+JSON_VALUES = [0, -1, 10**9, -(10**9), 2.5, "1/3", "1/0", "abc", "", None, [], {}, True, "nanj", "1e400j"]
 
 
 @settings(max_examples=60)

@@ -29,7 +29,7 @@ from fjcert.convergence import (
     write_csv,
 )
 from fjcert.core import PrecisionError, eisenstein_qexp
-from fjcert.fjseries import FormalFJ, PolynomialOverM, evaluate_partial
+from fjcert.fjseries import FormalFJ, PolynomialOverM, evaluate_partial, siegel_point
 from fjcert.jacobi import JacobiFormQExp, TorsionPoint, evaluate, specialize_torsion
 from fjcert.reduction import CapacityError, enumerate_S
 
@@ -77,6 +77,12 @@ def test_rho_pinned_values():
     assert rho(((1j, 0.5j), (0.5j, 1j))) == 0.75
     with pytest.raises(ValueError):
         rho(((1.0 + 0j, 0), (0, 1j)))
+    for bad in (complex("nanj"), complex("1e400j")):
+        for tau in (((bad, 0), (0, 1j)), ((1j, bad), (bad, 1j)), ((1j, 0), (0, bad))):
+            with pytest.raises(ValueError, match="finite"):
+                rho(tau)
+            with pytest.raises(ValueError, match="finite"):
+                siegel_point(tau)
 
 
 @given(
@@ -123,6 +129,12 @@ def test_torsion_approximate_validation():
         torsion_approximate(1j, 0.3 + 0j, 0.0)
     with pytest.raises(ValueError):
         torsion_approximate(1.0 + 0j, 0.3 + 0j, 0.1)
+    with pytest.raises(ValueError, match="delta"):
+        torsion_approximate(1j, 0.3 + 0j, math.nan)
+    with pytest.raises(ValueError, match="finite"):
+        torsion_approximate(complex("nanj"), 0.3 + 0j, 0.1)
+    with pytest.raises(ValueError, match="finite"):
+        torsion_approximate(1j, complex("1e400j"), 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +162,9 @@ def test_compact_box_validates_and_round_trips():
         CompactBoxSpec(((1.0 + 0j, 0j),), 0.5)
     with pytest.raises(ValueError):
         CompactBoxSpec((), 0.1)
+    for t, z in (("nanj", "0j"), ("1e400+1j", "0j"), ("1j", "nanj"), ("1j", "1e400j")):
+        with pytest.raises(ValueError, match="finite"):
+            CompactBoxSpec(((t, z),), 0.1)
 
 
 # ---------------------------------------------------------------------------

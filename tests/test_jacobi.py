@@ -277,6 +277,12 @@ def test_theta_denominators_are_p6():
     assert jacobi._dict_mul(b, th4sq, e) == p3
     t2, t44 = jacobi._dict_mul(b, b, e), jacobi._dict_mul(th4sq, th4sq, e)
     assert jacobi._dict_mul(t2, t44, e) == jacobi._dict_mul(p3, p3, e)
+    # the exponents (j^2 - 1)/4 over odd j are n(n + 1), so SA' = B(q^2), and
+    # the weight-0 numerator takes T2d = (sum q^(n(n+1)))^2 as SA'^2
+    for e in (1, 2, 9, 30, 301, 1561, 2000):
+        sa, b_q2 = jacobi._series_sa(e), {2 * x: v for x, v in jacobi._series_b(e).items() if 2 * x < e}
+        assert sa == b_q2
+        assert jacobi._dict_mul(b_q2, b_q2, e) == jacobi._dict_mul(sa, sa, e)
 
 
 def test_generators_divide_only_by_p3(monkeypatch):
@@ -698,6 +704,24 @@ def test_evaluate_validates_upper_half_plane(phi10):
         evaluate(phi10, 1.0 + 0j, 0j)
     with pytest.raises(ValueError):
         evaluate(phi10, -2j, 0j)
+
+
+@pytest.mark.parametrize(
+    "tau1, z, message",
+    [
+        (complex("nanj"), 0j, "finite"),
+        (complex("1e400j"), 0j, "finite"),
+        (complex("nan+1j"), 0j, "finite"),
+        (1j, complex("nanj"), "finite"),
+        (1j, complex("1e400j"), "finite"),
+        (1j, 120j, r"e\(z\) or e\(-z\)"),  # e(z) underflows to 0
+        (1j, -120j, r"e\(z\) or e\(-z\)"),  # e(z) overflows
+        (1j, 50j, "a term overflows"),  # powers of e(-z) overflow
+    ],
+)
+def test_evaluate_rejects_non_finite_and_overflowing_points(phi10, tau1, z, message):
+    with pytest.raises(ValueError, match=message):
+        evaluate(phi10, tau1, z)
 
 
 def test_evaluate_tail_shrinks_with_precision(phi10):

@@ -190,6 +190,18 @@ def test_poly_eval_matches_schoolbook_horner_on_lift(lift8):
     assert poly_eval(PolynomialOverM(cases[1], 0, f.k), f).is_zero()
 
 
+@given(formal_series(), st.lists(st.integers(1, 6), min_size=2, max_size=5), st.data())
+def test_poly_eval_skips_a_monic_lead_of_unequal_slice_precisions(f, precs, data):
+    # the lead is one, but its slices stop at different precisions: it is
+    # monic without being equal to FormalFJ.one, and skipping 1 * f must give
+    # what the Horner product gives
+    lead = FormalFJ(0, len(precs) - 1, [JacobiFormQExp(0, m, p, {(0, 0): 1} if m == 0 else {}) for m, p in enumerate(precs)])
+    d = data.draw(st.integers(1, 2))
+    q = PolynomialOverM([data.draw(formal_series((d - i) * f.k)) for i in range(d)] + [lead], 0, f.k)
+    assert q.is_monic() and (len(set(precs)) == 1 or lead != FormalFJ.one(lead.M_max, lead.prec))
+    assert poly_eval(q, f) == schoolbook.poly_eval(q, f)
+
+
 @st.composite
 def signed_form(draw):
     """A form of index 1-3 whose r are of any sign, all <= 0 or all >= 0;
