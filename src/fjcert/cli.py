@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -33,7 +34,7 @@ from .convergence import (
 )
 from .core import PrecisionError, parse_rat
 from .fjseries import FormalFJ, PolynomialOverM, check_symmetry, gritsenko_lift
-from .jacobi import TorsionPoint, check_point, jacobi_space, specialize_torsion
+from .jacobi import TorsionPoint, certified_precision, check_point, jacobi_space, specialize_torsion
 from .reduction import CapacityError, SymMatQ, enumerate_S, hermite_check, is_positive_definite, minkowski_reduce
 
 __all__ = ["main"]
@@ -178,6 +179,26 @@ def _hypothesis_failure(report_path: str, reason, code: int) -> int:
     return code
 
 
+def _check_precision_floor(f: FormalFJ, p: TorsionPoint, window) -> None:
+    """Raise PrecisionError when the largest exponent of the window is at or
+    beyond the certified precision of some slice, naming the smallest lift
+    precision that would cover every slice up to M_max."""
+    if not window:
+        return
+    x = max(t[0, 0] for t in window)
+    lam = p.lam_frac()
+    for m in range(1, f.M_max + 1):
+        p2 = certified_precision(f.phis[m].prec, m, lam)
+        if x >= p2:
+            # certified_precision(P, k, lam) >= P / 2 - lam^2 k - |lam|, so every P from hi on covers
+            hi = math.floor(2 * (x + lam * lam * f.M_max + abs(lam))) + 1
+            need = next(P for P in range(1, hi + 1) if all(certified_precision(P, k, lam) > x for k in range(1, f.M_max + 1)))
+            raise PrecisionError(
+                "window exponent %s is beyond the certified precision %s of slice m = %d; prec %d would cover M_max %d"
+                % (x, p2, m, need, f.M_max)
+            )
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -250,6 +271,7 @@ def _cmd_certify(run: _Run) -> int:
         return _hypothesis_failure(report_path, "series is not cuspidal", 4)
     try:
         s_window = enumerate_S(p.N, cfg.b, 2, cap=cfg.caps)
+        _check_precision_floor(f, p, s_window)
         etas = [specialize_torsion(f.phis[m], p) for m in range(1, f.M_max + 1)]
         growth = growth_fit(etas, f.k, 2, s_window, cfg)
         pointwise = pointwise_convergence_check(f, p, tau1, theta, m_terms)

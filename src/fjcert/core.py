@@ -290,6 +290,14 @@ class QExpansion:
         self.coeffs = out
 
     @classmethod
+    def _trusted(cls, L: int, coeffs: dict, prec: Fraction) -> "QExpansion":
+        """Expansion from nonzero values keyed by int numerators 0 <= e < prec * L,
+        with L >= 1 and prec a nonnegative Fraction, without checks."""
+        self = cls.__new__(cls)
+        self.L, self.prec, self.coeffs = L, prec, coeffs
+        return self
+
+    @classmethod
     def zero(cls, prec, L: int = 1) -> "QExpansion":
         return cls(L, {}, prec)
 

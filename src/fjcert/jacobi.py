@@ -50,6 +50,7 @@ __all__ = [
     "weak_generators",
     "jacobi_space",
     "multiply",
+    "certified_precision",
     "specialize_torsion",
     "fe_norm",
     "window_abs",
@@ -546,14 +547,24 @@ def _ceil_2sqrt(p: int, m: int) -> int:
     return s if s * s == x else s + 1
 
 
+def certified_precision(P: int, m: int, lam: Fraction) -> Fraction:
+    """Certified precision of the specialization of an index-m slice of
+    precision P at lam: P + m lam^2 - |lam| ceil(2 sqrt(P m)), or 0 if that
+    is negative.  This is (sqrt(P) - |lam| sqrt(m))^2 with the square root
+    rounded up, the sharp threshold below which no discarded row n >= P can
+    contribute: their exponents are at least P - |lam| 2 sqrt(P m) + m lam^2.
+    """
+    p2 = P + m * lam * lam - abs(lam) * _ceil_2sqrt(P, m)
+    return p2 if p2 > 0 else Fraction(0)
+
+
 def specialize_torsion(phi: JacobiFormQExp, p: TorsionPoint) -> SpecializedExpansion:
     """Expansion of e(m lam^2 tau1) phi(tau1, tau1 lam + mu) in powers of
     e(tau1 / N^2).
 
     The exponent attached to (n, r) is n + r lam + m lam^2 and the
-    root-of-unity factor is e(r mu).  The certified output precision is
-    (sqrt(P) - |lam| sqrt(m))^2 for input precision P, the sharp threshold
-    below which no discarded row can contribute.
+    root-of-unity factor is e(r mu).  The output precision is
+    :func:`certified_precision`.
     """
     if p.genus_minus_one != 1:
         raise ValueError("unsupported genus")
@@ -561,14 +572,8 @@ def specialize_torsion(phi: JacobiFormQExp, p: TorsionPoint) -> SpecializedExpan
     a = p.lam[0]
     c = p.mu[0]
     m = phi.m
-    P = phi.prec
     L = N * N
-    # sharp certified precision: exponents from unknown rows n >= P are at
-    # least P - |a|/N * 2 sqrt(P m) + m a^2/N^2
-    shift = Fraction(abs(a), N) * _ceil_2sqrt(P, m)
-    p2 = Fraction(P) + Fraction(m * a * a, L) - shift
-    if p2 < 0:
-        p2 = Fraction(0)
+    p2 = certified_precision(phi.prec, m, p.lam_frac())
     bound_num = math.ceil(p2 * L)
     acc: dict = {}
     for (n, r), v in phi.num.items():
@@ -582,7 +587,8 @@ def specialize_torsion(phi: JacobiFormQExp, p: TorsionPoint) -> SpecializedExpan
         slot[j] = slot.get(j, 0) + v
     den = phi.den
     coeffs = {num: CycElem(L, {j: Fraction(v, den) for j, v in w.items()}) for num, w in acc.items() if any(w.values())}
-    return SpecializedExpansion(phi.k, N, QExpansion(L, coeffs, p2))
+    # every value has a nonzero weight and every key lies in [0, bound_num)
+    return SpecializedExpansion(phi.k, N, QExpansion._trusted(L, coeffs, p2))
 
 
 def window_abs(eta: SpecializedExpansion, S) -> list:

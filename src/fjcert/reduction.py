@@ -6,18 +6,24 @@ used when a series is restricted to a rational torsion point, and the
 enumeration of the finite exponent windows and shift ranges that the
 convergence checks consume.
 
-All matrix arithmetic is exact over Fraction entries.  Unimodular matrices
-keep integer entries and determinant +-1 as a constructor invariant.
+Matrices hold Fraction entries, but reduction and its checks work on the
+integer Gram matrix g = D t, with D the lcm of the entry denominators:
+rounding is floor division on integer pairs, the Minkowski conditions are
+integer linear forms in the entries of g, and the Hermite bound compares
+integer products, in which the powers of D cancel.  Fractions are built
+only for the reduced result.  Unimodular matrices keep integer entries and
+determinant +-1 as a constructor invariant.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import parse_rat, rat_str
+from .core import parse_rat
 
 __all__ = [
     "CapacityError",
@@ -51,7 +57,7 @@ class SymMatQ:
     __slots__ = ("size", "rows")
 
     def __init__(self, rows):
-        rows = [tuple(Fraction(x) for x in row) for row in rows]
+        rows = [tuple(x if isinstance(x, Fraction) else Fraction(x) for x in row) for row in rows]
         s = len(rows)
         if s < 1 or any(len(r) != s for r in rows):
             raise ValueError("matrix must be square")
@@ -88,7 +94,7 @@ class SymMatQ:
         return "SymMatQ(%s)" % (self.to_text(),)
 
     def to_text(self) -> str:
-        return ";".join(",".join(rat_str(x) for x in row) for row in self.rows)
+        return ";".join(",".join(map(str, row)) for row in self.rows)
 
     @classmethod
     def from_text(cls, s: str) -> "SymMatQ":
@@ -252,16 +258,18 @@ def act(t: SymMatQ, u) -> SymMatQ:
     return SymMatQ(_matmul([list(r) for r in ut], inner))
 
 
-def _round_half_up(x: Fraction) -> int:
-    return math.floor(x + Fraction(1, 2))
+def _round_half_up(p: int, q: int) -> int:
+    """Nearest integer to p / q for q > 0, ties upward."""
+    return (2 * p + q) // (2 * q)
 
 
-def _round_half_to_zero(x: Fraction) -> int:
-    """Nearest integer, ties toward zero, so a boundary off-diagonal entry
-    with 2|t_ij| = t_ii is left in place instead of oscillating."""
-    if x > 0:
-        return math.ceil(x - Fraction(1, 2))
-    return math.floor(x + Fraction(1, 2))
+def _round_half_to_zero(p: int, q: int) -> int:
+    """Nearest integer to p / q for q > 0, ties toward zero, so a boundary
+    off-diagonal entry with 2|g_ij| = g_ii is left in place instead of
+    oscillating."""
+    if p > 0:
+        return -((q - 2 * p) // (2 * q))
+    return (2 * p + q) // (2 * q)
 
 
 def _integral(t: SymMatQ):
@@ -270,10 +278,18 @@ def _integral(t: SymMatQ):
     return [[x.numerator * (scale // x.denominator) for x in row] for row in t.rows], scale
 
 
+# the upper-triangle entries (a, b), a <= b, of a matrix of size s
+_ENTRIES = {s: [(a, b) for a in range(s) for b in range(a, s)] for s in (1, 2, 3)}
+
 # every nonzero x in {-1, 0, 1}^s, in itertools.product order, with the index
-# of its last nonzero entry
+# j of its last nonzero entry and the coefficients of g[x] in the entries of
+# _ENTRIES[s]: x_a^2 for g_aa and 2 x_a x_b for g_ab, a < b
 _CONDITIONS = {
-    s: [(x, max(i for i in range(s) if x[i])) for x in itertools.product((-1, 0, 1), repeat=s) if any(x)]
+    s: [
+        (x, max(i for i in range(s) if x[i]), tuple(x[a] * x[b] * (1 if a == b else 2) for a, b in _ENTRIES[s]))
+        for x in itertools.product((-1, 0, 1), repeat=s)
+        if any(x)
+    ]
     for s in (1, 2, 3)
 }
 
@@ -285,11 +301,14 @@ def _first_violation(g):
     {-1, 0, 1}^s and every k up to the last nonzero index j of x, are the
     whole of Minkowski reduction (Cassels, Rational Quadratic Forms, ch. 12).
     x = e_j orders the diagonal and x = e_j +- e_i bounds 2|g_ij| by g_ii.
+    Some k <= j has g[x] < g_kk exactly when g[x] is below the largest of
+    g_00 .. g_jj.
     """
     s = len(g)
-    for x, j in _CONDITIONS[s]:
-        value = sum(g[a][b] * x[a] * x[b] for a in range(s) for b in range(s))
-        if any(value < g[k][k] for k in range(j + 1)):
+    entries = [g[a][b] for a, b in _ENTRIES[s]]
+    top = list(itertools.accumulate((g[k][k] for k in range(s)), max))
+    for x, j, coeffs in _CONDITIONS[s]:
+        if sum(map(operator.mul, coeffs, entries)) < top[j]:
             return x, j
     return None
 
@@ -341,7 +360,7 @@ def minkowski_reduce(n: SymMatQ):
                     changed = True
         for i in range(s):
             for j in range(i + 1, s):
-                r = _round_half_to_zero(Fraction(g[i][j], g[i][i]))
+                r = _round_half_to_zero(g[i][j], g[i][i])
                 if r:
                     _replace(g, u, j, [int(k == j) - r * int(k == i) for k in range(s)])
                     changed = True
@@ -354,10 +373,14 @@ def minkowski_reduce(n: SymMatQ):
     for j in range(1, s):
         if g[0][j] < 0:
             _replace(g, u, j, [-int(k == j) for k in range(s)])
-    return SymMatQ([[Fraction(x, scale) for x in row] for row in g]), UnimodularMat(u)
+    t = [[None] * s for _ in range(s)]
+    for i, j in _ENTRIES[s]:
+        t[i][j] = t[j][i] = Fraction(g[i][j], scale)
+    return SymMatQ(t), UnimodularMat(u)
 
 
-_HERMITE_POW = {1: Fraction(1), 2: Fraction(4, 3), 3: Fraction(2)}
+# gamma_s^s as (numerator, denominator)
+_HERMITE_POW = {1: (1, 1), 2: (4, 3), 3: (2, 1)}
 
 
 def hermite_check(n: SymMatQ) -> bool:
@@ -366,7 +389,8 @@ def hermite_check(n: SymMatQ) -> bool:
     gamma_s^s is 1, 4/3, 2 at sizes 1, 2, 3.  Raises ValueError unless n is
     positive definite and n[x] >= n_kk for every nonzero x in {-1, 0, 1}^s
     and every k up to the last nonzero index of x, the condition list that
-    minkowski_reduce establishes.
+    minkowski_reduce establishes.  The bound is tested on g = D n, where
+    both sides carry the factor D^s.
     """
     s = n.size
     if s not in _HERMITE_POW:
@@ -377,7 +401,8 @@ def hermite_check(n: SymMatQ) -> bool:
     bad = _first_violation(g)
     if bad is not None:
         raise ValueError("input is not Minkowski reduced: n[x] < n_kk at x = %s" % (bad[0],))
-    return n[0, 0] ** s <= _HERMITE_POW[s] * n.det()
+    num, den = _HERMITE_POW[s]
+    return g[0][0] ** s * den <= num * _det(g)
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +474,7 @@ def unimodular_completion(v) -> UnimodularMat:
         gg, x0, y0 = _xgcd(b, -a)
         assert gg == 1
         # shift by multiples of (a, b) to minimize the top row
-        k = _round_half_up(Fraction(x0 * a + y0 * b, a * a + b * b))
+        k = _round_half_up(x0 * a + y0 * b, a * a + b * b)
         x0, y0 = x0 - k * a, y0 - k * b
         if x0 < 0 or (x0 == 0 and y0 < 0):
             x0, y0 = -x0, -y0

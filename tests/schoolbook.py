@@ -19,6 +19,14 @@ applied to the materialized form.
 for binary forms that the general Minkowski loop replaced; on binary forms
 the two must return the same (form, transform) pair.
 
+``minkowski_reduce`` and ``hermite_check`` are the Fraction versions of
+the general loop and its check, with their helpers ``_round_half_to_zero``,
+``_round_half_up`` and ``_first_violation``: rounding on Fraction
+quotients, each condition g[x] summed over all s^2 entries and compared
+with every g_kk, and the Hermite bound on the Fraction determinant.
+``completion2`` is the old pair branch of ``unimodular_completion``.  The
+integer loop, the integer checks and the completion must agree with them.
+
 ``check_symmetry`` is the old ``fjseries.check_symmetry``: it forms every
 image t[u] = u^T t u with generic 2x2 arithmetic and reads the Fraction
 view of the slices.  The closed-form integer audit must return an equal
@@ -34,6 +42,7 @@ sums them term by term, reading the Fraction view of the form.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -46,7 +55,16 @@ from fjcert.jacobi import (
     _series_sa,
     _series_sbq,
 )
-from fjcert.reduction import SymMatQ, UnimodularMat, _round_half_to_zero, act
+from fjcert.reduction import (
+    SymMatQ,
+    UnimodularMat,
+    _integral,
+    _positive_definite,
+    _replace,
+    _swap,
+    _xgcd,
+    act,
+)
 
 
 def dict_mul(a: dict, b: dict, emax: int) -> dict:
@@ -347,6 +365,126 @@ def _lex_normalize(phi: JacobiFormQExp) -> JacobiFormQExp:
     if c == 1:
         return phi
     return phi.scalar_mul(Fraction(1) / Fraction(c))
+
+
+def _round_half_up(x: Fraction) -> int:
+    return math.floor(x + Fraction(1, 2))
+
+
+def _round_half_to_zero(x: Fraction) -> int:
+    """Nearest integer, ties toward zero, so a boundary off-diagonal entry
+    with 2|t_ij| = t_ii is left in place instead of oscillating."""
+    if x > 0:
+        return math.ceil(x - Fraction(1, 2))
+    return math.floor(x + Fraction(1, 2))
+
+
+# every nonzero x in {-1, 0, 1}^s, in itertools.product order, with the index
+# of its last nonzero entry
+_CONDITIONS = {
+    s: [(x, max(i for i in range(s) if x[i])) for x in itertools.product((-1, 0, 1), repeat=s) if any(x)]
+    for s in (1, 2, 3)
+}
+
+
+def _first_violation(g):
+    """The first (x, j) in _CONDITIONS with g[x] < g_kk for some k <= j, or None.
+
+    For s <= 3 the inequalities g[x] >= g_kk, over every nonzero x in
+    {-1, 0, 1}^s and every k up to the last nonzero index j of x, are the
+    whole of Minkowski reduction (Cassels, Rational Quadratic Forms, ch. 12).
+    x = e_j orders the diagonal and x = e_j +- e_i bounds 2|g_ij| by g_ii.
+    """
+    s = len(g)
+    for x, j in _CONDITIONS[s]:
+        value = sum(g[a][b] * x[a] * x[b] for a in range(s) for b in range(s))
+        if any(value < g[k][k] for k in range(j + 1)):
+            return x, j
+    return None
+
+
+def minkowski_reduce(n: SymMatQ):
+    """Minkowski-reduce a positive definite matrix of size one to three.
+
+    Returns (reduced, rho) with reduced = n[rho] and rho unimodular, where
+    reduced[x] >= reduced_kk for every nonzero x in {-1, 0, 1}^s and every k
+    up to the last nonzero index of x.  At these sizes that finite list is
+    Minkowski reduction: the diagonal is nondecreasing, 2|reduced_ij| <=
+    reduced_ii for i < j, and reduced_00 is the minimum of the form over
+    nonzero integer vectors.  Signs are normalized so that reduced_01 and
+    reduced_02 are nonnegative.
+    """
+    g, scale = _integral(n)
+    if not _positive_definite(g):
+        raise ValueError("matrix must be positive definite")
+    s = n.size
+    if s > 3:
+        raise ValueError("reduction implemented for sizes one to three only")
+    u = [[int(i == j) for j in range(s)] for i in range(s)]
+    # Swaps keep the trace of g and sort the diagonal in finitely many steps.
+    # A shear with r != 0 lowers g_jj, and a replacement by x lowers g_jj to
+    # g[x] < g_kk <= g_jj, so each lowers the positive integer trace of g and
+    # the loop ends.
+    while True:
+        changed = False
+        for end in range(s - 1, 0, -1):
+            for i in range(end):
+                if g[i][i] > g[i + 1][i + 1]:
+                    _swap(g, u, i)
+                    changed = True
+        for i in range(s):
+            for j in range(i + 1, s):
+                r = _round_half_to_zero(Fraction(g[i][j], g[i][i]))
+                if r:
+                    _replace(g, u, j, [int(k == j) - r * int(k == i) for k in range(s)])
+                    changed = True
+        if not changed:
+            bad = _first_violation(g)
+            if bad is None:
+                break
+            x, j = bad
+            _replace(g, u, j, x)
+    for j in range(1, s):
+        if g[0][j] < 0:
+            _replace(g, u, j, [-int(k == j) for k in range(s)])
+    return SymMatQ([[Fraction(x, scale) for x in row] for row in g]), UnimodularMat(u)
+
+
+_HERMITE_POW = {1: Fraction(1), 2: Fraction(4, 3), 3: Fraction(2)}
+
+
+def hermite_check(n: SymMatQ) -> bool:
+    """Check (n_00)^s <= gamma_s^s det(n) for a Minkowski reduced matrix.
+
+    gamma_s^s is 1, 4/3, 2 at sizes 1, 2, 3.  Raises ValueError unless n is
+    positive definite and n[x] >= n_kk for every nonzero x in {-1, 0, 1}^s
+    and every k up to the last nonzero index of x, the condition list that
+    minkowski_reduce establishes.
+    """
+    s = n.size
+    if s not in _HERMITE_POW:
+        raise ValueError("size must be one to three")
+    g = _integral(n)[0]
+    if not _positive_definite(g):
+        raise ValueError("matrix must be positive definite")
+    bad = _first_violation(g)
+    if bad is not None:
+        raise ValueError("input is not Minkowski reduced: n[x] < n_kk at x = %s" % (bad[0],))
+    return n[0, 0] ** s <= _HERMITE_POW[s] * n.det()
+
+
+def completion2(a: int, b: int) -> UnimodularMat:
+    """Unimodular matrix with last row (a, b), for a primitive pair."""
+    # minimal top row solving x*b - y*a = 1, sign-normalized so that
+    # (0,1) completes to the identity and (1,0) to the plain swap
+    gg, x0, y0 = _xgcd(b, -a)
+    assert gg == 1
+    # shift by multiples of (a, b) to minimize the top row
+    k = _round_half_up(Fraction(x0 * a + y0 * b, a * a + b * b))
+    x0, y0 = x0 - k * a, y0 - k * b
+    if x0 < 0 or (x0 == 0 and y0 < 0):
+        x0, y0 = -x0, -y0
+    return UnimodularMat([[x0, y0], [a, b]])
 
 
 def reduce2(t: SymMatQ):

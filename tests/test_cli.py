@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fjcert import cli
 from fjcert.cli import main
 from fjcert.convergence import CompactBoxSpec
 from fjcert.core import eisenstein_qexp
@@ -206,6 +207,41 @@ def test_certify_window_beyond_precision_is_reported(tmp_path, lift_file, capsys
     assert rc == 1
     assert "hypothesis-failure" in report.read_text()
     assert "window exponent" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "torsion, b, mmax, top, need",
+    [
+        # the growth window at N = 2, b = 1/128 reaches 15/8; at lam = 1/2 a
+        # prec-40 lift covers it up to m = 94 only
+        ("2,1,0", "1/128", 120, "15/8", 49),
+        ("2,1,0", "1/128", 200, "15/8", 74),
+        # at lam = 0 the certified precision is the lift's own, and prec 8
+        # does not cover the exponent 8
+        ("2,0,1", "65/2048", 8, "8", 9),
+    ],
+)
+def test_certify_checks_precision_floor_before_specializing(tmp_path, monkeypatch, capsys, torsion, b, mmax, top, need):
+    def refuse(*args):
+        raise AssertionError("specialize_torsion called before the precision floor was checked")
+
+    monkeypatch.setattr(cli, "specialize_torsion", refuse)
+    argv = ["--torsion", torsion, "--b", b, "--tau1", "2j"]
+    for prec, fails in [(need - 1, True), (need, False)]:
+        series = tmp_path / "zero.json"
+        series.write_text(json.dumps(FormalFJ.zero(10, mmax, prec).to_record()))
+        report = tmp_path / "cert.txt"
+        if not fails:
+            monkeypatch.undo()
+        rc = main(["certify", "--in", str(series), "--report", str(report)] + argv)
+        err = capsys.readouterr().err
+        if fails:
+            assert rc == 1
+            assert report.read_text().startswith("verdict: hypothesis-failure")
+            assert "window exponent %s is beyond" % top in err
+            assert "prec %d would cover M_max %d" % (need, mmax) in err
+        else:
+            assert "window exponent" not in err and "window exponent" not in report.read_text()
 
 
 def test_certify_non_cuspidal_exits_4(tmp_path, capsys):

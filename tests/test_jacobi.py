@@ -555,6 +555,18 @@ def test_specialize_is_linear(phi10):
     assert left.expansion == right
 
 
+@pytest.mark.parametrize("point", [(1, 0, 0), (2, 1, 0), (2, 0, 1), (3, 1, 2), (4, 3, 1)])
+def test_specialize_trusted_result_equals_validated(lift40, point):
+    # the trusted constructor skips the checks that the validating one would pass
+    f, _ = lift40
+    p = TorsionPoint(*point)
+    for m in range(1, f.M_max + 1):
+        exp = specialize_torsion(f.phis[m], p).expansion
+        checked = QExpansion(exp.L, exp.coeffs, exp.prec)
+        assert checked.coeffs == exp.coeffs and checked.L == exp.L
+        assert checked.prec == exp.prec and type(exp.prec) is Fraction
+
+
 def test_specialize_rejects_weak_input():
     phi_m2, _ = weak_generators(6)
     with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ from itertools import product
 from math import isqrt
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import schoolbook
 from fjcert.reduction import (
@@ -23,6 +23,7 @@ from fjcert.reduction import (
     torsion_decomposition,
     unimodular_completion,
 )
+from fjcert.reduction import _round_half_to_zero, _round_half_up
 
 
 def mat2(a, b, c, d):
@@ -290,6 +291,88 @@ def test_minkowski_sizes_one_and_four():
     assert minkowski_reduce(t) == (t, UnimodularMat.identity(1))
     with pytest.raises(ValueError):
         minkowski_reduce(SymMatQ([[Fraction(int(i == j)) for j in range(4)] for i in range(4)]))
+
+
+# ---------------------------------------------------------------------------
+# the integer loop against the Fraction oracle
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and text of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as e:
+        return ("ValueError", str(e))
+
+
+def assert_matches_oracle(t):
+    got = minkowski_reduce(t)
+    assert got == schoolbook.minkowski_reduce(t), t
+    reduced = got[0]
+    assert hermite_check(reduced) == schoolbook.hermite_check(reduced)
+    # unreduced input: both checks raise, with the same first violation
+    assert outcome(hermite_check, t) == outcome(schoolbook.hermite_check, t)
+
+
+fractions = st.builds(Fraction, st.integers(1, 40), st.integers(1, 6))
+
+
+@st.composite
+def rational_forms(draw):
+    """A^T diag(d) A over rationals d > 0 and a nonsingular integer A of size
+    one to three; with a tie, one off-diagonal entry is then replaced by
+    +-t_ii / 2 (2|t_ij| = t_ii) when the result stays positive definite."""
+    s = draw(st.integers(1, 3))
+    d = draw(st.lists(fractions, min_size=s, max_size=s))
+    a = draw(st.lists(st.lists(st.integers(-4, 4), min_size=s, max_size=s), min_size=s, max_size=s))
+    rows = [[sum(a[k][i] * d[k] * a[k][j] for k in range(s)) for j in range(s)] for i in range(s)]
+    if not is_positive_definite(SymMatQ(rows)):  # A is singular
+        rows = [[d[i] if i == j else 0 for j in range(s)] for i in range(s)]
+    if s > 1 and draw(st.booleans()):
+        i, j = sorted(draw(st.lists(st.integers(0, s - 1), min_size=2, max_size=2, unique=True)))
+        tied = [row[:] for row in rows]
+        tied[i][j] = tied[j][i] = draw(st.sampled_from((1, -1))) * tied[i][i] / 2
+        if is_positive_definite(SymMatQ(tied)):
+            rows = tied
+    return SymMatQ(rows)
+
+
+@settings(max_examples=300)
+@given(rational_forms())
+def test_minkowski_matches_fraction_oracle(t):
+    assert_matches_oracle(t)
+
+
+@pytest.mark.parametrize(
+    "text",
+    EDGE_FORMS + [
+        "2,1;1,2", "2,-1;-1,2", "4,2;2,3", "6,3,3;3,6,3;3,3,6", "6,-3,3;-3,6,-3;3,-3,6",
+        "4,2,-2;2,5,2;-2,2,6", "1,1/2,1/2;1/2,1,1/2;1/2,1/2,1", "3/2,3/4;3/4,5/3",
+    ],
+)
+def test_minkowski_edge_and_tie_forms_match_fraction_oracle(text):
+    assert_matches_oracle(SymMatQ.from_text(text))
+
+
+def test_rounding_helpers_match_fraction_oracle():
+    for p in range(-60, 61):
+        for q in range(1, 25):
+            x = Fraction(p, q)
+            assert _round_half_to_zero(p, q) == schoolbook._round_half_to_zero(x), (p, q)
+            assert _round_half_up(p, q) == schoolbook._round_half_up(x), (p, q)
+
+
+def test_completion_matches_fraction_oracle():
+    import math
+
+    rng = random.Random(17)
+    pairs = [(0, 1), (1, 0), (0, -1), (-1, 0), (1, 1), (1, -1)]
+    while len(pairs) < 400:
+        a, b = rng.randint(-300, 300), rng.randint(-300, 300)
+        if math.gcd(a, b) == 1:
+            pairs.append((a, b))
+    for a, b in pairs:
+        assert unimodular_completion((a, b)) == schoolbook.completion2(a, b), (a, b)
 
 
 # ---------------------------------------------------------------------------
