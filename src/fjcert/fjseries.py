@@ -47,7 +47,7 @@ _SHEAR = ((1, 0), (1, 1))
 class FormalFJ:
     """Formal Fourier-Jacobi series: weight k, slices phis[0..M_max]."""
 
-    __slots__ = ("k", "M_max", "phis")
+    __slots__ = ("k", "M_max", "phis", "_cuspidal")
 
     def __init__(self, k: int, M_max: int, phis):
         phis = tuple(phis)
@@ -61,6 +61,7 @@ class FormalFJ:
         self.k = int(k)
         self.M_max = int(M_max)
         self.phis = phis
+        self._cuspidal = None
 
     @classmethod
     def zero(cls, k: int, M_max: int, prec: int) -> "FormalFJ":
@@ -115,8 +116,11 @@ class FormalFJ:
     def is_cuspidal(self) -> bool:
         """phi_0 vanishes and every other slice is a cusp form (4nm - r^2 > 0
         on its support); for symmetric series of holomorphic slices the
-        second part follows from the first."""
-        return self.phis[0].is_zero() and all(phi.is_cusp() for phi in self.phis[1:])
+        second part follows from the first.  The slices are scanned once
+        per series; later calls return the stored answer."""
+        if self._cuspidal is None:
+            self._cuspidal = self.phis[0].is_zero() and all(phi.is_cusp() for phi in self.phis[1:])
+        return self._cuspidal
 
     def is_zero(self) -> bool:
         return all(phi.is_zero() for phi in self.phis)
@@ -163,6 +167,11 @@ class FormalFJ:
             "M_max": self.M_max,
             "phis": [phi.to_record() for phi in self.phis],
         }
+
+    def to_json(self) -> str:
+        """The text of json.dumps(self.to_record()), written without the record."""
+        phis = ", ".join(phi._json() for phi in self.phis)
+        return '{"k": %d, "M_max": %d, "phis": [%s]}' % (self.k, self.M_max, phis)
 
     @classmethod
     def from_record(cls, rec) -> "FormalFJ":
@@ -263,41 +272,76 @@ def gritsenko_lift(phi: JacobiFormQExp, M_max: int, prec: int) -> FormalFJ:
     series: c(F; n, r, m) = sum over d | gcd(n, r, m) of d^(k-1)
     c(phi; n m / d^2, r / d).
 
-    Needs phi stored past (prec - 1) * M_max.  The sums run on integer
-    numerators over phi's denominator (times that of d^(k-1) when k < 1).
+    Needs phi stored past (prec - 1) * M_max, and c(phi; n, r) a function
+    of 4n - r^2 on the stored rows, as for every index-one form; raises
+    ValueError otherwise.  The sums run on integer numerators over phi's
+    denominator (times that of d^(k-1) when k < 1).
     """
     if phi.m != 1:
         raise ValueError("lift input must have index 1")
     if not phi.is_cusp():
         raise ValueError("lift input must be cuspidal")
+    return _lift(phi.k, phi.den, _index1_table(phi), M_max, prec)
+
+
+def _index1_table(phi: JacobiFormQExp) -> list:
+    """C with c(phi; n, r) = C[4n - r^2] / phi.den for n < phi.prec, for an
+    index-one cusp form phi; ValueError unless the stored coefficients are
+    a function of 4n - r^2."""
+    prec = phi.prec
+    table = [0] * (4 * prec - 3)
+    for (n, r), v in phi.num.items():
+        d = 4 * n - r * r
+        if table[d] != v:
+            if table[d]:
+                raise ValueError("lift input: c(%d, %d) differs from another coefficient at 4n - r^2 = %d" % (n, r, d))
+            table[d] = v
+    # each nonzero C[d] stands for every r = d mod 2 with r^2 < 4 prec - d;
+    # all stored keys agree with C, so equal counts mean none is missing
+    full = 0
+    for d, v in enumerate(table):
+        if v:
+            rb = math.isqrt(4 * prec - d - 1)
+            full += 2 * (rb // 2) + 1 if d % 2 == 0 else 2 * ((rb + 1) // 2)
+    if full != len(phi.num):
+        raise ValueError("lift input: %d coefficients stored, %d needed for a function of 4n - r^2" % (len(phi.num), full))
+    return table
+
+
+def _lift(k: int, den: int, table: list, M_max: int, prec: int) -> FormalFJ:
+    """Lift of the weight-k index-one cusp form c(n, r) = table[4n - r^2] / den:
+    c(F; n, r, m) = sum over d | gcd(n, r, m) of d^(k-1) table[(4nm - r^2) / d^2],
+    over den times the denominator of d^(k-1) when k < 1."""
     need = (prec - 1) * M_max
-    if phi.prec <= need:
+    if len(table) <= 4 * need:
         raise PrecisionError(
-            "generator stores %d rows; the requested series needs more than %d" % (phi.prec, need)
+            "generator stores %d rows; the requested series needs more than %d" % ((len(table) + 3) // 4, need)
         )
-    k = phi.k
     dpow = [Fraction(d) ** (k - 1) for d in range(1, max(M_max, 1) + 1)]
     scale = math.lcm(*(p.denominator for p in dpow))
     weight = [0] + [p.numerator * (scale // p.denominator) for p in dpow]
-    table = phi.num
+    w1 = weight[1]
     slices = [JacobiFormQExp.zero(k, 0, prec)]
     for m in range(1, M_max + 1):
         num = {}
         for n in range(1, prec):
-            rb = math.isqrt(4 * n * m - 1)
-            g0 = math.gcd(n, m)
+            base = 4 * n * m
+            rb = math.isqrt(base - 1)
+            g = math.gcd(n, m)
+            if g == 1:
+                for r in range(-rb, rb + 1):
+                    if v := table[base - r * r]:
+                        num[(n, r)] = v * w1
+                continue
+            divs = [(d, d * d, weight[d]) for d in range(1, g + 1) if g % d == 0]
             for r in range(-rb, rb + 1):
-                g = math.gcd(g0, r)
-                if g == 1:
-                    total = table.get((n * m, r), 0) * weight[1]
-                else:
-                    total = 0
-                    for d in range(1, g + 1):
-                        if g % d == 0:
-                            total += weight[d] * table.get((n * m // (d * d), r // d), 0)
+                total = 0
+                for d, dd, w in divs:
+                    if r % d == 0:
+                        total += w * table[(base - r * r) // dd]
                 if total:
                     num[(n, r)] = total
-        slices.append(JacobiFormQExp._trusted(k, m, prec, phi.den * scale, num))
+        slices.append(JacobiFormQExp._trusted(k, m, prec, den * scale, num))
     return FormalFJ(k, M_max, slices)
 
 

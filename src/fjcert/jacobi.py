@@ -11,7 +11,10 @@ series h_0 and h_1 collecting coefficients with even and odd r.  For index
 one c(n, r) depends only on 4n - r^2 and the parity of r, so every product
 and division happens on one-variable integer series.  Both weak generators
 are division-free numerators over P6 = prod (1 - q^n)^6, and an index-one
-basis element sums numerator products and is divided by P6 once.
+basis element sums numerator products and is divided by P6 once.  The
+arithmetic lift reads an index-one cusp form as one integer table C over a
+denominator, c(n, r) = C[4n - r^2], with C[4j] = h_0[j] and C[4j - 1] =
+h_1[j], never as the (n, r)-keyed coefficients.
 
 Restriction to a rational torsion point (N, lambda, mu) with z = tau1 *
 lambda + mu produces a :class:`SpecializedExpansion`, a q-expansion in
@@ -182,26 +185,41 @@ class JacobiFormQExp:
             len(self.num),
         )
 
-    def to_record(self):
+    def _coeff_texts(self) -> list:
+        """[((n, r), str(c(n, r)))] sorted by (n, r), with no Fraction built."""
         den = self.den
-
-        def text(v):  # str(Fraction(v, den)), without building the Fraction
+        items = sorted(self.num.items())
+        if den == 1:
+            return [(key, str(v)) for key, v in items]
+        out = []
+        for key, v in items:
             g = math.gcd(v, den)
-            return str(v // g) if g == den else "%d/%d" % (v // g, den // g)
+            out.append((key, str(v // g) if g == den else "%d/%d" % (v // g, den // g)))
+        return out
 
+    def to_record(self):
         return {
             "k": self.k,
             "m": self.m,
             "prec": self.prec,
-            "coeffs": [[n, r, str(v) if den == 1 else text(v)] for (n, r), v in sorted(self.num.items())],
+            "coeffs": [[n, r, t] for (n, r), t in self._coeff_texts()],
         }
+
+    def _json(self) -> str:
+        """The text of json.dumps(self.to_record()), built by one %-join."""
+        items = self._coeff_texts()
+        coeffs = ", ".join(['[%d, %d, "%s"]'] * len(items)) % tuple(x for (n, r), t in items for x in (n, r, t))
+        return '{"k": %d, "m": %d, "prec": %d, "coeffs": [%s]}' % (self.k, self.m, self.prec, coeffs)
 
     @classmethod
     def from_record(cls, rec) -> "JacobiFormQExp":
         k, m, prec = int(rec["k"]), int(rec["m"]), int(rec["prec"])
-        # int() reads plain integer text as parse_rat does, only faster
+        # int() reads plain integer text as parse_rat does, only faster;
+        # keys that are ints already skip int()
         vals = {
-            (int(n), int(r)): int(v) if type(v) is str and v.removeprefix("-").isdecimal() else parse_rat(v)
+            (n, r) if type(n) is int is type(r) else (int(n), int(r)): (
+                int(v) if type(v) is str and v.removeprefix("-").isdecimal() else _read_rat(v)
+            )
             for n, r, v in rec["coeffs"]
         }
         return cls._trusted(k, m, prec, *_checked(m, prec, vals))
@@ -217,6 +235,16 @@ class JacobiFormQExp:
             rs = [0, *(r for _, r in self.num)]
             self._fterms = terms, terms[-1][0] if terms else 0, min(rs), max(rs)
         return self._fterms
+
+
+def _read_rat(v):
+    """parse_rat(v), reading "a/b" with a and b decimal text through two
+    ints, as parse_rat reads it, only faster."""
+    if type(v) is str:
+        a, slash, b = v.partition("/")
+        if slash and b.isdecimal() and a.removeprefix("-").isdecimal() and (q := int(b)):
+            return Fraction(int(a), q)
+    return parse_rat(v)
 
 
 def _checked(m: int, prec: int, vals: dict):
@@ -236,7 +264,7 @@ def _checked(m: int, prec: int, vals: dict):
     if not fracs:
         return 1, vals
     den = math.lcm(*(v.denominator for v in fracs))
-    return den, {key: v.numerator * (den // v.denominator) for key, v in vals.items()}
+    return den, {key: v * den if type(v) is int else v.numerator * (den // v.denominator) for key, v in vals.items()}
 
 
 class _FractionView(Mapping):
@@ -395,11 +423,16 @@ def _index1_coeff(h0: dict, h1: dict, n: int, r: int):
     return h0.get(d // 4, 0) if d % 4 == 0 else h1.get((d + 1) // 4, 0)
 
 
+def _cancelled(den: int, h0: dict, h1: dict):
+    """(den, h0, h1) with the common factor of den and every value removed, den > 0."""
+    g = math.gcd(den, *h0.values(), *h1.values()) * (-1 if den < 0 else 1)
+    return den // g, {e: v // g for e, v in h0.items()}, {e: v // g for e, v in h1.items()}
+
+
 def _materialize_index1(k: int, prec: int, h0: dict, h1: dict, den: int = 1) -> JacobiFormQExp:
     """Index-one form with integer theta components h0 / den and h1 / den."""
     # cancel on the components, so that the form shares their ints and _trusted copies nothing
-    g = math.gcd(den, *h0.values(), *h1.values()) * (-1 if den < 0 else 1)
-    h0, h1 = ({e: v // g for e, v in h.items()} for h in (h0, h1))
+    den, h0, h1 = _cancelled(den, h0, h1)
     num = {}
     for n in range(prec):
         rmax = math.isqrt(4 * n + 1)
@@ -407,7 +440,7 @@ def _materialize_index1(k: int, prec: int, h0: dict, h1: dict, den: int = 1) -> 
             v = _index1_coeff(h0, h1, n, r)
             if v:
                 num[(n, r)] = v
-    return JacobiFormQExp._trusted(k, 1, prec, den // g, num)
+    return JacobiFormQExp._trusted(k, 1, prec, den, num)
 
 
 @lru_cache(maxsize=None)
@@ -446,13 +479,10 @@ def _mform_monomials(w: int, emax: int):
     return out
 
 
-def jacobi_space(k: int, cusp: bool, prec: int):
-    """Basis of the index-one space of weight k, holomorphic or cuspidal.
-
-    Each basis element is normalized so its first nonzero coefficient in
-    lexicographic (n, |r|) order equals one.  Returns [] when the space is
-    trivial.
-    """
+def _space_components(k: int, cusp: bool, prec: int) -> list:
+    """(lead, h0, h1) for each basis element of :func:`jacobi_space`: the
+    element is the index-one form with theta components h0 / lead and
+    h1 / lead below prec, before any common factor is cancelled."""
     if k < 4 or k % 2 == 1:
         raise ValueError("weight must be an even integer at least 4")
     if prec < 1:
@@ -485,8 +515,35 @@ def jacobi_space(k: int, cusp: bool, prec: int):
         # nonzero value over n, then r >= 0; it becomes the denominator
         rs = ((n, r) for n in range(prec) for r in range(math.isqrt(4 * n + 1) + 1))
         lead = next((v for n, r in rs if (v := _index1_coeff(acc0, acc1, n, r))), 1)
-        out.append(_materialize_index1(k, prec, acc0, acc1, lead))
+        out.append((lead, acc0, acc1))
     return out
+
+
+def jacobi_space(k: int, cusp: bool, prec: int):
+    """Basis of the index-one space of weight k, holomorphic or cuspidal.
+
+    Each basis element is normalized so its first nonzero coefficient in
+    lexicographic (n, |r|) order equals one.  Returns [] when the space is
+    trivial.
+    """
+    return [_materialize_index1(k, prec, h0, h1, lead) for lead, h0, h1 in _space_components(k, cusp, prec)]
+
+
+def _discriminant_table(den: int, h0: dict, h1: dict, prec: int):
+    """(den', C) for the holomorphic index-one form with theta components
+    h0 / den and h1 / den below prec: c(n, r) = C[4n - r^2] / den' for
+    n < prec, with C[4j] = h0[j] and C[4j - 1] = h1[j] over the same
+    den' as :func:`_materialize_index1` gives the form."""
+    if h1.get(0):
+        raise ValueError("form is not holomorphic: nonzero coefficient at discriminant -1")
+    den, h0, h1 = _cancelled(den, h0, h1)
+    table = [0] * (4 * prec - 3)
+    for j, v in h0.items():
+        table[4 * j] = v
+    for j, v in h1.items():
+        if j:
+            table[4 * j - 1] = v
+    return den, table
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,14 @@ image t[u] = u^T t u with generic 2x2 arithmetic and reads the Fraction
 view of the slices.  The closed-form integer audit must return an equal
 report: counts, violations in the same order, the same values.
 
+``gritsenko_lift`` is the old ``fjseries.gritsenko_lift``: it reads the
+generator's (n, r)-keyed numerators, c(phi; n m / d^2, r / d), where the
+lift now reads one table by discriminant.  ``jacobi_to_record`` and
+``jacobi_from_record`` are the old ``JacobiFormQExp.to_record`` and
+``from_record``, the latter with its own copy of the old ``_checked``: the
+one-pass series writer must produce the bytes of ``json.dumps`` of the old
+record, and the reader must accept, reject and return what the old one did.
+
 ``poly_eval`` is the old ``fjseries.poly_eval``: Horner from the leading
 coefficient, every step one product by f (here through ``series_multiply``),
 with no shortcut for a leading coefficient of one.  ``evaluate`` is the old
@@ -47,7 +55,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from fjcert.core import CycElem, QExpansion, _dict_add, _dict_div, _dict_scale, _eis_dict, _vadd, _vmul, _viszero
+from fjcert.core import CycElem, PrecisionError, QExpansion, _dict_add, _dict_div, _dict_scale, _eis_dict, _vadd, _vmul, _viszero, parse_rat
 from fjcert.fjseries import FormalFJ, SymmetryReport
 from fjcert.jacobi import (
     JacobiFormQExp,
@@ -613,3 +621,91 @@ def evaluate(phi: JacobiFormQExp, tau1: complex, z: complex) -> complex:
         res.append(v.real)
         ims.append(v.imag)
     return complex(math.fsum(res), math.fsum(ims))
+
+
+def jacobi_to_record(self: JacobiFormQExp):
+    den = self.den
+
+    def text(v):  # str(Fraction(v, den)), without building the Fraction
+        g = math.gcd(v, den)
+        return str(v // g) if g == den else "%d/%d" % (v // g, den // g)
+
+    return {
+        "k": self.k,
+        "m": self.m,
+        "prec": self.prec,
+        "coeffs": [[n, r, str(v) if den == 1 else text(v)] for (n, r), v in sorted(self.num.items())],
+    }
+
+
+def jacobi_from_record(rec) -> JacobiFormQExp:
+    k, m, prec = int(rec["k"]), int(rec["m"]), int(rec["prec"])
+    # int() reads plain integer text as parse_rat does, only faster
+    vals = {
+        (int(n), int(r)): int(v) if type(v) is str and v.removeprefix("-").isdecimal() else parse_rat(v)
+        for n, r, v in rec["coeffs"]
+    }
+    return JacobiFormQExp._trusted(k, m, prec, *_checked(m, prec, vals))
+
+
+def _checked(m: int, prec: int, vals: dict):
+    """(den, num) from {(n, r): int or Fraction} for a form of index m and
+    precision prec; ValueError on values such a form cannot hold."""
+    if m < 0:
+        raise ValueError("index must be nonnegative")
+    if prec < 0:
+        raise ValueError("precision must be nonnegative")
+    if not all(vals.values()):
+        vals = {key: v for key, v in vals.items() if v}
+    if vals and (min(vals)[0] < 0 or max(vals)[0] >= prec):
+        raise ValueError("stored n outside [0, prec)")
+    if m == 0 and any(r for _, r in vals):
+        raise ValueError("index zero forms have r = 0 only")
+    fracs = [v for v in vals.values() if type(v) is not int]
+    if not fracs:
+        return 1, vals
+    den = math.lcm(*(v.denominator for v in fracs))
+    return den, {key: v.numerator * (den // v.denominator) for key, v in vals.items()}
+
+
+def gritsenko_lift(phi: JacobiFormQExp, M_max: int, prec: int) -> FormalFJ:
+    """Arithmetic lift of an index-one cusp form to a symmetric cuspidal
+    series: c(F; n, r, m) = sum over d | gcd(n, r, m) of d^(k-1)
+    c(phi; n m / d^2, r / d).
+
+    Needs phi stored past (prec - 1) * M_max.  The sums run on integer
+    numerators over phi's denominator (times that of d^(k-1) when k < 1).
+    """
+    if phi.m != 1:
+        raise ValueError("lift input must have index 1")
+    if not phi.is_cusp():
+        raise ValueError("lift input must be cuspidal")
+    need = (prec - 1) * M_max
+    if phi.prec <= need:
+        raise PrecisionError(
+            "generator stores %d rows; the requested series needs more than %d" % (phi.prec, need)
+        )
+    k = phi.k
+    dpow = [Fraction(d) ** (k - 1) for d in range(1, max(M_max, 1) + 1)]
+    scale = math.lcm(*(p.denominator for p in dpow))
+    weight = [0] + [p.numerator * (scale // p.denominator) for p in dpow]
+    table = phi.num
+    slices = [JacobiFormQExp.zero(k, 0, prec)]
+    for m in range(1, M_max + 1):
+        num = {}
+        for n in range(1, prec):
+            rb = math.isqrt(4 * n * m - 1)
+            g0 = math.gcd(n, m)
+            for r in range(-rb, rb + 1):
+                g = math.gcd(g0, r)
+                if g == 1:
+                    total = table.get((n * m, r), 0) * weight[1]
+                else:
+                    total = 0
+                    for d in range(1, g + 1):
+                        if g % d == 0:
+                            total += weight[d] * table.get((n * m // (d * d), r // d), 0)
+                if total:
+                    num[(n, r)] = total
+        slices.append(JacobiFormQExp._trusted(k, m, prec, phi.den * scale, num))
+    return FormalFJ(k, M_max, slices)

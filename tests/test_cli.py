@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fjcert import cli
+from fjcert import cli, reduction
 from fjcert.cli import main
 from fjcert.convergence import CompactBoxSpec
 from fjcert.core import eisenstein_qexp
@@ -96,6 +96,7 @@ def test_gen_lift_round_trips(tmp_path, lift8, capsys):
     out = tmp_path / "lift.json"
     assert main(["gen-lift", "--weight", "10", "--prec", "8", "--mmax", "8", "--out", str(out)]) == 0
     assert "wrote weight-10 lift" in capsys.readouterr().out
+    assert out.read_text() == json.dumps(f.to_record())
     assert FormalFJ.from_record(json.loads(out.read_text())) == f
 
 
@@ -253,6 +254,14 @@ def test_certify_non_cuspidal_exits_4(tmp_path, capsys):
     assert rc == 4
     assert "hypothesis-failure" in report.read_text()
     assert "not cuspidal" in capsys.readouterr().err
+
+
+def test_certify_scans_each_slice_once(tmp_path, geometric_file, monkeypatch):
+    scans = []
+    is_cusp = JacobiFormQExp.is_cusp
+    monkeypatch.setattr(JacobiFormQExp, "is_cusp", lambda phi: scans.append(phi.m) or is_cusp(phi))
+    assert main(["certify", "--in", str(geometric_file), "--report", str(tmp_path / "cert.txt")]) == 0
+    assert sorted(scans) == list(range(1, 61))
 
 
 def test_certify_overflowing_tau1_exits_1(tmp_path, lift_file, capsys):
@@ -442,6 +451,19 @@ def test_reduce_identity_and_json(capsys):
 def test_reduce_rejects_indefinite(capsys):
     assert main(["reduce", "--matrix", "1,2;2,1"]) == 6
     assert "not positive definite" in capsys.readouterr().err
+
+
+def test_reduce_tests_positive_definiteness_once_per_form(monkeypatch, capsys):
+    tests = []
+    positive_definite = reduction._positive_definite
+    monkeypatch.setattr(reduction, "_positive_definite", lambda g: tests.append(len(g)) or positive_definite(g))
+    assert main(["reduce", "--matrix", "1,2;2,1"]) == 6
+    assert capsys.readouterr().err == "error: matrix is not positive definite\n"
+    assert tests == [2]
+    tests.clear()
+    assert main(["reduce", "--json", "--matrix", "9/2,3,1;3,7,2;1,2,11/3"]) == 0
+    # once for the input, once in hermite_check for the reduced form
+    assert tests == [3, 3]
 
 
 def test_reduce_usage_errors():

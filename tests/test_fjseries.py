@@ -9,6 +9,7 @@ from collections import deque
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import schoolbook
 from fjcert.core import PrecisionError, QExpansion, eisenstein_qexp, parse_rat
@@ -16,6 +17,7 @@ from fjcert.fjseries import (
     FormalFJ,
     PolynomialOverM,
     SymmetryReport,
+    _lift,
     check_symmetry,
     evaluate_partial,
     extract_phi_m,
@@ -23,7 +25,14 @@ from fjcert.fjseries import (
     monicize,
     poly_eval,
 )
-from fjcert.jacobi import JacobiFormQExp, jacobi_space, weak_generators
+from fjcert.jacobi import (
+    JacobiFormQExp,
+    _discriminant_table,
+    _materialize_index1,
+    _space_components,
+    jacobi_space,
+    weak_generators,
+)
 from fjcert.reduction import HalfIntIndex
 
 
@@ -145,6 +154,67 @@ def test_record_values_read_as_parse_rat(text):
     assert back == phi and back.to_record() == phi.to_record()
 
 
+def old_record(f: FormalFJ) -> dict:
+    return {"k": f.k, "M_max": f.M_max, "phis": [schoolbook.jacobi_to_record(phi) for phi in f.phis]}
+
+
+def mixed_denominators() -> FormalFJ:
+    """Slices over den 1, 2 and 6, negative numerators, and an empty slice."""
+    phis = [
+        JacobiFormQExp.zero(4, 0, 3),
+        JacobiFormQExp(4, 1, 3, {(1, 0): -7, (2, -1): 12345678901234567890, (2, 1): -1}),
+        JacobiFormQExp(4, 2, 3, {(1, 0): Fraction(-3, 2), (1, 1): 4, (2, -2): Fraction(1, 2)}),
+        JacobiFormQExp(4, 3, 3, {(1, 0): Fraction(-5, 6), (1, 1): Fraction(2, 3), (2, 0): Fraction(-1, 2), (2, 3): -2}),
+    ]
+    return FormalFJ(4, 3, phis)
+
+
+@pytest.mark.parametrize("case", ["lift8", "lift40", "zero", "mixed"])
+def test_series_text_is_json_of_the_record(case, request):
+    f = {"zero": lambda: FormalFJ.zero(10, 3, 4), "mixed": mixed_denominators}.get(case)
+    f = f() if f else request.getfixturevalue(case)[0]
+    if case == "mixed":
+        assert [phi.den for phi in f.phis] == [1, 1, 2, 6]
+    text = f.to_json()
+    assert text == json.dumps(f.to_record()) == json.dumps(old_record(f))
+    assert FormalFJ.from_record(json.loads(text)) == f
+
+
+# values the old reader takes through int(), through parse_rat, or rejects
+RECORD_TEXTS = ["-0", "+3", " 4", "4 ", "1_0", "1__0", "\u0663", "\u00b2", "2/4", "-6/4", "1/-2", "+1/2", " 1/2",
+                "1 /2", "1/ 2", "1/0", "0/0", "-0/5", "1/2/3", "-/2", "0.25", "1e3", "-", "", "nan", "inf", "1/\u0663"]
+record_values = st.one_of(
+    st.sampled_from(RECORD_TEXTS),
+    st.text(alphabet="0123456789-+/ _.e\u0663", max_size=6),
+    st.integers(),
+    st.floats(),
+    st.none(),
+    st.booleans(),
+)
+
+
+def assert_read_as_before(coeffs):
+    rec = {"k": 4, "m": 1, "prec": 3, "coeffs": coeffs}
+    try:
+        want = schoolbook.jacobi_from_record(rec)
+    except (KeyError, TypeError, ValueError):
+        with pytest.raises((KeyError, TypeError, ValueError)):
+            JacobiFormQExp.from_record(rec)
+        return
+    assert JacobiFormQExp.from_record(rec) == want
+
+
+@pytest.mark.parametrize("value", RECORD_TEXTS + [3, -3, 0, 0.25, 1e3, 1e300, float("nan"), None, True])
+def test_record_reader_matches_old_reader_on_each_value(value):
+    assert_read_as_before([[1, 0, value], [2, 1, "1/3"]])
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(st.integers(-1, 3), st.integers(-2, 2), record_values), max_size=6))
+def test_record_reader_matches_old_reader(coeffs):
+    assert_read_as_before([list(c) for c in coeffs])
+
+
 def test_slice_storage_is_canonical():
     half = JacobiFormQExp(4, 1, 3, {(1, 0): Fraction(1, 2), (2, 1): Fraction(3, 2)})
     assert (half.den, half.num) == (2, {(1, 0): 1, (2, 1): 3})
@@ -204,6 +274,32 @@ def test_lift_slices_vanish_at_origin(lift8):
         for n in range(phi.prec):
             row = sum(v for (nn, r), v in phi.coeffs.items() if nn == n)
             assert row == 0
+
+
+@pytest.mark.parametrize("mmax, prec", [(4, 4), (8, 6), (12, 10), (40, 40)])
+@pytest.mark.parametrize("weight", [10, 12, 16, 18, 20])
+def test_lift_by_discriminant_matches_old_lift(weight, mmax, prec):
+    gen_prec = (prec - 1) * mmax + 1
+    lead, h0, h1 = _space_components(weight, True, gen_prec)[0]
+    phi = _materialize_index1(weight, gen_prec, h0, h1, lead)  # jacobi_space(weight, True, gen_prec)[0]
+    want = schoolbook.gritsenko_lift(phi, mmax, prec)
+    # the gen-lift path, from the generator's table, and the public one, from phi
+    assert _lift(weight, *_discriminant_table(lead, h0, h1, gen_prec), mmax, prec) == want
+    assert gritsenko_lift(phi, mmax, prec) == want
+
+
+def test_lift_rejects_input_that_is_not_a_function_of_the_discriminant(phi10):
+    # c(3, 1) shares 4n - r^2 = 11 with c(3, -1), c(5, 3), c(9, 5) and c(15, 7)
+    assert phi10.num[(3, 1)] == phi10.num[(3, -1)] != 0
+    changed = dict(phi10.num)
+    changed[(3, 1)] += 1
+    missing = {key: v for key, v in phi10.num.items() if key != (3, 1)}
+    for num in (changed, missing):
+        bad = JacobiFormQExp._trusted(10, 1, phi10.prec, phi10.den, num)
+        assert bad.is_cusp()
+        with pytest.raises(ValueError, match="4n - r\\^2"):
+            gritsenko_lift(bad, 2, 3)
+    assert gritsenko_lift(phi10, 2, 3) == schoolbook.gritsenko_lift(phi10, 2, 3)
 
 
 def test_lift_input_validation(phi10):
