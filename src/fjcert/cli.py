@@ -38,7 +38,6 @@ from .core import PrecisionError, parse_rat
 from .fjseries import FormalFJ, PolynomialOverM, _lift, check_symmetry, gritsenko_lift  # noqa: F401
 from .jacobi import (  # noqa: F401
     TorsionPoint,
-    _discriminant_table,
     _space_components,
     certified_precision,
     check_point,
@@ -229,8 +228,8 @@ def _cmd_gen_lift(run: _Run) -> int:
     if not basis:
         print("error: cusp space of weight %d is empty" % k, file=sys.stderr)
         return 2
-    # the first basis element of jacobi_space, read by discriminant as gritsenko_lift reads it
-    lift = _lift(k, *_discriminant_table(*basis[0], gen_prec), mmax, prec)
+    # the table of the first basis element of jacobi_space, as gritsenko_lift reads it
+    lift = _lift(k, *basis[0], mmax, prec)
     _write_text(out, lift.to_json())
     run.emit(
         {"out": out, "weight": k, "prec": prec, "M_max": mmax, "cuspidal": lift.is_cuspidal()},
@@ -332,8 +331,11 @@ def _cmd_bound_report(run: _Run) -> int:
     points = run.get("points", 5)
     if points < 1:
         _fail_usage("points must be positive")
+    kappa = run.get("kappa", 1.1)
+    if not 0 < kappa < math.inf:
+        _fail_usage("kappa must be finite and positive")
     try:
-        rep = partial_sum_bound_check(f, q, box, range(1, mtop + 1), kappa=run.get("kappa", 1.1), points=points)
+        rep = partial_sum_bound_check(f, q, box, range(1, mtop + 1), kappa=kappa, points=points)
     except CapacityError as e:
         _fail_usage(str(e))
     except ValueError as e:  # a box point whose slice values overflow floats

@@ -63,8 +63,10 @@ class BoundConfig:
         object.__setattr__(self, "b", Fraction(self.b))
         if self.b <= 0:
             raise ValueError("b must be positive")
-        if self.slack < 0:
-            raise ValueError("slack must be nonnegative")
+        if not 0 <= self.slack < math.inf:
+            raise ValueError("slack must be finite and nonnegative")
+        if self.caps < 1:
+            raise ValueError("caps must be at least 1")
 
 
 @dataclass(frozen=True)

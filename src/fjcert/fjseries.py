@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .core import PrecisionError, parse_rat, rat_str
 # multiply is not called here: bench/spans.py traces calls under this name
-from .jacobi import JacobiFormQExp, _common_rows, _convolve, check_point, evaluate, index0_from_qexp, multiply  # noqa: F401
+from .jacobi import JacobiFormQExp, _common_rows, _convolve, _index1_table, check_point, evaluate, index0_from_qexp, multiply  # noqa: F401
 from .reduction import HalfIntIndex
 
 __all__ = [
@@ -284,39 +284,18 @@ def gritsenko_lift(phi: JacobiFormQExp, M_max: int, prec: int) -> FormalFJ:
     return _lift(phi.k, phi.den, _index1_table(phi), M_max, prec)
 
 
-def _index1_table(phi: JacobiFormQExp) -> list:
-    """C with c(phi; n, r) = C[4n - r^2] / phi.den for n < phi.prec, for an
-    index-one cusp form phi; ValueError unless the stored coefficients are
-    a function of 4n - r^2."""
-    prec = phi.prec
-    table = [0] * (4 * prec - 3)
-    for (n, r), v in phi.num.items():
-        d = 4 * n - r * r
-        if table[d] != v:
-            if table[d]:
-                raise ValueError("lift input: c(%d, %d) differs from another coefficient at 4n - r^2 = %d" % (n, r, d))
-            table[d] = v
-    # each nonzero C[d] stands for every r = d mod 2 with r^2 < 4 prec - d;
-    # all stored keys agree with C, so equal counts mean none is missing
-    full = 0
-    for d, v in enumerate(table):
-        if v:
-            rb = math.isqrt(4 * prec - d - 1)
-            full += 2 * (rb // 2) + 1 if d % 2 == 0 else 2 * ((rb + 1) // 2)
-    if full != len(phi.num):
-        raise ValueError("lift input: %d coefficients stored, %d needed for a function of 4n - r^2" % (len(phi.num), full))
-    return table
-
-
 def _lift(k: int, den: int, table: list, M_max: int, prec: int) -> FormalFJ:
     """Lift of the weight-k index-one cusp form c(n, r) = table[4n - r^2] / den:
     c(F; n, r, m) = sum over d | gcd(n, r, m) of d^(k-1) table[(4nm - r^2) / d^2],
-    over den times the denominator of d^(k-1) when k < 1."""
+    over den times the denominator of d^(k-1) when k < 1.  ValueError when
+    table[0] or table[-1] (discriminant 0 or -1) is nonzero."""
     need = (prec - 1) * M_max
     if len(table) <= 4 * need:
         raise PrecisionError(
             "generator stores %d rows; the requested series needs more than %d" % ((len(table) + 3) // 4, need)
         )
+    if table[0] or table[-1]:
+        raise ValueError("lift input is not a cusp form: nonzero coefficient at discriminant %d" % (-1 if table[-1] else 0))
     dpow = [Fraction(d) ** (k - 1) for d in range(1, max(M_max, 1) + 1)]
     scale = math.lcm(*(p.denominator for p in dpow))
     weight = [0] + [p.numerator * (scale // p.denominator) for p in dpow]

@@ -8,13 +8,15 @@ under the bound are zero, and coeffs is a read-only Fraction view built on
 access.  Products, sums, the lift and the series I/O work on num directly.
 Index-one forms are built internally from their two theta components, the
 series h_0 and h_1 collecting coefficients with even and odd r.  For index
-one c(n, r) depends only on 4n - r^2 and the parity of r, so every product
-and division happens on one-variable integer series.  Both weak generators
-are division-free numerators over P6 = prod (1 - q^n)^6, and an index-one
-basis element sums numerator products and is divided by P6 once.  The
-arithmetic lift reads an index-one cusp form as one integer table C over a
-denominator, c(n, r) = C[4n - r^2], with C[4j] = h_0[j] and C[4j - 1] =
-h_1[j], never as the (n, r)-keyed coefficients.
+one c(n, r) depends only on 4n - r^2, so every product and division happens
+on one-variable integer series.  Both weak generators are division-free
+numerators over P6 = prod (1 - q^n)^6, and an index-one basis element sums
+numerator products and is divided by P6 once.  Inside this package an
+index-one form of precision prec is one integer table C of length
+4 prec - 2 over a denominator, c(n, r) = C[4n - r^2], with C[4j] = h_0[j]
+and C[4j - 1] = h_1[j]; the slot of discriminant -1 is the last, C[-1], so
+weak, holomorphic and cusp forms share the layout.  The (n, r)-keyed form
+is materialized from C, and :func:`_index1_table` reads C back from it.
 
 Restriction to a rational torsion point (N, lambda, mu) with z = tau1 *
 lambda + mu produces a :class:`SpecializedExpansion`, a q-expansion in
@@ -418,29 +420,50 @@ def _over_p6(h: dict, jlen: int) -> dict:
     return _dict_div(_dict_div(h, p3, jlen), p3, jlen)
 
 
-def _index1_coeff(h0: dict, h1: dict, n: int, r: int):
-    d = 4 * n - r * r
-    return h0.get(d // 4, 0) if d % 4 == 0 else h1.get((d + 1) // 4, 0)
+def _table(h0: dict, h1: dict, prec: int) -> list:
+    """The discriminant table C of the index-one form with theta components
+    h0 and h1 below prec: C[4j] = h0[j], C[4j - 1] = h1[j]."""
+    table = [0] * (4 * prec - 2)
+    for j, v in h0.items():
+        table[4 * j] = v
+    for j, v in h1.items():
+        table[4 * j - 1] = v
+    return table
 
 
-def _cancelled(den: int, h0: dict, h1: dict):
-    """(den, h0, h1) with the common factor of den and every value removed, den > 0."""
-    g = math.gcd(den, *h0.values(), *h1.values()) * (-1 if den < 0 else 1)
-    return den // g, {e: v // g for e, v in h0.items()}, {e: v // g for e, v in h1.items()}
-
-
-def _materialize_index1(k: int, prec: int, h0: dict, h1: dict, den: int = 1) -> JacobiFormQExp:
-    """Index-one form with integer theta components h0 / den and h1 / den."""
-    # cancel on the components, so that the form shares their ints and _trusted copies nothing
-    den, h0, h1 = _cancelled(den, h0, h1)
+def _materialize_index1(k: int, prec: int, den: int, table: list) -> JacobiFormQExp:
+    """Index-one form with c(n, r) = table[4n - r^2] / den for n < prec."""
     num = {}
     for n in range(prec):
         rmax = math.isqrt(4 * n + 1)
         for r in range(-rmax, rmax + 1):
-            v = _index1_coeff(h0, h1, n, r)
-            if v:
+            if v := table[4 * n - r * r]:
                 num[(n, r)] = v
     return JacobiFormQExp._trusted(k, 1, prec, den, num)
+
+
+def _index1_table(phi: JacobiFormQExp) -> list:
+    """C with c(phi; n, r) = C[4n - r^2] / phi.den for n < phi.prec, for an
+    index-one form phi with 4n - r^2 >= -1 on its support; ValueError unless
+    the stored coefficients are a function of 4n - r^2."""
+    prec = phi.prec
+    table = [0] * (4 * prec - 2)
+    for (n, r), v in phi.num.items():
+        d = 4 * n - r * r
+        if table[d] != v:
+            if table[d]:
+                raise ValueError("lift input: c(%d, %d) differs from another coefficient at 4n - r^2 = %d" % (n, r, d))
+            table[d] = v
+    # each nonzero C[d] stands for every r = d mod 2 with r^2 < 4 prec - d;
+    # all stored keys agree with C, so equal counts mean none is missing
+    full = 0
+    for d in range(-1, 4 * prec - 3):
+        if table[d]:
+            rb = math.isqrt(4 * prec - d - 1)
+            full += 2 * (rb // 2) + 1 if d % 2 == 0 else 2 * ((rb + 1) // 2)
+    if full != len(phi.num):
+        raise ValueError("lift input: %d coefficients stored, %d needed for a function of 4n - r^2" % (len(phi.num), full))
+    return table
 
 
 @lru_cache(maxsize=None)
@@ -453,7 +476,8 @@ def weak_generators(prec: int):
     if prec < 1:
         raise ValueError("precision must be at least 1")
     u, w = _numerators(prec)
-    return tuple(_materialize_index1(k, prec, _over_p6(h0, prec), _over_p6(h1, prec)) for k, (h0, h1) in ((-2, u), (0, w)))
+    tables = (_table(_over_p6(h0, prec), _over_p6(h1, prec), prec) for h0, h1 in (u, w))
+    return tuple(_materialize_index1(k, prec, 1, table) for k, table in zip((-2, 0), tables))
 
 
 def _mform_monomials(w: int, emax: int):
@@ -480,9 +504,9 @@ def _mform_monomials(w: int, emax: int):
 
 
 def _space_components(k: int, cusp: bool, prec: int) -> list:
-    """(lead, h0, h1) for each basis element of :func:`jacobi_space`: the
-    element is the index-one form with theta components h0 / lead and
-    h1 / lead below prec, before any common factor is cancelled."""
+    """(den, C) for each basis element of :func:`jacobi_space`: the element
+    is the index-one form c(n, r) = C[4n - r^2] / den below prec, with no
+    common factor of den > 0 and C left."""
     if k < 4 or k % 2 == 1:
         raise ValueError("weight must be an even integer at least 4")
     if prec < 1:
@@ -510,12 +534,13 @@ def _space_components(k: int, cusp: bool, prec: int) -> list:
             if mon:
                 acc0 = _dict_add(acc0, _dict_mul(mon, h0, prec))
                 acc1 = _dict_add(acc1, _dict_mul(mon, h1, prec))
-        acc0, acc1 = _over_p6(acc0, prec), _over_p6(acc1, prec)
+        table = _table(_over_p6(acc0, prec), _over_p6(acc1, prec), prec)
         # c(n, r) = c(n, -r), so the lead in (n, |r|) order is the first
         # nonzero value over n, then r >= 0; it becomes the denominator
-        rs = ((n, r) for n in range(prec) for r in range(math.isqrt(4 * n + 1) + 1))
-        lead = next((v for n, r in rs if (v := _index1_coeff(acc0, acc1, n, r))), 1)
-        out.append((lead, acc0, acc1))
+        ds = (4 * n - r * r for n in range(prec) for r in range(math.isqrt(4 * n + 1) + 1))
+        lead = next((v for d in ds if (v := table[d])), 1)
+        g = math.gcd(lead, *table) * (1 if lead > 0 else -1)
+        out.append((lead // g, [v // g for v in table]))
     return out
 
 
@@ -526,24 +551,7 @@ def jacobi_space(k: int, cusp: bool, prec: int):
     lexicographic (n, |r|) order equals one.  Returns [] when the space is
     trivial.
     """
-    return [_materialize_index1(k, prec, h0, h1, lead) for lead, h0, h1 in _space_components(k, cusp, prec)]
-
-
-def _discriminant_table(den: int, h0: dict, h1: dict, prec: int):
-    """(den', C) for the holomorphic index-one form with theta components
-    h0 / den and h1 / den below prec: c(n, r) = C[4n - r^2] / den' for
-    n < prec, with C[4j] = h0[j] and C[4j - 1] = h1[j] over the same
-    den' as :func:`_materialize_index1` gives the form."""
-    if h1.get(0):
-        raise ValueError("form is not holomorphic: nonzero coefficient at discriminant -1")
-    den, h0, h1 = _cancelled(den, h0, h1)
-    table = [0] * (4 * prec - 3)
-    for j, v in h0.items():
-        table[4 * j] = v
-    for j, v in h1.items():
-        if j:
-            table[4 * j - 1] = v
-    return den, table
+    return [_materialize_index1(k, prec, den, table) for den, table in _space_components(k, cusp, prec)]
 
 
 # ---------------------------------------------------------------------------

@@ -568,6 +568,14 @@ def fuzz_argv(base, command):
         (["certify", "--tau1", "nanj"], 64),
         (["certify", "--tau1", "1e400j"], 64),
         (["certify", "--tau1", "nan+1j"], 64),
+        (["certify", "--slack", "nan"], 64),
+        (["certify", "--slack", "inf"], 64),
+        (["certify", "--cap", "0"], 64),
+        (["certify", "--cap", "-1"], 64),
+        (["bound-report", "--kappa", "nan"], 64),
+        (["bound-report", "--kappa", "inf"], 64),
+        (["bound-report", "--kappa", "0"], 64),
+        (["bound-report", "--kappa", "-1"], 64),
     ],
 )
 def test_bad_values_exit_per_contract(fuzz_inputs, extra, code):

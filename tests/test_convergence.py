@@ -149,6 +149,13 @@ def test_bound_config_coerces_and_validates():
         BoundConfig(b=0)
     with pytest.raises(ValueError):
         BoundConfig(slack=-0.1)
+    for slack in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="slack"):
+            BoundConfig(slack=slack)
+    for caps in (0, -1):
+        with pytest.raises(ValueError, match="caps"):
+            BoundConfig(caps=caps)
+    assert BoundConfig(slack=0, caps=1).caps == 1
 
 
 def test_compact_box_validates_and_round_trips():

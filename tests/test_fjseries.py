@@ -27,7 +27,7 @@ from fjcert.fjseries import (
 )
 from fjcert.jacobi import (
     JacobiFormQExp,
-    _discriminant_table,
+    _index1_table,
     _materialize_index1,
     _space_components,
     jacobi_space,
@@ -280,11 +280,11 @@ def test_lift_slices_vanish_at_origin(lift8):
 @pytest.mark.parametrize("weight", [10, 12, 16, 18, 20])
 def test_lift_by_discriminant_matches_old_lift(weight, mmax, prec):
     gen_prec = (prec - 1) * mmax + 1
-    lead, h0, h1 = _space_components(weight, True, gen_prec)[0]
-    phi = _materialize_index1(weight, gen_prec, h0, h1, lead)  # jacobi_space(weight, True, gen_prec)[0]
+    den, table = _space_components(weight, True, gen_prec)[0]
+    phi = _materialize_index1(weight, gen_prec, den, table)  # jacobi_space(weight, True, gen_prec)[0]
     want = schoolbook.gritsenko_lift(phi, mmax, prec)
     # the gen-lift path, from the generator's table, and the public one, from phi
-    assert _lift(weight, *_discriminant_table(lead, h0, h1, gen_prec), mmax, prec) == want
+    assert _lift(weight, den, table, mmax, prec) == want
     assert gritsenko_lift(phi, mmax, prec) == want
 
 
@@ -300,6 +300,23 @@ def test_lift_rejects_input_that_is_not_a_function_of_the_discriminant(phi10):
         with pytest.raises(ValueError, match="4n - r\\^2"):
             gritsenko_lift(bad, 2, 3)
     assert gritsenko_lift(phi10, 2, 3) == schoolbook.gritsenko_lift(phi10, 2, 3)
+
+
+def test_lift_rejects_a_table_with_a_coefficient_at_discriminant_0_or_minus_1(phi10):
+    weak = weak_generators(30)[0]
+    table = _index1_table(weak)
+    # the discriminant -1 coefficient sits in the last slot
+    assert table[0] == -2 and table[-1] == 1
+    assert _materialize_index1(weak.k, weak.prec, weak.den, table) == weak
+    with pytest.raises(ValueError, match="discriminant -1"):
+        _lift(-2, 1, table, 2, 3)
+    cusp = _index1_table(phi10)
+    assert cusp[0] == cusp[-1] == 0
+    with pytest.raises(ValueError, match="discriminant 0"):
+        _lift(10, phi10.den, [1] + cusp[1:], 2, 3)
+    with pytest.raises(ValueError, match="discriminant -1"):
+        _lift(10, phi10.den, cusp[:-1] + [1], 2, 3)
+    assert _lift(10, phi10.den, cusp, 2, 3) == gritsenko_lift(phi10, 2, 3)
 
 
 def test_lift_input_validation(phi10):
