@@ -228,11 +228,12 @@ def _cmd_gen_lift(run: _Run) -> int:
     if not basis:
         print("error: cusp space of weight %d is empty" % k, file=sys.stderr)
         return 2
-    # the table of the first basis element of jacobi_space, as gritsenko_lift reads it
+    # the first basis element of jacobi_space, as gritsenko_lift reads it; _lift rejects
+    # C[0] or C[-1] nonzero and stores only 4nm - r^2 >= 1, so its output is cuspidal
     lift = _lift(k, *basis[0], mmax, prec)
     _write_text(out, lift.to_json())
     run.emit(
-        {"out": out, "weight": k, "prec": prec, "M_max": mmax, "cuspidal": lift.is_cuspidal()},
+        {"out": out, "weight": k, "prec": prec, "M_max": mmax, "cuspidal": True},
         ["wrote weight-%d lift (prec %d, M_max %d) to %s" % (k, prec, mmax, out)],
     )
     return 0

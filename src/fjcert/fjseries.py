@@ -18,6 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from itertools import compress, repeat
 
 from .core import PrecisionError, parse_rat, rat_str
 # multiply is not called here: bench/spans.py traces calls under this name
@@ -302,25 +303,26 @@ def _lift(k: int, den: int, table: list, M_max: int, prec: int) -> FormalFJ:
     w1 = weight[1]
     slices = [JacobiFormQExp.zero(k, 0, prec)]
     for m in range(1, M_max + 1):
-        num = {}
+        keys, vals = [], []
         for n in range(1, prec):
             base = 4 * n * m
             rb = math.isqrt(base - 1)
             g = math.gcd(n, m)
-            if g == 1:
-                for r in range(-rb, rb + 1):
-                    if v := table[base - r * r]:
-                        num[(n, r)] = v * w1
-                continue
-            divs = [(d, d * d, weight[d]) for d in range(1, g + 1) if g % d == 0]
-            for r in range(-rb, rb + 1):
-                total = 0
-                for d, dd, w in divs:
-                    if r % d == 0:
-                        total += w * table[(base - r * r) // dd]
-                if total:
-                    num[(n, r)] = total
-        slices.append(JacobiFormQExp._trusted(k, m, prec, den * scale, num))
+            # row n on r >= 0, mirrored as 4nm - r^2 and d | r are even in r:
+            # the divisor d = 1, then each d > 1 of g on r = 0 mod d
+            half = [table[base - r * r] * w1 for r in range(rb + 1)]
+            for d in range(2, g + 1):
+                if g % d == 0:
+                    w, dd = weight[d], d * d
+                    for r in range(0, rb + 1, d):
+                        half[r] += w * table[(base - r * r) // dd]
+            keys += zip(repeat(n), range(-rb, rb + 1))
+            vals += half[:0:-1] + half
+        # the slice's factor in common with den is cancelled before its dict is built
+        nonzero = list(filter(None, vals))
+        g = math.gcd(den * scale, *nonzero)
+        num = dict(zip(compress(keys, vals), nonzero if g == 1 else [v // g for v in nonzero]))
+        slices.append(JacobiFormQExp._trusted(k, m, prec, den * scale // g, num))
     return FormalFJ(k, M_max, slices)
 
 

@@ -10,8 +10,10 @@ Index-one forms are built internally from their two theta components, the
 series h_0 and h_1 collecting coefficients with even and odd r.  For index
 one c(n, r) depends only on 4n - r^2, so every product and division happens
 on one-variable integer series.  Both weak generators are division-free
-numerators over P6 = prod (1 - q^n)^6, and an index-one basis element sums
-numerator products and is divided by P6 once.  Inside this package an
+numerators U and W over P6 = prod (1 - q^n)^6.  Weak and holomorphic forms
+sum numerator products and divide by P6 once; a cusp form is Delta times a
+weak form and Delta / P6 = q P18, P18 = P3^6, so a cusp basis element is
+q P18 times a numerator sum, with no division.  Inside this package an
 index-one form of precision prec is one integer table C of length
 4 prec - 2 over a denominator, c(n, r) = C[4n - r^2], with C[4j] = h_0[j]
 and C[4j - 1] = h_1[j]; the slot of discriminant -1 is the last, C[-1], so
@@ -193,11 +195,7 @@ class JacobiFormQExp:
         items = sorted(self.num.items())
         if den == 1:
             return [(key, str(v)) for key, v in items]
-        out = []
-        for key, v in items:
-            g = math.gcd(v, den)
-            out.append((key, str(v // g) if g == den else "%d/%d" % (v // g, den // g)))
-        return out
+        return [(key, str(v // g) if (g := math.gcd(v, den)) == den else "%d/%d" % (v // g, den // g)) for key, v in items]
 
     def to_record(self):
         return {
@@ -208,9 +206,8 @@ class JacobiFormQExp:
         }
 
     def _json(self) -> str:
-        """The text of json.dumps(self.to_record()), built by one %-join."""
-        items = self._coeff_texts()
-        coeffs = ", ".join(['[%d, %d, "%s"]'] * len(items)) % tuple(x for (n, r), t in items for x in (n, r, t))
+        """The text of json.dumps(self.to_record()), one f-string per coefficient."""
+        coeffs = ", ".join([f'[{n}, {r}, "{t}"]' for (n, r), t in self._coeff_texts()])
         return '{"k": %d, "m": %d, "prec": %d, "coeffs": [%s]}' % (self.k, self.m, self.prec, coeffs)
 
     @classmethod
@@ -351,11 +348,11 @@ def _common_rows(phis):
 #
 # W is the weight-0 theta quotient (2 SA'/T2 + 8 SBq^3/T44, SBq/T2 - 64 q
 # SA'^3/T44) times T2 T44 = P6, since B Th4^2 = P3: psi(q) phi(-q)^2 = f(-q)^3
-# by phi(-q) = f(-q)^2/f(-q^2) and psi(q) = f(-q^2)^2/f(-q).  So a basis
-# element sums products of numerators with small coefficients and divides by
-# P6 once, as two exact divisions by P3, each costing the quotient length
-# times P3's O(sqrt(emax)) terms.  The tests pin the identities and the
-# components against a brute-force two-variable theta quotient.
+# by phi(-q) = f(-q)^2/f(-q^2) and psi(q) = f(-q^2)^2/f(-q).  A weak or
+# holomorphic form sums numerator products and divides by P6 once, as two exact
+# divisions by P3.  A cusp form is Delta = q P3^8 times a weak form, so it is
+# q P18 (P18 = P3^6) times a numerator sum, with no division.  The tests pin
+# the identities and the components against a two-variable theta quotient.
 
 
 @lru_cache(maxsize=None)
@@ -482,25 +479,9 @@ def weak_generators(prec: int):
 
 def _mform_monomials(w: int, emax: int):
     """Integer q-expansions of the monomials E4^a E6^b of weight w, a descending."""
-    if w < 0 or w % 2 == 1 or w == 2:
-        return []
-    if w == 0:
-        return [{0: 1}]
-    out = []
-    for a in range(w // 4, -1, -1):
-        rem = w - 4 * a
-        if rem % 6:
-            continue
-        b = rem // 6
-        cur = {0: 1}
-        e4 = _eis_dict(4, emax)
-        e6 = _eis_dict(6, emax)
-        for _ in range(a):
-            cur = _dict_mul(cur, e4, emax)
-        for _ in range(b):
-            cur = _dict_mul(cur, e6, emax)
-        out.append(cur)
-    return out
+    e4, e6 = (_eis_dict(4, emax), _eis_dict(6, emax)) if w > 2 else ({}, {})  # weight 0: the empty product
+    mul = lambda f, g: _dict_mul(f, g, emax)  # noqa: E731
+    return [reduce(mul, [e4] * a + [e6] * ((w - 4 * a) // 6), {0: 1}) for a in range(w // 4, -1, -1) if (w - 4 * a) % 6 == 0]
 
 
 def _space_components(k: int, cusp: bool, prec: int) -> list:
@@ -511,30 +492,9 @@ def _space_components(k: int, cusp: bool, prec: int) -> list:
         raise ValueError("weight must be an even integer at least 4")
     if prec < 1:
         raise ValueError("precision must be at least 1")
-    mons_a = _mform_monomials(k + 2, prec)
-    mons_b = _mform_monomials(k, prec)
-    na, nb = len(mons_a), len(mons_b)
-    # the only linear conditions are at discriminants -1 (holomorphy) and 0
-    # (cuspidality): sum x = 0 and, for cusp forms, -2 sum_{i<na} x_i + 10 sum_{i>=na} x_i
-    # = 0.  Their reduced kernel basis is e_f - e_p over the non-pivots f; the pivots
-    # are 0 and, for cusp forms with both blocks nonempty, na.
-    both = cusp and na > 0 and nb > 0
     out = []
-    for f in range(1, na + nb):
-        if both and f == na:
-            continue
-        vec = [0] * (na + nb)
-        vec[f], vec[na if both and f > na else 0] = 1, -1
-        acc0, acc1 = {}, {}
-        # sum_i x_i mon_i h / P6 = ((sum_i x_i mon_i) h) / P6: one product per numerator
-        for mons, xs, (h0, h1) in zip((mons_a, mons_b), (vec[:na], vec[na:]), _numerators(prec)):
-            mon: dict = {}
-            for m, x in zip(mons, xs):
-                mon = _dict_add(mon, _dict_scale(m, x))
-            if mon:
-                acc0 = _dict_add(acc0, _dict_mul(mon, h0, prec))
-                acc1 = _dict_add(acc1, _dict_mul(mon, h1, prec))
-        table = _table(_over_p6(acc0, prec), _over_p6(acc1, prec), prec)
+    for h0, h1 in (_cusp_components if cusp else _holomorphic_components)(k, prec):
+        table = _table(h0, h1, prec)
         # c(n, r) = c(n, -r), so the lead in (n, |r|) order is the first
         # nonzero value over n, then r >= 0; it becomes the denominator
         ds = (4 * n - r * r for n in range(prec) for r in range(math.isqrt(4 * n + 1) + 1))
@@ -542,6 +502,38 @@ def _space_components(k: int, cusp: bool, prec: int) -> list:
         g = math.gcd(lead, *table) * (1 if lead > 0 else -1)
         out.append((lead // g, [v // g for v in table]))
     return out
+
+
+def _holomorphic_components(k: int, prec: int):
+    """Theta components of the holomorphic basis, up to constants: holomorphy
+    at discriminant -1, where U and W have coefficient 1, is the one condition
+    on the monomials of weights k + 2 (times U / P6) and k (times W / P6), and
+    its kernel basis is e_f - e_0 over f >= 1."""
+    mons_a = _mform_monomials(k + 2, prec)
+    first = _dict_scale(mons_a[0], -1)
+    for a, b in [(_dict_add(mon, first), {}) for mon in mons_a[1:]] + [(first, mon) for mon in _mform_monomials(k, prec)]:
+        yield tuple(_over_p6(_dict_add(_dict_mul(a, u, prec), _dict_mul(b, w, prec)), prec) for u, w in zip(*_numerators(prec)))
+
+
+def _cusp_components(k: int, prec: int):
+    """Theta components of the cusp basis, up to constants, by products only:
+    the conditions at discriminants -1 and 0 give the kernel basis mon_f -
+    mon_0, f >= 1, in each block.  As a descends, mon_f = mon_0 (E6^2/E4^3)^f,
+    and E4^3 - E6^2 = 1728 Delta makes mon_f - mon_0 = -1728 Delta sum_{t<f}
+    mon'_t, mon' of weight 12 less.  Delta / P6 = q P18, so element f is
+    q P18 U sum_{t<f} mon'_t with mon' of weight k - 10, and likewise with W
+    and weight k - 12 (Eichler-Zagier, Thm. 9.3)."""
+    jlen = prec - 1  # the factor q shifts every exponent by one
+    p3 = _series_p3(jlen)
+    p6 = _dict_mul(p3, p3, jlen)
+    p18 = _dict_mul(_dict_mul(p6, p6, jlen), p6, jlen)
+    for w, h in zip((k - 10, k - 12), _numerators(prec)):
+        mons = _mform_monomials(w, jlen)
+        g0, g1 = (_dict_mul(p18, c, jlen) for c in h) if mons else ({}, {})
+        x: dict = {}
+        for mon in mons:
+            x = _dict_add(x, mon)
+            yield tuple({e + 1: v for e, v in _dict_mul(x, g, jlen).items()} for g in (g0, g1))
 
 
 def jacobi_space(k: int, cusp: bool, prec: int):

@@ -15,6 +15,12 @@ to dense series and divided out whole, rational theta components
 materialized through the validating constructor, and the normalization
 applied to the materialized form.
 
+``space_components`` is the old ``jacobi._space_components`` body: it
+takes the kernel of the holomorphy and cusp conditions as e_f - e_p with a
+cusp pivot p, and divides every basis element's numerator sum by P6, also
+for cusp forms, where the package now multiplies by q P18 instead.  Its
+(den, C) must be the package's, element for element.
+
 ``reduce2`` is the old ``reduction._reduce2``, the Gauss reduction loop
 for binary forms that the general Minkowski loop replaced; on binary forms
 the two must return the same (form, transform) pair.
@@ -55,13 +61,17 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from fjcert.core import CycElem, PrecisionError, QExpansion, _dict_add, _dict_div, _dict_scale, _eis_dict, _vadd, _vmul, _viszero, parse_rat
+from fjcert.core import CycElem, PrecisionError, QExpansion, _dict_add, _dict_div, _dict_mul, _dict_scale, _eis_dict, _vadd, _vmul, _viszero, parse_rat
+from fjcert import jacobi
 from fjcert.fjseries import FormalFJ, SymmetryReport
 from fjcert.jacobi import (
     JacobiFormQExp,
+    _numerators,
+    _over_p6,
     _series_p3,
     _series_sa,
     _series_sbq,
+    _table,
 )
 from fjcert.reduction import (
     SymMatQ,
@@ -362,6 +372,47 @@ def jacobi_space(k: int, cusp: bool, prec: int):
             acc1 = _dict_add(acc1, _dict_scale(dict_mul(mon, comp[1], prec), x))
         form = _materialize_index1(k, prec, acc0, acc1)
         out.append(_lex_normalize(form))
+    return out
+
+
+def space_components(k: int, cusp: bool, prec: int) -> list:
+    """(den, C) for each basis element of :func:`jacobi_space`: the element
+    is the index-one form c(n, r) = C[4n - r^2] / den below prec, with no
+    common factor of den > 0 and C left."""
+    if k < 4 or k % 2 == 1:
+        raise ValueError("weight must be an even integer at least 4")
+    if prec < 1:
+        raise ValueError("precision must be at least 1")
+    mons_a = jacobi._mform_monomials(k + 2, prec)
+    mons_b = jacobi._mform_monomials(k, prec)
+    na, nb = len(mons_a), len(mons_b)
+    # the only linear conditions are at discriminants -1 (holomorphy) and 0
+    # (cuspidality): sum x = 0 and, for cusp forms, -2 sum_{i<na} x_i + 10 sum_{i>=na} x_i
+    # = 0.  Their reduced kernel basis is e_f - e_p over the non-pivots f; the pivots
+    # are 0 and, for cusp forms with both blocks nonempty, na.
+    both = cusp and na > 0 and nb > 0
+    out = []
+    for f in range(1, na + nb):
+        if both and f == na:
+            continue
+        vec = [0] * (na + nb)
+        vec[f], vec[na if both and f > na else 0] = 1, -1
+        acc0, acc1 = {}, {}
+        # sum_i x_i mon_i h / P6 = ((sum_i x_i mon_i) h) / P6: one product per numerator
+        for mons, xs, (h0, h1) in zip((mons_a, mons_b), (vec[:na], vec[na:]), _numerators(prec)):
+            mon: dict = {}
+            for m, x in zip(mons, xs):
+                mon = _dict_add(mon, _dict_scale(m, x))
+            if mon:
+                acc0 = _dict_add(acc0, _dict_mul(mon, h0, prec))
+                acc1 = _dict_add(acc1, _dict_mul(mon, h1, prec))
+        table = _table(_over_p6(acc0, prec), _over_p6(acc1, prec), prec)
+        # c(n, r) = c(n, -r), so the lead in (n, |r|) order is the first
+        # nonzero value over n, then r >= 0; it becomes the denominator
+        ds = (4 * n - r * r for n in range(prec) for r in range(math.isqrt(4 * n + 1) + 1))
+        lead = next((v for d in ds if (v := table[d])), 1)
+        g = math.gcd(lead, *table) * (1 if lead > 0 else -1)
+        out.append((lead // g, [v // g for v in table]))
     return out
 
 

@@ -108,6 +108,21 @@ def test_gen_lift_json_stdout(tmp_path, capsys):
     assert rec["weight"] == 10 and rec["cuspidal"] is True
 
 
+def test_gen_lift_reports_cuspidal_without_a_scan(tmp_path, capsys, monkeypatch, lift8):
+    # _lift rejects a table with C[0] or C[-1] nonzero and stores only 4nm - r^2 >= 1
+    def scan(self):
+        raise AssertionError("gen-lift scanned the lift")
+
+    out = tmp_path / "lift.json"
+    with monkeypatch.context() as patch:
+        patch.setattr(FormalFJ, "is_cuspidal", scan)
+        patch.setattr(JacobiFormQExp, "is_cusp", scan)
+        assert main(["gen-lift", "--weight", "10", "--prec", "8", "--mmax", "8", "--out", str(out), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["cuspidal"] is True
+    f = FormalFJ.from_record(json.loads(out.read_text()))
+    assert f == lift8[0] and f.is_cuspidal()
+
+
 def test_gen_lift_empty_space_exits_2(tmp_path, capsys):
     out = tmp_path / "lift.json"
     assert main(["gen-lift", "--weight", "4", "--out", str(out)]) == 2

@@ -288,6 +288,25 @@ def test_lift_by_discriminant_matches_old_lift(weight, mmax, prec):
     assert gritsenko_lift(phi, mmax, prec) == want
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([-2, 4, 10]),
+    st.sampled_from([1, 2, 6]),
+    st.sampled_from([1, 2, 3]),
+    st.integers(1, 6),
+    st.integers(1, 5),
+    st.data(),
+)
+def test_lift_of_any_cusp_table_matches_old_lift(k, den, factor, mmax, prec, data):
+    # zero coefficients inside a row, slices sharing a factor with den, and the
+    # denominators of d^(k-1) for k < 1
+    gen_prec = (prec - 1) * mmax + 1
+    entries = st.integers(-3, 3).map(lambda v: v * factor)
+    table = [0] + data.draw(st.lists(entries, min_size=4 * gen_prec - 4, max_size=4 * gen_prec - 4)) + [0]
+    phi = _materialize_index1(k, gen_prec, den, table)
+    assert _lift(k, den, table, mmax, prec) == schoolbook.gritsenko_lift(phi, mmax, prec)
+
+
 def test_lift_rejects_input_that_is_not_a_function_of_the_discriminant(phi10):
     # c(3, 1) shares 4n - r^2 = 11 with c(3, -1), c(5, 3), c(9, 5) and c(15, 7)
     assert phi10.num[(3, 1)] == phi10.num[(3, -1)] != 0

@@ -303,6 +303,36 @@ def test_generators_divide_only_by_p3(monkeypatch):
     assert all(den == jacobi._series_p3(emax) for den, emax in divisors)
 
 
+def test_delta_over_p6_is_q_p18():
+    # Delta = (E4^3 - E6^2) / 1728 = q P3^8, and the cusp basis multiplies by Delta / P6 = q P18
+    e = 600
+    mul = lambda a, b: jacobi._dict_mul(a, b, e)  # noqa: E731
+    e4, e6 = jacobi._eis_dict(4, e), jacobi._eis_dict(6, e)
+    diff = jacobi._dict_add(mul(mul(e4, e4), e4), jacobi._dict_scale(mul(e6, e6), -1))
+    assert all(v % 1728 == 0 for v in diff.values())
+    delta = {x: v // 1728 for x, v in diff.items()}
+    assert delta[1] == 1 and delta[2] == -24 and delta[11] == 534612 and len(delta) == e - 1
+    p3 = jacobi._series_p3(e)
+    p6 = mul(p3, p3)
+    p18 = mul(mul(p6, p6), p6)
+    assert {x + 1: v for x, v in mul(mul(p6, p6), mul(p6, p6)).items() if x + 1 < e} == delta
+    assert {x + 1: v for x, v in mul(p18, p6).items() if x + 1 < e} == delta
+
+
+def test_cusp_basis_makes_no_division(monkeypatch):
+    calls = []
+
+    def spy(num, den, emax):
+        calls.append(emax)
+        raise AssertionError("the cusp basis divides")
+
+    monkeypatch.setattr(jacobi, "_dict_div", spy)
+    for k in range(10, 41, 2):
+        assert jacobi._space_components(k, True, 50)
+        assert jacobi_space(k, True, 31)
+    assert not calls
+
+
 # ---------------------------------------------------------------------------
 # multiplication
 

@@ -236,6 +236,16 @@ def test_jacobi_space_matches_schoolbook_construction(prec):
             assert jacobi_space(k, cusp, prec) == schoolbook.jacobi_space(k, cusp, prec), (k, cusp)
 
 
+@pytest.mark.parametrize("prec", [1, 2, 3, 7, 60, 217, 1561])
+def test_cusp_components_match_division_by_p6(prec):
+    # the cusp basis is q P18 times numerator sums; the oracle divides the sums by P6.
+    # 217 and 1561 are the box-cert and lift-deep generator precisions, with cusp
+    # dimension 1, 1, 2 and 3 at weights 10, 12, 16 and 22
+    weights = range(4, 61, 2) if prec <= 7 else range(4, 33, 2) if prec == 60 else (10, 12, 16, 22)
+    for k in weights:
+        assert jacobi._space_components(k, True, prec) == schoolbook.space_components(k, True, prec), k
+
+
 @pytest.mark.parametrize("cusp", [False, True])
 def test_jacobi_space_builds_no_fraction(monkeypatch, cusp):
     # the index-one construction is integer throughout: each form's lead becomes its denominator
