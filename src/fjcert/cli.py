@@ -221,16 +221,16 @@ def _cmd_gen_lift(run: _Run) -> int:
         _fail_usage("prec and mmax must be positive")
     gen_prec = (prec - 1) * mmax + 1
     try:
-        basis = _space_components(k, True, gen_prec)
+        # the first basis element of jacobi_space, as gritsenko_lift reads it; the rest are not built
+        first = next(_space_components(k, True, gen_prec), None)
     except ValueError as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
-    if not basis:
+    if first is None:
         print("error: cusp space of weight %d is empty" % k, file=sys.stderr)
         return 2
-    # the first basis element of jacobi_space, as gritsenko_lift reads it; _lift rejects
-    # C[0] or C[-1] nonzero and stores only 4nm - r^2 >= 1, so its output is cuspidal
-    lift = _lift(k, *basis[0], mmax, prec)
+    # _lift rejects C[0] or C[-1] nonzero and stores only 4nm - r^2 >= 1, so its output is cuspidal
+    lift = _lift(k, *first, mmax, prec)
     _write_text(out, lift.to_json())
     run.emit(
         {"out": out, "weight": k, "prec": prec, "M_max": mmax, "cuspidal": True},

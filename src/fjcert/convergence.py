@@ -144,13 +144,6 @@ class ConvergenceReport:
             lines.append("%s: %d rows (%s)" % (name, len(rows), ", ".join(header)))
         return "\n".join(lines) + "\n"
 
-    def save(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.to_text())
-
-    def save_csv(self, name: str, path):
-        write_csv(path, *self.series[name])
-
 
 def _plain(v):
     if isinstance(v, Fraction):

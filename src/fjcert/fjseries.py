@@ -18,11 +18,11 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import chain, compress
 
-from .core import PrecisionError, parse_rat, rat_str
+from .core import PrecisionError, rat_str
 # multiply is not called here: bench/spans.py traces calls under this name
-from .jacobi import JacobiFormQExp, _common_rows, _convolve, _index1_table, check_point, evaluate, index0_from_qexp, multiply  # noqa: F401
+from .jacobi import JacobiFormQExp, _common_rows, _convolve, _index1_table, _read_int, check_point, evaluate, multiply  # noqa: F401
 from .reduction import HalfIntIndex
 
 __all__ = [
@@ -74,13 +74,6 @@ class FormalFJ:
         phis += [JacobiFormQExp.zero(0, m, prec) for m in range(1, M_max + 1)]
         return cls(0, M_max, phis)
 
-    @classmethod
-    def pad_index0(cls, k: int, qe, M_max: int, prec: int) -> "FormalFJ":
-        """Series whose only slice is an index-zero embedding of qe."""
-        phi0 = index0_from_qexp(k, qe).truncated(prec)
-        phis = [phi0] + [JacobiFormQExp.zero(k, m, prec) for m in range(1, M_max + 1)]
-        return cls(k, M_max, phis)
-
     @property
     def prec(self) -> int:
         return min(phi.prec for phi in self.phis)
@@ -104,15 +97,6 @@ class FormalFJ:
         if m < 0 or m > self.M_max:
             raise PrecisionError("slice index m=%d is beyond M_max=%d" % (m, self.M_max))
         return self.phis[m].coeff(n, r)
-
-    def coeff_table(self, bound: int | None = None):
-        """All stored coefficients as a HalfIntIndex-keyed map."""
-        out = {}
-        mtop = self.M_max if bound is None else min(bound, self.M_max)
-        for m in range(mtop + 1):
-            for (n, r), v in self.phis[m].coeffs.items():
-                out[HalfIntIndex(Fraction(n), Fraction(r), m)] = v
-        return out
 
     def is_cuspidal(self) -> bool:
         """phi_0 vanishes and every other slice is a cusp form (4nm - r^2 > 0
@@ -177,8 +161,8 @@ class FormalFJ:
     @classmethod
     def from_record(cls, rec) -> "FormalFJ":
         return cls(
-            int(rec["k"]),
-            int(rec["M_max"]),
+            _read_int(rec["k"]),
+            _read_int(rec["M_max"]),
             [JacobiFormQExp.from_record(r) for r in rec["phis"]],
         )
 
@@ -303,7 +287,7 @@ def _lift(k: int, den: int, table: list, M_max: int, prec: int) -> FormalFJ:
     w1 = weight[1]
     slices = [JacobiFormQExp.zero(k, 0, prec)]
     for m in range(1, M_max + 1):
-        keys, vals = [], []
+        halves = []
         for n in range(1, prec):
             base = 4 * n * m
             rb = math.isqrt(base - 1)
@@ -316,13 +300,16 @@ def _lift(k: int, den: int, table: list, M_max: int, prec: int) -> FormalFJ:
                     w, dd = weight[d], d * d
                     for r in range(0, rb + 1, d):
                         half[r] += w * table[(base - r * r) // dd]
-            keys += zip(repeat(n), range(-rb, rb + 1))
-            vals += half[:0:-1] + half
-        # the slice's factor in common with den is cancelled before its dict is built
-        nonzero = list(filter(None, vals))
-        g = math.gcd(den * scale, *nonzero)
-        num = dict(zip(compress(keys, vals), nonzero if g == 1 else [v // g for v in nonzero]))
-        slices.append(JacobiFormQExp._trusted(k, m, prec, den * scale // g, num))
+            halves.append(half)
+        # the slice's factor in common with den is cancelled before its rows are built
+        g = math.gcd(den * scale, *chain.from_iterable(halves))
+        rows = {}
+        for n, half in enumerate(halves, 1):
+            rb = len(half) - 1
+            vals = half[:0:-1] + half if g == 1 else [v // g for v in half[:0:-1] + half]
+            if row := dict(zip(compress(range(-rb, rb + 1), vals), filter(None, vals))):
+                rows[n] = row
+        slices.append(JacobiFormQExp._trusted(k, m, prec, den * scale // g, rows))
     return FormalFJ(k, M_max, slices)
 
 
@@ -394,8 +381,8 @@ class PolynomialOverM:
     def from_record(cls, rec) -> "PolynomialOverM":
         return cls(
             [FormalFJ.from_record(r) for r in rec["coeffs"]],
-            int(rec["k0"]),
-            int(rec["k"]),
+            _read_int(rec["k0"]),
+            _read_int(rec["k"]),
         )
 
 

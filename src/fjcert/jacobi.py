@@ -3,22 +3,24 @@ torsion specialization, and numerical point evaluation.
 
 A :class:`JacobiFormQExp` stores coefficients c(n, r) of a weight-k,
 index-m form for integer n below the precision bound, as one positive
-denominator den and a dict num of integer numerators; missing entries
-under the bound are zero, and coeffs is a read-only Fraction view built on
-access.  Products, sums, the lift and the series I/O work on num directly.
-Index-one forms are built internally from their two theta components, the
-series h_0 and h_1 collecting coefficients with even and odd r.  For index
-one c(n, r) depends only on 4n - r^2, so every product and division happens
-on one-variable integer series.  Both weak generators are division-free
-numerators U and W over P6 = prod (1 - q^n)^6.  Weak and holomorphic forms
-sum numerator products and divide by P6 once; a cusp form is Delta times a
-weak form and Delta / P6 = q P18, P18 = P3^6, so a cusp basis element is
-q P18 times a numerator sum, with no division.  Inside this package an
-index-one form of precision prec is one integer table C of length
-4 prec - 2 over a denominator, c(n, r) = C[4n - r^2], with C[4j] = h_0[j]
-and C[4j - 1] = h_1[j]; the slot of discriminant -1 is the last, C[-1], so
-weak, holomorphic and cusp forms share the layout.  The (n, r)-keyed form
-is materialized from C, and :func:`_index1_table` reads C back from it.
+denominator den and rows num = {n: {r: numerator}} of nonzero integers;
+missing entries under the bound are zero, and coeffs is a read-only
+(n, r)-keyed Fraction view built on access.  Products, sums, the symmetry
+audit, the lift and the series I/O work on the rows, which forms share and
+no code mutates.  Index-one forms are built internally from their two theta
+components, the series h_0 and h_1 collecting coefficients with even and
+odd r.  For index one c(n, r) depends only on 4n - r^2, so every product
+and division happens on one-variable integer series.  Both weak generators
+are division-free numerators U and W over P6 = prod (1 - q^n)^6.  Weak and
+holomorphic forms sum numerator products and divide by P6 once; a cusp
+form is Delta times a weak form and Delta / P6 = q P18, P18 = P3^6, so a
+cusp basis element is q P18 times a numerator sum, with no division.
+Inside this package an index-one form of precision prec is one integer
+table C of length 4 prec - 2 over a denominator, c(n, r) = C[4n - r^2],
+with C[4j] = h_0[j] and C[4j - 1] = h_1[j]; the slot of discriminant -1 is
+the last, C[-1], so weak, holomorphic and cusp forms share the layout.
+The rows of the form are materialized from C, and :func:`_index1_table`
+reads C back from them.
 
 Restriction to a rational torsion point (N, lambda, mu) with z = tau1 *
 lambda + mu produces a :class:`SpecializedExpansion`, a q-expansion in
@@ -34,6 +36,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import chain, compress, repeat
 
 from .core import (
     CycElem,
@@ -70,31 +73,36 @@ __all__ = [
 class JacobiFormQExp:
     """Truncated Fourier expansion of a Jacobi form of weight k and index m.
 
-    The coefficient c(n, r), for 0 <= n < prec, is num[(n, r)] / den: num
-    holds the nonzero integer numerators and den is the lcm of the reduced
-    denominators, so equal forms have equal (den, num).  coeffs is a
-    read-only Fraction view of the same values.  For index zero only r = 0
-    occurs.  Weak forms may carry entries with 4 n m - r^2 < 0; holomorphic
-    and cusp forms are recognized by :meth:`is_holomorphic` and
-    :meth:`is_cusp`.
+    The coefficient c(n, r), for 0 <= n < prec, is num[n][r] / den: num maps
+    each n with a nonzero coefficient to its row {r: numerator}, holding the
+    nonzero integer numerators only, and den is the lcm of the reduced
+    denominators, so equal forms have equal (den, num).  Rows are shared
+    between forms (truncated, _common_rows): never mutate a stored row.
+    coeffs is a read-only (n, r)-keyed Fraction view of the same values.
+    For index zero only r = 0 occurs.  Weak forms may carry entries with
+    4 n m - r^2 < 0; holomorphic and cusp forms are recognized by
+    :meth:`is_holomorphic` and :meth:`is_cusp`.
     """
 
     __slots__ = ("k", "m", "prec", "den", "num", "_fterms")
 
     def __init__(self, k: int, m: int, prec: int, coeffs: dict):
         """Validating constructor from {(n, r): int or Fraction}."""
-        vals = {(int(n), int(r)): v if type(v) is int else Fraction(v) for (n, r), v in coeffs.items()}
-        den, num = _checked(m, prec, vals)
+        rows: dict = {}
+        for (n, r), v in coeffs.items():
+            rows.setdefault(int(n), {})[int(r)] = v if type(v) is int else Fraction(v)
+        den, num = _checked(m, prec, rows)
         self.k, self.m, self.prec, self.den, self.num, self._fterms = int(k), int(m), int(prec), den, num, None
 
     @classmethod
     def _trusted(cls, k: int, m: int, prec: int, den: int, num: dict) -> "JacobiFormQExp":
-        """Form from nonzero int numerators keyed 0 <= n < prec over den > 0,
-        without checks; only a common factor of den and num is cancelled."""
-        g = math.gcd(den, *num.values())
+        """Form from nonempty rows {n: {r: nonzero int}}, 0 <= n < prec, over
+        den > 0, without checks; only a common factor of den and num is
+        cancelled, into new rows.  The rows of num are stored, not copied."""
+        g = math.gcd(den, *_values(num))
         self = cls.__new__(cls)
         self.k, self.m, self.prec, self.den, self._fterms = k, m, prec, den // g, None
-        self.num = num if g == 1 else {key: v // g for key, v in num.items()}
+        self.num = num if g == 1 else {n: {r: v // g for r, v in row.items()} for n, row in num.items()}
         return self
 
     @classmethod
@@ -110,40 +118,38 @@ class JacobiFormQExp:
             raise PrecisionError("coefficient n=%d is beyond precision %d" % (n, self.prec))
         if n < 0:
             raise ValueError("n must be nonnegative")
-        return Fraction(self.num.get((n, r), 0), self.den)
-
-    def support(self):
-        return sorted(self.num)
+        row = self.num.get(n)
+        return Fraction(row.get(r, 0) if row else 0, self.den)
 
     def truncated(self, prec: int) -> "JacobiFormQExp":
         if prec > self.prec:
             raise PrecisionError("cannot extend precision from %d to %d" % (self.prec, prec))
         if prec == self.prec:
             return self
-        num = {key: v for key, v in self.num.items() if key[0] < prec}
+        num = {n: row for n, row in self.num.items() if n < prec}
         return JacobiFormQExp._trusted(self.k, self.m, prec, self.den, num)
 
     def is_zero(self) -> bool:
         return not self.num
 
     def is_holomorphic(self) -> bool:
-        return all(4 * n * self.m - r * r >= 0 for (n, r) in self.num)
+        return all(4 * n * self.m >= max(-min(row), max(row)) ** 2 for n, row in self.num.items())
 
     def is_cusp(self) -> bool:
-        return all(4 * n * self.m - r * r > 0 for (n, r) in self.num)
+        return all(4 * n * self.m > max(-min(row), max(row)) ** 2 for n, row in self.num.items())
 
     def add(self, other: "JacobiFormQExp") -> "JacobiFormQExp":
         if self.k != other.k:
             raise ValueError("weight mismatch in addition")
         if self.m != other.m:
             raise ValueError("index mismatch in addition")
-        prec, den = min(self.prec, other.prec), math.lcm(self.den, other.den)
-        num = {key: v * (den // self.den) for key, v in self.num.items() if key[0] < prec}
-        s = den // other.den
-        for key, v in other.num.items():
-            if key[0] < prec:
-                num[key] = num.get(key, 0) + v * s
-        return JacobiFormQExp._trusted(self.k, self.m, prec, den, {key: v for key, v in num.items() if v})
+        prec, (den, (rows_a, rows_b)) = min(self.prec, other.prec), _common_rows((self, other))
+        num = {}
+        for n in {**rows_a, **rows_b}:
+            a, b = rows_a.get(n, {}), rows_b.get(n, {})
+            if n < prec and (row := {r: v for r in {**a, **b} if (v := a.get(r, 0) + b.get(r, 0))}):
+                num[n] = row
+        return JacobiFormQExp._trusted(self.k, self.m, prec, den, num)
 
     __add__ = add
 
@@ -151,7 +157,7 @@ class JacobiFormQExp:
         c = Fraction(c)
         if not c:
             return JacobiFormQExp.zero(self.k, self.m, self.prec)
-        num = {key: v * c.numerator for key, v in self.num.items()}
+        num = {n: {r: v * c.numerator for r, v in row.items()} for n, row in self.num.items()}
         return JacobiFormQExp._trusted(self.k, self.m, self.prec, self.den * c.denominator, num)
 
     def __neg__(self):
@@ -170,70 +176,72 @@ class JacobiFormQExp:
     def __eq__(self, other):
         if not isinstance(other, JacobiFormQExp):
             return NotImplemented
-        return (
-            self.k == other.k
-            and self.m == other.m
-            and self.prec == other.prec
-            and self.den == other.den
-            and self.num == other.num
-        )
+        return (self.k, self.m, self.prec, self.den, self.num) == (other.k, other.m, other.prec, other.den, other.num)
 
     def __hash__(self):
         return hash((self.k, self.m, self.prec, len(self.num)))
 
     def __repr__(self):
-        return "JacobiFormQExp(k=%d, m=%d, prec=%d, %d terms)" % (
-            self.k,
-            self.m,
-            self.prec,
-            len(self.num),
-        )
+        return "JacobiFormQExp(k=%d, m=%d, prec=%d, %d terms)" % (self.k, self.m, self.prec, len(self.coeffs))
 
-    def _coeff_texts(self) -> list:
-        """[((n, r), str(c(n, r)))] sorted by (n, r), with no Fraction built."""
+    def _coeff_texts(self):
+        """Iterator of (n, r, str(c(n, r))) in (n, r) order, with no Fraction built."""
         den = self.den
-        items = sorted(self.num.items())
-        if den == 1:
-            return [(key, str(v)) for key, v in items]
-        return [(key, str(v // g) if (g := math.gcd(v, den)) == den else "%d/%d" % (v // g, den // g)) for key, v in items]
+
+        def row_texts(n, row):
+            rs, vs = zip(*sorted(row.items()))
+            if den > 1:
+                vs = [str(v // g) if (g := math.gcd(v, den)) == den else "%d/%d" % (v // g, den // g) for v in vs]
+            return zip(repeat(n), rs, map(str, vs))
+
+        return chain.from_iterable(row_texts(n, row) for n, row in sorted(self.num.items()))
 
     def to_record(self):
         return {
             "k": self.k,
             "m": self.m,
             "prec": self.prec,
-            "coeffs": [[n, r, t] for (n, r), t in self._coeff_texts()],
+            "coeffs": [[n, r, t] for n, r, t in self._coeff_texts()],
         }
 
     def _json(self) -> str:
         """The text of json.dumps(self.to_record()), one f-string per coefficient."""
-        coeffs = ", ".join([f'[{n}, {r}, "{t}"]' for (n, r), t in self._coeff_texts()])
+        coeffs = ", ".join([f'[{n}, {r}, "{t}"]' for n, r, t in self._coeff_texts()])
         return '{"k": %d, "m": %d, "prec": %d, "coeffs": [%s]}' % (self.k, self.m, self.prec, coeffs)
 
     @classmethod
     def from_record(cls, rec) -> "JacobiFormQExp":
-        k, m, prec = int(rec["k"]), int(rec["m"]), int(rec["prec"])
-        # int() reads plain integer text as parse_rat does, only faster;
-        # keys that are ints already skip int()
-        vals = {
-            (n, r) if type(n) is int is type(r) else (int(n), int(r)): (
-                int(v) if type(v) is str and v.removeprefix("-").isdecimal() else _read_rat(v)
-            )
-            for n, r, v in rec["coeffs"]
-        }
-        return cls._trusted(k, m, prec, *_checked(m, prec, vals))
+        k, m, prec = _read_int(rec["k"]), _read_int(rec["m"]), _read_int(rec["prec"])
+        rows: dict = {}
+        last = row = None
+        for n, r, v in rec["coeffs"]:
+            if type(n) is not int or type(r) is not int:
+                n, r = _read_int(n), _read_int(r)
+            if n != last:
+                row, last = rows.setdefault(n, {}), n
+            # int() reads plain integer text as parse_rat does, only faster
+            row[r] = int(v) if type(v) is str and v.removeprefix("-").isdecimal() else _read_rat(v)
+        return cls._trusted(k, m, prec, *_checked(m, prec, rows))
 
     def float_terms(self):
         """(terms, nmax, rmin, rmax), computed once: the (n, r, float c(n, r))
-        sorted by (n, r), the largest stored n, and the span rmin <= 0 <= rmax
+        in storage order, the largest stored n, and the span rmin <= 0 <= rmax
         of the powers of y that :func:`evaluate` tabulates for them."""
         if self._fterms is None:
             # int true division is correctly rounded, as float(Fraction) is
-            den = self.den
-            terms = [(n, r, v / den) for (n, r), v in sorted(self.num.items())]
-            rs = [0, *(r for _, r in self.num)]
-            self._fterms = terms, terms[-1][0] if terms else 0, min(rs), max(rs)
+            den, rows = self.den, self.num.values()
+            terms = [(n, r, v / den) for n, row in self.num.items() for r, v in row.items()]
+            rs = [0, *map(min, rows), *map(max, rows)]
+            self._fterms = terms, max(self.num, default=0), min(rs), max(rs)
         return self._fterms
+
+
+def _read_int(v) -> int:
+    """int(v), refusing with ValueError the floats and bools that int()
+    would truncate or read as 0 and 1."""
+    if isinstance(v, (float, bool)):
+        raise ValueError("expected an integer, got %r" % (v,))
+    return int(v)
 
 
 def _read_rat(v):
@@ -246,40 +254,47 @@ def _read_rat(v):
     return parse_rat(v)
 
 
-def _checked(m: int, prec: int, vals: dict):
-    """(den, num) from {(n, r): int or Fraction} for a form of index m and
-    precision prec; ValueError on values such a form cannot hold."""
+def _checked(m: int, prec: int, rows: dict):
+    """(den, num) from rows {n: {r: int or Fraction}} for a form of index m
+    and precision prec; ValueError on values such a form cannot hold."""
     if m < 0:
         raise ValueError("index must be nonnegative")
     if prec < 0:
         raise ValueError("precision must be nonnegative")
-    if not all(vals.values()):
-        vals = {key: v for key, v in vals.items() if v}
-    if vals and (min(vals)[0] < 0 or max(vals)[0] >= prec):
+    if not all(_values(rows)):
+        rows = {n: row for n, row in ((n, {r: v for r, v in row.items() if v}) for n, row in rows.items()) if row}
+    if rows and (min(rows) < 0 or max(rows) >= prec):
         raise ValueError("stored n outside [0, prec)")
-    if m == 0 and any(r for _, r in vals):
+    if m == 0 and any(r for row in rows.values() for r in row):
         raise ValueError("index zero forms have r = 0 only")
-    fracs = [v for v in vals.values() if type(v) is not int]
-    if not fracs:
-        return 1, vals
-    den = math.lcm(*(v.denominator for v in fracs))
-    return den, {key: v * den if type(v) is int else v.numerator * (den // v.denominator) for key, v in vals.items()}
+    if set(map(type, _values(rows))) <= {int}:
+        return 1, rows
+    den = math.lcm(*(v.denominator for v in _values(rows) if type(v) is not int))
+    return den, {
+        n: {r: v * den if type(v) is int else v.numerator * (den // v.denominator) for r, v in row.items()} for n, row in rows.items()
+    }
+
+
+def _values(rows: dict):
+    """Every value of the rows {n: {r: v}}, row by row."""
+    return chain.from_iterable(map(dict.values, rows.values()))
 
 
 class _FractionView(Mapping):
-    """Read-only {(n, r): Fraction} view of integer numerators over den."""
+    """Read-only {(n, r): Fraction} view of integer rows over den."""
 
     def __init__(self, num: dict, den: int):
         self._num, self._den = num, den
 
     def __getitem__(self, key):
-        return Fraction(self._num[key], self._den)
+        n, r = key
+        return Fraction(self._num[n][r], self._den)
 
     def __iter__(self):
-        return iter(self._num)
+        return ((n, r) for n, row in self._num.items() for r in row)
 
     def __len__(self):
-        return len(self._num)
+        return sum(map(len, self._num.values()))
 
 
 def index0_from_qexp(k: int, qe: QExpansion) -> JacobiFormQExp:
@@ -305,11 +320,8 @@ def _convolve(fa, fb) -> list:
     span = _r_span(rows_a[: len(fb)], prec) + _r_span(rows_b[: len(fa)], prec) + 1
     if span > WINDOW_CAP:
         raise ValueError("product rows span %d values of r, more than %d" % (span, WINDOW_CAP))
-    out = []
-    for m, rows in enumerate(_kron_rows(rows_a, rows_b, prec)):
-        num = {(n, r): v for n, row in rows.items() for r, v in row.items()}
-        out.append(JacobiFormQExp._trusted(k, m0 + m, prec, den_a * den_b, num))
-    return out
+    rows = _kron_rows(rows_a, rows_b, prec)
+    return [JacobiFormQExp._trusted(k, m0 + m, prec, den_a * den_b, num) for m, num in enumerate(rows)]
 
 
 def _r_span(rows, prec: int) -> int:
@@ -319,14 +331,13 @@ def _r_span(rows, prec: int) -> int:
 
 
 def _common_rows(phis):
-    """(den, rows): rows[i] maps n to {r: numerator of c(n, r) in phis[i]},
-    every form written over den, the lcm of their denominators."""
+    """(den, rows): rows[i] is phis[i].num written over den, the lcm of
+    their denominators; the rows of a form already over den are its own."""
     den = math.lcm(*(phi.den for phi in phis))
-    rows = [{} for _ in phis]
-    for phi, out in zip(phis, rows):
+    rows = []
+    for phi in phis:
         s = den // phi.den
-        for (n, r), v in phi.num.items():
-            out.setdefault(n, {})[r] = v * s
+        rows.append(phi.num if s == 1 else {n: {r: v * s for r, v in row.items()} for n, row in phi.num.items()})
     return den, rows
 
 
@@ -433,9 +444,10 @@ def _materialize_index1(k: int, prec: int, den: int, table: list) -> JacobiFormQ
     num = {}
     for n in range(prec):
         rmax = math.isqrt(4 * n + 1)
-        for r in range(-rmax, rmax + 1):
-            if v := table[4 * n - r * r]:
-                num[(n, r)] = v
+        rs = range(-rmax, rmax + 1)
+        vals = [table[4 * n - r * r] for r in rs]
+        if row := dict(zip(compress(rs, vals), filter(None, vals))):
+            num[n] = row
     return JacobiFormQExp._trusted(k, 1, prec, den, num)
 
 
@@ -445,12 +457,13 @@ def _index1_table(phi: JacobiFormQExp) -> list:
     the stored coefficients are a function of 4n - r^2."""
     prec = phi.prec
     table = [0] * (4 * prec - 2)
-    for (n, r), v in phi.num.items():
-        d = 4 * n - r * r
-        if table[d] != v:
-            if table[d]:
-                raise ValueError("lift input: c(%d, %d) differs from another coefficient at 4n - r^2 = %d" % (n, r, d))
-            table[d] = v
+    for n, row in phi.num.items():
+        for r, v in row.items():
+            d = 4 * n - r * r
+            if table[d] != v:
+                if table[d]:
+                    raise ValueError("lift input: c(%d, %d) differs from another coefficient at 4n - r^2 = %d" % (n, r, d))
+                table[d] = v
     # each nonzero C[d] stands for every r = d mod 2 with r^2 < 4 prec - d;
     # all stored keys agree with C, so equal counts mean none is missing
     full = 0
@@ -458,8 +471,8 @@ def _index1_table(phi: JacobiFormQExp) -> list:
         if table[d]:
             rb = math.isqrt(4 * prec - d - 1)
             full += 2 * (rb // 2) + 1 if d % 2 == 0 else 2 * ((rb + 1) // 2)
-    if full != len(phi.num):
-        raise ValueError("lift input: %d coefficients stored, %d needed for a function of 4n - r^2" % (len(phi.num), full))
+    if full != len(phi.coeffs):
+        raise ValueError("lift input: %d coefficients stored, %d needed for a function of 4n - r^2" % (len(phi.coeffs), full))
     return table
 
 
@@ -484,15 +497,15 @@ def _mform_monomials(w: int, emax: int):
     return [reduce(mul, [e4] * a + [e6] * ((w - 4 * a) // 6), {0: 1}) for a in range(w // 4, -1, -1) if (w - 4 * a) % 6 == 0]
 
 
-def _space_components(k: int, cusp: bool, prec: int) -> list:
-    """(den, C) for each basis element of :func:`jacobi_space`: the element
-    is the index-one form c(n, r) = C[4n - r^2] / den below prec, with no
-    common factor of den > 0 and C left."""
+def _space_components(k: int, cusp: bool, prec: int):
+    """Yield (den, C) for each basis element of :func:`jacobi_space`, each
+    built only when it is taken: the element is the index-one form
+    c(n, r) = C[4n - r^2] / den below prec, with no common factor of den > 0
+    and C left.  ValueError on a bad k or prec comes at the first next()."""
     if k < 4 or k % 2 == 1:
         raise ValueError("weight must be an even integer at least 4")
     if prec < 1:
         raise ValueError("precision must be at least 1")
-    out = []
     for h0, h1 in (_cusp_components if cusp else _holomorphic_components)(k, prec):
         table = _table(h0, h1, prec)
         # c(n, r) = c(n, -r), so the lead in (n, |r|) order is the first
@@ -500,8 +513,7 @@ def _space_components(k: int, cusp: bool, prec: int) -> list:
         ds = (4 * n - r * r for n in range(prec) for r in range(math.isqrt(4 * n + 1) + 1))
         lead = next((v for d in ds if (v := table[d])), 1)
         g = math.gcd(lead, *table) * (1 if lead > 0 else -1)
-        out.append((lead // g, [v // g for v in table]))
-    return out
+        yield lead // g, [v // g for v in table]
 
 
 def _holomorphic_components(k: int, prec: int):
@@ -633,15 +645,16 @@ def specialize_torsion(phi: JacobiFormQExp, p: TorsionPoint) -> SpecializedExpan
     p2 = certified_precision(phi.prec, m, p.lam_frac())
     bound_num = math.ceil(p2 * L)
     acc: dict = {}
-    for (n, r), v in phi.num.items():
-        num = n * L + r * a * N + m * a * a
-        if num < 0:
-            raise ValueError("specialization needs nonnegative exponents; input is not holomorphic")
-        if num >= bound_num:
-            continue
-        j = (r * c * N) % L
-        slot = acc.setdefault(num, {})
-        slot[j] = slot.get(j, 0) + v
+    for n, row in phi.num.items():
+        for r, v in row.items():
+            num = n * L + r * a * N + m * a * a
+            if num < 0:
+                raise ValueError("specialization needs nonnegative exponents; input is not holomorphic")
+            if num >= bound_num:
+                continue
+            j = (r * c * N) % L
+            slot = acc.setdefault(num, {})
+            slot[j] = slot.get(j, 0) + v
     den = phi.den
     coeffs = {num: CycElem(L, {j: Fraction(v, den) for j, v in w.items()}) for num, w in acc.items() if any(w.values())}
     # every value has a nonzero weight and every key lies in [0, bound_num)

@@ -77,13 +77,6 @@ class SymMatQ:
     def det(self) -> Fraction:
         return _det([list(r) for r in self.rows])
 
-    def scaled_entries(self):
-        """Diagonal-then-off-diagonal entry tuple, used for deterministic order."""
-        s = self.size
-        diag = tuple(self.rows[i][i] for i in range(s))
-        off = tuple(self.rows[i][j] for i in range(s) for j in range(i + 1, s))
-        return diag + off
-
     def __eq__(self, other):
         return isinstance(other, SymMatQ) and self.rows == other.rows
 

@@ -46,6 +46,10 @@ lift now reads one table by discriminant.  ``jacobi_to_record`` and
 one-pass series writer must produce the bytes of ``json.dumps`` of the old
 record, and the reader must accept, reject and return what the old one did.
 
+``pad_index0`` and ``coeff_table`` are the old ``FormalFJ`` methods of
+those names, which only tests called: a series whose one slice is an
+index-zero q-expansion, and every stored coefficient keyed by HalfIntIndex.
+
 ``poly_eval`` is the old ``fjseries.poly_eval``: Horner from the leading
 coefficient, every step one product by f (here through ``series_multiply``),
 with no shortcut for a leading coefficient of one.  ``evaluate`` is the old
@@ -72,8 +76,10 @@ from fjcert.jacobi import (
     _series_sa,
     _series_sbq,
     _table,
+    index0_from_qexp,
 )
 from fjcert.reduction import (
+    HalfIntIndex,
     SymMatQ,
     UnimodularMat,
     _integral,
@@ -685,7 +691,7 @@ def jacobi_to_record(self: JacobiFormQExp):
         "k": self.k,
         "m": self.m,
         "prec": self.prec,
-        "coeffs": [[n, r, str(v) if den == 1 else text(v)] for (n, r), v in sorted(self.num.items())],
+        "coeffs": [[n, r, str(v) if den == 1 else text(v)] for n, row in sorted(self.num.items()) for r, v in sorted(row.items())],
     }
 
 
@@ -696,7 +702,16 @@ def jacobi_from_record(rec) -> JacobiFormQExp:
         (int(n), int(r)): int(v) if type(v) is str and v.removeprefix("-").isdecimal() else parse_rat(v)
         for n, r, v in rec["coeffs"]
     }
-    return JacobiFormQExp._trusted(k, m, prec, *_checked(m, prec, vals))
+    den, num = _checked(m, prec, vals)
+    return JacobiFormQExp._trusted(k, m, prec, den, _rows(num))
+
+
+def _rows(num: dict) -> dict:
+    """{(n, r): v} grouped into the package's rows {n: {r: v}}."""
+    rows: dict = {}
+    for (n, r), v in num.items():
+        rows.setdefault(n, {})[r] = v
+    return rows
 
 
 def _checked(m: int, prec: int, vals: dict):
@@ -740,7 +755,7 @@ def gritsenko_lift(phi: JacobiFormQExp, M_max: int, prec: int) -> FormalFJ:
     dpow = [Fraction(d) ** (k - 1) for d in range(1, max(M_max, 1) + 1)]
     scale = math.lcm(*(p.denominator for p in dpow))
     weight = [0] + [p.numerator * (scale // p.denominator) for p in dpow]
-    table = phi.num
+    table = {(n, r): v for n, row in phi.num.items() for r, v in row.items()}
     slices = [JacobiFormQExp.zero(k, 0, prec)]
     for m in range(1, M_max + 1):
         num = {}
@@ -758,5 +773,22 @@ def gritsenko_lift(phi: JacobiFormQExp, M_max: int, prec: int) -> FormalFJ:
                             total += weight[d] * table.get((n * m // (d * d), r // d), 0)
                 if total:
                     num[(n, r)] = total
-        slices.append(JacobiFormQExp._trusted(k, m, prec, phi.den * scale, num))
+        slices.append(JacobiFormQExp._trusted(k, m, prec, phi.den * scale, _rows(num)))
     return FormalFJ(k, M_max, slices)
+
+
+def pad_index0(k: int, qe, M_max: int, prec: int) -> FormalFJ:
+    """Series whose only slice is an index-zero embedding of qe."""
+    phi0 = index0_from_qexp(k, qe).truncated(prec)
+    phis = [phi0] + [JacobiFormQExp.zero(k, m, prec) for m in range(1, M_max + 1)]
+    return FormalFJ(k, M_max, phis)
+
+
+def coeff_table(f: FormalFJ, bound: int | None = None) -> dict:
+    """All stored coefficients of f as a HalfIntIndex-keyed map."""
+    out = {}
+    mtop = f.M_max if bound is None else min(bound, f.M_max)
+    for m in range(mtop + 1):
+        for (n, r), v in f.phis[m].coeffs.items():
+            out[HalfIntIndex(Fraction(n), Fraction(r), m)] = v
+    return out

@@ -16,6 +16,7 @@ import random
 import time
 from fractions import Fraction
 
+import schoolbook
 from fjcert.convergence import (
     BoundConfig,
     CompactBoxSpec,
@@ -223,9 +224,9 @@ def test_criterion_6_locally_bounded_certificate(lift10_40, capfd):
 def test_criterion_7_monicize_contract(lift8, capfd):
     f_c, _ = lift8
     prec, mmax = f_c.prec, f_c.M_max
-    pad4 = FormalFJ.pad_index0(4, eisenstein_qexp(4, prec), mmax, prec)
+    pad4 = schoolbook.pad_index0(4, eisenstein_qexp(4, prec), mmax, prec)
     e10 = eisenstein_qexp(4, prec) * eisenstein_qexp(6, prec)
-    f = f_c.add(FormalFJ.pad_index0(10, e10, mmax, prec))
+    f = f_c.add(schoolbook.pad_index0(10, e10, mmax, prec))
     a0 = FormalFJ.zero(24, mmax, prec) - pad4.multiply(f).multiply(f)
     q = PolynomialOverM([a0, FormalFJ.zero(14, mmax, prec), pad4], 4, 10)
     assert not q.is_monic() and poly_eval(q, f).is_zero()

@@ -9,7 +9,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fjcert import cli, reduction
+import schoolbook
+from fjcert import cli, jacobi, reduction
 from fjcert.cli import main
 from fjcert.convergence import CompactBoxSpec
 from fjcert.core import eisenstein_qexp
@@ -123,6 +124,25 @@ def test_gen_lift_reports_cuspidal_without_a_scan(tmp_path, capsys, monkeypatch,
     assert f == lift8[0] and f.is_cuspidal()
 
 
+def test_gen_lift_builds_only_the_basis_element_it_lifts(tmp_path, monkeypatch):
+    # the weight-24 cusp space has dimension 3; gen-lift lifts the first element
+    taken = []
+
+    def counted(k, prec):
+        for element in cusp_components(k, prec):
+            taken.append(k)
+            yield element
+
+    cusp_components = jacobi._cusp_components
+    monkeypatch.setattr(jacobi, "_cusp_components", counted)
+    out = tmp_path / "lift.json"
+    assert main(["gen-lift", "--weight", "24", "--prec", "4", "--mmax", "3", "--out", str(out)]) == 0
+    assert taken == [24]
+    basis = jacobi_space(24, True, 10)  # generator precision (4 - 1) * 3 + 1
+    assert len(basis) == 3
+    assert FormalFJ.from_record(json.loads(out.read_text())) == gritsenko_lift(basis[0], 3, 4)
+
+
 def test_gen_lift_empty_space_exits_2(tmp_path, capsys):
     out = tmp_path / "lift.json"
     assert main(["gen-lift", "--weight", "4", "--out", str(out)]) == 2
@@ -173,6 +193,17 @@ def test_check_symmetry_parse_error_exits_3(tmp_path):
     assert main(["check-symmetry", "--in", str(bad), "--report", str(tmp_path / "r.txt")]) == 3
     bad.write_text(json.dumps({"k": 8}))
     assert main(["check-symmetry", "--in", str(bad), "--report", str(tmp_path / "r.txt")]) == 3
+
+
+def test_series_with_a_float_or_bool_integer_field_exits_3(tmp_path, lift_file, capsys):
+    bad = tmp_path / "bad.json"
+    for field, value in (("k", 10.9), ("M_max", 8.0), ("k", True)):
+        rec = json.loads(lift_file.read_text())
+        rec[field] = value
+        bad.write_text(json.dumps(rec))
+        assert main(["check-symmetry", "--in", str(bad), "--report", str(tmp_path / "r.txt")]) == 3
+        err = capsys.readouterr().err
+        assert "expected an integer" in err and "Traceback" not in err
 
 
 def test_check_symmetry_bad_bound_is_usage_error(tmp_path, lift_file):
@@ -261,7 +292,7 @@ def test_certify_checks_precision_floor_before_specializing(tmp_path, monkeypatc
 
 
 def test_certify_non_cuspidal_exits_4(tmp_path, capsys):
-    e4 = FormalFJ.pad_index0(4, eisenstein_qexp(4, 9), 8, 9)
+    e4 = schoolbook.pad_index0(4, eisenstein_qexp(4, 9), 8, 9)
     series = tmp_path / "e4.json"
     series.write_text(json.dumps(e4.to_record()))
     report = tmp_path / "cert.txt"

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import schoolbook
 from fjcert import convergence, fjseries
 from fjcert.convergence import (
     BoundConfig,
@@ -210,9 +211,10 @@ def test_report_text_save_and_csv(tmp_path):
     assert "verdict: pass" in text
     assert "gap = 1/32" in text
     assert "tbl: 2 rows (a, b)" in text
-    rep.save(tmp_path / "report.txt")
+    # what cli writes: the report text, and each series through write_csv
+    (tmp_path / "report.txt").write_text(rep.to_text())
     assert (tmp_path / "report.txt").read_text() == text
-    rep.save_csv("tbl", tmp_path / "tbl.csv")
+    write_csv(tmp_path / "tbl.csv", *rep.series["tbl"])
     with open(tmp_path / "tbl.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows == [["a", "b"], ["1", "1/2"], ["2", "3"]]
@@ -454,7 +456,7 @@ def test_box_certificate_reports_hypothesis_failures(lift8, monkeypatch):
     assert rep.verdict == "hypothesis-failure" and not rep.passed
     assert rep.witnesses["failed_precondition"] == "polynomial is not monic"
 
-    e4 = FormalFJ.pad_index0(4, eisenstein_qexp(4, f.prec), f.M_max, f.prec)
+    e4 = schoolbook.pad_index0(4, eisenstein_qexp(4, f.prec), f.M_max, f.prec)
     plain_x4 = PolynomialOverM([FormalFJ.zero(4, f.M_max, f.prec), FormalFJ.one(f.M_max, f.prec)], 0, 4)
     rep = partial_sum_bound_check(e4, plain_x4, box, [1], points=2)
     assert rep.verdict == "hypothesis-failure"

@@ -31,6 +31,7 @@ from fjcert.jacobi import (
     _materialize_index1,
     _space_components,
     jacobi_space,
+    multiply,
     weak_generators,
 )
 from fjcert.reduction import HalfIntIndex
@@ -61,7 +62,7 @@ def test_one_and_zero_and_pad():
     assert not one.is_cuspidal() and not one.is_zero()
     zero = FormalFJ.zero(4, 3, 6)
     assert zero.is_zero() and zero.is_cuspidal()
-    e4 = FormalFJ.pad_index0(4, eisenstein_qexp(4, 9), 3, 6)
+    e4 = schoolbook.pad_index0(4, eisenstein_qexp(4, 9), 3, 6)
     assert e4.prec == 6
     assert e4.coeff(1, 0, 0) == 240
     assert e4.coeff(1, 0, 1) == 0
@@ -92,11 +93,12 @@ def test_coeff_access_forms(lift8):
 
 def test_coeff_table_round_trip(lift8):
     f, _ = lift8
-    table = f.coeff_table()
+    table = schoolbook.coeff_table(f)
     assert all(isinstance(key, HalfIntIndex) for key in table)
     total = sum(len(phi.coeffs) for phi in f.phis)
     assert len(table) == total
-    small = f.coeff_table(bound=2)
+    assert [extract_phi_m(table, m, k=f.k, prec=f.prec) for m in range(f.M_max + 1)] == list(f.phis)
+    small = schoolbook.coeff_table(f, bound=2)
     assert all(key.m <= 2 for key in small)
 
 
@@ -217,14 +219,84 @@ def test_record_reader_matches_old_reader(coeffs):
 
 def test_slice_storage_is_canonical():
     half = JacobiFormQExp(4, 1, 3, {(1, 0): Fraction(1, 2), (2, 1): Fraction(3, 2)})
-    assert (half.den, half.num) == (2, {(1, 0): 1, (2, 1): 3})
+    assert (half.den, half.num) == (2, {1: {0: 1}, 2: {1: 3}})
     assert half.coeffs == {(1, 0): Fraction(1, 2), (2, 1): Fraction(3, 2)}
     whole = half + half
-    assert (whole.den, whole.num) == (1, {(1, 0): 1, (2, 1): 3})
+    assert (whole.den, whole.num) == (1, {1: {0: 1}, 2: {1: 3}})
     assert whole == JacobiFormQExp(4, 1, 3, {(1, 0): 1, (2, 1): Fraction(6, 2)})
     assert half.scalar_mul(4).den == 1 and half.scalar_mul(Fraction(1, 3)).den == 6
     mixed = JacobiFormQExp(4, 1, 3, {(1, 0): 1, (2, 1): Fraction(1, 2)})
     assert mixed.truncated(2).den == 1 and (mixed - mixed).den == 1
+
+
+def assert_canonical(phi):
+    """num holds nonempty rows of nonzero ints at 0 <= n < prec, over a
+    den > 0 with no factor in common with every numerator."""
+    assert phi.den > 0
+    assert all(0 <= n < phi.prec and row for n, row in phi.num.items())
+    values = [v for row in phi.num.values() for v in row.values()]
+    assert all(type(v) is int and v for v in values)
+    assert math.gcd(phi.den, *values) == 1
+
+
+small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+slice_coeffs = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(-3, 3)), small_fractions, max_size=8)
+
+
+@settings(max_examples=100)
+@given(slice_coeffs, slice_coeffs, small_fractions, st.integers(0, 4), st.sampled_from([1, 2, 6]), st.data())
+def test_slice_storage_stays_canonical(a, b, c, cut, den, data):
+    # zero values in the input, sums that cancel whole rows, and products and
+    # lifts whose numerators share a factor with den
+    phi, psi = JacobiFormQExp(4, 1, 4, a), JacobiFormQExp(4, 1, 4, b)
+    read = JacobiFormQExp.from_record({"k": 4, "m": 1, "prec": 4, "coeffs": [[n, r, str(v)] for (n, r), v in a.items()]})
+    assert read == phi
+    table = [0] + data.draw(st.lists(st.integers(-2, 2).map(lambda v: 2 * v), min_size=24, max_size=24)) + [0]
+    lift = _lift(4, den, table, 3, 3)  # generator precision (3 - 1) * 3 + 1 = 7: 26 slots
+    forms = [phi, psi, read, phi + psi, phi - psi, phi.scalar_mul(c), phi.scalar_mul(0), phi.truncated(cut)]
+    for form in forms + [multiply(phi, psi), multiply(phi, phi)] + list(lift.phis):
+        assert_canonical(form)
+    assert (phi - phi) == JacobiFormQExp.zero(4, 1, 4) and (phi - phi).num == {}
+
+
+# a slice, a series and a polynomial record, each reading a field of every kind
+def slice_record():
+    return {"k": 4, "m": 1, "prec": 3, "coeffs": [[1, 0, "2"]]}
+
+
+def series_record():
+    return {"k": 4, "M_max": 1, "phis": [JacobiFormQExp.zero(4, 0, 3).to_record(), slice_record()]}
+
+
+def poly_record():
+    return {"k0": 4, "k": 10, "coeffs": [series_record()]}
+
+
+def set_field(rec, field, value):
+    if field in ("n", "r"):
+        rec["coeffs"][0][0 if field == "n" else 1] = value
+    else:
+        rec[field] = value
+
+
+@pytest.mark.parametrize(
+    "cls, record, field",
+    [(JacobiFormQExp, slice_record, f) for f in ("k", "m", "prec", "n", "r")]
+    + [(FormalFJ, series_record, f) for f in ("k", "M_max")]
+    + [(PolynomialOverM, poly_record, f) for f in ("k0", "k")],
+)
+def test_record_readers_refuse_floats_and_bools_in_integer_fields(cls, record, field):
+    # int() would read 10.9 as 10 and True as 1
+    want = cls.from_record(record())
+    rec = record()
+    old = rec[field] if field in rec else rec["coeffs"][0][("n", "r").index(field)]
+    for value in (old + 0.9, float(old), True, False):
+        set_field(rec, field, value)
+        with pytest.raises(ValueError, match="expected an integer"):
+            cls.from_record(rec)
+    # exact integers are read as before, as ints and as integer text
+    set_field(rec, field, str(old))
+    assert cls.from_record(rec).to_record() == want.to_record()
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +352,7 @@ def test_lift_slices_vanish_at_origin(lift8):
 @pytest.mark.parametrize("weight", [10, 12, 16, 18, 20])
 def test_lift_by_discriminant_matches_old_lift(weight, mmax, prec):
     gen_prec = (prec - 1) * mmax + 1
-    den, table = _space_components(weight, True, gen_prec)[0]
+    den, table = next(_space_components(weight, True, gen_prec))
     phi = _materialize_index1(weight, gen_prec, den, table)  # jacobi_space(weight, True, gen_prec)[0]
     want = schoolbook.gritsenko_lift(phi, mmax, prec)
     # the gen-lift path, from the generator's table, and the public one, from phi
@@ -309,10 +381,11 @@ def test_lift_of_any_cusp_table_matches_old_lift(k, den, factor, mmax, prec, dat
 
 def test_lift_rejects_input_that_is_not_a_function_of_the_discriminant(phi10):
     # c(3, 1) shares 4n - r^2 = 11 with c(3, -1), c(5, 3), c(9, 5) and c(15, 7)
-    assert phi10.num[(3, 1)] == phi10.num[(3, -1)] != 0
-    changed = dict(phi10.num)
-    changed[(3, 1)] += 1
-    missing = {key: v for key, v in phi10.num.items() if key != (3, 1)}
+    assert phi10.num[3][1] == phi10.num[3][-1] != 0
+    # stored rows are shared, never edited: both variants copy every row
+    changed = {n: dict(row) for n, row in phi10.num.items()}
+    changed[3][1] += 1
+    missing = {n: {r: v for r, v in row.items() if (n, r) != (3, 1)} for n, row in phi10.num.items()}
     for num in (changed, missing):
         bad = JacobiFormQExp._trusted(10, 1, phi10.prec, phi10.den, num)
         assert bad.is_cusp()
@@ -510,7 +583,7 @@ def test_audit_matches_generic_oracle_on_random_corruptions(lift8):
 
 def test_extract_phi_m_round_trip(lift8):
     f, _ = lift8
-    table = f.coeff_table()
+    table = schoolbook.coeff_table(f)
     phi2 = extract_phi_m(table, 2, k=f.k, prec=f.prec)
     assert phi2 == f.phis[2]
 
@@ -601,9 +674,9 @@ def test_monicize_degree_two(lift8):
     f, _ = lift8
     small = FormalFJ(f.k, 5, [phi.truncated(6) for phi in f.phis[:6]])
     e4q, e6q = eisenstein_qexp(4, 6), eisenstein_qexp(6, 6)
-    e4 = FormalFJ.pad_index0(4, e4q, 5, 6)
-    pad14 = FormalFJ.pad_index0(14, e4q * e4q * e6q, 5, 6)
-    pad24 = FormalFJ.pad_index0(24, e4q * e4q * e4q * e6q * e6q, 5, 6)
+    e4 = schoolbook.pad_index0(4, e4q, 5, 6)
+    pad14 = schoolbook.pad_index0(14, e4q * e4q * e6q, 5, 6)
+    pad24 = schoolbook.pad_index0(24, e4q * e4q * e4q * e6q * e6q, 5, 6)
     q = PolynomialOverM([pad24, pad14, e4], 4, 10)
     r, h = monicize(q, small, small)
     assert r.is_monic()

@@ -328,7 +328,7 @@ def test_cusp_basis_makes_no_division(monkeypatch):
 
     monkeypatch.setattr(jacobi, "_dict_div", spy)
     for k in range(10, 41, 2):
-        assert jacobi._space_components(k, True, 50)
+        assert list(jacobi._space_components(k, True, 50))
         assert jacobi_space(k, True, 31)
     assert not calls
 

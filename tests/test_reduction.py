@@ -557,11 +557,17 @@ def test_enumerate_s_capacity_guard():
         enumerate_S(1, 100, 2, cap=10)
 
 
+def scaled_entries(t):
+    """Diagonal-then-off-diagonal entry tuple of t, the order enumerate_S returns."""
+    s = t.size
+    return tuple(t[i, i] for i in range(s)) + tuple(t[i, j] for i in range(s) for j in range(i + 1, s))
+
+
 def test_enumerate_s_genus_three_closed_under_predicate():
     out = enumerate_S(1, Fraction(3, 2), 3)
     seen = set()
     for t in out:
-        key = tuple(t.scaled_entries())
+        key = scaled_entries(t)
         assert key not in seen
         seen.add(key)
         assert is_positive_definite(t)
@@ -577,7 +583,7 @@ def test_enumerate_s_ordering_is_deterministic():
     a = enumerate_S(1, Fraction(3, 2), 3)
     b = enumerate_S(1, Fraction(3, 2), 3)
     assert a == b
-    keys = [tuple(t.scaled_entries()) for t in a]
+    keys = [scaled_entries(t) for t in a]
     assert keys == sorted(keys)
 
 
@@ -590,7 +596,7 @@ def test_enumerate_s_genus_four_matches_brute_force():
             t = SymMatQ([[k11, k12, k13], [k12, k22, k23], [k13, k23, k33]])
             if is_positive_definite(t):
                 want.append(SymMatQ([[x / 2 for x in row] for row in t.rows]))
-    want.sort(key=lambda t: t.scaled_entries())
+    want.sort(key=scaled_entries)
     assert len(want) == 4320
     assert enumerate_S(1, Fraction(5, 2), 4) == want
 
