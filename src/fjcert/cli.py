@@ -37,6 +37,7 @@ from .core import PrecisionError, parse_rat
 # bench/spans.py traces calls under these names
 from .fjseries import FormalFJ, PolynomialOverM, _lift, check_symmetry, gritsenko_lift  # noqa: F401
 from .jacobi import (  # noqa: F401
+    JacobiFormQExp,
     TorsionPoint,
     _space_components,
     certified_precision,
@@ -157,23 +158,39 @@ def _fail_usage(message: str):
     raise SystemExit(64)
 
 
-def _load_json(path: str):
+def _cannot_parse(path: str, e: Exception):
+    print("error: cannot parse %s: %s" % (path, e), file=sys.stderr)
+    raise SystemExit(3)
+
+
+def _load_json(path: str, object_hook=None):
+    """The JSON value in path, each object passed through object_hook as the
+    decoder closes it; exit 3 if the file cannot be read or decoded, is
+    nested too deeply, or the hook refuses an object."""
     try:
         with open(path) as fh:
-            return json.load(fh)
-    except (OSError, ValueError) as e:
-        print("error: cannot parse %s: %s" % (path, e), file=sys.stderr)
-        raise SystemExit(3)
+            return json.load(fh, object_hook=object_hook)
+    except (OSError, KeyError, TypeError, ValueError, RecursionError) as e:
+        _cannot_parse(path, e)
+
+
+_SLICE_KEYS = {"k", "m", "prec", "coeffs"}
+
+
+def _slice_hook(rec: dict):
+    """A slice record as its JacobiFormQExp, so that its coefficient lists
+    are freed as soon as it is read; every other JSON object unchanged."""
+    return JacobiFormQExp.from_record(rec) if rec.keys() == _SLICE_KEYS else rec
 
 
 def _load_record(path: str, cls):
-    """cls.from_record of the JSON record in path; exit 3 if either fails."""
-    rec = _load_json(path)
+    """cls.from_record of the JSON record in path, with every slice record
+    built while the file is decoded; exit 3 if either fails."""
+    rec = _load_json(path, _slice_hook)
     try:
         return cls.from_record(rec)
     except (KeyError, TypeError, ValueError) as e:
-        print("error: cannot parse %s: %s" % (path, e), file=sys.stderr)
-        raise SystemExit(3)
+        _cannot_parse(path, e)
 
 
 def _write_text(path: str, text: str):
@@ -231,7 +248,8 @@ def _cmd_gen_lift(run: _Run) -> int:
         return 2
     # _lift rejects C[0] or C[-1] nonzero and stores only 4nm - r^2 >= 1, so its output is cuspidal
     lift = _lift(k, *first, mmax, prec)
-    _write_text(out, lift.to_json())
+    with open(out, "w") as fh:
+        lift.write_json(fh)
     run.emit(
         {"out": out, "weight": k, "prec": prec, "M_max": mmax, "cuspidal": True},
         ["wrote weight-%d lift (prec %d, M_max %d) to %s" % (k, prec, mmax, out)],

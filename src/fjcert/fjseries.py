@@ -18,7 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from itertools import chain, compress
+from itertools import chain, compress, repeat
 
 from .core import PrecisionError, rat_str
 # multiply is not called here: bench/spans.py traces calls under this name
@@ -153,17 +153,24 @@ class FormalFJ:
             "phis": [phi.to_record() for phi in self.phis],
         }
 
-    def to_json(self) -> str:
-        """The text of json.dumps(self.to_record()), written without the record."""
-        phis = ", ".join(phi._json() for phi in self.phis)
-        return '{"k": %d, "M_max": %d, "phis": [%s]}' % (self.k, self.M_max, phis)
+    def write_json(self, fh) -> None:
+        """Write the text of json.dumps(self.to_record()) to fh, the header
+        and then one slice at a time, without the record."""
+        fh.write('{"k": %d, "M_max": %d, "phis": [' % (self.k, self.M_max))
+        for m, phi in enumerate(self.phis):
+            if m:
+                fh.write(", ")
+            fh.write(phi._json())
+        fh.write("]}")
 
     @classmethod
     def from_record(cls, rec) -> "FormalFJ":
+        """Series from its record; each entry of rec["phis"] is a slice
+        record or a JacobiFormQExp already built from one."""
         return cls(
             _read_int(rec["k"]),
             _read_int(rec["M_max"]),
-            [JacobiFormQExp.from_record(r) for r in rec["phis"]],
+            [r if isinstance(r, JacobiFormQExp) else JacobiFormQExp.from_record(r) for r in rec["phis"]],
         )
 
 
@@ -222,34 +229,50 @@ def check_symmetry(f: FormalFJ, bound: int) -> SymmetryReport:
     shear (n + r + m, r + 2m, m).  The first two stay in the window, as
     bound <= M_max and bound < prec; shear images with n + r + m outside
     [0, prec) are skipped and counted, not treated as violations.  Integer
-    numerators over the slices' common denominator are compared.
+    numerators over the slices' common denominator are compared, a whole
+    window of r for each (n, m) at once; violations are listed only where
+    such a comparison fails, in (n, m, r, generator) order.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     if bound > f.M_max or bound >= f.prec:
         raise ValueError("bound %d exceeds stored precision (prec %d, M_max %d)" % (bound, f.prec, f.M_max))
     sign = -1 if f.k % 2 else 1
-    prec = f.prec
+    prec, b, empty = f.prec, bound, {}
     # rows[m][n] maps r to the numerator of c(n, r, m) over den
-    den, rows = _common_rows(f.phis[: bound + 1])
+    den, rows = _common_rows(f.phis[: b + 1])
+    # window[m][n][r + 2b] = c(n, r, m) on the window |r| <= 2b
+    window = [[_dense(s.get(n, empty), -2 * b, 2 * b + 1) for n in range(b + 1)] for s in rows]
     skipped = 0
-    bad = []  # (t, u, lhs numerator, rhs numerator)
-    for n in range(bound + 1):
-        for m in range(bound + 1):
-            row, row_swap = rows[m].get(n, {}), rows[n].get(m, {})
-            for r in range(-2 * bound, 2 * bound + 1):
-                v = row.get(r, 0)
-                if (w := row_swap.get(r, 0)) != sign * v:
-                    bad.append(((n, r, m), _SWAP, w, sign * v))
-                if (w := row.get(-r, 0)) != sign * v:
-                    bad.append(((n, r, m), _REFLECTION, w, sign * v))
-                if not 0 <= n + r + m < prec:
-                    skipped += 1
-                elif (w := rows[m].get(n + r + m, {}).get(r + 2 * m, 0)) != v:
-                    bad.append(((n, r, m), _SHEAR, w, v))
-    checked = 3 * (bound + 1) ** 2 * (4 * bound + 1) - skipped
-    violations = [{"t": t, "u": u, "lhs": Fraction(a, den), "rhs": Fraction(b, den)} for t, u, a, b in bad]
+    bad = []  # (n, m, r, generator, lhs numerator, rhs numerator)
+    for m, s in enumerate(rows):
+        # column j of slice m's band holds c(x, x + m - b + j, m) for x = 0, 1, ...,
+        # so the shear images c(n + r + m, r + 2m, m) of row n are column b - n at x = n + r + m
+        band = list(zip(*(_dense(s.get(x, empty), x + m - b, x + m + 1) for x in range(min(prec, 3 * b + m + 1)))))
+        for n in range(b + 1):
+            v = window[m][n]
+            want = v if sign == 1 else tuple(-c for c in v)
+            for g, w in enumerate((window[n][m], v[::-1])):
+                if w != want:
+                    bad += [(n, m, i - 2 * b, g, w[i], want[i]) for i in range(4 * b + 1) if w[i] != want[i]]
+            # r from -(n + m) to hi keeps 0 <= n + r + m < prec; the rest of the window is skipped
+            hi = min(2 * b, prec - 1 - n - m)
+            skipped += 2 * b - n - m + 2 * b - hi
+            src, img = v[2 * b - n - m : 2 * b + hi + 1], band[b - n][: n + m + hi + 1]
+            if src != img:
+                bad += [(n, m, i - n - m, 2, w, c) for i, (c, w) in enumerate(zip(src, img)) if c != w]
+    bad.sort()
+    checked = 3 * (b + 1) ** 2 * (4 * b + 1) - skipped
+    gens = (_SWAP, _REFLECTION, _SHEAR)
+    violations = [
+        {"t": (n, r, m), "u": gens[g], "lhs": Fraction(lhs, den), "rhs": Fraction(rhs, den)} for n, m, r, g, lhs, rhs in bad
+    ]
     return SymmetryReport(f.k, bound, checked, skipped, violations)
+
+
+def _dense(row: dict, start: int, stop: int) -> tuple:
+    """The values of row at r = start, ..., stop - 1, zero where none is stored."""
+    return tuple(map(row.get, range(start, stop), repeat(0)))
 
 
 def gritsenko_lift(phi: JacobiFormQExp, M_max: int, prec: int) -> FormalFJ:

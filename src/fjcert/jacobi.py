@@ -224,15 +224,16 @@ class JacobiFormQExp:
         return cls._trusted(k, m, prec, *_checked(m, prec, rows))
 
     def float_terms(self):
-        """(terms, nmax, rmin, rmax), computed once: the (n, r, float c(n, r))
-        in storage order, the largest stored n, and the span rmin <= 0 <= rmax
-        of the powers of y that :func:`evaluate` tabulates for them."""
+        """(rows, nmax, rmin, rmax), computed once: rows holds (n, the r of
+        row n, the floats c(n, r)) in storage order, two lists per row and no
+        object per term; nmax is the largest stored n, and rmin <= 0 <= rmax
+        the span of the powers of y that :func:`evaluate` tabulates."""
         if self._fterms is None:
             # int true division is correctly rounded, as float(Fraction) is
             den, rows = self.den, self.num.values()
-            terms = [(n, r, v / den) for n, row in self.num.items() for r, v in row.items()]
+            frows = [(n, list(row), [v / den for v in row.values()]) for n, row in self.num.items()]
             rs = [0, *map(min, rows), *map(max, rows)]
-            self._fterms = terms, max(self.num, default=0), min(rs), max(rs)
+            self._fterms = frows, max(self.num, default=0), min(rs), max(rs)
         return self._fterms
 
 
@@ -712,8 +713,8 @@ def evaluate(phi: JacobiFormQExp, tau1: complex, z: complex) -> complex:
         yinv = cmath.inf
     if cmath.isinf(yinv):
         raise ValueError("e(z) or e(-z) is 0 or overflows at z = %r" % z)
-    terms, nmax, rmin, rmax = phi.float_terms()
-    if not terms:
+    rows, nmax, rmin, rmax = phi.float_terms()
+    if not rows:
         return 0j
     if nmax + 1 > WINDOW_CAP:
         raise ValueError("n up to %d needs more than %d powers of x" % (nmax, WINDOW_CAP))
@@ -731,7 +732,7 @@ def evaluate(phi: JacobiFormQExp, tau1: complex, z: complex) -> complex:
     for r in range(-1, rmin - 1, -1):
         cur *= yinv
         ypw[r] = cur
-    vals = [c * xs[n] * ypw[r] for n, r, c in terms]
+    vals = [c * xs[n] * ypw[r] for n, rs, cs in rows for r, c in zip(rs, cs)]
     try:  # fsum raises on an overflowing sum and on inf - inf
         total = complex(math.fsum(v.real for v in vals), math.fsum(v.imag for v in vals))
     except (OverflowError, ValueError):

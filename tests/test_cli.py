@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -450,6 +451,81 @@ def test_poly_zero_denominator_exits_3(tmp_path, lift_file, relation_files):
     rc = main(["bound-report", "--in", str(lift_file), "--poly", str(bad), "--box", str(box),
                "--report", str(tmp_path / "r.txt")])
     assert rc == 3
+
+
+def first_slice(rec):
+    """The first slice record with a stored coefficient, in a series record
+    or in the first coefficient of a polynomial record."""
+    series = rec["coeffs"][0] if "k0" in rec else rec
+    return next(phi for phi in series["phis"] if phi["coeffs"])
+
+
+BAD_SLICES = {
+    "coeffs-not-a-list": lambda phi: phi.update(coeffs=5),
+    "no-prec": lambda phi: phi.pop("prec"),
+    "four-element-triple": lambda phi: phi["coeffs"][0].append(2),
+    "zero-denominator": lambda phi: phi["coeffs"][0].__setitem__(2, "1/0"),
+    "bare-slice": None,
+}
+
+
+def assert_exits_3(command, flag, text, tmp_path, lift_file, relation_files, capsys):
+    """command on the test files, the file of flag replaced by one holding text,
+    exits 3 with one "cannot parse" line and no traceback."""
+    poly, box = relation_files
+    files = {"--in": lift_file, "--poly": poly, "--box": box} if command == "bound-report" else {"--in": lift_file}
+    files[flag] = tmp_path / "bad.json"
+    files[flag].write_text(text)
+    argv = [command] + [x for item in files.items() for x in map(str, item)] + ["--report", str(tmp_path / "r.txt")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "cannot parse" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("bad_slice", sorted(BAD_SLICES))
+@pytest.mark.parametrize("command, flag", [("check-symmetry", "--in"), ("certify", "--in"), ("bound-report", "--in"), ("bound-report", "--poly")])
+def test_bad_slice_records_exit_3(tmp_path, lift_file, relation_files, capsys, command, flag, bad_slice):
+    # slice records are built while the file is decoded: their errors
+    # surface inside json.load and still exit 3 with one line
+    rec = json.loads((relation_files[0] if flag == "--poly" else lift_file).read_text())
+    if BAD_SLICES[bad_slice]:
+        BAD_SLICES[bad_slice](first_slice(rec))
+    else:
+        rec = first_slice(rec)
+    assert_exits_3(command, flag, json.dumps(rec), tmp_path, lift_file, relation_files, capsys)
+
+
+@pytest.mark.parametrize("command, flag", [("check-symmetry", "--in"), ("certify", "--in"), ("bound-report", "--poly"), ("bound-report", "--box")])
+def test_deeply_nested_json_exits_3(tmp_path, lift_file, relation_files, capsys, command, flag):
+    assert_exits_3(command, flag, "[" * 200000 + "]" * 200000, tmp_path, lift_file, relation_files, capsys)
+
+
+def test_slice_hook_builds_slices_only(lift8, relation_files):
+    f, _ = lift8
+    poly, _ = relation_files
+    assert cli._slice_hook(f.phis[3].to_record()) == f.phis[3]
+    series, relation = f.to_record(), json.loads(poly.read_text())
+    for rec in (series, relation, {"k0": 0, "k": 10, "coeffs": []}, dict(f.phis[3].to_record(), note="")):
+        assert cli._slice_hook(rec) is rec
+    assert cli._load_record(str(poly), PolynomialOverM).coeffs == PolynomialOverM.from_record(relation).coeffs
+    # library callers still pass slice records as dicts, or slices already built
+    assert FormalFJ.from_record(series) == FormalFJ.from_record(dict(series, phis=list(f.phis))) == f
+
+
+def test_reader_holds_one_slice_of_json_lists(tmp_path, lift40):
+    # the decoded text and the series read from it, plus little more
+    f, _ = lift40
+    path = tmp_path / "lift40.json"
+    with open(path, "w") as fh:
+        f.write_json(fh)
+    tracemalloc.start()
+    try:
+        back = cli._load_record(str(path), FormalFJ)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert back == f
+    assert peak < 1.5 * (path.stat().st_size + kept)
 
 
 def test_bound_report_reads_eps_string_from_box(tmp_path, lift_file, relation_files, capsys):

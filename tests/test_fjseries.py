@@ -2,6 +2,7 @@
 
 import cmath
 import hashlib
+import io
 import json
 import math
 import random
@@ -177,7 +178,9 @@ def test_series_text_is_json_of_the_record(case, request):
     f = f() if f else request.getfixturevalue(case)[0]
     if case == "mixed":
         assert [phi.den for phi in f.phis] == [1, 1, 2, 6]
-    text = f.to_json()
+    out = io.StringIO()
+    f.write_json(out)
+    text = out.getvalue()
     assert text == json.dumps(f.to_record()) == json.dumps(old_record(f))
     assert FormalFJ.from_record(json.loads(text)) == f
 

@@ -2,6 +2,8 @@
 and point evaluation against the schoolbook loops they replaced
 (tests/schoolbook.py)."""
 
+import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -226,6 +228,36 @@ def test_evaluate_matches_schoolbook(phi, points):
     # the second and third points read the cached terms
     for tau1, z in points:
         assert evaluate(phi, tau1, z) == schoolbook.evaluate(phi, tau1, z)
+
+
+# certify's default tau1 at the torsion point (2, 1, 0), then the 25 (tau1, z) of the criterion-6 box
+_LO = -0.2 / math.sqrt(2)
+LIFT_POINTS = [(1j, 0.5j)] + [(1j, complex(_LO - _LO * i / 2, _LO - _LO * j / 2)) for i in range(5) for j in range(5)]
+
+
+@pytest.mark.parametrize("series", ["lift40", "lift10_40 squared"])
+def test_evaluate_matches_schoolbook_on_lift_slices(series, lift40, lift10_40):
+    # no bit moves on any slice; lift40 is taken at certify's point and the box's diagonal only,
+    # as the oracle's Fraction scan costs 0.4 s per point there
+    f = lift40[0] if series == "lift40" else lift10_40[0].multiply(lift10_40[0])
+    points = LIFT_POINTS[:1] + LIFT_POINTS[1::6] if series == "lift40" else LIFT_POINTS
+    for phi in f.phis:
+        for tau1, z in points:
+            assert evaluate(phi, tau1, z) == schoolbook.evaluate(phi, tau1, z), (phi.m, z)
+
+
+def test_float_terms_cost_few_bytes_per_term(lift40):
+    # per term: one slot in a list of r (the rows' own ints) and one float in a list of values
+    f, _ = lift40
+    fresh = [JacobiFormQExp._trusted(phi.k, phi.m, phi.prec, phi.den, phi.num) for phi in f.phis]
+    tracemalloc.start()
+    try:
+        for phi in fresh:
+            phi.float_terms()
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert size <= 60 * sum(len(phi.coeffs) for phi in f.phis)
 
 
 @pytest.mark.parametrize("prec", [1, 2, 7, 60, 301])
