@@ -36,7 +36,8 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import chain, compress, repeat
+from itertools import accumulate, chain, compress, repeat
+from operator import mul
 
 from .core import (
     CycElem,
@@ -224,16 +225,24 @@ class JacobiFormQExp:
         return cls._trusted(k, m, prec, *_checked(m, prec, rows))
 
     def float_terms(self):
-        """(rows, nmax, rmin, rmax), computed once: rows holds (n, the r of
-        row n, the floats c(n, r)) in storage order, two lists per row and no
-        object per term; nmax is the largest stored n, and rmin <= 0 <= rmax
-        the span of the powers of y that :func:`evaluate` tabulates."""
+        """(rows, width), computed once: rows holds, in storage order, one
+        (n, lo, cs) per stored row n, where lo is the row's lowest r and cs
+        the dense list of floats c(n, lo), c(n, lo + 1), ... up to the row's
+        highest r, zeros included; width is the longest row's len(cs), 0 for
+        a zero form.  Raises ValueError, before building anything, when a row
+        spans more than WINDOW_CAP values of r."""
         if self._fterms is None:
+            ends = [(min(row), max(row)) for row in self.num.values()]
+            width = max((hi - lo + 1 for lo, hi in ends), default=0)
+            if width > WINDOW_CAP:
+                raise ValueError("a row spans %d values of r, more than %d" % (width, WINDOW_CAP))
             # int true division is correctly rounded, as float(Fraction) is
-            den, rows = self.den, self.num.values()
-            frows = [(n, list(row), [v / den for v in row.values()]) for n, row in self.num.items()]
-            rs = [0, *map(min, rows), *map(max, rows)]
-            self._fterms = frows, max(self.num, default=0), min(rs), max(rs)
+            den = self.den
+            frows = [
+                (n, lo, [row[r] / den if r in row else 0.0 for r in range(lo, hi + 1)])
+                for (n, row), (lo, hi) in zip(self.num.items(), ends)
+            ]
+            self._fterms = frows, width
         return self._fterms
 
 
@@ -669,13 +678,16 @@ def window_abs(eta: SpecializedExpansion, S) -> list:
     exponent must lie below the certified precision of eta.
     """
     exp = eta.expansion
+    L, coeffs, pnum, pden = exp.L, exp.coeffs, exp.prec.numerator, exp.prec.denominator
     out = []
     for t in S:
         x = t[0, 0] if hasattr(t, "rows") else Fraction(t)
-        if x >= exp.prec:
+        # x = p / q >= prec and x L = e, compared and scaled on integers
+        p, q = x.numerator, x.denominator
+        if p * pden >= pnum * q:
             raise PrecisionError("window exponent %s is beyond specialized precision %s" % (x, exp.prec))
-        e = x * exp.L
-        c = exp.coeffs.get(e.numerator) if e.denominator == 1 else None
+        e, rest = divmod(p * L, q)
+        c = None if rest else coeffs.get(e)
         out.append(0.0 if c is None else abs(cyc_eval(c)))
     return out
 
@@ -701,11 +713,18 @@ def check_point(tau1: complex, z: complex = 0j) -> None:
 def evaluate(phi: JacobiFormQExp, tau1: complex, z: complex) -> complex:
     """Numerical value sum c(n, r) e(n tau1 + r z) over the stored window.
 
+    Each stored row n is summed from the end r0 with the largest factor
+    |e(n tau1 + r0 z)|, the highest r when |e(z)| >= 1 and the lowest
+    otherwise: its value is e(n tau1 + r0 z) times sum_j c(n, r0 -+ j) s^j
+    with s = e(-z) or e(z), whichever has |s| <= 1.  So no stored factor
+    exceeds the row's largest, and the rows are added by math.fsum.
+
     Raises ValueError when the point fails :func:`check_point`, when e(z) or
-    e(-z) is 0 or overflows, when a term overflows, and, before building
-    anything, when the table of powers x^n or y^r would exceed WINDOW_CAP."""
+    e(-z) is 0 or overflows, when a row's start factor or the total
+    overflows ("a term overflows"), and, before building anything, when a
+    row spans more than WINDOW_CAP values of r (see
+    :meth:`JacobiFormQExp.float_terms`)."""
     check_point(tau1, z)
-    x = cmath.exp(2j * math.pi * tau1)
     try:
         y = cmath.exp(2j * math.pi * z)
         yinv = 1.0 / y
@@ -713,27 +732,19 @@ def evaluate(phi: JacobiFormQExp, tau1: complex, z: complex) -> complex:
         yinv = cmath.inf
     if cmath.isinf(yinv):
         raise ValueError("e(z) or e(-z) is 0 or overflows at z = %r" % z)
-    rows, nmax, rmin, rmax = phi.float_terms()
+    rows, width = phi.float_terms()
     if not rows:
         return 0j
-    if nmax + 1 > WINDOW_CAP:
-        raise ValueError("n up to %d needs more than %d powers of x" % (nmax, WINDOW_CAP))
-    if rmax - rmin + 1 > WINDOW_CAP:
-        raise ValueError("r span %d..%d needs more than %d powers of y" % (rmin, rmax, WINDOW_CAP))
-    xs = [1.0 + 0j]
-    for _ in range(nmax):
-        xs.append(xs[-1] * x)
-    ypw = {0: 1.0 + 0j}
-    cur = 1.0 + 0j
-    for r in range(1, rmax + 1):
-        cur *= y
-        ypw[r] = cur
-    cur = 1.0 + 0j
-    for r in range(-1, rmin - 1, -1):
-        cur *= yinv
-        ypw[r] = cur
-    vals = [c * xs[n] * ypw[r] for n, rs, cs in rows for r, c in zip(rs, cs)]
-    try:  # fsum raises on an overflowing sum and on inf - inf
+    up = abs(y) >= 1.0
+    pw = list(accumulate(repeat(yinv if up else y, width - 1), mul, initial=1.0 + 0j))
+    t = 2j * math.pi
+    try:  # cmath.exp raises on an overflowing start factor, fsum on an overflowing sum and on inf - inf
+        vals = [
+            cmath.exp(t * (n * tau1 + (lo + len(cs) - 1) * z)) * sum(map(mul, reversed(cs), pw))
+            if up
+            else cmath.exp(t * (n * tau1 + lo * z)) * sum(map(mul, cs, pw))
+            for n, lo, cs in rows
+        ]
         total = complex(math.fsum(v.real for v in vals), math.fsum(v.imag for v in vals))
     except (OverflowError, ValueError):
         total = cmath.nan

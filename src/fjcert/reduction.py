@@ -562,7 +562,7 @@ def _rho_transform(size: int, vhat: UnimodularMat) -> UnimodularMat:
 
 
 # default cap of enumerate_S on candidates, cap of enumerate_r on vectors and
-# of jacobi.evaluate on powers of y
+# of jacobi.evaluate on the values of r one row spans
 WINDOW_CAP = 10**6
 
 

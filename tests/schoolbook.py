@@ -53,8 +53,13 @@ index-zero q-expansion, and every stored coefficient keyed by HalfIntIndex.
 ``poly_eval`` is the old ``fjseries.poly_eval``: Horner from the leading
 coefficient, every step one product by f (here through ``series_multiply``),
 with no shortcut for a leading coefficient of one.  ``evaluate`` is the old
-``jacobi.evaluate``: it scans the terms for the r span at every call and
-sums them term by term, reading the Fraction view of the form.
+``jacobi.evaluate``: it tabulates x^n for every n up to the largest stored
+one and y^r for every r between 0 and the stored extremes, multiplies them
+term by term, and raises where a table overflows even when no term does.
+``evaluate_terms`` is the per-term oracle for both: each term from its own
+``cmath.exp``, for the caller to add with ``math.fsum``.  ``window_abs`` is
+the old ``jacobi.window_abs``, which compares and scales each window
+exponent as a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -65,7 +70,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from fjcert.core import CycElem, PrecisionError, QExpansion, _dict_add, _dict_div, _dict_mul, _dict_scale, _eis_dict, _vadd, _vmul, _viszero, parse_rat
+from fjcert.core import CycElem, PrecisionError, QExpansion, _dict_add, _dict_div, _dict_mul, _dict_scale, _eis_dict, _vadd, _vmul, _viszero, cyc_eval, parse_rat
 from fjcert import jacobi
 from fjcert.fjseries import FormalFJ, SymmetryReport
 from fjcert.jacobi import (
@@ -648,36 +653,66 @@ def poly_eval(q, f: FormalFJ) -> FormalFJ:
 
 def evaluate(phi: JacobiFormQExp, tau1: complex, z: complex) -> complex:
     """Numerical value sum c(n, r) e(n tau1 + r z) over the stored window."""
-    t_im = tau1.imag
-    if t_im <= 0:
-        raise ValueError("tau1 must have positive imaginary part")
+    jacobi.check_point(tau1, z)
     x = cmath.exp(2j * math.pi * tau1)
-    y = cmath.exp(2j * math.pi * z)
-    terms = sorted((n, r, float(c)) for (n, r), c in phi.coeffs.items())
+    try:
+        y = cmath.exp(2j * math.pi * z)
+        yinv = 1.0 / y
+    except (OverflowError, ZeroDivisionError):
+        yinv = cmath.inf
+    if cmath.isinf(yinv):
+        raise ValueError("e(z) or e(-z) is 0 or overflows at z = %r" % z)
+    terms = sorted((n, r, v / phi.den) for n, row in phi.num.items() for r, v in row.items())
     if not terms:
         return 0j
+    nmax = terms[-1][0]  # terms are sorted, so this is the largest stored n
+    rmin = min(0, *(r for _, r, _ in terms))
+    rmax = max(0, *(r for _, r, _ in terms))
+    if nmax + 1 > jacobi.WINDOW_CAP:
+        raise ValueError("n up to %d needs more than %d powers of x" % (nmax, jacobi.WINDOW_CAP))
+    if rmax - rmin + 1 > jacobi.WINDOW_CAP:
+        raise ValueError("r span %d..%d needs more than %d powers of y" % (rmin, rmax, jacobi.WINDOW_CAP))
     xs = [1.0 + 0j]
-    for _ in range(terms[-1][0]):  # terms are sorted, so this is the largest stored n
+    for _ in range(nmax):
         xs.append(xs[-1] * x)
     ypw = {0: 1.0 + 0j}
-    rmin = min(r for _, r, _ in terms)
-    rmax = max(r for _, r, _ in terms)
     cur = 1.0 + 0j
     for r in range(1, rmax + 1):
         cur *= y
         ypw[r] = cur
     cur = 1.0 + 0j
-    yinv = 1.0 / y
     for r in range(-1, rmin - 1, -1):
         cur *= yinv
         ypw[r] = cur
-    res = []
-    ims = []
-    for n, r, c in terms:
-        v = c * xs[n] * ypw[r]
-        res.append(v.real)
-        ims.append(v.imag)
-    return complex(math.fsum(res), math.fsum(ims))
+    vals = [c * xs[n] * ypw[r] for n, r, c in terms]
+    try:  # fsum raises on an overflowing sum and on inf - inf
+        total = complex(math.fsum(v.real for v in vals), math.fsum(v.imag for v in vals))
+    except (OverflowError, ValueError):
+        total = cmath.nan
+    if not cmath.isfinite(total):
+        raise ValueError("a term overflows at tau1 = %r, z = %r" % (tau1, z))
+    return total
+
+
+def evaluate_terms(phi: JacobiFormQExp, tau1: complex, z: complex) -> list:
+    """Every term c(n, r) e(n tau1 + r z) of the stored window, each from its
+    own cmath.exp, with no power table and no shared factor."""
+    t, den = 2j * math.pi, phi.den
+    return [v / den * cmath.exp(t * (n * tau1 + r * z)) for n, row in phi.num.items() for r, v in row.items()]
+
+
+def window_abs(eta, S) -> list:
+    """|c_x(eta)| for each exponent x of the window S, in the order of S."""
+    exp = eta.expansion
+    out = []
+    for t in S:
+        x = t[0, 0] if hasattr(t, "rows") else Fraction(t)
+        if x >= exp.prec:
+            raise PrecisionError("window exponent %s is beyond specialized precision %s" % (x, exp.prec))
+        e = x * exp.L
+        c = exp.coeffs.get(e.numerator) if e.denominator == 1 else None
+        out.append(0.0 if c is None else abs(cyc_eval(c)))
+    return out
 
 
 def jacobi_to_record(self: JacobiFormQExp):

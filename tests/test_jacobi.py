@@ -699,46 +699,64 @@ def test_evaluate_constant_and_zero():
     assert evaluate(zero, 1j, 0j) == 0j
 
 
+def _traced_peak(call):
+    """(call(), the peak traced allocation in bytes while it ran)."""
+    tracemalloc.start()
+    try:
+        value = call()
+        return value, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_evaluate_work_follows_the_stored_rows(phi10):
     # a declared precision far above the stored rows allocates nothing and changes no bit
     wide = JacobiFormQExp._trusted(phi10.k, phi10.m, 10**6, phi10.den, phi10.num)
-    tracemalloc.start()
-    try:
-        value = evaluate(wide, 0.4j, 0.1j)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    value, peak = _traced_peak(lambda: evaluate(wide, 0.4j, 0.1j))
     assert value == evaluate(phi10, 0.4j, 0.1j)
     assert peak < 10**6
 
 
 @pytest.mark.parametrize("r", [10**9, -(10**9)])
 def test_evaluate_caps_the_y_power_table(r):
-    # one coefficient at r = +-10^9 would need 10^9 powers of y
-    with pytest.raises(ValueError, match="powers of y"):
-        evaluate(JacobiFormQExp(4, 1, 2, {(1, r): 1}), 1j, 0.1j)
+    # the powers of e(z) or e(-z) span the longest row, here one power, whatever r is;
+    # at Im z > 0 the lone term underflows to 0 at r = 10^9 and overflows at r = -10^9
+    phi = JacobiFormQExp(4, 1, 2, {(1, r): 1})
+    if r < 0:
+        with pytest.raises(ValueError, match="a term overflows"):
+            evaluate(phi, 1j, 0.1j)
+    else:
+        value, peak = _traced_peak(lambda: evaluate(phi, 1j, 0.1j))
+        assert value == 0j and peak < 10**4
 
 
 def test_evaluate_cap_counts_every_tabulated_power(monkeypatch):
-    # the table runs from min(r, 0) to max(r, 0): y^-4 .. y^5 is 10 powers
+    # a row from r = -4 to 5 needs the powers s^0 .. s^9 of s = e(z) or e(-z): 10 powers
     monkeypatch.setattr(jacobi, "WINDOW_CAP", 10)
     assert evaluate(JacobiFormQExp(4, 1, 2, {(1, -4): 1, (1, 5): 2}), 0.5j, 0.1j)
-    for coeffs in ({(1, -5): 1, (1, 5): 2}, {(1, 10): 1}, {(1, -10): 1}):
-        with pytest.raises(ValueError, match="powers of y"):
+    # the cap is per row: two rows of span 10 together cover r = -9 .. 9
+    assert evaluate(JacobiFormQExp(4, 1, 3, {(1, -9): 1, (1, 0): 2, (2, 0): 1, (2, 9): 3}), 0.5j, 0.1j)
+    for coeffs in ({(1, -5): 1, (1, 5): 2}, {(1, 0): 1, (1, 10): 1}, {(1, -10): 1, (1, 0): 1}):
+        with pytest.raises(ValueError, match="spans 11 values of r"):
             evaluate(JacobiFormQExp(4, 1, 2, coeffs), 0.5j, 0.1j)
 
 
-def test_evaluate_caps_the_x_power_table():
-    # one coefficient at n = 10^9 would need 10^9 powers of x
-    with pytest.raises(ValueError, match="powers of x"):
-        evaluate(JacobiFormQExp(4, 1, 10**9 + 1, {(10**9, 0): 1}), 1j, 0.1j)
+def test_evaluate_tabulates_no_powers_of_x():
+    # a lone coefficient at n = 10^9 is one start factor, which underflows to 0
+    phi = JacobiFormQExp(4, 1, 10**9 + 1, {(10**9, 0): 1})
+    value, peak = _traced_peak(lambda: evaluate(phi, 1j, 0.1j))
+    assert value == 0j and peak < 10**4
 
 
-def test_evaluate_x_cap_counts_x_to_the_zero(monkeypatch):
-    monkeypatch.setattr(jacobi, "WINDOW_CAP", 10)
-    assert evaluate(JacobiFormQExp(4, 1, 10, {(9, 0): 1}), 0.5j, 0.1j)
-    with pytest.raises(ValueError, match="powers of x"):
-        evaluate(JacobiFormQExp(4, 1, 11, {(10, 0): 1}), 0.5j, 0.1j)
+def test_evaluate_row_cap_allocates_nothing():
+    # one row from r = 0 to 10^6 spans WINDOW_CAP + 1 values: refused before its 8 MB list is built
+    phi = JacobiFormQExp(4, 1, 2, {(1, 0): 1, (1, 10**6): 1})
+
+    def refused():
+        with pytest.raises(ValueError, match="more than %d" % jacobi.WINDOW_CAP):
+            evaluate(phi, 1j, 0.1j)
+
+    assert _traced_peak(refused)[1] < 10**4
 
 
 def test_evaluate_validates_upper_half_plane(phi10):

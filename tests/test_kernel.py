@@ -1,8 +1,10 @@
-"""Differential tests: the Kronecker-substitution kernel, the Horner loop
-and point evaluation against the schoolbook loops they replaced
+"""Differential tests: the Kronecker-substitution kernel, the Horner loop,
+point evaluation and window norms against the schoolbook loops they
+replaced, and point evaluation against a per-term oracle
 (tests/schoolbook.py)."""
 
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -12,10 +14,11 @@ from hypothesis import strategies as st
 
 import schoolbook
 from fjcert import CycElem, FormalFJ, PolynomialOverM, QExpansion, jacobi_space
-from fjcert.core import _dict_mul
+from fjcert.core import PrecisionError, _dict_mul
 from fjcert import jacobi
 from fjcert.fjseries import poly_eval
-from fjcert.jacobi import JacobiFormQExp, evaluate, multiply
+from fjcert.jacobi import JacobiFormQExp, TorsionPoint, evaluate, multiply, specialize_torsion
+from fjcert.reduction import SymMatQ
 
 small = st.integers(-50, 50)
 huge = st.integers(2**2000, 2**2100).flatmap(lambda v: st.sampled_from([v, -v]))
@@ -221,13 +224,34 @@ point = st.tuples(
 )
 
 
+def oracle(phi, tau1, z):
+    """(value, bound): the per-term oracle's value, and c 2^-53 sum |terms|
+    with c = 4 (W + A + 4).  W is the longest row span, the longest chain of
+    powers of e(z) or e(-z); A = 2 pi max (n |tau1| + |r| |z|) over the
+    stored terms is the size of the largest exponent, whose rounding the
+    oracle shares; 4 covers the rounding of a coefficient, an exponential
+    and the products by them, on either side."""
+    terms = schoolbook.evaluate_terms(phi, tau1, z)
+    want = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+    width = max((max(row) - min(row) + 1 for row in phi.num.values()), default=0)
+    size = 2 * math.pi * max((n * abs(tau1) + abs(r) * abs(z) for n, row in phi.num.items() for r in row), default=0)
+    return want, 4 * (width + size + 4) * 2**-53 * math.fsum(map(abs, terms))
+
+
+def assert_meets_oracle_bound(phi, tau1, z):
+    """evaluate and the old table evaluation, schoolbook.evaluate, both lie
+    within the oracle's bound."""
+    want, bound = oracle(phi, tau1, z)
+    for value in (evaluate(phi, tau1, z), schoolbook.evaluate(phi, tau1, z)):
+        assert abs(value - want) <= bound, (phi.m, tau1, z, abs(value - want), bound)
+
+
 @given(signed_form(), st.lists(point, min_size=1, max_size=3))
 @example(JacobiFormQExp.zero(4, 1, 5), [(1j, 0.3j)])
 def test_evaluate_matches_schoolbook(phi, points):
-    # exact equality: the cached span and the one-pass sum change no bit;
-    # the second and third points read the cached terms
+    # the second and third points read the cached rows
     for tau1, z in points:
-        assert evaluate(phi, tau1, z) == schoolbook.evaluate(phi, tau1, z)
+        assert_meets_oracle_bound(phi, tau1, z)
 
 
 # certify's default tau1 at the torsion point (2, 1, 0), then the 25 (tau1, z) of the criterion-6 box
@@ -237,17 +261,27 @@ LIFT_POINTS = [(1j, 0.5j)] + [(1j, complex(_LO - _LO * i / 2, _LO - _LO * j / 2)
 
 @pytest.mark.parametrize("series", ["lift40", "lift10_40 squared"])
 def test_evaluate_matches_schoolbook_on_lift_slices(series, lift40, lift10_40):
-    # no bit moves on any slice; lift40 is taken at certify's point and the box's diagonal only,
-    # as the oracle's Fraction scan costs 0.4 s per point there
+    # lift40 is taken at certify's point and the box's diagonal only, to keep the oracles cheap
     f = lift40[0] if series == "lift40" else lift10_40[0].multiply(lift10_40[0])
     points = LIFT_POINTS[:1] + LIFT_POINTS[1::6] if series == "lift40" else LIFT_POINTS
     for phi in f.phis:
         for tau1, z in points:
-            assert evaluate(phi, tau1, z) == schoolbook.evaluate(phi, tau1, z), (phi.m, z)
+            assert_meets_oracle_bound(phi, tau1, z)
+
+
+def test_evaluate_where_the_old_tables_overflow():
+    # e(-z)^120 = e^716 overflows a double, but no term exceeds e^340: the
+    # row is summed from r = -120, its largest factor
+    phi = JacobiFormQExp(4, 60, 61, {(60, r): 1 + r % 7 for r in range(-120, 121)})
+    with pytest.raises(ValueError, match="a term overflows"):
+        schoolbook.evaluate(phi, 1j, 0.95j)
+    want, bound = oracle(phi, 1j, 0.95j)
+    assert math.isfinite(abs(want)) and abs(want) > 1e140
+    assert abs(evaluate(phi, 1j, 0.95j) - want) <= bound
 
 
 def test_float_terms_cost_few_bytes_per_term(lift40):
-    # per term: one slot in a list of r (the rows' own ints) and one float in a list of values
+    # per r of a row's span: one slot in the row's dense list, and one float unless c(n, r) = 0
     f, _ = lift40
     fresh = [JacobiFormQExp._trusted(phi.k, phi.m, phi.prec, phi.den, phi.num) for phi in f.phis]
     tracemalloc.start()
@@ -284,3 +318,21 @@ def test_jacobi_space_builds_no_fraction(monkeypatch, cusp):
     want = [schoolbook.jacobi_space(k, cusp, 9) for k in range(4, 41, 2)]
     monkeypatch.setattr(jacobi, "Fraction", None)
     assert [jacobi_space(k, cusp, 9) for k in range(4, 41, 2)] == want
+
+
+@given(
+    st.sampled_from([(1, 0, 0), (2, 1, 0), (2, 1, 1), (3, 1, 2), (4, 3, 1)]),
+    st.lists(st.fractions(min_value=0, max_value=24, max_denominator=40), max_size=20),
+)
+def test_window_abs_matches_the_fraction_path(phi10, point, window):
+    # the same floats, and the same refusal at or beyond the specialized precision
+    eta = specialize_torsion(phi10, TorsionPoint(*point))
+    window = window + [SymMatQ([[x]]) for x in window[:3]] + [eta.expansion.prec]
+    for S in (window[:-1], window):
+        try:
+            want = schoolbook.window_abs(eta, S)
+        except PrecisionError as exc:
+            with pytest.raises(PrecisionError, match=re.escape(str(exc))):
+                jacobi.window_abs(eta, S)
+        else:
+            assert jacobi.window_abs(eta, S) == want
