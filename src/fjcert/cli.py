@@ -22,7 +22,7 @@ import json
 import math
 import sys
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .convergence import (
     BoundConfig,
@@ -40,6 +40,7 @@ from .jacobi import (  # noqa: F401
     JacobiFormQExp,
     TorsionPoint,
     _space_components,
+    _Texts,
     certified_precision,
     check_point,
     jacobi_space,
@@ -177,16 +178,21 @@ def _load_json(path: str, object_hook=None):
 _SLICE_KEYS = {"k", "m", "prec", "coeffs"}
 
 
-def _slice_hook(rec: dict):
+def _slice_hook(rec: dict, texts=None):
     """A slice record as its JacobiFormQExp, so that its coefficient lists
-    are freed as soon as it is read; every other JSON object unchanged."""
-    return JacobiFormQExp.from_record(rec) if rec.keys() == _SLICE_KEYS else rec
+    are freed as soon as it is read, its value texts read through texts (a
+    fresh table when None); every other JSON object unchanged."""
+    if rec.keys() != _SLICE_KEYS:
+        return rec
+    return JacobiFormQExp._from_record(rec, _Texts() if texts is None else texts)
 
 
 def _load_record(path: str, cls):
     """cls.from_record of the JSON record in path, with every slice record
-    built while the file is decoded; exit 3 if either fails."""
-    rec = _load_json(path, _slice_hook)
+    built while the file is decoded, all through one table of value texts,
+    so that each distinct text is parsed once and stands for one object;
+    exit 3 if either fails."""
+    rec = _load_json(path, partial(_slice_hook, texts=_Texts()))
     try:
         return cls.from_record(rec)
     except (KeyError, TypeError, ValueError) as e:

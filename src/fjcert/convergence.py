@@ -104,7 +104,9 @@ class ConvergenceReport:
 
     verdict is one of pass, degenerate-pass, fail, hypothesis-failure.
     witnesses carry the numbers behind the verdict; series holds named
-    (header, rows) tables for CSV export.
+    (header, rows) tables for CSV export.  sampled names the witnesses that
+    are samples rather than proved values, each with what was sampled; the
+    text report and the record carry it when it is not empty.
     """
 
     criterion: str
@@ -113,13 +115,14 @@ class ConvergenceReport:
     witnesses: dict = field(default_factory=dict)
     tolerances: dict = field(default_factory=dict)
     series: dict = field(default_factory=dict)
+    sampled: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
         return self.verdict in ("pass", "degenerate-pass")
 
     def to_record(self):
-        return {
+        rec = {
             "criterion": self.criterion,
             "paper_ref": self.paper_ref,
             "verdict": self.verdict,
@@ -127,6 +130,9 @@ class ConvergenceReport:
             "tolerances": {k: _plain(v) for k, v in self.tolerances.items()},
             "series": {k: {"header": h, "rows": [[_plain(x) for x in row] for row in rows]} for k, (h, rows) in self.series.items()},
         }
+        if self.sampled:
+            rec["sampled"] = dict(self.sampled)
+        return rec
 
     def to_text(self) -> str:
         lines = [
@@ -140,6 +146,9 @@ class ConvergenceReport:
         lines.append("tolerances:")
         for key in sorted(self.tolerances):
             lines.append("  %s = %s" % (key, _plain(self.tolerances[key])))
+        if self.sampled:
+            lines.append("sampled:")
+            lines.extend("  %s: %s" % (key, self.sampled[key]) for key in sorted(self.sampled))
         for name, (header, rows) in self.series.items():
             lines.append("%s: %d rows (%s)" % (name, len(rows), ", ".join(header)))
         return "\n".join(lines) + "\n"
@@ -242,13 +251,18 @@ def growth_fit(etas, k: int, g: int, S, cfg: BoundConfig) -> ConvergenceReport:
     pts = [(math.log(m), math.log(norm)) for m, norm in norms if norm > 0]
     witnesses = {"b": cfg.b, "ratio_max": ratio_max, "nonzero_points": len(pts), "window_size": len(S)}
     verdict = "degenerate-pass"
+    sampled = {}
     if len(pts) >= 2:
         fit = linear_regression([x for x, _ in pts], [y for _, y in pts])
         witnesses.update(slope=fit.slope, intercept=fit.intercept)
         verdict = "pass" if fit.slope <= threshold else "fail"
+        sampled["slope"] = (
+            "least-squares fit of log FE-norm on log m over the %d slices m <= %d with a nonzero norm on the window, "
+            "not a bound on the growth" % (len(pts), m_count)
+        )
     tolerances = {"slack": cfg.slack, "threshold": threshold}
     series = {"fe_norms": (["m", "fe_norm"], [[m, norm] for m, norm in norms])}
-    return ConvergenceReport("growth-bound", claim, verdict, witnesses, tolerances, series)
+    return ConvergenceReport("growth-bound", claim, verdict, witnesses, tolerances, series, sampled)
 
 
 # ---------------------------------------------------------------------------
@@ -414,8 +428,8 @@ def partial_sum_bound_check(
         rows[m] = 0.0
     if not rows:
         raise ValueError("M_list is empty")
-    grid = k_eps_grid(box, 2.0, points)
-    d_val = d_eps(q, box, k_eps_grid(box, 1.0, points))
+    grid, d_grid = k_eps_grid(box, 2.0, points), k_eps_grid(box, 1.0, points)
+    d_val = d_eps(q, box, d_grid)
     decay = math.exp(-2 * math.pi * box.eps)
     bound = kappa * d_val * decay / (1.0 - decay)
     mtop = max(rows)
@@ -459,7 +473,11 @@ def partial_sum_bound_check(
     if argmax is not None:
         witnesses["argmax"] = "M=%d tau1=%s z=%s tau2=%s" % (argmax[0], _cplx_str(argmax[1]), _cplx_str(argmax[2]), _cplx_str(argmax[3]))
     series = {"partial_sums": (["M", "max_abs_partial_sum"], [[m, rows[m]] for m in sorted(rows)])}
-    return ConvergenceReport("partial-sum-bound", claim, verdict, witnesses, tolerances, series)
+    sampled = {
+        "D_eps": "max over the %d points of k_eps_grid(box, 1.0, %d), not the sup over K_eps(U)" % (len(d_grid), points),
+        "max_partial_sum": "max over the %d points of k_eps_grid(box, 2.0, %d), not the sup over K_2eps(U)" % (len(grid), points),
+    }
+    return ConvergenceReport("partial-sum-bound", claim, verdict, witnesses, tolerances, series, sampled)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from itertools import chain, compress, repeat
 
 from .core import PrecisionError, rat_str
 # multiply is not called here: bench/spans.py traces calls under this name
-from .jacobi import JacobiFormQExp, _common_rows, _convolve, _index1_table, _read_int, check_point, evaluate, multiply  # noqa: F401
+from .jacobi import JacobiFormQExp, _common_rows, _convolve, _index1_table, _read_int, _Texts, check_point, evaluate, multiply  # noqa: F401
 from .reduction import HalfIntIndex
 
 __all__ = [
@@ -166,11 +166,13 @@ class FormalFJ:
     @classmethod
     def from_record(cls, rec) -> "FormalFJ":
         """Series from its record; each entry of rec["phis"] is a slice
-        record or a JacobiFormQExp already built from one."""
+        record or a JacobiFormQExp already built from one.  The slice
+        records share one table of value texts, as in the CLI reader."""
+        texts = _Texts()
         return cls(
             _read_int(rec["k"]),
             _read_int(rec["M_max"]),
-            [r if isinstance(r, JacobiFormQExp) else JacobiFormQExp.from_record(r) for r in rec["phis"]],
+            [r if isinstance(r, JacobiFormQExp) else JacobiFormQExp._from_record(r, texts) for r in rec["phis"]],
         )
 
 

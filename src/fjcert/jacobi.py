@@ -32,12 +32,13 @@ from __future__ import annotations
 
 import cmath
 import math
+from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from itertools import accumulate, chain, compress, repeat
-from operator import mul
+from operator import attrgetter, ge, itemgetter, le, mul, truediv
 
 from .core import (
     CycElem,
@@ -185,17 +186,18 @@ class JacobiFormQExp:
     def __repr__(self):
         return "JacobiFormQExp(k=%d, m=%d, prec=%d, %d terms)" % (self.k, self.m, self.prec, len(self.coeffs))
 
+    def _row_texts(self, row):
+        """(rs, texts): the r of the row in order and str(c(n, r)) of each,
+        with no Fraction built."""
+        rs, den = sorted(row), self.den
+        vs = map(row.__getitem__, rs)
+        if den == 1:
+            return rs, map(str, vs)
+        return rs, [str(v // g) if (g := math.gcd(v, den)) == den else "%d/%d" % (v // g, den // g) for v in vs]
+
     def _coeff_texts(self):
-        """Iterator of (n, r, str(c(n, r))) in (n, r) order, with no Fraction built."""
-        den = self.den
-
-        def row_texts(n, row):
-            rs, vs = zip(*sorted(row.items()))
-            if den > 1:
-                vs = [str(v // g) if (g := math.gcd(v, den)) == den else "%d/%d" % (v // g, den // g) for v in vs]
-            return zip(repeat(n), rs, map(str, vs))
-
-        return chain.from_iterable(row_texts(n, row) for n, row in sorted(self.num.items()))
+        """Iterator of (n, r, str(c(n, r))) in (n, r) order."""
+        return chain.from_iterable(zip(repeat(n), *self._row_texts(row)) for n, row in sorted(self.num.items()))
 
     def to_record(self):
         return {
@@ -206,40 +208,57 @@ class JacobiFormQExp:
         }
 
     def _json(self) -> str:
-        """The text of json.dumps(self.to_record()), one f-string per coefficient."""
-        coeffs = ", ".join([f'[{n}, {r}, "{t}"]' for n, r, t in self._coeff_texts()])
-        return '{"k": %d, "m": %d, "prec": %d, "coeffs": [%s]}' % (self.k, self.m, self.prec, coeffs)
+        """The text of json.dumps(self.to_record()), one join per row."""
+        rows = [
+            '[%d, %s"]' % (n, ('"], [%d, ' % n).join(map('%d, "%s'.__mod__, zip(*self._row_texts(row)))))
+            for n, row in sorted(self.num.items())
+        ]
+        return '{"k": %d, "m": %d, "prec": %d, "coeffs": [%s]}' % (self.k, self.m, self.prec, ", ".join(rows))
 
     @classmethod
     def from_record(cls, rec) -> "JacobiFormQExp":
+        """Form from its record {"k", "m", "prec", "coeffs": [[n, r, value],
+        ...]}, read as the validating constructor reads {(n, r): value}:
+        integer text through int(), other values through parse_rat.  Each
+        distinct value text is parsed once and stands for one numerator
+        object (see :class:`_Texts`)."""
+        return cls._from_record(rec, _Texts())
+
+    @classmethod
+    def _from_record(cls, rec, texts: "_Texts") -> "JacobiFormQExp":
+        """from_record through texts, the table of value texts that the
+        slices of one file share: a record of value texts is read straight
+        into its numerators over den, one dict lookup per entry; any other
+        record is read value by value."""
         k, m, prec = _read_int(rec["k"]), _read_int(rec["m"]), _read_int(rec["prec"])
-        rows: dict = {}
-        last = row = None
-        for n, r, v in rec["coeffs"]:
-            if type(n) is not int or type(r) is not int:
-                n, r = _read_int(n), _read_int(r)
-            if n != last:
-                row, last = rows.setdefault(n, {}), n
-            # int() reads plain integer text as parse_rat does, only faster
-            row[r] = int(v) if type(v) is str and v.removeprefix("-").isdecimal() else _read_rat(v)
-        return cls._trusted(k, m, prec, *_checked(m, prec, rows))
+        coeffs = rec["coeffs"]
+        found = texts.numerators(coeffs)
+        if found is not None:
+            den, conv = found
+            try:
+                rows = _read_entries(coeffs, conv)
+            except KeyError:  # an entry whose unpacked value is not its item 2
+                pass
+            else:
+                return cls._trusted(k, m, prec, den, _checked_rows(m, prec, rows))
+        return cls._trusted(k, m, prec, *_checked(m, prec, _read_entries(coeffs, _Parsed())))
 
     def float_terms(self):
         """(rows, width), computed once: rows holds, in storage order, one
         (n, lo, cs) per stored row n, where lo is the row's lowest r and cs
-        the dense list of floats c(n, lo), c(n, lo + 1), ... up to the row's
-        highest r, zeros included; width is the longest row's len(cs), 0 for
-        a zero form.  Raises ValueError, before building anything, when a row
-        spans more than WINDOW_CAP values of r."""
+        the array('d') of c(n, lo), c(n, lo + 1), ... up to the row's
+        highest r, zeros included, 8 bytes a slot; width is the longest
+        row's len(cs), 0 for a zero form.  Raises ValueError, before building
+        anything, when a row spans more than WINDOW_CAP values of r."""
         if self._fterms is None:
             ends = [(min(row), max(row)) for row in self.num.values()]
             width = max((hi - lo + 1 for lo, hi in ends), default=0)
             if width > WINDOW_CAP:
                 raise ValueError("a row spans %d values of r, more than %d" % (width, WINDOW_CAP))
             # int true division is correctly rounded, as float(Fraction) is
-            den = self.den
+            dens = repeat(self.den)
             frows = [
-                (n, lo, [row[r] / den if r in row else 0.0 for r in range(lo, hi + 1)])
+                (n, lo, array("d", map(truediv, map(row.get, range(lo, hi + 1), repeat(0)), dens)))
                 for (n, row), (lo, hi) in zip(self.num.items(), ends)
             ]
             self._fterms = frows, width
@@ -254,19 +273,99 @@ def _read_int(v) -> int:
     return int(v)
 
 
-def _read_rat(v):
-    """parse_rat(v), reading "a/b" with a and b decimal text through two
-    ints, as parse_rat reads it, only faster."""
+def _read_value(v):
+    """A record value as parse_rat reads it, only faster: plain integer text
+    through int(), and "a/b" with a and b decimal text through two ints."""
     if type(v) is str:
+        if v.removeprefix("-").isdecimal():
+            return int(v)
         a, slash, b = v.partition("/")
         if slash and b.isdecimal() and a.removeprefix("-").isdecimal() and (q := int(b)):
             return Fraction(int(a), q)
     return parse_rat(v)
 
 
+class _Texts:
+    """The value texts of one file, each parsed once, and the numerators
+    they stand for.  values maps a text to the int it reads as, or, for a
+    text of any other value, to the text itself, whose Fraction fractions
+    holds; over[den] maps a text to its numerator over den.  Every entry is
+    made once per file, so a value text stands for one object throughout."""
+
+    __slots__ = ("values", "fractions", "over")
+
+    def __init__(self):
+        self.values: dict = {}
+        self.fractions: dict = {}
+        self.over: dict = {}
+
+    def numerators(self, coeffs):
+        """(den, conv) when every entry [n, r, v] of coeffs has a text v:
+        den is the lcm of the denominators of their values and conv maps each
+        text to its numerator over den.  None when an entry has no item 2,
+        an item 2 that is not text, or a text that does not parse.  Texts
+        new to the table, or to over[den], cost a Python step each; the
+        rest is C-level set work."""
+        try:
+            here = set(map(itemgetter(2), coeffs))
+        except (IndexError, KeyError, TypeError):
+            return None
+        values, fractions = self.values, self.fractions
+        new = here.difference(values)
+        if not set(map(type, new)) <= {str}:
+            return None
+        try:
+            for t in new:
+                x = values[t] = _read_value(t)
+                if type(x) is not int:
+                    values[t], fractions[t] = t, x
+        except ValueError:
+            return None
+        fracs = here.intersection(fractions)
+        if not fracs:
+            return 1, values
+        den = math.lcm(*(fractions[t].denominator for t in fracs))
+        over = self.over.setdefault(den, {})
+        for t in here.difference(over):
+            x = fractions[t] if t in fractions else values[t]
+            over[t] = x.numerator * (den // x.denominator)
+        return den, over
+
+
+class _Parsed:
+    """parsed[v] is _read_value(v): records read value by value."""
+
+    __getitem__ = staticmethod(_read_value)
+
+
+def _read_entries(coeffs, values) -> dict:
+    """Rows {n: {r: values[v]}} of the entries [n, r, v], in record order."""
+    rows: dict = {}
+    last = row = None
+    for n, r, v in coeffs:
+        if type(n) is not int or type(r) is not int:
+            n, r = _read_int(n), _read_int(r)
+        if n != last:
+            row, last = rows.setdefault(n, {}), n
+        row[r] = values[v]
+    return rows
+
+
 def _checked(m: int, prec: int, rows: dict):
     """(den, num) from rows {n: {r: int or Fraction}} for a form of index m
-    and precision prec; ValueError on values such a form cannot hold."""
+    and precision prec; ValueError on values such a form cannot hold.  The
+    numerators over den go through one table, so equal ones are one object."""
+    if set(map(type, _values(rows))) <= {int}:
+        return 1, _checked_rows(m, prec, rows)
+    values = set(_values(rows))
+    den = math.lcm(*map(attrgetter("denominator"), values))
+    scaled = {v: v.numerator * (den // v.denominator) for v in values}
+    return den, _checked_rows(m, prec, {n: dict(zip(row, map(scaled.__getitem__, row.values()))) for n, row in rows.items()})
+
+
+def _checked_rows(m: int, prec: int, rows: dict) -> dict:
+    """rows {n: {r: v}} without their zero values; ValueError unless they
+    fit a form of index m and precision prec."""
     if m < 0:
         raise ValueError("index must be nonnegative")
     if prec < 0:
@@ -277,12 +376,7 @@ def _checked(m: int, prec: int, rows: dict):
         raise ValueError("stored n outside [0, prec)")
     if m == 0 and any(r for row in rows.values() for r in row):
         raise ValueError("index zero forms have r = 0 only")
-    if set(map(type, _values(rows))) <= {int}:
-        return 1, rows
-    den = math.lcm(*(v.denominator for v in _values(rows) if type(v) is not int))
-    return den, {
-        n: {r: v * den if type(v) is int else v.numerator * (den // v.denominator) for r, v in row.items()} for n, row in rows.items()
-    }
+    return rows
 
 
 def _values(rows: dict):
@@ -643,7 +737,11 @@ def specialize_torsion(phi: JacobiFormQExp, p: TorsionPoint) -> SpecializedExpan
 
     The exponent attached to (n, r) is n + r lam + m lam^2 and the
     root-of-unity factor is e(r mu).  The output precision is
-    :func:`certified_precision`.
+    :func:`certified_precision`.  Each stored row is checked by its
+    smallest exponent: ValueError when it is negative (the input is not
+    holomorphic), and the row is skipped whole when it is at or above the
+    precision; otherwise only the terms below the precision are read, picked
+    out of the row by one C-level filter on r.
     """
     if p.genus_minus_one != 1:
         raise ValueError("unsupported genus")
@@ -654,17 +752,24 @@ def specialize_torsion(phi: JacobiFormQExp, p: TorsionPoint) -> SpecializedExpan
     L = N * N
     p2 = certified_precision(phi.prec, m, p.lam_frac())
     bound_num = math.ceil(p2 * L)
+    # exponents times L are n L + r aN + m a^2: in a row they are smallest at
+    # the lowest r when aN > 0, at the highest when aN < 0, and below the
+    # bound exactly for r <= B // aN, resp. r >= -(B // -aN), B = bound_num - 1 - base
+    aN, shift = a * N, m * a * a
     acc: dict = {}
     for n, row in phi.num.items():
-        for r, v in row.items():
-            num = n * L + r * a * N + m * a * a
-            if num < 0:
-                raise ValueError("specialization needs nonnegative exponents; input is not holomorphic")
-            if num >= bound_num:
-                continue
+        base = n * L + shift
+        low = base + (aN * min(row) if aN > 0 else aN * max(row) if aN else 0)
+        if low < 0:
+            raise ValueError("specialization needs nonnegative exponents; input is not holomorphic")
+        if low >= bound_num:
+            continue
+        B = bound_num - 1 - base
+        keep = filter(partial(ge, B // aN) if aN > 0 else partial(le, -(B // -aN)), row) if aN else row
+        for r in keep:
             j = (r * c * N) % L
-            slot = acc.setdefault(num, {})
-            slot[j] = slot.get(j, 0) + v
+            slot = acc.setdefault(base + r * aN, {})
+            slot[j] = slot.get(j, 0) + row[r]
     den = phi.den
     coeffs = {num: CycElem(L, {j: Fraction(v, den) for j, v in w.items()}) for num, w in acc.items() if any(w.values())}
     # every value has a nonzero weight and every key lies in [0, bound_num)

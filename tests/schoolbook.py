@@ -59,7 +59,11 @@ term by term, and raises where a table overflows even when no term does.
 ``evaluate_terms`` is the per-term oracle for both: each term from its own
 ``cmath.exp``, for the caller to add with ``math.fsum``.  ``window_abs`` is
 the old ``jacobi.window_abs``, which compares and scales each window
-exponent as a ``Fraction``.
+exponent as a ``Fraction``.  ``specialize_torsion`` is the old
+``jacobi.specialize_torsion``: it computes the exponent of every stored
+term, raises at the first negative one and drops those at or above the
+certified precision one by one, where the package skips whole rows and
+reads only the terms below the precision.
 """
 
 from __future__ import annotations
@@ -713,6 +717,34 @@ def window_abs(eta, S) -> list:
         c = exp.coeffs.get(e.numerator) if e.denominator == 1 else None
         out.append(0.0 if c is None else abs(cyc_eval(c)))
     return out
+
+
+def specialize_torsion(phi: JacobiFormQExp, p) -> jacobi.SpecializedExpansion:
+    """Expansion of e(m lam^2 tau1) phi(tau1, tau1 lam + mu) in powers of
+    e(tau1 / N^2), one exponent per stored term."""
+    if p.genus_minus_one != 1:
+        raise ValueError("unsupported genus")
+    N = p.N
+    a = p.lam[0]
+    c = p.mu[0]
+    m = phi.m
+    L = N * N
+    p2 = jacobi.certified_precision(phi.prec, m, p.lam_frac())
+    bound_num = math.ceil(p2 * L)
+    acc: dict = {}
+    for n, row in phi.num.items():
+        for r, v in row.items():
+            num = n * L + r * a * N + m * a * a
+            if num < 0:
+                raise ValueError("specialization needs nonnegative exponents; input is not holomorphic")
+            if num >= bound_num:
+                continue
+            j = (r * c * N) % L
+            slot = acc.setdefault(num, {})
+            slot[j] = slot.get(j, 0) + v
+    den = phi.den
+    coeffs = {num: CycElem(L, {j: Fraction(v, den) for j, v in w.items()}) for num, w in acc.items() if any(w.values())}
+    return jacobi.SpecializedExpansion(phi.k, N, QExpansion._trusted(L, coeffs, p2))
 
 
 def jacobi_to_record(self: JacobiFormQExp):

@@ -255,6 +255,10 @@ def test_growth_fit_on_lift_slices(lift8):
     header, rows = rep.series["fe_norms"]
     assert header == ["m", "fe_norm"] and len(rows) == 8
     assert [m for m, _ in rows] == list(range(1, 9))
+    # the slope is labelled as a sample, in the record and in the text report
+    assert list(rep.sampled) == ["slope"] and "8 slices m <= 8" in rep.sampled["slope"]
+    assert rep.to_record()["sampled"] == rep.sampled
+    assert "sampled:\n  slope: least-squares fit" in rep.to_text()
 
 
 def test_growth_fit_flags_fast_growth(lift8):
@@ -274,6 +278,8 @@ def test_growth_fit_degenerate_on_zero_slices():
     assert rep.witnesses["nonzero_points"] == 0
     assert rep.witnesses["ratio_max"] == 0.0
     assert len(rep.series["fe_norms"][1]) == 8
+    # no fit, so nothing sampled to label
+    assert rep.sampled == {} and "sampled" not in rep.to_record() and "sampled:" not in rep.to_text()
 
 
 def test_growth_fit_needs_eight_slices():
@@ -443,6 +449,11 @@ def test_box_certificate_passes_on_square_relation(lift8):
     header, rows = rep.series["partial_sums"]
     assert header == ["M", "max_abs_partial_sum"]
     assert [m for m, _ in rows] == [1, 2, 4, 8]
+    # both sups are maxima over the sample grids, and say so
+    assert sorted(rep.sampled) == ["D_eps", "max_partial_sum"]
+    assert rep.sampled["D_eps"].startswith("max over the 27 points of k_eps_grid(box, 1.0, 3)")
+    assert rep.sampled["max_partial_sum"].startswith("max over the 27 points of k_eps_grid(box, 2.0, 3)")
+    assert rep.to_record()["sampled"] == rep.sampled and "  D_eps: max over the 27 points" in rep.to_text()
     assert rep.tolerances == {"kappa": 1.1, "eps": 0.1}
 
 

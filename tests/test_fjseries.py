@@ -214,10 +214,34 @@ def test_record_reader_matches_old_reader_on_each_value(value):
     assert_read_as_before([[1, 0, value], [2, 1, "1/3"]])
 
 
+@pytest.mark.parametrize("entry", [(1, 0, "5"), "105", {0: 1, 1: 0, 2: "5"}, {2: "5"}, [1, 0, "5", 0], [1, 0], [1, 0, ["5"]], 7])
+def test_record_reader_matches_old_reader_on_odd_entries(entry):
+    # entries that are not lists [n, r, text], or whose item 2 is not the value they unpack to
+    assert_read_as_before([[2, 1, "1/3"], entry])
+    assert_read_as_before([entry, [2, 1, "4"]])
+
+
 @settings(max_examples=300)
 @given(st.lists(st.tuples(st.integers(-1, 3), st.integers(-2, 2), record_values), max_size=6))
 def test_record_reader_matches_old_reader(coeffs):
     assert_read_as_before([list(c) for c in coeffs])
+
+
+@settings(max_examples=200)
+@given(st.lists(st.lists(st.tuples(st.integers(0, 3), st.integers(-2, 2), record_values), max_size=6), min_size=1, max_size=4))
+def test_series_reader_shares_texts_and_reads_as_before(slices):
+    # the slices of one record share one table of value texts, across
+    # denominators: each slice still reads as the old reader reads it alone
+    rec = {"k": 4, "M_max": len(slices) - 1, "phis": [
+        {"k": 4, "m": m, "prec": 4, "coeffs": [[n, r if m else 0, v] for n, r, v in coeffs]} for m, coeffs in enumerate(slices)
+    ]}
+    try:
+        want = [schoolbook.jacobi_from_record(phi) for phi in rec["phis"]]
+    except (KeyError, TypeError, ValueError):
+        with pytest.raises((KeyError, TypeError, ValueError)):
+            FormalFJ.from_record(rec)
+        return
+    assert FormalFJ.from_record(rec).phis == tuple(want)
 
 
 def test_slice_storage_is_canonical():

@@ -9,7 +9,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import schoolbook
@@ -318,6 +318,58 @@ def test_jacobi_space_builds_no_fraction(monkeypatch, cusp):
     want = [schoolbook.jacobi_space(k, cusp, 9) for k in range(4, 41, 2)]
     monkeypatch.setattr(jacobi, "Fraction", None)
     assert [jacobi_space(k, cusp, 9) for k in range(4, 41, 2)] == want
+
+
+@st.composite
+def torsion_cases(draw):
+    """A slice and a torsion point: lambda = a / N of either sign or 0, rows
+    empty, sparse or dense over |r| <= 2 sqrt(n m), or reaching past it when
+    the slice is not holomorphic, so that rows lie wholly beyond the
+    certified precision, straddle it, or hold negative exponents."""
+    N = draw(st.integers(1, 4))
+    a, c = draw(st.integers(-2 * N, 2 * N)), draw(st.integers(0, N))
+    m, prec = draw(st.integers(0, 5)), draw(st.integers(0, 9))
+    extra = 0 if m == 0 or draw(st.booleans()) else draw(st.integers(1, 3))
+    values = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    coeffs = {}
+    for n in range(prec):
+        reach = math.isqrt(4 * n * m) + extra if m else 0
+        kind = draw(st.sampled_from(["empty", "sparse", "dense"]))
+        rs = range(-reach, reach + 1)
+        if kind == "sparse":
+            rs = draw(st.lists(st.sampled_from(rs), max_size=4))
+        if kind != "empty":
+            coeffs.update(((n, r), v) for r, v in zip(rs, draw(st.lists(values, min_size=len(rs), max_size=len(rs)))))
+    return JacobiFormQExp(10, m, prec, coeffs), TorsionPoint(N, a, c)
+
+
+@settings(max_examples=300)
+@given(torsion_cases())
+# smallest exponents -1 and 0 (times L = 1): (n, r, m) = (0, -2, 1) and (0, -1, 1) at lambda = 1
+@example((JacobiFormQExp(10, 1, 2, {(0, -2): 1, (1, 0): 1}), TorsionPoint(1, 1, 0)))
+@example((JacobiFormQExp(10, 1, 2, {(0, -1): 1, (1, 0): 1}), TorsionPoint(1, 1, 0)))
+def test_specialize_torsion_matches_the_term_by_term_loop(case):
+    # the same expansion, coefficients in the same order, or the same refusal
+    phi, p = case
+    try:
+        want = schoolbook.specialize_torsion(phi, p)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            specialize_torsion(phi, p)
+        return
+    got = specialize_torsion(phi, p)
+    assert got == want
+    assert (got.expansion.L, got.expansion.prec, got.expansion.coeffs) == (want.expansion.L, want.expansion.prec, want.expansion.coeffs)
+    assert list(got.expansion.coeffs) == list(want.expansion.coeffs)
+
+
+@pytest.mark.parametrize("point", [(1, 0, 0), (2, 1, 0), (2, -1, 1), (3, 2, 1), (4, -3, 2)])
+def test_specialize_torsion_matches_the_term_by_term_loop_on_a_lift(lift40, point):
+    f, _ = lift40
+    p = TorsionPoint(*point)
+    for phi in f.phis[1:]:
+        got, want = specialize_torsion(phi, p), schoolbook.specialize_torsion(phi, p)
+        assert got == want and list(got.expansion.coeffs) == list(want.expansion.coeffs)
 
 
 @given(
