@@ -401,9 +401,10 @@ def _cmd_reduce(run: _Run) -> int:
         print("error: matrix is not positive definite", file=sys.stderr)
         return 6
     ok = hermite_check(reduced)
+    reduced_text, u_text = reduced.to_text(), u.to_text()
     run.emit(
-        {"reduced": reduced.to_text(), "transform": u.to_text(), "hermite_ok": ok},
-        ["reduced: %s" % reduced.to_text(), "transform: %s" % u.to_text(), "hermite_ok: %s" % ok],
+        {"reduced": reduced_text, "transform": u_text, "hermite_ok": ok},
+        ["reduced: %s" % reduced_text, "transform: %s" % u_text, "hermite_ok: %s" % ok],
     )
     return 0
 

@@ -7,12 +7,14 @@ enumeration of the finite exponent windows and shift ranges that the
 convergence checks consume.
 
 Matrices hold Fraction entries, but reduction and its checks work on the
-integer Gram matrix g = D t, with D the lcm of the entry denominators:
+integer Gram matrix g = D t, with D > 0 clearing the entry denominators:
 rounding is floor division on integer pairs, the Minkowski conditions are
 integer linear forms in the entries of g, and the Hermite bound compares
-integer products, in which the powers of D cancel.  Fractions are built
-only for the reduced result.  Unimodular matrices keep integer entries and
-determinant +-1 as a constructor invariant.
+integer products, in which the powers of D cancel.  None of these depends
+on which such D is taken.  Fractions are built only for the reduced
+result, which carries the g it was built from, so hermite_check does not
+rebuild it.  Unimodular matrices keep integer entries and determinant +-1
+as a constructor invariant.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -51,13 +54,27 @@ class CapacityError(RuntimeError):
 # matrix types
 
 
-class SymMatQ:
-    """Symmetric matrix with Fraction entries, size one to four."""
+_ASCII_INT = re.compile(r"[+-]?[0-9]+")
 
-    __slots__ = ("size", "rows")
+
+def _parse_entry(x: str):
+    """int(x) for a plain ASCII integer, else parse_rat(x): the same values
+    and the same errors as parse_rat alone."""
+    y = x.strip()
+    return int(y) if _ASCII_INT.fullmatch(y) else parse_rat(x)
+
+
+class SymMatQ:
+    """Symmetric matrix with Fraction entries, size one to four.
+
+    _gram is None or an immutable (g, D), g = D * rows as int tuples; only
+    minkowski_reduce sets it, on the matrix it returns.
+    """
+
+    __slots__ = ("size", "rows", "_gram")
 
     def __init__(self, rows):
-        rows = [tuple(x if isinstance(x, Fraction) else Fraction(x) for x in row) for row in rows]
+        rows = [tuple([x if isinstance(x, Fraction) else Fraction(x) for x in row]) for row in rows]
         s = len(rows)
         if s < 1 or any(len(r) != s for r in rows):
             raise ValueError("matrix must be square")
@@ -65,10 +82,12 @@ class SymMatQ:
             raise ValueError("matrix size above four is not supported")
         for i in range(s):
             for j in range(i):
-                if rows[i][j] != rows[j][i]:
+                a, b = rows[i][j], rows[j][i]
+                if not (a is b or a == b):
                     raise ValueError("matrix must be symmetric")
         self.size = s
         self.rows = tuple(rows)
+        self._gram = None
 
     def __getitem__(self, ij):
         i, j = ij
@@ -91,7 +110,7 @@ class SymMatQ:
 
     @classmethod
     def from_text(cls, s: str) -> "SymMatQ":
-        rows = [[parse_rat(x) for x in part.split(",")] for part in s.strip().split(";")]
+        rows = [[_parse_entry(x) for x in part.split(",")] for part in s.strip().split(";")]
         return cls(rows)
 
 
@@ -101,7 +120,7 @@ class UnimodularMat:
     __slots__ = ("size", "rows")
 
     def __init__(self, rows):
-        rows = [tuple(int(x) for x in row) for row in rows]
+        rows = [tuple(map(int, row)) for row in rows]
         s = len(rows)
         if any(len(r) != s for r in rows):
             raise ValueError("matrix must be square")
@@ -139,7 +158,7 @@ class UnimodularMat:
         return "UnimodularMat(%s)" % (self.to_text(),)
 
     def to_text(self) -> str:
-        return ";".join(",".join(str(x) for x in row) for row in self.rows)
+        return ";".join(",".join(map(str, row)) for row in self.rows)
 
     @classmethod
     def from_text(cls, s: str) -> "UnimodularMat":
@@ -232,7 +251,10 @@ def _rows_of(u):
 
 def _positive_definite(g) -> bool:
     """True iff every leading principal minor of the square matrix g is positive."""
-    return all(_det([row[:k] for row in g[:k]]) > 0 for k in range(1, len(g) + 1))
+    for k in range(1, len(g) + 1):
+        if _det([row[:k] for row in g[:k]]) <= 0:
+            return False
+    return True
 
 
 def is_positive_definite(t: SymMatQ) -> bool:
@@ -266,7 +288,13 @@ def _round_half_to_zero(p: int, q: int) -> int:
 
 
 def _integral(t: SymMatQ):
-    """(g, D): the entries of t times D = lcm of their denominators, as int lists."""
+    """(g, D): the entries of t times some D > 0 that clears their
+    denominators, as fresh int lists.  D is the lcm of the denominators,
+    unless t came out of minkowski_reduce, which hands on the g and D it
+    finished with.  Every caller is invariant under the choice of D."""
+    if t._gram is not None:
+        g, scale = t._gram
+        return [list(row) for row in g], scale
     scale = math.lcm(*(x.denominator for row in t.rows for x in row))
     return [[x.numerator * (scale // x.denominator) for x in row] for row in t.rows], scale
 
@@ -274,14 +302,18 @@ def _integral(t: SymMatQ):
 # the upper-triangle entries (a, b), a <= b, of a matrix of size s
 _ENTRIES = {s: [(a, b) for a in range(s) for b in range(a, s)] for s in (1, 2, 3)}
 
-# every nonzero x in {-1, 0, 1}^s, in itertools.product order, with the index
-# j of its last nonzero entry and the coefficients of g[x] in the entries of
-# _ENTRIES[s]: x_a^2 for g_aa and 2 x_a x_b for g_ab, a < b
+# the rows of the identity of size s, copied as the start of a transform
+_IDENTITY = {s: UnimodularMat.identity(s).rows for s in (1, 2, 3)}
+
+# every x in {-1, 0, 1}^s whose first nonzero entry is -1, one of each pair
+# +-x, in itertools.product order, with the index j of its last nonzero entry
+# and the coefficients of g[x] in the entries of _ENTRIES[s]: x_a^2 for g_aa
+# and 2 x_a x_b for g_ab, a < b
 _CONDITIONS = {
     s: [
         (x, max(i for i in range(s) if x[i]), tuple(x[a] * x[b] * (1 if a == b else 2) for a, b in _ENTRIES[s]))
         for x in itertools.product((-1, 0, 1), repeat=s)
-        if any(x)
+        if next((v for v in x if v), 0) == -1
     ]
     for s in (1, 2, 3)
 }
@@ -295,11 +327,13 @@ def _first_violation(g):
     whole of Minkowski reduction (Cassels, Rational Quadratic Forms, ch. 12).
     x = e_j orders the diagonal and x = e_j +- e_i bounds 2|g_ij| by g_ii.
     Some k <= j has g[x] < g_kk exactly when g[x] is below the largest of
-    g_00 .. g_jj.
+    g_00 .. g_jj.  Since g[x] = g[-x], half the list is scanned: in product
+    order over all of {-1, 0, 1}^s the twin whose first nonzero entry is -1
+    comes first, so the first violation found is the same.
     """
     s = len(g)
     entries = [g[a][b] for a, b in _ENTRIES[s]]
-    top = list(itertools.accumulate((g[k][k] for k in range(s)), max))
+    top = list(itertools.accumulate([g[k][k] for k in range(s)], max))
     for x, j, coeffs in _CONDITIONS[s]:
         if sum(map(operator.mul, coeffs, entries)) < top[j]:
             return x, j
@@ -339,7 +373,7 @@ def minkowski_reduce(n: SymMatQ):
     s = n.size
     if s > 3:
         raise ValueError("reduction implemented for sizes one to three only")
-    u = [[int(i == j) for j in range(s)] for i in range(s)]
+    u = [list(row) for row in _IDENTITY[s]]
     # Swaps keep the trace of g and sort the diagonal in finitely many steps.
     # A shear with r != 0 lowers g_jj, and a replacement by x lowers g_jj to
     # g[x] < g_kk <= g_jj, so each lowers the positive integer trace of g and
@@ -354,8 +388,11 @@ def minkowski_reduce(n: SymMatQ):
         for i in range(s):
             for j in range(i + 1, s):
                 r = _round_half_to_zero(g[i][j], g[i][i])
-                if r:
-                    _replace(g, u, j, [int(k == j) - r * int(k == i) for k in range(s)])
+                if r:  # b_j -> b_j - r b_i: one column, then one row of g
+                    for m in (g, u):
+                        for row in m:
+                            row[j] -= r * row[i]
+                    g[j] = [a - r * b for a, b in zip(g[j], g[i])]
                     changed = True
         if not changed:
             bad = _first_violation(g)
@@ -369,7 +406,9 @@ def minkowski_reduce(n: SymMatQ):
     t = [[None] * s for _ in range(s)]
     for i, j in _ENTRIES[s]:
         t[i][j] = t[j][i] = Fraction(g[i][j], scale)
-    return SymMatQ(t), UnimodularMat(u)
+    reduced = SymMatQ(t)
+    reduced._gram = (tuple(map(tuple, g)), scale)
+    return reduced, UnimodularMat(u)
 
 
 # gamma_s^s as (numerator, denominator)
@@ -383,7 +422,8 @@ def hermite_check(n: SymMatQ) -> bool:
     positive definite and n[x] >= n_kk for every nonzero x in {-1, 0, 1}^s
     and every k up to the last nonzero index of x, the condition list that
     minkowski_reduce establishes.  The bound is tested on g = D n, where
-    both sides carry the factor D^s.
+    both sides carry the factor D^s; for a matrix that minkowski_reduce
+    returned, g is the one the reduction finished with.
     """
     s = n.size
     if s not in _HERMITE_POW:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import schoolbook
+from fjcert.core import parse_rat
 from fjcert.reduction import (
     CapacityError,
     SymMatQ,
@@ -23,7 +24,7 @@ from fjcert.reduction import (
     torsion_decomposition,
     unimodular_completion,
 )
-from fjcert.reduction import _round_half_to_zero, _round_half_up
+from fjcert.reduction import _CONDITIONS, _first_violation, _integral, _round_half_to_zero, _round_half_up
 
 
 def mat2(a, b, c, d):
@@ -39,6 +40,38 @@ def test_symmat_text_round_trip():
     assert SymMatQ.from_text(t.to_text()) == t
     u = SymMatQ.from_text("1,1/2;1/2,1")
     assert u[0, 1] == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("text", ["+3", " 007 ", "-0", "1_0", "\u0661\u0662", "1e2", "0.5", "3/4"])
+def test_symmat_from_text_matches_parse_rat(text):
+    # plain ASCII integers are read as ints; every other entry goes through parse_rat
+    t = SymMatQ.from_text(text)
+    assert t.rows == ((parse_rat(text),),)
+    assert type(t[0, 0]) is Fraction
+
+
+@pytest.mark.parametrize("text", ["", "1/0", "1__0", "_1", "++1", "- 1"])
+def test_symmat_from_text_raises_as_parse_rat(text):
+    with pytest.raises(ValueError) as want:
+        parse_rat(text)
+    with pytest.raises(ValueError) as got:
+        SymMatQ.from_text(text)
+    assert str(got.value) == str(want.value)
+
+
+@given(
+    st.integers(-(10**30), 10**30),
+    st.sampled_from(["", "+"]),
+    st.sampled_from(["", "0", "00"]),
+    st.text(" \t", max_size=3),
+    st.text(" \t", max_size=3),
+)
+def test_symmat_from_text_signed_integers(n, plus, zeros, before, after):
+    sign = "-" if n < 0 else plus
+    text = "%s%s%s%d%s" % (before, sign, zeros, abs(n), after)
+    t = SymMatQ.from_text("%s,1;1,%s" % (text, text))
+    assert t.rows == ((parse_rat(text), 1), (1, parse_rat(text)))
+    assert all(type(x) is Fraction for row in t.rows for x in row)
 
 
 def test_symmat_rejects_asymmetric():
@@ -295,6 +328,56 @@ def test_minkowski_sizes_one_and_four():
 
 # ---------------------------------------------------------------------------
 # the integer loop against the Fraction oracle
+
+
+def test_condition_list_has_one_of_each_sign_pair():
+    for s in (1, 2, 3):
+        assert len(_CONDITIONS[s]) == (3**s - 1) // 2
+        assert {x for x, _, _ in _CONDITIONS[s]} | {tuple(-v for v in x) for x, _, _ in _CONDITIONS[s]} == {
+            x for x in product((-1, 0, 1), repeat=s) if any(x)
+        }
+
+
+def test_first_violation_matches_full_condition_list():
+    # the half list returns the same (x, j) as the oracle's scan of all 3^s - 1
+    # vectors: on unreduced matrices, on reduced ones and on ties 2|g_ij| = g_ii
+    rng = random.Random(5)
+    grams = []
+    for _ in range(1500):
+        s = rng.randint(1, 3)
+        g = [[0] * s for _ in range(s)]
+        for i in range(s):
+            g[i][i] = rng.randint(1, 30)
+            for j in range(i):
+                g[i][j] = g[j][i] = rng.randint(-20, 20)
+        if s > 1 and rng.random() < 0.3:
+            i, j = sorted(rng.sample(range(s), 2))
+            g[i][i] += g[i][i] % 2
+            g[i][j] = g[j][i] = rng.choice((1, -1)) * g[i][i] // 2
+        grams.append(g)
+        if is_positive_definite(SymMatQ(g)):
+            grams.append(_integral(minkowski_reduce(SymMatQ(g))[0])[0])
+    for text in EDGE_FORMS + ["2,1;1,2", "2,-1;-1,2", "6,3,3;3,6,3;3,3,6", "6,-3,3;-3,6,-3;3,-3,6"]:
+        grams.append(_integral(SymMatQ.from_text(text))[0])
+    assert sum(_first_violation(g) is None for g in grams) > 500
+    for g in grams:
+        assert _first_violation(g) == schoolbook._first_violation(g), g
+
+
+@pytest.mark.parametrize("text", EDGE_FORMS + ["17/2,-8;-8,8", "3/2,3/4;3/4,5/3", "7/3"])
+def test_reduced_form_carries_its_gram_matrix(text):
+    reduced, _ = minkowski_reduce(SymMatQ.from_text(text))
+    gram = reduced._gram
+    rebuilt = SymMatQ.from_text(reduced.to_text())
+    assert rebuilt == reduced and rebuilt._gram is None
+    assert hermite_check(reduced) == hermite_check(rebuilt)
+    # the cached scale clears the denominators, so g / D is the reduced matrix
+    g, scale = _integral(reduced)
+    assert [[Fraction(x, scale) for x in row] for row in g] == [list(row) for row in reduced.rows]
+    g[0][0] += 1  # a caller's copy, not the cache
+    assert minkowski_reduce(reduced) == (reduced, UnimodularMat.identity(reduced.size))
+    assert reduced._gram is gram and isinstance(gram[0], tuple)
+    assert _integral(reduced) == ([list(row) for row in gram[0]], scale)
 
 
 def outcome(fn, *args):
