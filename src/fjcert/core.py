@@ -20,6 +20,9 @@ import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress, count, repeat
+from operator import itemgetter, sub
+from struct import iter_unpack
 
 __all__ = [
     "PrecisionError",
@@ -117,6 +120,14 @@ class CycElem:
                 j = j % L
                 acc[j] = acc.get(j, Fraction(0)) + c
         self.w = {j: c for j, c in acc.items() if c}
+
+    @classmethod
+    def _trusted(cls, L: int, w: dict) -> "CycElem":
+        """Element from nonzero Fraction weights keyed by int 0 <= j < L,
+        with L >= 1, without checks."""
+        self = cls.__new__(cls)
+        self.L, self.w = L, w
+        return self
 
     @classmethod
     def root(cls, j: int, L: int) -> "CycElem":
@@ -443,7 +454,12 @@ def _eis_dict(k: int, emax: int) -> dict:
 # substitution on integer rows (rational series clear their denominators
 # in _kron_rational first): each row is packed into one Python int as
 # base-X digits with X = 2^(8w), from that row's own lowest exponent, and
-# CPython's bignum multiply does the convolution.  A row product starts at
+# CPython's bignum multiply does the convolution.  A row with at most one
+# nonzero slot in eight of its span (rounded up, so a single term counts),
+# such as a theta series or a constant, keeps its terms too: a product
+# with it is sum_k v_k (x << 8w k) over its terms, the same integer as the
+# bignum product, in one shift and one add per term instead of a Karatsuba
+# product over the whole span.  A row product starts at
 # the sum of its two rows' lowest exponents; it is shifted by whole slots
 # (<< 8w * shift) onto the lowest exponent of its output row and summed
 # there, so an output row, however many slice and row pairs land on it, is
@@ -455,11 +471,15 @@ def _eis_dict(k: int, emax: int) -> dict:
 # nonnegative digit below X and no slot borrows from its neighbour.  So
 # packing is one int.from_bytes of the joined slot bytes of v + half, minus
 # the bias (int.from_bytes of n copies of the slot bytes of 0), and
-# unpacking is one int.to_bytes of the biased sum, sliced into slots.
+# unpacking is one int.to_bytes of the biased sum, cut into slots and
+# read back at C level.
 
 
 def _kron_pack(row: dict, w: int):
-    """(lo, sum_e row[e] X^(e - lo) with X = 2^(8w), its slot count), lo = min(row)."""
+    """(lo, sum_e row[e] X^(e - lo) with X = 2^(8w), its slot count, terms),
+    lo = min(row); terms is None unless the row is sparse (at most one
+    nonzero slot in eight, rounded up), and then {v: [8w (e - lo) for each
+    e with row[e] = v]} with len(row) entries in all."""
     lo = min(row)
     n = max(row) - lo + 1
     half = 1 << (8 * w - 1)
@@ -467,19 +487,32 @@ def _kron_pack(row: dict, w: int):
     slots = [zero] * n
     for e, v in row.items():
         slots[e - lo] = (v + half).to_bytes(w, "little")
-    return lo, int.from_bytes(b"".join(slots), "little") - int.from_bytes(zero * n, "little"), n
+    terms = None
+    if 8 * (len(row) - 1) < n:
+        terms = {}
+        for e, v in row.items():
+            terms.setdefault(v, []).append(8 * w * (e - lo))
+    return lo, int.from_bytes(b"".join(slots), "little") - int.from_bytes(zero * n, "little"), n, terms
 
 
 def _kron_unpack(x: int, lo: int, n: int, w: int) -> dict:
     """The nonzero digits of x = sum_{k<n} c_k X^k, |c_k| < X/2, keyed lo + k."""
     half = 1 << (8 * w - 1)
     buf = (x + int.from_bytes(half.to_bytes(w, "little") * n, "little")).to_bytes(n * w, "little")
-    out = {}
-    for k in range(n):
-        v = int.from_bytes(buf[k * w : k * w + w], "little") - half
-        if v:
-            out[lo + k] = v
-    return out
+    digits = map(int.from_bytes, map(itemgetter(0), iter_unpack("%ds" % w, buf)), repeat("little"))
+    vals = list(map(sub, digits, repeat(half)))
+    return dict(compress(zip(count(lo), vals), vals))
+
+
+def _shifted_product(terms: dict, x: int, shift: int) -> int:
+    """(sum_v v sum_{s in terms[v]} 2^s) * x << shift: one product v * x per
+    distinct value, then one shift and one add per term."""
+    acc = 0
+    for v, ss in terms.items():
+        vx = v * x
+        for s in ss:
+            acc += vx << s + shift
+    return acc
 
 
 def _kron_rows(a: list, b: list, nmax: int) -> list:
@@ -488,9 +521,10 @@ def _kron_rows(a: list, b: list, nmax: int) -> list:
     nonzero rows n < nmax.
 
     Each input row is packed once, the shifted row products are summed
-    per (m, n), and each output row is unpacked once.  When a and b are
-    equal (a square), each unordered pair (i, m - i) is multiplied once and
-    doubled.
+    per (m, n), and each output row is unpacked once.  A pair with a sparse
+    row is multiplied by shifted adds over the terms of its sparser row.
+    When a and b are equal (a square), each unordered pair (i, m - i) is
+    multiplied once and doubled.
     """
     out = [{} for _ in range(min(len(a), len(b)))]
     a = [{n: row for n, row in s.items() if n < nmax and row} for s in a[: len(out)]]
@@ -502,14 +536,14 @@ def _kron_rows(a: list, b: list, nmax: int) -> list:
     bits_a = max((max(map(abs, row.values())) for row in rows_a), default=0).bit_length()
     bits_b = max((max(map(abs, row.values())) for row in rows_b), default=0).bit_length()
     w = (bits_a + bits_b + terms.bit_length() + 2 + 7) // 8
-    packed_a = [[(n, *_kron_pack(row, w)) for n, row in sorted(s.items())] for s in a]
-    packed_b = packed_a if same else [[(n, *_kron_pack(row, w)) for n, row in sorted(s.items())] for s in b]
+    packed_a = [[(n, len(row), *_kron_pack(row, w)) for n, row in sorted(s.items())] for s in a]
+    packed_b = packed_a if same else [[(n, len(row), *_kron_pack(row, w)) for n, row in sorted(s.items())] for s in b]
     for m, c in enumerate(out):
         acc: dict = {}  # n -> (lowest exponent, sum of the products shifted onto it, slot count)
         for i in range(m // 2 + 1 if same else m + 1):
             dbl = same and i < m - i  # this product stands for that of (m - i, i) too: shift one more bit
-            for n1, lo1, x1, l1 in packed_a[i]:
-                for n2, lo2, x2, l2 in packed_b[m - i]:
+            for n1, t1, lo1, x1, l1, s1 in packed_a[i]:
+                for n2, t2, lo2, x2, l2, s2 in packed_b[m - i]:
                     n = n1 + n2
                     if n >= nmax:
                         break
@@ -517,7 +551,14 @@ def _kron_rows(a: list, b: list, nmax: int) -> list:
                     base, x, slots = acc.get(n, (lo, 0, 0))
                     if lo < base:
                         base, x, slots = lo, x << 8 * w * (base - lo), slots + base - lo
-                    acc[n] = (base, x + ((x1 * x2) << 8 * w * (lo - base) + dbl), max(slots, lo - base + l1 + l2 - 1))
+                    shift = 8 * w * (lo - base) + dbl
+                    if s1 is None and s2 is None:
+                        p = (x1 * x2) << shift
+                    elif s2 is None or (s1 is not None and t1 <= t2):
+                        p = _shifted_product(s1, x2, shift)
+                    else:
+                        p = _shifted_product(s2, x1, shift)
+                    acc[n] = (base, x + p, max(slots, lo - base + l1 + l2 - 1))
         for n, (base, x, slots) in acc.items():
             row = _kron_unpack(x, base, slots, w)
             if row:

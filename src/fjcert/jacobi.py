@@ -466,7 +466,9 @@ def _common_rows(phis):
 # by phi(-q) = f(-q)^2/f(-q^2) and psi(q) = f(-q^2)^2/f(-q).  A weak or
 # holomorphic form sums numerator products and divides by P6 once, as two exact
 # divisions by P3.  A cusp form is Delta = q P3^8 times a weak form, so it is
-# q P18 (P18 = P3^6) times a numerator sum, with no division.  The tests pin
+# q P18 (P18 = P3^6) times a numerator sum, with no division.  U takes no
+# product and W takes 11, so W is built, and cached, only when a block reads
+# it.  The theta series and P3 are sparse rows for the kernel.  The tests pin
 # the identities and the components against a two-variable theta quotient.
 
 
@@ -501,6 +503,14 @@ def _series_p3(emax: int):
 
 
 @lru_cache(maxsize=None)
+def _series_p18(emax: int):
+    """P18 = P3^6 as P9^2, P9 from two products by the sparse P3."""
+    p3 = _series_p3(emax)
+    p9 = _dict_mul(_dict_mul(p3, p3, emax), p3, emax)
+    return _dict_mul(p9, p9, emax)
+
+
+@lru_cache(maxsize=None)
 def _series_b(emax: int):
     return {n * (n + 1) // 2: 1 for n in range(math.isqrt(8 * emax) + 1) if n * (n + 1) // 2 < emax}
 
@@ -510,10 +520,21 @@ def _series_th4(emax: int):
     return {e: (-v if math.isqrt(e) % 2 else v) for e, v in _series_sbq(emax).items()}
 
 
-@lru_cache(maxsize=None)
 def _numerators(jlen: int):
     """The theta components (U, W) of P6 times the weak generators of
     weights -2 and 0, below discriminant index jlen."""
+    return _numerator_u(jlen), _numerator_w(jlen)
+
+
+def _numerator_u(jlen: int):
+    """U = (-2 SA', SBq), which takes no product."""
+    return _dict_scale(_series_sa(jlen), -2), _series_sbq(jlen)
+
+
+@lru_cache(maxsize=None)
+def _numerator_w(jlen: int):
+    """W = (2 SA' T44 + 8 SBq^3 T2, SBq T44 - 64 q SA'^3 T2), built on first
+    use: it takes 11 products, and a cusp form of weight 10 never reads it."""
     sa, sbq, b, th4 = _series_sa(jlen), _series_sbq(jlen), _series_b(jlen), _series_th4(jlen)
 
     def mul(*factors):
@@ -523,7 +544,7 @@ def _numerators(jlen: int):
     t44, corr = mul(th4sq, th4sq), mul(sa, sa, sa, t2)
     w0 = _dict_add(_dict_scale(mul(sa, t44), 2), _dict_scale(mul(sbq, sbq, sbq, t2), 8))
     w1 = _dict_add(mul(sbq, t44), {e + 1: -64 * v for e, v in corr.items() if e + 1 < jlen})
-    return (_dict_scale(sa, -2), sbq), (w0, w1)
+    return w0, w1
 
 
 def _over_p6(h: dict, jlen: int) -> dict:
@@ -640,12 +661,11 @@ def _cusp_components(k: int, prec: int):
     q P18 U sum_{t<f} mon'_t with mon' of weight k - 10, and likewise with W
     and weight k - 12 (Eichler-Zagier, Thm. 9.3)."""
     jlen = prec - 1  # the factor q shifts every exponent by one
-    p3 = _series_p3(jlen)
-    p6 = _dict_mul(p3, p3, jlen)
-    p18 = _dict_mul(_dict_mul(p6, p6, jlen), p6, jlen)
-    for w, h in zip((k - 10, k - 12), _numerators(prec)):
+    for w, numerator in ((k - 10, _numerator_u), (k - 12, _numerator_w)):
         mons = _mform_monomials(w, jlen)
-        g0, g1 = (_dict_mul(p18, c, jlen) for c in h) if mons else ({}, {})
+        if not mons:
+            continue
+        g0, g1 = (_dict_mul(_series_p18(jlen), c, jlen) for c in numerator(prec))
         x: dict = {}
         for mon in mons:
             x = _dict_add(x, mon)
@@ -771,8 +791,9 @@ def specialize_torsion(phi: JacobiFormQExp, p: TorsionPoint) -> SpecializedExpan
             slot = acc.setdefault(base + r * aN, {})
             slot[j] = slot.get(j, 0) + row[r]
     den = phi.den
-    coeffs = {num: CycElem(L, {j: Fraction(v, den) for j, v in w.items()}) for num, w in acc.items() if any(w.values())}
-    # every value has a nonzero weight and every key lies in [0, bound_num)
+    coeffs = {num: CycElem._trusted(L, {j: Fraction(v, den) for j, v in w.items() if v}) for num, w in acc.items() if any(w.values())}
+    # every weight is nonzero and keyed by 0 <= j < L, every value has one,
+    # and every key lies in [0, bound_num)
     return SpecializedExpansion(phi.k, N, QExpansion._trusted(L, coeffs, p2))
 
 

@@ -7,6 +7,7 @@ column in the elliptic variable.  None of it shares code with the library.
 """
 
 import cmath
+import hashlib
 import math
 import tracemalloc
 from fractions import Fraction
@@ -317,6 +318,35 @@ def test_delta_over_p6_is_q_p18():
     p18 = mul(mul(p6, p6), p6)
     assert {x + 1: v for x, v in mul(mul(p6, p6), mul(p6, p6)).items() if x + 1 < e} == delta
     assert {x + 1: v for x, v in mul(p18, p6).items() if x + 1 < e} == delta
+    assert jacobi._series_p18(e) == p18  # built as P9^2
+
+
+def test_cusp_basis_builds_w_only_when_its_block_is_reached():
+    # weight 10 reads only the U block (M_{-2} has no monomial); weight 12 reads only W
+    prec = 157
+    jacobi._numerator_w.cache_clear()
+    try:
+        assert next(jacobi._space_components(10, True, prec))
+        assert len(list(jacobi._space_components(10, True, prec))) == 1
+        assert jacobi._numerator_w.cache_info().currsize == 0
+        assert next(jacobi._space_components(12, True, prec))
+        assert jacobi._numerator_w.cache_info().currsize == 1
+        assert jacobi._numerators(prec)[1] is jacobi._numerator_w(prec)
+    finally:
+        jacobi._numerator_w.cache_clear()
+
+
+def test_space_components_hash_is_pinned():
+    # (den, C) of every basis element for k = 4-40, holomorphic and cusp, at
+    # prec 30 and 301: the digest of the construction before W was built on
+    # demand and before P18 was built as P9^2 by sparse products
+    h = hashlib.sha256()
+    for prec in (30, 301):
+        for k in range(4, 41, 2):
+            for cusp in (False, True):
+                for den, table in jacobi._space_components(k, cusp, prec):
+                    h.update(repr((prec, k, cusp, den, table)).encode())
+    assert h.hexdigest() == "ffe0621ca2b7b126204d194430dd7bf033f5eff02a00d7c2714f22bef1681ea5"
 
 
 def test_cusp_basis_makes_no_division(monkeypatch):
@@ -595,6 +625,9 @@ def test_specialize_trusted_result_equals_validated(lift40, point):
         checked = QExpansion(exp.L, exp.coeffs, exp.prec)
         assert checked.coeffs == exp.coeffs and checked.L == exp.L
         assert checked.prec == exp.prec and type(exp.prec) is Fraction
+        for c in exp.coeffs.values():
+            assert CycElem(c.L, c.w).w == c.w and c.L == exp.L
+            assert all(type(v) is Fraction for v in c.w.values())
 
 
 def test_specialize_rejects_weak_input():

@@ -6,6 +6,7 @@ replaced, and point evaluation against a per-term oracle
 import math
 import re
 import tracemalloc
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 import schoolbook
 from fjcert import CycElem, FormalFJ, PolynomialOverM, QExpansion, jacobi_space
 from fjcert.core import PrecisionError, _dict_mul
-from fjcert import jacobi
+from fjcert import core, jacobi
 from fjcert.fjseries import poly_eval
 from fjcert.jacobi import JacobiFormQExp, TorsionPoint, evaluate, multiply, specialize_torsion
 from fjcert.reduction import SymMatQ
@@ -77,6 +78,168 @@ def test_dict_mul_edge_cases():
     assert _dict_mul(a, b, 15) == {14: 12}
     assert _dict_mul({0: 1, 1: 1}, {0: 1, 1: -1}, 5) == {0: 1, 2: -1}
     assert _dict_mul({}, b, 10) == {} and _dict_mul({3: 0}, b, 20) == {}
+
+
+# Row shapes for the kernel's two row-product paths.  A row is sparse when it
+# has at most one nonzero slot in eight of its span, rounded up: t terms
+# over a span of at least 8 (t - 1) + 1 slots, a single term included.
+# Sparse rows are multiplied by shifted adds, dense ones by one bignum product.
+
+nonzero = st.one_of(st.integers(1, 50), st.integers(-50, -1), huge)
+
+
+@st.composite
+def sparse_row(draw, values=nonzero):
+    """t terms with gaps of at least 8, from a random lowest exponent."""
+    gaps = draw(st.lists(st.integers(8, 20), max_size=6))
+    e = draw(st.integers(-30, 30))
+    row = {e: draw(values)}
+    for g in gaps:
+        e += g
+        row[e] = draw(values)
+    return row
+
+
+@st.composite
+def dense_row(draw, values=nonzero):
+    """At least two terms on consecutive exponents, so over one in eight."""
+    lo = draw(st.integers(-30, 30))
+    return {lo + k: v for k, v in enumerate(draw(st.lists(values, min_size=2, max_size=30)))}
+
+
+def is_sparse(row):
+    return core._kron_pack(row, 1 + max(abs(v) for v in row.values()).bit_length() // 8)[3] is not None
+
+
+def test_row_shapes_at_the_density_limit():
+    # 17 slots hold 3 sparse terms; a fourth makes the row dense
+    at_limit = {0: 1, 8: -1, 16: 2}
+    assert is_sparse(at_limit) and is_sparse({0: 1}) and is_sparse({5: -(2**3000)})
+    assert not is_sparse({**at_limit, 4: 3})
+    assert is_sparse({0: 1, 8: 1}) and not is_sparse({0: 1, 7: 1}) and not is_sparse({0: 1, 1: 1})
+
+
+def oracle_rows(a, b, nmax):
+    """c[m][n] = sum_i sum_{n1 + n2 = n} a[i][n1] * b[m - i][n2] by schoolbook.dict_mul."""
+    out = []
+    for m in range(min(len(a), len(b))):
+        c = {}
+        for i in range(m + 1):
+            for n1, r1 in a[i].items():
+                for n2, r2 in b[m - i].items():
+                    if n1 + n2 < nmax:
+                        acc = c.setdefault(n1 + n2, {})
+                        for e, v in schoolbook.dict_mul(r1, r2, max(r1) + max(r2) + 1).items():
+                            acc[e] = acc.get(e, 0) + v
+        out.append({n: {e: v for e, v in row.items() if v} for n, row in c.items() if any(row.values())})
+    return out
+
+
+@contextmanager
+def counted_shifted_products():
+    """The term count of the row behind each shifted-add product, in order."""
+    calls = []
+    shifted = core._shifted_product
+
+    def spy(terms, x, shift):
+        calls.append(sum(map(len, terms.values())))
+        return shifted(terms, x, shift)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_shifted_product", spy)
+        yield calls
+
+
+@pytest.mark.parametrize("shapes", ["sparse-dense", "dense-sparse", "sparse-sparse", "dense-dense"])
+@settings(max_examples=60)
+@given(data=st.data())
+def test_dict_mul_on_each_row_shape(shapes, data):
+    rows = {"sparse": sparse_row(), "dense": dense_row()}
+    first, second = shapes.split("-")
+    a, b = data.draw(rows[first]), data.draw(rows[second])
+    with counted_shifted_products() as calls:
+        for emax in emax_cases(a, b):
+            assert _dict_mul(a, b, emax) == schoolbook.dict_mul(a, b, emax)
+        calls.clear()
+        _dict_mul(a, b, max(a) + max(b) + 1)
+    # the shifted adds run over the sparse row with fewer terms, and only when a row is sparse
+    assert calls == ([] if shapes == "dense-dense" else [min(len(r) for r in (a, b) if is_sparse(r))])
+
+
+@pytest.mark.parametrize("row", [{0: 1}, {0: -1}, {7: -3}, {-4: 2**2100}, {11: -(2**2050) + 1}])
+def test_dict_mul_by_a_single_term(row):
+    dense = {e: (-1) ** (e % 2) * (e * e + 1) * 10**30 for e in range(-5, 60)}
+    with counted_shifted_products() as calls:
+        for a, b in ((row, dense), (dense, row), (row, row)):
+            for emax in emax_cases(a, b):
+                assert _dict_mul(a, b, emax) == schoolbook.dict_mul(a, b, emax)
+    assert calls and set(calls) == {1}
+
+
+@pytest.mark.parametrize("extra", [False, True])
+def test_dict_mul_at_the_density_limit(extra):
+    # 5 terms over 33 slots are sparse; a sixth term makes the row dense
+    row = {0: -7, 8: 2**2000, 16: 1, 24: -(2**1999), 32: 5}
+    if extra:
+        row[20] = -3
+    assert is_sparse(row) is not extra
+    other = {e: (-1) ** e * 3**e for e in range(40)}
+    with counted_shifted_products() as calls:
+        for emax in emax_cases(row, other):
+            assert _dict_mul(row, other, emax) == schoolbook.dict_mul(row, other, emax)
+            assert _dict_mul(other, row, emax) == schoolbook.dict_mul(other, row, emax)
+    assert bool(calls) is not extra
+
+
+@st.composite
+def shaped_series(draw, length):
+    """A list of two-variable series {n: row}, each row sparse, dense or a single term."""
+    row = st.one_of(sparse_row(), dense_row(), st.builds(lambda e, v: {e: v}, st.integers(-9, 9), nonzero))
+    return [draw(st.dictionaries(st.integers(0, 4), row, max_size=4)) for _ in range(length)]
+
+
+@settings(max_examples=80)
+@given(shaped_series(3), shaped_series(3), st.integers(0, 9))
+def test_kron_rows_on_mixed_row_shapes(a, b, nmax):
+    assert core._kron_rows(a, b, nmax) == oracle_rows(a, b, nmax)
+    assert core._kron_rows(a, a, nmax) == oracle_rows(a, a, nmax)
+
+
+def test_kron_rows_runs_both_paths_in_two_variables():
+    sparse, dense, single = {0: 3, 9: -(2**2000), 30: 1}, {e: e - 4 for e in range(-3, 12)}, {2: -1}
+    a = [{0: sparse, 2: dense}, {1: single, 3: sparse}]
+    b = [{0: dense, 1: sparse}, {0: single, 2: dense}]
+    with counted_shifted_products() as calls:
+        assert core._kron_rows(a, b, 6) == oracle_rows(a, b, 6)
+        assert core._kron_rows(b, a, 6) == oracle_rows(b, a, 6)
+        assert core._kron_rows(a, a, 6) == oracle_rows(a, a, 6)
+        assert set(calls) == {1, 3}
+        calls.clear()
+        assert core._kron_rows([{0: dense}], [{0: dense}], 1) == oracle_rows([{0: dense}], [{0: dense}], 1)
+        assert calls == []
+
+
+@given(st.integers(1, 4), st.data())
+def test_kron_unpack_reads_every_digit(w, data):
+    # digits in the open range (-X/2, X/2), X = 2^(8w), with zero runs at either end
+    half = 1 << (8 * w - 1)
+    digit = st.integers(-half + 1, half - 1)
+    digits = data.draw(st.lists(st.one_of(digit, st.just(0)), max_size=40))
+    lead, trail = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+    digits = [0] * lead + digits + [0] * trail
+    lo = data.draw(st.integers(-50, 50))
+    x = sum(c << (8 * w * k) for k, c in enumerate(digits))
+    want = {lo + k: c for k, c in enumerate(digits) if c}
+    assert core._kron_unpack(x, lo, len(digits), w) == want
+
+
+def test_kron_unpack_zero_and_extreme_digits():
+    assert core._kron_unpack(0, 3, 10, 2) == {}
+    assert core._kron_unpack(0, -7, 0, 1) == {}
+    for w in (1, 2, 9):
+        top = (1 << (8 * w - 1)) - 1
+        x = -top + (top << (8 * w)) + (-1 << (8 * w * 3))
+        assert core._kron_unpack(x, -1, 6, w) == {-1: -top, 0: top, 2: -1}
 
 
 cyc = st.builds(
