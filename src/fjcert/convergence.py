@@ -17,6 +17,8 @@ import csv
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate, islice, repeat
+from operator import add, mul
 from statistics import linear_regression
 
 from .core import PrecisionError, rat_str
@@ -295,10 +297,8 @@ def pointwise_convergence_check(
     radius = math.exp(-2 * math.pi * c_val)
     q2_abs = theta * radius
     z = p.z_at(tau1)
-    terms = [abs(v) * q2_abs**m for m, v in enumerate(slice_values(f, tau1, z, 2 * M))]
-    sums = [0.0]
-    for m in range(1, 2 * M + 1):
-        sums.append(sums[-1] + terms[m])
+    terms = [abs(v) * q2_abs**m for m, v in enumerate(slice_values(f, [(tau1, z)], 2 * M)[0])]
+    sums = list(accumulate(terms[1:], add, initial=0.0))
     s_m, s_2m = sums[M], sums[2 * M]
     gap = s_2m - s_m
     tol = rtol * max(1.0, s_m)
@@ -365,22 +365,20 @@ def k_eps_grid(box: CompactBoxSpec, eps_scale: float = 1.0, points: int = 5):
 
 def d_eps(q: PolynomialOverM, box: CompactBoxSpec, grid) -> float:
     """Sampled sup of 1 + sum of |a_i(tau)| over the grid, i < degree;
-    slice values are computed once per distinct (tau1, z) of the grid."""
+    one slice_values call per nonzero a_i evaluates it at every distinct
+    (tau1, z) of the grid."""
     if not q.is_monic():
         raise ValueError("polynomial must be monic")
-    grid = list(grid)
-    if not grid:
+    taus = [siegel_point(tau) for tau in grid]
+    if not taus:
         raise ValueError("empty sample grid")
-    coeffs = [a for a in q.coeffs[:-1] if not a.is_zero()]
-    values = {}
+    where = list(dict.fromkeys((t1, z) for t1, z, _ in taus))
+    values = [dict(zip(where, slice_values(a, where, a.M_max))) for a in q.coeffs[:-1] if not a.is_zero()]
     best = 0.0
-    for tau in grid:
-        t1, z, t2 = siegel_point(tau)
-        if (t1, z) not in values:
-            values[t1, z] = [slice_values(a, t1, z, a.M_max) for a in coeffs]
+    for t1, z, t2 in taus:
         total = 1.0
-        for vals in values[t1, z]:
-            total += abs(q2_sum(vals, t2))
+        for vals in values:
+            total += abs(q2_sum(vals[t1, z], t2))
         best = max(best, total)
     return best
 
@@ -433,32 +431,31 @@ def partial_sum_bound_check(
     decay = math.exp(-2 * math.pi * box.eps)
     bound = kappa * d_val * decay / (1.0 - decay)
     mtop = max(rows)
+    ms = sorted(rows)
+    tops = [0.0] * len(ms)  # rows[m] for m in ms
     max_abs = 0.0
     max_abs_torsion = 0.0
     max_abs_other = 0.0
     argmax = None
-    per_point = {}
-    for tau in grid:
-        t1, z, t2 = siegel_point(tau)
-        if (t1, z) not in per_point:
-            per_point[t1, z] = slice_values(f, t1, z, mtop), _is_near_torsion(t1, z)
+    taus = [siegel_point(tau) for tau in grid]
+    where = list(dict.fromkeys((t1, z) for t1, z, _ in taus))
+    per_point = {p: (vals, _is_near_torsion(*p)) for p, vals in zip(where, slice_values(f, where, mtop))}
+    for t1, z, t2 in taus:
         slice_vals, near = per_point[t1, z]
-        q2 = cmath.exp(2j * math.pi * t2)
-        acc = 0j
-        w = 1.0 + 0j
-        for m in range(1, mtop + 1):
-            w *= q2
-            acc += slice_vals[m] * w
-            if m in rows:
-                a = abs(acc)
-                rows[m] = max(rows[m], a)
-                if a > max_abs:
-                    max_abs = a
-                    argmax = (m, t1, z, t2)
-                if near:
-                    max_abs_torsion = max(max_abs_torsion, a)
-                else:
-                    max_abs_other = max(max_abs_other, a)
+        # |partial sum| for M = 0 .. mtop: the powers of q2 and the sums run in the order of a plain loop
+        powers = accumulate(repeat(cmath.exp(2j * math.pi * t2), mtop), mul, initial=1.0 + 0j)
+        sums = list(map(abs, accumulate(map(mul, slice_vals[1:], islice(powers, 1, None)), add, initial=0j)))
+        picked = list(map(sums.__getitem__, ms))
+        tops = list(map(max, tops, picked))
+        a = max(picked)
+        if a > max_abs:  # the first grid point and the least M of the largest sum keep the argmax
+            max_abs = a
+            argmax = (ms[picked.index(a)], t1, z, t2)
+        if near:
+            max_abs_torsion = max(max_abs_torsion, a)
+        else:
+            max_abs_other = max(max_abs_other, a)
+    rows = dict(zip(ms, tops))
     verdict = "pass" if max_abs <= bound else "fail"
     witnesses = {
         "D_eps": d_val,

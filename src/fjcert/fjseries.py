@@ -18,11 +18,12 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from itertools import chain, compress, repeat
+from itertools import accumulate, chain, compress, repeat
+from operator import attrgetter, mul
 
 from .core import PrecisionError, rat_str
-# multiply is not called here: bench/spans.py traces calls under this name
-from .jacobi import JacobiFormQExp, _common_rows, _convolve, _index1_table, _read_int, _Texts, check_point, evaluate, multiply  # noqa: F401
+# evaluate and multiply are not called here: bench/spans.py traces calls under these names
+from .jacobi import JacobiFormQExp, _common_rows, _convolve, _index1_table, _read_int, _Texts, check_point, evaluate, evaluate_points, multiply  # noqa: F401
 from .reduction import HalfIntIndex
 
 __all__ = [
@@ -38,6 +39,8 @@ __all__ = [
     "slice_values",
     "evaluate_partial",
 ]
+
+_REAL, _IMAG = attrgetter("real"), attrgetter("imag")
 
 # generators of GL2(Z), as they label violations: swap, reflection, shear
 _SWAP = ((0, 1), (1, 0))
@@ -483,24 +486,23 @@ def siegel_point(tau):
     return complex(tau[0][0]), complex(tau[0][1]), complex(tau[1][1])
 
 
-def slice_values(f: FormalFJ, tau1: complex, z: complex, M: int) -> list:
-    """[phi_0(tau1, z), ..., phi_M(tau1, z)], with 0j for zero slices.
+def slice_values(f: FormalFJ, points, M: int) -> list:
+    """For each (tau1, z) of points, in order, the list [phi_0(tau1, z), ...,
+    phi_M(tau1, z)], with 0j for zero slices.
 
-    Every point evaluation of the slices of a series goes through here;
-    callers compute it once per (tau1, z) and reuse it for every tau2.
+    Every point evaluation of the slices of a series goes through here, one
+    call for all of a caller's points: :func:`jacobi.evaluate_points` builds
+    each nonzero slice's line once per distinct (tau1, Im z) and sums one
+    phase sum per point, and callers reuse the values for every tau2.
     """
-    return [0j if phi.is_zero() else evaluate(phi, tau1, z) for phi in f.phis[: M + 1]]
+    return evaluate_points(f.phis[: M + 1], points)
 
 
 def q2_sum(values, tau2: complex) -> complex:
     """Sum of values[m] q2^m, q2 = e(tau2), each part added by math.fsum."""
     q2 = cmath.exp(2j * math.pi * tau2)
-    terms = []
-    w = 1.0 + 0j
-    for v in values:
-        terms.append(v * w)
-        w *= q2
-    return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+    terms = list(map(mul, values, accumulate(repeat(q2), mul, initial=1.0 + 0j)))
+    return complex(math.fsum(map(_REAL, terms)), math.fsum(map(_IMAG, terms)))
 
 
 def evaluate_partial(f: FormalFJ, tau, M: int) -> complex:
@@ -512,4 +514,4 @@ def evaluate_partial(f: FormalFJ, tau, M: int) -> complex:
     if M > f.M_max:
         raise PrecisionError("partial sum M=%d is beyond M_max=%d" % (M, f.M_max))
     t1, z, t2 = siegel_point(tau)
-    return q2_sum(slice_values(f, t1, z, M), t2)
+    return q2_sum(slice_values(f, [(t1, z)], M)[0], t2)

@@ -1,5 +1,6 @@
 """Tests for the sampled convergence certificates and their reports."""
 
+import cmath
 import csv
 import json
 import math
@@ -11,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import schoolbook
-from fjcert import convergence, fjseries
+from fjcert import convergence, fjseries, jacobi
 from fjcert.convergence import (
     BoundConfig,
     CompactBoxSpec,
@@ -30,8 +31,8 @@ from fjcert.convergence import (
     write_csv,
 )
 from fjcert.core import PrecisionError, eisenstein_qexp
-from fjcert.fjseries import FormalFJ, PolynomialOverM, evaluate_partial, siegel_point
-from fjcert.jacobi import JacobiFormQExp, TorsionPoint, evaluate, specialize_torsion
+from fjcert.fjseries import FormalFJ, PolynomialOverM, evaluate_partial, q2_sum, siegel_point
+from fjcert.jacobi import JacobiFormQExp, TorsionPoint, specialize_torsion
 from fjcert.reduction import CapacityError, enumerate_S
 
 
@@ -388,15 +389,89 @@ def test_d_eps_matches_direct_sup(lift8):
     assert got > 1.0
 
 
-def test_d_eps_evaluates_each_slice_once_per_point(lift8, monkeypatch):
+def test_d_eps_builds_one_line_per_slice_and_line_and_one_phase_sum_per_point(lift8, monkeypatch):
+    f, _ = lift8
+    q = square_relation(f)
+    # the second and third points share tau1 = i and Im z = 0.05: one line
+    box = CompactBoxSpec(((1j, 0.25j), (1j, 0.1 + 0.05j), (1j, -0.2 + 0.05j), (0.5 + 1j, 0.15j)), 0.1)
+    calls, lines, sums = [], [], []
+    slice_values, line, phase_sum = convergence.slice_values, jacobi._line, jacobi._phase_sum
+    monkeypatch.setattr(convergence, "slice_values", lambda a, pts, M: calls.append(list(pts)) or slice_values(a, pts, M))
+    # the rows and layout objects stay referenced, so their ids name one slice each
+    monkeypatch.setattr(jacobi, "_line", lambda rows, lay, t1, y, *rest: lines.append((rows, t1, y)) or line(rows, lay, t1, y, *rest))
+    monkeypatch.setattr(jacobi, "_phase_sum", lambda g, lay, *rest: sums.append((lay, *rest[1:])) or phase_sum(g, lay, *rest))
+    monkeypatch.setattr(fjseries, "evaluate", None)  # no one-point call is left
+    d_eps(q, box, k_eps_grid(box, points=5))
+    coeffs = [a for a in q.coeffs[:-1] if not a.is_zero()]
+    nonzero = sum(not phi.is_zero() for a in coeffs for phi in a.phis)
+    assert calls == [list(box.U)] * len(coeffs)
+    keys = [(id(rows), t1, y) for rows, t1, y in lines]
+    assert len(keys) == len(set(keys)) == 3 * nonzero
+    keys = [(id(lay), t1, z) for lay, t1, z in sums]
+    assert len(keys) == len(set(keys)) == len(box.U) * nonzero
+
+
+def test_box_checks_make_one_slice_values_call(lift8, monkeypatch):
     f, _ = lift8
     q = square_relation(f)
     box = CompactBoxSpec(((1j, 0.25j), (1j, 0.1 + 0.05j), (0.5 + 1j, 0.15j)), 0.1)
     calls = []
-    monkeypatch.setattr(fjseries, "evaluate", lambda phi, t1, z: calls.append((id(phi), t1, z)) or evaluate(phi, t1, z))
-    d_eps(q, box, k_eps_grid(box, points=5))
-    nonzero = sum(not phi.is_zero() for a in q.coeffs[:-1] for phi in a.phis)
-    assert len(calls) == len(set(calls)) == len(box.U) * nonzero
+    slice_values = convergence.slice_values
+    monkeypatch.setattr(convergence, "slice_values", lambda a, pts, M: calls.append((a, list(pts), M)) or slice_values(a, pts, M))
+    partial_sum_bound_check(f, q, box, [1, 2, 4, 8], points=3)
+    # d_eps: one call per nonzero coefficient of q; then one for f up to the largest M
+    coeffs = [a for a in q.coeffs[:-1] if not a.is_zero()]
+    assert calls == [(a, list(box.U), a.M_max) for a in coeffs] + [(f, list(box.U), 8)]
+    calls.clear()
+    pointwise_convergence_check(f, TorsionPoint(2, 1, 0), 1j, 0.5, 4)
+    assert calls == [(f, [(1j, 0.5j)], 8)]
+
+
+def plain_partial_sums(slice_vals, tau2, mtop):
+    """|sum_{1 <= m <= M} slice_vals[m] q2^m| for M = 1 .. mtop, by the
+    plain loop partial_sum_bound_check ran before it used accumulate."""
+    q2 = cmath.exp(2j * math.pi * tau2)
+    acc, w, out = 0j, 1.0 + 0j, [0.0]
+    for m in range(1, mtop + 1):
+        w *= q2
+        acc += slice_vals[m] * w
+        out.append(abs(acc))
+    return out
+
+
+def test_box_certificate_sums_match_a_plain_loop_bit_for_bit(lift8):
+    # the per-grid-point partial sums, row maxima and argmax are those of
+    # the plain loop over the same slice values; z and -z tie bit for bit,
+    # and the first of the twins keeps the argmax
+    f, _ = lift8
+    q = square_relation(f)
+    box = CompactBoxSpec(((0.5 + 1j, -0.15j), (1j, 0.1 + 0.05j), (0.5 + 1j, 0.15j)), 0.1)
+    rep = partial_sum_bound_check(f, q, box, [8, 1, 4, 2], points=3)
+    assert "tau1=0.5+1j z=-0-0.15j" in rep.witnesses["argmax"]
+    rows, best, argmax = {m: 0.0 for m in (1, 2, 4, 8)}, 0.0, None
+    for tau in k_eps_grid(box, 2.0, 3):
+        t1, z, t2 = siegel_point(tau)
+        sums = plain_partial_sums(fjseries.slice_values(f, [(t1, z)], 8)[0], t2, 8)
+        for m in sorted(rows):
+            rows[m] = max(rows[m], sums[m])
+            if sums[m] > best:
+                best, argmax = sums[m], (m, t1, z, t2)
+    assert rep.series["partial_sums"][1] == [[m, rows[m]] for m in sorted(rows)]
+    assert rep.witnesses["max_partial_sum"] == best
+    assert rep.witnesses["argmax"] == "M=%d tau1=%s z=%s tau2=%s" % (argmax[0], *map(convergence._cplx_str, argmax[1:]))
+
+
+@given(st.lists(st.builds(complex, st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)), max_size=30),
+       st.builds(complex, st.floats(-1, 1), st.floats(0.01, 2)))
+def test_q2_sum_matches_a_plain_loop_bit_for_bit(values, tau2):
+    q2 = cmath.exp(2j * math.pi * tau2)
+    terms, w = [], 1.0 + 0j
+    for v in values:
+        terms.append(v * w)
+        w *= q2
+    want = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+    got = q2_sum(values, tau2)
+    assert (got.real, got.imag) == (want.real, want.imag)
 
 
 def test_d_eps_is_one_for_plain_x():

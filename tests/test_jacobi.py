@@ -763,6 +763,20 @@ def test_evaluate_caps_the_y_power_table(r):
         assert value == 0j and peak < 10**4
 
 
+def test_evaluate_lines_split_at_gaps():
+    # rows at r = -10^9, 0 and 10^9 give a line of three slots, not 2 10^9 + 1,
+    # and the two forms of one call share a phase table of four slots
+    far = JacobiFormQExp(4, 1, 4, {(1, -(10**9)): 1, (2, 0): 2, (3, 10**9): 3})
+    near = JacobiFormQExp(4, 1, 2, {(1, 1): 5})
+    points = [(1j, 0.3), (1j, 0.25 + 0j)]
+    values, peak = _traced_peak(lambda: jacobi.evaluate_points([far, near], points))
+    assert peak < 10**4
+    e = lambda t: cmath.exp(2j * math.pi * t)  # noqa: E731
+    for (tau1, z), (a, b) in zip(points, values):
+        assert abs(a - (e(tau1 - 10**9 * z) + 2 * e(2 * tau1) + 3 * e(3 * tau1 + 10**9 * z))) < 1e-9
+        assert b == evaluate(near, tau1, z) and abs(b - 5 * e(tau1 + z)) < 1e-15
+
+
 def test_evaluate_cap_counts_every_tabulated_power(monkeypatch):
     # a row from r = -4 to 5 needs the powers s^0 .. s^9 of s = e(z) or e(-z): 10 powers
     monkeypatch.setattr(jacobi, "WINDOW_CAP", 10)

@@ -5,6 +5,7 @@ replaced, and point evaluation against a per-term oracle
 
 import math
 import re
+import struct
 import tracemalloc
 from contextlib import contextmanager
 from fractions import Fraction
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 import schoolbook
 from fjcert import CycElem, FormalFJ, PolynomialOverM, QExpansion, jacobi_space
 from fjcert.core import PrecisionError, _dict_mul
-from fjcert import core, jacobi
+from fjcert import core, fjseries, jacobi
 from fjcert.fjseries import poly_eval
 from fjcert.jacobi import JacobiFormQExp, TorsionPoint, evaluate, multiply, specialize_torsion
 from fjcert.reduction import SymMatQ
@@ -389,11 +390,15 @@ point = st.tuples(
 
 def oracle(phi, tau1, z):
     """(value, bound): the per-term oracle's value, and c 2^-53 sum |terms|
-    with c = 4 (W + A + 4).  W is the longest row span, the longest chain of
-    powers of e(z) or e(-z); A = 2 pi max (n |tau1| + |r| |z|) over the
-    stored terms is the size of the largest exponent, whose rounding the
-    oracle shares; 4 covers the rounding of a coefficient, an exponential
-    and the products by them, on either side."""
+    with c = 4 (W + A + 4), for one-point and multi-point calls alike.  W
+    is the longest row span, the longest chain of powers of e(-2 pi |Im z|)
+    (today's evaluate) or of e(z) or e(-z) (the original tables), and it
+    bounds the number of +-r pairs a row adds to the phase sum; A = 2 pi
+    max (n |tau1| + |r| |z|) over the stored terms is the size of the
+    largest exponent, whose rounding the oracle shares, and it also covers
+    the phase e(r Re z) and the sum over the stored rows; 4 covers the
+    rounding of a coefficient, an exponential and the products by them, on
+    either side."""
     terms = schoolbook.evaluate_terms(phi, tau1, z)
     want = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
     width = max((max(row) - min(row) + 1 for row in phi.num.values()), default=0)
@@ -417,6 +422,53 @@ def test_evaluate_matches_schoolbook(phi, points):
         assert_meets_oracle_bound(phi, tau1, z)
 
 
+def same_bits(a: complex, b: complex) -> bool:
+    return struct.pack("<dd", a.real, a.imag) == struct.pack("<dd", b.real, b.imag)
+
+
+def line_mates(points, draw):
+    """points, then for some of them a point on the same line (same tau1 and
+    Im z, another Re z) and the mirror point -z."""
+    mates = [(t, complex(draw(st.floats(-1, 1)), z.imag)) for t, z in points if draw(st.booleans())]
+    return points + mates + [(t, -z) for t, z in points if draw(st.booleans())]
+
+
+@given(st.lists(signed_form(), min_size=1, max_size=3), st.lists(point, min_size=1, max_size=3), st.data())
+@example([JacobiFormQExp.zero(4, 1, 5), JacobiFormQExp(4, 1, 2, {(1, 0): 1, (1, 6): 2})], [(1j, 0.3j)], None)
+def test_evaluate_points_matches_one_point_calls_and_the_oracle(phis, points, data):
+    # one call for every form and point: the shared lines and phase tables
+    # change no bit of a value, and each value meets the oracle's bound
+    if data is not None:
+        points = line_mates(points, data.draw)
+    values = jacobi.evaluate_points(phis, points)
+    assert len(values) == len(points)
+    for (tau1, z), row in zip(points, values):
+        assert len(row) == len(phis)
+        for phi, value in zip(phis, row):
+            assert same_bits(value, evaluate(phi, tau1, z))
+            want, bound = oracle(phi, tau1, z)
+            assert abs(value - want) <= bound, (phi.m, tau1, z, abs(value - want), bound)
+
+
+@st.composite
+def symmetric_form(draw):
+    """A form of index 1-3 with c(n, r) = c(n, -r), from a signed one."""
+    phi = draw(jacobi_form(draw(st.integers(1, 3)), st.one_of(mixed_den, fracs, small), 8))
+    return JacobiFormQExp(phi.k, phi.m, phi.prec, {(n, s * r): c for (n, r), c in phi.coeffs.items() for s in (1, -1)})
+
+
+@given(symmetric_form(), st.lists(point, min_size=1, max_size=3))
+@example(JacobiFormQExp(4, 1, 3, {(1, -2): 1, (1, 2): 1, (2, 0): 3, (2, -6): 5, (2, 6): 5}), [(1j, 0.2 + 0.1j), (1j, -0.3j), (0.5 + 1j, 0.4)])
+def test_evaluate_is_mirror_symmetric_bit_for_bit(phi, points):
+    # c(n, r) = c(n, -r): phi(tau1, -z) = phi(tau1, z), and the two values share every bit,
+    # whether the mirror point comes in the same call or alone
+    mirrored = [(t, -z) for t, z in points]
+    both = jacobi.evaluate_points([phi], points + mirrored)
+    for (tau1, z), (a,), (b,) in zip(points, both, both[len(points):]):
+        assert same_bits(a, b)
+        assert same_bits(a, evaluate(phi, tau1, -z)), (tau1, z)
+
+
 # certify's default tau1 at the torsion point (2, 1, 0), then the 25 (tau1, z) of the criterion-6 box
 _LO = -0.2 / math.sqrt(2)
 LIFT_POINTS = [(1j, 0.5j)] + [(1j, complex(_LO - _LO * i / 2, _LO - _LO * j / 2)) for i in range(5) for j in range(5)]
@@ -430,6 +482,18 @@ def test_evaluate_matches_schoolbook_on_lift_slices(series, lift40, lift10_40):
     for phi in f.phis:
         for tau1, z in points:
             assert_meets_oracle_bound(phi, tau1, z)
+
+
+@pytest.mark.parametrize("series", ["lift10_40", "lift10_40 squared"])
+def test_slice_values_on_the_box_are_mirror_symmetric_and_match_evaluate(series, lift10_40):
+    # one call for the 25 box points and their mirrors -z gives each slice
+    # the value evaluate gives alone, and the same bits at z and -z
+    f = lift10_40[0] if series == "lift10_40" else lift10_40[0].multiply(lift10_40[0])
+    points = LIFT_POINTS[1:]
+    values = fjseries.slice_values(f, points + [(t, -z) for t, z in points], f.M_max)
+    for (tau1, z), row, mirror in zip(points, values, values[len(points):]):
+        for m, phi in enumerate(f.phis):
+            assert same_bits(row[m], mirror[m]) and same_bits(row[m], evaluate(phi, tau1, z)), (m, z)
 
 
 def test_evaluate_where_the_old_tables_overflow():
