@@ -46,7 +46,11 @@ from .jacobi import (  # noqa: F401
     jacobi_space,
     specialize_torsion,
 )
-from .reduction import CapacityError, SymMatQ, enumerate_S, hermite_check, is_positive_definite, minkowski_reduce  # noqa: F401
+from .reduction import CapacityError, UnimodularMat, _gram_from_text, _gram_text, enumerate_S, is_positive_definite  # noqa: F401
+
+# reduce works on the integer Gram matrix from text to text; bench/spans.py
+# times its reduction and Hermite steps under these two names
+from .reduction import _hermite_gram as hermite_check, _reduce_gram as minkowski_reduce
 
 __all__ = ["main"]
 
@@ -390,18 +394,18 @@ def _cmd_bound_report(run: _Run) -> int:
 def _cmd_reduce(run: _Run) -> int:
     text = run.need("matrix")
     try:
-        n = SymMatQ.from_text(text)
+        g, scale = _gram_from_text(text)
     except (ValueError, IndexError) as e:
         _fail_usage("cannot parse matrix %r: %s" % (text, e))
-    if n.size > 3:
+    if len(g) > 3:
         _fail_usage("reduce takes matrices of size one to three")
-    try:  # at sizes one to three minkowski_reduce raises ValueError only for such a matrix
-        reduced, u = minkowski_reduce(n)
+    try:  # at sizes one to three this raises ValueError only for such a matrix
+        g, u = minkowski_reduce(g)
     except ValueError:
         print("error: matrix is not positive definite", file=sys.stderr)
         return 6
-    ok = hermite_check(reduced)
-    reduced_text, u_text = reduced.to_text(), u.to_text()
+    ok = hermite_check(g)
+    reduced_text, u_text = _gram_text(g, scale), UnimodularMat(u).to_text()
     run.emit(
         {"reduced": reduced_text, "transform": u_text, "hermite_ok": ok},
         ["reduced: %s" % reduced_text, "transform: %s" % u_text, "hermite_ok: %s" % ok],
@@ -413,7 +417,8 @@ def _cmd_reduce(run: _Run) -> int:
 
 
 @lru_cache(maxsize=None)  # built on the first main() call; parse_args keeps no state between calls
-def _build_parser() -> _Parser:
+def _build_parser():
+    """The top-level parser and its command parsers by name."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable stdout")
     common.add_argument("--config", help="key=value config file (flags win)")
@@ -461,12 +466,19 @@ def _build_parser() -> _Parser:
     p.add_argument("--matrix", help='entries "a,b;b,c"')
     p.set_defaults(func=_cmd_reduce)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _build_parser()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:  # no arguments, -h or an unknown name
+        args = parser.parse_args(argv)
+    else:  # what the top-level parser would do, in one pass over argv
+        args, rest = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if rest:
+            parser.error("unrecognized arguments: %s" % " ".join(rest))
     if not getattr(args, "command", None):
         parser.print_usage(sys.stderr)
         return 64

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import cmath
 import math
+import re
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, count, repeat
@@ -45,11 +47,57 @@ def rat_str(x) -> str:
     return str(Fraction(x))
 
 
+# the digit limit of int <-> str conversion; CPython 3.10 before 3.10.7 has none
+_int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+# the decimal texts Fraction reads: sign, integer part, fraction part, exponent
+_DECIMAL = re.compile(r"([-+]?)(?=\d|\.\d)(\d*|\d+(?:_\d+)*)(?:\.(\d*|\d+(?:_\d+)*))?(?:[eE]([-+]?\d+(?:_\d+)*))?")
+
+
+def _decimal_parts(t: str):
+    """(n, e) with n >= 0 and |value| = n * 10^e for a decimal text t that
+    Fraction reads, or None for any other text.  Under a digit limit L,
+    n < 10^(2 L): the int conversions of the two parts, as in Fraction,
+    raise ValueError past L digits each."""
+    m = _DECIMAL.fullmatch(t)
+    if m is None:
+        return None
+    _, whole, frac, exp = m.groups()
+    frac = (frac or "").replace("_", "")
+    return int(whole or "0") * 10 ** len(frac) + int(frac or "0"), int(exp or "0") - len(frac)
+
+
+def _too_long(n: int, e: int, limit: int) -> bool:
+    """True iff n * 10^e, n > 0, has a numerator or a denominator of more than
+    limit digits in lowest terms, with no power of ten built past 3 * limit
+    digits."""
+    if e >= 0:
+        return e >= limit or n >= 10 ** (limit - e)
+    if -e >= 3 * limit:  # the denominator is at least 10^-e / n > 10^limit
+        return True
+    d = 10**-e
+    c = math.gcd(n, d)
+    return max(n // c, d // c) >= 10**limit
+
+
 def parse_rat(s: str) -> Fraction:
-    """Fraction from text such as "3", "-7/2" or "0.25"; ValueError on bad text,
-    a zero denominator included."""
+    """Fraction from text such as "3", "-7/2", "0.25" or "1e-3"; ValueError on
+    bad text, a zero denominator included, and on a value whose numerator or
+    denominator has more digits than sys.get_int_max_str_digits() allows
+    (0: no limit), so that every value read can be printed."""
+    t = str(s).strip()
+    limit = _int_max_str_digits()
+    # without an exponent, no part of a text of at most limit characters is longer
+    if limit and ("e" in t or "E" in t or len(t) > limit):
+        parts = _decimal_parts(t)
+        if parts is not None:
+            n, e = parts
+            if n == 0:  # Fraction would build 10^|e| first
+                return Fraction(0)
+            if _too_long(n, e, limit):
+                raise ValueError("numerator or denominator exceeds the limit (%d digits) for integer string conversion" % limit)
     try:
-        return Fraction(str(s).strip())
+        return Fraction(t)
     except ZeroDivisionError:
         raise ValueError("zero denominator in %r" % (s,)) from None
 

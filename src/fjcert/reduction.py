@@ -11,10 +11,11 @@ integer Gram matrix g = D t, with D > 0 clearing the entry denominators:
 rounding is floor division on integer pairs, the Minkowski conditions are
 integer linear forms in the entries of g, and the Hermite bound compares
 integer products, in which the powers of D cancel.  None of these depends
-on which such D is taken.  Fractions are built only for the reduced
-result, which carries the g it was built from, so hermite_check does not
-rebuild it.  Unimodular matrices keep integer entries and determinant +-1
-as a constructor invariant.
+on which such D is taken.  The reduce command goes from text to text on
+(g, D) alone: _gram_from_text reads it, _reduce_gram reduces g,
+_hermite_gram checks the result and _gram_text prints g / D, so an input
+with integer entries builds no Fraction.  Unimodular matrices keep integer
+entries and determinant +-1 as a constructor invariant.
 """
 
 from __future__ import annotations
@@ -64,30 +65,35 @@ def _parse_entry(x: str):
     return int(y) if _ASCII_INT.fullmatch(y) else parse_rat(x)
 
 
+def _text_rows(s: str):
+    """The entries of the matrix text "a,b;b,c" as int or Fraction row lists."""
+    return [[_parse_entry(x) for x in part.split(",")] for part in s.strip().split(";")]
+
+
+def _check_shape(rows):
+    """ValueError unless rows is a symmetric square matrix of size one to four."""
+    s = len(rows)
+    if s < 1 or any(len(r) != s for r in rows):
+        raise ValueError("matrix must be square")
+    if s > 4:
+        raise ValueError("matrix size above four is not supported")
+    for i in range(s):
+        for j in range(i):
+            a, b = rows[i][j], rows[j][i]
+            if not (a is b or a == b):
+                raise ValueError("matrix must be symmetric")
+
+
 class SymMatQ:
-    """Symmetric matrix with Fraction entries, size one to four.
+    """Symmetric matrix with Fraction entries, size one to four."""
 
-    _gram is None or an immutable (g, D), g = D * rows as int tuples; only
-    minkowski_reduce sets it, on the matrix it returns.
-    """
-
-    __slots__ = ("size", "rows", "_gram")
+    __slots__ = ("size", "rows")
 
     def __init__(self, rows):
         rows = [tuple([x if isinstance(x, Fraction) else Fraction(x) for x in row]) for row in rows]
-        s = len(rows)
-        if s < 1 or any(len(r) != s for r in rows):
-            raise ValueError("matrix must be square")
-        if s > 4:
-            raise ValueError("matrix size above four is not supported")
-        for i in range(s):
-            for j in range(i):
-                a, b = rows[i][j], rows[j][i]
-                if not (a is b or a == b):
-                    raise ValueError("matrix must be symmetric")
-        self.size = s
+        _check_shape(rows)
+        self.size = len(rows)
         self.rows = tuple(rows)
-        self._gram = None
 
     def __getitem__(self, ij):
         i, j = ij
@@ -110,8 +116,7 @@ class SymMatQ:
 
     @classmethod
     def from_text(cls, s: str) -> "SymMatQ":
-        rows = [[_parse_entry(x) for x in part.split(",")] for part in s.strip().split(";")]
-        return cls(rows)
+        return cls(_text_rows(s))
 
 
 class UnimodularMat:
@@ -287,16 +292,33 @@ def _round_half_to_zero(p: int, q: int) -> int:
     return (2 * p + q) // (2 * q)
 
 
+def _scaled(rows):
+    """(g, D): the int or Fraction entries of rows times D, the lcm of their
+    denominators, as fresh int lists."""
+    scale = math.lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (scale // x.denominator) for x in row] for row in rows], scale
+
+
 def _integral(t: SymMatQ):
-    """(g, D): the entries of t times some D > 0 that clears their
-    denominators, as fresh int lists.  D is the lcm of the denominators,
-    unless t came out of minkowski_reduce, which hands on the g and D it
-    finished with.  Every caller is invariant under the choice of D."""
-    if t._gram is not None:
-        g, scale = t._gram
-        return [list(row) for row in g], scale
-    scale = math.lcm(*(x.denominator for row in t.rows for x in row))
-    return [[x.numerator * (scale // x.denominator) for x in row] for row in t.rows], scale
+    """(g, D): the entries of t times the D > 0 that clears their
+    denominators, as fresh int lists.  Every caller is invariant under the
+    choice of D."""
+    return _scaled(t.rows)
+
+
+def _gram_from_text(text: str):
+    """(g, D) of the matrix text "a,b;b,c", with the ValueError of
+    SymMatQ.from_text for bad text; no Fraction is built for an integer entry."""
+    rows = _text_rows(text)
+    _check_shape(rows)
+    return _scaled(rows)
+
+
+def _gram_text(g, scale: int) -> str:
+    """The text of the matrix g / scale, as SymMatQ.to_text prints it."""
+    if scale == 1:
+        return ";".join(",".join(map(str, row)) for row in g)
+    return ";".join(",".join([str(Fraction(x, scale)) for x in row]) for row in g)
 
 
 # the upper-triangle entries (a, b), a <= b, of a matrix of size s
@@ -356,21 +378,17 @@ def _replace(g, u, j, c):
     g[j] = [sum(ci * row[k] for ci, row in zip(c, g)) for k in range(len(g))]
 
 
-def minkowski_reduce(n: SymMatQ):
-    """Minkowski-reduce a positive definite matrix of size one to three.
+def _reduce_gram(g):
+    """Minkowski-reduce the integer Gram matrix g of size one to three.
 
-    Returns (reduced, rho) with reduced = n[rho] and rho unimodular, where
-    reduced[x] >= reduced_kk for every nonzero x in {-1, 0, 1}^s and every k
-    up to the last nonzero index of x.  At these sizes that finite list is
-    Minkowski reduction: the diagonal is nondecreasing, 2|reduced_ij| <=
-    reduced_ii for i < j, and reduced_00 is the minimum of the form over
-    nonzero integer vectors.  Signs are normalized so that reduced_01 and
-    reduced_02 are nonnegative.
+    Reduces the int row lists of g in place and returns (g, u), with u the
+    unimodular transform as int row lists: the reduced g is u^T g u for the
+    g passed in.  Raises ValueError unless g is positive definite, then
+    unless its size is at most three.
     """
-    g, scale = _integral(n)
     if not _positive_definite(g):
         raise ValueError("matrix must be positive definite")
-    s = n.size
+    s = len(g)
     if s > 3:
         raise ValueError("reduction implemented for sizes one to three only")
     u = [list(row) for row in _IDENTITY[s]]
@@ -403,16 +421,42 @@ def minkowski_reduce(n: SymMatQ):
     for j in range(1, s):
         if g[0][j] < 0:
             _replace(g, u, j, [-int(k == j) for k in range(s)])
-    t = [[None] * s for _ in range(s)]
-    for i, j in _ENTRIES[s]:
-        t[i][j] = t[j][i] = Fraction(g[i][j], scale)
-    reduced = SymMatQ(t)
-    reduced._gram = (tuple(map(tuple, g)), scale)
-    return reduced, UnimodularMat(u)
+    return g, u
+
+
+def minkowski_reduce(n: SymMatQ):
+    """Minkowski-reduce a positive definite matrix of size one to three.
+
+    Returns (reduced, rho) with reduced = n[rho] and rho unimodular, where
+    reduced[x] >= reduced_kk for every nonzero x in {-1, 0, 1}^s and every k
+    up to the last nonzero index of x.  At these sizes that finite list is
+    Minkowski reduction: the diagonal is nondecreasing, 2|reduced_ij| <=
+    reduced_ii for i < j, and reduced_00 is the minimum of the form over
+    nonzero integer vectors.  Signs are normalized so that reduced_01 and
+    reduced_02 are nonnegative.
+    """
+    g, scale = _integral(n)
+    g, u = _reduce_gram(g)
+    return SymMatQ([[Fraction(x, scale) for x in row] for row in g]), UnimodularMat(u)
 
 
 # gamma_s^s as (numerator, denominator)
 _HERMITE_POW = {1: (1, 1), 2: (4, 3), 3: (2, 1)}
+
+
+def _hermite_gram(g) -> bool:
+    """hermite_check on the integer Gram matrix g = D n of any D > 0: both
+    sides of the bound carry the factor D^s."""
+    s = len(g)
+    if s not in _HERMITE_POW:
+        raise ValueError("size must be one to three")
+    if not _positive_definite(g):
+        raise ValueError("matrix must be positive definite")
+    bad = _first_violation(g)
+    if bad is not None:
+        raise ValueError("input is not Minkowski reduced: n[x] < n_kk at x = %s" % (bad[0],))
+    num, den = _HERMITE_POW[s]
+    return g[0][0] ** s * den <= num * _det(g)
 
 
 def hermite_check(n: SymMatQ) -> bool:
@@ -421,21 +465,9 @@ def hermite_check(n: SymMatQ) -> bool:
     gamma_s^s is 1, 4/3, 2 at sizes 1, 2, 3.  Raises ValueError unless n is
     positive definite and n[x] >= n_kk for every nonzero x in {-1, 0, 1}^s
     and every k up to the last nonzero index of x, the condition list that
-    minkowski_reduce establishes.  The bound is tested on g = D n, where
-    both sides carry the factor D^s; for a matrix that minkowski_reduce
-    returned, g is the one the reduction finished with.
+    minkowski_reduce establishes.  The bound is tested on g = D n.
     """
-    s = n.size
-    if s not in _HERMITE_POW:
-        raise ValueError("size must be one to three")
-    g = _integral(n)[0]
-    if not _positive_definite(g):
-        raise ValueError("matrix must be positive definite")
-    bad = _first_violation(g)
-    if bad is not None:
-        raise ValueError("input is not Minkowski reduced: n[x] < n_kk at x = %s" % (bad[0],))
-    num, den = _HERMITE_POW[s]
-    return g[0][0] ** s * den <= num * _det(g)
+    return _hermite_gram(_integral(n)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,9 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -64,6 +67,95 @@ def test_unknown_command_exits_64():
     with pytest.raises(SystemExit) as e:
         main(["frobnicate"])
     assert e.value.code == 64
+
+
+TOP_USAGE = "usage: fjcert [-h] COMMAND ...\n"
+REDUCE_USAGE = "usage: fjcert reduce [-h] [--json] [--config CONFIG] [--matrix MATRIX]\n"
+TOP_HELP = TOP_USAGE + """
+formal Fourier-Jacobi series toolkit
+
+positional arguments:
+  COMMAND
+    gen-lift      generate a lift from the first cusp basis element
+    check-symmetry
+                  audit the coefficient symmetry of a series file
+    certify       growth fit and pointwise convergence at a torsion point
+    bound-report  locally-bounded certificate on a compact box
+    reduce        Minkowski-reduce a small positive definite matrix
+
+options:
+  -h, --help      show this help message and exit
+"""
+REDUCE_HELP = REDUCE_USAGE + """
+options:
+  -h, --help       show this help message and exit
+  --json           machine-readable stdout
+  --config CONFIG  key=value config file (flags win)
+  --matrix MATRIX  entries "a,b;b,c"
+"""
+
+# exit code, stdout and stderr of argument errors and help requests, as
+# recorded when the top-level parser read every argv; a stderr ending in
+# "..." is pinned up to there, since later argparse versions print the
+# choices of an unknown command without quotes
+ARGV_ROUTES = [
+    ([], 64, "", TOP_USAGE),
+    (["frobnicate"], 64, "", TOP_USAGE + "fjcert: error: argument COMMAND: invalid choice: 'frobnicate' ..."),
+    (["-h"], 0, TOP_HELP, ""),
+    (["reduce", "-h"], 0, REDUCE_HELP, ""),
+    (["reduce", "--matrix", "5,4;4,5", "--bogus"], 64, "", TOP_USAGE + "fjcert: error: unrecognized arguments: --bogus\n"),
+    (["reduce", "--matrix"], 64, "", REDUCE_USAGE + "fjcert reduce: error: argument --matrix: expected one argument\n"),
+    (
+        ["gen-lift", "--weight", "x"],
+        64,
+        "",
+        "usage: fjcert gen-lift [-h] [--json] [--config CONFIG] [--weight WEIGHT]\n"
+        "                       [--prec PREC] [--mmax MMAX] [--out OUT]\n"
+        "fjcert gen-lift: error: argument --weight: invalid int value: 'x'\n",
+    ),
+    (["--json", "reduce"], 64, "", TOP_USAGE + "fjcert: error: unrecognized arguments: --json\n"),
+    (["reduce", "--json", "--matrix", "5,4;4,5", "x", "--", "--y"], 64, "", TOP_USAGE + "fjcert: error: unrecognized arguments: x -- --y\n"),
+]
+
+
+def run_main(argv, entry=main):
+    """(exit code, stdout, stderr) of entry(argv), SystemExit included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = entry(argv)
+        except SystemExit as e:
+            code = e.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv, code, stdout, stderr", ARGV_ROUTES)
+def test_argument_errors_and_help_keep_their_output(monkeypatch, argv, code, stdout, stderr):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage and help to the terminal width
+    got = run_main(argv)
+    if stderr.endswith("..."):
+        assert got[:2] == (code, stdout) and got[2].startswith(stderr[:-3])
+    else:
+        assert got == (code, stdout, stderr)
+    assert got == run_main(argv, parse_all)
+
+
+def parse_all(argv):
+    """main's old route for these argv: the top-level parser reads all of it,
+    and without a command prints its usage."""
+    parser = cli._build_parser()[0]
+    assert parser.parse_args(argv).command is None
+    parser.print_usage(sys.stderr)
+    return 64
+
+
+def test_module_entry_point_reads_sys_argv():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "fjcert.cli", "reduce", "--matrix", "5,4;4,5"], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "reduced: 2,1;1,5\ntransform: -1,-1;1,0\nhermite_ok: True\n", "")
 
 
 def test_main_calls_in_one_process_are_independent(tmp_path, capsys):
@@ -632,6 +724,9 @@ def test_reduce_usage_errors():
     assert main(["reduce", "--matrix", "1/0,0;0,1"]) == 64
     assert main(["reduce", "--matrix", "1,0,0,0;0,1,0,0;0,0,1,0;0,0,0,1"]) == 64
     assert main(["reduce"]) == 64
+    # entries whose numerator or denominator Python could not print
+    for entry in ("1e5000", "1e-5000", "1e100000000"):
+        assert exit_code(["reduce", "--matrix", "%s,0;0,1" % entry]) == 64
 
 
 # ---------------------------------------------------------------------------
@@ -737,6 +832,7 @@ def fuzz_argv(base, command):
         (["bound-report", "--kappa", "inf"], 64),
         (["bound-report", "--kappa", "0"], 64),
         (["bound-report", "--kappa", "-1"], 64),
+        (["certify", "--b", "1e-5000"], 64),
     ],
 )
 def test_bad_values_exit_per_contract(fuzz_inputs, extra, code):

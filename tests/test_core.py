@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fjcert import (
@@ -16,6 +16,7 @@ from fjcert import (
     rat_str,
     sigma,
 )
+from fjcert import core
 from fjcert.core import _dict_div
 
 rationals = st.fractions(
@@ -33,6 +34,49 @@ def test_rat_str_round_trip():
 @given(rationals)
 def test_rat_str_round_trip_random(x):
     assert parse_rat(rat_str(x)) == x
+
+
+@settings(max_examples=300)
+@given(
+    st.sampled_from(["", "-", "+"]),
+    st.text("0123456789", min_size=1, max_size=30),
+    st.one_of(st.none(), st.text("0123456789", max_size=30)),
+    st.one_of(st.none(), st.integers(-80, 80)),
+)
+def test_parse_rat_refuses_exactly_the_values_past_the_digit_limit(sign, whole, frac, exp):
+    # under a limit of 20 digits, a decimal text is refused exactly when the
+    # numerator or denominator of its value in lowest terms has more digits
+    text = sign + whole + ("" if frac is None else "." + frac) + ("" if exp is None else "e%d" % exp)
+    x = Fraction(text)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "_int_max_str_digits", lambda: 20)
+        if len(str(abs(x.numerator))) > 20 or len(str(x.denominator)) > 20:
+            with pytest.raises(ValueError, match="exceeds the limit"):
+                parse_rat(text)
+        else:
+            assert parse_rat(text) == x
+
+
+@pytest.mark.parametrize("text", ["1e20", "1e-20", "1" * 11 + "." + "1" * 10, "0.5e-20"])
+def test_parse_rat_limit_boundary(monkeypatch, text):
+    monkeypatch.setattr(core, "_int_max_str_digits", lambda: 20)
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        parse_rat(text)
+    # one digit fewer in the numerator or the denominator is accepted
+    for ok in ("1e19", "2e-20", "1" * 10 + "." + "1" * 10, "0.5e-19", "25e-21", "1" + "0" * 25 + "e-40"):
+        assert parse_rat(ok) == Fraction(ok)
+
+
+def test_parse_rat_decides_from_the_text_before_building():
+    # at the interpreter's own limit: no power of ten with 10^8 digits is built
+    for text in ("1e5000", "1e-5000", "1e100000000", "-7.5E100000000", "3e-100000000"):
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            parse_rat(text)
+    assert parse_rat("0e100000000") == parse_rat("-0.000e-100000000") == 0
+    for text in ("e5", ".e5", "_1e5", "1e", "1e5.5", "nan", "inf"):
+        with pytest.raises(ValueError):
+            parse_rat(text)
+    assert parse_rat("1_0.2_5e1_0") == Fraction("1_0.2_5e1_0")
 
 
 def test_bernoulli_values():

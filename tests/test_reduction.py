@@ -1,6 +1,10 @@
 """Tests for quadratic form reduction, completions, and enumeration windows."""
 
+import contextlib
+import io
+import json
 import random
+import re
 from fractions import Fraction
 from itertools import product
 from math import isqrt
@@ -9,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import schoolbook
+from fjcert.cli import main
 from fjcert.core import parse_rat
 from fjcert.reduction import (
     CapacityError,
@@ -24,7 +29,7 @@ from fjcert.reduction import (
     torsion_decomposition,
     unimodular_completion,
 )
-from fjcert.reduction import _CONDITIONS, _first_violation, _integral, _round_half_to_zero, _round_half_up
+from fjcert.reduction import _CONDITIONS, _first_violation, _gram_from_text, _gram_text, _integral, _round_half_to_zero, _round_half_up
 
 
 def mat2(a, b, c, d):
@@ -364,22 +369,6 @@ def test_first_violation_matches_full_condition_list():
         assert _first_violation(g) == schoolbook._first_violation(g), g
 
 
-@pytest.mark.parametrize("text", EDGE_FORMS + ["17/2,-8;-8,8", "3/2,3/4;3/4,5/3", "7/3"])
-def test_reduced_form_carries_its_gram_matrix(text):
-    reduced, _ = minkowski_reduce(SymMatQ.from_text(text))
-    gram = reduced._gram
-    rebuilt = SymMatQ.from_text(reduced.to_text())
-    assert rebuilt == reduced and rebuilt._gram is None
-    assert hermite_check(reduced) == hermite_check(rebuilt)
-    # the cached scale clears the denominators, so g / D is the reduced matrix
-    g, scale = _integral(reduced)
-    assert [[Fraction(x, scale) for x in row] for row in g] == [list(row) for row in reduced.rows]
-    g[0][0] += 1  # a caller's copy, not the cache
-    assert minkowski_reduce(reduced) == (reduced, UnimodularMat.identity(reduced.size))
-    assert reduced._gram is gram and isinstance(gram[0], tuple)
-    assert _integral(reduced) == ([list(row) for row in gram[0]], scale)
-
-
 def outcome(fn, *args):
     """fn(*args), or the type and text of the ValueError it raises."""
     try:
@@ -424,6 +413,63 @@ def rational_forms(draw):
 @given(rational_forms())
 def test_minkowski_matches_fraction_oracle(t):
     assert_matches_oracle(t)
+
+
+def assert_reduce_command_matches_oracle(text):
+    """reduce --json, which goes from text to text on the integer Gram matrix,
+    prints the texts of the Fraction oracle's result and its Hermite verdict."""
+    reduced, u = schoolbook.minkowski_reduce(SymMatQ.from_text(text))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["reduce", "--json", "--matrix", text]) == 0
+    assert json.loads(out.getvalue()) == {
+        "reduced": reduced.to_text(),
+        "transform": u.to_text(),
+        "hermite_ok": schoolbook.hermite_check(reduced),
+    }
+
+
+@settings(max_examples=150)
+@given(rational_forms())
+def test_reduce_command_matches_fraction_oracle(t):
+    assert_reduce_command_matches_oracle(t.to_text())
+
+
+@pytest.mark.parametrize("text", EDGE_FORMS + ["17/2,-8;-8,8", "3/2,3/4;3/4,5/3", "7/3", "5,4;4,5"])
+def test_reduce_command_matches_fraction_oracle_on_fixed_forms(text):
+    assert_reduce_command_matches_oracle(text)
+
+
+def test_gram_from_text_builds_no_fraction_for_integer_entries(monkeypatch):
+    built = []
+    new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(lambda cls, *a, **k: built.append(a) or new(cls, *a, **k)))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["reduce", "--matrix", "1844517422,1718986,63602569;1718986,1602,59274;63602569,59274,2193141"]) == 0
+    assert out.getvalue() == "reduced: 1,0,0;0,2,0;0,0,3\ntransform: 1,-40,0;0,1,-37;-29,1160,1\nhermite_ok: True\n"
+    assert built == []
+    assert _gram_from_text("6,3/2;3/2,5/3") == ([[36, 9], [9, 10]], 6)
+    assert built  # the patch sees Fractions where the text has them
+    assert _gram_text([[36, 9], [9, 10]], 6) == "6,3/2;3/2,5/3"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1,2;2", "matrix must be square"),
+        ("1,2;2,1;3,4", "matrix must be square"),
+        (";".join([",".join(["0"] * 5)] * 5), "matrix size above four is not supported"),
+        ("1,2;3,4", "matrix must be symmetric"),
+        ("1,1/2;0.5,x", "Invalid literal for Fraction: 'x'"),
+        ("1,1/0;0,1", "zero denominator in '1/0'"),
+    ],
+    ids=["short-row", "extra-row", "size-5", "asymmetric", "bad-entry", "zero-denominator"],
+)
+def test_gram_from_text_raises_as_from_text(text, message):
+    for parse in (SymMatQ.from_text, _gram_from_text):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse(text)
 
 
 @pytest.mark.parametrize(
