@@ -48,8 +48,10 @@ from .jacobi import (  # noqa: F401
 )
 from .reduction import CapacityError, UnimodularMat, _gram_from_text, _gram_text, enumerate_S, is_positive_definite  # noqa: F401
 
-# reduce works on the integer Gram matrix from text to text; bench/spans.py
-# times its reduction and Hermite steps under these two names
+# reduce works on the integer Gram matrix from text to text.  These two names
+# are the Gram-level functions, which take and return int row lists, not the
+# SymMatQ functions of the same names in reduction; bench/spans.py times the
+# reduction and Hermite steps of reduce under these names
 from .reduction import _hermite_gram as hermite_check, _reduce_gram as minkowski_reduce
 
 __all__ = ["main"]

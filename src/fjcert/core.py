@@ -50,8 +50,12 @@ def rat_str(x) -> str:
 # the digit limit of int <-> str conversion; CPython 3.10 before 3.10.7 has none
 _int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
+# a run of digits as Fraction reads it: from Python 3.11 on, with single
+# underscores between digits (PEP 515)
+_DIGITS = r"\d+(?:_\d+)*" if sys.version_info >= (3, 11) else r"\d+"
+
 # the decimal texts Fraction reads: sign, integer part, fraction part, exponent
-_DECIMAL = re.compile(r"([-+]?)(?=\d|\.\d)(\d*|\d+(?:_\d+)*)(?:\.(\d*|\d+(?:_\d+)*))?(?:[eE]([-+]?\d+(?:_\d+)*))?")
+_DECIMAL = re.compile(r"([-+]?)(?=\d|\.\d)(\d*|{0})(?:\.(\d*|{0}))?(?:[eE]([-+]?{0}))?".format(_DIGITS))
 
 
 def _decimal_parts(t: str):

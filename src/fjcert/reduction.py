@@ -265,7 +265,7 @@ def _positive_definite(g) -> bool:
 def is_positive_definite(t: SymMatQ) -> bool:
     """True iff all leading principal minors are positive, tested on the
     integer matrix D t (D > 0 clears the denominators; the signs agree)."""
-    return _positive_definite(_integral(t)[0])
+    return _positive_definite(_integral(t.rows)[0])
 
 
 def act(t: SymMatQ, u) -> SymMatQ:
@@ -292,18 +292,12 @@ def _round_half_to_zero(p: int, q: int) -> int:
     return (2 * p + q) // (2 * q)
 
 
-def _scaled(rows):
+def _integral(rows):
     """(g, D): the int or Fraction entries of rows times D, the lcm of their
-    denominators, as fresh int lists."""
+    denominators, as fresh int lists.  Every caller is invariant under the
+    choice of D > 0."""
     scale = math.lcm(*(x.denominator for row in rows for x in row))
     return [[x.numerator * (scale // x.denominator) for x in row] for row in rows], scale
-
-
-def _integral(t: SymMatQ):
-    """(g, D): the entries of t times the D > 0 that clears their
-    denominators, as fresh int lists.  Every caller is invariant under the
-    choice of D."""
-    return _scaled(t.rows)
 
 
 def _gram_from_text(text: str):
@@ -311,7 +305,7 @@ def _gram_from_text(text: str):
     SymMatQ.from_text for bad text; no Fraction is built for an integer entry."""
     rows = _text_rows(text)
     _check_shape(rows)
-    return _scaled(rows)
+    return _integral(rows)
 
 
 def _gram_text(g, scale: int) -> str:
@@ -435,7 +429,7 @@ def minkowski_reduce(n: SymMatQ):
     nonzero integer vectors.  Signs are normalized so that reduced_01 and
     reduced_02 are nonnegative.
     """
-    g, scale = _integral(n)
+    g, scale = _integral(n.rows)
     g, u = _reduce_gram(g)
     return SymMatQ([[Fraction(x, scale) for x in row] for row in g]), UnimodularMat(u)
 
@@ -467,7 +461,7 @@ def hermite_check(n: SymMatQ) -> bool:
     and every k up to the last nonzero index of x, the condition list that
     minkowski_reduce establishes.  The bound is tested on g = D n.
     """
-    return _hermite_gram(_integral(n)[0])
+    return _hermite_gram(_integral(n.rows)[0])
 
 
 # ---------------------------------------------------------------------------

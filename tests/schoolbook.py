@@ -488,7 +488,7 @@ def minkowski_reduce(n: SymMatQ):
     nonzero integer vectors.  Signs are normalized so that reduced_01 and
     reduced_02 are nonnegative.
     """
-    g, scale = _integral(n)
+    g, scale = _integral(n.rows)
     if not _positive_definite(g):
         raise ValueError("matrix must be positive definite")
     s = n.size
@@ -538,7 +538,7 @@ def hermite_check(n: SymMatQ) -> bool:
     s = n.size
     if s not in _HERMITE_POW:
         raise ValueError("size must be one to three")
-    g = _integral(n)[0]
+    g = _integral(n.rows)[0]
     if not _positive_definite(g):
         raise ValueError("matrix must be positive definite")
     bad = _first_violation(g)

@@ -76,7 +76,19 @@ def test_parse_rat_decides_from_the_text_before_building():
     for text in ("e5", ".e5", "_1e5", "1e", "1e5.5", "nan", "inf"):
         with pytest.raises(ValueError):
             parse_rat(text)
-    assert parse_rat("1_0.2_5e1_0") == Fraction("1_0.2_5e1_0")
+
+
+@pytest.mark.parametrize("text", ["1_0.2_5e1_0", "0_0e5", "0.0_0e-1_0", "1_000", "1__0e5", "1_e5", "1e_5"])
+def test_parse_rat_reads_underscores_as_fraction_does(text):
+    # Fraction reads PEP 515 underscores from Python 3.11 on; before that,
+    # parse_rat must refuse them too, the zero shortcut included
+    try:
+        expected = Fraction(text)
+    except ValueError:
+        with pytest.raises(ValueError):
+            parse_rat(text)
+    else:
+        assert parse_rat(text) == expected
 
 
 def test_bernoulli_values():

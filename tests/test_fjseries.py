@@ -6,6 +6,7 @@ import io
 import json
 import math
 import random
+import sys
 from collections import deque
 from fractions import Fraction
 
@@ -149,6 +150,12 @@ def test_lift_and_relation_records_are_pinned(lift8):
 @pytest.mark.parametrize("text", ["2/4", " 3 ", "0.25", "-0", "-3/6", "+5", "1_000", "-12345678901234567890123", 3, 0.25])
 def test_record_values_read_as_parse_rat(text):
     rec = {"k": 4, "m": 1, "prec": 3, "coeffs": [[1, 0, text], [2, 1, "1/3"]]}
+    if "_" in str(text) and sys.version_info < (3, 11):  # Fraction reads "1_000" from Python 3.11 on
+        with pytest.raises(ValueError):
+            parse_rat(text)
+        with pytest.raises(ValueError):
+            JacobiFormQExp.from_record(rec)
+        return
     phi = JacobiFormQExp.from_record(rec)
     assert phi.coeff(1, 0) == parse_rat(text)
     assert phi.coeff(2, 1) == Fraction(1, 3)

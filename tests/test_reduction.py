@@ -5,6 +5,7 @@ import io
 import json
 import random
 import re
+import sys
 from fractions import Fraction
 from itertools import product
 from math import isqrt
@@ -49,7 +50,14 @@ def test_symmat_text_round_trip():
 
 @pytest.mark.parametrize("text", ["+3", " 007 ", "-0", "1_0", "\u0661\u0662", "1e2", "0.5", "3/4"])
 def test_symmat_from_text_matches_parse_rat(text):
-    # plain ASCII integers are read as ints; every other entry goes through parse_rat
+    # plain ASCII integers are read as ints; every other entry goes through
+    # parse_rat, which reads "1_0" as Fraction does: from Python 3.11 on
+    if "_" in text and sys.version_info < (3, 11):
+        with pytest.raises(ValueError):
+            parse_rat(text)
+        with pytest.raises(ValueError):
+            SymMatQ.from_text(text)
+        return
     t = SymMatQ.from_text(text)
     assert t.rows == ((parse_rat(text),),)
     assert type(t[0, 0]) is Fraction
@@ -361,9 +369,9 @@ def test_first_violation_matches_full_condition_list():
             g[i][j] = g[j][i] = rng.choice((1, -1)) * g[i][i] // 2
         grams.append(g)
         if is_positive_definite(SymMatQ(g)):
-            grams.append(_integral(minkowski_reduce(SymMatQ(g))[0])[0])
+            grams.append(_integral(minkowski_reduce(SymMatQ(g))[0].rows)[0])
     for text in EDGE_FORMS + ["2,1;1,2", "2,-1;-1,2", "6,3,3;3,6,3;3,3,6", "6,-3,3;-3,6,-3;3,-3,6"]:
-        grams.append(_integral(SymMatQ.from_text(text))[0])
+        grams.append(_integral(SymMatQ.from_text(text).rows)[0])
     assert sum(_first_violation(g) is None for g in grams) > 500
     for g in grams:
         assert _first_violation(g) == schoolbook._first_violation(g), g
