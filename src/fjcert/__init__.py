@@ -16,13 +16,11 @@ from .core import (
 from .reduction import (
     CapacityError,
     HalfIntIndex,
-    RVectors,
     SymMatQ,
     UnimodularMat,
     act,
     corner_swap,
     enumerate_S,
-    enumerate_r,
     hermite_check,
     is_positive_definite,
     minkowski_reduce,
@@ -47,7 +45,6 @@ from .fjseries import (
     SymmetryReport,
     check_symmetry,
     evaluate_partial,
-    extract_phi_m,
     gritsenko_lift,
     monicize,
     poly_eval,
@@ -60,12 +57,10 @@ from .convergence import (
     c_constant_exact,
     d_eps,
     growth_fit,
-    hecke_coeff_check,
     k_eps_grid,
     partial_sum_bound_check,
     pointwise_convergence_check,
     rho,
-    torsion_approximate,
     write_csv,
 )
 

@@ -184,13 +184,13 @@ def _load_json(path: str, object_hook=None):
 _SLICE_KEYS = {"k", "m", "prec", "coeffs"}
 
 
-def _slice_hook(rec: dict, texts=None):
+def _slice_hook(rec: dict, texts):
     """A slice record as its JacobiFormQExp, so that its coefficient lists
-    are freed as soon as it is read, its value texts read through texts (a
-    fresh table when None); every other JSON object unchanged."""
+    are freed as soon as it is read, its value texts read through texts;
+    every other JSON object unchanged."""
     if rec.keys() != _SLICE_KEYS:
         return rec
-    return JacobiFormQExp._from_record(rec, _Texts() if texts is None else texts)
+    return JacobiFormQExp._from_record(rec, texts)
 
 
 def _load_record(path: str, cls):

@@ -40,15 +40,13 @@ __all__ = [
     "k_eps_grid",
     "d_eps",
     "partial_sum_bound_check",
-    "hecke_coeff_check",
-    "torsion_approximate",
 ]
 
 
-# largest N that torsion_approximate tries before it gives up
-TORSION_SEARCH_CAP = 10**6
 # most points that k_eps_grid samples
 GRID_CAP = 10**6
+# relative tolerance of the Cauchy gap in pointwise_convergence_check
+POINTWISE_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -193,21 +191,6 @@ def c_constant(tau1: complex, p: TorsionPoint) -> float:
     return float(c_constant_exact(Fraction(complex(tau1).imag), p))
 
 
-def torsion_approximate(tau1: complex, z: complex, delta: float) -> TorsionPoint:
-    """Smallest-N torsion point with |tau1 lambda + mu - z| < delta, found
-    by rounding the real coordinates of z in the lattice basis (tau1, 1).
-    Raises CapacityError when no N up to TORSION_SEARCH_CAP qualifies."""
-    tau1 = complex(tau1)
-    z = complex(z)
-    check_point(tau1, z)
-    if not delta > 0:  # NaN too
-        raise ValueError("delta must be positive")
-    p = _torsion_search(tau1, z, delta, TORSION_SEARCH_CAP)
-    if p is None:
-        raise CapacityError("no torsion point with N <= %d lies within %g of z" % (TORSION_SEARCH_CAP, delta))
-    return p
-
-
 def _torsion_search(tau1: complex, z: complex, tol: float, n_cap: int):
     """Torsion point of smallest N <= n_cap with |tau1 lambda + mu - z| < tol,
     or None.  For each N the numerators round N times the real coordinates of
@@ -277,7 +260,6 @@ def pointwise_convergence_check(
     tau1: complex,
     theta: float,
     M: int,
-    rtol: float = 1e-8,
 ) -> ConvergenceReport:
     """Audit absolute convergence at |q2| = theta exp(-2 pi C).
 
@@ -301,7 +283,7 @@ def pointwise_convergence_check(
     sums = list(accumulate(terms[1:], add, initial=0.0))
     s_m, s_2m = sums[M], sums[2 * M]
     gap = s_2m - s_m
-    tol = rtol * max(1.0, s_m)
+    tol = POINTWISE_RTOL * max(1.0, s_m)
     cauchy_ok = gap < tol
     # first index from which the term sequence never increases
     tail_start = 2 * M
@@ -332,7 +314,7 @@ def pointwise_convergence_check(
         "the series converges absolutely at the torsion point on the disc |q2| < exp(-2 pi C)",
         verdict,
         witnesses,
-        {"rtol": rtol, "theta": theta},
+        {"rtol": POINTWISE_RTOL, "theta": theta},
         series,
     )
 
@@ -475,57 +457,3 @@ def partial_sum_bound_check(
         "max_partial_sum": "max over the %d points of k_eps_grid(box, 2.0, %d), not the sup over K_2eps(U)" % (len(grid), points),
     }
     return ConvergenceReport("partial-sum-bound", claim, verdict, witnesses, tolerances, series, sampled)
-
-
-# ---------------------------------------------------------------------------
-# coefficient bound
-
-
-def hecke_coeff_check(f: FormalFJ, bound: int, const_slack: float = 1.1) -> ConvergenceReport:
-    """Fit the minimal C with |c(f; t)| <= C det(t)^k over positive
-    definite t in the window, and compare against the half-window fit.
-
-    Passes when the constant is stable: C(bound) <= const_slack *
-    C(bound // 2), or both vanish.
-    """
-    if not f.is_cuspidal():
-        raise ValueError("input series must be cuspidal")
-    if bound < 2:
-        raise ValueError("bound must be at least 2")
-    if bound > f.M_max or bound >= f.prec:
-        raise ValueError("bound exceeds stored precision")
-    k = f.k
-
-    def scan(top: int):
-        best = 0.0
-        arg = None
-        for m in range(1, top + 1):
-            for (n, r), v in f.phis[m].coeffs.items():
-                if n > top or 4 * n * m - r * r <= 0:
-                    continue
-                det = Fraction(4 * n * m - r * r, 4)
-                ratio = abs(v) / det**k
-                ratio = float(ratio)
-                if ratio > best:
-                    best = ratio
-                    arg = (n, r, m)
-        return best, arg
-
-    c_full, arg_full = scan(bound)
-    c_half, _ = scan(bound // 2)
-    if c_full == 0.0:
-        verdict = "pass"
-    elif c_half == 0.0:
-        verdict = "fail"
-    else:
-        verdict = "pass" if c_full <= const_slack * c_half else "fail"
-    witnesses = {"C_H": c_full, "C_H_half": c_half, "bound": bound}
-    if arg_full is not None:
-        witnesses["argmax_t"] = list(arg_full)
-    return ConvergenceReport(
-        "hecke-bound",
-        "cuspidal coefficients stay below a stable constant times det(t)^k",
-        verdict,
-        witnesses,
-        {"const_slack": const_slack},
-    )

@@ -32,7 +32,6 @@ __all__ = [
     "PolynomialOverM",
     "check_symmetry",
     "gritsenko_lift",
-    "extract_phi_m",
     "poly_eval",
     "monicize",
     "rho",
@@ -339,30 +338,6 @@ def _lift(k: int, den: int, table: list, M_max: int, prec: int) -> FormalFJ:
                 rows[n] = row
         slices.append(JacobiFormQExp._trusted(k, m, prec, den * scale // g, rows))
     return FormalFJ(k, M_max, slices)
-
-
-def extract_phi_m(full, m: int, *, k: int = 0, prec: int | None = None) -> JacobiFormQExp:
-    """Slice a combined coefficient table at index m.
-
-    full maps HalfIntIndex (or (n, r, m) triples) to values.  Weight and
-    precision are metadata the table itself does not carry; prec defaults
-    to one past the largest stored n.
-    """
-    entries = {}
-    max_n = -1
-    for key, v in full.items():
-        if isinstance(key, HalfIntIndex):
-            if key.n.denominator != 1 or key.r.denominator != 1:
-                raise ValueError("table keys must be integral")
-            n, r, mm = int(key.n), int(key.r), key.m
-        else:
-            n, r, mm = key
-        max_n = max(max_n, n)
-        if mm == m and v:
-            entries[(n, r)] = v
-    if prec is None:
-        prec = max_n + 1 if max_n >= 0 else 0
-    return JacobiFormQExp(k, m, prec, {key: v for key, v in entries.items() if key[0] < prec})
 
 
 class PolynomialOverM:

@@ -247,11 +247,10 @@ class JacobiFormQExp:
         return cls._trusted(k, m, prec, *_checked(m, prec, _read_entries(coeffs, _Parsed())))
 
     def float_terms(self):
-        """(rows, width), computed once: rows holds, in storage order, one
-        (n, lo, cs) per stored row n, where lo is the row's lowest r and cs
-        the array('d') of c(n, lo), c(n, lo + 1), ... up to the row's
-        highest r, zeros included, 8 bytes a slot; width is the longest
-        row's len(cs), 0 for a zero form.  Raises ValueError, before building
+        """The rows, computed once: in storage order, one (n, lo, cs) per
+        stored row n, where lo is the row's lowest r and cs the array('d')
+        of c(n, lo), c(n, lo + 1), ... up to the row's highest r, zeros
+        included, 8 bytes a slot.  Raises ValueError, before building
         anything, when a row spans more than WINDOW_CAP values of r."""
         if self._fterms is None:
             ends = [(min(row), max(row)) for row in self.num.values()]
@@ -260,11 +259,10 @@ class JacobiFormQExp:
                 raise ValueError("a row spans %d values of r, more than %d" % (width, WINDOW_CAP))
             # int true division is correctly rounded, as float(Fraction) is
             dens = repeat(self.den)
-            frows = [
+            self._fterms = [
                 (n, lo, array("d", map(truediv, map(row.get, range(lo, hi + 1), repeat(0)), dens)))
                 for (n, row), (lo, hi) in zip(self.num.items(), ends)
             ]
-            self._fterms = frows, width
         return self._fterms
 
 
@@ -716,11 +714,11 @@ class TorsionPoint:
     def genus_minus_one(self) -> int:
         return len(self.lam)
 
-    def lam_frac(self, i: int = 0) -> Fraction:
-        return Fraction(self.lam[i], self.N)
+    def lam_frac(self) -> Fraction:
+        return Fraction(self.lam[0], self.N)
 
-    def mu_frac(self, i: int = 0) -> Fraction:
-        return Fraction(self.mu[i], self.N)
+    def mu_frac(self) -> Fraction:
+        return Fraction(self.mu[0], self.N)
 
     def z_at(self, tau1: complex) -> complex:
         return tau1 * float(self.lam_frac()) + float(self.mu_frac())
@@ -893,7 +891,7 @@ def evaluate_points(phis, points) -> list:
             raise ValueError("e(z) or e(-z) is 0 or overflows at z = %r" % z) from None
         lines.setdefault((tau1, z.imag + 0.0), []).append(i)  # + 0.0: -0.0 and 0.0 share a line
     out = [[0j] * len(phis) for _ in points]
-    forms = [(j, rows, _Layout(rows)) for j, phi in enumerate(phis) for rows in (phi.float_terms()[0],) if rows]
+    forms = [(j, rows, _Layout(rows)) for j, phi in enumerate(phis) for rows in (phi.float_terms(),) if rows]
     if not forms:
         return out
     # every span of a form lies in one span of the union of all, so each

@@ -3,8 +3,7 @@
 Covers exact Minkowski reduction at sizes one to three, unimodular
 completions of primitive integer vectors, the torsion block decomposition
 used when a series is restricted to a rational torsion point, and the
-enumeration of the finite exponent windows and shift ranges that the
-convergence checks consume.
+enumeration of the finite exponent windows.
 
 Matrices hold Fraction entries, but reduction and its checks work on the
 integer Gram matrix g = D t, with D > 0 clearing the entry denominators:
@@ -42,8 +41,6 @@ __all__ = [
     "torsion_decomposition",
     "corner_swap",
     "enumerate_S",
-    "enumerate_r",
-    "RVectors",
 ]
 
 
@@ -185,17 +182,6 @@ class HalfIntIndex:
             raise ValueError("n must be nonnegative")
         if self.m < 0:
             raise ValueError("m must be nonnegative")
-
-    def mat(self) -> SymMatQ:
-        h = self.r / 2
-        return SymMatQ([[self.n, h], [h, Fraction(self.m)]])
-
-    def det(self) -> Fraction:
-        return self.n * self.m - self.r * self.r / 4
-
-    def disc(self) -> Fraction:
-        """4 n m - r^2, nonnegative exactly when the matrix is positive semidefinite."""
-        return 4 * self.n * self.m - self.r * self.r
 
 
 # ---------------------------------------------------------------------------
@@ -439,13 +425,10 @@ _HERMITE_POW = {1: (1, 1), 2: (4, 3), 3: (2, 1)}
 
 
 def _hermite_gram(g) -> bool:
-    """hermite_check on the integer Gram matrix g = D n of any D > 0: both
+    """hermite_check on a positive definite integer Gram matrix g = D n of
+    any D > 0 and size one to three, such as _reduce_gram returns: both
     sides of the bound carry the factor D^s."""
     s = len(g)
-    if s not in _HERMITE_POW:
-        raise ValueError("size must be one to three")
-    if not _positive_definite(g):
-        raise ValueError("matrix must be positive definite")
     bad = _first_violation(g)
     if bad is not None:
         raise ValueError("input is not Minkowski reduced: n[x] < n_kk at x = %s" % (bad[0],))
@@ -456,12 +439,18 @@ def _hermite_gram(g) -> bool:
 def hermite_check(n: SymMatQ) -> bool:
     """Check (n_00)^s <= gamma_s^s det(n) for a Minkowski reduced matrix.
 
-    gamma_s^s is 1, 4/3, 2 at sizes 1, 2, 3.  Raises ValueError unless n is
-    positive definite and n[x] >= n_kk for every nonzero x in {-1, 0, 1}^s
-    and every k up to the last nonzero index of x, the condition list that
-    minkowski_reduce establishes.  The bound is tested on g = D n.
+    gamma_s^s is 1, 4/3, 2 at sizes 1, 2, 3.  Raises ValueError unless n has
+    size one to three, then unless it is positive definite and n[x] >= n_kk
+    for every nonzero x in {-1, 0, 1}^s and every k up to the last nonzero
+    index of x, the condition list that minkowski_reduce establishes.  The
+    bound is tested on g = D n.
     """
-    return _hermite_gram(_integral(n.rows)[0])
+    if n.size not in _HERMITE_POW:
+        raise ValueError("size must be one to three")
+    g = _integral(n.rows)[0]
+    if not _positive_definite(g):
+        raise ValueError("matrix must be positive definite")
+    return _hermite_gram(g)
 
 
 # ---------------------------------------------------------------------------
@@ -624,26 +613,12 @@ def _rho_transform(size: int, vhat: UnimodularMat) -> UnimodularMat:
 
 
 # ---------------------------------------------------------------------------
-# exponent window and shift range enumeration
+# exponent window enumeration
 
 
-# default cap of enumerate_S on candidates, cap of enumerate_r on vectors and
-# of jacobi.evaluate on the values of r one row spans
+# default cap of enumerate_S on candidates, and cap of JacobiFormQExp.float_terms
+# and jacobi._convolve on the values of r one row spans
 WINDOW_CAP = 10**6
-
-
-def _window(N: int, b, g: int):
-    """(s, den, top) for the windows at level N: size s = g - 1, entry
-    denominator den = 2 N^2 and bound top = b N^(8 s^2)."""
-    if N < 1:
-        raise ValueError("N must be positive")
-    b = Fraction(b)
-    if b < 0:
-        raise ValueError("b must be nonnegative")
-    s = g - 1
-    if s < 1 or s > 3:
-        raise ValueError("unsupported genus")
-    return s, 2 * N * N, b * N ** (8 * s * s)
 
 
 def enumerate_S(N: int, b, g: int, cap: int = WINDOW_CAP):
@@ -657,7 +632,15 @@ def enumerate_S(N: int, b, g: int, cap: int = WINDOW_CAP):
     they are counted before any is built, and CapacityError is raised past
     cap.  At sizes one and two every candidate is kept.
     """
-    s, den, top = _window(N, b, g)
+    if N < 1:
+        raise ValueError("N must be positive")
+    b = Fraction(b)
+    if b < 0:
+        raise ValueError("b must be nonnegative")
+    s = g - 1
+    if s < 1 or s > 3:
+        raise ValueError("unsupported genus")
+    den, top = 2 * N * N, b * N ** (8 * s * s)
     kmax = max(math.ceil(top * den) - 1, 0)  # largest integer below top * den, or 0
     pairs = list(itertools.combinations(range(s), 2))
 
@@ -679,26 +662,4 @@ def enumerate_S(N: int, b, g: int, cap: int = WINDOW_CAP):
                 g[i][j] = g[j][i] = x
             if _positive_definite(g):
                 out.append(SymMatQ([[Fraction(x, den) for x in row] for row in g]))
-    return out
-
-
-class RVectors(list):
-    """List of shift vectors with the normalized count constant attached."""
-
-    count_constant: float = 0.0
-
-
-def enumerate_r(m: int, b, N: int, g: int) -> RVectors:
-    """Shift range: vectors r in (1/(2 N^2)) Z^(g-1) with every component
-    satisfying r_i^2 < 4 m b N^(8 (g-1)^2), in lexicographic order, carrying
-    count_constant = len / m^((g-1)/2); CapacityError past WINDOW_CAP."""
-    if m < 1:
-        raise ValueError("m must be positive")
-    s, den, top = _window(N, b, g)
-    k = math.ceil(4 * m * top * den * den) - 1  # largest integer below, so j^2 <= k for j = r * den
-    jmax = math.isqrt(k) if k >= 0 else -1
-    if (2 * jmax + 1) ** s > WINDOW_CAP:
-        raise CapacityError("more than %d shift vectors" % WINDOW_CAP)
-    out = RVectors(itertools.product([Fraction(j, den) for j in range(-jmax, jmax + 1)], repeat=s))
-    out.count_constant = len(out) / m ** (s / 2)
     return out

@@ -19,7 +19,7 @@ from fjcert.cli import main
 from fjcert.convergence import CompactBoxSpec
 from fjcert.core import eisenstein_qexp
 from fjcert.fjseries import FormalFJ, PolynomialOverM, gritsenko_lift
-from fjcert.jacobi import JacobiFormQExp, jacobi_space
+from fjcert.jacobi import JacobiFormQExp, _Texts, jacobi_space
 
 
 @pytest.fixture(scope="module")
@@ -598,10 +598,10 @@ def test_deeply_nested_json_exits_3(tmp_path, lift_file, relation_files, capsys,
 def test_slice_hook_builds_slices_only(lift8, relation_files):
     f, _ = lift8
     poly, _ = relation_files
-    assert cli._slice_hook(f.phis[3].to_record()) == f.phis[3]
+    assert cli._slice_hook(f.phis[3].to_record(), _Texts()) == f.phis[3]
     series, relation = f.to_record(), json.loads(poly.read_text())
     for rec in (series, relation, {"k0": 0, "k": 10, "coeffs": []}, dict(f.phis[3].to_record(), note="")):
-        assert cli._slice_hook(rec) is rec
+        assert cli._slice_hook(rec, _Texts()) is rec
     assert cli._load_record(str(poly), PolynomialOverM).coeffs == PolynomialOverM.from_record(relation).coeffs
     # library callers still pass slice records as dicts, or slices already built
     assert FormalFJ.from_record(series) == FormalFJ.from_record(dict(series, phis=list(f.phis))) == f
@@ -715,8 +715,8 @@ def test_reduce_tests_positive_definiteness_once_per_form(monkeypatch, capsys):
     assert tests == [2]
     tests.clear()
     assert main(["reduce", "--json", "--matrix", "9/2,3,1;3,7,2;1,2,11/3"]) == 0
-    # once for the input, once in hermite_check for the reduced form
-    assert tests == [3, 3]
+    # once for the input: its reduction keeps it positive definite
+    assert tests == [3]
 
 
 def test_reduce_usage_errors():

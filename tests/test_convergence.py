@@ -18,16 +18,15 @@ from fjcert.convergence import (
     CompactBoxSpec,
     ConvergenceReport,
     _is_near_torsion,
+    _torsion_search,
     c_constant,
     c_constant_exact,
     d_eps,
     growth_fit,
-    hecke_coeff_check,
     k_eps_grid,
     partial_sum_bound_check,
     pointwise_convergence_check,
     rho,
-    torsion_approximate,
     write_csv,
 )
 from fjcert.core import PrecisionError, eisenstein_qexp
@@ -103,40 +102,19 @@ def test_rho_is_imag_determinant_over_corner(y1, yz, y2, x):
 # locating torsion points
 
 
-def test_torsion_approximate_recovers_exact_point():
-    z = 1j * (2 / 5) + 3 / 5
-    assert torsion_approximate(1j, z, 1e-9) == TorsionPoint(5, (2,), (3,))
-    assert torsion_approximate(1j, 0j, 0.5) == TorsionPoint(1, (0,), (0,))
-
-
 @given(st.integers(1, 8), st.integers(-16, 16), st.integers(-16, 16))
-def test_torsion_approximate_is_minimal_and_close(n, a, c):
+def test_torsion_search_is_minimal_and_close(n, a, c):
     tau1 = 0.3 + 1.1j
     z = tau1 * (a / n) + (c / n)
-    got = torsion_approximate(tau1, z, 1e-9)
+    got = _torsion_search(tau1, z, 1e-9, 8)
     assert got.N <= n
     assert abs(got.z_at(tau1) - z) < 1e-9
 
 
-def test_torsion_approximate_search_is_capped(monkeypatch):
-    monkeypatch.setattr(convergence, "TORSION_SEARCH_CAP", 50)
+def test_torsion_search_is_capped():
     tau1 = 0.3 + 1.1j
-    assert torsion_approximate(tau1, tau1 * (5 / 47) + 3 / 47, 1e-12) == TorsionPoint(47, (5,), (3,))
-    with pytest.raises(CapacityError):
-        torsion_approximate(tau1, tau1 * (5 / 53) + 3 / 53, 1e-12)
-
-
-def test_torsion_approximate_validation():
-    with pytest.raises(ValueError):
-        torsion_approximate(1j, 0.3 + 0j, 0.0)
-    with pytest.raises(ValueError):
-        torsion_approximate(1.0 + 0j, 0.3 + 0j, 0.1)
-    with pytest.raises(ValueError, match="delta"):
-        torsion_approximate(1j, 0.3 + 0j, math.nan)
-    with pytest.raises(ValueError, match="finite"):
-        torsion_approximate(complex("nanj"), 0.3 + 0j, 0.1)
-    with pytest.raises(ValueError, match="finite"):
-        torsion_approximate(1j, complex("1e400j"), 0.1)
+    assert _torsion_search(tau1, tau1 * (5 / 47) + 3 / 47, 1e-12, 50) == TorsionPoint(47, (5,), (3,))
+    assert _torsion_search(tau1, tau1 * (5 / 53) + 3 / 53, 1e-12, 50) is None
 
 
 # ---------------------------------------------------------------------------
@@ -617,54 +595,3 @@ def test_box_certificate_checks_mlist_entries_as_read(lift8):
     assert len(read) == f.M_max + 1
     with pytest.raises(ValueError, match="M_max"):
         partial_sum_bound_check(f, q, box, range(1, 10**9 + 1), points=2)
-
-
-# ---------------------------------------------------------------------------
-# coefficient bound stability
-
-
-def test_hecke_bound_stable_on_lift(lift8):
-    f, _ = lift8
-    rep = hecke_coeff_check(f, 7)
-    assert rep.verdict == "pass"
-    want = float(Fraction(1, 2) / Fraction(3, 4) ** 10)
-    assert rep.witnesses["C_H"] == pytest.approx(want, rel=1e-12)
-    assert rep.witnesses["C_H_half"] == rep.witnesses["C_H"]
-    n, r, m = rep.witnesses["argmax_t"]
-    assert (n, abs(r), m) == (1, 1, 1)
-    assert rep.tolerances == {"const_slack": 1.1}
-    assert hecke_coeff_check(f, 7, const_slack=0.99).verdict == "fail"
-
-
-def test_hecke_bound_single_coefficient_formula():
-    phis = [JacobiFormQExp.zero(10, m, 6) for m in range(5)]
-    phis[2] = JacobiFormQExp(10, 2, 6, {(1, 1): Fraction(3)})
-    rep = hecke_coeff_check(FormalFJ(10, 4, phis), 4)
-    assert rep.verdict == "pass"
-    assert rep.witnesses["C_H"] == pytest.approx(float(3 / Fraction(7, 4) ** 10), rel=1e-12)
-    assert rep.witnesses["argmax_t"] == [1, 1, 2]
-
-
-def test_hecke_bound_zero_series_and_unstable_window(lift8):
-    f, _ = lift8
-    rep = hecke_coeff_check(FormalFJ.zero(10, 6, 6), 4)
-    assert rep.verdict == "pass"
-    assert rep.witnesses["C_H"] == 0.0 and "argmax_t" not in rep.witnesses
-    # empty half window with late mass reads as instability
-    phis = [f.phis[0]] + [JacobiFormQExp.zero(10, m, 8) for m in range(1, 4)]
-    phis += [f.phis[m] for m in range(4, 9)]
-    rep = hecke_coeff_check(FormalFJ(10, 8, phis), 7)
-    assert rep.verdict == "fail"
-    assert rep.witnesses["C_H_half"] == 0.0 and rep.witnesses["C_H"] > 0
-
-
-def test_hecke_bound_validation(lift8):
-    f, _ = lift8
-    with pytest.raises(ValueError):
-        hecke_coeff_check(FormalFJ.one(4, 4), 2)
-    with pytest.raises(ValueError):
-        hecke_coeff_check(f, 1)
-    with pytest.raises(ValueError):
-        hecke_coeff_check(f, 8)
-    with pytest.raises(ValueError):
-        hecke_coeff_check(FormalFJ.zero(10, 4, 10), 5)

@@ -1,4 +1,4 @@
-"""Every demo script runs to completion: each asserts its own results."""
+"""Every demo script and the README's Quick example run to completion: each asserts its own results."""
 
 import glob
 import os
@@ -16,4 +16,14 @@ def test_demo_exits_zero(path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, path], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quick_example_runs():
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        readme = fh.read()
+    code = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

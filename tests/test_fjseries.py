@@ -22,7 +22,6 @@ from fjcert.fjseries import (
     _lift,
     check_symmetry,
     evaluate_partial,
-    extract_phi_m,
     gritsenko_lift,
     monicize,
     poly_eval,
@@ -99,7 +98,7 @@ def test_coeff_table_round_trip(lift8):
     assert all(isinstance(key, HalfIntIndex) for key in table)
     total = sum(len(phi.coeffs) for phi in f.phis)
     assert len(table) == total
-    assert [extract_phi_m(table, m, k=f.k, prec=f.prec) for m in range(f.M_max + 1)] == list(f.phis)
+    assert all(v != 0 and f.coeff(key) == v for key, v in table.items())
     small = schoolbook.coeff_table(f, bound=2)
     assert all(key.m <= 2 for key in small)
 
@@ -609,34 +608,6 @@ def test_audit_matches_generic_oracle_on_random_corruptions(lift8):
         key = (rng.randrange(f.prec), rng.randrange(-2 * f.prec, 2 * f.prec + 1))
         delta = Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2, 3]))
         audit_record(corrupted(f, m, key, delta), rng.randrange(f.prec))
-
-
-# ---------------------------------------------------------------------------
-# slice extraction
-
-
-def test_extract_phi_m_round_trip(lift8):
-    f, _ = lift8
-    table = schoolbook.coeff_table(f)
-    phi2 = extract_phi_m(table, 2, k=f.k, prec=f.prec)
-    assert phi2 == f.phis[2]
-
-
-def test_extract_phi_m_triple_keys_and_defaults():
-    table = {(0, 0, 0): Fraction(7), (3, 1, 2): Fraction(2)}
-    phi = extract_phi_m(table, 2)
-    assert phi.k == 0 and phi.m == 2 and phi.prec == 4
-    assert phi.coeff(3, 1) == 2
-    empty = extract_phi_m({}, 1)
-    assert empty.prec == 0 and empty.is_zero()
-    short = extract_phi_m(table, 2, prec=3)
-    assert (3, 1) not in short.coeffs
-
-
-def test_extract_phi_m_validates_keys():
-    bad = {HalfIntIndex(Fraction(1, 2), Fraction(0), 1): Fraction(1)}
-    with pytest.raises(ValueError):
-        extract_phi_m(bad, 1)
 
 
 # ---------------------------------------------------------------------------

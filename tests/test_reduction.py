@@ -22,7 +22,6 @@ from fjcert.reduction import (
     UnimodularMat,
     act,
     corner_swap,
-    enumerate_r,
     enumerate_S,
     hermite_check,
     is_positive_definite,
@@ -525,6 +524,11 @@ def test_hermite_examples():
     # sorted and size-reduced, but x = (-1, 1, 1) gives 8 < 10
     with pytest.raises(ValueError):
         hermite_check(SymMatQ.from_text("4,2,2;2,6,-2;2,-2,10"))
+    # size is checked first, then positive definiteness
+    with pytest.raises(ValueError, match="positive definite"):
+        hermite_check(mat2(1, 2, 2, 1))
+    with pytest.raises(ValueError, match="size must be one to three"):
+        hermite_check(SymMatQ.from_text("1,2,0,0;2,1,0,0;0,0,1,0;0,0,0,1"))
 
 
 def test_hermite_one_by_one():
@@ -753,48 +757,10 @@ def test_enumerate_s_cap_counts_candidates_before_enumerating():
         enumerate_S(1, Fraction(5, 2), 4, cap=candidates - 1)
 
 
-def test_enumerate_r_small_windows():
-    out = enumerate_r(1, Fraction(1, 16), 1, 2)
-    assert list(out) == [(Fraction(0),)]
-    assert out.count_constant == 1.0
-    assert list(enumerate_r(1, 0, 1, 2)) == []
-
-
-def test_enumerate_r_closed_under_predicate():
-    m, b, N = 3, Fraction(1, 4), 2
-    out = enumerate_r(m, b, N, 2)
-    bound = 4 * m * b * N ** 8
-    assert len(set(out)) == len(out)
-    for (r,) in out:
-        assert r * 8 == int(r * 8)
-        assert r * r < bound
-    # nothing just outside the stated bound is missing
-    want = set()
-    j = 0
-    while Fraction(j, 8) ** 2 < bound:
-        want.add((Fraction(j, 8),))
-        want.add((Fraction(-j, 8),))
-        j += 1
-    assert set(out) == want
-
-
-def test_enumerate_r_count_ratio_bounded():
-    for m in range(1, 101):
-        out = enumerate_r(m, 1, 1, 2)
-        assert out.count_constant == len(out) / m ** 0.5
-        assert out.count_constant <= 9.0
-
-
-def test_enumerate_r_is_capped_before_building():
-    # (2 jmax + 1)^2 is about 4.4e12 vectors here; the cap is checked before any is built
-    with pytest.raises(CapacityError):
-        enumerate_r(1, 1, 2, 3)
-
-
-def test_enumerate_r_higher_genus_is_the_product_of_the_components():
-    m, b, N = 2, Fraction(1, 3), 1
-    line = [r for (r,) in enumerate_r(m, b, N, 2)]
-    for g in (3, 4):
-        out = enumerate_r(m, b, N, g)
-        assert list(out) == list(product(line, repeat=g - 1))
-        assert out.count_constant == len(line) ** (g - 1) / m ** ((g - 1) / 2)
+@pytest.mark.parametrize(
+    "args, message",
+    [((0, 1, 2), "N must be positive"), ((1, -1, 2), "b must be nonnegative"), ((1, 1, 1), "unsupported genus"), ((1, 1, 5), "unsupported genus")],
+)
+def test_enumerate_s_argument_checks(args, message):
+    with pytest.raises(ValueError, match=message):
+        enumerate_S(*args)
