@@ -3,12 +3,8 @@ one, reduction theory for small quadratic forms, and sampled numerical
 certification of convergence behavior at rational torsion points."""
 
 from .core import (
-    CycElem,
     PrecisionError,
-    QExpansion,
     bernoulli,
-    cyc_eval,
-    eisenstein_qexp,
     parse_rat,
     rat_str,
     sigma,
@@ -25,7 +21,6 @@ from .reduction import (
     is_positive_definite,
     minkowski_reduce,
     torsion_decomposition,
-    unimodular_completion,
 )
 from .jacobi import (
     JacobiFormQExp,
@@ -33,7 +28,6 @@ from .jacobi import (
     TorsionPoint,
     evaluate,
     fe_norm,
-    index0_from_qexp,
     jacobi_space,
     multiply,
     specialize_torsion,

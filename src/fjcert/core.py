@@ -1,22 +1,15 @@
-"""Exact arithmetic primitives: rationals, roots of unity, q-expansions.
+"""Exact arithmetic primitives: rational text, Bernoulli numbers, divisor
+sums, level-one Eisenstein coefficients and the integer series kernel.
 
 Coefficient arithmetic throughout the package is exact.  Rational numbers
-are ``fractions.Fraction``; coefficients mixing rationals with roots of
-unity use :class:`CycElem`, a formal group ring element
-``sum_j w[j] * e(j/L)`` with ``e(x) = exp(2 pi i x)``.  The group ring is
-deliberately not reduced modulo cyclotomic relations, so equality of
-``CycElem`` values is formal; numerical comparisons must go through
-:func:`cyc_eval`.
-
-A :class:`QExpansion` is a truncated series ``sum c(x) q^x`` whose
-exponents ``x`` are nonnegative elements of ``(1/L) * Z`` below a rational
-precision bound ``prec``: absent exponents under the bound are zero, and
-reading at or above the bound raises :class:`PrecisionError`.
+are ``fractions.Fraction``; every series product runs on integer series
+(``{exponent: int}`` dicts, or rows of them) through one kernel,
+:func:`_kron_rows`, and rational series are kept as integer numerators over
+one denominator by their owners.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import re
 import sys
@@ -28,12 +21,8 @@ from struct import iter_unpack
 
 __all__ = [
     "PrecisionError",
-    "CycElem",
-    "QExpansion",
     "bernoulli",
     "sigma",
-    "eisenstein_qexp",
-    "cyc_eval",
     "rat_str",
     "parse_rat",
 ]
@@ -145,347 +134,6 @@ def sigma(k: int, n: int) -> int:
     return total
 
 
-# ---------------------------------------------------------------------------
-# roots of unity
-
-
-class CycElem:
-    """Formal rational combination of L-th roots of unity.
-
-    ``CycElem(L, {j: w_j})`` stands for ``sum_j w_j e(j/L)``.  Addition and
-    multiplication act on exponents mod L; mixed orders are lifted to the
-    lcm.  No cyclotomic reduction is performed, so two elements may be
-    formally distinct while numerically equal; use :func:`cyc_eval` when a
-    numerical comparison is intended.
-    """
-
-    __slots__ = ("L", "w")
-
-    def __init__(self, L: int, weights):
-        if L < 1:
-            raise ValueError("order must be a positive integer")
-        self.L = L
-        acc: dict = {}
-        for j, c in weights.items():
-            c = Fraction(c)
-            if c:
-                j = j % L
-                acc[j] = acc.get(j, Fraction(0)) + c
-        self.w = {j: c for j, c in acc.items() if c}
-
-    @classmethod
-    def _trusted(cls, L: int, w: dict) -> "CycElem":
-        """Element from nonzero Fraction weights keyed by int 0 <= j < L,
-        with L >= 1, without checks."""
-        self = cls.__new__(cls)
-        self.L, self.w = L, w
-        return self
-
-    @classmethod
-    def root(cls, j: int, L: int) -> "CycElem":
-        """The single root of unity e(j/L)."""
-        return cls(L, {j: Fraction(1)})
-
-    @classmethod
-    def coerce(cls, x, L: int = 1) -> "CycElem":
-        if isinstance(x, CycElem):
-            return x if L == x.L else x.rescaled(math.lcm(x.L, L))
-        return cls(L, {0: Fraction(x)})
-
-    def rescaled(self, L2: int) -> "CycElem":
-        if L2 % self.L != 0:
-            raise ValueError("new order must be a multiple of the old one")
-        f = L2 // self.L
-        return CycElem(L2, {j * f: c for j, c in self.w.items()})
-
-    def is_zero(self) -> bool:
-        return not self.w
-
-    def __bool__(self) -> bool:
-        return bool(self.w)
-
-    def _pair(self, other):
-        other = CycElem.coerce(other)
-        L = math.lcm(self.L, other.L)
-        a = self if self.L == L else self.rescaled(L)
-        b = other if other.L == L else other.rescaled(L)
-        return a, b, L
-
-    def __add__(self, other):
-        a, b, L = self._pair(other)
-        w = dict(a.w)
-        for j, c in b.w.items():
-            w[j] = w.get(j, Fraction(0)) + c
-        return CycElem(L, w)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CycElem(self.L, {j: -c for j, c in self.w.items()})
-
-    def __sub__(self, other):
-        return self + (-CycElem.coerce(other))
-
-    def __rsub__(self, other):
-        return CycElem.coerce(other) + (-self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return CycElem(self.L, {j: w * c for j, w in self.w.items()})
-        a, b, L = self._pair(other)
-        out: dict = {}
-        for j1, c1 in a.w.items():
-            for j2, c2 in b.w.items():
-                j = (j1 + j2) % L
-                out[j] = out.get(j, Fraction(0)) + c1 * c2
-        return CycElem(L, out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = CycElem.coerce(other)
-        if not isinstance(other, CycElem):
-            return NotImplemented
-        a, b, _ = self._pair(other)
-        return a.w == b.w
-
-    def __hash__(self):
-        # hash on the reduced support over the exact order
-        g = math.gcd(self.L, math.gcd(*self.w.keys())) if self.w else self.L
-        return hash((self.L // g, tuple(sorted((j // g, c) for j, c in self.w.items()))))
-
-    def __repr__(self):
-        if not self.w:
-            return "CycElem(%d, 0)" % self.L
-        parts = " + ".join("%s*e(%d/%d)" % (c, j, self.L) for j, c in sorted(self.w.items()))
-        return "CycElem(%s)" % parts
-
-    def to_record(self):
-        return {"L": self.L, "w": [[j, rat_str(c)] for j, c in sorted(self.w.items())]}
-
-    @classmethod
-    def from_record(cls, rec) -> "CycElem":
-        return cls(int(rec["L"]), {int(j): parse_rat(c) for j, c in rec["w"]})
-
-
-def cyc_eval(x) -> complex:
-    """Numerical value of a CycElem (or plain rational) as a complex number."""
-    if isinstance(x, (int, Fraction)):
-        return complex(x)
-    re = []
-    im = []
-    for j, c in x.w.items():
-        v = float(c) * cmath.exp(2j * math.pi * j / x.L)
-        re.append(v.real)
-        im.append(v.imag)
-    return complex(math.fsum(re), math.fsum(im))
-
-
-# ---------------------------------------------------------------------------
-# value helpers shared by QExpansion (Fraction or CycElem entries)
-
-
-def _vadd(a, b):
-    if isinstance(a, CycElem) or isinstance(b, CycElem):
-        return CycElem.coerce(a) + b
-    return a + b
-
-
-def _vmul(a, b):
-    if isinstance(a, CycElem) or isinstance(b, CycElem):
-        return CycElem.coerce(a) * b
-    return a * b
-
-
-def _viszero(x) -> bool:
-    if isinstance(x, CycElem):
-        return x.is_zero()
-    return x == 0
-
-
-def _value_record(v):
-    if isinstance(v, CycElem):
-        return v.to_record()
-    return rat_str(v)
-
-
-def _value_from_record(rec):
-    if isinstance(rec, dict):
-        return CycElem.from_record(rec)
-    return parse_rat(rec)
-
-
-# ---------------------------------------------------------------------------
-# q-expansions
-
-
-class QExpansion:
-    """Truncated q-expansion with exponents in (1/L)*Z and exact coefficients.
-
-    ``coeffs`` maps exponent numerators (integers, the exponent times L) to
-    Fraction or CycElem values.  Invariants: numerators are >= 0 and lie
-    strictly below ``prec * L``.  Anything absent below the bound is zero;
-    reading at or beyond the bound raises PrecisionError.
-    """
-
-    __slots__ = ("L", "prec", "coeffs")
-
-    def __init__(self, L: int, coeffs: dict, prec):
-        if L < 1:
-            raise ValueError("exponent denominator must be positive")
-        prec = Fraction(prec)
-        if prec < 0:
-            raise ValueError("precision must be nonnegative")
-        self.L = L
-        self.prec = prec
-        bound = prec * L
-        out = {}
-        for e, v in coeffs.items():
-            if _viszero(v):
-                continue
-            if e < 0:
-                raise ValueError("negative exponent in q-expansion")
-            if e >= bound:
-                raise ValueError("stored exponent at or beyond precision")
-            out[int(e)] = v
-        self.coeffs = out
-
-    @classmethod
-    def _trusted(cls, L: int, coeffs: dict, prec: Fraction) -> "QExpansion":
-        """Expansion from nonzero values keyed by int numerators 0 <= e < prec * L,
-        with L >= 1 and prec a nonnegative Fraction, without checks."""
-        self = cls.__new__(cls)
-        self.L, self.prec, self.coeffs = L, prec, coeffs
-        return self
-
-    @classmethod
-    def zero(cls, prec, L: int = 1) -> "QExpansion":
-        return cls(L, {}, prec)
-
-    @classmethod
-    def one(cls, prec, L: int = 1) -> "QExpansion":
-        return cls(L, {0: Fraction(1)} if Fraction(prec) > 0 else {}, prec)
-
-    def coeff(self, x):
-        """Coefficient at rational exponent x; PrecisionError beyond prec."""
-        x = Fraction(x)
-        if x >= self.prec:
-            raise PrecisionError("exponent %s is at or beyond precision %s" % (x, self.prec))
-        num = x * self.L
-        if num.denominator != 1:
-            return Fraction(0)
-        return self.coeffs.get(int(num), Fraction(0))
-
-    def items(self):
-        """Sorted (exponent, value) pairs with exponents as Fractions."""
-        return [(Fraction(e, self.L), v) for e, v in sorted(self.coeffs.items())]
-
-    def rescaled(self, L2: int) -> "QExpansion":
-        if L2 % self.L != 0:
-            raise ValueError("new denominator must be a multiple of the old one")
-        f = L2 // self.L
-        return QExpansion(L2, {e * f: v for e, v in self.coeffs.items()}, self.prec)
-
-    def truncated(self, prec2) -> "QExpansion":
-        prec2 = Fraction(prec2)
-        if prec2 > self.prec:
-            raise PrecisionError("cannot extend precision by truncation")
-        bound = prec2 * self.L
-        return QExpansion(self.L, {e: v for e, v in self.coeffs.items() if e < bound}, prec2)
-
-    def _pair(self, other):
-        L = math.lcm(self.L, other.L)
-        a = self if self.L == L else self.rescaled(L)
-        b = other if other.L == L else other.rescaled(L)
-        return a, b, L
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QExpansion.one(self.prec).scalar_mul(other)
-        a, b, L = self._pair(other)
-        prec = min(a.prec, b.prec)
-        bound = prec * L
-        out = {e: v for e, v in a.coeffs.items() if e < bound}
-        for e, v in b.coeffs.items():
-            if e < bound:
-                out[e] = _vadd(out.get(e, Fraction(0)), v)
-        return QExpansion(L, {e: v for e, v in out.items() if not _viszero(v)}, prec)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self.scalar_mul(Fraction(-1))
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, QExpansion) else -Fraction(other))
-
-    def scalar_mul(self, c) -> "QExpansion":
-        if isinstance(c, CycElem) or Fraction(c) != 0:
-            return QExpansion(self.L, {e: _vmul(v, c) for e, v in self.coeffs.items()}, self.prec)
-        return QExpansion.zero(self.prec, self.L)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, CycElem)):
-            return self.scalar_mul(other)
-        a, b, L = self._pair(other)
-        prec = min(a.prec, b.prec)
-        emax = math.ceil(prec * L)
-        orders = [v.L for v in (*a.coeffs.values(), *b.coeffs.values()) if isinstance(v, CycElem)]
-        if not orders:
-            return QExpansion(L, _dict_mul(a.coeffs, b.coeffs, emax), prec)
-        # one row per exponent, indexed by the root e(j/R); CycElem folds j mod R
-        R = math.lcm(*orders)
-        rows_a = {e: CycElem.coerce(v, R).w for e, v in a.coeffs.items()}
-        rows_b = {e: CycElem.coerce(v, R).w for e, v in b.coeffs.items()}
-        return QExpansion(L, {e: CycElem(R, w) for e, w in _kron_rational(rows_a, rows_b, emax).items()}, prec)
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other):
-        if not isinstance(other, QExpansion):
-            return NotImplemented
-        a, b, _ = self._pair(other)
-        if a.prec != b.prec or set(a.coeffs) != set(b.coeffs):
-            return False
-        return all(a.coeffs[e] == b.coeffs[e] for e in a.coeffs)
-
-    def __hash__(self):
-        return hash((self.L, self.prec, tuple(sorted(self.coeffs))))
-
-    def __repr__(self):
-        head = ", ".join(
-            "q^%s: %s" % (Fraction(e, self.L), v) for e, v in sorted(self.coeffs.items())[:6]
-        )
-        more = "" if len(self.coeffs) <= 6 else ", ..."
-        return "QExpansion(L=%d, prec=%s, {%s%s})" % (self.L, self.prec, head, more)
-
-    def to_record(self):
-        return {
-            "L": self.L,
-            "prec": rat_str(self.prec),
-            "coeffs": [[e, _value_record(v)] for e, v in sorted(self.coeffs.items())],
-        }
-
-    @classmethod
-    def from_record(cls, rec) -> "QExpansion":
-        coeffs = {int(e): _value_from_record(v) for e, v in rec["coeffs"]}
-        return cls(int(rec["L"]), coeffs, parse_rat(rec["prec"]))
-
-
-def eisenstein_qexp(k: int, prec) -> QExpansion:
-    """Level-one Eisenstein series E_k = 1 - (2k/B_k) sum sigma_{k-1}(n) q^n."""
-    if k not in (4, 6):
-        raise ValueError("unsupported weight for eisenstein_qexp: %r" % (k,))
-    if Fraction(prec) < 1:
-        raise ValueError("precision must be at least 1")
-    return QExpansion(1, _eis_dict(k, int(Fraction(prec))), prec)
-
-
 @lru_cache(maxsize=None)
 def _eis_dict(k: int, emax: int) -> dict:
     """{n: c_n} of E_k below emax; cached and shared, so callers must not mutate it."""
@@ -501,18 +149,18 @@ def _eis_dict(k: int, emax: int) -> dict:
 # ---------------------------------------------------------------------------
 # integer-keyed series helpers (internal work horses)
 #
-# Plain dicts {exponent: value} truncated below emax.  Every series product
+# Plain dicts {exponent: int} truncated below emax.  Every series product
 # in the package runs through one exact kernel, _kron_rows, by Kronecker
-# substitution on integer rows (rational series clear their denominators
-# in _kron_rational first): each row is packed into one Python int as
-# base-X digits with X = 2^(8w), from that row's own lowest exponent, and
-# CPython's bignum multiply does the convolution.  A row with at most one
-# nonzero slot in eight of its span (rounded up, so a single term counts),
-# such as a theta series or a constant, keeps its terms too: a product
-# with it is sum_k v_k (x << 8w k) over its terms, the same integer as the
-# bignum product, in one shift and one add per term instead of a Karatsuba
-# product over the whole span.  A row product starts at
-# the sum of its two rows' lowest exponents; it is shifted by whole slots
+# substitution on integer rows (a Jacobi form's rows are its numerators
+# over one denominator, see jacobi._common_rows): each row is packed into
+# one Python int as base-X digits with X = 2^(8w), from that row's own
+# lowest exponent, and CPython's bignum multiply does the convolution.  A
+# row with at most one nonzero slot in eight of its span (rounded up, so a
+# single term counts), such as a theta series or a constant, keeps its
+# terms too: a product with it is sum_k v_k (x << 8w k) over its terms, the
+# same integer as the bignum product, in one shift and one add per term
+# instead of a Karatsuba product over the whole span.  A row product starts
+# at the sum of its two rows' lowest exponents; it is shifted by whole slots
 # (<< 8w * shift) onto the lowest exponent of its output row and summed
 # there, so an output row, however many slice and row pairs land on it, is
 # unpacked once.  A product coefficient is a sum of at most t terms, t the
@@ -618,19 +266,9 @@ def _kron_rows(a: list, b: list, nmax: int) -> list:
     return out
 
 
-def _kron_rational(a: dict, b: dict, nmax: int) -> dict:
-    """_kron_rows of one rational series by another, each scaled by the lcm of its denominators."""
-    den_a = math.lcm(*(v.denominator for row in a.values() for v in row.values()))
-    den_b = math.lcm(*(v.denominator for row in b.values() for v in row.values()))
-    a = {n: {e: v.numerator * (den_a // v.denominator) for e, v in row.items()} for n, row in a.items()}
-    b = {n: {e: v.numerator * (den_b // v.denominator) for e, v in row.items()} for n, row in b.items()}
-    rows, d = _kron_rows([a], [b], nmax)[0], den_a * den_b
-    return rows if d == 1 else {n: {e: Fraction(v, d) for e, v in row.items()} for n, row in rows.items()}
-
-
 def _dict_mul(a: dict, b: dict, emax: int) -> dict:
-    """Exact truncated product of one-variable series."""
-    return {e: v for e, v in _kron_rational({0: a}, {0: b}, 1).get(0, {}).items() if e < emax}
+    """Exact truncated product of one-variable integer series."""
+    return {e: v for e, v in _kron_rows([{0: a}], [{0: b}], 1)[0].get(0, {}).items() if e < emax}
 
 
 def _dict_div(num: dict, den: dict, emax: int) -> dict:

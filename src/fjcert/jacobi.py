@@ -24,8 +24,9 @@ reads C back from them.
 
 Restriction to a rational torsion point (N, lambda, mu) with z = tau1 *
 lambda + mu produces a :class:`SpecializedExpansion`, a q-expansion in
-fractional exponents whose coefficients are formal combinations of N^2-th
-roots of unity.
+exponents over L = N^2 whose coefficients are integer combinations of
+L-th roots of unity over one denominator; :func:`window_abs` reads their
+magnitudes.
 """
 
 from __future__ import annotations
@@ -43,16 +44,13 @@ from itertools import accumulate, chain, compress, repeat
 from operator import add, attrgetter, ge, itemgetter, le, mul, truediv
 
 from .core import (
-    CycElem,
     PrecisionError,
-    QExpansion,
     _dict_add,
     _dict_div,
     _dict_mul,
     _dict_scale,
     _eis_dict,
     _kron_rows,
-    cyc_eval,
     parse_rat,
 )
 from .reduction import WINDOW_CAP
@@ -71,7 +69,6 @@ __all__ = [
     "check_point",
     "evaluate",
     "evaluate_points",
-    "index0_from_qexp",
 ]
 
 
@@ -402,14 +399,6 @@ class _FractionView(Mapping):
         return sum(map(len, self._num.values()))
 
 
-def index0_from_qexp(k: int, qe: QExpansion) -> JacobiFormQExp:
-    """Embed an integer-exponent q-expansion as an index-zero Jacobi form."""
-    if qe.L != 1:
-        raise ValueError("index zero embedding needs integer exponents")
-    prec = int(qe.prec)
-    return JacobiFormQExp(k, 0, prec, {(e, 0): v for e, v in qe.coeffs.items()})
-
-
 def multiply(a: JacobiFormQExp, b: JacobiFormQExp) -> JacobiFormQExp:
     """Product of Jacobi forms; weights and indices add, precision is the min."""
     return _convolve([a], [b])[0]
@@ -726,17 +715,34 @@ class TorsionPoint:
 
 @dataclass(frozen=True)
 class SpecializedExpansion:
-    """Restriction of an index-m slice to a torsion point: a q-expansion in
-    exponents over N^2 with root-of-unity coefficients, weight k, level
-    marker N^2."""
+    """Restriction of a weight-k slice to a torsion point, a q-expansion in
+    exponents over L = N^2 (the level) below the certified precision prec.
+
+    The coefficient of q^(e / L) is sum_j coeffs[e][j] e(j / L) / den for
+    each stored e, 0 <= e < prec L, and zero for any other e.  Each inner
+    dict holds the nonzero int weights of the roots e(j / L), 0 <= j < L,
+    and is nonempty; den > 0 and the numerators share no factor, so equal
+    expansions have equal fields.  The roots are not reduced modulo
+    cyclotomic relations, so a stored coefficient may still be zero.
+    """
 
     k: int
     N: int
-    expansion: QExpansion
+    prec: Fraction
+    den: int
+    coeffs: dict
 
     @property
     def level(self) -> int:
         return self.N * self.N
+
+    def value(self, e: int) -> complex:
+        """The coefficient of q^(e / L) as a complex number: each weight
+        over den correctly rounded to a float, times its root, the real and
+        imaginary parts each summed by math.fsum."""
+        L, den = self.level, self.den
+        terms = [v / den * cmath.exp(2j * math.pi * j / L) for j, v in self.coeffs.get(e, {}).items()]
+        return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
 
 
 def _ceil_2sqrt(p: int, m: int) -> int:
@@ -795,11 +801,15 @@ def specialize_torsion(phi: JacobiFormQExp, p: TorsionPoint) -> SpecializedExpan
             j = (r * c * N) % L
             slot = acc.setdefault(base + r * aN, {})
             slot[j] = slot.get(j, 0) + row[r]
-    den = phi.den
-    coeffs = {num: CycElem._trusted(L, {j: Fraction(v, den) for j, v in w.items() if v}) for num, w in acc.items() if any(w.values())}
-    # every weight is nonzero and keyed by 0 <= j < L, every value has one,
-    # and every key lies in [0, bound_num)
-    return SpecializedExpansion(phi.k, N, QExpansion._trusted(L, coeffs, p2))
+    coeffs = {}
+    for num, w in acc.items():
+        w = {j: v for j, v in w.items() if v}
+        if w:
+            coeffs[num] = w
+    g = math.gcd(phi.den, *_values(coeffs))
+    if g > 1:
+        coeffs = {num: {j: v // g for j, v in w.items()} for num, w in coeffs.items()}
+    return SpecializedExpansion(phi.k, N, p2, phi.den // g, coeffs)
 
 
 def window_abs(eta: SpecializedExpansion, S) -> list:
@@ -808,18 +818,16 @@ def window_abs(eta: SpecializedExpansion, S) -> list:
     S is a list of 1x1 matrices (or plain rationals).  Every requested
     exponent must lie below the certified precision of eta.
     """
-    exp = eta.expansion
-    L, coeffs, pnum, pden = exp.L, exp.coeffs, exp.prec.numerator, exp.prec.denominator
+    L, pnum, pden = eta.level, eta.prec.numerator, eta.prec.denominator
     out = []
     for t in S:
         x = t[0, 0] if hasattr(t, "rows") else Fraction(t)
         # x = p / q >= prec and x L = e, compared and scaled on integers
         p, q = x.numerator, x.denominator
         if p * pden >= pnum * q:
-            raise PrecisionError("window exponent %s is beyond specialized precision %s" % (x, exp.prec))
+            raise PrecisionError("window exponent %s is beyond specialized precision %s" % (x, eta.prec))
         e, rest = divmod(p * L, q)
-        c = None if rest else coeffs.get(e)
-        out.append(0.0 if c is None else abs(cyc_eval(c)))
+        out.append(0.0 if rest else abs(eta.value(e)))
     return out
 
 

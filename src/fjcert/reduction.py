@@ -1,9 +1,8 @@
 """Reduction theory for small positive definite rational matrices.
 
-Covers exact Minkowski reduction at sizes one to three, unimodular
-completions of primitive integer vectors, the torsion block decomposition
-used when a series is restricted to a rational torsion point, and the
-enumeration of the finite exponent windows.
+Covers exact Minkowski reduction at sizes one to three, the torsion block
+decomposition used when a series is restricted to a rational torsion
+point, and the enumeration of the finite exponent windows.
 
 Matrices hold Fraction entries, but reduction and its checks work on the
 integer Gram matrix g = D t, with D > 0 clearing the entry denominators:
@@ -37,7 +36,6 @@ __all__ = [
     "act",
     "minkowski_reduce",
     "hermite_check",
-    "unimodular_completion",
     "torsion_decomposition",
     "corner_swap",
     "enumerate_S",
@@ -264,11 +262,6 @@ def act(t: SymMatQ, u) -> SymMatQ:
     return SymMatQ(_matmul([list(r) for r in ut], inner))
 
 
-def _round_half_up(p: int, q: int) -> int:
-    """Nearest integer to p / q for q > 0, ties upward."""
-    return (2 * p + q) // (2 * q)
-
-
 def _round_half_to_zero(p: int, q: int) -> int:
     """Nearest integer to p / q for q > 0, ties toward zero, so a boundary
     off-diagonal entry with 2|g_ij| = g_ii is left in place instead of
@@ -454,7 +447,7 @@ def hermite_check(n: SymMatQ) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# unimodular completion and torsion decomposition
+# torsion decomposition
 
 
 def _xgcd(a: int, b: int):
@@ -501,36 +494,6 @@ def corner_swap(g: int) -> UnimodularMat:
     rows[0][0] = rows[g - 1][g - 1] = 0
     rows[0][g - 1] = rows[g - 1][0] = 1
     return UnimodularMat(rows)
-
-
-def unimodular_completion(v) -> UnimodularMat:
-    """Unimodular matrix whose last row is the primitive vector v."""
-    v = tuple(int(x) for x in v)
-    if len(v) < 1:
-        raise ValueError("vector must be nonempty")
-    g = 0
-    for x in v:
-        g = math.gcd(g, abs(x))
-    if g != 1:
-        raise ValueError("vector must be primitive")
-    if len(v) == 1:
-        return UnimodularMat([[v[0]]])
-    if len(v) == 2:
-        a, b = v
-        # minimal top row solving x*b - y*a = 1, sign-normalized so that
-        # (0,1) completes to the identity and (1,0) to the plain swap
-        gg, x0, y0 = _xgcd(b, -a)
-        assert gg == 1
-        # shift by multiples of (a, b) to minimize the top row
-        k = _round_half_up(x0 * a + y0 * b, a * a + b * b)
-        x0, y0 = x0 - k * a, y0 - k * b
-        if x0 < 0 or (x0 == 0 and y0 < 0):
-            x0, y0 = -x0, -y0
-        return UnimodularMat([[x0, y0], [a, b]])
-    w = _col_reduce(v)
-    # v equals the first row of w^{-1}; rotate that row to the bottom
-    rows = list(w.inverse().rows)
-    return UnimodularMat(rows[1:] + rows[:1])
 
 
 def torsion_decomposition(lam, M: int, n: SymMatQ | None = None):

@@ -4,8 +4,8 @@ for the kernel and for the Minkowski loop.
 These are the package's original pure-Python convolution loops, kept
 verbatim (apart from being free functions here) so that tests can assert
 that the Kronecker-substitution kernel in ``fjcert.core`` gives equal
-results: ``dict_mul`` is the old ``core._dict_mul``, ``qexp_mul`` the old
-``QExpansion.__mul__`` and ``jacobi_multiply`` the old ``jacobi.multiply``.
+results: ``dict_mul`` is the old ``core._dict_mul`` and ``jacobi_multiply``
+the old ``jacobi.multiply``.
 
 ``jacobi_space`` rebuilds the index-one spaces the old way: the kernel of
 the holomorphy and cusp conditions by generic Gaussian elimination over Q
@@ -26,12 +26,11 @@ for binary forms that the general Minkowski loop replaced; on binary forms
 the two must return the same (form, transform) pair.
 
 ``minkowski_reduce`` and ``hermite_check`` are the Fraction versions of
-the general loop and its check, with their helpers ``_round_half_to_zero``,
-``_round_half_up`` and ``_first_violation``: rounding on Fraction
-quotients, each condition g[x] summed over all s^2 entries and compared
-with every g_kk, and the Hermite bound on the Fraction determinant.
-``completion2`` is the old pair branch of ``unimodular_completion``.  The
-integer loop, the integer checks and the completion must agree with them.
+the general loop and its check, with their helpers ``_round_half_to_zero``
+and ``_first_violation``: rounding on Fraction quotients, each condition
+g[x] summed over all s^2 entries and compared with every g_kk, and the
+Hermite bound on the Fraction determinant.  The integer loop and the
+integer checks must agree with them.
 
 ``check_symmetry`` is the old ``fjseries.check_symmetry``: it forms every
 image t[u] = u^T t u with generic 2x2 arithmetic and reads the Fraction
@@ -48,7 +47,8 @@ record, and the reader must accept, reject and return what the old one did.
 
 ``pad_index0`` and ``coeff_table`` are the old ``FormalFJ`` methods of
 those names, which only tests called: a series whose one slice is an
-index-zero q-expansion, and every stored coefficient keyed by HalfIntIndex.
+index-zero q-expansion, given as an integer series, and every stored
+coefficient keyed by HalfIntIndex.
 
 ``poly_eval`` is the old ``fjseries.poly_eval``: Horner from the leading
 coefficient, every step one product by f (here through ``series_multiply``),
@@ -59,11 +59,13 @@ term by term, and raises where a table overflows even when no term does.
 ``evaluate_terms`` is the per-term oracle for both: each term from its own
 ``cmath.exp``, for the caller to add with ``math.fsum``.  ``window_abs`` is
 the old ``jacobi.window_abs``, which compares and scales each window
-exponent as a ``Fraction``.  ``specialize_torsion`` is the old
-``jacobi.specialize_torsion``: it computes the exponent of every stored
-term, raises at the first negative one and drops those at or above the
-certified precision one by one, where the package skips whole rows and
-reads only the terms below the precision.
+exponent as a ``Fraction`` and rounds each root weight as a ``Fraction``.
+``specialize_torsion`` is the old ``jacobi.specialize_torsion``: it
+computes the exponent of every stored term, raises at the first negative
+one and drops those at or above the certified precision one by one, where
+the package skips whole rows and reads only the terms below the precision;
+it sums each root weight as a ``Fraction`` and brings the sums over their
+lcm denominator, where the package cancels one gcd from integer sums.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from fjcert.core import CycElem, PrecisionError, QExpansion, _dict_add, _dict_div, _dict_mul, _dict_scale, _eis_dict, _vadd, _vmul, _viszero, cyc_eval, parse_rat
+from fjcert.core import PrecisionError, _dict_add, _dict_div, _dict_mul, _dict_scale, _eis_dict, parse_rat
 from fjcert import jacobi
 from fjcert.fjseries import FormalFJ, SymmetryReport
 from fjcert.jacobi import (
@@ -85,7 +87,6 @@ from fjcert.jacobi import (
     _series_sa,
     _series_sbq,
     _table,
-    index0_from_qexp,
 )
 from fjcert.reduction import (
     HalfIntIndex,
@@ -95,7 +96,6 @@ from fjcert.reduction import (
     _positive_definite,
     _replace,
     _swap,
-    _xgcd,
     act,
 )
 
@@ -120,28 +120,6 @@ def dict_mul(a: dict, b: dict, emax: int) -> dict:
             prev = out.get(e)
             out[e] = v1 * v2 if prev is None else prev + v1 * v2
     return {e: v for e, v in out.items() if v}
-
-
-def qexp_mul(self: QExpansion, other) -> QExpansion:
-    if isinstance(other, (int, Fraction, CycElem)):
-        return self.scalar_mul(other)
-    a, b, L = self._pair(other)
-    prec = min(a.prec, b.prec)
-    bound = prec * L
-    out: dict = {}
-    bi = sorted(b.coeffs.items())
-    for e1, v1 in sorted(a.coeffs.items()):
-        lim = bound - e1
-        if bi and bi[0][0] >= lim:
-            break
-        for e2, v2 in bi:
-            if e2 >= lim:
-                break
-            e = e1 + e2
-            prev = out.get(e)
-            tv = _vmul(v1, v2)
-            out[e] = tv if prev is None else _vadd(prev, tv)
-    return QExpansion(L, {e: v for e, v in out.items() if not _viszero(v)}, prec)
 
 
 def jacobi_multiply(a: JacobiFormQExp, b: JacobiFormQExp) -> JacobiFormQExp:
@@ -441,10 +419,6 @@ def _lex_normalize(phi: JacobiFormQExp) -> JacobiFormQExp:
     return phi.scalar_mul(Fraction(1) / Fraction(c))
 
 
-def _round_half_up(x: Fraction) -> int:
-    return math.floor(x + Fraction(1, 2))
-
-
 def _round_half_to_zero(x: Fraction) -> int:
     """Nearest integer, ties toward zero, so a boundary off-diagonal entry
     with 2|t_ij| = t_ii is left in place instead of oscillating."""
@@ -545,20 +519,6 @@ def hermite_check(n: SymMatQ) -> bool:
     if bad is not None:
         raise ValueError("input is not Minkowski reduced: n[x] < n_kk at x = %s" % (bad[0],))
     return n[0, 0] ** s <= _HERMITE_POW[s] * n.det()
-
-
-def completion2(a: int, b: int) -> UnimodularMat:
-    """Unimodular matrix with last row (a, b), for a primitive pair."""
-    # minimal top row solving x*b - y*a = 1, sign-normalized so that
-    # (0,1) completes to the identity and (1,0) to the plain swap
-    gg, x0, y0 = _xgcd(b, -a)
-    assert gg == 1
-    # shift by multiples of (a, b) to minimize the top row
-    k = _round_half_up(Fraction(x0 * a + y0 * b, a * a + b * b))
-    x0, y0 = x0 - k * a, y0 - k * b
-    if x0 < 0 or (x0 == 0 and y0 < 0):
-        x0, y0 = -x0, -y0
-    return UnimodularMat([[x0, y0], [a, b]])
 
 
 def reduce2(t: SymMatQ):
@@ -707,15 +667,19 @@ def evaluate_terms(phi: JacobiFormQExp, tau1: complex, z: complex) -> list:
 
 def window_abs(eta, S) -> list:
     """|c_x(eta)| for each exponent x of the window S, in the order of S."""
-    exp = eta.expansion
+    L = eta.level
     out = []
     for t in S:
         x = t[0, 0] if hasattr(t, "rows") else Fraction(t)
-        if x >= exp.prec:
-            raise PrecisionError("window exponent %s is beyond specialized precision %s" % (x, exp.prec))
-        e = x * exp.L
-        c = exp.coeffs.get(e.numerator) if e.denominator == 1 else None
-        out.append(0.0 if c is None else abs(cyc_eval(c)))
+        if x >= eta.prec:
+            raise PrecisionError("window exponent %s is beyond specialized precision %s" % (x, eta.prec))
+        e = x * L
+        w = eta.coeffs.get(e.numerator) if e.denominator == 1 else None
+        if w is None:
+            out.append(0.0)
+            continue
+        vals = [float(Fraction(v, eta.den)) * cmath.exp(2j * math.pi * j / L) for j, v in w.items()]
+        out.append(abs(complex(math.fsum(v.real for v in vals), math.fsum(v.imag for v in vals))))
     return out
 
 
@@ -741,10 +705,12 @@ def specialize_torsion(phi: JacobiFormQExp, p) -> jacobi.SpecializedExpansion:
                 continue
             j = (r * c * N) % L
             slot = acc.setdefault(num, {})
-            slot[j] = slot.get(j, 0) + v
-    den = phi.den
-    coeffs = {num: CycElem(L, {j: Fraction(v, den) for j, v in w.items()}) for num, w in acc.items() if any(w.values())}
-    return jacobi.SpecializedExpansion(phi.k, N, QExpansion._trusted(L, coeffs, p2))
+            slot[j] = slot.get(j, 0) + Fraction(v, phi.den)
+    weights = {num: {j: v for j, v in w.items() if v} for num, w in acc.items()}
+    weights = {num: w for num, w in weights.items() if w}
+    den = math.lcm(*(v.denominator for w in weights.values() for v in w.values()))
+    coeffs = {num: {j: int(v * den) for j, v in w.items()} for num, w in weights.items()}
+    return jacobi.SpecializedExpansion(phi.k, N, p2, den, coeffs)
 
 
 def jacobi_to_record(self: JacobiFormQExp):
@@ -844,9 +810,10 @@ def gritsenko_lift(phi: JacobiFormQExp, M_max: int, prec: int) -> FormalFJ:
     return FormalFJ(k, M_max, slices)
 
 
-def pad_index0(k: int, qe, M_max: int, prec: int) -> FormalFJ:
-    """Series whose only slice is an index-zero embedding of qe."""
-    phi0 = index0_from_qexp(k, qe).truncated(prec)
+def pad_index0(k: int, series: dict, M_max: int, prec: int) -> FormalFJ:
+    """Series whose only slice is the index-zero form of the integer series
+    {n: c_n}, truncated below prec."""
+    phi0 = JacobiFormQExp(k, 0, prec, {(n, 0): v for n, v in series.items() if n < prec})
     phis = [phi0] + [JacobiFormQExp.zero(k, m, prec) for m in range(1, M_max + 1)]
     return FormalFJ(k, M_max, phis)
 

@@ -23,7 +23,7 @@ from fjcert.convergence import (
     growth_fit,
     partial_sum_bound_check,
 )
-from fjcert.core import cyc_eval, eisenstein_qexp
+from fjcert.core import _dict_mul, _eis_dict
 from fjcert.fjseries import (
     FormalFJ,
     PolynomialOverM,
@@ -224,8 +224,8 @@ def test_criterion_6_locally_bounded_certificate(lift10_40, capfd):
 def test_criterion_7_monicize_contract(lift8, capfd):
     f_c, _ = lift8
     prec, mmax = f_c.prec, f_c.M_max
-    pad4 = schoolbook.pad_index0(4, eisenstein_qexp(4, prec), mmax, prec)
-    e10 = eisenstein_qexp(4, prec) * eisenstein_qexp(6, prec)
+    pad4 = schoolbook.pad_index0(4, _eis_dict(4, prec), mmax, prec)
+    e10 = _dict_mul(_eis_dict(4, prec), _eis_dict(6, prec), prec)
     f = f_c.add(schoolbook.pad_index0(10, e10, mmax, prec))
     a0 = FormalFJ.zero(24, mmax, prec) - pad4.multiply(f).multiply(f)
     q = PolynomialOverM([a0, FormalFJ.zero(14, mmax, prec), pad4], 4, 10)
@@ -257,15 +257,20 @@ def test_criterion_8_invariance_suite(lift8, phi10, capfd):
     h0, h1 = jacobi_space(10, False, 12)
     p = TorsionPoint(3, 1, 2)
     combined = h0.scalar_mul(Fraction(2, 3)) + h1.scalar_mul(-5)
-    left = specialize_torsion(combined, p).expansion
-    right = specialize_torsion(h0, p).expansion * Fraction(2, 3) + specialize_torsion(h1, p).expansion * (-5)
-    assert left == right
+    left, eta0, eta1 = (specialize_torsion(phi, p) for phi in (combined, h0, h1))
+    assert left.prec == eta0.prec == eta1.prec
+    for e in set(left.coeffs) | set(eta0.coeffs) | set(eta1.coeffs):
+        right = {}
+        for eta, c in ((eta0, Fraction(2, 3)), (eta1, -5)):
+            for j, v in eta.coeffs.get(e, {}).items():
+                right[j] = right.get(j, 0) + c * Fraction(v, eta.den)
+        assert {j: Fraction(v, left.den) for j, v in left.coeffs.get(e, {}).items()} == {j: v for j, v in right.items() if v}
 
     worst = 0.0
     checks = [(phi10, TorsionPoint(3, 1, 2), 0.3 + 1.1j), (f.phis[1], TorsionPoint(2, 1, 0), 1j), (f.phis[2], TorsionPoint(2, 1, 0), 1j)]
     for phi, pt, tau1 in checks:
         eta = specialize_torsion(phi, pt)
-        series_val = sum(cyc_eval(v) * cmath.exp(2j * math.pi * complex(x) * tau1) for x, v in eta.expansion.items())
+        series_val = sum(eta.value(e) * cmath.exp(2j * math.pi * complex(Fraction(e, eta.level)) * tau1) for e in sorted(eta.coeffs))
         lam = pt.lam_frac()
         twist = cmath.exp(2j * math.pi * phi.m * float(lam * lam) * tau1)
         point_val = twist * evaluate(phi, tau1, pt.z_at(tau1))

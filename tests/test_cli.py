@@ -17,7 +17,7 @@ import schoolbook
 from fjcert import cli, jacobi, reduction
 from fjcert.cli import main
 from fjcert.convergence import CompactBoxSpec
-from fjcert.core import eisenstein_qexp
+from fjcert.core import _eis_dict
 from fjcert.fjseries import FormalFJ, PolynomialOverM, gritsenko_lift
 from fjcert.jacobi import JacobiFormQExp, _Texts, jacobi_space
 
@@ -386,7 +386,7 @@ def test_certify_checks_precision_floor_before_specializing(tmp_path, monkeypatc
 
 
 def test_certify_non_cuspidal_exits_4(tmp_path, capsys):
-    e4 = schoolbook.pad_index0(4, eisenstein_qexp(4, 9), 8, 9)
+    e4 = schoolbook.pad_index0(4, _eis_dict(4, 9), 8, 9)
     series = tmp_path / "e4.json"
     series.write_text(json.dumps(e4.to_record()))
     report = tmp_path / "cert.txt"

@@ -29,9 +29,9 @@ from fjcert.convergence import (
     rho,
     write_csv,
 )
-from fjcert.core import PrecisionError, eisenstein_qexp
-from fjcert.fjseries import FormalFJ, PolynomialOverM, evaluate_partial, q2_sum, siegel_point
-from fjcert.jacobi import JacobiFormQExp, TorsionPoint, specialize_torsion
+from fjcert.core import PrecisionError, _eis_dict
+from fjcert.fjseries import FormalFJ, PolynomialOverM, evaluate_partial, gritsenko_lift, q2_sum, siegel_point
+from fjcert.jacobi import JacobiFormQExp, TorsionPoint, jacobi_space, specialize_torsion
 from fjcert.reduction import CapacityError, enumerate_S
 
 
@@ -238,6 +238,21 @@ def test_growth_fit_on_lift_slices(lift8):
     assert list(rep.sampled) == ["slope"] and "8 slices m <= 8" in rep.sampled["slope"]
     assert rep.to_record()["sampled"] == rep.sampled
     assert "sampled:\n  slope: least-squares fit" in rep.to_text()
+
+
+def test_growth_fit_pinned_where_every_coefficient_has_several_roots():
+    # at lambda = 0, mu = 1/3 each specialized coefficient sums the rows' terms
+    # over the roots e(r/3); at gcd(lambda N, N) = 1 each is one root times a rational
+    phi = jacobi_space(10, True, 109)[0]
+    f = gritsenko_lift(phi, 12, 10)
+    etas = [specialize_torsion(f.phis[m], TorsionPoint(3, 0, 1)) for m in range(1, 13)]
+    assert sum(len(w) > 1 for eta in etas for w in eta.coeffs.values()) == sum(len(eta.coeffs) for eta in etas) == 106
+    b = Fraction(1, 1024)
+    rep = growth_fit(etas, f.k, 2, enumerate_S(3, b, 2), BoundConfig(b=b))
+    assert rep.verdict == "pass"
+    assert rep.witnesses["slope"] == 4.174497760255132
+    assert rep.witnesses["intercept"] == 8.636200290550384
+    assert rep.witnesses["ratio_max"] == 1458.0
 
 
 def test_growth_fit_flags_fast_growth(lift8):
@@ -520,7 +535,7 @@ def test_box_certificate_reports_hypothesis_failures(lift8, monkeypatch):
     assert rep.verdict == "hypothesis-failure" and not rep.passed
     assert rep.witnesses["failed_precondition"] == "polynomial is not monic"
 
-    e4 = schoolbook.pad_index0(4, eisenstein_qexp(4, f.prec), f.M_max, f.prec)
+    e4 = schoolbook.pad_index0(4, _eis_dict(4, f.prec), f.M_max, f.prec)
     plain_x4 = PolynomialOverM([FormalFJ.zero(4, f.M_max, f.prec), FormalFJ.one(f.M_max, f.prec)], 0, 4)
     rep = partial_sum_bound_check(e4, plain_x4, box, [1], points=2)
     assert rep.verdict == "hypothesis-failure"

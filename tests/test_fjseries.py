@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import schoolbook
-from fjcert.core import PrecisionError, QExpansion, eisenstein_qexp, parse_rat
+from fjcert.core import PrecisionError, _dict_mul, _eis_dict, parse_rat
 from fjcert.fjseries import (
     FormalFJ,
     PolynomialOverM,
@@ -63,7 +63,7 @@ def test_one_and_zero_and_pad():
     assert not one.is_cuspidal() and not one.is_zero()
     zero = FormalFJ.zero(4, 3, 6)
     assert zero.is_zero() and zero.is_cuspidal()
-    e4 = schoolbook.pad_index0(4, eisenstein_qexp(4, 9), 3, 6)
+    e4 = schoolbook.pad_index0(4, _eis_dict(4, 9), 3, 6)
     assert e4.prec == 6
     assert e4.coeff(1, 0, 0) == 240
     assert e4.coeff(1, 0, 1) == 0
@@ -678,10 +678,11 @@ def test_polynomial_record_round_trip(lift8):
 def test_monicize_degree_two(lift8):
     f, _ = lift8
     small = FormalFJ(f.k, 5, [phi.truncated(6) for phi in f.phis[:6]])
-    e4q, e6q = eisenstein_qexp(4, 6), eisenstein_qexp(6, 6)
+    e4q, e6q = _eis_dict(4, 6), _eis_dict(6, 6)
+    e10q = _dict_mul(e4q, e6q, 6)
     e4 = schoolbook.pad_index0(4, e4q, 5, 6)
-    pad14 = schoolbook.pad_index0(14, e4q * e4q * e6q, 5, 6)
-    pad24 = schoolbook.pad_index0(24, e4q * e4q * e4q * e6q * e6q, 5, 6)
+    pad14 = schoolbook.pad_index0(14, _dict_mul(e4q, e10q, 6), 5, 6)
+    pad24 = schoolbook.pad_index0(24, _dict_mul(e4q, _dict_mul(e10q, e10q, 6), 6), 5, 6)
     q = PolynomialOverM([pad24, pad14, e4], 4, 10)
     r, h = monicize(q, small, small)
     assert r.is_monic()

@@ -16,14 +16,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fjcert import jacobi
-from fjcert.core import CycElem, PrecisionError, QExpansion, cyc_eval, eisenstein_qexp
+from fjcert.core import PrecisionError, _eis_dict
 from fjcert.jacobi import (
     JacobiFormQExp,
     SpecializedExpansion,
     TorsionPoint,
     evaluate,
     fe_norm,
-    index0_from_qexp,
     jacobi_space,
     multiply,
     specialize_torsion,
@@ -368,7 +367,7 @@ def test_cusp_basis_makes_no_division(monkeypatch):
 
 
 def test_multiply_identity_and_zero():
-    one = index0_from_qexp(0, QExpansion.one(6))
+    one = JacobiFormQExp(0, 0, 6, {(0, 0): 1})
     zero = JacobiFormQExp.zero(3, 2, 6)
     phi_m2, _ = weak_generators(6)
     assert multiply(one, phi_m2) == phi_m2
@@ -381,7 +380,7 @@ def test_multiply_weights_and_convolution():
     prod = multiply(phi_m2, phi_0)
     assert prod.k == -2 and prod.m == 2 and prod.prec == 7
     assert prod == conv_oracle(phi_m2, phi_0)
-    e4 = index0_from_qexp(4, eisenstein_qexp(4, 7))
+    e4 = JacobiFormQExp(4, 0, 7, {(n, 0): v for n, v in _eis_dict(4, 7).items()})
     lifted = multiply(e4, phi_m2)
     assert lifted.k == 2 and lifted.m == 1
     assert lifted == conv_oracle(e4, phi_m2)
@@ -410,11 +409,6 @@ def test_multiply_cap_counts_the_product_span(monkeypatch):
     # rows at or beyond the product precision are not packed, so they do not count
     c = JacobiFormQExp(0, 1, 4, {(0, 0): 1, (3, -6): 1})
     assert multiply(a, c) == conv_oracle(a, c)
-
-
-def test_index_zero_embedding_requires_integer_lattice():
-    with pytest.raises(ValueError):
-        index0_from_qexp(0, QExpansion(2, {1: Fraction(1)}, 3))
 
 
 small_form = st.builds(
@@ -547,18 +541,20 @@ def test_torsion_point_basics():
         TorsionPoint(2, (1, 0), (1,))
 
 
+def weights(eta, e):
+    """{j: weight} of the root e(j / L) in the coefficient of q^(e / L), as Fractions."""
+    return {j: Fraction(v, eta.den) for j, v in eta.coeffs.get(e, {}).items()}
+
+
 def test_specialize_at_origin_gives_row_sums(phi10):
     eta = specialize_torsion(phi10, TorsionPoint(1, 0, 0))
     assert eta.k == 10 and eta.N == 1 and eta.level == 1
-    assert eta.expansion.prec == phi10.prec
+    assert eta.prec == phi10.prec
     for n in range(phi10.prec):
         want = sum(
             (v for (nn, r), v in phi10.coeffs.items() if nn == n), Fraction(0)
         )
-        got = eta.expansion.coeff(n)
-        if isinstance(got, CycElem):
-            got = got.w.get(0, Fraction(0))
-        assert got == want
+        assert weights(eta, n).get(0, 0) == want
 
 
 def test_specialize_half_shift_alternates_signs(phi10):
@@ -572,21 +568,17 @@ def test_specialize_half_shift_alternates_signs(phi10):
                 j = 0 if r % 2 == 0 else 2
                 slots[j] = slots.get(j, Fraction(0)) + Fraction(v)
         slots = {j: v for j, v in slots.items() if v}
-        got = eta.expansion.coeff(n)
-        if isinstance(got, CycElem):
-            assert got == CycElem(4, slots)
-        else:
-            assert got == 0 and not slots
+        assert weights(eta, 4 * n) == slots
 
 
 def test_specialize_quarter_lattice(phi10):
     # lam = 1/2 at index 1 shifts every exponent into (1/4)Z off the integers
     eta = specialize_torsion(phi10, TorsionPoint(2, 1, 0))
-    assert eta.expansion.L == 4
+    assert eta.level == 4
     P = phi10.prec
     want_prec = Fraction(P) + Fraction(1, 4) - Fraction(math.isqrt(4 * P) + (0 if math.isqrt(4 * P) ** 2 == 4 * P else 1), 2)
-    assert eta.expansion.prec == want_prec
-    for num in eta.expansion.coeffs:
+    assert eta.prec == want_prec
+    for num in eta.coeffs:
         assert num % 2 == 1
 
 
@@ -601,9 +593,8 @@ def test_specialize_values_by_direct_sum(phi10):
         slot = direct.setdefault(num, {})
         j_val = slot.get(j, Fraction(0)) + Fraction(v)
         slot[j] = j_val
-    for num, got in eta.expansion.coeffs.items():
-        want = CycElem(L, direct[num])
-        assert got == want
+    for num in eta.coeffs:
+        assert weights(eta, num) == {j: v for j, v in direct[num].items() if v}
 
 
 def test_specialize_is_linear(phi10):
@@ -611,23 +602,43 @@ def test_specialize_is_linear(phi10):
     b = phi10.scalar_mul(Fraction(3, 7)).truncated(12)
     p = TorsionPoint(2, 1, 1)
     left = specialize_torsion(a + b, p)
-    right = specialize_torsion(a, p).expansion + specialize_torsion(b, p).expansion
-    assert left.expansion == right
+    eta_a, eta_b = specialize_torsion(a, p), specialize_torsion(b, p)
+    assert left.prec == eta_a.prec == eta_b.prec
+    for e in set(left.coeffs) | set(eta_a.coeffs) | set(eta_b.coeffs):
+        right = weights(eta_a, e)
+        for j, v in weights(eta_b, e).items():
+            right[j] = right.get(j, 0) + v
+        assert weights(left, e) == {j: v for j, v in right.items() if v}
 
 
 @pytest.mark.parametrize("point", [(1, 0, 0), (2, 1, 0), (2, 0, 1), (3, 1, 2), (4, 3, 1)])
 def test_specialize_trusted_result_equals_validated(lift40, point):
-    # the trusted constructor skips the checks that the validating one would pass
+    # the fields equal those rebuilt from the Fraction weights over their lcm
+    # denominator, so den and the numerators share no factor
     f, _ = lift40
     p = TorsionPoint(*point)
     for m in range(1, f.M_max + 1):
-        exp = specialize_torsion(f.phis[m], p).expansion
-        checked = QExpansion(exp.L, exp.coeffs, exp.prec)
-        assert checked.coeffs == exp.coeffs and checked.L == exp.L
-        assert checked.prec == exp.prec and type(exp.prec) is Fraction
-        for c in exp.coeffs.values():
-            assert CycElem(c.L, c.w).w == c.w and c.L == exp.L
-            assert all(type(v) is Fraction for v in c.w.values())
+        eta = specialize_torsion(f.phis[m], p)
+        L = eta.level
+        assert type(eta.prec) is Fraction and type(eta.den) is int and eta.den > 0
+        fracs = {e: weights(eta, e) for e in eta.coeffs}
+        den = math.lcm(*(v.denominator for w in fracs.values() for v in w.values()))
+        assert den == eta.den
+        assert {e: {j: int(v * den) for j, v in w.items()} for e, w in fracs.items()} == eta.coeffs
+        for e, w in eta.coeffs.items():
+            assert type(e) is int and 0 <= e < eta.prec * L and w
+            assert all(type(j) is int and 0 <= j < L and type(v) is int and v for j, v in w.items())
+
+
+def test_specialized_value_pinned():
+    # e(1/4) = i, e(3/9) + e(6/9) = -1, and zero where nothing is stored
+    eta = SpecializedExpansion(10, 2, Fraction(3), 2, {0: {0: 2}, 1: {1: 2}, 2: {1: 1, 3: -1}})
+    assert eta.value(0) == 1
+    assert eta.value(1) == pytest.approx(1j)
+    assert eta.value(2) == pytest.approx(1j)
+    assert eta.value(3) == 0
+    eta = SpecializedExpansion(10, 3, Fraction(1), 1, {0: {3: 1, 6: 1}})
+    assert eta.value(0) == pytest.approx(-1 + 0j, abs=1e-12)
 
 
 def test_specialize_rejects_weak_input():
@@ -726,7 +737,7 @@ def test_evaluate_weight_minus_two_vanishes_at_origin():
 
 
 def test_evaluate_constant_and_zero():
-    one = index0_from_qexp(0, QExpansion.one(5))
+    one = JacobiFormQExp(0, 0, 5, {(0, 0): 1})
     assert evaluate(one, 1j, 0.3j) == 1
     zero = JacobiFormQExp.zero(5, 1, 5)
     assert evaluate(zero, 1j, 0j) == 0j

@@ -27,9 +27,8 @@ from fjcert.reduction import (
     is_positive_definite,
     minkowski_reduce,
     torsion_decomposition,
-    unimodular_completion,
 )
-from fjcert.reduction import _CONDITIONS, _first_violation, _gram_from_text, _gram_text, _integral, _round_half_to_zero, _round_half_up
+from fjcert.reduction import _CONDITIONS, _first_violation, _gram_from_text, _gram_text, _integral, _round_half_to_zero
 
 
 def mat2(a, b, c, d):
@@ -495,20 +494,6 @@ def test_rounding_helpers_match_fraction_oracle():
         for q in range(1, 25):
             x = Fraction(p, q)
             assert _round_half_to_zero(p, q) == schoolbook._round_half_to_zero(x), (p, q)
-            assert _round_half_up(p, q) == schoolbook._round_half_up(x), (p, q)
-
-
-def test_completion_matches_fraction_oracle():
-    import math
-
-    rng = random.Random(17)
-    pairs = [(0, 1), (1, 0), (0, -1), (-1, 0), (1, 1), (1, -1)]
-    while len(pairs) < 400:
-        a, b = rng.randint(-300, 300), rng.randint(-300, 300)
-        if math.gcd(a, b) == 1:
-            pairs.append((a, b))
-    for a, b in pairs:
-        assert unimodular_completion((a, b)) == schoolbook.completion2(a, b), (a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -533,41 +518,6 @@ def test_hermite_examples():
 
 def test_hermite_one_by_one():
     assert hermite_check(SymMatQ([[Fraction(7)]]))
-
-
-# ---------------------------------------------------------------------------
-# unimodular completion
-
-
-def test_completion_examples():
-    assert unimodular_completion((0, 1)) == UnimodularMat.identity(2)
-    assert unimodular_completion((1, 0)) == UnimodularMat([[0, 1], [1, 0]])
-    u = unimodular_completion((2, 3))
-    assert u.det() in (1, -1)
-    assert tuple(u.rows[-1]) == (2, 3)
-
-
-def test_completion_rejects_imprimitive():
-    with pytest.raises(ValueError):
-        unimodular_completion((2, 4))
-    with pytest.raises(ValueError):
-        unimodular_completion(())
-
-
-@given(st.lists(st.integers(-30, 30), min_size=2, max_size=3))
-def test_completion_random_vectors(v):
-    import math
-
-    g = 0
-    for x in v:
-        g = math.gcd(g, abs(x))
-    if g != 1:
-        with pytest.raises(ValueError):
-            unimodular_completion(v)
-        return
-    u = unimodular_completion(v)
-    assert u.det() in (1, -1)
-    assert tuple(u.rows[-1]) == tuple(v)
 
 
 # ---------------------------------------------------------------------------
