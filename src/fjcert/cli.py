@@ -46,13 +46,13 @@ from .jacobi import (  # noqa: F401
     jacobi_space,
     specialize_torsion,
 )
-from .reduction import CapacityError, UnimodularMat, _gram_from_text, _gram_text, enumerate_S, is_positive_definite  # noqa: F401
+from .reduction import CapacityError, SymMatQ, enumerate_S, is_positive_definite, minkowski_reduce  # noqa: F401
 
-# reduce works on the integer Gram matrix from text to text.  These two names
-# are the Gram-level functions, which take and return int row lists, not the
-# SymMatQ functions of the same names in reduction; bench/spans.py times the
-# reduction and Hermite steps of reduce under these names
-from .reduction import _hermite_gram as hermite_check, _reduce_gram as minkowski_reduce
+# the bound of hermite_check on the Gram matrix, without its positive
+# definiteness test and condition scan, which minkowski_reduce has just
+# passed: reduce tests each form once.  bench/spans.py times the Hermite
+# step of reduce under this name
+from .reduction import _hermite_gram as hermite_check
 
 __all__ = ["main"]
 
@@ -396,18 +396,16 @@ def _cmd_bound_report(run: _Run) -> int:
 def _cmd_reduce(run: _Run) -> int:
     text = run.need("matrix")
     try:
-        g, scale = _gram_from_text(text)
+        n = SymMatQ.from_text(text)
     except (ValueError, IndexError) as e:
         _fail_usage("cannot parse matrix %r: %s" % (text, e))
-    if len(g) > 3:
-        _fail_usage("reduce takes matrices of size one to three")
-    try:  # at sizes one to three this raises ValueError only for such a matrix
-        g, u = minkowski_reduce(g)
+    try:  # this raises ValueError only for a matrix that is not positive definite
+        reduced, u = minkowski_reduce(n)
     except ValueError:
         print("error: matrix is not positive definite", file=sys.stderr)
         return 6
-    ok = hermite_check(g)
-    reduced_text, u_text = _gram_text(g, scale), UnimodularMat(u).to_text()
+    ok = hermite_check(reduced.gram)
+    reduced_text, u_text = reduced.to_text(), u.to_text()
     run.emit(
         {"reduced": reduced_text, "transform": u_text, "hermite_ok": ok},
         ["reduced: %s" % reduced_text, "transform: %s" % u_text, "hermite_ok: %s" % ok],

@@ -382,10 +382,13 @@ def partial_sum_bound_check(
     For tau sampled in K_{2 eps}(U), every partial sum with M in M_list
     must stay below kappa * D_eps(U) * e^(-2 pi eps) / (1 - e^(-2 pi eps)).
     The sample is k_eps_grid(box, 2.0, points), so eps must lie in
-    (0, 1/2).  Monicity of q, cuspidality of f, a polynomial step equal to
-    the weight of f, and q(f) = 0 are hypotheses; their failure is
-    reported as such, not as a bound violation.
+    (0, 1/2), and kappa must be finite and positive.  Monicity of q,
+    cuspidality of f, a polynomial step equal to the weight of f, and
+    q(f) = 0 are hypotheses; their failure is reported as such, not as a
+    bound violation.
     """
+    if not 0 < kappa < math.inf:
+        raise ValueError("kappa must be finite and positive")
     claim = "partial sums on the shrunken box stay below the geometric majorant"
     tolerances = {"kappa": kappa, "eps": box.eps}
     failed = None

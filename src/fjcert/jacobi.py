@@ -53,7 +53,7 @@ from .core import (
     _kron_rows,
     parse_rat,
 )
-from .reduction import WINDOW_CAP
+from .reduction import WINDOW_CAP, SymMatQ
 
 __all__ = [
     "JacobiFormQExp",
@@ -821,11 +821,14 @@ def window_abs(eta: SpecializedExpansion, S) -> list:
     L, pnum, pden = eta.level, eta.prec.numerator, eta.prec.denominator
     out = []
     for t in S:
-        x = t[0, 0] if hasattr(t, "rows") else Fraction(t)
+        if isinstance(t, SymMatQ):
+            p, q = t.gram[0][0], t.den
+        else:
+            x = Fraction(t)
+            p, q = x.numerator, x.denominator
         # x = p / q >= prec and x L = e, compared and scaled on integers
-        p, q = x.numerator, x.denominator
         if p * pden >= pnum * q:
-            raise PrecisionError("window exponent %s is beyond specialized precision %s" % (x, eta.prec))
+            raise PrecisionError("window exponent %s is beyond specialized precision %s" % (Fraction(p, q), eta.prec))
         e, rest = divmod(p * L, q)
         out.append(0.0 if rest else abs(eta.value(e)))
     return out

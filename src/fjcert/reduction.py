@@ -4,16 +4,14 @@ Covers exact Minkowski reduction at sizes one to three, the torsion block
 decomposition used when a series is restricted to a rational torsion
 point, and the enumeration of the finite exponent windows.
 
-Matrices hold Fraction entries, but reduction and its checks work on the
-integer Gram matrix g = D t, with D > 0 clearing the entry denominators:
-rounding is floor division on integer pairs, the Minkowski conditions are
-integer linear forms in the entries of g, and the Hermite bound compares
-integer products, in which the powers of D cancel.  None of these depends
-on which such D is taken.  The reduce command goes from text to text on
-(g, D) alone: _gram_from_text reads it, _reduce_gram reduces g,
-_hermite_gram checks the result and _gram_text prints g / D, so an input
-with integer entries builds no Fraction.  Unimodular matrices keep integer
-entries and determinant +-1 as a constructor invariant.
+A SymMatQ is stored as its integer Gram matrix g = D t over the least
+D > 0 that clears the entry denominators, and reduction and its checks
+work on g alone: rounding is floor division on integer pairs, the
+Minkowski conditions are integer linear forms in the entries of g, and the
+Hermite bound compares integer products, in which the powers of D cancel.
+Text is read into (g, D) and printed from it, so the reduce command
+builds no Fraction for a matrix with integer entries.  Unimodular matrices
+keep integer entries and determinant +-1 as a constructor invariant.
 """
 
 from __future__ import annotations
@@ -66,68 +64,89 @@ def _text_rows(s: str):
 
 
 def _check_shape(rows):
-    """ValueError unless rows is a symmetric square matrix of size one to four."""
+    """ValueError unless rows is a square matrix of size one to three."""
     s = len(rows)
     if s < 1 or any(len(r) != s for r in rows):
         raise ValueError("matrix must be square")
-    if s > 4:
-        raise ValueError("matrix size above four is not supported")
-    for i in range(s):
-        for j in range(i):
-            a, b = rows[i][j], rows[j][i]
-            if not (a is b or a == b):
-                raise ValueError("matrix must be symmetric")
+    if s > 3:
+        raise ValueError("matrix size above three is not supported")
 
 
 class SymMatQ:
-    """Symmetric matrix with Fraction entries, size one to four."""
+    """Symmetric rational matrix t of size one to three, stored as the
+    integer Gram matrix gram = den t, den > 0 the least integer that clears
+    the denominators of t: gcd(den, *gram) = 1, so equal matrices have equal
+    fields."""
 
-    __slots__ = ("size", "rows")
+    __slots__ = ("size", "gram", "den")
 
     def __init__(self, rows):
-        rows = [tuple([x if isinstance(x, Fraction) else Fraction(x) for x in row]) for row in rows]
+        rows = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row] for row in rows]
         _check_shape(rows)
-        self.size = len(rows)
-        self.rows = tuple(rows)
+        for i in range(len(rows)):
+            for j in range(i):
+                a, b = rows[i][j], rows[j][i]
+                if not (a is b or a == b):
+                    raise ValueError("matrix must be symmetric")
+        g, self.den = _integral(rows)
+        self.size, self.gram = len(g), tuple(map(tuple, g))
+
+    @classmethod
+    def _trusted(cls, g, den: int) -> "SymMatQ":
+        """The matrix g / den for a symmetric integer matrix g of size one to
+        three and den > 0, unchecked; a common factor of den and g cancels."""
+        c = math.gcd(den, *itertools.chain.from_iterable(g))
+        t = cls.__new__(cls)
+        t.size, t.den = len(g), den // c
+        t.gram = tuple(tuple(x // c for x in row) for row in g) if c > 1 else tuple(map(tuple, g))
+        return t
+
+    @property
+    def rows(self):
+        """The entries as Fraction row tuples."""
+        return tuple(tuple(Fraction(x, self.den) for x in row) for row in self.gram)
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.rows[i][j]
+        return Fraction(self.gram[i][j], self.den)
 
     def det(self) -> Fraction:
-        return _det([list(r) for r in self.rows])
+        return Fraction(_det(self.gram), self.den**self.size)
 
     def __eq__(self, other):
-        return isinstance(other, SymMatQ) and self.rows == other.rows
+        return isinstance(other, SymMatQ) and self.den == other.den and self.gram == other.gram
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash((self.gram, self.den))
 
     def __repr__(self):
         return "SymMatQ(%s)" % (self.to_text(),)
 
     def to_text(self) -> str:
-        return ";".join(",".join(map(str, row)) for row in self.rows)
+        """The entries as "a,b;b,c"; no Fraction is built when den is 1."""
+        if self.den == 1:
+            return ";".join(",".join(map(str, row)) for row in self.gram)
+        return ";".join(",".join([str(Fraction(x, self.den)) for x in row]) for row in self.gram)
 
     @classmethod
     def from_text(cls, s: str) -> "SymMatQ":
+        """The matrix of the text "a,b;b,c"; no Fraction is built for a plain
+        integer entry."""
         return cls(_text_rows(s))
 
 
 class UnimodularMat:
-    """Integer matrix with determinant +1 or -1."""
+    """Integer matrix of size one to three with determinant +1 or -1."""
 
     __slots__ = ("size", "rows")
 
     def __init__(self, rows):
         rows = [tuple(map(int, row)) for row in rows]
-        s = len(rows)
-        if any(len(r) != s for r in rows):
-            raise ValueError("matrix must be square")
-        d = _det([list(r) for r in rows])
+        _check_shape(rows)
+        d = _det(rows)
         if d not in (1, -1):
             raise ValueError("determinant must be +1 or -1, got %s" % d)
-        self.size = s
+        self.size = len(rows)
         self.rows = tuple(rows)
 
     @classmethod
@@ -135,15 +154,10 @@ class UnimodularMat:
         return cls([[1 if i == j else 0 for j in range(s)] for i in range(s)])
 
     def det(self) -> int:
-        return int(_det([list(r) for r in self.rows]))
+        return _det(self.rows)
 
     def __matmul__(self, other: "UnimodularMat") -> "UnimodularMat":
         return UnimodularMat(_matmul(self.rows, other.rows))
-
-    def inverse(self) -> "UnimodularMat":
-        d = self.det()
-        adj = _adjugate(self.rows)
-        return UnimodularMat([[x * d for x in row] for row in adj])
 
     def column(self, j: int):
         return tuple(self.rows[i][j] for i in range(self.size))
@@ -183,55 +197,26 @@ class HalfIntIndex:
 
 
 # ---------------------------------------------------------------------------
-# dense helpers (lists of lists over Fraction or int)
+# dense helpers (row sequences over Fraction or int)
 
 
 def _det(m):
+    """Determinant of a square matrix of size one to three."""
     s = len(m)
     if s == 1:
         return m[0][0]
     if s == 2:
         return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    if s == 3:
-        return (
-            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-        )
-    total = 0
-    for j in range(s):
-        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-        term = m[0][j] * _det(minor)
-        total = total + (term if j % 2 == 0 else -term)
-    return total
+    return (
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    )
 
 
 def _matmul(a, b):
     n, k, m2 = len(a), len(b), len(b[0])
     return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m2)] for i in range(n)]
-
-
-def _adjugate(rows):
-    s = len(rows)
-    if s == 1:
-        return [[1]]
-    out = [[0] * s for _ in range(s)]
-    for i in range(s):
-        for j in range(s):
-            minor = [
-                [rows[r][c] for c in range(s) if c != j] for r in range(s) if r != i
-            ]
-            cof = _det(minor)
-            out[j][i] = cof if (i + j) % 2 == 0 else -cof
-    return out
-
-
-def _rows_of(u):
-    if isinstance(u, UnimodularMat):
-        return u.rows
-    if isinstance(u, SymMatQ):
-        return u.rows
-    return [tuple(row) for row in u]
 
 
 # ---------------------------------------------------------------------------
@@ -248,18 +233,17 @@ def _positive_definite(g) -> bool:
 
 def is_positive_definite(t: SymMatQ) -> bool:
     """True iff all leading principal minors are positive, tested on the
-    integer matrix D t (D > 0 clears the denominators; the signs agree)."""
-    return _positive_definite(_integral(t.rows)[0])
+    integer matrix t.gram = den t (the signs agree)."""
+    return _positive_definite(t.gram)
 
 
 def act(t: SymMatQ, u) -> SymMatQ:
-    """Right action t[u] = u^T t u for an integer matrix u of matching size."""
-    ur = _rows_of(u)
+    """Right action t[u] = u^T t u for an integer matrix u of matching size,
+    a UnimodularMat or a sequence of rows."""
+    ur = u.rows if isinstance(u, UnimodularMat) else u
     if len(ur) != t.size:
         raise ValueError("size mismatch between matrix and action")
-    ut = list(zip(*ur))
-    inner = _matmul([list(r) for r in t.rows], ur)
-    return SymMatQ(_matmul([list(r) for r in ut], inner))
+    return SymMatQ._trusted(_matmul(list(zip(*ur)), _matmul(t.gram, ur)), t.den)
 
 
 def _round_half_to_zero(p: int, q: int) -> int:
@@ -273,25 +257,9 @@ def _round_half_to_zero(p: int, q: int) -> int:
 
 def _integral(rows):
     """(g, D): the int or Fraction entries of rows times D, the lcm of their
-    denominators, as fresh int lists.  Every caller is invariant under the
-    choice of D > 0."""
+    denominators, as fresh int lists."""
     scale = math.lcm(*(x.denominator for row in rows for x in row))
     return [[x.numerator * (scale // x.denominator) for x in row] for row in rows], scale
-
-
-def _gram_from_text(text: str):
-    """(g, D) of the matrix text "a,b;b,c", with the ValueError of
-    SymMatQ.from_text for bad text; no Fraction is built for an integer entry."""
-    rows = _text_rows(text)
-    _check_shape(rows)
-    return _integral(rows)
-
-
-def _gram_text(g, scale: int) -> str:
-    """The text of the matrix g / scale, as SymMatQ.to_text prints it."""
-    if scale == 1:
-        return ";".join(",".join(map(str, row)) for row in g)
-    return ";".join(",".join([str(Fraction(x, scale)) for x in row]) for row in g)
 
 
 # the upper-triangle entries (a, b), a <= b, of a matrix of size s
@@ -351,19 +319,22 @@ def _replace(g, u, j, c):
     g[j] = [sum(ci * row[k] for ci, row in zip(c, g)) for k in range(len(g))]
 
 
-def _reduce_gram(g):
-    """Minkowski-reduce the integer Gram matrix g of size one to three.
+def minkowski_reduce(n: SymMatQ):
+    """Minkowski-reduce a positive definite matrix of size one to three.
 
-    Reduces the int row lists of g in place and returns (g, u), with u the
-    unimodular transform as int row lists: the reduced g is u^T g u for the
-    g passed in.  Raises ValueError unless g is positive definite, then
-    unless its size is at most three.
+    Returns (reduced, rho) with reduced = n[rho] and rho unimodular, where
+    reduced[x] >= reduced_kk for every nonzero x in {-1, 0, 1}^s and every k
+    up to the last nonzero index of x.  At these sizes that finite list is
+    Minkowski reduction: the diagonal is nondecreasing, 2|reduced_ij| <=
+    reduced_ii for i < j, and reduced_00 is the minimum of the form over
+    nonzero integer vectors.  Signs are normalized so that reduced_01 and
+    reduced_02 are nonnegative.  Raises ValueError unless n is positive
+    definite.
     """
-    if not _positive_definite(g):
+    if not _positive_definite(n.gram):
         raise ValueError("matrix must be positive definite")
-    s = len(g)
-    if s > 3:
-        raise ValueError("reduction implemented for sizes one to three only")
+    s = n.size
+    g = [list(row) for row in n.gram]
     u = [list(row) for row in _IDENTITY[s]]
     # Swaps keep the trace of g and sort the diagonal in finitely many steps.
     # A shear with r != 0 lowers g_jj, and a replacement by x lowers g_jj to
@@ -394,23 +365,7 @@ def _reduce_gram(g):
     for j in range(1, s):
         if g[0][j] < 0:
             _replace(g, u, j, [-int(k == j) for k in range(s)])
-    return g, u
-
-
-def minkowski_reduce(n: SymMatQ):
-    """Minkowski-reduce a positive definite matrix of size one to three.
-
-    Returns (reduced, rho) with reduced = n[rho] and rho unimodular, where
-    reduced[x] >= reduced_kk for every nonzero x in {-1, 0, 1}^s and every k
-    up to the last nonzero index of x.  At these sizes that finite list is
-    Minkowski reduction: the diagonal is nondecreasing, 2|reduced_ij| <=
-    reduced_ii for i < j, and reduced_00 is the minimum of the form over
-    nonzero integer vectors.  Signs are normalized so that reduced_01 and
-    reduced_02 are nonnegative.
-    """
-    g, scale = _integral(n.rows)
-    g, u = _reduce_gram(g)
-    return SymMatQ([[Fraction(x, scale) for x in row] for row in g]), UnimodularMat(u)
+    return SymMatQ._trusted(g, n.den), UnimodularMat(u)
 
 
 # gamma_s^s as (numerator, denominator)
@@ -418,32 +373,28 @@ _HERMITE_POW = {1: (1, 1), 2: (4, 3), 3: (2, 1)}
 
 
 def _hermite_gram(g) -> bool:
-    """hermite_check on a positive definite integer Gram matrix g = D n of
-    any D > 0 and size one to three, such as _reduce_gram returns: both
-    sides of the bound carry the factor D^s."""
-    s = len(g)
-    bad = _first_violation(g)
-    if bad is not None:
-        raise ValueError("input is not Minkowski reduced: n[x] < n_kk at x = %s" % (bad[0],))
-    num, den = _HERMITE_POW[s]
-    return g[0][0] ** s * den <= num * _det(g)
+    """The bound of hermite_check on the Gram matrix g = D n of any D > 0,
+    with neither of its checks: both sides carry the factor D^s.  For the
+    gram of a matrix that minkowski_reduce returns, both checks hold."""
+    num, den = _HERMITE_POW[len(g)]
+    return g[0][0] ** len(g) * den <= num * _det(g)
 
 
 def hermite_check(n: SymMatQ) -> bool:
     """Check (n_00)^s <= gamma_s^s det(n) for a Minkowski reduced matrix.
 
-    gamma_s^s is 1, 4/3, 2 at sizes 1, 2, 3.  Raises ValueError unless n has
-    size one to three, then unless it is positive definite and n[x] >= n_kk
-    for every nonzero x in {-1, 0, 1}^s and every k up to the last nonzero
-    index of x, the condition list that minkowski_reduce establishes.  The
-    bound is tested on g = D n.
+    gamma_s^s is 1, 4/3, 2 at sizes 1, 2, 3.  Raises ValueError unless n is
+    positive definite, then unless n[x] >= n_kk for every nonzero x in
+    {-1, 0, 1}^s and every k up to the last nonzero index of x, the
+    condition list that minkowski_reduce establishes.  The bound is tested
+    on n.gram.
     """
-    if n.size not in _HERMITE_POW:
-        raise ValueError("size must be one to three")
-    g = _integral(n.rows)[0]
-    if not _positive_definite(g):
+    if not _positive_definite(n.gram):
         raise ValueError("matrix must be positive definite")
-    return _hermite_gram(g)
+    bad = _first_violation(n.gram)
+    if bad is not None:
+        raise ValueError("input is not Minkowski reduced: n[x] < n_kk at x = %s" % (bad[0],))
+    return _hermite_gram(n.gram)
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +509,7 @@ def _extract_blocks(lam, M, u):
     expect = [Fraction(1, M)] + [Fraction(0)] * (size - 1)
     if bottom != expect:
         raise AssertionError("internal decomposition identity failed")
-    if abs(_det([list(r) for r in rho])) != M:
+    if abs(_det(rho)) != M:
         raise AssertionError("internal block determinant check failed")
     return rho, xi
 
@@ -624,5 +575,5 @@ def enumerate_S(N: int, b, g: int, cap: int = WINDOW_CAP):
             for (i, j), x in zip(pairs, off):
                 g[i][j] = g[j][i] = x
             if _positive_definite(g):
-                out.append(SymMatQ([[Fraction(x, den) for x in row] for row in g]))
+                out.append(SymMatQ._trusted(g, den))
     return out

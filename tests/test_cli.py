@@ -719,6 +719,16 @@ def test_reduce_tests_positive_definiteness_once_per_form(monkeypatch, capsys):
     assert tests == [3]
 
 
+def test_reduce_scans_the_minkowski_conditions_once_per_form(monkeypatch, capsys):
+    scans = []
+    first_violation = reduction._first_violation
+    monkeypatch.setattr(reduction, "_first_violation", lambda g: scans.append(len(g)) or first_violation(g))
+    # the identity is reduced: one scan proves it, and the Hermite step does not repeat it
+    assert main(["reduce", "--matrix", "1,0;0,1"]) == 0
+    assert capsys.readouterr().out == "reduced: 1,0;0,1\ntransform: 1,0;0,1\nhermite_ok: True\n"
+    assert scans == [2]
+
+
 def test_reduce_usage_errors():
     assert main(["reduce", "--matrix", "1,2;2"]) == 64
     assert main(["reduce", "--matrix", "1/0,0;0,1"]) == 64

@@ -569,6 +569,17 @@ def test_box_certificate_samples_the_shrunken_box(lift8, monkeypatch):
             partial_sum_bound_check(f, q, CompactBoxSpec(box.U, eps), [1], points=2)
 
 
+@pytest.mark.parametrize("kappa", [math.inf, math.nan, 0.0, -1.0], ids=["inf", "nan", "zero", "negative"])
+def test_box_certificate_refuses_kappa_outside_the_positive_reals(lift8, monkeypatch, kappa):
+    # an infinite kappa would pass any sums, and nan, 0 or -1 fail them on a meaningless bound
+    f, _ = lift8
+    q = square_relation(f)
+    box = CompactBoxSpec(((1j, 0.25j),), 0.1)
+    monkeypatch.setattr(convergence, "poly_eval", lambda *args: pytest.fail("poly_eval ran"))
+    with pytest.raises(ValueError, match="kappa must be finite and positive"):
+        partial_sum_bound_check(f, q, box, [1], kappa=kappa, points=2)
+
+
 def test_k_eps_grid_is_capped(monkeypatch):
     box = CompactBoxSpec(((1j, 0.25j), (1j, 0.1 + 0.05j)), 0.1)
     with pytest.raises(CapacityError):

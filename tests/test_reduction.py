@@ -3,11 +3,12 @@
 import contextlib
 import io
 import json
+import math
 import random
 import re
 import sys
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from math import isqrt
 
 import pytest
@@ -28,7 +29,7 @@ from fjcert.reduction import (
     minkowski_reduce,
     torsion_decomposition,
 )
-from fjcert.reduction import _CONDITIONS, _first_violation, _gram_from_text, _gram_text, _integral, _round_half_to_zero
+from fjcert.reduction import _CONDITIONS, _first_violation, _round_half_to_zero
 
 
 def mat2(a, b, c, d):
@@ -95,12 +96,6 @@ def test_unimodular_rejects_det_two():
         UnimodularMat([[2, 0], [0, 1]])
 
 
-def test_unimodular_inverse_is_integral():
-    u = UnimodularMat([[2, 3], [1, 2]])
-    assert u @ u.inverse() == UnimodularMat.identity(2)
-    assert u.inverse() @ u == UnimodularMat.identity(2)
-
-
 def test_corner_swap_shapes():
     assert corner_swap(2) == UnimodularMat([[0, 1], [1, 0]])
     assert corner_swap(3) == UnimodularMat([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
@@ -136,19 +131,36 @@ def test_act_size_mismatch():
         act(mat2(1, 0, 0, 1), UnimodularMat.identity(3))
 
 
-int_mat2 = st.lists(st.integers(-9, 9), min_size=4, max_size=4)
+@st.composite
+def act_inputs(draw):
+    """(t, u, v): a rational symmetric t of size one to three, an integer u
+    of determinant +-1 or +-2 (lower unitriangular, diagonal, upper
+    unitriangular) and any integer v of the same size."""
+    s = draw(st.integers(1, 3))
+    small = st.lists(st.integers(-3, 3), min_size=s * s, max_size=s * s)
+    tv = draw(st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=12), min_size=s * s, max_size=s * s))
+    t = SymMatQ([[tv[s * min(i, j) + max(i, j)] for j in range(s)] for i in range(s)])
+    low, up, v = draw(small), draw(small), draw(st.lists(st.integers(-9, 9), min_size=s * s, max_size=s * s))
+    diag = draw(st.lists(st.sampled_from((1, -1)), min_size=s, max_size=s))
+    diag[draw(st.integers(0, s - 1))] *= draw(st.sampled_from((1, 2)))
+    lower = [[low[s * i + j] if j < i else int(i == j) for j in range(s)] for i in range(s)]
+    upper = [[up[s * i + j] * diag[i] if j > i else diag[i] * int(i == j) for j in range(s)] for i in range(s)]
+    u = [[sum(lower[i][k] * upper[k][j] for k in range(s)) for j in range(s)] for i in range(s)]
+    return t, u, [v[s * i : s * i + s] for i in range(s)]
 
 
-@given(int_mat2, int_mat2, st.lists(st.fractions(min_value=-5, max_value=5), min_size=3, max_size=3))
-def test_act_is_right_action(ur, vr, tv):
-    t = SymMatQ([[tv[0], tv[1]], [tv[1], tv[2]]])
-    u = [[ur[0], ur[1]], [ur[2], ur[3]]]
-    v = [[vr[0], vr[1]], [vr[2], vr[3]]]
-    uv = [
-        [sum(u[i][k] * v[k][j] for k in range(2)) for j in range(2)]
-        for i in range(2)
-    ]
-    assert act(act(t, u), v) == act(t, uv)
+@given(act_inputs())
+def test_act_is_right_action(tuv):
+    t, u, v = tuv
+    s = t.size
+    tu = act(t, u)
+    # t[u] = u^T t u over Fraction, stored over the least denominator
+    assert tu.rows == tuple(
+        tuple(sum(u[a][i] * t.rows[a][b] * u[b][j] for a in range(s) for b in range(s)) for j in range(s)) for i in range(s)
+    )
+    assert math.gcd(tu.den, *chain.from_iterable(tu.gram)) == 1
+    uv = [[sum(u[i][k] * v[k][j] for k in range(s)) for j in range(s)] for i in range(s)]
+    assert act(tu, v) == act(t, uv)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +345,8 @@ def test_minkowski_edge_form_values():
 def test_minkowski_sizes_one_and_four():
     t = SymMatQ([[Fraction(7, 2)]])
     assert minkowski_reduce(t) == (t, UnimodularMat.identity(1))
-    with pytest.raises(ValueError):
+    # no SymMatQ of size four reaches minkowski_reduce
+    with pytest.raises(ValueError, match="matrix size above three is not supported"):
         minkowski_reduce(SymMatQ([[Fraction(int(i == j)) for j in range(4)] for i in range(4)]))
 
 
@@ -367,9 +380,9 @@ def test_first_violation_matches_full_condition_list():
             g[i][j] = g[j][i] = rng.choice((1, -1)) * g[i][i] // 2
         grams.append(g)
         if is_positive_definite(SymMatQ(g)):
-            grams.append(_integral(minkowski_reduce(SymMatQ(g))[0].rows)[0])
+            grams.append(minkowski_reduce(SymMatQ(g))[0].gram)
     for text in EDGE_FORMS + ["2,1;1,2", "2,-1;-1,2", "6,3,3;3,6,3;3,3,6", "6,-3,3;-3,6,-3;3,-3,6"]:
-        grams.append(_integral(SymMatQ.from_text(text).rows)[0])
+        grams.append(SymMatQ.from_text(text).gram)
     assert sum(_first_violation(g) is None for g in grams) > 500
     for g in grams:
         assert _first_violation(g) == schoolbook._first_violation(g), g
@@ -446,7 +459,7 @@ def test_reduce_command_matches_fraction_oracle_on_fixed_forms(text):
     assert_reduce_command_matches_oracle(text)
 
 
-def test_gram_from_text_builds_no_fraction_for_integer_entries(monkeypatch):
+def test_symmat_from_text_builds_no_fraction_for_integer_entries(monkeypatch):
     built = []
     new = Fraction.__new__
     monkeypatch.setattr(Fraction, "__new__", staticmethod(lambda cls, *a, **k: built.append(a) or new(cls, *a, **k)))
@@ -455,9 +468,10 @@ def test_gram_from_text_builds_no_fraction_for_integer_entries(monkeypatch):
         assert main(["reduce", "--matrix", "1844517422,1718986,63602569;1718986,1602,59274;63602569,59274,2193141"]) == 0
     assert out.getvalue() == "reduced: 1,0,0;0,2,0;0,0,3\ntransform: 1,-40,0;0,1,-37;-29,1160,1\nhermite_ok: True\n"
     assert built == []
-    assert _gram_from_text("6,3/2;3/2,5/3") == ([[36, 9], [9, 10]], 6)
+    t = SymMatQ.from_text("6,3/2;3/2,5/3")
+    assert (t.gram, t.den) == (((36, 9), (9, 10)), 6)
     assert built  # the patch sees Fractions where the text has them
-    assert _gram_text([[36, 9], [9, 10]], 6) == "6,3/2;3/2,5/3"
+    assert t.to_text() == "6,3/2;3/2,5/3"
 
 
 @pytest.mark.parametrize(
@@ -465,17 +479,16 @@ def test_gram_from_text_builds_no_fraction_for_integer_entries(monkeypatch):
     [
         ("1,2;2", "matrix must be square"),
         ("1,2;2,1;3,4", "matrix must be square"),
-        (";".join([",".join(["0"] * 5)] * 5), "matrix size above four is not supported"),
+        (";".join([",".join(["0"] * 4)] * 4), "matrix size above three is not supported"),
         ("1,2;3,4", "matrix must be symmetric"),
         ("1,1/2;0.5,x", "Invalid literal for Fraction: 'x'"),
         ("1,1/0;0,1", "zero denominator in '1/0'"),
     ],
-    ids=["short-row", "extra-row", "size-5", "asymmetric", "bad-entry", "zero-denominator"],
+    ids=["short-row", "extra-row", "size-4", "asymmetric", "bad-entry", "zero-denominator"],
 )
-def test_gram_from_text_raises_as_from_text(text, message):
-    for parse in (SymMatQ.from_text, _gram_from_text):
-        with pytest.raises(ValueError, match=re.escape(message)):
-            parse(text)
+def test_symmat_from_text_raises_on_shape_and_entries(text, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SymMatQ.from_text(text)
 
 
 @pytest.mark.parametrize(
@@ -509,11 +522,12 @@ def test_hermite_examples():
     # sorted and size-reduced, but x = (-1, 1, 1) gives 8 < 10
     with pytest.raises(ValueError):
         hermite_check(SymMatQ.from_text("4,2,2;2,6,-2;2,-2,10"))
-    # size is checked first, then positive definiteness
+    # positive definiteness is checked first, then the conditions
     with pytest.raises(ValueError, match="positive definite"):
         hermite_check(mat2(1, 2, 2, 1))
-    with pytest.raises(ValueError, match="size must be one to three"):
-        hermite_check(SymMatQ.from_text("1,2,0,0;2,1,0,0;0,0,1,0;0,0,0,1"))
+    # no SymMatQ has size four
+    with pytest.raises(ValueError, match="matrix size above three is not supported"):
+        SymMatQ.from_text("1,2,0,0;2,1,0,0;0,0,1,0;0,0,0,1")
 
 
 def test_hermite_one_by_one():
