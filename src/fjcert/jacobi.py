@@ -186,32 +186,36 @@ class JacobiFormQExp:
     def __repr__(self):
         return "JacobiFormQExp(k=%d, m=%d, prec=%d, %d terms)" % (self.k, self.m, self.prec, len(self.coeffs))
 
-    def _row_texts(self, row):
-        """(rs, texts): the r of the row in order and str(c(n, r)) of each,
-        with no Fraction built."""
-        rs, den = sorted(row), self.den
-        vs = map(row.__getitem__, rs)
+    def _value_texts(self) -> dict:
+        """{v: str(Fraction(v, den))} over the distinct numerators v of the
+        slice: one gcd per distinct value, and no Fraction built."""
+        vs, den = set(_values(self.num)), self.den
         if den == 1:
-            return rs, map(str, vs)
-        return rs, [str(v // g) if (g := math.gcd(v, den)) == den else "%d/%d" % (v // g, den // g) for v in vs]
+            return dict(zip(vs, map(str, vs)))
+        return {v: str(v // g) if (g := math.gcd(v, den)) == den else "%d/%d" % (v // g, den // g) for v in vs}
 
-    def _coeff_texts(self):
-        """Iterator of (n, r, str(c(n, r))) in (n, r) order."""
-        return chain.from_iterable(zip(repeat(n), *self._row_texts(row)) for n, row in sorted(self.num.items()))
+    def _row_texts(self, texts: dict):
+        """Iterator of (n, rs, value texts) in n order: the r of row n in
+        order, and texts[v] for the numerator v of each."""
+        for n, row in sorted(self.num.items()):
+            rs = sorted(row)
+            yield n, rs, map(texts.__getitem__, map(row.__getitem__, rs))
 
     def to_record(self):
         return {
             "k": self.k,
             "m": self.m,
             "prec": self.prec,
-            "coeffs": [[n, r, t] for n, r, t in self._coeff_texts()],
+            "coeffs": [[n, r, t] for n, rs, ts in self._row_texts(self._value_texts()) for r, t in zip(rs, ts)],
         }
 
     def _json(self) -> str:
-        """The text of json.dumps(self.to_record()), one join per row."""
+        """The text of json.dumps(self.to_record()), one join per row, from
+        the slice's value texts and its r prefixes '%d, "', each made once."""
+        prefix = {r: '%d, "' % r for r in set(chain.from_iterable(self.num.values()))}
         rows = [
-            '[%d, %s"]' % (n, ('"], [%d, ' % n).join(map('%d, "%s'.__mod__, zip(*self._row_texts(row)))))
-            for n, row in sorted(self.num.items())
+            '[%d, %s"]' % (n, ('"], [%d, ' % n).join(map(add, map(prefix.__getitem__, rs), ts)))
+            for n, rs, ts in self._row_texts(self._value_texts())
         ]
         return '{"k": %d, "m": %d, "prec": %d, "coeffs": [%s]}' % (self.k, self.m, self.prec, ", ".join(rows))
 

@@ -174,10 +174,6 @@ class UnimodularMat:
     def to_text(self) -> str:
         return ";".join(",".join(map(str, row)) for row in self.rows)
 
-    @classmethod
-    def from_text(cls, s: str) -> "UnimodularMat":
-        return cls([[int(x) for x in part.split(",")] for part in s.strip().split(";")])
-
 
 @dataclass(frozen=True)
 class HalfIntIndex:

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import gc
 import io
 import json
 import os
@@ -182,6 +183,71 @@ def test_bad_flag_value_exits_64():
 
 
 # ---------------------------------------------------------------------------
+# the paused collector
+
+
+@pytest.fixture
+def collector():
+    """Gives the cyclic collector back enabled or disabled, as the test found it."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_gives_the_collector_back_as_it_found_it(tmp_path, lift8, lift_file, relation_files, capsys, collector, enabled):
+    f, _ = lift8
+    _, box = relation_files
+    e4 = tmp_path / "e4.json"
+    e4.write_text(json.dumps(schoolbook.pad_index0(4, _eis_dict(4, 9), 8, 9).to_record()))
+    doubled = tmp_path / "doubled.json"
+    doubled.write_text(json.dumps(PolynomialOverM(
+        [FormalFJ.zero(10, f.M_max, f.prec), FormalFJ.one(f.M_max, f.prec).scalar_mul(2)], 0, 10).to_record()))
+    report = str(tmp_path / "r.txt")
+    cases = [
+        (0, ["reduce", "--matrix", "5,4;4,5"]),
+        (1, ["certify", "--in", str(lift_file), "--report", report, "--torsion", "2,0,1"]),
+        (2, ["gen-lift", "--weight", "4", "--out", str(tmp_path / "x.json")]),
+        (3, ["check-symmetry", "--in", str(tmp_path / "missing.json"), "--report", report]),
+        (4, ["certify", "--in", str(e4), "--report", report]),
+        (5, ["bound-report", "--in", str(lift_file), "--poly", str(doubled), "--box", str(box), "--report", report]),
+        (6, ["reduce", "--matrix", "1,2;2,1"]),
+        (64, ["reduce"]),
+        (64, []),
+    ]
+    (gc.enable if enabled else gc.disable)()
+    for code, argv in cases:
+        assert main(argv) == code
+        assert gc.isenabled() is enabled
+    for argv in (["reduce", "--bogus"], ["certify", "--theta", "abc"]):  # argparse exits out of main
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 64
+        assert gc.isenabled() is enabled
+
+
+def test_certify_runs_no_collection(tmp_path, lift_file, capsys, collector):
+    # reading lift8 and fitting its growth ran at least one collection while
+    # the collector was left running
+    starts = []
+
+    def hook(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    argv = ["certify", "--in", str(lift_file), "--report", str(tmp_path / "cert.txt"),
+            "--torsion", "2,1,0", "--b", "1/128", "--theta", "0.5", "--json"]
+    gc.enable()
+    gc.callbacks.append(hook)
+    try:
+        rc = main(argv)
+    finally:
+        gc.callbacks.remove(hook)
+    assert rc == 1 and json.loads(capsys.readouterr().out)["growth"]["verdict"] == "pass"
+    assert starts == []
+
+
+# ---------------------------------------------------------------------------
 # gen-lift
 
 
@@ -350,6 +416,15 @@ def test_certify_window_beyond_precision_is_reported(tmp_path, lift_file, capsys
     assert "window exponent" in capsys.readouterr().err
 
 
+# the whole error text of each case below, as it read while the largest
+# exponent was found by a scan of the window
+FLOOR_MESSAGES = {
+    ("2,1,0", 120): "window exponent 15/8 is beyond the certified precision 7/4 of slice m = 119; prec 49 would cover M_max 120",
+    ("2,1,0", 200): "window exponent 15/8 is beyond the certified precision 7/4 of slice m = 199; prec 74 would cover M_max 200",
+    ("2,0,1", 8): "window exponent 8 is beyond the certified precision 8 of slice m = 1; prec 9 would cover M_max 8",
+}
+
+
 @pytest.mark.parametrize(
     "torsion, b, mmax, top, need",
     [
@@ -381,6 +456,7 @@ def test_certify_checks_precision_floor_before_specializing(tmp_path, monkeypatc
             assert report.read_text().startswith("verdict: hypothesis-failure")
             assert "window exponent %s is beyond" % top in err
             assert "prec %d would cover M_max %d" % (need, mmax) in err
+            assert err == "error: %s\n" % FLOOR_MESSAGES[torsion, mmax]
         else:
             assert "window exponent" not in err and "window exponent" not in report.read_text()
 

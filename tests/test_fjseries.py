@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import schoolbook
+from fjcert.cli import _load_record
 from fjcert.core import PrecisionError, _dict_mul, _eis_dict, parse_rat
 from fjcert.fjseries import (
     FormalFJ,
@@ -189,6 +190,50 @@ def test_series_text_is_json_of_the_record(case, request):
     text = out.getvalue()
     assert text == json.dumps(f.to_record()) == json.dumps(old_record(f))
     assert FormalFJ.from_record(json.loads(text)) == f
+
+
+# slice denominators: 1, 2, 3, 6 and one odd denominator above 2^64
+WRITER_DENS = [1, 2, 3, 6, 3**41]
+
+
+@st.composite
+def written_series(draw):
+    """Series whose slices mix the denominators of WRITER_DENS, numerators
+    that cancel against them and numerators above 2^64, over rows that are
+    dense, sparse, negative in r only, or reach |r| in the thousands."""
+    M_max = draw(st.integers(0, 3))
+    phis = []
+    for m in range(M_max + 1):
+        prec, den = draw(st.integers(0, 5)), draw(st.sampled_from(WRITER_DENS))
+        numerators = st.one_of(
+            st.integers(-30, 30),
+            st.integers(-9, 9).map(lambda x: x * den),
+            st.integers(2**64, 2**80),
+            st.integers(-(2**80), -(2**64)),
+        )
+        rs = st.one_of(
+            st.sets(st.integers(-3, 3), min_size=1),
+            st.sets(st.integers(-5000, 5000), min_size=1, max_size=4),
+            st.sets(st.integers(-3000, -1), min_size=1, max_size=4),
+        ) if m else st.just({0})
+        coeffs = {}
+        for n in draw(st.sets(st.integers(0, prec - 1), min_size=1, max_size=4)) if prec else ():
+            for r in draw(rs):
+                coeffs[n, r] = Fraction(draw(numerators), den)
+        phis.append(JacobiFormQExp(8, m, prec, coeffs))
+    return FormalFJ(8, M_max, phis)
+
+
+@settings(max_examples=150)
+@given(written_series())
+def test_series_writer_matches_the_record_and_the_old_writer(tmp_path_factory, f):
+    out = io.StringIO()
+    f.write_json(out)
+    text = out.getvalue()
+    assert text == json.dumps(f.to_record()) == json.dumps(old_record(f))
+    path = tmp_path_factory.getbasetemp() / "written.json"
+    path.write_text(text)
+    assert _load_record(str(path), FormalFJ) == f
 
 
 # values the old reader takes through int(), through parse_rat, or rejects
