@@ -379,7 +379,7 @@ def _cmd_bound_report(run: _Run) -> int:
         rep = partial_sum_bound_check(f, q, box, range(1, mtop + 1), kappa=kappa, points=points)
     except CapacityError as e:
         _fail_usage(str(e))
-    except ValueError as e:  # a box point whose slice values overflow floats
+    except ValueError as e:  # slice values that overflow floats, or a line longer than WINDOW_CAP
         print("error: %s" % e, file=sys.stderr)
         return 1
     _write_text(report_path, rep.to_text())

@@ -47,6 +47,10 @@ __all__ = [
 GRID_CAP = 10**6
 # relative tolerance of the Cauchy gap in pointwise_convergence_check
 POINTWISE_RTOL = 1e-8
+# partial_sum_bound_check counts a box point as torsion when a torsion point
+# of order at most TORSION_N_CAP lies within TORSION_TOL of it
+TORSION_N_CAP = 16
+TORSION_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -88,10 +92,6 @@ class CompactBoxSpec:
 
     def to_record(self):
         return {"eps": self.eps, "U": [[_cplx_str(t), _cplx_str(z)] for t, z in self.U]}
-
-    @classmethod
-    def from_record(cls, rec) -> "CompactBoxSpec":
-        return cls(tuple(rec["U"]), float(rec["eps"]))
 
 
 def _cplx_str(x: complex) -> str:
@@ -365,10 +365,6 @@ def d_eps(q: PolynomialOverM, box: CompactBoxSpec, grid) -> float:
     return best
 
 
-def _is_near_torsion(tau1: complex, z: complex, n_cap: int = 16, tol: float = 1e-9) -> bool:
-    return _torsion_search(tau1, z, tol, n_cap) is not None
-
-
 def partial_sum_bound_check(
     f: FormalFJ,
     q: PolynomialOverM,
@@ -424,7 +420,8 @@ def partial_sum_bound_check(
     argmax = None
     taus = [siegel_point(tau) for tau in grid]
     where = list(dict.fromkeys((t1, z) for t1, z, _ in taus))
-    per_point = {p: (vals, _is_near_torsion(*p)) for p, vals in zip(where, slice_values(f, where, mtop))}
+    torsion = [_torsion_search(t1, z, TORSION_TOL, TORSION_N_CAP) is not None for t1, z in where]
+    per_point = dict(zip(where, zip(slice_values(f, where, mtop), torsion)))
     for t1, z, t2 in taus:
         slice_vals, near = per_point[t1, z]
         # |partial sum| for M = 0 .. mtop: the powers of q2 and the sums run in the order of a plain loop

@@ -34,7 +34,6 @@ from __future__ import annotations
 import cmath
 import math
 from array import array
-from bisect import bisect_right
 from cmath import rect
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -252,12 +251,14 @@ class JacobiFormQExp:
         stored row n, where lo is the row's lowest r and cs the array('d')
         of c(n, lo), c(n, lo + 1), ... up to the row's highest r, zeros
         included, 8 bytes a slot.  Raises ValueError, before building
-        anything, when a row spans more than WINDOW_CAP values of r."""
+        anything, when the line r = -R .. R that :func:`evaluate_points`
+        lays out, R the largest stored |r|, spans more than WINDOW_CAP
+        values of r; no row spans more than the line."""
         if self._fterms is None:
             ends = [(min(row), max(row)) for row in self.num.values()]
-            width = max((hi - lo + 1 for lo, hi in ends), default=0)
+            width = 2 * max((max(-lo, hi) for lo, hi in ends), default=0) + 1
             if width > WINDOW_CAP:
-                raise ValueError("a row spans %d values of r, more than %d" % (width, WINDOW_CAP))
+                raise ValueError("a line spans %d values of r, more than %d" % (width, WINDOW_CAP))
             # int true division is correctly rounded, as float(Fraction) is
             dens = repeat(self.den)
             self._fterms = [
@@ -872,18 +873,17 @@ def evaluate_points(phis, points) -> list:
     of the stored truncations, in two steps.
 
     Points that share tau1 and y = Im z share a *line* of each nonzero
-    form: G_r = sum_n c(n, r) e(n tau1 + r i y), built once.  Each stored
-    row n is summed from the end r0 with the largest factor
-    |e(n tau1 + r0 i y)|, the lowest r when y >= 0 and the highest when
-    y < 0: it adds e(n tau1 + r0 i y) c(n, r) s^|r - r0| to G_r, with
-    s = exp(-2 pi |y|) <= 1.  So no stored factor exceeds the row's
-    largest.  The value at x + i y is then one *phase sum*
-    sum_r G_r e(r x), each e(r x) of modulus one: the terms of r = k and
-    r = -k are added first, and these pairs are added from k = 0 outward.
-    A line holds one slot per r of the union of the form's row spans,
-    split at the gaps between them, so never more slots than
-    :meth:`JacobiFormQExp.float_terms` holds.  The phases e(r x) of a
-    point are computed once for all forms.
+    form: G_r = sum_n c(n, r) e(n tau1 + r i y) for r = -R .. R, where R
+    is the largest |r| the form stores, built once.  Each stored row n is
+    summed from the end r0 with the largest factor |e(n tau1 + r0 i y)|,
+    the lowest r when y >= 0 and the highest when y < 0: it adds
+    e(n tau1 + r0 i y) c(n, r) s^|r - r0| to G_r, with s = exp(-2 pi |y|)
+    <= 1.  So no stored factor exceeds the row's largest.  The value at
+    x + i y is then one *phase sum* sum_r G_r e(r x), each e(r x) of
+    modulus one: the terms of r = k and r = -k are added first, and these
+    pairs are added from k = 0 outward.  The phases e(r x) of a point are
+    computed once, over r = -top .. top for the largest R of the call, and
+    each form reads its slice of them.
 
     Mirror property: s is the same for y and -y, the start factor of a row
     at -y has the exponent of the mirrored row at y, e(r x) is a function
@@ -894,8 +894,8 @@ def evaluate_points(phis, points) -> list:
     Raises ValueError when a point fails :func:`check_point`, when e(z) or
     e(-z) is 0 or overflows, when a row's start factor or a value
     overflows ("a term overflows"), and, before building anything for that
-    form, when a row spans more than WINDOW_CAP values of r (see
-    :meth:`JacobiFormQExp.float_terms`)."""
+    form, when its line of 2R + 1 values of r is longer than WINDOW_CAP
+    (see :meth:`JacobiFormQExp.float_terms`)."""
     points = list(points)
     lines: dict = {}  # (tau1, Im z) -> indices of its points
     for i, (tau1, z) in enumerate(points):
@@ -906,84 +906,31 @@ def evaluate_points(phis, points) -> list:
             raise ValueError("e(z) or e(-z) is 0 or overflows at z = %r" % z) from None
         lines.setdefault((tau1, z.imag + 0.0), []).append(i)  # + 0.0: -0.0 and 0.0 share a line
     out = [[0j] * len(phis) for _ in points]
-    forms = [(j, rows, _Layout(rows)) for j, phi in enumerate(phis) for rows in (phi.float_terms(),) if rows]
+    forms = [(j, rows, max(max(-lo, lo + len(cs) - 1) for _, lo, cs in rows))
+             for j, phi in enumerate(phis) for rows in (phi.float_terms(),) if rows]
     if not forms:
         return out
-    # every span of a form lies in one span of the union of all, so each
-    # form cuts its phases from one table per point
-    union, offsets = _spans(chain.from_iterable(lay.spans for *_, lay in forms))
-    cuts = [[slice(o, o + b - a + 1) for a, b in lay.spans for o in (_slot(union, offsets, a),)] for *_, lay in forms]
-    width = max(len(cs) for _, rows, _ in forms for _, _, cs in rows)
+    top = max(R for *_, R in forms)
     for (tau1, y), idx in lines.items():
-        pw = list(accumulate(repeat(math.exp(-_TWO_PI * abs(y)), width - 1), mul, initial=1.0))
-        gs = [_line(rows, lay, tau1, y, pw, points[idx[0]][1]) for _, rows, lay in forms]
+        pw = list(accumulate(repeat(math.exp(-_TWO_PI * abs(y)), 2 * top), mul, initial=1.0))
+        gs = [_line(rows, R, tau1, y, pw, points[idx[0]][1]) for _, rows, R in forms]
         for i in idx:
             z = points[i][1]
-            rs = chain.from_iterable(range(a, b + 1) for a, b in union)
-            table = list(map(rect, repeat(1.0), map(mul, rs, repeat(_TWO_PI * z.real))))  # e(r x), from the product r 2 pi x
-            for (j, _, lay), g, cut in zip(forms, gs, cuts):
-                out[i][j] = _phase_sum(g, lay, chain.from_iterable(map(table.__getitem__, cut)), tau1, z)
+            table = list(map(rect, repeat(1.0), map(mul, range(-top, top + 1), repeat(_TWO_PI * z.real))))  # e(r x), from the product r 2 pi x
+            for (j, _, R), g in zip(forms, gs):
+                out[i][j] = _phase_sum(g, R, table[top - R : top + R + 1], tau1, z)
     return out
 
 
-def _spans(intervals):
-    """(spans, offsets): the union of closed integer intervals (a, b) as
-    sorted disjoint [a, b], split at gaps only (touching intervals merge),
-    and the slot where each span starts when they are laid out one after
-    another; offsets[-1] is the number of slots."""
-    spans: list = []
-    for a, b in sorted(intervals):
-        if spans and a <= spans[-1][1] + 1:
-            spans[-1][1] = max(spans[-1][1], b)
-        else:
-            spans.append([a, b])
-    return spans, list(accumulate((b - a + 1 for a, b in spans), initial=0))
-
-
-def _slot(spans, offsets, r: int) -> int:
-    """The slot of r, which lies in one of the spans."""
-    k = bisect_right(spans, r, key=itemgetter(0)) - 1
-    return offsets[k] + r - spans[k][0]
-
-
-class _Layout:
-    """Where a form's line keeps G_r: its rows' r spans, merged and split
-    at gaps (spans), laid out one after another in size slots, row i
-    starting at slots[i].  The phase sum adds the pair r = k, r = -k for
-    k = 0, 1, ... in turn: plus and minus hold the slots of r = k and of
-    r = -k, run by run of k, slot size (a zero) where one is absent; r = 0
-    pairs with the zero.  Runs are ranges, so the pairing costs no memory
-    per slot."""
-
-    __slots__ = ("spans", "slots", "size", "plus", "minus")
-
-    def __init__(self, rows):
-        self.spans, offsets = _spans((lo, lo + len(cs) - 1) for _, lo, cs in rows)
-        self.size = size = offsets[-1]
-        self.slots = [_slot(self.spans, offsets, lo) for _, lo, _ in rows]
-        # (first k, last k, slot of r = 0 or where it would be) of each span's r >= 0 and r <= -1 parts
-        pos = [(max(a, 0), b, o - a) for (a, b), o in zip(self.spans, offsets) if b >= 0]
-        neg = [(max(-b, 1), -a, o - a) for (a, b), o in zip(self.spans, offsets) if a < 0]
-        ends = sorted({e for lo, hi, _ in pos + neg for e in (lo, hi + 1)})
-        self.plus, self.minus = [], []
-        for k0, k1 in zip(ends, ends[1:]):  # on [k0, k1) each side is present throughout or absent throughout
-            p = next((base + k0 for lo, hi, base in pos if lo <= k0 <= hi), None)
-            m = next((base - k0 for lo, hi, base in neg if lo <= k0 <= hi), None)
-            if p is not None or m is not None:
-                n = k1 - k0
-                self.plus.append((size,) * n if p is None else range(p, p + n))
-                self.minus.append((size,) * n if m is None else range(m, m - n, -1))
-
-
-def _line(rows, lay: _Layout, tau1: complex, y: float, pw: list, z: complex) -> list:
-    """G_r over the form's layout, a flat list of complex (see
+def _line(rows, R: int, tau1: complex, y: float, pw: list, z: complex) -> list:
+    """G_r for r = -R .. R, a flat list of complex (see
     :func:`evaluate_points`); pw holds s^0, s^1, ... and z is the first
     point of the line, for messages."""
-    g = [0j] * lay.size
+    g = [0j] * (2 * R + 1)
     up = y < 0
     try:  # cmath.exp raises on an overflowing start factor
-        for (n, lo, cs), o in zip(rows, lay.slots):
-            w = len(cs)
+        for n, lo, cs in rows:
+            w, o = len(cs), lo + R
             start = cmath.exp(_TWO_PI_I * (n * tau1 + complex(0.0, (lo + w - 1 if up else lo) * y)))
             g[o : o + w] = map(add, g[o : o + w], map(mul, repeat(start), map(mul, cs, pw[w - 1 :: -1] if up else pw)))
     except OverflowError:
@@ -991,13 +938,12 @@ def _line(rows, lay: _Layout, tau1: complex, y: float, pw: list, z: complex) -> 
     return g
 
 
-def _phase_sum(g: list, lay: _Layout, phases, tau1: complex, z: complex) -> complex:
-    """sum_r G_r e(r x) over a line g and its phases in slot order: the
-    pair r = +-k added first, and the pairs from k = 0 outward."""
+def _phase_sum(g: list, R: int, phases: list, tau1: complex, z: complex) -> complex:
+    """sum_r G_r e(r x) over a line g of r = -R .. R and its phases: the
+    pair r = +-k added first, r = 0 paired with 0j, and the pairs from
+    k = 0 outward."""
     terms = list(map(mul, g, phases))
-    terms.append(0j)
-    pairs = map(add, map(terms.__getitem__, chain.from_iterable(lay.plus)), map(terms.__getitem__, chain.from_iterable(lay.minus)))
-    total = sum(pairs, 0j)
+    total = sum(map(add, terms[R:], chain((0j,), reversed(terms[:R]))), 0j)
     if not cmath.isfinite(total):
         raise ValueError("a term overflows at tau1 = %r, z = %r" % (tau1, z))
     return total

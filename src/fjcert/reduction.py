@@ -526,8 +526,9 @@ def _rho_transform(size: int, vhat: UnimodularMat) -> UnimodularMat:
 # exponent window enumeration
 
 
-# default cap of enumerate_S on candidates, and cap of JacobiFormQExp.float_terms
-# and jacobi._convolve on the values of r one row spans
+# default cap of enumerate_S on candidates, of jacobi._convolve on the values
+# of r one product row spans, and of JacobiFormQExp.float_terms on the values
+# r = -R .. R of a form's evaluation line, R its largest stored |r|
 WINDOW_CAP = 10**6
 
 

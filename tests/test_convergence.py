@@ -14,10 +14,11 @@ from hypothesis import strategies as st
 import schoolbook
 from fjcert import convergence, fjseries, jacobi
 from fjcert.convergence import (
+    TORSION_N_CAP,
+    TORSION_TOL,
     BoundConfig,
     CompactBoxSpec,
     ConvergenceReport,
-    _is_near_torsion,
     _torsion_search,
     c_constant,
     c_constant_exact,
@@ -140,7 +141,8 @@ def test_bound_config_coerces_and_validates():
 
 def test_compact_box_validates_and_round_trips():
     box = CompactBoxSpec(((1j, 0.25j), (0.5 + 2j, 0.1 + 0j)), 0.125)
-    assert CompactBoxSpec.from_record(box.to_record()) == box
+    rec = box.to_record()  # read back as bound-report reads a box file
+    assert CompactBoxSpec(tuple(rec["U"]), rec["eps"]) == box
     with pytest.raises(ValueError):
         CompactBoxSpec(((1j, 0j),), 0.0)
     with pytest.raises(ValueError):
@@ -390,18 +392,19 @@ def test_d_eps_builds_one_line_per_slice_and_line_and_one_phase_sum_per_point(li
     calls, lines, sums = [], [], []
     slice_values, line, phase_sum = convergence.slice_values, jacobi._line, jacobi._phase_sum
     monkeypatch.setattr(convergence, "slice_values", lambda a, pts, M: calls.append(list(pts)) or slice_values(a, pts, M))
-    # the rows and layout objects stay referenced, so their ids name one slice each
-    monkeypatch.setattr(jacobi, "_line", lambda rows, lay, t1, y, *rest: lines.append((rows, t1, y)) or line(rows, lay, t1, y, *rest))
-    monkeypatch.setattr(jacobi, "_phase_sum", lambda g, lay, *rest: sums.append((lay, *rest[1:])) or phase_sum(g, lay, *rest))
+    # the rows and the lines stay referenced, so their ids name one slice and one line each
+    monkeypatch.setattr(jacobi, "_line", lambda rows, R, t1, y, *rest: lines.append((rows, t1, y, line(rows, R, t1, y, *rest))) or lines[-1][-1])
+    monkeypatch.setattr(jacobi, "_phase_sum", lambda g, R, phases, t1, z: sums.append((g, t1, z)) or phase_sum(g, R, phases, t1, z))
     monkeypatch.setattr(fjseries, "evaluate", None)  # no one-point call is left
     d_eps(q, box, k_eps_grid(box, points=5))
     coeffs = [a for a in q.coeffs[:-1] if not a.is_zero()]
     nonzero = sum(not phi.is_zero() for a in coeffs for phi in a.phis)
     assert calls == [list(box.U)] * len(coeffs)
-    keys = [(id(rows), t1, y) for rows, t1, y in lines]
+    keys = [(id(rows), t1, y) for rows, t1, y, _ in lines]
     assert len(keys) == len(set(keys)) == 3 * nonzero
-    keys = [(id(lay), t1, z) for lay, t1, z in sums]
+    keys = [(id(g), t1, z) for g, t1, z in sums]
     assert len(keys) == len(set(keys)) == len(box.U) * nonzero
+    assert {id(g) for g, *_ in sums} == {id(g) for *_, g in lines}
 
 
 def test_box_checks_make_one_slice_values_call(lift8, monkeypatch):
@@ -486,10 +489,14 @@ def test_d_eps_validation(lift8):
 
 
 def test_near_torsion_detection():
-    assert _is_near_torsion(1j, 0.25j)
-    assert _is_near_torsion(1j, 0.5 + 0j)
-    assert not _is_near_torsion(1j, 0.1 + 0.05j)
-    assert not _is_near_torsion(0.5 + 1j, 0.15j)
+    # the search partial_sum_bound_check makes for each box point
+    def near(tau1, z):
+        return _torsion_search(tau1, z, TORSION_TOL, TORSION_N_CAP) is not None
+
+    assert near(1j, 0.25j)
+    assert near(1j, 0.5 + 0j)
+    assert not near(1j, 0.1 + 0.05j)
+    assert not near(0.5 + 1j, 0.15j)
 
 
 # ---------------------------------------------------------------------------

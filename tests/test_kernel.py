@@ -3,6 +3,7 @@ point evaluation and window norms against the schoolbook loops they
 replaced, and point evaluation against a per-term oracle
 (tests/schoolbook.py)."""
 
+import hashlib
 import math
 import re
 import struct
@@ -459,6 +460,24 @@ def test_slice_values_on_the_box_are_mirror_symmetric_and_match_evaluate(series,
     for (tau1, z), row, mirror in zip(points, values, values[len(points):]):
         for m, phi in enumerate(f.phis):
             assert same_bits(row[m], mirror[m]) and same_bits(row[m], evaluate(phi, tau1, z)), (m, z)
+
+
+# sha256 of the little-endian (real, imag) doubles of every slice value at the 25 box points
+# and then their mirrors -z, in slice_values order
+BOX_VALUES_SHA256 = {
+    "lift10_40": "03f08c4369a37dfe3e05675552e56cc4cd16004e3cac54178bae84ea21d175cd",
+    "lift10_40 squared": "45230a07e30548f436b998c2f67a9d89741aaaa5dd2e49e1013d4402a02dc432",
+}
+
+
+@pytest.mark.parametrize("series", sorted(BOX_VALUES_SHA256))
+def test_slice_values_on_the_box_keep_their_bits(series, lift10_40):
+    # the values bound-report sums on the criterion-6 box, pinned bit for bit
+    f = lift10_40[0] if series == "lift10_40" else lift10_40[0].multiply(lift10_40[0])
+    points = LIFT_POINTS[1:]
+    values = fjseries.slice_values(f, points + [(t, -z) for t, z in points], f.M_max)
+    data = b"".join(struct.pack("<dd", v.real, v.imag) for row in values for v in row)
+    assert len(values) == 50 and hashlib.sha256(data).hexdigest() == BOX_VALUES_SHA256[series]
 
 
 def test_evaluate_where_the_old_tables_overflow():
