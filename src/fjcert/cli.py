@@ -12,7 +12,17 @@ Exit codes are a stable contract:
   4 certify input is not cuspidal
   5 bound-report hypothesis failure (non-monic, nonzero residue)
   6 reduce input is not positive definite
- 64 usage error (bad flags or config)
+ 64 usage error (bad flags or config), or an output file that cannot be
+    written
+
+gen-lift writes, beside the series file <out>, the lift record <out>.lift:
+the index-one table (den, C) that the series was lifted from, with k,
+M_max, prec, the fjcert version, the sha256 of <out> and a sha256 over all
+of these.  A command that reads a series builds it from the record's table
+when the record is of this version, its own sha256 matches its fields and
+it names the file's sha256, and reads the JSON otherwise.  The two give
+the same series, so a missing, stale, edited or damaged record changes no
+result: the series file is the one source of truth.
 
 Each command runs with the cyclic garbage collector paused, and main gives
 it back enabled or disabled as it found it.  The millions of dicts, lists
@@ -28,10 +38,13 @@ import argparse
 import gc
 import json
 import math
+import os
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache, partial
 
+from . import __version__
 from .convergence import (
     BoundConfig,
     CompactBoxSpec,
@@ -47,6 +60,7 @@ from .fjseries import FormalFJ, PolynomialOverM, _lift, check_symmetry, gritsenk
 from .jacobi import (  # noqa: F401
     JacobiFormQExp,
     TorsionPoint,
+    _read_int,
     _space_components,
     _Texts,
     certified_precision,
@@ -205,7 +219,10 @@ def _load_record(path: str, cls):
     """cls.from_record of the JSON record in path, with every slice record
     built while the file is decoded, all through one table of value texts,
     so that each distinct text is parsed once and stands for one object;
-    exit 3 if either fails."""
+    exit 3 if either fails.  A series whose lift record names its sha256 is
+    built from the record's table instead (see :func:`_read_lift`)."""
+    if cls is FormalFJ and (f := _read_lift(path)) is not None:
+        return f
     rec = _load_json(path, partial(_slice_hook, texts=_Texts()))
     try:
         return cls.from_record(rec)
@@ -213,9 +230,89 @@ def _load_record(path: str, cls):
         _cannot_parse(path, e)
 
 
+# the fields of a lift record, in the order record_sha256 hashes them
+_LIFT_FIELDS = ("fjcert", "series_sha256", "k", "M_max", "prec", "den", "C")
+
+
+def _file_sha256(path: str) -> str:
+    """The sha256 of the bytes of path, read 1 MiB at a time."""
+    # imported here: hashlib loads OpenSSL (~5 ms and ~3.5 MB at start),
+    # which only the commands that write or read a lift record need
+    import hashlib
+
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(partial(fh.read, 1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def _record_sha256(rec: dict) -> str:
+    """The sha256 of json.dumps of the lift record's _LIFT_FIELDS values, as
+    a list: it ties k, M_max, prec, den and C to series_sha256, so a record
+    edited after gen-lift wrote it is not read."""
+    import hashlib
+
+    return hashlib.sha256(json.dumps([rec[key] for key in _LIFT_FIELDS]).encode()).hexdigest()
+
+
+def _write_lift(path: str, k: int, M_max: int, prec: int, den: int, C: list):
+    """Write the lift record of the series file path, which _lift(k, den,
+    C, M_max, prec) wrote, to path + ".lift"; only beside a regular file,
+    so that a device or pipe is never read back."""
+    if not os.path.isfile(path):
+        return
+    with _writing(path + ".lift"):
+        rec = {"fjcert": __version__, "series_sha256": _file_sha256(path), "k": k, "M_max": M_max, "prec": prec, "den": den, "C": C}
+        rec["record_sha256"] = _record_sha256(rec)
+        with open(path + ".lift", "w") as fh:
+            fh.write(json.dumps(rec))
+
+
+def _read_lift(path: str):
+    """_lift of the lift record path + ".lift", or None unless the record
+    has exactly the keys _write_lift gives it, this version, integer k,
+    M_max and prec, a positive int den and a list of ints C, the
+    record_sha256 of those fields and the sha256 of path, and _lift accepts
+    it.  So the series file decides every result: a missing, stale, edited
+    or damaged record only sends the reader back to it."""
+    try:
+        with open(path + ".lift") as fh:
+            rec = json.loads(fh.read())
+    except (OSError, ValueError, RecursionError):
+        return None
+    if type(rec) is not dict or rec.keys() != {*_LIFT_FIELDS, "record_sha256"} or rec["fjcert"] != __version__:
+        return None
+    den, table = rec["den"], rec["C"]
+    if type(den) is not int or den < 1 or type(table) is not list or not set(map(type, table)) <= {int}:
+        return None
+    try:
+        k, mmax, prec = _read_int(rec["k"]), _read_int(rec["M_max"]), _read_int(rec["prec"])
+        if rec["record_sha256"] != _record_sha256(rec) or rec["series_sha256"] != _file_sha256(path):
+            return None
+        return _lift(k, den, table, mmax, prec)
+    except (OSError, TypeError, ValueError, PrecisionError):
+        return None
+
+
+@contextmanager
+def _writing(path: str):
+    """Exit 64 with one line if the block, which writes path, raises OSError."""
+    try:
+        yield
+    except OSError as e:
+        print("error: cannot write %s: %s" % (path, e.strerror or e), file=sys.stderr)
+        raise SystemExit(64)
+
+
 def _write_text(path: str, text: str):
-    with open(path, "w") as fh:
+    with _writing(path), open(path, "w") as fh:
         fh.write(text)
+
+
+def _write_csv(path: str, header, rows):
+    with _writing(path):
+        write_csv(path, header, rows)
 
 
 def _hypothesis_failure(report_path: str, reason, code: int) -> int:
@@ -270,8 +367,9 @@ def _cmd_gen_lift(run: _Run) -> int:
         return 2
     # _lift rejects C[0] or C[-1] nonzero and stores only 4nm - r^2 >= 1, so its output is cuspidal
     lift = _lift(k, *first, mmax, prec)
-    with open(out, "w") as fh:
+    with _writing(out), open(out, "w") as fh:
         lift.write_json(fh)
+    _write_lift(out, k, mmax, prec, *first)
     run.emit(
         {"out": out, "weight": k, "prec": prec, "M_max": mmax, "cuspidal": True},
         ["wrote weight-%d lift (prec %d, M_max %d) to %s" % (k, prec, mmax, out)],
@@ -332,8 +430,8 @@ def _cmd_certify(run: _Run) -> int:
         return _hypothesis_failure(report_path, e, 1)
     text = growth.to_text() + "\n" + pointwise.to_text()
     _write_text(report_path, text)
-    write_csv(report_path + ".fe_norms.csv", *growth.series["fe_norms"])
-    write_csv(report_path + ".partial_sums.csv", *pointwise.series["partial_sums"])
+    _write_csv(report_path + ".fe_norms.csv", *growth.series["fe_norms"])
+    _write_csv(report_path + ".partial_sums.csv", *pointwise.series["partial_sums"])
     ok = growth.passed and pointwise.passed
     run.emit(
         {"growth": growth.to_record(), "pointwise": pointwise.to_record()},
@@ -384,7 +482,7 @@ def _cmd_bound_report(run: _Run) -> int:
         return 1
     _write_text(report_path, rep.to_text())
     if "partial_sums" in rep.series:
-        write_csv(report_path + ".partial_sums.csv", *rep.series["partial_sums"])
+        _write_csv(report_path + ".partial_sums.csv", *rep.series["partial_sums"])
     run.emit(
         rep.to_record(),
         [

@@ -90,9 +90,6 @@ class CompactBoxSpec:
             check_point(t, z)
         object.__setattr__(self, "U", pts)
 
-    def to_record(self):
-        return {"eps": self.eps, "U": [[_cplx_str(t), _cplx_str(z)] for t, z in self.U]}
-
 
 def _cplx_str(x: complex) -> str:
     return repr(complex(x))[1:-1] if repr(complex(x)).startswith("(") else repr(complex(x))

@@ -19,7 +19,7 @@ import cmath
 import math
 from fractions import Fraction
 from itertools import accumulate, chain, compress, repeat
-from operator import attrgetter, mul
+from operator import attrgetter, floordiv, mul, sub
 
 from .core import PrecisionError, rat_str
 # evaluate and multiply are not called here: bench/spans.py traces calls under these names
@@ -300,7 +300,8 @@ def _lift(k: int, den: int, table: list, M_max: int, prec: int) -> FormalFJ:
     """Lift of the weight-k index-one cusp form c(n, r) = table[4n - r^2] / den:
     c(F; n, r, m) = sum over d | gcd(n, r, m) of d^(k-1) table[(4nm - r^2) / d^2],
     over den times the denominator of d^(k-1) when k < 1.  ValueError when
-    table[0] or table[-1] (discriminant 0 or -1) is nonzero."""
+    table[0] or table[-1] (discriminant 0 or -1) is nonzero.  Equal values
+    are one int object throughout the series, as in the CLI reader."""
     need = (prec - 1) * M_max
     if len(table) <= 4 * need:
         raise PrecisionError(
@@ -312,6 +313,8 @@ def _lift(k: int, den: int, table: list, M_max: int, prec: int) -> FormalFJ:
     scale = math.lcm(*(p.denominator for p in dpow))
     weight = [0] + [p.numerator * (scale // p.denominator) for p in dpow]
     w1 = weight[1]
+    squares = [r * r for r in range(math.isqrt(max(4 * need - 1, 0)) + 1)]
+    shared = {}  # every value of the series, mapped to itself
     slices = [JacobiFormQExp.zero(k, 0, prec)]
     for m in range(1, M_max + 1):
         halves = []
@@ -321,7 +324,9 @@ def _lift(k: int, den: int, table: list, M_max: int, prec: int) -> FormalFJ:
             g = math.gcd(n, m)
             # row n on r >= 0, mirrored as 4nm - r^2 and d | r are even in r:
             # the divisor d = 1, then each d > 1 of g on r = 0 mod d
-            half = [table[base - r * r] * w1 for r in range(rb + 1)]
+            half = list(map(table.__getitem__, map(sub, repeat(base), squares[: rb + 1])))
+            if w1 != 1:
+                half = list(map(mul, half, repeat(w1)))
             for d in range(2, g + 1):
                 if g % d == 0:
                     w, dd = weight[d], d * d
@@ -333,7 +338,10 @@ def _lift(k: int, den: int, table: list, M_max: int, prec: int) -> FormalFJ:
         rows = {}
         for n, half in enumerate(halves, 1):
             rb = len(half) - 1
-            vals = half[:0:-1] + half if g == 1 else [v // g for v in half[:0:-1] + half]
+            if g != 1:
+                half = list(map(floordiv, half, repeat(g)))
+            half = list(map(shared.setdefault, half, half))
+            vals = half[:0:-1] + half
             if row := dict(zip(compress(range(-rb, rb + 1), vals), filter(None, vals))):
                 rows[n] = row
         slices.append(JacobiFormQExp._trusted(k, m, prec, den * scale // g, rows))

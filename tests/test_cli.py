@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import gc
+import hashlib
 import io
 import json
 import os
@@ -10,6 +11,7 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +19,6 @@ from hypothesis import given, settings, strategies as st
 import schoolbook
 from fjcert import cli, jacobi, reduction
 from fjcert.cli import main
-from fjcert.convergence import CompactBoxSpec
 from fjcert.core import _eis_dict
 from fjcert.fjseries import FormalFJ, PolynomialOverM, gritsenko_lift
 from fjcert.jacobi import JacobiFormQExp, _Texts, jacobi_space
@@ -501,6 +502,10 @@ def test_certify_usage_errors(tmp_path, lift_file):
 # bound-report
 
 
+# a two-point box file
+BOX = {"eps": 0.1, "U": [["1j", "0.25j"], ["1j", "0.1+0.05j"]]}
+
+
 @pytest.fixture(scope="module")
 def relation_files(tmp_path_factory, lift8):
     f, _ = lift8
@@ -508,7 +513,7 @@ def relation_files(tmp_path_factory, lift8):
     poly = base / "poly.json"
     poly.write_text(json.dumps(square_relation(f).to_record()))
     box = base / "box.json"
-    box.write_text(json.dumps(CompactBoxSpec(((1j, 0.25j), (1j, 0.1 + 0.05j)), 0.1).to_record()))
+    box.write_text(json.dumps(BOX))
     return poly, box
 
 
@@ -699,19 +704,34 @@ def test_reader_holds_one_slice_of_json_lists(tmp_path, lift40):
     assert peak < 1.5 * (path.stat().st_size + kept)
 
 
-def lift40_file(tmp_path, lift40):
-    f, _ = lift40
-    path = tmp_path / "lift40.json"
-    with open(path, "w") as fh:
-        f.write_json(fh)
-    return f, path
+@pytest.fixture(scope="module")
+def lift40_files(tmp_path_factory):
+    """The lift40 series as gen-lift writes it, with its lift record beside
+    it, and a copy of the series alone, which is read as JSON."""
+    base = tmp_path_factory.mktemp("lift40")
+    recorded, plain = base / "lift40.json", base / "plain.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["gen-lift", "--weight", "10", "--prec", "40", "--mmax", "40", "--out", str(recorded)]) == 0
+    plain.write_bytes(recorded.read_bytes())
+    return {"record": recorded, "json": plain}
 
 
-def test_reader_shares_one_object_per_value(tmp_path, lift40):
+def read_series(path, reader):
+    """cli._load_record(path, FormalFJ), checking that it was built from the
+    lift record exactly when reader is "record"."""
+    with mock.patch.object(cli, "_lift", wraps=cli._lift) as lift:
+        back = cli._load_record(str(path), FormalFJ)
+    assert lift.called == (reader == "record")
+    return back
+
+
+@pytest.mark.parametrize("reader", ["record", "json"])
+def test_reader_shares_one_object_per_value(lift40, lift40_files, reader):
     # within the slices of one denominator each value text stands for one
     # numerator, and equal numerators are one object
-    f, path = lift40_file(tmp_path, lift40)
-    back = cli._load_record(str(path), FormalFJ)
+    f, _ = lift40
+    path = lift40_files[reader]
+    back = read_series(path, reader)
     assert back == f
     recs = json.loads(path.read_text())["phis"]
     for den in (1, 2):
@@ -720,19 +740,194 @@ def test_reader_shares_one_object_per_value(tmp_path, lift40):
         assert texts and len({id(v) for v in values}) == len(set(values)) <= len(texts)
 
 
-def test_reader_keeps_few_bytes_per_term(tmp_path, lift40):
+@pytest.mark.parametrize("reader", ["record", "json"])
+def test_reader_keeps_few_bytes_per_term(lift40, lift40_files, reader):
     # per stored term a dict slot and, once per distinct value, an int:
     # 53.4 bytes per term on lift40 with shared values, 84.1 with one int per term
-    f, path = lift40_file(tmp_path, lift40)
+    f, _ = lift40
     terms = sum(len(phi.coeffs) for phi in f.phis)
     tracemalloc.start()
     try:
-        back = cli._load_record(str(path), FormalFJ)
+        back = read_series(lift40_files[reader], reader)
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     assert back == f
     assert kept <= 64 * terms
+
+
+# ---------------------------------------------------------------------------
+# lift records
+
+
+@pytest.mark.parametrize(
+    "k, prec, mmax", [(10, 2, 1), (10, 3, 1), (10, 2, 6), (10, 3, 4), (12, 4, 6), (16, 5, 3), (24, 3, 5), (10, 8, 8)]
+)
+def test_lift_record_reads_as_the_series(tmp_path, k, prec, mmax):
+    out = tmp_path / "lift.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["gen-lift", "--weight", str(k), "--prec", str(prec), "--mmax", str(mmax), "--out", str(out)]) == 0
+    rec = json.loads((tmp_path / "lift.json.lift").read_text())
+    assert rec["series_sha256"] == hashlib.sha256(out.read_bytes()).hexdigest()
+    assert (rec["k"], rec["M_max"], rec["prec"]) == (k, mmax, prec)
+    f = read_series(out, "record")
+    os.remove(tmp_path / "lift.json.lift")
+    assert read_series(out, "json") == f
+    text = io.StringIO()
+    f.write_json(text)
+    assert text.getvalue() == out.read_text()
+
+
+def test_gen_lift_writes_no_record_beside_a_device():
+    # a device or pipe as --out is never read back to be hashed
+    read_back = mock.patch.object(cli, "_file_sha256", side_effect=AssertionError("--out read back"))
+    with read_back, contextlib.redirect_stdout(io.StringIO()):
+        assert main(["gen-lift", "--weight", "10", "--prec", "3", "--mmax", "2", "--out", os.devnull]) == 0
+    assert not os.path.exists(os.devnull + ".lift")
+
+
+def outcome(argv, report):
+    """(exit code, stdout, stderr, the report and its CSVs) of main(argv),
+    with every output removed first; stderr must show no traceback."""
+    outputs = [report, report.with_name(report.name + ".fe_norms.csv"), report.with_name(report.name + ".partial_sums.csv")]
+    for path in outputs:
+        if path.exists():
+            path.unlink()
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert "Traceback" not in err.getvalue()
+    return code, out.getvalue(), err.getvalue(), [path.read_bytes() if path.exists() else None for path in outputs]
+
+
+def series_argvs(series, poly, box, report):
+    """The argv of each command that reads the series file, with --json."""
+    files = ["--in", str(series), "--report", str(report), "--json"]
+    return [
+        ["check-symmetry"] + files,
+        ["certify", "--torsion", "2,1,0", "--b", "1/32", "--theta", "0.1"] + files,
+        ["bound-report", "--poly", str(poly), "--box", str(box), "--points", "2"] + files,
+    ]
+
+
+@pytest.fixture(scope="module")
+def recorded_inputs(tmp_path_factory, fuzz_inputs):
+    """fuzz_inputs' prec-4, M_max-8 lift as gen-lift writes it, with its
+    lift record, and the record as a dict."""
+    base, _ = fuzz_inputs
+    series = tmp_path_factory.mktemp("recorded") / "lift.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["gen-lift", "--weight", "10", "--prec", "4", "--mmax", "8", "--out", str(series)]) == 0
+    assert series.read_bytes() == (base / "in.json").read_bytes()
+    return series, json.loads(series.with_name("lift.json.lift").read_text())
+
+
+def _set(key, value):
+    return lambda rec: rec.__setitem__(key, value)
+
+
+def _set_c(i, value):
+    return lambda rec: rec["C"].__setitem__(i, value)
+
+
+def check_beside(path, record, poly, box, calls):
+    """Run each command that reads the series file path, without a lift
+    record and then with the bytes record (None: none) beside it: the
+    outcomes must be the same, and _lift must run calls times per command."""
+    report, beside = path.with_name("report.txt"), path.with_name(path.name + ".lift")
+    if beside.exists():
+        beside.unlink()
+    argvs = series_argvs(path, poly, box, report)
+    want = [outcome(argv, report) for argv in argvs]
+    if record is not None:
+        beside.write_bytes(record)
+    for argv, expected in zip(argvs, want):
+        with mock.patch.object(cli, "_lift", wraps=cli._lift) as lift:
+            assert outcome(argv, report) == expected
+        assert lift.call_count == calls
+
+
+# each case but the first damages the record, and the reader must go back to
+# the series.  An edit (the first table) leaves record_sha256 as gen-lift
+# wrote it, which no longer matches; a forgery (the second) comes with
+# record_sha256 recomputed, so the key, version, type and series digest
+# checks must stop it, or _lift, which runs and refuses the last two
+EDITED_RECORDS = {
+    "intact": (lambda rec: None, 1),
+    "no record": (None, 0),
+    "not JSON": ('{"fjcert": ', 0),
+    "not an object": ("[]", 0),
+    "wrong record digest": (_set("record_sha256", "0" * 64), 0),
+    "wrong series digest": (_set("series_sha256", "0" * 64), 0),
+    "k 12": (_set("k", 12), 0),
+    "M_max 7": (_set("M_max", 7), 0),
+    "prec 3": (_set("prec", 3), 0),
+    "den 1": (_set("den", 1), 0),
+    "one C entry + 1": (lambda rec: rec["C"].__setitem__(7, rec["C"][7] + 1), 0),
+}
+FORGED_RECORDS = {
+    "wrong series digest": (_set("series_sha256", "0" * 64), 0),
+    "wrong version": (_set("fjcert", "0.0.0"), 0),
+    "missing key": (lambda rec: rec.pop("den"), 0),
+    "extra key": (_set("note", ""), 0),
+    "bool k": (_set("k", True), 0),
+    "float k": (_set("k", 10.0), 0),
+    "float M_max": (_set("M_max", 8.0), 0),
+    "string prec": (_set("prec", "four"), 0),
+    "den zero": (_set("den", 0), 0),
+    "bool den": (_set("den", True), 0),
+    "C not a list": (_set("C", {"0": 0}), 0),
+    "float in C": (_set_c(7, 16.0), 0),
+    "bool in C": (_set_c(1, False), 0),
+    "string in C": (_set_c(8, "-36"), 0),
+    "C[0] nonzero": (_set_c(0, 1), 1),
+    "C too short": (lambda rec: rec.__setitem__("C", rec["C"][:50]), 1),
+}
+
+
+def damaged_record(good, damage, forge):
+    """The record text of good after damage, with record_sha256 recomputed
+    over the damaged fields when forge; damage as a string or None is the
+    text itself."""
+    if damage is None or isinstance(damage, str):
+        return damage
+    rec = json.loads(json.dumps(good))
+    damage(rec)
+    if forge and set(cli._LIFT_FIELDS) <= rec.keys():
+        rec["record_sha256"] = cli._record_sha256(rec)
+    return json.dumps(rec)
+
+
+@pytest.mark.parametrize(
+    "forge, case",
+    [pytest.param(False, c, id="edited " + c) for c in sorted(EDITED_RECORDS)]
+    + [pytest.param(True, c, id="forged " + c) for c in sorted(FORGED_RECORDS)],
+)
+def test_damaged_records_leave_the_series_in_charge(tmp_path, recorded_inputs, relation_files, forge, case):
+    series, good = recorded_inputs
+    path = tmp_path / "lift.json"
+    path.write_bytes(series.read_bytes())
+    damage, calls = (FORGED_RECORDS if forge else EDITED_RECORDS)[case]
+    record = damaged_record(good, damage, forge)
+    check_beside(path, record and record.encode(), *relation_files, calls)
+
+
+# a byte of the series changed: the digest no longer matches, so the record is not used
+SERIES_CASES = {
+    "trailing space": lambda text: text + " ",
+    "one digit": lambda text: text.replace('[3, 8, "9504"]', '[3, 8, "9505"]'),
+    "cut short": lambda text: text[:-1],
+}
+
+
+@pytest.mark.parametrize("case", sorted(SERIES_CASES))
+def test_changed_series_beside_its_record_reads_as_json(tmp_path, recorded_inputs, relation_files, case):
+    series, _ = recorded_inputs
+    path = tmp_path / "lift.json"
+    changed = SERIES_CASES[case](series.read_text())
+    assert changed != series.read_text()
+    path.write_text(changed)
+    check_beside(path, series.with_name("lift.json.lift").read_bytes(), *relation_files, 0)
 
 
 def test_bound_report_reads_eps_string_from_box(tmp_path, lift_file, relation_files, capsys):
@@ -756,6 +951,47 @@ def test_bound_report_bad_eps_is_usage_error(tmp_path, lift_file, relation_files
         assert main(base + ["--eps", eps]) == 64
         assert "eps must lie in (0, 1/2)" in capsys.readouterr().err
     assert main(base + ["--eps", "0.49"]) == 0
+
+
+# ---------------------------------------------------------------------------
+# outputs that cannot be written
+
+
+def write_argv(command, target, lift_file, relation_files):
+    """argv of command writing its main output to target."""
+    poly, box = relation_files
+    return {
+        "gen-lift": ["gen-lift", "--weight", "10", "--prec", "3", "--mmax", "2", "--out", str(target)],
+        "check-symmetry": ["check-symmetry", "--in", str(lift_file), "--report", str(target)],
+        "certify": ["certify", "--in", str(lift_file), "--report", str(target), "--torsion", "2,1,0", "--b", "1/128", "--theta", "0.5"],
+        "bound-report": ["bound-report", "--in", str(lift_file), "--poly", str(poly), "--box", str(box), "--points", "2", "--report", str(target)],
+    }[command]
+
+
+@pytest.mark.parametrize(
+    "command, blocked",
+    [
+        ("gen-lift", ""),
+        ("gen-lift", ".lift"),
+        ("check-symmetry", ""),
+        ("certify", ""),
+        ("certify", ".fe_norms.csv"),
+        ("certify", ".partial_sums.csv"),
+        ("bound-report", ""),
+        ("bound-report", ".partial_sums.csv"),
+    ],
+)
+def test_unwritable_output_exits_64_with_one_line(tmp_path, lift_file, relation_files, capsys, command, blocked):
+    # the main output in a missing directory, or a directory in place of a side file
+    if blocked:
+        target = tmp_path / "out.txt"
+        tmp_path.joinpath("out.txt" + blocked).mkdir()
+        reason = "Is a directory"
+    else:
+        target = tmp_path / "missing" / "out.txt"
+        reason = "No such file or directory"
+    assert main(write_argv(command, target, lift_file, relation_files)) == 64
+    assert capsys.readouterr().err == "error: cannot write %s%s: %s\n" % (target, blocked, reason)
 
 
 # ---------------------------------------------------------------------------
@@ -880,8 +1116,7 @@ def fuzz_inputs(tmp_path_factory):
     ladder step 12, which the weight-10 lift cannot satisfy."""
     base = tmp_path_factory.mktemp("fuzz")
     f = gritsenko_lift(jacobi_space(10, True, 3 * 8 + 1)[0], 8, 4)
-    box = CompactBoxSpec(((1j, 0.25j), (1j, 0.1 + 0.05j)), 0.1)
-    recs = {"in": f.to_record(), "poly": square_relation(f).to_record(), "box": box.to_record()}
+    recs = {"in": f.to_record(), "poly": square_relation(f).to_record(), "box": BOX}
     for name, rec in recs.items():
         (base / (name + ".json")).write_text(json.dumps(rec))
     step12 = PolynomialOverM([FormalFJ.zero(12, f.M_max, f.prec), FormalFJ.one(f.M_max, f.prec)], 0, 12)
@@ -955,18 +1190,39 @@ def json_paths(rec, here=()):
 JSON_VALUES = [0, -1, 10**9, -(10**9), 2.5, "1/3", "1/0", "abc", "", None, [], {}, True, "nanj", "1e400j"]
 
 
+def one_field_mutation(rec, data):
+    """A copy of the JSON record rec with one field, drawn from data, set to
+    one of JSON_VALUES."""
+    path = data.draw(st.sampled_from(json_paths(rec)))
+    rec = json.loads(json.dumps(rec))
+    node = rec
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = data.draw(st.sampled_from(JSON_VALUES))
+    return rec
+
+
 @settings(max_examples=60)
 @given(st.data())
 def test_one_field_json_mutations_keep_the_contract(fuzz_inputs, data):
     base, recs = fuzz_inputs
     name = data.draw(st.sampled_from(sorted(recs)))
-    path = data.draw(st.sampled_from(json_paths(recs[name])))
-    rec = json.loads(json.dumps(recs[name]))
-    node = rec
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = data.draw(st.sampled_from(JSON_VALUES))
     mutated = base / "mutated.json"
-    mutated.write_text(json.dumps(rec))
+    mutated.write_text(json.dumps(one_field_mutation(recs[name], data)))
     for command in ("certify", "bound-report") if name == "in" else ("bound-report",):
         assert exit_code(fuzz_argv(base, command) + ["--" + name, str(mutated)]) in CONTRACT
+
+
+@settings(max_examples=30)
+@given(st.data())
+def test_one_field_mutations_beside_a_lift_record_read_as_json(fuzz_inputs, recorded_inputs, data):
+    # the record of the unmutated series lies beside each mutated one: every
+    # command must give what it gives on the mutated series alone
+    base, recs = fuzz_inputs
+    series, _ = recorded_inputs
+    work = base / "beside"
+    work.mkdir(exist_ok=True)
+    mutated = work / "lift.json"
+    mutated.write_text(json.dumps(one_field_mutation(recs["in"], data)))
+    same = mutated.read_bytes() == series.read_bytes()  # a value set to the one it had
+    check_beside(mutated, series.with_name("lift.json.lift").read_bytes(), base / "poly.json", base / "box.json", int(same))

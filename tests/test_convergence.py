@@ -141,7 +141,7 @@ def test_bound_config_coerces_and_validates():
 
 def test_compact_box_validates_and_round_trips():
     box = CompactBoxSpec(((1j, 0.25j), (0.5 + 2j, 0.1 + 0j)), 0.125)
-    rec = box.to_record()  # read back as bound-report reads a box file
+    rec = {"eps": 0.125, "U": [["1j", "0.25j"], ["0.5+2j", "0.1+0j"]]}  # a box file, read as bound-report reads it
     assert CompactBoxSpec(tuple(rec["U"]), rec["eps"]) == box
     with pytest.raises(ValueError):
         CompactBoxSpec(((1j, 0j),), 0.0)
