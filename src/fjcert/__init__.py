@@ -11,7 +11,6 @@ from .core import (
 )
 from .reduction import (
     CapacityError,
-    HalfIntIndex,
     SymMatQ,
     UnimodularMat,
     act,

@@ -378,9 +378,11 @@ def _cmd_gen_lift(run: _Run) -> int:
 
 
 def _cmd_check_symmetry(run: _Run) -> int:
+    report_path = run.need("report")
+    if run.get("bound", 0) < 0:
+        _fail_usage("bound must be nonnegative")
     f = _load_record(run.need("infile"), FormalFJ)
     bound = run.get("bound", min(f.M_max, f.prec - 1))
-    report_path = run.need("report")
     try:
         rep = check_symmetry(f, bound)
     except ValueError as e:
@@ -397,7 +399,6 @@ def _cmd_check_symmetry(run: _Run) -> int:
 
 
 def _cmd_certify(run: _Run) -> int:
-    f = _load_record(run.need("infile"), FormalFJ)
     report_path = run.need("report")
     p = run.get("torsion", TorsionPoint(1, (0,), (0,)))
     tau1 = run.get("tau1", 1j)
@@ -408,13 +409,16 @@ def _cmd_certify(run: _Run) -> int:
     theta = run.get("theta", 0.1)
     if not 0 < theta < 1:
         _fail_usage("theta must lie in (0, 1)")
-    m_terms = run.get("M", f.M_max // 2)
-    if m_terms < 1 or 2 * m_terms > f.M_max:
+    if run.get("M", 1) < 1:
         _fail_usage("M must satisfy 1 <= M and 2M <= M_max")
     try:
         cfg = BoundConfig(b=run.get("b", Fraction(1)), slack=run.get("slack", 0.5), caps=run.get("cap", 10**6))
     except ValueError as e:
         _fail_usage(str(e))
+    f = _load_record(run.need("infile"), FormalFJ)
+    m_terms = run.get("M", f.M_max // 2)
+    if m_terms < 1 or 2 * m_terms > f.M_max:
+        _fail_usage("M must satisfy 1 <= M and 2M <= M_max")
     if not f.is_cuspidal():
         return _hypothesis_failure(report_path, "series is not cuspidal", 4)
     try:
@@ -446,6 +450,18 @@ def _cmd_certify(run: _Run) -> int:
 
 
 def _cmd_bound_report(run: _Run) -> int:
+    report_path = run.need("report")
+    points = run.get("points", 5)
+    if points < 1:
+        _fail_usage("points must be positive")
+    kappa = run.get("kappa", 1.1)
+    if not 0 < kappa < math.inf:
+        _fail_usage("kappa must be finite and positive")
+    # an eps from the box file is checked once the file is read
+    if not 0 < run.get("eps", 0.25) < 0.5:
+        _fail_usage("eps must lie in (0, 1/2)")
+    if run.get("mmax", 1) < 1:
+        _fail_usage("mmax must be positive")
     f = _load_record(run.need("infile"), FormalFJ)
     q = _load_record(run.need("poly"), PolynomialOverM)
     box_rec = _load_json(run.need("box"))
@@ -455,7 +471,6 @@ def _cmd_bound_report(run: _Run) -> int:
     eps = run.get("eps", box_rec.get("eps"))
     if eps is None:
         _fail_usage("no eps given (flag or box file)")
-    report_path = run.need("report")
     try:
         eps = float(eps)
         if not 0 < eps < 0.5:
@@ -467,12 +482,6 @@ def _cmd_bound_report(run: _Run) -> int:
     mtop = run.get("mmax", f.M_max)
     if not 1 <= mtop <= f.M_max:
         _fail_usage("mmax must lie in [1, %d]" % f.M_max)
-    points = run.get("points", 5)
-    if points < 1:
-        _fail_usage("points must be positive")
-    kappa = run.get("kappa", 1.1)
-    if not 0 < kappa < math.inf:
-        _fail_usage("kappa must be finite and positive")
     try:
         rep = partial_sum_bound_check(f, q, box, range(1, mtop + 1), kappa=kappa, points=points)
     except CapacityError as e:

@@ -73,12 +73,16 @@ def _too_long(n: int, e: int, limit: int) -> bool:
     return max(n // c, d // c) >= 10**limit
 
 
-def parse_rat(s: str) -> Fraction:
-    """Fraction from text such as "3", "-7/2", "0.25" or "1e-3"; ValueError on
-    bad text, a zero denominator included, and on a value whose numerator or
-    denominator has more digits than sys.get_int_max_str_digits() allows
-    (0: no limit), so that every value read can be printed."""
-    t = str(s).strip()
+def parse_rat(s: str) -> int | Fraction:
+    """The value of text such as "3", "-7/2", "0.25" or "1e-3": an int for
+    [sign]digits, a Fraction for any other text that Fraction reads.
+    ValueError on bad text, a zero denominator included, and on a value whose
+    numerator or denominator has more digits than sys.get_int_max_str_digits()
+    allows (0: no limit), so that every value read can be printed.
+    [sign]digits and [sign]digits/digits are read by int() alone; every other
+    text, underscores included, goes through Fraction, which decides what it
+    reads on each Python version."""
+    t = (s if type(s) is str else str(s)).strip()
     limit = _int_max_str_digits()
     # without an exponent, no part of a text of at most limit characters is longer
     if limit and ("e" in t or "E" in t or len(t) > limit):
@@ -89,6 +93,11 @@ def parse_rat(s: str) -> Fraction:
                 return Fraction(0)
             if _too_long(n, e, limit):
                 raise ValueError("numerator or denominator exceeds the limit (%d digits) for integer string conversion" % limit)
+    if (t[1:] if t[:1] in "+-" else t).isdecimal():
+        return int(t)
+    num, slash, den = t.partition("/")
+    if slash and den.isdecimal() and (num[1:] if num[:1] in "+-" else num).isdecimal() and (q := int(den)):
+        return Fraction(int(num), q)
     try:
         return Fraction(t)
     except ZeroDivisionError:

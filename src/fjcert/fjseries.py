@@ -24,7 +24,6 @@ from operator import attrgetter, floordiv, mul, sub
 from .core import PrecisionError, rat_str
 # evaluate and multiply are not called here: bench/spans.py traces calls under these names
 from .jacobi import JacobiFormQExp, _common_rows, _convolve, _index1_table, _read_int, _Texts, check_point, evaluate, evaluate_points, multiply  # noqa: F401
-from .reduction import HalfIntIndex
 
 __all__ = [
     "FormalFJ",
@@ -80,22 +79,8 @@ class FormalFJ:
     def prec(self) -> int:
         return min(phi.prec for phi in self.phis)
 
-    def coeff(self, *args):
-        """Combined coefficient c(f; t), t = [[n, r/2], [r/2, m]].
-
-        Accepts a HalfIntIndex or the three integers n, r, m.
-        """
-        if len(args) == 1:
-            t = args[0]
-            if not isinstance(t, HalfIntIndex):
-                raise TypeError("expected HalfIntIndex or (n, r, m)")
-            if t.n.denominator != 1 or t.r.denominator != 1:
-                raise ValueError("coefficient index must be integral")
-            n, r, m = int(t.n), int(t.r), t.m
-        elif len(args) == 3:
-            n, r, m = args
-        else:
-            raise TypeError("coeff takes a HalfIntIndex or (n, r, m)")
+    def coeff(self, n: int, r: int, m: int):
+        """Combined coefficient c(f; t), t = [[n, r/2], [r/2, m]]."""
         if m < 0 or m > self.M_max:
             raise PrecisionError("slice index m=%d is beyond M_max=%d" % (m, self.M_max))
         return self.phis[m].coeff(n, r)

@@ -88,10 +88,11 @@ class JacobiFormQExp:
     __slots__ = ("k", "m", "prec", "den", "num", "_fterms")
 
     def __init__(self, k: int, m: int, prec: int, coeffs: dict):
-        """Validating constructor from {(n, r): int or Fraction}."""
+        """Validating constructor from {(n, r): value}: an int, a Fraction,
+        text that parse_rat reads, or any other value Fraction takes."""
         rows: dict = {}
         for (n, r), v in coeffs.items():
-            rows.setdefault(int(n), {})[int(r)] = v if type(v) is int else Fraction(v)
+            rows.setdefault(int(n), {})[int(r)] = v if type(v) is int else parse_rat(v) if isinstance(v, str) else Fraction(v)
         den, num = _checked(m, prec, rows)
         self.k, self.m, self.prec, self.den, self.num, self._fterms = int(k), int(m), int(prec), den, num, None
 
@@ -221,10 +222,9 @@ class JacobiFormQExp:
     @classmethod
     def from_record(cls, rec) -> "JacobiFormQExp":
         """Form from its record {"k", "m", "prec", "coeffs": [[n, r, value],
-        ...]}, read as the validating constructor reads {(n, r): value}:
-        integer text through int(), other values through parse_rat.  Each
-        distinct value text is parsed once and stands for one numerator
-        object (see :class:`_Texts`)."""
+        ...]}, each value read by parse_rat.  Each distinct value text is
+        parsed once and stands for one numerator object (see
+        :class:`_Texts`)."""
         return cls._from_record(rec, _Texts())
 
     @classmethod
@@ -276,18 +276,6 @@ def _read_int(v) -> int:
     return int(v)
 
 
-def _read_value(v):
-    """A record value as parse_rat reads it, only faster: plain integer text
-    through int(), and "a/b" with a and b decimal text through two ints."""
-    if type(v) is str:
-        if v.removeprefix("-").isdecimal():
-            return int(v)
-        a, slash, b = v.partition("/")
-        if slash and b.isdecimal() and a.removeprefix("-").isdecimal() and (q := int(b)):
-            return Fraction(int(a), q)
-    return parse_rat(v)
-
-
 class _Texts:
     """The value texts of one file, each parsed once, and the numerators
     they stand for.  values maps a text to the int it reads as, or, for a
@@ -319,7 +307,7 @@ class _Texts:
             return None
         try:
             for t in new:
-                x = values[t] = _read_value(t)
+                x = values[t] = parse_rat(t)
                 if type(x) is not int:
                     values[t], fractions[t] = t, x
         except ValueError:
@@ -336,9 +324,9 @@ class _Texts:
 
 
 class _Parsed:
-    """parsed[v] is _read_value(v): records read value by value."""
+    """parsed[v] is parse_rat(v): records read value by value."""
 
-    __getitem__ = staticmethod(_read_value)
+    __getitem__ = staticmethod(parse_rat)
 
 
 def _read_entries(coeffs, values) -> dict:

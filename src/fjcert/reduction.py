@@ -19,8 +19,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import parse_rat
@@ -29,7 +27,6 @@ __all__ = [
     "CapacityError",
     "SymMatQ",
     "UnimodularMat",
-    "HalfIntIndex",
     "is_positive_definite",
     "act",
     "minkowski_reduce",
@@ -48,19 +45,9 @@ class CapacityError(RuntimeError):
 # matrix types
 
 
-_ASCII_INT = re.compile(r"[+-]?[0-9]+")
-
-
-def _parse_entry(x: str):
-    """int(x) for a plain ASCII integer, else parse_rat(x): the same values
-    and the same errors as parse_rat alone."""
-    y = x.strip()
-    return int(y) if _ASCII_INT.fullmatch(y) else parse_rat(x)
-
-
 def _text_rows(s: str):
     """The entries of the matrix text "a,b;b,c" as int or Fraction row lists."""
-    return [[_parse_entry(x) for x in part.split(",")] for part in s.strip().split(";")]
+    return [[parse_rat(x) for x in part.split(",")] for part in s.strip().split(";")]
 
 
 def _check_shape(rows):
@@ -81,7 +68,7 @@ class SymMatQ:
     __slots__ = ("size", "gram", "den")
 
     def __init__(self, rows):
-        rows = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row] for row in rows]
+        rows = [[x if isinstance(x, (int, Fraction)) else parse_rat(x) if isinstance(x, str) else Fraction(x) for x in row] for row in rows]
         _check_shape(rows)
         for i in range(len(rows)):
             for j in range(i):
@@ -173,23 +160,6 @@ class UnimodularMat:
 
     def to_text(self) -> str:
         return ";".join(",".join(map(str, row)) for row in self.rows)
-
-
-@dataclass(frozen=True)
-class HalfIntIndex:
-    """Index triple (n, r, m) standing for the matrix [[n, r/2], [r/2, m]]."""
-
-    n: Fraction
-    r: Fraction
-    m: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "n", Fraction(self.n))
-        object.__setattr__(self, "r", Fraction(self.r))
-        if self.n < 0:
-            raise ValueError("n must be nonnegative")
-        if self.m < 0:
-            raise ValueError("m must be nonnegative")
 
 
 # ---------------------------------------------------------------------------

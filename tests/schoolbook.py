@@ -48,7 +48,7 @@ record, and the reader must accept, reject and return what the old one did.
 ``pad_index0`` and ``coeff_table`` are the old ``FormalFJ`` methods of
 those names, which only tests called: a series whose one slice is an
 index-zero q-expansion, given as an integer series, and every stored
-coefficient keyed by HalfIntIndex.
+coefficient keyed by its (n, r, m).
 
 ``poly_eval`` is the old ``fjseries.poly_eval``: Horner from the leading
 coefficient, every step one product by f (here through ``series_multiply``),
@@ -89,7 +89,6 @@ from fjcert.jacobi import (
     _table,
 )
 from fjcert.reduction import (
-    HalfIntIndex,
     SymMatQ,
     UnimodularMat,
     _integral,
@@ -819,10 +818,10 @@ def pad_index0(k: int, series: dict, M_max: int, prec: int) -> FormalFJ:
 
 
 def coeff_table(f: FormalFJ, bound: int | None = None) -> dict:
-    """All stored coefficients of f as a HalfIntIndex-keyed map."""
+    """All stored coefficients of f as an (n, r, m)-keyed map."""
     out = {}
     mtop = f.M_max if bound is None else min(bound, f.M_max)
     for m in range(mtop + 1):
         for (n, r), v in f.phis[m].coeffs.items():
-            out[HalfIntIndex(Fraction(n), Fraction(r), m)] = v
+            out[n, r, m] = v
     return out

@@ -1162,6 +1162,50 @@ def test_bad_values_exit_per_contract(fuzz_inputs, extra, code):
     assert exit_code(fuzz_argv(base, extra[0]) + flags) == code
 
 
+NO_INPUT = ["--in", "/nonexistent/in.json"]
+NO_BOUND_INPUTS = NO_INPUT + ["--poly", "/nonexistent/poly.json", "--box", "/nonexistent/box.json"]
+REPORT = ["--report", "r.txt"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify"] + NO_INPUT,
+        ["certify"] + NO_INPUT + REPORT + ["--theta", "2"],
+        ["certify"] + NO_INPUT + REPORT + ["--theta", "0"],
+        ["certify"] + NO_INPUT + REPORT + ["--tau1", "1+0i"],
+        ["certify"] + NO_INPUT + REPORT + ["--torsion", "0,1,0"],
+        ["certify"] + NO_INPUT + REPORT + ["--M", "0"],
+        ["certify"] + NO_INPUT + REPORT + ["--b", "0"],
+        ["certify"] + NO_INPUT + REPORT + ["--slack", "nan"],
+        ["certify"] + NO_INPUT + REPORT + ["--cap", "0"],
+        ["check-symmetry"] + NO_INPUT,
+        ["check-symmetry"] + NO_INPUT + REPORT + ["--bound", "-1"],
+        ["bound-report"] + NO_BOUND_INPUTS,
+        ["bound-report"] + NO_BOUND_INPUTS + REPORT + ["--points", "0"],
+        ["bound-report"] + NO_BOUND_INPUTS + REPORT + ["--kappa", "-1"],
+        ["bound-report"] + NO_BOUND_INPUTS + REPORT + ["--kappa", "inf"],
+        ["bound-report"] + NO_BOUND_INPUTS + REPORT + ["--eps", "0.5"],
+        ["bound-report"] + NO_BOUND_INPUTS + REPORT + ["--eps", "nan"],
+        ["bound-report"] + NO_BOUND_INPUTS + REPORT + ["--mmax", "0"],
+    ],
+)
+def test_usage_errors_exit_before_any_input_is_read(tmp_path, monkeypatch, argv):
+    # a check that does not need the series is made before a byte of it is
+    # read, so a usage error beside an unreadable input exits 64, not 3
+    def unread(*args, **kwargs):
+        raise AssertionError("an input was read before the usage error")
+
+    monkeypatch.setattr(cli, "_load_record", unread)
+    monkeypatch.setattr(cli, "_load_json", unread)
+    assert exit_code(argv) == 64
+    # the same value from a config file
+    if "--report" in argv:
+        cfg = tmp_path / "fjcert.cfg"
+        cfg.write_text("%s = %s\n" % (argv[-2][2:], argv[-1]))
+        assert exit_code(argv[:-2] + ["--config", str(cfg)]) == 64
+
+
 FLAGS = {
     "certify": ["--torsion", "--tau1", "--theta", "--M", "--b", "--slack", "--cap"],
     "bound-report": ["--eps", "--kappa", "--mmax", "--points"],

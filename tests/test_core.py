@@ -1,8 +1,9 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fjcert import (
@@ -84,6 +85,45 @@ def test_parse_rat_reads_underscores_as_fraction_does(text):
             parse_rat(text)
     else:
         assert parse_rat(text) == expected
+
+
+# digits, signs, the slash, a space, the underscore, the point and the
+# exponent, an Arabic-Indic three (a decimal digit) and a superscript two
+# (a digit, but not a decimal one)
+RAT_ALPHABET = "0123456789+-/ _.e\u0663\u00b2"
+INTEGER_TEXT = re.compile(r"\s*[+-]?\d+\s*")
+
+
+@pytest.mark.parametrize("limit", [None, 20])
+@settings(max_examples=400)
+@given(st.text(RAT_ALPHABET, max_size=30))
+@example("0" * 25 + "5")
+@example(" -" + "9" * 21)
+@example("1" * 10 + "/" + "3" * 15)
+@example("\u0663" * 22)
+@example("1/+2")
+@example("+1/2 ")
+@example("1/0")
+def test_parse_rat_reads_as_fraction(limit, text):
+    # Fraction is the judge: parse_rat returns its value where it reads the
+    # text and the value is within the digit limit, as an int exactly for
+    # [sign]digits, and raises ValueError everywhere else
+    assume(not re.search(r"e[-+]?[\d_]{6}", text))  # no power of ten past 10^99999 for Fraction to build
+    with pytest.MonkeyPatch.context() as patch:
+        if limit is not None:
+            patch.setattr(core, "_int_max_str_digits", lambda: limit)
+        bound = 10 ** core._int_max_str_digits()
+        try:
+            want = Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            want = None
+        if want is None or bound > 1 and max(abs(want.numerator), want.denominator) >= bound:
+            with pytest.raises(ValueError):
+                parse_rat(text)
+            return
+        got = parse_rat(text)
+    assert got == want
+    assert type(got) is (int if INTEGER_TEXT.fullmatch(text) else Fraction)
 
 
 def test_bernoulli_values():

@@ -36,7 +36,6 @@ from fjcert.jacobi import (
     multiply,
     weak_generators,
 )
-from fjcert.reduction import HalfIntIndex
 
 
 # ---------------------------------------------------------------------------
@@ -81,10 +80,6 @@ def test_cuspidal_needs_cusp_slices(lift8):
 
 def test_coeff_access_forms(lift8):
     f, _ = lift8
-    t = HalfIntIndex(Fraction(2), Fraction(1), 2)
-    assert f.coeff(t) == f.coeff(2, 1, 2)
-    with pytest.raises(ValueError):
-        f.coeff(HalfIntIndex(Fraction(1, 2), Fraction(1), 1))
     with pytest.raises(PrecisionError):
         f.coeff(1, 1, f.M_max + 1)
     with pytest.raises(TypeError):
@@ -96,12 +91,11 @@ def test_coeff_access_forms(lift8):
 def test_coeff_table_round_trip(lift8):
     f, _ = lift8
     table = schoolbook.coeff_table(f)
-    assert all(isinstance(key, HalfIntIndex) for key in table)
     total = sum(len(phi.coeffs) for phi in f.phis)
     assert len(table) == total
-    assert all(v != 0 and f.coeff(key) == v for key, v in table.items())
+    assert all(v != 0 and f.coeff(*key) == v for key, v in table.items())
     small = schoolbook.coeff_table(f, bound=2)
-    assert all(key.m <= 2 for key in small)
+    assert all(m <= 2 for _, _, m in small)
 
 
 def test_add_and_scalar(lift8):

@@ -230,6 +230,14 @@ def test_constructor_validation():
     assert JacobiFormQExp(0, 1, 3, {(0, 0): 0}).is_zero()
 
 
+def test_constructor_reads_text_with_parse_rat():
+    # a text value is refused past the digit limit before its power of ten is built
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        JacobiFormQExp(4, 1, 3, {(1, 0): "1e5000"})
+    phi = JacobiFormQExp(4, 1, 3, {(1, 0): "1/2", (2, 1): 0.25})
+    assert phi.coeff(1, 0) == Fraction(1, 2) and phi.coeff(2, 1) == Fraction(1, 4)
+
+
 def test_truncated():
     _, phi = weak_generators(9)
     short = phi.truncated(5)

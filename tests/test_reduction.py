@@ -49,8 +49,8 @@ def test_symmat_text_round_trip():
 
 @pytest.mark.parametrize("text", ["+3", " 007 ", "-0", "1_0", "\u0661\u0662", "1e2", "0.5", "3/4"])
 def test_symmat_from_text_matches_parse_rat(text):
-    # plain ASCII integers are read as ints; every other entry goes through
-    # parse_rat, which reads "1_0" as Fraction does: from Python 3.11 on
+    # every entry goes through parse_rat, which reads "1_0" as Fraction
+    # does: from Python 3.11 on
     if "_" in text and sys.version_info < (3, 11):
         with pytest.raises(ValueError):
             parse_rat(text)
@@ -84,6 +84,15 @@ def test_symmat_from_text_signed_integers(n, plus, zeros, before, after):
     t = SymMatQ.from_text("%s,1;1,%s" % (text, text))
     assert t.rows == ((parse_rat(text), 1), (1, parse_rat(text)))
     assert all(type(x) is Fraction for row in t.rows for x in row)
+
+
+def test_symmat_reads_text_entries_with_parse_rat():
+    # a text entry is refused past the digit limit before its power of ten is built
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        SymMatQ([["1e5000"]])
+    assert SymMatQ([["1/2"]]) == SymMatQ([[Fraction(1, 2)]])
+    # a float keeps its exact binary value
+    assert SymMatQ([[0.1]])[0, 0] == Fraction(0.1) != Fraction(1, 10)
 
 
 def test_symmat_rejects_asymmetric():
