@@ -1,8 +1,10 @@
 """Batch command line front-end.
 
 Subcommands: gen-lift, check-symmetry, certify, bound-report, reduce.
-Flags override config-file entries, which override defaults.  Reports are
-always written, even for failing runs, so CI can archive them.
+Each command's flags are declared once, in _COMMANDS; a config-file key is
+a flag's name.  Flags override config-file entries, which override
+defaults.  Reports are always written, even for failing runs, so CI can
+archive them.
 
 Exit codes are a stable contract:
   0 success / all checks passed
@@ -86,27 +88,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_complex(s: str) -> complex:
-    t = s.strip().lower().replace(" ", "").replace("i", "j")
-    if t in ("j", "+j"):
-        t = "1j"
-    elif t == "-j":
-        t = "-1j"
-    elif t.endswith("+j"):
-        t = t[:-1] + "1j"
-    elif t.endswith("-j"):
-        t = t[:-2] + "-1j"
     try:
-        return complex(t)
+        return complex(s.lower().replace(" ", "").replace("i", "j"))
     except ValueError:
         raise argparse.ArgumentTypeError("cannot parse complex number %r" % s)
 
 
 def _parse_torsion(s: str) -> TorsionPoint:
     try:
-        parts = [int(x) for x in s.split(",")]
-        if len(parts) != 3:
-            raise ValueError
-        return TorsionPoint(parts[0], (parts[1],), (parts[2],))
+        n, lam, mu = map(int, s.split(","))
+        return TorsionPoint(n, (lam,), (mu,))
     except ValueError:
         raise argparse.ArgumentTypeError("torsion must be N,lam_num,mu_num")
 
@@ -114,65 +105,49 @@ def _parse_torsion(s: str) -> TorsionPoint:
 def _read_config(path: str) -> dict:
     out = {}
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError("config line without '=': %r" % line)
-            key, _, val = line.partition("=")
-            out[key.strip().replace("-", "_")] = val.strip()
+        for line in map(str.strip, fh):
+            if line and not line.startswith("#"):
+                key, eq, val = line.partition("=")
+                if not eq:
+                    raise ValueError("config line without '=': %r" % line)
+                out[key.strip()] = val.strip()
     return out
 
 
-_CONVERTERS = {
-    "weight": int,
-    "prec": int,
-    "mmax": int,
-    "bound": int,
-    "M": int,
-    "points": int,
-    "cap": int,
-    "theta": float,
-    "eps": float,
-    "kappa": float,
-    "slack": float,
-    "b": parse_rat,
-    "tau1": _parse_complex,
-    "torsion": _parse_torsion,
-}
-
-
 class _Run:
-    """Resolved parameters: flag > config > default."""
+    """A command's parameters, each resolved once, flag > config > default,
+    into params; a config value is read as its flag is."""
 
-    def __init__(self, args):
-        self.args = args
-        self.config = {}
-        if getattr(args, "config", None):
+    def __init__(self, args, flags):
+        config = {}
+        if args.config:
             try:
-                self.config = _read_config(args.config)
+                config = _read_config(args.config)
             except (OSError, ValueError) as e:
                 _fail_usage("cannot read config: %s" % e)
-        self.json_out = bool(getattr(args, "json", False))
-
-    def get(self, name, default=None):
-        v = getattr(self.args, name, None)
-        if v is not None:
-            return v
-        if name in self.config:
-            conv = _CONVERTERS.get(name)
-            try:
-                return conv(self.config[name]) if conv else self.config[name]
-            except (ValueError, argparse.ArgumentTypeError) as e:
-                _fail_usage("bad config value for %s: %s" % (name, e))
-        return default
+        self.params = {}
+        for name, conv, default, _ in flags:
+            v = getattr(args, name)
+            if v is None and name in config:
+                try:
+                    v = conv(config[name])
+                except (ValueError, argparse.ArgumentTypeError) as e:
+                    _fail_usage("bad config value for %s: %s" % (name, e))
+            self.params[name] = default if v is None else v
+        self.json_out = args.json
 
     def need(self, name):
-        v = self.get(name)
+        v = self.params[name]
         if v is None:
-            _fail_usage("missing required parameter --%s" % name.replace("_", "-"))
+            _fail_usage("missing required parameter --%s" % name)
         return v
+
+    def default(self, name, value):
+        """params[name], set to value, the default read from the input, if
+        neither a flag nor the config gave it."""
+        if self.params[name] is None:
+            self.params[name] = value
+        return self.params[name]
 
     def emit(self, record: dict, human_lines):
         if self.json_out:
@@ -350,8 +325,7 @@ def _check_precision_floor(f: FormalFJ, p: TorsionPoint, window) -> None:
 
 def _cmd_gen_lift(run: _Run) -> int:
     k = run.need("weight")
-    prec = run.get("prec", 8)
-    mmax = run.get("mmax", 8)
+    prec, mmax = run.params["prec"], run.params["mmax"]
     out = run.need("out")
     if prec < 1 or mmax < 1:
         _fail_usage("prec and mmax must be positive")
@@ -379,10 +353,10 @@ def _cmd_gen_lift(run: _Run) -> int:
 
 def _cmd_check_symmetry(run: _Run) -> int:
     report_path = run.need("report")
-    if run.get("bound", 0) < 0:
+    if run.params["bound"] is not None and run.params["bound"] < 0:
         _fail_usage("bound must be nonnegative")
-    f = _load_record(run.need("infile"), FormalFJ)
-    bound = run.get("bound", min(f.M_max, f.prec - 1))
+    f = _load_record(run.need("in"), FormalFJ)
+    bound = run.default("bound", min(f.M_max, f.prec - 1))
     try:
         rep = check_symmetry(f, bound)
     except ValueError as e:
@@ -390,33 +364,29 @@ def _cmd_check_symmetry(run: _Run) -> int:
     _write_text(report_path, rep.to_text())
     run.emit(
         rep.to_record(),
-        [
-            "symmetry audit: %d checked, %d skipped, %d violations"
-            % (rep.checked, rep.skipped, len(rep.violations))
-        ],
+        ["symmetry audit: %d checked, %d skipped, %d violations" % (rep.checked, rep.skipped, len(rep.violations))],
     )
     return 0 if rep.ok else 1
 
 
 def _cmd_certify(run: _Run) -> int:
     report_path = run.need("report")
-    p = run.get("torsion", TorsionPoint(1, (0,), (0,)))
-    tau1 = run.get("tau1", 1j)
+    par = run.params
+    p, tau1, theta = par["torsion"], par["tau1"], par["theta"]
     try:
         check_point(tau1)
     except ValueError as e:
         _fail_usage(str(e))
-    theta = run.get("theta", 0.1)
     if not 0 < theta < 1:
         _fail_usage("theta must lie in (0, 1)")
-    if run.get("M", 1) < 1:
+    if par["M"] is not None and par["M"] < 1:
         _fail_usage("M must satisfy 1 <= M and 2M <= M_max")
     try:
-        cfg = BoundConfig(b=run.get("b", Fraction(1)), slack=run.get("slack", 0.5), caps=run.get("cap", 10**6))
+        cfg = BoundConfig(b=par["b"], slack=par["slack"], caps=par["cap"])
     except ValueError as e:
         _fail_usage(str(e))
-    f = _load_record(run.need("infile"), FormalFJ)
-    m_terms = run.get("M", f.M_max // 2)
+    f = _load_record(run.need("in"), FormalFJ)
+    m_terms = run.default("M", f.M_max // 2)
     if m_terms < 1 or 2 * m_terms > f.M_max:
         _fail_usage("M must satisfy 1 <= M and 2M <= M_max")
     if not f.is_cuspidal():
@@ -451,35 +421,35 @@ def _cmd_certify(run: _Run) -> int:
 
 def _cmd_bound_report(run: _Run) -> int:
     report_path = run.need("report")
-    points = run.get("points", 5)
+    par = run.params
+    points, kappa = par["points"], par["kappa"]
     if points < 1:
         _fail_usage("points must be positive")
-    kappa = run.get("kappa", 1.1)
     if not 0 < kappa < math.inf:
         _fail_usage("kappa must be finite and positive")
     # an eps from the box file is checked once the file is read
-    if not 0 < run.get("eps", 0.25) < 0.5:
+    if par["eps"] is not None and not 0 < par["eps"] < 0.5:
         _fail_usage("eps must lie in (0, 1/2)")
-    if run.get("mmax", 1) < 1:
+    if par["mmax"] is not None and par["mmax"] < 1:
         _fail_usage("mmax must be positive")
-    f = _load_record(run.need("infile"), FormalFJ)
+    f = _load_record(run.need("in"), FormalFJ)
     q = _load_record(run.need("poly"), PolynomialOverM)
     box_rec = _load_json(run.need("box"))
     if not isinstance(box_rec, dict):
         print("error: cannot parse box: expected a JSON object", file=sys.stderr)
         return 3
-    eps = run.get("eps", box_rec.get("eps"))
+    eps = run.default("eps", box_rec.get("eps"))
     if eps is None:
         _fail_usage("no eps given (flag or box file)")
     try:
-        eps = float(eps)
+        eps = par["eps"] = float(eps)
         if not 0 < eps < 0.5:
             _fail_usage("eps must lie in (0, 1/2)")
         box = CompactBoxSpec(tuple(box_rec["U"]), eps)
     except (KeyError, TypeError, ValueError) as e:
         print("error: cannot parse box: %s" % e, file=sys.stderr)
         return 3
-    mtop = run.get("mmax", f.M_max)
+    mtop = run.default("mmax", f.M_max)
     if not 1 <= mtop <= f.M_max:
         _fail_usage("mmax must lie in [1, %d]" % f.M_max)
     try:
@@ -496,12 +466,7 @@ def _cmd_bound_report(run: _Run) -> int:
         rep.to_record(),
         [
             "bound report: %s (D_eps %s, bound %s, max %s)"
-            % (
-                rep.verdict,
-                rep.witnesses.get("D_eps"),
-                rep.witnesses.get("bound"),
-                rep.witnesses.get("max_partial_sum"),
-            )
+            % (rep.verdict, rep.witnesses.get("D_eps"), rep.witnesses.get("bound"), rep.witnesses.get("max_partial_sum"))
         ],
     )
     if rep.verdict == "hypothesis-failure":
@@ -533,56 +498,48 @@ def _cmd_reduce(run: _Run) -> int:
 # ---------------------------------------------------------------------------
 
 
+# Each command's function, help and flags.  A flag is (name, type, default,
+# help): --name on the command line, name in the config file, whose value is
+# read by type, as the flag's is.  A default of None marks a flag that the
+# command needs (run.need), or whose default it reads from the input
+# (run.default): bound, M, eps and mmax.
+_COMMANDS = {
+    "gen-lift": (_cmd_gen_lift, "generate a lift from the first cusp basis element", (
+        ("weight", int, None, None), ("prec", int, 8, None), ("mmax", int, 8, None), ("out", str, None, None),
+    )),
+    "check-symmetry": (_cmd_check_symmetry, "audit the coefficient symmetry of a series file", (
+        ("in", str, None, None), ("bound", int, None, None), ("report", str, None, None),
+    )),
+    "certify": (_cmd_certify, "growth fit and pointwise convergence at a torsion point", (
+        ("in", str, None, None),
+        ("torsion", _parse_torsion, TorsionPoint(1, (0,), (0,)), "N,lam_num,mu_num"),
+        ("tau1", _parse_complex, 1j, "complex a+bi"),
+        ("theta", float, 0.1, None), ("M", int, None, None), ("b", parse_rat, Fraction(1), None),
+        ("slack", float, 0.5, None), ("cap", int, 10**6, None), ("report", str, None, None),
+    )),
+    "bound-report": (_cmd_bound_report, "locally-bounded certificate on a compact box", (
+        ("in", str, None, None), ("poly", str, None, None), ("eps", float, None, None), ("box", str, None, None),
+        ("kappa", float, 1.1, None), ("mmax", int, None, None), ("points", int, 5, None), ("report", str, None, None),
+    )),
+    "reduce": (_cmd_reduce, "Minkowski-reduce a small positive definite matrix", (
+        ("matrix", str, None, 'entries "a,b;b,c"'),
+    )),
+}
+
+
 @lru_cache(maxsize=None)  # built on the first main() call; parse_args keeps no state between calls
 def _build_parser():
-    """The top-level parser and its command parsers by name."""
+    """The top-level parser and its command parsers by name, from _COMMANDS."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable stdout")
     common.add_argument("--config", help="key=value config file (flags win)")
 
     parser = _Parser(prog="fjcert", description="formal Fourier-Jacobi series toolkit")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-
-    p = sub.add_parser("gen-lift", parents=[common], help="generate a lift from the first cusp basis element")
-    p.add_argument("--weight", type=int)
-    p.add_argument("--prec", type=int)
-    p.add_argument("--mmax", type=int)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_gen_lift)
-
-    p = sub.add_parser("check-symmetry", parents=[common], help="audit the coefficient symmetry of a series file")
-    p.add_argument("--in", dest="infile")
-    p.add_argument("--bound", type=int)
-    p.add_argument("--report")
-    p.set_defaults(func=_cmd_check_symmetry)
-
-    p = sub.add_parser("certify", parents=[common], help="growth fit and pointwise convergence at a torsion point")
-    p.add_argument("--in", dest="infile")
-    p.add_argument("--torsion", type=_parse_torsion, help="N,lam_num,mu_num")
-    p.add_argument("--tau1", type=_parse_complex, help="complex a+bi")
-    p.add_argument("--theta", type=float)
-    p.add_argument("--M", type=int)
-    p.add_argument("--b", type=parse_rat)
-    p.add_argument("--slack", type=float)
-    p.add_argument("--cap", type=int)
-    p.add_argument("--report")
-    p.set_defaults(func=_cmd_certify)
-
-    p = sub.add_parser("bound-report", parents=[common], help="locally-bounded certificate on a compact box")
-    p.add_argument("--in", dest="infile")
-    p.add_argument("--poly")
-    p.add_argument("--eps", type=float)
-    p.add_argument("--box")
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--mmax", type=int)
-    p.add_argument("--points", type=int)
-    p.add_argument("--report")
-    p.set_defaults(func=_cmd_bound_report)
-
-    p = sub.add_parser("reduce", parents=[common], help="Minkowski-reduce a small positive definite matrix")
-    p.add_argument("--matrix", help='entries "a,b;b,c"')
-    p.set_defaults(func=_cmd_reduce)
-
+    for command, (_, help, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, parents=[common], help=help)
+        for name, conv, _, flag_help in flags:
+            p.add_argument("--" + name, type=conv, help=flag_help)
     return parser, sub.choices
 
 
@@ -602,8 +559,8 @@ def main(argv=None) -> int:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        run = _Run(args)
-        return args.func(run)
+        func, _, flags = _COMMANDS[args.command]
+        return func(_Run(args, flags))
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 64
     finally:

@@ -222,9 +222,9 @@ class JacobiFormQExp:
     @classmethod
     def from_record(cls, rec) -> "JacobiFormQExp":
         """Form from its record {"k", "m", "prec", "coeffs": [[n, r, value],
-        ...]}, each value read by parse_rat.  Each distinct value text is
-        parsed once and stands for one numerator object (see
-        :class:`_Texts`)."""
+        ...]}, each value read by parse_rat; ValueError on a float value.
+        Each distinct value text is parsed once and stands for one numerator
+        object (see :class:`_Texts`)."""
         return cls._from_record(rec, _Texts())
 
     @classmethod
@@ -324,9 +324,16 @@ class _Texts:
 
 
 class _Parsed:
-    """parsed[v] is parse_rat(v): records read value by value."""
+    """parsed[v] is parse_rat(v): records read value by value.  A JSON float
+    is refused with ValueError, as _read_int refuses one: its text is a
+    decimal that need not be the float's binary value, which the
+    constructor reads."""
 
-    __getitem__ = staticmethod(parse_rat)
+    @staticmethod
+    def __getitem__(v):
+        if type(v) is float:
+            raise ValueError("expected a value text or an integer, got %r" % (v,))
+        return parse_rat(v)
 
 
 def _read_entries(coeffs, values) -> dict:

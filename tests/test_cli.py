@@ -6,6 +6,7 @@ import gc
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -172,6 +173,20 @@ def test_main_calls_in_one_process_are_independent(tmp_path, capsys):
     assert "cannot parse" in capsys.readouterr().err
     assert main(["reduce", "--matrix", "5,4;4,5"]) == 0
     assert capsys.readouterr().out == "reduced: 2,1;1,5\ntransform: -1,-1;1,0\nhermite_ok: True\n"
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [("i", 1j), ("+i", 1j), ("-i", -1j), ("1+i", 1 + 1j), ("1-i", 1 - 1j), (" 0.5 - i ", 0.5 - 1j), ("1e+i", None), ("1e-i", None)],
+)
+def test_tau1_is_read_as_complex_reads_it(text, value):
+    # i for j and no spaces, then complex(): "1e+j" has no exponent digits, so it is refused
+    if value is None:
+        with pytest.raises(SystemExit) as e:
+            main(["certify", "--tau1", text])
+        assert e.value.code == 64
+    else:
+        assert cli._parse_complex(text) == value
 
 
 def test_bad_flag_value_exits_64():
@@ -364,6 +379,17 @@ def test_series_with_a_float_or_bool_integer_field_exits_3(tmp_path, lift_file, 
         assert main(["check-symmetry", "--in", str(bad), "--report", str(tmp_path / "r.txt")]) == 3
         err = capsys.readouterr().err
         assert "expected an integer" in err and "Traceback" not in err
+
+
+def test_series_with_a_float_value_exits_3(tmp_path, lift_file, capsys):
+    # a float's text need not be its binary value, so the reader refuses it
+    rec = json.loads(lift_file.read_text())
+    rec["phis"][1]["coeffs"][0][2] = 0.1
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(rec))
+    assert main(["check-symmetry", "--in", str(bad), "--report", str(tmp_path / "r.txt")]) == 3
+    err = capsys.readouterr().err
+    assert "expected a value text or an integer, got 0.1" in err and "Traceback" not in err
 
 
 def test_check_symmetry_bad_bound_is_usage_error(tmp_path, lift_file):
@@ -1066,6 +1092,47 @@ def test_flag_beats_config_beats_default(tmp_path, lift_file, capsys):
     assert json.loads(capsys.readouterr().out)["bound"] == 3
     assert main(base) == 0
     assert json.loads(capsys.readouterr().out)["bound"] == 7
+
+
+# every flag but --json, as flag and config key, for each command that reads a series
+CONFIG_RUNS = {
+    "check-symmetry": [("bound", "6")],
+    "certify": [("torsion", "2,1,0"), ("tau1", "0.1+1.2i"), ("theta", "0.3"), ("M", "4"), ("b", "1/128"), ("slack", "0.25"), ("cap", "100000")],
+    "bound-report": [("eps", "0.1"), ("kappa", "1.2"), ("mmax", "6"), ("points", "3")],
+}
+
+
+def criterion6_box():
+    """The 25 points (1j, z) around z = 0 of acceptance criterion 6, eps 0.1."""
+    lo = -0.2 / math.sqrt(2)
+    xs = [lo + i * (-2 * lo) / 4 for i in range(5)]
+    return {"U": [["1j", str(complex(x, y))] for x in xs for y in xs], "eps": 0.1}
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_RUNS))
+def test_config_file_runs_as_its_flags(tmp_path, lift_file, relation_files, command):
+    # the config keys are the flag names, in included, and each value is read as its flag is
+    box = tmp_path / "box.json"
+    box.write_text(json.dumps(criterion6_box()))
+    out = tmp_path / "out"
+    out.mkdir()
+    inputs = [("in", str(lift_file))] + ([("poly", str(relation_files[0])), ("box", str(box))] if command == "bound-report" else [])
+    params = inputs + CONFIG_RUNS[command] + [("report", str(out / "report.txt"))]
+    cfg = tmp_path / "fjcert.cfg"
+    cfg.write_text("".join("%s = %s\n" % kv for kv in params))
+    runs = []
+    for argv in ([command, "--json"] + [x for key, v in params for x in ("--" + key, v)], [command, "--json", "--config", str(cfg)]):
+        runs.append((run_main(argv), {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
+        for p in out.iterdir():
+            p.unlink()
+    assert runs[0] == runs[1]
+    (code, stdout, _), files = runs[0]
+    assert code in (0, 1) and json.loads(stdout)
+    assert sorted(files) == {
+        "check-symmetry": ["report.txt"],
+        "certify": ["report.txt", "report.txt.fe_norms.csv", "report.txt.partial_sums.csv"],
+        "bound-report": ["report.txt", "report.txt.partial_sums.csv"],
+    }[command]
 
 
 def test_no_threads_knob(tmp_path, lift_file, monkeypatch, capsys):
