@@ -23,8 +23,10 @@ M_max, prec, the fjcert version, the sha256 of <out> and a sha256 over all
 of these.  A command that reads a series builds it from the record's table
 when the record is of this version, its own sha256 matches its fields and
 it names the file's sha256, and reads the JSON otherwise.  The two give
-the same series, so a missing, stale, edited or damaged record changes no
-result: the series file is the one source of truth.
+the same series for a record as gen-lift wrote it, so a missing, stale or
+damaged record, or one edited by accident, changes no result.  The digests
+have no key: a record edited on purpose, with record_sha256 recomputed, is
+read, and builds its own series, not the file's.
 
 Each command runs with the cyclic garbage collector paused, and main gives
 it back enabled or disabled as it found it.  The millions of dicts, lists
@@ -55,14 +57,13 @@ from .convergence import (
     pointwise_convergence_check,
     write_csv,
 )
-from .core import PrecisionError, parse_rat
+from .core import PrecisionError, _read_int, parse_rat
 # gritsenko_lift, jacobi_space and is_positive_definite are not called here:
 # bench/spans.py traces calls under these names
 from .fjseries import FormalFJ, PolynomialOverM, _lift, check_symmetry, gritsenko_lift  # noqa: F401
 from .jacobi import (  # noqa: F401
     JacobiFormQExp,
     TorsionPoint,
-    _read_int,
     _space_components,
     _Texts,
     certified_precision,
@@ -116,7 +117,9 @@ def _read_config(path: str) -> dict:
 
 class _Run:
     """A command's parameters, each resolved once, flag > config > default,
-    into params; a config value is read as its flag is."""
+    into params; a config value is read as its flag is.  A config key of
+    another command is ignored, one that names no flag of any command (a
+    misspelt key) is refused."""
 
     def __init__(self, args, flags):
         config = {}
@@ -125,6 +128,8 @@ class _Run:
                 config = _read_config(args.config)
             except (OSError, ValueError) as e:
                 _fail_usage("cannot read config: %s" % e)
+            if unknown := sorted(config.keys() - _CONFIG_KEYS):
+                _fail_usage("config key %s names no flag of any command" % ", ".join(map(repr, unknown)))
         self.params = {}
         for name, conv, default, _ in flags:
             v = getattr(args, name)
@@ -225,7 +230,8 @@ def _file_sha256(path: str) -> str:
 def _record_sha256(rec: dict) -> str:
     """The sha256 of json.dumps of the lift record's _LIFT_FIELDS values, as
     a list: it ties k, M_max, prec, den and C to series_sha256, so a record
-    edited after gen-lift wrote it is not read."""
+    damaged or edited by accident after gen-lift wrote it is not read.  It
+    has no key, so it does not stop an edit that recomputes it."""
     import hashlib
 
     return hashlib.sha256(json.dumps([rec[key] for key in _LIFT_FIELDS]).encode()).hexdigest()
@@ -249,8 +255,9 @@ def _read_lift(path: str):
     has exactly the keys _write_lift gives it, this version, integer k,
     M_max and prec, a positive int den and a list of ints C, the
     record_sha256 of those fields and the sha256 of path, and _lift accepts
-    it.  So the series file decides every result: a missing, stale, edited
-    or damaged record only sends the reader back to it."""
+    it.  A missing, stale or damaged record, or one edited by accident, only
+    sends the reader back to the series file; a record edited on purpose,
+    with record_sha256 recomputed, is read (see the module docstring)."""
     try:
         with open(path + ".lift") as fh:
             rec = json.loads(fh.read())
@@ -525,6 +532,9 @@ _COMMANDS = {
         ("matrix", str, None, 'entries "a,b;b,c"'),
     )),
 }
+
+
+_CONFIG_KEYS = {name for _, _, flags in _COMMANDS.values() for name, *_ in flags}  # of every command
 
 
 @lru_cache(maxsize=None)  # built on the first main() call; parse_args keeps no state between calls

@@ -104,6 +104,14 @@ def parse_rat(s: str) -> int | Fraction:
         raise ValueError("zero denominator in %r" % (s,)) from None
 
 
+def _read_int(v) -> int:
+    """int(v), refusing with ValueError the floats and bools that int()
+    would truncate or read as 0 and 1."""
+    if isinstance(v, (float, bool)):
+        raise ValueError("expected an integer, got %r" % (v,))
+    return int(v)
+
+
 # ---------------------------------------------------------------------------
 # elementary number theory
 

@@ -21,9 +21,9 @@ from fractions import Fraction
 from itertools import accumulate, chain, compress, repeat
 from operator import attrgetter, floordiv, mul, sub
 
-from .core import PrecisionError, rat_str
+from .core import PrecisionError, _read_int, rat_str
 # evaluate and multiply are not called here: bench/spans.py traces calls under these names
-from .jacobi import JacobiFormQExp, _common_rows, _convolve, _index1_table, _read_int, _Texts, check_point, evaluate, evaluate_points, multiply  # noqa: F401
+from .jacobi import JacobiFormQExp, _common_rows, _convolve, _index1_table, _Texts, check_point, evaluate, evaluate_points, multiply  # noqa: F401
 
 __all__ = [
     "FormalFJ",

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from itertools import accumulate, chain, compress, repeat
-from operator import add, attrgetter, ge, itemgetter, le, mul, truediv
+from operator import add, ge, itemgetter, le, mul, truediv
 
 from .core import (
     PrecisionError,
@@ -50,6 +50,7 @@ from .core import (
     _dict_scale,
     _eis_dict,
     _kron_rows,
+    _read_int,
     parse_rat,
 )
 from .reduction import WINDOW_CAP, SymMatQ
@@ -88,13 +89,13 @@ class JacobiFormQExp:
     __slots__ = ("k", "m", "prec", "den", "num", "_fterms")
 
     def __init__(self, k: int, m: int, prec: int, coeffs: dict):
-        """Validating constructor from {(n, r): value}: an int, a Fraction,
-        text that parse_rat reads, or any other value Fraction takes."""
-        rows: dict = {}
-        for (n, r), v in coeffs.items():
-            rows.setdefault(int(n), {})[int(r)] = v if type(v) is int else parse_rat(v) if isinstance(v, str) else Fraction(v)
-        den, num = _checked(m, prec, rows)
-        self.k, self.m, self.prec, self.den, self.num, self._fterms = int(k), int(m), int(prec), den, num, None
+        """Validating constructor from {(n, r): value}, read as from_record
+        reads a record: an int, a Fraction or text that parse_rat reads; any
+        other value v is read as Fraction(v), so a float is its exact binary
+        value."""
+        entries = [[n, r, v if type(v) in _VALUE_TYPES else Fraction(v)] for (n, r), v in coeffs.items()]
+        self.k, self.m, self.prec, self.den, self.num = _read_form(k, m, prec, entries, _Texts())
+        self._fterms = None
 
     @classmethod
     def _trusted(cls, k: int, m: int, prec: int, den: int, num: dict) -> "JacobiFormQExp":
@@ -222,29 +223,16 @@ class JacobiFormQExp:
     @classmethod
     def from_record(cls, rec) -> "JacobiFormQExp":
         """Form from its record {"k", "m", "prec", "coeffs": [[n, r, value],
-        ...]}, each value read by parse_rat; ValueError on a float value.
-        Each distinct value text is parsed once and stands for one numerator
-        object (see :class:`_Texts`)."""
+        ...]}, each value an int or a text that parse_rat reads; ValueError
+        on a float or any other value.  Each distinct value text is parsed
+        once and stands for one numerator object (see :class:`_Texts`)."""
         return cls._from_record(rec, _Texts())
 
     @classmethod
     def _from_record(cls, rec, texts: "_Texts") -> "JacobiFormQExp":
         """from_record through texts, the table of value texts that the
-        slices of one file share: a record of value texts is read straight
-        into its numerators over den, one dict lookup per entry; any other
-        record is read value by value."""
-        k, m, prec = _read_int(rec["k"]), _read_int(rec["m"]), _read_int(rec["prec"])
-        coeffs = rec["coeffs"]
-        found = texts.numerators(coeffs)
-        if found is not None:
-            den, conv = found
-            try:
-                rows = _read_entries(coeffs, conv)
-            except KeyError:  # an entry whose unpacked value is not its item 2
-                pass
-            else:
-                return cls._trusted(k, m, prec, den, _checked_rows(m, prec, rows))
-        return cls._trusted(k, m, prec, *_checked(m, prec, _read_entries(coeffs, _Parsed())))
+        slices of one file share."""
+        return cls._trusted(*_read_form(rec["k"], rec["m"], rec["prec"], rec["coeffs"], texts))
 
     def float_terms(self):
         """The rows, computed once: in storage order, one (n, lo, cs) per
@@ -268,50 +256,57 @@ class JacobiFormQExp:
         return self._fterms
 
 
-def _read_int(v) -> int:
-    """int(v), refusing with ValueError the floats and bools that int()
-    would truncate or read as 0 and 1."""
-    if isinstance(v, (float, bool)):
-        raise ValueError("expected an integer, got %r" % (v,))
-    return int(v)
+_VALUE_TYPES = frozenset((str, int, Fraction))  # of an entry's value
+
+
+def _read_form(k, m, prec, coeffs, texts: "_Texts"):
+    """(k, m, prec, den, num) of the form of weight k, index m and precision
+    prec whose entries [n, r, value] are coeffs, each value read through
+    texts; ValueError on fields or entries that such a form cannot hold."""
+    k, m, prec = _read_int(k), _read_int(m), _read_int(prec)
+    den, conv = texts.numerators(coeffs)
+    return k, m, prec, den, _checked_rows(m, prec, _read_entries(coeffs, conv))
 
 
 class _Texts:
-    """The value texts of one file, each parsed once, and the numerators
-    they stand for.  values maps a text to the int it reads as, or, for a
-    text of any other value, to the text itself, whose Fraction fractions
-    holds; over[den] maps a text to its numerator over den.  Every entry is
-    made once per file, so a value text stands for one object throughout."""
+    """The values of one file, each read once: values maps a value to its
+    int, or a value of a non-integer to itself and fractions maps it to its
+    Fraction; over[den] maps a value to its numerator over den.  Each entry
+    is made once per file, so a value text stands for one object throughout.
+    texts is True while every key of values is a text."""
 
-    __slots__ = ("values", "fractions", "over")
+    __slots__ = ("values", "fractions", "over", "texts")
 
     def __init__(self):
         self.values: dict = {}
         self.fractions: dict = {}
         self.over: dict = {}
+        self.texts = True
 
     def numerators(self, coeffs):
-        """(den, conv) when every entry [n, r, v] of coeffs has a text v:
-        den is the lcm of the denominators of their values and conv maps each
-        text to its numerator over den.  None when an entry has no item 2,
-        an item 2 that is not text, or a text that does not parse.  Texts
-        new to the table, or to over[den], cost a Python step each; the
-        rest is C-level set work."""
-        try:
+        """(den, conv) for the entries [n, r, v] of coeffs: den is the lcm of
+        the denominators of the values, and conv maps each v to its numerator
+        over den.  v is an int, a text that parse_rat reads or a Fraction;
+        ValueError on any other v and on an entry that is not a list or tuple
+        with an item 2.  Values new to the table, or to over[den], cost a
+        Python step each; the rest, in a file of texts, is C-level set work."""
+        try:  # list.__getitem__ takes a list only: a record of lists is typed at C speed
+            here = set(map(list.__getitem__, coeffs, repeat(2)))
+        except (IndexError, TypeError):
+            if bad := [e for e in coeffs if type(e) not in (list, tuple) or len(e) < 3]:
+                raise ValueError("expected an entry [n, r, value], got %r" % (bad[0],)) from None
+            _check_values(coeffs)
             here = set(map(itemgetter(2), coeffs))
-        except (IndexError, KeyError, TypeError):
-            return None
         values, fractions = self.values, self.fractions
         new = here.difference(values)
-        if not set(map(type, new)) <= {str}:
-            return None
-        try:
-            for t in new:
-                x = values[t] = parse_rat(t)
-                if type(x) is not int:
-                    values[t], fractions[t] = t, x
-        except ValueError:
-            return None
+        # a value that is not text equals no text: while the keys are texts, new holds every such value
+        if not set(map(type, new if self.texts else here)) <= {str}:
+            _check_values(coeffs)
+            self.texts = False
+        for t in new:
+            x = values[t] = parse_rat(t) if type(t) is str else t
+            if type(x) is not int:
+                values[t], fractions[t] = t, x
         fracs = here.intersection(fractions)
         if not fracs:
             return 1, values
@@ -323,17 +318,12 @@ class _Texts:
         return den, over
 
 
-class _Parsed:
-    """parsed[v] is parse_rat(v): records read value by value.  A JSON float
-    is refused with ValueError, as _read_int refuses one: its text is a
-    decimal that need not be the float's binary value, which the
-    constructor reads."""
-
-    @staticmethod
-    def __getitem__(v):
-        if type(v) is float:
-            raise ValueError("expected a value text or an integer, got %r" % (v,))
-        return parse_rat(v)
+def _check_values(coeffs):
+    """ValueError unless every entry's value is a text, an int or a Fraction,
+    typed entry by entry: 1, 1.0, True and Fraction(1) are one set element."""
+    if not set(map(type, map(itemgetter(2), coeffs))) <= _VALUE_TYPES:
+        v = next(v for v in map(itemgetter(2), coeffs) if type(v) not in _VALUE_TYPES)
+        raise ValueError("expected a value text or an integer, got %r" % (v,))
 
 
 def _read_entries(coeffs, values) -> dict:
@@ -347,18 +337,6 @@ def _read_entries(coeffs, values) -> dict:
             row, last = rows.setdefault(n, {}), n
         row[r] = values[v]
     return rows
-
-
-def _checked(m: int, prec: int, rows: dict):
-    """(den, num) from rows {n: {r: int or Fraction}} for a form of index m
-    and precision prec; ValueError on values such a form cannot hold.  The
-    numerators over den go through one table, so equal ones are one object."""
-    if set(map(type, _values(rows))) <= {int}:
-        return 1, _checked_rows(m, prec, rows)
-    values = set(_values(rows))
-    den = math.lcm(*map(attrgetter("denominator"), values))
-    scaled = {v: v.numerator * (den // v.denominator) for v in values}
-    return den, _checked_rows(m, prec, {n: dict(zip(row, map(scaled.__getitem__, row.values()))) for n, row in rows.items()})
 
 
 def _checked_rows(m: int, prec: int, rows: dict) -> dict:
@@ -690,14 +668,16 @@ class TorsionPoint:
     mu: tuple
 
     def __post_init__(self):
-        if self.N < 1:
+        N = _read_int(self.N)
+        if N < 1:
             raise ValueError("N must be positive")
         lam = self.lam if isinstance(self.lam, tuple) else (self.lam,)
         mu = self.mu if isinstance(self.mu, tuple) else (self.mu,)
         if len(lam) != len(mu) or not lam:
             raise ValueError("lambda and mu must have equal positive length")
-        object.__setattr__(self, "lam", tuple(int(x) for x in lam))
-        object.__setattr__(self, "mu", tuple(int(x) for x in mu))
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "lam", tuple(map(_read_int, lam)))
+        object.__setattr__(self, "mu", tuple(map(_read_int, mu)))
 
     @property
     def genus_minus_one(self) -> int:

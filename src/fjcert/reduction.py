@@ -21,7 +21,7 @@ import math
 import operator
 from fractions import Fraction
 
-from .core import parse_rat
+from .core import _read_int, parse_rat
 
 __all__ = [
     "CapacityError",
@@ -128,7 +128,7 @@ class UnimodularMat:
     __slots__ = ("size", "rows")
 
     def __init__(self, rows):
-        rows = [tuple(map(int, row)) for row in rows]
+        rows = [tuple(map(_read_int, row)) for row in rows]
         _check_shape(rows)
         d = _det(rows)
         if d not in (1, -1):

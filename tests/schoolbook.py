@@ -43,7 +43,9 @@ lift now reads one table by discriminant.  ``jacobi_to_record`` and
 ``jacobi_from_record`` are the old ``JacobiFormQExp.to_record`` and
 ``from_record``, the latter with its own copy of the old ``_checked``: the
 one-pass series writer must produce the bytes of ``json.dumps`` of the old
-record, and the reader must accept, reject and return what the old one did.
+record, and the reader must accept, reject and return what the old one did,
+except that it refuses float values and entries that are not 3-item lists
+or tuples, which the old one read.
 
 ``pad_index0`` and ``coeff_table`` are the old ``FormalFJ`` methods of
 those names, which only tests called: a series whose one slice is an

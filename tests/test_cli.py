@@ -1155,6 +1155,15 @@ def test_config_file_errors(tmp_path, lift_file):
     assert main(base + ["--config", str(cfg)]) == 64
     cfg.write_text("bound = shrug\n")
     assert main(base + ["--config", str(cfg)]) == 64
+    # a misspelt key names no flag of any command: refused and named
+    cfg.write_text("thetta = 0.5\n")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main(base + ["--config", str(cfg)]) == 64
+    assert "'thetta'" in err.getvalue() and not os.path.exists(report)
+    # a key of another command is ignored, so one file serves several commands
+    cfg.write_text("weight = 10\ntheta = 0.5\nbound = 2\n")
+    assert main(base + ["--config", str(cfg)]) == 0
 
 
 # ---------------------------------------------------------------------------

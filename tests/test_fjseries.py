@@ -29,6 +29,7 @@ from fjcert.fjseries import (
 )
 from fjcert.jacobi import (
     JacobiFormQExp,
+    TorsionPoint,
     _index1_table,
     _materialize_index1,
     _space_components,
@@ -36,6 +37,7 @@ from fjcert.jacobi import (
     multiply,
     weak_generators,
 )
+from fjcert.reduction import UnimodularMat
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +164,18 @@ def test_record_values_read_as_parse_rat(text):
     assert back == phi and back.to_record() == phi.to_record()
 
 
+@pytest.mark.parametrize("value", [1.0, True])
+def test_record_values_are_typed_entry_by_entry(value):
+    # 1, 1.0 and True are one set element: each entry's value is typed, in
+    # one slice and across the slices of one file, whose table already holds 1
+    with pytest.raises(ValueError, match="expected a value text or an integer"):
+        JacobiFormQExp.from_record({"k": 4, "m": 1, "prec": 3, "coeffs": [[1, 0, 1], [2, 1, value]]})
+    for first in ("1", 1):
+        phis = [{"k": 4, "m": 0, "prec": 3, "coeffs": [[1, 0, first]]}, {"k": 4, "m": 1, "prec": 3, "coeffs": [[1, 0, value]]}]
+        with pytest.raises(ValueError, match="expected a value text or an integer"):
+            FormalFJ.from_record({"k": 4, "M_max": 1, "phis": phis})
+
+
 def old_record(f: FormalFJ) -> dict:
     return {"k": f.k, "M_max": f.M_max, "phis": [schoolbook.jacobi_to_record(phi) for phi in f.phis]}
 
@@ -275,9 +289,14 @@ def test_record_reader_matches_old_reader_on_each_value(value):
 
 @pytest.mark.parametrize("entry", [(1, 0, "5"), "105", {0: 1, 1: 0, 2: "5"}, {2: "5"}, [1, 0, "5", 0], [1, 0], [1, 0, ["5"]], 7])
 def test_record_reader_matches_old_reader_on_odd_entries(entry):
-    # entries that are not lists [n, r, text], or whose item 2 is not the value they unpack to
-    assert_read_as_before([[2, 1, "1/3"], entry])
-    assert_read_as_before([entry, [2, 1, "4"]])
+    # a 3-item list or tuple is an entry; anything else is refused, where the
+    # old reader unpacked "105" as [1, 0, "5"] and a dict by its keys
+    for coeffs in ([[2, 1, "1/3"], entry], [entry, [2, 1, "4"]]):
+        if type(entry) in (list, tuple):
+            assert_read_as_before(coeffs)
+        else:
+            with pytest.raises(ValueError, match=r"expected an entry \[n, r, value\]"):
+                JacobiFormQExp.from_record({"k": 4, "m": 1, "prec": 3, "coeffs": coeffs})
 
 
 @settings(max_examples=300)
@@ -349,9 +368,34 @@ def test_slice_storage_stays_canonical(a, b, c, cut, den, data):
     assert (phi - phi) == JacobiFormQExp.zero(4, 1, 4) and (phi - phi).num == {}
 
 
-# a slice, a series and a polynomial record, each reading a field of every kind
+# a slice, a series and a polynomial record, each reading a field of every
+# kind, and the arguments of the constructors that read integers
 def slice_record():
     return {"k": 4, "m": 1, "prec": 3, "coeffs": [[1, 0, "2"]]}
+
+
+def slice_args():
+    return {"k": 4, "m": 1, "prec": 3, "n": 1, "r": 0}
+
+
+def jacobi_form(a):
+    return JacobiFormQExp(a["k"], a["m"], a["prec"], {(a["n"], a["r"]): 2})
+
+
+def matrix_args():
+    return {"a": 1, "b": 0}
+
+
+def unimodular_mat(a):
+    return UnimodularMat([[a["a"], a["b"]], [0, 1]])
+
+
+def torsion_args():
+    return {"N": 2, "lam": 1, "mu": 0}
+
+
+def torsion_point(a):
+    return TorsionPoint(a["N"], (a["lam"],), (a["mu"],))
 
 
 def series_record():
@@ -363,30 +407,38 @@ def poly_record():
 
 
 def set_field(rec, field, value):
-    if field in ("n", "r"):
-        rec["coeffs"][0][0 if field == "n" else 1] = value
-    else:
+    if field in rec:
         rec[field] = value
+    else:
+        rec["coeffs"][0][("n", "r").index(field)] = value
+
+
+def record_of(x):
+    return x.to_record() if hasattr(x, "to_record") else x
 
 
 @pytest.mark.parametrize(
     "cls, record, field",
     [(JacobiFormQExp, slice_record, f) for f in ("k", "m", "prec", "n", "r")]
     + [(FormalFJ, series_record, f) for f in ("k", "M_max")]
-    + [(PolynomialOverM, poly_record, f) for f in ("k0", "k")],
+    + [(PolynomialOverM, poly_record, f) for f in ("k0", "k")]
+    + [(jacobi_form, slice_args, f) for f in ("k", "m", "prec", "n", "r")]
+    + [(unimodular_mat, matrix_args, f) for f in ("a", "b")]
+    + [(torsion_point, torsion_args, f) for f in ("N", "lam", "mu")],
 )
 def test_record_readers_refuse_floats_and_bools_in_integer_fields(cls, record, field):
     # int() would read 10.9 as 10 and True as 1
-    want = cls.from_record(record())
+    read = getattr(cls, "from_record", cls)
+    want = read(record())
     rec = record()
     old = rec[field] if field in rec else rec["coeffs"][0][("n", "r").index(field)]
     for value in (old + 0.9, float(old), True, False):
         set_field(rec, field, value)
         with pytest.raises(ValueError, match="expected an integer"):
-            cls.from_record(rec)
+            read(rec)
     # exact integers are read as before, as ints and as integer text
     set_field(rec, field, str(old))
-    assert cls.from_record(rec).to_record() == want.to_record()
+    assert record_of(read(rec)) == record_of(want)
 
 
 # ---------------------------------------------------------------------------

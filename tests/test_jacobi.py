@@ -236,6 +236,8 @@ def test_constructor_reads_text_with_parse_rat():
         JacobiFormQExp(4, 1, 3, {(1, 0): "1e5000"})
     phi = JacobiFormQExp(4, 1, 3, {(1, 0): "1/2", (2, 1): 0.25})
     assert phi.coeff(1, 0) == Fraction(1, 2) and phi.coeff(2, 1) == Fraction(1, 4)
+    # any other value is read by Fraction: a float is its binary value, not its text
+    assert JacobiFormQExp(4, 1, 3, {(1, 0): 0.1}).coeff(1, 0) == Fraction(0.1) != Fraction("0.1")
 
 
 def test_truncated():
