@@ -105,9 +105,12 @@ def parse_rat(s: str) -> int | Fraction:
 
 
 def _read_int(v) -> int:
-    """int(v), refusing with ValueError the floats and bools that int()
-    would truncate or read as 0 and 1."""
-    if isinstance(v, (float, bool)):
+    """int(v), refusing with ValueError a float, a bool and any other
+    number that int() would change: it truncates a Fraction or a Decimal
+    and reads a bool as 0 or 1.  A text is read by int()."""
+    if type(v) is int:
+        return v
+    if isinstance(v, (float, bool)) or (type(v) is not str and int(v) != v):
         raise ValueError("expected an integer, got %r" % (v,))
     return int(v)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from itertools import accumulate, chain, compress, repeat
+from itertools import accumulate, compress, repeat
 from operator import attrgetter, floordiv, mul, sub
 
 from .core import PrecisionError, _read_int, rat_str
@@ -286,7 +286,10 @@ def _lift(k: int, den: int, table: list, M_max: int, prec: int) -> FormalFJ:
     c(F; n, r, m) = sum over d | gcd(n, r, m) of d^(k-1) table[(4nm - r^2) / d^2],
     over den times the denominator of d^(k-1) when k < 1.  ValueError when
     table[0] or table[-1] (discriminant 0 or -1) is nonzero.  Equal values
-    are one int object throughout the series, as in the CLI reader."""
+    are one int object throughout the series, as in the CLI reader, and
+    equal rows are one dict: row n of slice m is built once per nm,
+    gcd(n, m) and factor the slice cancels, and each slice is stored in
+    lowest terms as built."""
     need = (prec - 1) * M_max
     if len(table) <= 4 * need:
         raise PrecisionError(
@@ -300,13 +303,19 @@ def _lift(k: int, den: int, table: list, M_max: int, prec: int) -> FormalFJ:
     w1 = weight[1]
     squares = [r * r for r in range(math.isqrt(max(4 * need - 1, 0)) + 1)]
     shared = {}  # every value of the series, mapped to itself
+    # row n of slice m depends on (n, m) through nm and gcd(n, m) only, and on
+    # the factor the slice cancels: each half row and each row is built once
+    halves = {}  # (nm, gcd(n, m)) -> (row on r >= 0 before cancelling, gcd of its values)
+    built = {}  # (nm, gcd(n, m), cancelled factor) -> row, empty for a zero row
     slices = [JacobiFormQExp.zero(k, 0, prec)]
     for m in range(1, M_max + 1):
-        halves = []
-        for n in range(1, prec):
-            base = 4 * n * m
+        keys = [(n * m, math.gcd(n, m)) for n in range(1, prec)]
+        for key in keys:
+            if key in halves:
+                continue
+            nm, g = key
+            base = 4 * nm
             rb = math.isqrt(base - 1)
-            g = math.gcd(n, m)
             # row n on r >= 0, mirrored as 4nm - r^2 and d | r are even in r:
             # the divisor d = 1, then each d > 1 of g on r = 0 mod d
             half = list(map(table.__getitem__, map(sub, repeat(base), squares[: rb + 1])))
@@ -317,19 +326,23 @@ def _lift(k: int, den: int, table: list, M_max: int, prec: int) -> FormalFJ:
                     w, dd = weight[d], d * d
                     for r in range(0, rb + 1, d):
                         half[r] += w * table[(base - r * r) // dd]
-            halves.append(half)
+            halves[key] = half, math.gcd(*half)
         # the slice's factor in common with den is cancelled before its rows are built
-        g = math.gcd(den * scale, *chain.from_iterable(halves))
+        g = math.gcd(den * scale, *(halves[key][1] for key in keys))
         rows = {}
-        for n, half in enumerate(halves, 1):
-            rb = len(half) - 1
-            if g != 1:
-                half = list(map(floordiv, half, repeat(g)))
-            half = list(map(shared.setdefault, half, half))
-            vals = half[:0:-1] + half
-            if row := dict(zip(compress(range(-rb, rb + 1), vals), filter(None, vals))):
+        for n, key in enumerate(keys, 1):
+            row_key = key + (g,)
+            if row_key not in built:
+                half = halves[key][0]
+                rb = len(half) - 1
+                if g != 1:
+                    half = list(map(floordiv, half, repeat(g)))
+                half = list(map(shared.setdefault, half, half))
+                vals = half[:0:-1] + half
+                built[row_key] = dict(zip(compress(range(-rb, rb + 1), vals), filter(None, vals)))
+            if row := built[row_key]:
                 rows[n] = row
-        slices.append(JacobiFormQExp._trusted(k, m, prec, den * scale // g, rows))
+        slices.append(JacobiFormQExp._stored(k, m, prec, den * scale // g, rows))
     return FormalFJ(k, M_max, slices)
 
 

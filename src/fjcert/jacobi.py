@@ -79,7 +79,8 @@ class JacobiFormQExp:
     each n with a nonzero coefficient to its row {r: numerator}, holding the
     nonzero integer numerators only, and den is the lcm of the reduced
     denominators, so equal forms have equal (den, num).  Rows are shared
-    between forms (truncated, _common_rows): never mutate a stored row.
+    between forms (truncated, _common_rows) and between the slices of a
+    lift (fjseries._lift): never mutate a stored row.
     coeffs is a read-only (n, r)-keyed Fraction view of the same values.
     For index zero only r = 0 occurs.  Weak forms may carry entries with
     4 n m - r^2 < 0; holomorphic and cusp forms are recognized by
@@ -100,12 +101,20 @@ class JacobiFormQExp:
     @classmethod
     def _trusted(cls, k: int, m: int, prec: int, den: int, num: dict) -> "JacobiFormQExp":
         """Form from nonempty rows {n: {r: nonzero int}}, 0 <= n < prec, over
-        den > 0, without checks; only a common factor of den and num is
-        cancelled, into new rows.  The rows of num are stored, not copied."""
+        den > 0, without checks: a common factor of den and num is cancelled,
+        into new rows, and the result stored as by :meth:`_stored`."""
         g = math.gcd(den, *_values(num))
+        if g != 1:
+            den, num = den // g, {n: {r: v // g for r, v in row.items()} for n, row in num.items()}
+        return cls._stored(k, m, prec, den, num)
+
+    @classmethod
+    def _stored(cls, k: int, m: int, prec: int, den: int, num: dict) -> "JacobiFormQExp":
+        """Form from nonempty rows {n: {r: nonzero int}}, 0 <= n < prec, over
+        den > 0 with no factor in common with them, without checks.  The rows
+        of num are stored, not copied."""
         self = cls.__new__(cls)
-        self.k, self.m, self.prec, self.den, self._fterms = k, m, prec, den // g, None
-        self.num = num if g == 1 else {n: {r: v // g for r, v in row.items()} for n, row in num.items()}
+        self.k, self.m, self.prec, self.den, self.num, self._fterms = k, m, prec, den, num, None
         return self
 
     @classmethod
@@ -232,7 +241,7 @@ class JacobiFormQExp:
     def _from_record(cls, rec, texts: "_Texts") -> "JacobiFormQExp":
         """from_record through texts, the table of value texts that the
         slices of one file share."""
-        return cls._trusted(*_read_form(rec["k"], rec["m"], rec["prec"], rec["coeffs"], texts))
+        return cls._stored(*_read_form(rec["k"], rec["m"], rec["prec"], rec["coeffs"], texts))
 
     def float_terms(self):
         """The rows, computed once: in storage order, one (n, lo, cs) per
@@ -327,7 +336,8 @@ def _check_values(coeffs):
 
 
 def _read_entries(coeffs, values) -> dict:
-    """Rows {n: {r: values[v]}} of the entries [n, r, v], in record order."""
+    """Rows {n: {r: values[v]}} of the entries [n, r, v], in record order;
+    ValueError when two entries name one (n, r)."""
     rows: dict = {}
     last = row = None
     for n, r, v in coeffs:
@@ -336,6 +346,12 @@ def _read_entries(coeffs, values) -> dict:
         if n != last:
             row, last = rows.setdefault(n, {}), n
         row[r] = values[v]
+    if sum(map(len, rows.values())) != len(coeffs):
+        seen = set()
+        for n, r, _ in coeffs:
+            if (key := (_read_int(n), _read_int(r))) in seen:
+                raise ValueError("two entries at (n, r) = (%d, %d)" % key)
+            seen.add(key)
     return rows
 
 

@@ -392,6 +392,18 @@ def test_series_with_a_float_value_exits_3(tmp_path, lift_file, capsys):
     assert "expected a value text or an integer, got 0.1" in err and "Traceback" not in err
 
 
+def test_series_with_an_entry_listed_twice_exits_3(tmp_path, lift_file, capsys):
+    # the reader refuses the record rather than keep one of the two values
+    rec = json.loads(lift_file.read_text())
+    coeffs = rec["phis"][1]["coeffs"]
+    coeffs.append(coeffs[0][:2] + ["1/2"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(rec))
+    assert main(["check-symmetry", "--in", str(bad), "--report", str(tmp_path / "r.txt")]) == 3
+    err = capsys.readouterr().err
+    assert "two entries at (n, r) = (%d, %d)" % tuple(coeffs[0][:2]) in err and "Traceback" not in err
+
+
 def test_check_symmetry_bad_bound_is_usage_error(tmp_path, lift_file):
     rc = main(["check-symmetry", "--in", str(lift_file), "--bound", "99", "--report", str(tmp_path / "r.txt")])
     assert rc == 64

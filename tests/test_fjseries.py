@@ -8,6 +8,7 @@ import math
 import random
 import sys
 from collections import deque
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -267,6 +268,13 @@ def has_float_value(coeffs):
     return any(isinstance(c, list) and len(c) == 3 and type(c[2]) is float for c in coeffs)
 
 
+def has_repeated_entry(coeffs):
+    """True when two entries [n, r, v] of coeffs name one (n, r), which the
+    record reader refuses where the old reader kept the last."""
+    keys = [tuple(c[:2]) for c in coeffs if type(c) in (list, tuple) and len(c) == 3]
+    return len(set(keys)) < len(keys)
+
+
 def assert_read_as_before(coeffs):
     rec = {"k": 4, "m": 1, "prec": 3, "coeffs": coeffs}
     if has_float_value(coeffs):
@@ -277,6 +285,10 @@ def assert_read_as_before(coeffs):
         want = schoolbook.jacobi_from_record(rec)
     except (KeyError, TypeError, ValueError):
         with pytest.raises((KeyError, TypeError, ValueError)):
+            JacobiFormQExp.from_record(rec)
+        return
+    if has_repeated_entry(coeffs):
+        with pytest.raises(ValueError, match="two entries at"):
             JacobiFormQExp.from_record(rec)
         return
     assert JacobiFormQExp.from_record(rec) == want
@@ -323,7 +335,23 @@ def test_series_reader_shares_texts_and_reads_as_before(slices):
         with pytest.raises((KeyError, TypeError, ValueError)):
             FormalFJ.from_record(rec)
         return
+    if any(has_repeated_entry(phi["coeffs"]) for phi in rec["phis"]):
+        with pytest.raises(ValueError, match="two entries at"):
+            FormalFJ.from_record(rec)
+        return
     assert FormalFJ.from_record(rec).phis == tuple(want)
+
+
+@pytest.mark.parametrize("coeffs", [[[1, 0, "1/2"], [1, 0, "1"]], [[1, 0, "1"], [2, 1, "3"], [1, 0, "1"]], [[1, 0, 2], ["1", 0, 2]]])
+def test_record_with_an_entry_listed_twice_is_refused(coeffs):
+    # the old reader kept the last value, over a den that counted the one it dropped
+    rec = {"k": 4, "m": 1, "prec": 3, "coeffs": coeffs}
+    with pytest.raises(ValueError, match=r"two entries at \(n, r\) = \(1, 0\)"):
+        JacobiFormQExp.from_record(rec)
+    with pytest.raises(ValueError, match="two entries at"):
+        FormalFJ.from_record({"k": 4, "M_max": 1, "phis": [JacobiFormQExp.zero(4, 0, 3).to_record(), rec]})
+    with pytest.raises(ValueError, match="two entries at"):
+        JacobiFormQExp(4, 1, 3, {(n, r): v for n, r, v in coeffs} | {("1", 0): 5})
 
 
 def test_slice_storage_is_canonical():
@@ -427,18 +455,19 @@ def record_of(x):
     + [(torsion_point, torsion_args, f) for f in ("N", "lam", "mu")],
 )
 def test_record_readers_refuse_floats_and_bools_in_integer_fields(cls, record, field):
-    # int() would read 10.9 as 10 and True as 1
+    # int() would read 10.9 as 10, True as 1, and Fraction(21, 2) or Decimal("10.5") as 10
     read = getattr(cls, "from_record", cls)
     want = read(record())
     rec = record()
     old = rec[field] if field in rec else rec["coeffs"][0][("n", "r").index(field)]
-    for value in (old + 0.9, float(old), True, False):
+    for value in (old + 0.9, float(old), True, False, Fraction(2 * old + 1, 2), Decimal(old) + Decimal("0.5")):
         set_field(rec, field, value)
         with pytest.raises(ValueError, match="expected an integer"):
             read(rec)
-    # exact integers are read as before, as ints and as integer text
-    set_field(rec, field, str(old))
-    assert record_of(read(rec)) == record_of(want)
+    # exact integers are read as before: as integer text, and as an integral Fraction or Decimal
+    for value in (str(old), Fraction(old), Decimal(old)):
+        set_field(rec, field, value)
+        assert record_of(read(rec)) == record_of(want)
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +547,24 @@ def test_lift_of_any_cusp_table_matches_old_lift(k, den, factor, mmax, prec, dat
     entries = st.integers(-3, 3).map(lambda v: v * factor)
     table = [0] + data.draw(st.lists(entries, min_size=4 * gen_prec - 4, max_size=4 * gen_prec - 4)) + [0]
     phi = _materialize_index1(k, gen_prec, den, table)
-    assert _lift(k, den, table, mmax, prec) == schoolbook.gritsenko_lift(phi, mmax, prec)
+    f = _lift(k, den, table, mmax, prec)
+    assert f == schoolbook.gritsenko_lift(phi, mmax, prec)
+    # the lift stores its slices without a second gcd pass: each is already in lowest terms
+    for phi in f.phis:
+        assert math.gcd(phi.den, *(v for row in phi.num.values() for v in row.values())) == 1
+
+
+def test_lift_builds_each_row_once(lift40):
+    # row n of slice m depends on (n, m) through nm and gcd(n, m), and on the
+    # factor the slice cancels: rows 2 of slice 3 and 6 of slice 1 are one dict
+    f, _ = lift40
+    assert f.phis[3].num[2] is f.phis[1].num[6]
+    # slices 2 and 1 cancel different factors, so their rows at nm = 6 differ
+    assert [phi.den for phi in f.phis[1:3]] == [2, 1]
+    assert f.phis[2].num[3] is not f.phis[1].num[6]
+    rows = [row for phi in f.phis for row in phi.num.values()]
+    assert len(rows) == 1560 and len({id(row) for row in rows}) == 1006
+    assert all(list(row) == sorted(row) for row in rows)
 
 
 def test_lift_rejects_input_that_is_not_a_function_of_the_discriminant(phi10):
