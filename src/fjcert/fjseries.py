@@ -23,7 +23,20 @@ from operator import attrgetter, floordiv, mul, sub
 
 from .core import PrecisionError, _read_int, rat_str
 # evaluate and multiply are not called here: bench/spans.py traces calls under these names
-from .jacobi import JacobiFormQExp, _common_rows, _convolve, _index1_table, _Texts, check_point, evaluate, evaluate_points, multiply  # noqa: F401
+from .jacobi import (  # noqa: F401
+    JacobiFormQExp,
+    _common_rows,
+    _convolve,
+    _index1_table,
+    _prefixes,
+    _Table,
+    _Texts,
+    _texts_over,
+    check_point,
+    evaluate,
+    evaluate_points,
+    multiply,
+)
 
 __all__ = [
     "FormalFJ",
@@ -134,20 +147,26 @@ class FormalFJ:
         return "FormalFJ(k=%d, M_max=%d, prec=%d)" % (self.k, self.M_max, self.prec)
 
     def to_record(self):
+        """The series record; the slices over one denominator read their
+        value texts from one table, each text made once."""
+        tables = _Table(_texts_over)
         return {
             "k": self.k,
             "M_max": self.M_max,
-            "phis": [phi.to_record() for phi in self.phis],
+            "phis": [phi._record(tables[phi.den]) for phi in self.phis],
         }
 
     def write_json(self, fh) -> None:
         """Write the text of json.dumps(self.to_record()) to fh, the header
-        and then one slice at a time, without the record."""
+        and then one slice at a time, without the record.  As in to_record,
+        the slices over one denominator share one table of value texts, and
+        every slice shares one table of r prefixes."""
+        tables, prefix = _Table(_texts_over), _prefixes()
         fh.write('{"k": %d, "M_max": %d, "phis": [' % (self.k, self.M_max))
         for m, phi in enumerate(self.phis):
             if m:
                 fh.write(", ")
-            fh.write(phi._json())
+            fh.write(phi._json(tables[phi.den], prefix))
         fh.write("]}")
 
     @classmethod
@@ -230,8 +249,10 @@ def check_symmetry(f: FormalFJ, bound: int) -> SymmetryReport:
     prec, b, empty = f.prec, bound, {}
     # rows[m][n] maps r to the numerator of c(n, r, m) over den
     den, rows = _common_rows(f.phis[: b + 1])
-    # window[m][n][r + 2b] = c(n, r, m) on the window |r| <= 2b
-    window = [[_dense(s.get(n, empty), -2 * b, 2 * b + 1) for n in range(b + 1)] for s in rows]
+    # window[m][n][r + 2b] = c(n, r, m) on the window |r| <= 2b, one tuple per distinct row:
+    # windows maps id(row) to (row, its window), so that no id is reused while it lives
+    windows = {}
+    window = [[_window(windows, s.get(n, empty), b) for n in range(b + 1)] for s in rows]
     skipped = 0
     bad = []  # (n, m, r, generator, lhs numerator, rhs numerator)
     for m, s in enumerate(rows):
@@ -257,6 +278,13 @@ def check_symmetry(f: FormalFJ, bound: int) -> SymmetryReport:
         {"t": (n, r, m), "u": gens[g], "lhs": Fraction(lhs, den), "rhs": Fraction(rhs, den)} for n, m, r, g, lhs, rhs in bad
     ]
     return SymmetryReport(f.k, bound, checked, skipped, violations)
+
+
+def _window(windows: dict, row: dict, b: int) -> tuple:
+    """_dense(row, -2b, 2b + 1), built once per row object in windows."""
+    if (hit := windows.get(id(row))) is None:
+        hit = windows[id(row)] = row, _dense(row, -2 * b, 2 * b + 1)
+    return hit[1]
 
 
 def _dense(row: dict, start: int, stop: int) -> tuple:
@@ -289,7 +317,8 @@ def _lift(k: int, den: int, table: list, M_max: int, prec: int) -> FormalFJ:
     are one int object throughout the series, as in the CLI reader, and
     equal rows are one dict: row n of slice m is built once per nm,
     gcd(n, m) and factor the slice cancels, and each slice is stored in
-    lowest terms as built."""
+    lowest terms as built.  The series is known cuspidal without a scan:
+    phi_0 is zero and every stored entry has 4nm - r^2 >= 1."""
     need = (prec - 1) * M_max
     if len(table) <= 4 * need:
         raise PrecisionError(
@@ -343,7 +372,9 @@ def _lift(k: int, den: int, table: list, M_max: int, prec: int) -> FormalFJ:
             if row := built[row_key]:
                 rows[n] = row
         slices.append(JacobiFormQExp._stored(k, m, prec, den * scale // g, rows))
-    return FormalFJ(k, M_max, slices)
+    f = FormalFJ(k, M_max, slices)
+    f._cuspidal = True
+    return f
 
 
 class PolynomialOverM:

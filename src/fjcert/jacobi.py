@@ -80,7 +80,8 @@ class JacobiFormQExp:
     nonzero integer numerators only, and den is the lcm of the reduced
     denominators, so equal forms have equal (den, num).  Rows are shared
     between forms (truncated, _common_rows) and between the slices of a
-    lift (fjseries._lift): never mutate a stored row.
+    lift (fjseries._lift), and so are the arrays of float_terms that
+    evaluate_points builds for them: never mutate a stored row or array.
     coeffs is a read-only (n, r)-keyed Fraction view of the same values.
     For index zero only r = 0 occurs.  Weak forms may carry entries with
     4 n m - r^2 < 0; holomorphic and cusp forms are recognized by
@@ -196,37 +197,28 @@ class JacobiFormQExp:
     def __repr__(self):
         return "JacobiFormQExp(k=%d, m=%d, prec=%d, %d terms)" % (self.k, self.m, self.prec, len(self.coeffs))
 
-    def _value_texts(self) -> dict:
-        """{v: str(Fraction(v, den))} over the distinct numerators v of the
-        slice: one gcd per distinct value, and no Fraction built."""
-        vs, den = set(_values(self.num)), self.den
-        if den == 1:
-            return dict(zip(vs, map(str, vs)))
-        return {v: str(v // g) if (g := math.gcd(v, den)) == den else "%d/%d" % (v // g, den // g) for v in vs}
-
-    def _row_texts(self, texts: dict):
-        """Iterator of (n, rs, value texts) in n order: the r of row n in
-        order, and texts[v] for the numerator v of each."""
-        for n, row in sorted(self.num.items()):
-            rs = sorted(row)
-            yield n, rs, map(texts.__getitem__, map(row.__getitem__, rs))
-
     def to_record(self):
+        return self._record(_texts_over(self.den))
+
+    def _record(self, texts: "_Table") -> dict:
+        """to_record, each value's text read from texts, a table that
+        :func:`_texts_over` gives for the form's den."""
         return {
             "k": self.k,
             "m": self.m,
             "prec": self.prec,
-            "coeffs": [[n, r, t] for n, rs, ts in self._row_texts(self._value_texts()) for r, t in zip(rs, ts)],
+            "coeffs": [[n, r, texts[row[r]]] for n, row in sorted(self.num.items()) for r in sorted(row)],
         }
 
-    def _json(self) -> str:
-        """The text of json.dumps(self.to_record()), one join per row, from
-        the slice's value texts and its r prefixes '%d, "', each made once."""
-        prefix = {r: '%d, "' % r for r in set(chain.from_iterable(self.num.values()))}
-        rows = [
-            '[%d, %s"]' % (n, ('"], [%d, ' % n).join(map(add, map(prefix.__getitem__, rs), ts)))
-            for n, rs, ts in self._row_texts(self._value_texts())
-        ]
+    def _json(self, texts: "_Table", prefix: "_Table") -> str:
+        """The text of json.dumps(self.to_record()), one join per row: each
+        value's text read from texts, as in :meth:`_record`, and each r's
+        prefix '%d, "' from prefix, a table of :func:`_prefixes`."""
+        rows = []
+        for n, row in sorted(self.num.items()):
+            rs = sorted(row)
+            ts = map(texts.__getitem__, map(row.__getitem__, rs))
+            rows.append('[%d, %s"]' % (n, ('"], [%d, ' % n).join(map(add, map(prefix.__getitem__, rs), ts))))
         return '{"k": %d, "m": %d, "prec": %d, "coeffs": [%s]}' % (self.k, self.m, self.prec, ", ".join(rows))
 
     @classmethod
@@ -251,18 +243,59 @@ class JacobiFormQExp:
         anything, when the line r = -R .. R that :func:`evaluate_points`
         lays out, R the largest stored |r|, spans more than WINDOW_CAP
         values of r; no row spans more than the line."""
+        return self._float_terms({})
+
+    def _float_terms(self, shared: dict):
+        """float_terms, each cs taken from shared, which maps (id(row), den)
+        to (row, cs), or built and put there: forms that share a row and a
+        den share its cs.  Each entry holds its row, so that no id is reused
+        while shared lives; no code mutates a stored cs."""
         if self._fterms is None:
-            ends = [(min(row), max(row)) for row in self.num.values()]
+            den, rows = self.den, self.num
+            ends = [(min(row), max(row)) for row in rows.values()]
             width = 2 * max((max(-lo, hi) for lo, hi in ends), default=0) + 1
             if width > WINDOW_CAP:
                 raise ValueError("a line spans %d values of r, more than %d" % (width, WINDOW_CAP))
-            # int true division is correctly rounded, as float(Fraction) is
-            dens = repeat(self.den)
-            self._fterms = [
-                (n, lo, array("d", map(truediv, map(row.get, range(lo, hi + 1), repeat(0)), dens)))
-                for (n, row), (lo, hi) in zip(self.num.items(), ends)
-            ]
+            dens = repeat(den)
+            fterms = []
+            for (n, row), (lo, hi) in zip(rows.items(), ends):
+                if (hit := shared.get((id(row), den))) is None:
+                    # int true division is correctly rounded, as float(Fraction) is
+                    cs = array("d", map(truediv, map(row.get, range(lo, hi + 1), repeat(0)), dens))
+                    hit = shared[id(row), den] = row, cs
+                fterms.append((n, lo, hit[1]))
+            self._fterms = fterms
         return self._fterms
+
+
+class _Table(dict):
+    """A dict that fills a missing key x with make(x) on its first lookup."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, x):
+        value = self[x] = self.make(x)
+        return value
+
+
+def _value_text(den: int, v: int) -> str:
+    """str(Fraction(v, den)) for an int v and den > 0, with one gcd and no
+    Fraction."""
+    g = math.gcd(v, den)
+    return str(v // g) if g == den else "%d/%d" % (v // g, den // g)
+
+
+def _texts_over(den: int) -> _Table:
+    """The value texts of numerators over den, each made on first use."""
+    return _Table(partial(_value_text, den))
+
+
+def _prefixes() -> _Table:
+    """The prefix '%d, "' of each r in a row's JSON text, each made on first use."""
+    return _Table('%d, "'.__mod__)
 
 
 _VALUE_TYPES = frozenset((str, int, Fraction))  # of an entry's value
@@ -420,12 +453,23 @@ def _r_span(rows, prec: int) -> int:
 
 def _common_rows(phis):
     """(den, rows): rows[i] is phis[i].num written over den, the lcm of
-    their denominators; the rows of a form already over den are its own."""
+    their denominators; the rows of a form already over den are its own,
+    and a row that forms share is written over den once, into one new row
+    that they share in turn."""
     den = math.lcm(*(phi.den for phi in phis))
+    scaled: dict = {}  # (id(row), factor) -> (row, the row times factor)
     rows = []
     for phi in phis:
         s = den // phi.den
-        rows.append(phi.num if s == 1 else {n: {r: v * s for r, v in row.items()} for n, row in phi.num.items()})
+        if s == 1:
+            rows.append(phi.num)
+            continue
+        num = {}
+        for n, row in phi.num.items():
+            if (hit := scaled.get((id(row), s))) is None:
+                hit = scaled[id(row), s] = row, {r: v * s for r, v in row.items()}
+            num[n] = hit[1]
+        rows.append(num)
     return den, rows
 
 
@@ -897,8 +941,9 @@ def evaluate_points(phis, points) -> list:
             raise ValueError("e(z) or e(-z) is 0 or overflows at z = %r" % z) from None
         lines.setdefault((tau1, z.imag + 0.0), []).append(i)  # + 0.0: -0.0 and 0.0 share a line
     out = [[0j] * len(phis) for _ in points]
+    shared: dict = {}  # one float row per distinct (row, den) of the call (see JacobiFormQExp._float_terms)
     forms = [(j, rows, max(max(-lo, lo + len(cs) - 1) for _, lo, cs in rows))
-             for j, phi in enumerate(phis) for rows in (phi.float_terms(),) if rows]
+             for j, phi in enumerate(phis) for rows in (phi._float_terms(shared),) if rows]
     if not forms:
         return out
     top = max(R for *_, R in forms)

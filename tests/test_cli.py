@@ -794,6 +794,22 @@ def test_reader_keeps_few_bytes_per_term(lift40, lift40_files, reader):
     assert kept <= 64 * terms
 
 
+@pytest.mark.parametrize("command", ["certify", "bound-report"])
+def test_only_a_series_read_as_json_is_scanned_for_cuspidality(tmp_path, lift8, relation_files, command):
+    # _lift builds its series cuspidal; a series read as JSON scans slices 1 .. M_max once
+    recorded, plain = tmp_path / "lift8.json", tmp_path / "plain.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["gen-lift", "--weight", "10", "--prec", "8", "--mmax", "8", "--out", str(recorded)]) == 0
+    plain.write_bytes(recorded.read_bytes())
+    is_cusp, scans = JacobiFormQExp.is_cusp, {}
+    for reader, path in (("record", recorded), ("json", plain)):
+        argv = series_argvs(path, *relation_files, tmp_path / "report.txt")[1 if command == "certify" else 2]
+        with mock.patch.object(JacobiFormQExp, "is_cusp", lambda phi: scans.setdefault(reader, []).append(phi.m) or is_cusp(phi)):
+            code, *_ = outcome(argv, tmp_path / "report.txt")
+        assert code != 4
+    assert scans == {"json": list(range(1, 9))}
+
+
 # ---------------------------------------------------------------------------
 # lift records
 

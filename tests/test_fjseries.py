@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import schoolbook
+from fjcert import jacobi
 from fjcert.cli import _load_record
 from fjcert.core import PrecisionError, _dict_mul, _eis_dict, parse_rat
 from fjcert.fjseries import (
@@ -31,6 +32,7 @@ from fjcert.fjseries import (
 from fjcert.jacobi import (
     JacobiFormQExp,
     TorsionPoint,
+    _common_rows,
     _index1_table,
     _materialize_index1,
     _space_components,
@@ -192,17 +194,42 @@ def mixed_denominators() -> FormalFJ:
     return FormalFJ(4, 3, phis)
 
 
-@pytest.mark.parametrize("case", ["lift8", "lift40", "zero", "mixed"])
-def test_series_text_is_json_of_the_record(case, request):
-    f = {"zero": lambda: FormalFJ.zero(10, 3, 4), "mixed": mixed_denominators}.get(case)
-    f = f() if f else request.getfixturevalue(case)[0]
-    if case == "mixed":
+@pytest.mark.parametrize("case", ["lift8", "lift40", "zero", "mixed", "mixed read as JSON"])
+def test_series_text_is_json_of_the_record(case, request, tmp_path):
+    if case == "mixed read as JSON":
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps(mixed_denominators().to_record()))
+        f = _load_record(str(path), FormalFJ)
+    elif case in ("zero", "mixed"):
+        f = FormalFJ.zero(10, 3, 4) if case == "zero" else mixed_denominators()
+    else:
+        f = request.getfixturevalue(case)[0]
+    if case.startswith("mixed"):
         assert [phi.den for phi in f.phis] == [1, 1, 2, 6]
+    if case == "lift40":
+        # slices over den 1 and 2 that share rows: 1,006 row objects for 1,560 rows
+        assert {phi.den for phi in f.phis} == {1, 2}
+        assert len({id(row) for phi in f.phis for row in phi.num.values()}) == 1006
     out = io.StringIO()
     f.write_json(out)
     text = out.getvalue()
     assert text == json.dumps(f.to_record()) == json.dumps(old_record(f))
     assert FormalFJ.from_record(json.loads(text)) == f
+
+
+def test_series_writer_makes_each_value_text_once(lift40, monkeypatch):
+    # the slices share one text table per denominator, so write_json and
+    # to_record each make one text per distinct (den, numerator) of the series
+    f, _ = lift40
+    made = []
+    value_text = jacobi._value_text
+    monkeypatch.setattr(jacobi, "_value_text", lambda den, v: made.append((den, v)) or value_text(den, v))
+    pairs = {(phi.den, v) for phi in f.phis for row in phi.num.values() for v in row.values()}
+    f.write_json(io.StringIO())
+    assert sorted(made) == sorted(pairs)
+    made.clear()
+    f.to_record()
+    assert sorted(made) == sorted(pairs)
 
 
 # slice denominators: 1, 2, 3, 6 and one odd denominator above 2^64
@@ -567,6 +594,19 @@ def test_lift_builds_each_row_once(lift40):
     assert all(list(row) == sorted(row) for row in rows)
 
 
+def test_common_rows_write_a_shared_row_over_den_once(lift40):
+    # the slices over den 1 share rows, and so do their rows written over den 2
+    f, _ = lift40
+    den, rows = _common_rows(f.phis)
+    assert den == 2
+    scaled = [(id(row), den // phi.den) for phi in f.phis for row in phi.num.values()]
+    assert len({id(row) for s in rows for row in s.values()}) == len(set(scaled)) < len(scaled)
+    for phi, s in zip(f.phis, rows):
+        assert s.keys() == phi.num.keys()
+        assert all(s[n] == {r: v * (den // phi.den) for r, v in row.items()} for n, row in phi.num.items())
+        assert (s is phi.num) == (phi.den == den)
+
+
 def test_lift_rejects_input_that_is_not_a_function_of_the_discriminant(phi10):
     # c(3, 1) shares 4n - r^2 = 11 with c(3, -1), c(5, 3), c(9, 5) and c(15, 7)
     assert phi10.num[3][1] == phi10.num[3][-1] != 0
@@ -655,6 +695,25 @@ def test_corrupted_coefficient_is_caught(lift8):
     assert "violations 6" in text
     rec = report.to_record()
     assert len(rec["violations"]) == 6
+
+
+def test_audit_reads_the_row_each_slice_holds_where_lift_slices_share_one(lift12):
+    # rows 2 of slice 3 and 6 of slice 1 are one dict, and the audit lays
+    # out one window per row object: a changed copy in slice 3 alone is a
+    # row of its own, caught from every generator that reads it
+    f, _ = lift12
+    assert f.phis[3].num[2] is f.phis[1].num[6]
+    assert check_symmetry(f, 8).ok
+    bent = dict(f.phis[3].num[2])
+    bent[1] += 1
+    slices = list(f.phis)
+    phi = slices[3]
+    slices[3] = JacobiFormQExp._stored(phi.k, phi.m, phi.prec, phi.den, {**phi.num, 2: bent})
+    g = FormalFJ(f.k, f.M_max, slices)
+    assert g.phis[1].num[6] is f.phis[1].num[6] and g.phis[1].num[6][1] == bent[1] - 1
+    report = check_symmetry(g, 8)
+    assert report.to_record() == schoolbook.check_symmetry(g, 8).to_record()
+    assert {tuple(v["t"]) for v in report.violations} == {(2, -1, 3), (2, 1, 3), (3, 1, 2), (4, -5, 3)}
 
 
 def test_audit_bound_validation(lift8):

@@ -505,6 +505,35 @@ def test_float_terms_cost_few_bytes_per_term(lift40):
     assert size <= 60 * sum(len(phi.coeffs) for phi in f.phis)
 
 
+def test_evaluate_points_builds_one_float_row_per_distinct_row(lift40):
+    # slices that share a row object and a den share one array for it, with
+    # the values and the bits of arrays built slice by slice
+    f, _ = lift40
+    shared, alone = [[JacobiFormQExp._stored(phi.k, phi.m, phi.prec, phi.den, phi.num) for phi in f.phis] for _ in range(2)]
+    for phi in alone:
+        phi.float_terms()
+    points = LIFT_POINTS[:1] + LIFT_POINTS[1::6]
+    got, want = jacobi.evaluate_points(shared, points), jacobi.evaluate_points(alone, points)
+    assert all(same_bits(a, b) for got_row, want_row in zip(got, want) for a, b in zip(got_row, want_row))
+    assert [phi.float_terms() for phi in shared] == [phi.float_terms() for phi in alone]
+    arrays = {id(cs) for phi in shared for _, _, cs in phi.float_terms()}
+    pairs = {(id(row), phi.den) for phi in shared for row in phi.num.values()}
+    assert len(arrays) == len(pairs) == 1006
+    assert len({id(cs) for phi in alone for _, _, cs in phi.float_terms()}) == 1560
+
+
+def test_a_row_shared_across_denominators_is_read_over_each():
+    # one row object over den 1, 2 and 3: each den gets its own products and float rows
+    row = {-1: 3, 0: -5, 1: 3}
+    phis = [JacobiFormQExp._stored(4, 1, 3, den, {2: row}) for den in (1, 2, 3)]
+    den, rows = jacobi._common_rows(phis)
+    assert den == 6 and [s[2] for s in rows] == [{r: v * 6 // d for r, v in row.items()} for d in (1, 2, 3)]
+    values = jacobi.evaluate_points(phis, LIFT_POINTS[:2])
+    alone = [[evaluate(phi, tau1, z) for phi in phis] for tau1, z in LIFT_POINTS[:2]]
+    assert all(same_bits(a, b) for got, want in zip(values, alone) for a, b in zip(got, want))
+    assert values[0][0] != values[0][1] != values[0][2]
+
+
 @pytest.mark.parametrize("prec", [1, 2, 7, 60, 301])
 def test_jacobi_space_matches_schoolbook_construction(prec):
     # weights to 60 reach blocks of 6 monomials; at high precision they cost too much
