@@ -363,6 +363,8 @@ def _cmd_check_symmetry(run: _Run) -> int:
     if run.params["bound"] is not None and run.params["bound"] < 0:
         _fail_usage("bound must be nonnegative")
     f = _load_record(run.need("in"), FormalFJ)
+    if run.params["bound"] is None and f.prec < 1:
+        _fail_usage("the series has precision 0, which leaves no window to audit")
     bound = run.default("bound", min(f.M_max, f.prec - 1))
     try:
         rep = check_symmetry(f, bound)

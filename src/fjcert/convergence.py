@@ -23,8 +23,8 @@ from statistics import linear_regression
 
 from .core import PrecisionError, rat_str
 # evaluate_partial, evaluate and fe_norm are not called here: bench/spans.py traces calls under these names
-from .fjseries import FormalFJ, PolynomialOverM, evaluate_partial, poly_eval, q2_sum, rho, siegel_point, slice_values  # noqa: F401
-from .jacobi import TorsionPoint, check_point, evaluate, fe_norm, window_abs  # noqa: F401
+from .fjseries import FormalFJ, PolynomialOverM, evaluate_partial, poly_eval, q2_sum, rho, siegel_point  # noqa: F401
+from .jacobi import TorsionPoint, check_point, evaluate, evaluate_points, fe_norm, window_abs  # noqa: F401
 from .reduction import CapacityError
 
 __all__ = [
@@ -276,7 +276,7 @@ def pointwise_convergence_check(
     radius = math.exp(-2 * math.pi * c_val)
     q2_abs = theta * radius
     z = p.z_at(tau1)
-    terms = [abs(v) * q2_abs**m for m, v in enumerate(slice_values(f, [(tau1, z)], 2 * M)[0])]
+    terms = [abs(v) * q2_abs**m for m, v in enumerate(evaluate_points(f.phis[: 2 * M + 1], [(tau1, z)])[0])]
     sums = list(accumulate(terms[1:], add, initial=0.0))
     s_m, s_2m = sums[M], sums[2 * M]
     gap = s_2m - s_m
@@ -344,15 +344,15 @@ def k_eps_grid(box: CompactBoxSpec, eps_scale: float = 1.0, points: int = 5):
 
 def d_eps(q: PolynomialOverM, box: CompactBoxSpec, grid) -> float:
     """Sampled sup of 1 + sum of |a_i(tau)| over the grid, i < degree;
-    one slice_values call per nonzero a_i evaluates it at every distinct
-    (tau1, z) of the grid."""
+    one evaluate_points call per nonzero a_i evaluates its slices at every
+    distinct (tau1, z) of the grid."""
     if not q.is_monic():
         raise ValueError("polynomial must be monic")
     taus = [siegel_point(tau) for tau in grid]
     if not taus:
         raise ValueError("empty sample grid")
     where = list(dict.fromkeys((t1, z) for t1, z, _ in taus))
-    values = [dict(zip(where, slice_values(a, where, a.M_max))) for a in q.coeffs[:-1] if not a.is_zero()]
+    values = [dict(zip(where, evaluate_points(a.phis, where))) for a in q.coeffs[:-1] if not a.is_zero()]
     best = 0.0
     for t1, z, t2 in taus:
         total = 1.0
@@ -418,7 +418,7 @@ def partial_sum_bound_check(
     taus = [siegel_point(tau) for tau in grid]
     where = list(dict.fromkeys((t1, z) for t1, z, _ in taus))
     torsion = [_torsion_search(t1, z, TORSION_TOL, TORSION_N_CAP) is not None for t1, z in where]
-    per_point = dict(zip(where, zip(slice_values(f, where, mtop), torsion)))
+    per_point = dict(zip(where, zip(evaluate_points(f.phis[: mtop + 1], where), torsion)))
     for t1, z, t2 in taus:
         slice_vals, near = per_point[t1, z]
         # |partial sum| for M = 0 .. mtop: the powers of q2 and the sums run in the order of a plain loop

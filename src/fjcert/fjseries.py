@@ -47,7 +47,6 @@ __all__ = [
     "poly_eval",
     "monicize",
     "rho",
-    "slice_values",
     "evaluate_partial",
 ]
 
@@ -249,10 +248,9 @@ def check_symmetry(f: FormalFJ, bound: int) -> SymmetryReport:
     prec, b, empty = f.prec, bound, {}
     # rows[m][n] maps r to the numerator of c(n, r, m) over den
     den, rows = _common_rows(f.phis[: b + 1])
-    # window[m][n][r + 2b] = c(n, r, m) on the window |r| <= 2b, one tuple per distinct row:
-    # windows maps id(row) to (row, its window), so that no id is reused while it lives
-    windows = {}
-    window = [[_window(windows, s.get(n, empty), b) for n in range(b + 1)] for s in rows]
+    # window[m][n][r + 2b] = c(n, r, m) on the window |r| <= 2b, one tuple per distinct row
+    windows = _Table(lambda row: _dense(row, -2 * b, 2 * b + 1))
+    window = [[windows.of(s.get(n, empty)) for n in range(b + 1)] for s in rows]
     skipped = 0
     bad = []  # (n, m, r, generator, lhs numerator, rhs numerator)
     for m, s in enumerate(rows):
@@ -278,13 +276,6 @@ def check_symmetry(f: FormalFJ, bound: int) -> SymmetryReport:
         {"t": (n, r, m), "u": gens[g], "lhs": Fraction(lhs, den), "rhs": Fraction(rhs, den)} for n, m, r, g, lhs, rhs in bad
     ]
     return SymmetryReport(f.k, bound, checked, skipped, violations)
-
-
-def _window(windows: dict, row: dict, b: int) -> tuple:
-    """_dense(row, -2b, 2b + 1), built once per row object in windows."""
-    if (hit := windows.get(id(row))) is None:
-        hit = windows[id(row)] = row, _dense(row, -2 * b, 2 * b + 1)
-    return hit[1]
 
 
 def _dense(row: dict, start: int, stop: int) -> tuple:
@@ -498,18 +489,6 @@ def siegel_point(tau):
     return complex(tau[0][0]), complex(tau[0][1]), complex(tau[1][1])
 
 
-def slice_values(f: FormalFJ, points, M: int) -> list:
-    """For each (tau1, z) of points, in order, the list [phi_0(tau1, z), ...,
-    phi_M(tau1, z)], with 0j for zero slices.
-
-    Every point evaluation of the slices of a series goes through here, one
-    call for all of a caller's points: :func:`jacobi.evaluate_points` builds
-    each nonzero slice's line once per distinct (tau1, Im z) and sums one
-    phase sum per point, and callers reuse the values for every tau2.
-    """
-    return evaluate_points(f.phis[: M + 1], points)
-
-
 def q2_sum(values, tau2: complex) -> complex:
     """Sum of values[m] q2^m, q2 = e(tau2), each part added by math.fsum."""
     q2 = cmath.exp(2j * math.pi * tau2)
@@ -526,4 +505,4 @@ def evaluate_partial(f: FormalFJ, tau, M: int) -> complex:
     if M > f.M_max:
         raise PrecisionError("partial sum M=%d is beyond M_max=%d" % (M, f.M_max))
     t1, z, t2 = siegel_point(tau)
-    return q2_sum(slice_values(f, [(t1, z)], M)[0], t2)
+    return q2_sum(evaluate_points(f.phis[: M + 1], [(t1, z)])[0], t2)

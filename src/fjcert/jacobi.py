@@ -80,15 +80,15 @@ class JacobiFormQExp:
     nonzero integer numerators only, and den is the lcm of the reduced
     denominators, so equal forms have equal (den, num).  Rows are shared
     between forms (truncated, _common_rows) and between the slices of a
-    lift (fjseries._lift), and so are the arrays of float_terms that
-    evaluate_points builds for them: never mutate a stored row or array.
+    lift (fjseries._lift), and within one evaluate_points call so are the
+    float rows of float_terms: never mutate a stored row or float row.
     coeffs is a read-only (n, r)-keyed Fraction view of the same values.
     For index zero only r = 0 occurs.  Weak forms may carry entries with
     4 n m - r^2 < 0; holomorphic and cusp forms are recognized by
     :meth:`is_holomorphic` and :meth:`is_cusp`.
     """
 
-    __slots__ = ("k", "m", "prec", "den", "num", "_fterms")
+    __slots__ = ("k", "m", "prec", "den", "num")
 
     def __init__(self, k: int, m: int, prec: int, coeffs: dict):
         """Validating constructor from {(n, r): value}, read as from_record
@@ -97,7 +97,6 @@ class JacobiFormQExp:
         value."""
         entries = [[n, r, v if type(v) in _VALUE_TYPES else Fraction(v)] for (n, r), v in coeffs.items()]
         self.k, self.m, self.prec, self.den, self.num = _read_form(k, m, prec, entries, _Texts())
-        self._fterms = None
 
     @classmethod
     def _trusted(cls, k: int, m: int, prec: int, den: int, num: dict) -> "JacobiFormQExp":
@@ -115,7 +114,7 @@ class JacobiFormQExp:
         den > 0 with no factor in common with them, without checks.  The rows
         of num are stored, not copied."""
         self = cls.__new__(cls)
-        self.k, self.m, self.prec, self.den, self.num, self._fterms = k, m, prec, den, num, None
+        self.k, self.m, self.prec, self.den, self.num = k, m, prec, den, num
         return self
 
     @classmethod
@@ -235,41 +234,27 @@ class JacobiFormQExp:
         slices of one file share."""
         return cls._stored(*_read_form(rec["k"], rec["m"], rec["prec"], rec["coeffs"], texts))
 
-    def float_terms(self):
-        """The rows, computed once: in storage order, one (n, lo, cs) per
-        stored row n, where lo is the row's lowest r and cs the array('d')
-        of c(n, lo), c(n, lo + 1), ... up to the row's highest r, zeros
-        included, 8 bytes a slot.  Raises ValueError, before building
-        anything, when the line r = -R .. R that :func:`evaluate_points`
-        lays out, R the largest stored |r|, spans more than WINDOW_CAP
-        values of r; no row spans more than the line."""
-        return self._float_terms({})
-
-    def _float_terms(self, shared: dict):
-        """float_terms, each cs taken from shared, which maps (id(row), den)
-        to (row, cs), or built and put there: forms that share a row and a
-        den share its cs.  Each entry holds its row, so that no id is reused
-        while shared lives; no code mutates a stored cs."""
-        if self._fterms is None:
-            den, rows = self.den, self.num
-            ends = [(min(row), max(row)) for row in rows.values()]
-            width = 2 * max((max(-lo, hi) for lo, hi in ends), default=0) + 1
-            if width > WINDOW_CAP:
-                raise ValueError("a line spans %d values of r, more than %d" % (width, WINDOW_CAP))
-            dens = repeat(den)
-            fterms = []
-            for (n, row), (lo, hi) in zip(rows.items(), ends):
-                if (hit := shared.get((id(row), den))) is None:
-                    # int true division is correctly rounded, as float(Fraction) is
-                    cs = array("d", map(truediv, map(row.get, range(lo, hi + 1), repeat(0)), dens))
-                    hit = shared[id(row), den] = row, cs
-                fterms.append((n, lo, hit[1]))
-            self._fterms = fterms
-        return self._fterms
+    def float_terms(self, floats: "_Table"):
+        """(R, rows): R is the largest stored |r|, 0 for a zero form, and rows
+        holds, in storage order, one (n, lo, cs) per stored row n, where lo
+        is the row's lowest r and cs the array('d') of c(n, lo),
+        c(n, lo + 1), ... up to the row's highest r, zeros included, 8 bytes
+        a slot.  cs is floats[den].of(row), floats a _Table(_floats_over)
+        that the forms of one call share, so forms that share a row and a
+        den share its cs.  Raises ValueError, before building anything, when
+        the line r = -R .. R that :func:`evaluate_points` lays out spans
+        more than WINDOW_CAP values of r; no row spans more than the line."""
+        ends = [(min(row), max(row)) for row in self.num.values()]
+        R = max((max(-lo, hi) for lo, hi in ends), default=0)
+        if 2 * R + 1 > WINDOW_CAP:
+            raise ValueError("a line spans %d values of r, more than %d" % (2 * R + 1, WINDOW_CAP))
+        of = floats[self.den].of
+        return R, [(n, lo, of(row, lo, hi)) for (n, row), (lo, hi) in zip(self.num.items(), ends)]
 
 
 class _Table(dict):
-    """A dict that fills a missing key x with make(x) on its first lookup."""
+    """A dict that fills a missing key x with make(x) on its first lookup,
+    or, through :meth:`of`, a stored row with make(row, ...) by identity."""
 
     __slots__ = ("make",)
 
@@ -279,6 +264,14 @@ class _Table(dict):
     def __missing__(self, x):
         value = self[x] = self.make(x)
         return value
+
+    def of(self, row, *args):
+        """make(row, *args), made once per row object, so args must be a
+        function of the row, such as its ends: the entry under id(row) holds
+        the row, so that no id is reused while the table lives."""
+        if (hit := self.get(id(row))) is None:
+            hit = self[id(row)] = row, self.make(row, *args)
+        return hit[1]
 
 
 def _value_text(den: int, v: int) -> str:
@@ -296,6 +289,18 @@ def _texts_over(den: int) -> _Table:
 def _prefixes() -> _Table:
     """The prefix '%d, "' of each r in a row's JSON text, each made on first use."""
     return _Table('%d, "'.__mod__)
+
+
+def _floats_over(den: int) -> _Table:
+    """The float rows of rows over den, each made once per row object."""
+    return _Table(partial(_float_row, den))
+
+
+def _float_row(den: int, row: dict, lo: int, hi: int):
+    """The array('d') of row[r] / den for r = lo .. hi, the row's lowest and
+    highest r, zeros included; int true division is correctly rounded, as
+    float(Fraction) is."""
+    return array("d", map(truediv, map(row.get, range(lo, hi + 1), repeat(0)), repeat(den)))
 
 
 _VALUE_TYPES = frozenset((str, int, Fraction))  # of an entry's value
@@ -457,19 +462,11 @@ def _common_rows(phis):
     and a row that forms share is written over den once, into one new row
     that they share in turn."""
     den = math.lcm(*(phi.den for phi in phis))
-    scaled: dict = {}  # (id(row), factor) -> (row, the row times factor)
+    scaled = _Table(lambda s: _Table(lambda row: _dict_scale(row, s)))  # s -> the rows times s
     rows = []
     for phi in phis:
         s = den // phi.den
-        if s == 1:
-            rows.append(phi.num)
-            continue
-        num = {}
-        for n, row in phi.num.items():
-            if (hit := scaled.get((id(row), s))) is None:
-                hit = scaled[id(row), s] = row, {r: v * s for r, v in row.items()}
-            num[n] = hit[1]
-        rows.append(num)
+        rows.append(phi.num if s == 1 else {n: scaled[s].of(row) for n, row in phi.num.items()})
     return den, rows
 
 
@@ -941,9 +938,8 @@ def evaluate_points(phis, points) -> list:
             raise ValueError("e(z) or e(-z) is 0 or overflows at z = %r" % z) from None
         lines.setdefault((tau1, z.imag + 0.0), []).append(i)  # + 0.0: -0.0 and 0.0 share a line
     out = [[0j] * len(phis) for _ in points]
-    shared: dict = {}  # one float row per distinct (row, den) of the call (see JacobiFormQExp._float_terms)
-    forms = [(j, rows, max(max(-lo, lo + len(cs) - 1) for _, lo, cs in rows))
-             for j, phi in enumerate(phis) for rows in (phi._float_terms(shared),) if rows]
+    floats = _Table(_floats_over)  # one float row per distinct (row, den) of the call
+    forms = [(j, rows, R) for j, phi in enumerate(phis) for R, rows in (phi.float_terms(floats),) if rows]
     if not forms:
         return out
     top = max(R for *_, R in forms)

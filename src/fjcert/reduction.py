@@ -1,8 +1,9 @@
 """Reduction theory for small positive definite rational matrices.
 
-Covers exact Minkowski reduction at sizes one to three, the torsion block
-decomposition used when a series is restricted to a rational torsion
-point, and the enumeration of the finite exponent windows.
+Covers exact Minkowski reduction at sizes one to three, the block
+decomposition attached to a rational torsion direction lambda (a tool of
+its own: jacobi.specialize_torsion substitutes z = tau1 lambda + mu and
+does not call it), and the enumeration of the finite exponent windows.
 
 A SymMatQ is stored as its integer Gram matrix g = D t over the least
 D > 0 that clears the entry denominators, and reduction and its checks
@@ -497,8 +498,9 @@ def _rho_transform(size: int, vhat: UnimodularMat) -> UnimodularMat:
 
 
 # default cap of enumerate_S on candidates, of jacobi._convolve on the values
-# of r one product row spans, and of JacobiFormQExp.float_terms on the values
-# r = -R .. R of a form's evaluation line, R its largest stored |r|
+# of r one product row spans, and of JacobiFormQExp.float_terms, which
+# evaluate_points calls for each form, on the values r = -R .. R of the
+# form's evaluation line, R its largest stored |r|
 WINDOW_CAP = 10**6
 
 

@@ -409,6 +409,16 @@ def test_check_symmetry_bad_bound_is_usage_error(tmp_path, lift_file):
     assert rc == 64
 
 
+def test_check_symmetry_on_a_series_of_precision_0_is_usage_error(tmp_path, capsys):
+    # the default bound min(M_max, prec - 1) is -1: the message names the precision, not a flag
+    series = tmp_path / "prec0.json"
+    series.write_text(json.dumps({"k": 10, "M_max": 1, "phis": [{"k": 10, "m": m, "prec": 0, "coeffs": []} for m in (0, 1)]}))
+    assert main(["check-symmetry", "--in", str(series), "--report", str(tmp_path / "r.txt")]) == 64
+    err = capsys.readouterr().err
+    assert err == "error: the series has precision 0, which leaves no window to audit\n"
+    assert not (tmp_path / "r.txt").exists()
+
+
 # ---------------------------------------------------------------------------
 # certify
 

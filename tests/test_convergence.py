@@ -390,8 +390,8 @@ def test_d_eps_builds_one_line_per_slice_and_line_and_one_phase_sum_per_point(li
     # the second and third points share tau1 = i and Im z = 0.05: one line
     box = CompactBoxSpec(((1j, 0.25j), (1j, 0.1 + 0.05j), (1j, -0.2 + 0.05j), (0.5 + 1j, 0.15j)), 0.1)
     calls, lines, sums = [], [], []
-    slice_values, line, phase_sum = convergence.slice_values, jacobi._line, jacobi._phase_sum
-    monkeypatch.setattr(convergence, "slice_values", lambda a, pts, M: calls.append(list(pts)) or slice_values(a, pts, M))
+    evaluate_points, line, phase_sum = convergence.evaluate_points, jacobi._line, jacobi._phase_sum
+    monkeypatch.setattr(convergence, "evaluate_points", lambda phis, pts: calls.append(list(pts)) or evaluate_points(phis, pts))
     # the rows and the lines stay referenced, so their ids name one slice and one line each
     monkeypatch.setattr(jacobi, "_line", lambda rows, R, t1, y, *rest: lines.append((rows, t1, y, line(rows, R, t1, y, *rest))) or lines[-1][-1])
     monkeypatch.setattr(jacobi, "_phase_sum", lambda g, R, phases, t1, z: sums.append((g, t1, z)) or phase_sum(g, R, phases, t1, z))
@@ -407,20 +407,20 @@ def test_d_eps_builds_one_line_per_slice_and_line_and_one_phase_sum_per_point(li
     assert {id(g) for g, *_ in sums} == {id(g) for *_, g in lines}
 
 
-def test_box_checks_make_one_slice_values_call(lift8, monkeypatch):
+def test_box_checks_make_one_evaluate_points_call(lift8, monkeypatch):
     f, _ = lift8
     q = square_relation(f)
     box = CompactBoxSpec(((1j, 0.25j), (1j, 0.1 + 0.05j), (0.5 + 1j, 0.15j)), 0.1)
     calls = []
-    slice_values = convergence.slice_values
-    monkeypatch.setattr(convergence, "slice_values", lambda a, pts, M: calls.append((a, list(pts), M)) or slice_values(a, pts, M))
+    evaluate_points, ids = convergence.evaluate_points, lambda phis: list(map(id, phis))
+    monkeypatch.setattr(convergence, "evaluate_points", lambda phis, pts: calls.append((ids(phis), list(pts))) or evaluate_points(phis, pts))
     partial_sum_bound_check(f, q, box, [1, 2, 4, 8], points=3)
     # d_eps: one call per nonzero coefficient of q; then one for f up to the largest M
     coeffs = [a for a in q.coeffs[:-1] if not a.is_zero()]
-    assert calls == [(a, list(box.U), a.M_max) for a in coeffs] + [(f, list(box.U), 8)]
+    assert calls == [(ids(a.phis), list(box.U)) for a in coeffs] + [(ids(f.phis[:9]), list(box.U))]
     calls.clear()
     pointwise_convergence_check(f, TorsionPoint(2, 1, 0), 1j, 0.5, 4)
-    assert calls == [(f, [(1j, 0.5j)], 8)]
+    assert calls == [(ids(f.phis[:9]), [(1j, 0.5j)])]
 
 
 def plain_partial_sums(slice_vals, tau2, mtop):
@@ -447,7 +447,7 @@ def test_box_certificate_sums_match_a_plain_loop_bit_for_bit(lift8):
     rows, best, argmax = {m: 0.0 for m in (1, 2, 4, 8)}, 0.0, None
     for tau in k_eps_grid(box, 2.0, 3):
         t1, z, t2 = siegel_point(tau)
-        sums = plain_partial_sums(fjseries.slice_values(f, [(t1, z)], 8)[0], t2, 8)
+        sums = plain_partial_sums(jacobi.evaluate_points(f.phis[:9], [(t1, z)])[0], t2, 8)
         for m in sorted(rows):
             rows[m] = max(rows[m], sums[m])
             if sums[m] > best:

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import schoolbook
 from fjcert import FormalFJ, PolynomialOverM, jacobi_space
 from fjcert.core import PrecisionError, _dict_mul
-from fjcert import core, fjseries, jacobi
+from fjcert import core, jacobi
 from fjcert.fjseries import poly_eval
 from fjcert.jacobi import JacobiFormQExp, TorsionPoint, evaluate, multiply, specialize_torsion
 from fjcert.reduction import SymMatQ
@@ -456,14 +456,14 @@ def test_slice_values_on_the_box_are_mirror_symmetric_and_match_evaluate(series,
     # the value evaluate gives alone, and the same bits at z and -z
     f = lift10_40[0] if series == "lift10_40" else lift10_40[0].multiply(lift10_40[0])
     points = LIFT_POINTS[1:]
-    values = fjseries.slice_values(f, points + [(t, -z) for t, z in points], f.M_max)
+    values = jacobi.evaluate_points(f.phis, points + [(t, -z) for t, z in points])
     for (tau1, z), row, mirror in zip(points, values, values[len(points):]):
         for m, phi in enumerate(f.phis):
             assert same_bits(row[m], mirror[m]) and same_bits(row[m], evaluate(phi, tau1, z)), (m, z)
 
 
 # sha256 of the little-endian (real, imag) doubles of every slice value at the 25 box points
-# and then their mirrors -z, in slice_values order
+# and then their mirrors -z, in the order of one evaluate_points call
 BOX_VALUES_SHA256 = {
     "lift10_40": "03f08c4369a37dfe3e05675552e56cc4cd16004e3cac54178bae84ea21d175cd",
     "lift10_40 squared": "45230a07e30548f436b998c2f67a9d89741aaaa5dd2e49e1013d4402a02dc432",
@@ -475,7 +475,7 @@ def test_slice_values_on_the_box_keep_their_bits(series, lift10_40):
     # the values bound-report sums on the criterion-6 box, pinned bit for bit
     f = lift10_40[0] if series == "lift10_40" else lift10_40[0].multiply(lift10_40[0])
     points = LIFT_POINTS[1:]
-    values = fjseries.slice_values(f, points + [(t, -z) for t, z in points], f.M_max)
+    values = jacobi.evaluate_points(f.phis, points + [(t, -z) for t, z in points])
     data = b"".join(struct.pack("<dd", v.real, v.imag) for row in values for v in row)
     assert len(values) == 50 and hashlib.sha256(data).hexdigest() == BOX_VALUES_SHA256[series]
 
@@ -491,35 +491,51 @@ def test_evaluate_where_the_old_tables_overflow():
     assert abs(evaluate(phi, 1j, 0.95j) - want) <= bound
 
 
+def float_rows_alone(phi):
+    """phi.float_terms over a table of its own, as a call that holds phi alone builds them."""
+    return phi.float_terms(jacobi._Table(jacobi._floats_over))
+
+
 def test_float_terms_cost_few_bytes_per_term(lift40):
     # per r of a row's span: one slot in the row's dense list, and one float unless c(n, r) = 0
     f, _ = lift40
-    fresh = [JacobiFormQExp._trusted(phi.k, phi.m, phi.prec, phi.den, phi.num) for phi in f.phis]
     tracemalloc.start()
     try:
-        for phi in fresh:
-            phi.float_terms()
+        kept = [float_rows_alone(phi) for phi in f.phis]
         size = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
+    assert len({id(cs) for _, rows in kept for _, _, cs in rows}) == 1560
     assert size <= 60 * sum(len(phi.coeffs) for phi in f.phis)
 
 
-def test_evaluate_points_builds_one_float_row_per_distinct_row(lift40):
+def test_evaluate_points_builds_one_float_row_per_distinct_row(lift40, monkeypatch):
     # slices that share a row object and a den share one array for it, with
     # the values and the bits of arrays built slice by slice
     f, _ = lift40
-    shared, alone = [[JacobiFormQExp._stored(phi.k, phi.m, phi.prec, phi.den, phi.num) for phi in f.phis] for _ in range(2)]
-    for phi in alone:
-        phi.float_terms()
     points = LIFT_POINTS[:1] + LIFT_POINTS[1::6]
-    got, want = jacobi.evaluate_points(shared, points), jacobi.evaluate_points(alone, points)
+    want = [[evaluate(phi, tau1, z) for phi in f.phis] for tau1, z in points]
+    lines, line = [], jacobi._line
+    monkeypatch.setattr(jacobi, "_line", lambda rows, *rest: lines.append(rows) or line(rows, *rest))
+    got = jacobi.evaluate_points(f.phis, points)
     assert all(same_bits(a, b) for got_row, want_row in zip(got, want) for a, b in zip(got_row, want_row))
-    assert [phi.float_terms() for phi in shared] == [phi.float_terms() for phi in alone]
-    arrays = {id(cs) for phi in shared for _, _, cs in phi.float_terms()}
-    pairs = {(id(row), phi.den) for phi in shared for row in phi.num.values()}
+    alone = [rows for _, rows in map(float_rows_alone, f.phis) if rows]
+    shared = lines[: len(alone)]
+    assert shared == alone and {id(rows) for rows in lines} == {id(rows) for rows in shared}
+    arrays = {id(cs) for rows in shared for _, _, cs in rows}
+    pairs = {(id(row), phi.den) for phi in f.phis for row in phi.num.values()}
     assert len(arrays) == len(pairs) == 1006
-    assert len({id(cs) for phi in alone for _, _, cs in phi.float_terms()}) == 1560
+    assert len({id(cs) for rows in alone for _, _, cs in rows}) == 1560
+
+
+def test_table_looks_rows_up_by_identity_and_holds_them():
+    # each row below is dropped by its caller after one lookup; the table holds
+    # it, so a later row cannot take its id and be given its value
+    table = jacobi._Table(lambda row: tuple(row.items()))
+    for v in range(100):
+        assert table.of({0: v}) == ((0, v),)
+    row = {1: 2}
+    assert table.of(row) is table.of(row) and len(table) == 101
 
 
 def test_a_row_shared_across_denominators_is_read_over_each():
