@@ -343,6 +343,8 @@ def _cmd_gen_lift(run: _Run) -> int:
     except ValueError as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
+    except MemoryError:  # a kernel row of gen_prec slots that cannot be allocated
+        _fail_usage("generator precision %s = (prec - 1) * mmax + 1 needs more memory than is available" % format(gen_prec, ","))
     if first is None:
         print("error: cusp space of weight %d is empty" % k, file=sys.stderr)
         return 2

@@ -13,15 +13,12 @@ alone.
 from __future__ import annotations
 
 import cmath
-import csv
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, islice, repeat
 from operator import add, mul
-from statistics import linear_regression
 
-from .core import PrecisionError, rat_str
+from .core import PrecisionError, _read_int, _Record, rat_str
 # evaluate_partial, evaluate and fe_norm are not called here: bench/spans.py traces calls under these names
 from .fjseries import FormalFJ, PolynomialOverM, evaluate_partial, poly_eval, q2_sum, rho, siegel_point  # noqa: F401
 from .jacobi import TorsionPoint, check_point, evaluate, evaluate_points, fe_norm, window_abs  # noqa: F401
@@ -53,66 +50,63 @@ TORSION_N_CAP = 16
 TORSION_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class BoundConfig:
+class BoundConfig(_Record):
     """Knobs for the sampled bounds: the coefficient-determination constant
     b, the slack allowed on fitted exponents, and the enumeration cap, which
     counts the candidates enumerate_S examines (not the matrices it keeps)."""
 
-    b: Fraction = Fraction(1)
-    slack: float = 0.5
-    caps: int = 10**6
+    __slots__ = ("b", "slack", "caps")
 
-    def __post_init__(self):
-        object.__setattr__(self, "b", Fraction(self.b))
-        if self.b <= 0:
+    def __init__(self, b: Fraction = Fraction(1), slack: float = 0.5, caps: int = 10**6):
+        try:
+            b = Fraction(b)
+        except (OverflowError, ZeroDivisionError):  # b = inf, b = "1/0"
+            raise ValueError("b must be a finite rational, got %r" % (b,)) from None
+        if b <= 0:
             raise ValueError("b must be positive")
-        if not 0 <= self.slack < math.inf:
+        if not 0 <= slack < math.inf:
             raise ValueError("slack must be finite and nonnegative")
-        if self.caps < 1:
+        if (caps := _read_int(caps)) < 1:
             raise ValueError("caps must be at least 1")
+        _Record.__init__(self, b, slack, caps)
 
 
-@dataclass(frozen=True)
-class CompactBoxSpec:
+class CompactBoxSpec(_Record):
     """Finite sample U of (tau1, z) pairs plus the box parameter eps."""
 
-    U: tuple
-    eps: float
+    __slots__ = ("U", "eps")
 
-    def __post_init__(self):
-        if not 0 < self.eps < 1:
+    def __init__(self, U: tuple, eps: float):
+        if not 0 < eps < 1:
             raise ValueError("eps must lie in (0, 1)")
-        pts = tuple((complex(t), complex(z)) for t, z in self.U)
+        pts = tuple((complex(t), complex(z)) for t, z in U)
         if not pts:
             raise ValueError("U must hold at least one point")
         for t, z in pts:
             check_point(t, z)
-        object.__setattr__(self, "U", pts)
+        _Record.__init__(self, pts, eps)
 
 
 def _cplx_str(x: complex) -> str:
     return repr(complex(x))[1:-1] if repr(complex(x)).startswith("(") else repr(complex(x))
 
 
-@dataclass
-class ConvergenceReport:
+class ConvergenceReport(_Record):
     """Outcome of one certification check.
 
     verdict is one of pass, degenerate-pass, fail, hypothesis-failure.
     witnesses carry the numbers behind the verdict; series holds named
     (header, rows) tables for CSV export.  sampled names the witnesses that
     are samples rather than proved values, each with what was sampled; the
-    text report and the record carry it when it is not empty.
+    text report and the record carry it when it is not empty.  Each of the
+    four dicts left out is a fresh {}.
     """
 
-    criterion: str
-    paper_ref: str
-    verdict: str
-    witnesses: dict = field(default_factory=dict)
-    tolerances: dict = field(default_factory=dict)
-    series: dict = field(default_factory=dict)
-    sampled: dict = field(default_factory=dict)
+    __slots__ = ("criterion", "paper_ref", "verdict", "witnesses", "tolerances", "series", "sampled")
+    __hash__, __setattr__, __delattr__ = None, object.__setattr__, object.__delattr__  # mutable, so unhashable
+
+    def __init__(self, criterion: str, paper_ref: str, verdict: str, witnesses=None, tolerances=None, series=None, sampled=None):
+        _Record.__init__(self, criterion, paper_ref, verdict, *({} if d is None else d for d in (witnesses, tolerances, series, sampled)))
 
     @property
     def passed(self) -> bool:
@@ -162,6 +156,8 @@ def _plain(v):
 
 
 def write_csv(path, header, rows):
+    import csv  # imported here, as growth_fit imports statistics: no other function needs it
+
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
@@ -235,6 +231,8 @@ def growth_fit(etas, k: int, g: int, S, cfg: BoundConfig) -> ConvergenceReport:
     verdict = "degenerate-pass"
     sampled = {}
     if len(pts) >= 2:
+        from statistics import linear_regression
+
         fit = linear_regression([x for x, _ in pts], [y for _, y in pts])
         witnesses.update(slope=fit.slope, intercept=fit.intercept)
         verdict = "pass" if fit.slope <= threshold else "fail"

@@ -43,8 +43,8 @@ _int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 # underscores between digits (PEP 515)
 _DIGITS = r"\d+(?:_\d+)*" if sys.version_info >= (3, 11) else r"\d+"
 
-# the decimal texts Fraction reads: sign, integer part, fraction part, exponent
-_DECIMAL = re.compile(r"([-+]?)(?=\d|\.\d)(\d*|{0})(?:\.(\d*|{0}))?(?:[eE]([-+]?{0}))?".format(_DIGITS))
+# the decimal texts Fraction reads: sign, integer part, fraction part, exponent; compiled on first use
+_DECIMAL = r"([-+]?)(?=\d|\.\d)(\d*|{0})(?:\.(\d*|{0}))?(?:[eE]([-+]?{0}))?".format(_DIGITS)
 
 
 def _decimal_parts(t: str):
@@ -52,7 +52,7 @@ def _decimal_parts(t: str):
     Fraction reads, or None for any other text.  Under a digit limit L,
     n < 10^(2 L): the int conversions of the two parts, as in Fraction,
     raise ValueError past L digits each."""
-    m = _DECIMAL.fullmatch(t)
+    m = re.fullmatch(_DECIMAL, t)
     if m is None:
         return None
     _, whole, frac, exp = m.groups()
@@ -113,6 +113,39 @@ def _read_int(v) -> int:
     if isinstance(v, (float, bool)) or (type(v) is not str and int(v) != v):
         raise ValueError("expected an integer, got %r" % (v,))
     return int(v)
+
+
+class _Record:
+    """Base of the small value classes, cheaper to import than the standard
+    decorator, which loads inspect and ast: a subclass names its fields in
+    __slots__ and sets them, in that order, through _Record.__init__.  ==,
+    hash and repr go field by field; assignment raises AttributeError."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(map("%s=%r".__mod__, zip(self.__slots__, self._fields()))))
+
+    def __reduce__(self):  # copy and pickle through __init__: restoring slot state would assign
+        return type(self), self._fields()
+
+    def __setattr__(self, name, *value):
+        raise AttributeError("cannot assign to or delete field %r" % (name,))
+
+    __delattr__ = __setattr__
 
 
 # ---------------------------------------------------------------------------

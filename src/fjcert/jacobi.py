@@ -36,7 +36,6 @@ import math
 from array import array
 from cmath import rect
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from itertools import accumulate, chain, compress, repeat
@@ -44,6 +43,7 @@ from operator import add, ge, itemgetter, le, mul, truediv
 
 from .core import (
     PrecisionError,
+    _Record,
     _dict_add,
     _dict_div,
     _dict_mul,
@@ -715,26 +715,20 @@ def jacobi_space(k: int, cusp: bool, prec: int):
 # torsion specialization
 
 
-@dataclass(frozen=True)
-class TorsionPoint:
+class TorsionPoint(_Record):
     """Rational torsion datum (N, lambda, mu), entries stored as integer
     numerators over N; z = tau1 * lambda + mu."""
 
-    N: int
-    lam: tuple
-    mu: tuple
+    __slots__ = ("N", "lam", "mu")
 
-    def __post_init__(self):
-        N = _read_int(self.N)
+    def __init__(self, N: int, lam: tuple, mu: tuple):
+        N = _read_int(N)
         if N < 1:
             raise ValueError("N must be positive")
-        lam = self.lam if isinstance(self.lam, tuple) else (self.lam,)
-        mu = self.mu if isinstance(self.mu, tuple) else (self.mu,)
+        lam, mu = (x if isinstance(x, tuple) else (x,) for x in (lam, mu))
         if len(lam) != len(mu) or not lam:
             raise ValueError("lambda and mu must have equal positive length")
-        object.__setattr__(self, "N", N)
-        object.__setattr__(self, "lam", tuple(map(_read_int, lam)))
-        object.__setattr__(self, "mu", tuple(map(_read_int, mu)))
+        _Record.__init__(self, N, tuple(map(_read_int, lam)), tuple(map(_read_int, mu)))
 
     @property
     def genus_minus_one(self) -> int:
@@ -750,8 +744,7 @@ class TorsionPoint:
         return tau1 * float(self.lam_frac()) + float(self.mu_frac())
 
 
-@dataclass(frozen=True)
-class SpecializedExpansion:
+class SpecializedExpansion(_Record):
     """Restriction of a weight-k slice to a torsion point, a q-expansion in
     exponents over L = N^2 (the level) below the certified precision prec.
 
@@ -763,11 +756,10 @@ class SpecializedExpansion:
     cyclotomic relations, so a stored coefficient may still be zero.
     """
 
-    k: int
-    N: int
-    prec: Fraction
-    den: int
-    coeffs: dict
+    __slots__ = ("k", "N", "prec", "den", "coeffs")
+
+    def __init__(self, k: int, N: int, prec: Fraction, den: int, coeffs: dict):
+        _Record.__init__(self, k, N, prec, den, coeffs)
 
     @property
     def level(self) -> int:

@@ -332,6 +332,30 @@ def test_gen_lift_usage_errors(tmp_path):
     assert main(["gen-lift", "--weight", "10"]) == 64
 
 
+# main in a fresh interpreter whose address space is capped at 1 GiB, so that
+# an allocation past it fails at once on any host
+CAPPED_MAIN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+sys.path.insert(0, sys.argv[1])
+from fjcert.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def test_gen_lift_past_memory_is_usage_error(tmp_path):
+    # generator precision 99,999 * 100,000 + 1: the first kernel row asks for about 10^10 slots
+    out = tmp_path / "lift.json"
+    argv = ["gen-lift", "--weight", "10", "--prec", "100000", "--mmax", "100000", "--out", str(out)]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    done = subprocess.run([sys.executable, "-I", "-c", CAPPED_MAIN, src, *argv], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 64 and done.stdout == ""
+    assert done.stderr.splitlines() == [
+        "error: generator precision 9,999,900,001 = (prec - 1) * mmax + 1 needs more memory than is available"
+    ]
+    assert os.listdir(tmp_path) == []
+
+
 # ---------------------------------------------------------------------------
 # check-symmetry
 

@@ -1,9 +1,11 @@
 """Tests for the sampled convergence certificates and their reports."""
 
 import cmath
+import copy
 import csv
 import json
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -32,7 +34,7 @@ from fjcert.convergence import (
 )
 from fjcert.core import PrecisionError, _eis_dict
 from fjcert.fjseries import FormalFJ, PolynomialOverM, evaluate_partial, gritsenko_lift, q2_sum, siegel_point
-from fjcert.jacobi import JacobiFormQExp, TorsionPoint, jacobi_space, specialize_torsion
+from fjcert.jacobi import JacobiFormQExp, SpecializedExpansion, TorsionPoint, jacobi_space, specialize_torsion
 from fjcert.reduction import CapacityError, enumerate_S
 
 
@@ -137,6 +139,14 @@ def test_bound_config_coerces_and_validates():
         with pytest.raises(ValueError, match="caps"):
             BoundConfig(caps=caps)
     assert BoundConfig(slack=0, caps=1).caps == 1
+    # a b that Fraction cannot take is a ValueError, as is a caps that is not an integer
+    for b in (math.inf, -math.inf, "1/0"):
+        with pytest.raises(ValueError, match="b must be a finite rational"):
+            BoundConfig(b=b)
+    for caps in (math.nan, 2.5, 1e6, True):
+        with pytest.raises(ValueError, match="expected an integer"):
+            BoundConfig(caps=caps)
+    assert BoundConfig(caps="7").caps == 7 and type(BoundConfig(caps=Fraction(8)).caps) is int
 
 
 def test_compact_box_validates_and_round_trips():
@@ -154,6 +164,66 @@ def test_compact_box_validates_and_round_trips():
     for t, z in (("nanj", "0j"), ("1e400+1j", "0j"), ("1j", "nanj"), ("1j", "1e400j")):
         with pytest.raises(ValueError, match="finite"):
             CompactBoxSpec(((t, z),), 0.1)
+
+
+# the five value classes, each with a field-wise repr: frozen ones are hashable
+# unless a field is a dict, and a report is unhashable and can be changed
+VALUES = [
+    (TorsionPoint(2, 1, 0), "TorsionPoint(N=2, lam=(1,), mu=(0,))"),
+    (SpecializedExpansion(10, 2, Fraction(5, 2), 3, {0: {1: 2}}),
+     "SpecializedExpansion(k=10, N=2, prec=Fraction(5, 2), den=3, coeffs={0: {1: 2}})"),
+    (BoundConfig(b="1/32", slack=0, caps=5), "BoundConfig(b=Fraction(1, 32), slack=0, caps=5)"),
+    (CompactBoxSpec(((1j, 0.25j),), 0.125), "CompactBoxSpec(U=((1j, 0.25j),), eps=0.125)"),
+    (ConvergenceReport("c", "p", "pass"),
+     "ConvergenceReport(criterion='c', paper_ref='p', verdict='pass', witnesses={}, tolerances={}, series={}, sampled={})"),
+]
+
+
+@pytest.mark.parametrize("value, text", VALUES, ids=[type(v).__name__ for v, _ in VALUES])
+def test_value_classes_keep_their_contract(value, text):
+    assert repr(value) == text
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert twin == value and not twin != value and type(twin) is type(value)
+    assert value != text and value != None  # noqa: E711
+    field = text[text.index("(") + 1 : text.index("=")]  # the first field
+    if isinstance(value, ConvergenceReport):
+        with pytest.raises(TypeError):
+            hash(value)
+        changed = copy.deepcopy(value)
+        changed.verdict = "fail"
+        assert changed.verdict == "fail" and changed != value
+        return
+    if isinstance(value, SpecializedExpansion):
+        with pytest.raises(TypeError):  # coeffs is a dict
+            hash(value)
+    else:
+        assert hash(value) == hash(copy.deepcopy(value))
+    with pytest.raises(AttributeError):
+        setattr(value, field, 1)
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    assert repr(value) == text
+
+
+def test_value_classes_read_their_fields():
+    p = TorsionPoint(2, 1, 0)
+    assert p == TorsionPoint(2, (1,), (0,)) == TorsionPoint(N=2, lam=(1,), mu=(0,)) == TorsionPoint("2", 1, "0")
+    assert hash(p) == hash(TorsionPoint(2, (1,), (0,))) and {p: "x"}[TorsionPoint(2, (1,), (0,))] == "x"
+    assert len({p, TorsionPoint(2, (1,), (0,)), TorsionPoint(2, 0, 1)}) == 2
+    assert TorsionPoint(2, 1, 0) != TorsionPoint(4, 2, 0)  # equal points, different data
+    eta = SpecializedExpansion(k=10, N=2, prec=Fraction(5, 2), den=3, coeffs={0: {1: 2}})
+    assert eta == SpecializedExpansion(10, 2, Fraction(5, 2), 3, {0: {1: 2}}) and eta.level == 4
+    cfg = BoundConfig(b=Fraction(1, 32), slack=0.25, caps=100)  # by keyword, as cli builds it
+    assert (cfg.b, cfg.slack, cfg.caps) == (Fraction(1, 32), 0.25, 100) and cfg == BoundConfig(Fraction(1, 32), 0.25, 100)
+    assert BoundConfig() == BoundConfig(1, 0.5, 10**6) != BoundConfig(caps=10)
+    box = CompactBoxSpec(U=[("1j", 0)], eps=0.5)
+    assert box.U == ((1j, 0j),) and box == CompactBoxSpec(((1j, 0j),), 0.5)
+    # each report left without dicts gets fresh ones
+    a, b = ConvergenceReport("c", "p", "pass"), ConvergenceReport("c", "p", "pass")
+    a.witnesses["x"] = 1
+    a.series["s"] = (["m"], [])
+    assert b.witnesses == b.tolerances == b.series == b.sampled == {} and a != b
+    assert ConvergenceReport("c", "p", "pass", sampled={"s": "t"}).sampled == {"s": "t"}
 
 
 # ---------------------------------------------------------------------------
