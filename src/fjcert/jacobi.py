@@ -134,6 +134,8 @@ class JacobiFormQExp:
         return Fraction(row.get(r, 0) if row else 0, self.den)
 
     def truncated(self, prec: int) -> "JacobiFormQExp":
+        if prec < 0:
+            raise ValueError("precision must be nonnegative")
         if prec > self.prec:
             raise PrecisionError("cannot extend precision from %d to %d" % (self.prec, prec))
         if prec == self.prec:
@@ -166,7 +168,10 @@ class JacobiFormQExp:
     __add__ = add
 
     def scalar_mul(self, c) -> "JacobiFormQExp":
-        c = Fraction(c)
+        try:
+            c = Fraction(c)
+        except (OverflowError, ZeroDivisionError):  # c = inf, c = "1/0"
+            raise ValueError("factor must be a finite rational, got %r" % (c,)) from None
         if not c:
             return JacobiFormQExp.zero(self.k, self.m, self.prec)
         num = {n: {r: v * c.numerator for r, v in row.items()} for n, row in self.num.items()}
@@ -316,26 +321,23 @@ def _read_form(k, m, prec, coeffs, texts: "_Texts"):
 
 
 class _Texts:
-    """The values of one file, each read once: values maps a value to its
-    int, or a value of a non-integer to itself and fractions maps it to its
-    Fraction; over[den] maps a value to its numerator over den.  Each entry
-    is made once per file, so a value text stands for one object throughout.
-    texts is True while every key of values is a text."""
+    """The values of one file, each read once: fractions maps a value of a
+    non-integer to its Fraction, and over[den] maps a value to its
+    numerator over den, over[1] holding the values of integers.  Each entry
+    is made once per file, so a value text stands for one object throughout."""
 
-    __slots__ = ("values", "fractions", "over", "texts")
+    __slots__ = ("fractions", "over")
 
     def __init__(self):
-        self.values: dict = {}
         self.fractions: dict = {}
-        self.over: dict = {}
-        self.texts = True
+        self.over: dict = {1: {}}
 
     def numerators(self, coeffs):
         """(den, conv) for the entries [n, r, v] of coeffs: den is the lcm of
         the denominators of the values, and conv maps each v to its numerator
         over den.  v is an int, a text that parse_rat reads or a Fraction;
         ValueError on any other v and on an entry that is not a list or tuple
-        with an item 2.  Values new to the table, or to over[den], cost a
+        with an item 2.  Values new to the file, or to over[den], cost a
         Python step each; the rest, in a file of texts, is C-level set work."""
         try:  # list.__getitem__ takes a list only: a record of lists is typed at C speed
             here = set(map(list.__getitem__, coeffs, repeat(2)))
@@ -344,23 +346,23 @@ class _Texts:
                 raise ValueError("expected an entry [n, r, value], got %r" % (bad[0],)) from None
             _check_values(coeffs)
             here = set(map(itemgetter(2), coeffs))
-        values, fractions = self.values, self.fractions
-        new = here.difference(values)
-        # a value that is not text equals no text: while the keys are texts, new holds every such value
-        if not set(map(type, new if self.texts else here)) <= {str}:
+        # 1, 1.0 and True are one set element, so any value that is not text is typed entry by entry
+        if not set(map(type, here)) <= {str}:
             _check_values(coeffs)
-            self.texts = False
-        for t in new:
-            x = values[t] = parse_rat(t) if type(t) is str else t
-            if type(x) is not int:
-                values[t], fractions[t] = t, x
+        ints, fractions = self.over[1], self.fractions
+        for t in here.difference(ints, fractions):
+            x = parse_rat(t) if type(t) is str else t
+            if type(x) is int:
+                ints[t] = x
+            else:
+                fractions[t] = x
         fracs = here.intersection(fractions)
         if not fracs:
-            return 1, values
+            return 1, ints
         den = math.lcm(*(fractions[t].denominator for t in fracs))
         over = self.over.setdefault(den, {})
         for t in here.difference(over):
-            x = fractions[t] if t in fractions else values[t]
+            x = fractions[t] if t in fractions else ints[t]
             over[t] = x.numerator * (den // x.denominator)
         return den, over
 
@@ -498,13 +500,13 @@ def _common_rows(phis):
 
 
 @lru_cache(maxsize=None)
+def _series_b(emax: int):
+    return {n * (n + 1) // 2: 1 for n in range(math.isqrt(8 * emax) + 1) if n * (n + 1) // 2 < emax}
+
+
+@lru_cache(maxsize=None)
 def _series_sa(emax: int):
-    out = {}
-    j = 1
-    while (j * j - 1) // 4 < emax:
-        out[(j * j - 1) // 4] = 1
-        j += 2
-    return out
+    return {2 * e: 1 for e in _series_b((emax + 1) // 2)}
 
 
 @lru_cache(maxsize=None)
@@ -519,12 +521,8 @@ def _series_sbq(emax: int):
 
 @lru_cache(maxsize=None)
 def _series_p3(emax: int):
-    out = {}
-    j = 0
-    while j * (j + 1) // 2 < emax:
-        out[j * (j + 1) // 2] = (1 if j % 2 == 0 else -1) * (2 * j + 1)
-        j += 1
-    return out
+    # B holds q^(j(j+1)/2) in increasing j
+    return {e: (2 * j + 1) * (-1) ** j for j, e in enumerate(_series_b(emax))}
 
 
 @lru_cache(maxsize=None)
@@ -533,11 +531,6 @@ def _series_p18(emax: int):
     p3 = _series_p3(emax)
     p9 = _dict_mul(_dict_mul(p3, p3, emax), p3, emax)
     return _dict_mul(p9, p9, emax)
-
-
-@lru_cache(maxsize=None)
-def _series_b(emax: int):
-    return {n * (n + 1) // 2: 1 for n in range(math.isqrt(8 * emax) + 1) if n * (n + 1) // 2 < emax}
 
 
 @lru_cache(maxsize=None)
@@ -603,26 +596,15 @@ def _materialize_index1(k: int, prec: int, den: int, table: list) -> JacobiFormQ
 
 def _index1_table(phi: JacobiFormQExp) -> list:
     """C with c(phi; n, r) = C[4n - r^2] / phi.den for n < phi.prec, for an
-    index-one form phi with 4n - r^2 >= -1 on its support; ValueError unless
-    the stored coefficients are a function of 4n - r^2."""
-    prec = phi.prec
-    table = [0] * (4 * prec - 2)
+    index-one form phi with 4n - r^2 >= -1 on its support, filled from the
+    stored entries; ValueError unless C gives phi back, that is unless the
+    stored coefficients are a function of 4n - r^2."""
+    table = [0] * (4 * phi.prec - 2)
     for n, row in phi.num.items():
         for r, v in row.items():
-            d = 4 * n - r * r
-            if table[d] != v:
-                if table[d]:
-                    raise ValueError("lift input: c(%d, %d) differs from another coefficient at 4n - r^2 = %d" % (n, r, d))
-                table[d] = v
-    # each nonzero C[d] stands for every r = d mod 2 with r^2 < 4 prec - d;
-    # all stored keys agree with C, so equal counts mean none is missing
-    full = 0
-    for d in range(-1, 4 * prec - 3):
-        if table[d]:
-            rb = math.isqrt(4 * prec - d - 1)
-            full += 2 * (rb // 2) + 1 if d % 2 == 0 else 2 * ((rb + 1) // 2)
-    if full != len(phi.coeffs):
-        raise ValueError("lift input: %d coefficients stored, %d needed for a function of 4n - r^2" % (len(phi.coeffs), full))
+            table[4 * n - r * r] = v
+    if _materialize_index1(phi.k, phi.prec, phi.den, table) != phi:
+        raise ValueError("lift input: the stored coefficients are not a function of 4n - r^2")
     return table
 
 
@@ -783,10 +765,16 @@ def _ceil_2sqrt(p: int, m: int) -> int:
 def certified_precision(P: int, m: int, lam: Fraction) -> Fraction:
     """Certified precision of the specialization of an index-m slice of
     precision P at lam: P + m lam^2 - |lam| ceil(2 sqrt(P m)), or 0 if that
-    is negative.  This is (sqrt(P) - |lam| sqrt(m))^2 with the square root
-    rounded up, the sharp threshold below which no discarded row n >= P can
-    contribute: their exponents are at least P - |lam| 2 sqrt(P m) + m lam^2.
+    is negative or P < m lam^2.  The exponents of a discarded row n >= P
+    are at least (sqrt(n) - |lam| sqrt(m))^2, a bound that grows with n
+    only from n = m lam^2 on.  So for P >= m lam^2 this is
+    (sqrt(P) - |lam| sqrt(m))^2 with the square root rounded up, the sharp
+    threshold below which no discarded row can contribute; for
+    P < m lam^2 the discarded rows near n = m lam^2 reach exponents near 0,
+    so nothing is certified.
     """
+    if P < m * lam * lam:
+        return Fraction(0)
     p2 = P + m * lam * lam - abs(lam) * _ceil_2sqrt(P, m)
     return p2 if p2 > 0 else Fraction(0)
 

@@ -416,6 +416,16 @@ def test_series_with_a_float_value_exits_3(tmp_path, lift_file, capsys):
     assert "expected a value text or an integer, got 0.1" in err and "Traceback" not in err
 
 
+def test_series_with_an_unhashable_value_exits_3(tmp_path, lift_file, capsys):
+    rec = json.loads(lift_file.read_text())
+    rec["phis"][1]["coeffs"][0][2] = [1]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(rec))
+    assert main(["check-symmetry", "--in", str(bad), "--report", str(tmp_path / "r.txt")]) == 3
+    err = capsys.readouterr().err
+    assert "expected a value text or an integer, got [1]" in err and "Traceback" not in err
+
+
 def test_series_with_an_entry_listed_twice_exits_3(tmp_path, lift_file, capsys):
     # the reader refuses the record rather than keep one of the two values
     rec = json.loads(lift_file.read_text())

@@ -179,6 +179,15 @@ def test_record_values_are_typed_entry_by_entry(value):
             FormalFJ.from_record({"k": 4, "M_max": 1, "phis": phis})
 
 
+@pytest.mark.parametrize("entry", [[2, 1, [1]], (2, 1, [1])])
+def test_record_values_that_are_unhashable_are_refused(entry):
+    # each value is typed before the values are put in a set, so a list is a ValueError, not a TypeError
+    for coeffs in ([[1, 0, "1"], entry], [(1, 0, "1"), entry]):
+        with pytest.raises(ValueError) as err:
+            JacobiFormQExp.from_record({"k": 4, "m": 1, "prec": 3, "coeffs": coeffs})
+        assert str(err.value) == "expected a value text or an integer, got [1]"
+
+
 def old_record(f: FormalFJ) -> dict:
     return {"k": f.k, "M_max": f.M_max, "phis": [schoolbook.jacobi_to_record(phi) for phi in f.phis]}
 

@@ -17,10 +17,12 @@ from hypothesis import given, strategies as st
 
 from fjcert import jacobi
 from fjcert.core import PrecisionError, _eis_dict
+from fjcert.fjseries import _lift
 from fjcert.jacobi import (
     JacobiFormQExp,
     SpecializedExpansion,
     TorsionPoint,
+    certified_precision,
     evaluate,
     fe_norm,
     jacobi_space,
@@ -250,6 +252,9 @@ def test_truncated():
     assert phi.truncated(9) is phi
     with pytest.raises(PrecisionError):
         short.truncated(7)
+    # a negative precision is refused as the constructor refuses it
+    with pytest.raises(ValueError, match="precision must be nonnegative"):
+        short.truncated(-1)
 
 
 def test_add_and_scalar():
@@ -261,6 +266,11 @@ def test_add_and_scalar():
     assert (phi_m2 - phi_m2).is_zero()
     assert phi_m2.scalar_mul(Fraction(1, 3)).coeff(0, 0) == Fraction(-2, 3)
     assert (2 * phi_m2).coeff(0, 1) == 2
+    for bad in (float("inf"), float("-inf"), "1/0"):
+        with pytest.raises(ValueError, match="factor must be a finite rational"):
+            phi_m2.scalar_mul(bad)
+    with pytest.raises(ValueError):
+        phi_m2.scalar_mul(float("nan"))
 
 
 def test_record_round_trip():
@@ -293,6 +303,21 @@ def test_theta_denominators_are_p6():
         sa, b_q2 = jacobi._series_sa(e), {2 * x: v for x, v in jacobi._series_b(e).items() if 2 * x < e}
         assert sa == b_q2
         assert jacobi._dict_mul(b_q2, b_q2, e) == jacobi._dict_mul(sa, sa, e)
+
+
+def test_theta_builders_match_their_definitions():
+    # B = sum q^(j(j+1)/2), SA' = sum q^(j(j+1)) and P3 = sum (-1)^j (2j+1) q^(j(j+1)/2), term by term
+    for emax in range(61):
+        b, sa, p3 = {}, {}, {}
+        for j in range(emax + 1):
+            if j * (j + 1) // 2 < emax:
+                b[j * (j + 1) // 2] = 1
+                p3[j * (j + 1) // 2] = (-1) ** j * (2 * j + 1)
+            if j * (j + 1) < emax:
+                sa[j * (j + 1)] = 1
+        assert jacobi._series_b(emax) == b
+        assert jacobi._series_sa(emax) == sa
+        assert jacobi._series_p3(emax) == p3
 
 
 def test_generators_divide_only_by_p3(monkeypatch):
@@ -638,6 +663,36 @@ def test_specialize_trusted_result_equals_validated(lift40, point):
         for e, w in eta.coeffs.items():
             assert type(e) is int and 0 <= e < eta.prec * L and w
             assert all(type(j) is int and 0 <= j < L and type(v) is int and v for j, v in w.items())
+
+
+def test_certified_precision_is_zero_below_m_lam_squared(lift40):
+    # at prec 4 < 40 / 4, slice 40 at lam = 1/2 keeps no exponent: its rows
+    # n >= 4 near n = 10 reach q^(1/2), where the prec-40 lift has 222,720
+    small = _lift(10, *next(jacobi._space_components(10, True, 121)), 40, 4)
+    p = TorsionPoint(2, 1, 0)
+    assert certified_precision(4, 40, Fraction(1, 2)) == 0
+    eta = specialize_torsion(small.phis[40], p)
+    assert eta.prec == 0 and eta.coeffs == {}
+    deep = specialize_torsion(lift40[0].phis[40], p)
+    assert sum(weights(deep, 2).values()) == 222720
+    # below the certified precision every slice agrees with the prec-40 lift
+    for m in range(1, 41):
+        eta, deep = specialize_torsion(small.phis[m], p), specialize_torsion(lift40[0].phis[m], p)
+        assert (eta.prec == 0 or 4 >= m / 4) and eta.prec <= deep.prec
+        assert all(weights(eta, e) == weights(deep, e) for e in range(math.ceil(eta.prec * 4)))
+
+
+def test_certified_precision_bounds_every_discarded_row():
+    # a row n >= P holds r with r^2 <= 4nm, its least exponent n - |lam| isqrt(4nm) + m lam^2,
+    # here times N^2 for lam = a / N; past n = 2 m lam^2 + 2 p2 + 1 it is (sqrt n - |lam| sqrt m)^2 > p2
+    lams = [(a, N) for N in range(1, 4) for a in range(-4, 7) if math.gcd(a, N) == 1]
+    for P in range(1, 13):
+        for m in range(1, 13):
+            for a, N in lams:
+                p2 = certified_precision(P, m, Fraction(a, N)) * N * N
+                assert p2.denominator == 1
+                for n in range(P, P + math.ceil((2 * m * a * a + 2 * p2) / (N * N)) + 2):
+                    assert n * N * N - abs(a) * N * math.isqrt(4 * n * m) + m * a * a >= p2, (P, m, a, N, n)
 
 
 def test_specialized_value_pinned():
