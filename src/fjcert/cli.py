@@ -407,7 +407,7 @@ def _cmd_certify(run: _Run) -> int:
         _check_precision_floor(f, p, s_window)
         etas = [specialize_torsion(f.phis[m], p) for m in range(1, f.M_max + 1)]
         growth = growth_fit(etas, f.k, 2, s_window, cfg)
-        pointwise = pointwise_convergence_check(f, p, tau1, theta, m_terms)
+        pointwise = pointwise_convergence_check(f, etas, p, tau1, theta, m_terms)
     except CapacityError as e:
         print("error: %s" % e, file=sys.stderr)
         return 1

@@ -8,12 +8,22 @@ and term decay of truncated sums.  Each check returns a
 :class:`ConvergenceReport` carrying its verdict, the witnessing numbers,
 and the tolerances used, so failures are reproducible from the report
 alone.
+
+The pointwise terms |eta_m(tau1)| theta^m are summed from the exact
+weights of the torsion specializations that growth_fit also reads, in
+decimal at POINTWISE_DIGITS digits, each with a rounding radius: a term
+whose radius is not small against it is summed again at more digits, and
+one that stays unresolved is counted at value + radius and named in the
+report.  No slice is evaluated in floats for this check; evaluate_points
+serves only the compact-box sums.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, DivisionByZero, InvalidOperation, Overflow, Underflow, getcontext, localcontext
 from fractions import Fraction
 from itertools import accumulate, islice, repeat
 from operator import add, mul
@@ -44,6 +54,14 @@ __all__ = [
 GRID_CAP = 10**6
 # relative tolerance of the Cauchy gap in pointwise_convergence_check
 POINTWISE_RTOL = 1e-8
+# pointwise_convergence_check sums its terms in decimal at POINTWISE_DIGITS
+# significant digits; a term whose rounding radius exceeds TERM_RTOL of it is
+# summed again at twice the digits, at most POINTWISE_DOUBLINGS times.  pi,
+# exp, cos and sin are taken at GUARD_DIGITS more digits
+POINTWISE_DIGITS = 40
+POINTWISE_DOUBLINGS = 3
+TERM_RTOL = Decimal(2.0**-53)
+GUARD_DIGITS = 5
 # partial_sum_bound_check counts a box point as torsion when a torsion point
 # of order at most TORSION_N_CAP lies within TORSION_TOL of it
 TORSION_N_CAP = 16
@@ -249,8 +267,146 @@ def growth_fit(etas, k: int, g: int, S, cfg: BoundConfig) -> ConvergenceReport:
 # pointwise convergence on the torsion disc
 
 
+def _context(digits: int) -> Context:
+    """A decimal context of `digits` digits over the widest exponent range,
+    trapping underflow and overflow."""
+    return Context(prec=digits, Emin=MIN_EMIN, Emax=MAX_EMAX, traps=[InvalidOperation, DivisionByZero, Overflow, Underflow])
+
+
+def _pi() -> Decimal:
+    """pi to the precision of the current decimal context (the series of
+    the recipes in the decimal module's documentation)."""
+    getcontext().prec += 2
+    lasts, t, s, n, na, d, da = 0, Decimal(3), 3, 1, 0, 0, 24
+    while s != lasts:
+        lasts = s
+        n, na = n + na, na + 8
+        d, da = d + da, da + 32
+        t = (t * n) / d
+        s += t
+    getcontext().prec -= 2
+    return +s
+
+
+def _cos_sin(x: Decimal) -> tuple:
+    """(cos x, sin x) to the precision of the current decimal context, by
+    the Taylor series of the same recipes; |x| <= pi keeps them short."""
+    getcontext().prec += 2
+    i, lasts, c, s, num, fact, sign = 1, None, Decimal(1), x, x, 1, 1
+    while (c, s) != lasts:
+        lasts = c, s
+        sign = -sign
+        i += 1
+        num *= x
+        fact *= i
+        c += sign * num / fact
+        i += 1
+        num *= x
+        fact *= i
+        s += sign * num / fact
+    getcontext().prec -= 2
+    return +c, +s
+
+
+_QUARTERS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+
+
+def _turn(t: Fraction, pi: Decimal) -> tuple:
+    """(cos 2 pi t, sin 2 pi t): exact ints at the quarter turns, Decimals
+    of the current context otherwise."""
+    if (4 * t).denominator == 1:
+        return _QUARTERS[int(4 * t) % 4]
+    t -= round(t)
+    return _cos_sin(2 * pi * t.numerator / t.denominator)
+
+
+def _decimal_terms(pairs, tau1: complex, theta: float, digits: int) -> list:
+    """[(|eta_m(tau1)| theta^m, radius) for m, eta_m in pairs], Decimals
+    summed at `digits` significant digits.
+
+    eta_m(tau1) = (1/den) sum_e sum_j w_(e,j) e(j/L) e(e tau1/L).  The
+    roots e(j/L) and the powers of e(tau1/L) are made once per call, from
+    pi, exp, cos and sin at GUARD_DIGITS more digits, plus one for each
+    digit of the exp argument's integer part, so that argument's rounding
+    stays a few 10^-GUARD_DIGITS of an ulp; every float input is exact as a
+    Decimal.  The radius bounds the rounding of the sum: it is
+    n 10^(1 - digits) A theta^m, where A is the same sum over absolute
+    values and n = 4 (e_max + 2) + 2 K + 8 counts the rounded operations
+    behind one summand: four for each multiplication that builds its power
+    (e_max the largest exponent of eta_m), two per weight for the
+    coefficient and the sum (K the number of weights), and eight for the
+    root, den, theta^m and the modulus.  The exponent range
+    is the largest decimal allows; a value that still underflows or
+    overflows it raises ValueError, so no term is a silent zero.
+    """
+    pairs = list(pairs)
+    L = pairs[0][1].level if pairs else 1
+    top = max((e for _, eta in pairs for e in eta.coeffs), default=0)
+    # the exp argument -2 pi Im(tau1) / L < 10^wide carries its rounding
+    # into every power of e(tau1 / L), so it gets wide more digits
+    wide = max(0, Decimal(tau1.imag).adjusted() + 2)
+    ctx = _context(digits + GUARD_DIGITS + wide)
+    try:
+        with localcontext(ctx):
+            pi = _pi()
+            roots = [_turn(Fraction(j, L), pi) for j in range(L)]
+            step = _turn(Fraction(tau1.real) / L, pi)
+            mod = (-2 * pi * Decimal(tau1.imag) / L).exp()
+            ctx.prec = digits
+            roots = [(+a, +b) for a, b in roots]
+            mod = +mod
+            mods = list(accumulate(repeat(mod, top), mul, initial=Decimal(1)))
+            xr, xi = mod * step[0], mod * step[1]
+            powers = [(mods[0], 0)]
+            for _ in range(top):
+                a, b = powers[-1]
+                powers.append((a * xr - b * xi, a * xi + b * xr))
+            ulp = Decimal(10) ** (1 - digits)
+            out = []
+            for m, eta in pairs:
+                tr = ti = big = Decimal(0)
+                count = 0
+                for e, w in eta.coeffs.items():
+                    cr = ci = 0
+                    for j, v in w.items():
+                        a, b = roots[j]
+                        cr += v * a
+                        ci += v * b
+                    a, b = powers[e]
+                    tr += cr * a - ci * b
+                    ti += cr * b + ci * a
+                    big += sum(map(abs, w.values())) * mods[e]
+                    count += len(w)
+                scale = Decimal(theta) ** m / eta.den
+                n = 4 * (max(eta.coeffs, default=0) + 2) + 2 * count + 8
+                out.append(((tr * tr + ti * ti).sqrt() * scale, n * ulp * big * scale))
+            return out
+    except (Overflow, Underflow):
+        raise ValueError("a term leaves the decimal exponent range at tau1 = %r" % tau1) from None
+
+
+def _resolved_terms(etas, tau1: complex, theta: float):
+    """(terms, radii, digits, unresolved): _decimal_terms at POINTWISE_DIGITS,
+    each term whose radius exceeds TERM_RTOL of it summed again at twice
+    the digits, at most POINTWISE_DOUBLINGS times; unresolved lists the
+    indices still above, and digits is the last precision used."""
+    terms = [None] * len(etas)
+    todo = range(len(etas))
+    digits = POINTWISE_DIGITS
+    for doubling in range(POINTWISE_DOUBLINGS + 1):
+        if doubling:
+            digits *= 2
+        for i, term in zip(todo, _decimal_terms([(i + 1, etas[i]) for i in todo], tau1, theta, digits)):
+            terms[i] = term
+        todo = [i for i in todo if terms[i][1] > TERM_RTOL * terms[i][0]]
+        if not todo:
+            break
+    return [t for t, _ in terms], [r for _, r in terms], digits, todo
+
+
 def pointwise_convergence_check(
     f: FormalFJ,
+    etas,
     p: TorsionPoint,
     tau1: complex,
     theta: float,
@@ -258,8 +414,21 @@ def pointwise_convergence_check(
 ) -> ConvergenceReport:
     """Audit absolute convergence at |q2| = theta exp(-2 pi C).
 
-    Checks the Cauchy gap |S_2M - S_M| of the absolute partial sums and
-    that term magnitudes are nonincreasing from some index at or below M.
+    etas lists the specializations eta_m of f at p for m = 1, 2, ... (at
+    least up to 2M), as growth_fit takes them.  The term of slice m is
+    |phi_m(tau1, z)| |q2|^m = |eta_m(tau1)| theta^m, summed from eta_m's
+    exact weights in decimal (see _decimal_terms); f gives only the
+    hypotheses, cuspidality and 2M <= M_max.  A term whose rounding radius
+    stays above TERM_RTOL of it after the doublings is counted as value +
+    radius and named in the witness unresolved_terms.  Checks the Cauchy
+    gap |S_2M - S_M| of the absolute partial sums and that the terms are
+    nonincreasing from some index at or below M; the sums and that test
+    run on the Decimals, and only the witnesses are floats.
+
+    Raises PrecisionError when a slice m <= 2M has certified precision 0
+    at p (its term would be an empty sum), and ValueError when tau1 is not
+    finite with Im tau1 > 0, when |q2| is below the normal floats or when a
+    term leaves decimal's exponent range.
     """
     if not f.is_cuspidal():
         raise ValueError("input series must be cuspidal")
@@ -269,47 +438,67 @@ def pointwise_convergence_check(
         raise PrecisionError("need slices up to 2M = %d, have M_max = %d" % (2 * M, f.M_max))
     if M < 1:
         raise ValueError("M must be positive")
+    etas = list(islice(etas, 2 * M))
+    if len(etas) < 2 * M or any(eta.N != p.N for eta in etas):
+        raise ValueError("need the specializations at N = %d for m = 1 .. 2M = %d" % (p.N, 2 * M))
+    for m, eta in enumerate(etas, 1):
+        if not eta.prec:
+            raise PrecisionError("slice m = %d has certified precision 0 at the torsion point, so its term would be an empty sum" % m)
     tau1 = complex(tau1)
+    check_point(tau1)
     c_val = c_constant(tau1, p)
     radius = math.exp(-2 * math.pi * c_val)
     q2_abs = theta * radius
-    z = p.z_at(tau1)
-    terms = [abs(v) * q2_abs**m for m, v in enumerate(evaluate_points(f.phis[: 2 * M + 1], [(tau1, z)])[0])]
-    sums = list(accumulate(terms[1:], add, initial=0.0))
-    s_m, s_2m = sums[M], sums[2 * M]
-    gap = s_2m - s_m
-    tol = POINTWISE_RTOL * max(1.0, s_m)
-    cauchy_ok = gap < tol
-    # first index from which the term sequence never increases
-    tail_start = 2 * M
-    for m in range(2 * M - 1, 0, -1):
-        if terms[m + 1] <= terms[m] * (1 + 1e-12):
-            tail_start = m
-        else:
-            break
+    if q2_abs < sys.float_info.min:
+        raise ValueError("|q2| = theta exp(-2 pi C) at C = %.17g underflows a float" % c_val)
+    values, radii, digits, unresolved = _resolved_terms(etas, tau1, theta)
+    with localcontext(_context(POINTWISE_DIGITS)):
+        terms = [Decimal(0)] + values
+        for i in unresolved:
+            terms[i + 1] += radii[i]
+        sums = list(accumulate(terms[1:], add, initial=Decimal(0)))
+        s_m, s_2m = sums[M], sums[2 * M]
+        gap = s_2m - s_m
+        tol = Decimal(POINTWISE_RTOL) * max(1, s_m)
+        cauchy_ok = gap < tol
+        # first index from which the term sequence never increases
+        tail_start = 2 * M
+        slack = 1 + Decimal("1e-12")
+        for m in range(2 * M - 1, 0, -1):
+            if terms[m + 1] <= terms[m] * slack:
+                tail_start = m
+            else:
+                break
     decreasing_ok = tail_start <= M
     verdict = "pass" if (cauchy_ok and decreasing_ok) else "fail"
     witnesses = {
         "C": c_val,
         "disc_radius": radius,
         "q2_abs": q2_abs,
-        "S_M": s_m,
-        "S_2M": s_2m,
-        "cauchy_gap": gap,
+        "S_M": float(s_m),
+        "S_2M": float(s_2m),
+        "cauchy_gap": float(gap),
         "tail_start": tail_start,
         "M": M,
+        "max_digits": digits,
     }
     if not cauchy_ok:
-        witnesses["cauchy_witness"] = "gap %.6g exceeds tolerance %.6g" % (gap, tol)
+        witnesses["cauchy_witness"] = "gap %s exceeds tolerance %s" % (format(gap, ".6g"), format(tol, ".6g"))
     if not decreasing_ok:
         witnesses["decay_witness"] = "terms still increasing at index %d > M" % tail_start
-    series = {"partial_sums": (["M", "partial_sum"], [[m, sums[m]] for m in range(1, 2 * M + 1)])}
+    if unresolved:
+        witnesses["unresolved_terms"] = "m = %s: radius above 2^-53 of the value at %d digits, counted as value + radius" % (
+            ", ".join(str(i + 1) for i in unresolved), digits)
+    series = {
+        "partial_sums": (["M", "partial_sum"], [[m, float(sums[m])] for m in range(1, 2 * M + 1)]),
+        "terms": (["m", "term", "radius"], [[m, format(t, ".16e"), format(r, ".2e")] for m, (t, r) in enumerate(zip(values, radii), 1)]),
+    }
     return ConvergenceReport(
         "pointwise-convergence",
         "the series converges absolutely at the torsion point on the disc |q2| < exp(-2 pi C)",
         verdict,
         witnesses,
-        {"rtol": POINTWISE_RTOL, "theta": theta},
+        {"rtol": POINTWISE_RTOL, "theta": theta, "digits": POINTWISE_DIGITS},
         series,
     )
 

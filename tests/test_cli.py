@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 from unittest import mock
 
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import schoolbook
-from fjcert import cli, jacobi, reduction
+from fjcert import cli, convergence, jacobi, reduction
 from fjcert.cli import main
 from fjcert.core import _eis_dict
 from fjcert.fjseries import FormalFJ, PolynomialOverM, gritsenko_lift
@@ -563,13 +564,32 @@ def test_certify_scans_each_slice_once(tmp_path, geometric_file, monkeypatch):
     assert sorted(scans) == list(range(1, 61))
 
 
-def test_certify_overflowing_tau1_exits_1(tmp_path, lift_file, capsys):
-    # at tau1 = 300j the torsion point z = tau1 / 2 makes e(z) underflow to 0
+def test_certify_evaluates_no_slice_in_floats(tmp_path, lift_file, monkeypatch):
+    # the pointwise terms come from the specializations growth_fit reads
+    monkeypatch.setattr(convergence, "evaluate_points", mock.Mock(side_effect=AssertionError("evaluate_points")))
     report = tmp_path / "cert.txt"
-    argv = ["certify", "--in", str(lift_file), "--report", str(report), "--torsion", "2,1,0", "--b", "1/128"]
+    assert main(["certify", "--in", str(lift_file), "--report", str(report), "--torsion", "2,1,0", "--b", "1/128"]) == 1
+    assert "verdict: fail" in report.read_text() and "hypothesis-failure" not in report.read_text()
+
+
+def test_certify_overflowing_tau1_exits_1(tmp_path, lift_file, capsys):
+    report = tmp_path / "cert.txt"
+    argv = ["certify", "--in", str(lift_file), "--report", str(report), "--torsion", "2,1,0", "--b", "1/128", "--json"]
+    # at tau1 = 300j, z = tau1 / 2 makes e(z) underflow a float, but the terms
+    # come from the specializations in decimal: none is zero, the smallest
+    # 5.4e-616.  The decay rule fails on them (odd m ~ 1e-208, even m ~ 1e-412)
     assert main(argv + ["--tau1", "300j"]) == 1
+    out = capsys.readouterr()
+    assert "error:" not in out.err
+    pointwise = json.loads(out.out)["pointwise"]
+    assert pointwise["verdict"] == "fail" and pointwise["witnesses"]["tail_start"] == 7
+    terms = [Decimal(t) for _, t, _ in pointwise["series"]["terms"]["rows"]]
+    assert len(terms) == 8 and all(t > 0 for t in terms)
+    assert min(terms) == pytest.approx(Decimal("5.3655071199489013e-616"), rel=1e-9)
+    # at 1000j the disc radius exp(-2 pi C), C = 250, underflows a float
+    assert main(argv + ["--tau1", "1000j"]) == 1
     assert capsys.readouterr().err.count("error:") == 1
-    assert "hypothesis-failure" in report.read_text() and "overflows" in report.read_text()
+    assert "hypothesis-failure" in report.read_text() and "underflows a float" in report.read_text()
 
 
 def test_certify_usage_errors(tmp_path, lift_file):

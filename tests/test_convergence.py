@@ -7,6 +7,7 @@ import json
 import math
 import pickle
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -366,9 +367,15 @@ def geometric_series(mmax):
     return FormalFJ(10, mmax, phis)
 
 
+def specializations(f, p):
+    """eta_m = specialize_torsion(f.phis[m], p) for m = 1 .. M_max, as certify builds them."""
+    return [specialize_torsion(phi, p) for phi in f.phis[1:]]
+
+
 def test_pointwise_passes_on_geometric_terms():
     f = geometric_series(60)
-    rep = pointwise_convergence_check(f, TorsionPoint(2, 0, 1), 1j, 0.5, 30)
+    p = TorsionPoint(2, 0, 1)
+    rep = pointwise_convergence_check(f, specializations(f, p), p, 1j, 0.5, 30)
     assert rep.verdict == "pass"
     w = rep.witnesses
     assert w["C"] == 0.0 and w["disc_radius"] == 1.0 and w["q2_abs"] == 0.5
@@ -379,21 +386,36 @@ def test_pointwise_passes_on_geometric_terms():
     assert header == ["M", "partial_sum"] and len(rows) == 60
 
 
-def test_pointwise_geometry_on_lift(lift_wide):
-    f, _ = lift_wide
-    rep = pointwise_convergence_check(f, TorsionPoint(2, 1, 0), 1j, 0.5, 20)
+def test_pointwise_geometry_on_lift(lift40):
+    # every slice of lift40 up to 2M = 40 is certified at (2, 1, 0)
+    f, _ = lift40
+    p = TorsionPoint(2, 1, 0)
+    rep = pointwise_convergence_check(f, specializations(f, p), p, 1j, 0.5, 20)
     w = rep.witnesses
     assert w["C"] == 0.25
     assert w["disc_radius"] == pytest.approx(math.exp(-math.pi / 2), rel=1e-12)
     assert w["q2_abs"] == pytest.approx(0.5 * math.exp(-math.pi / 2), rel=1e-12)
-    # the raw slice values oscillate, so the strict tail test rejects here
-    assert rep.verdict == "fail"
-    assert w["cauchy_gap"] == pytest.approx(7.553638e-4, rel=1e-5)
+    assert w["max_digits"] == convergence.POINTWISE_DIGITS and "unresolved_terms" not in w
+    header, rows = rep.series["terms"]
+    assert header == ["m", "term", "radius"] and [row[0] for row in rows] == list(range(1, 41))
+    assert all(0 < Decimal(r) <= Decimal(t) * convergence.TERM_RTOL for _, t, r in rows)
+
+
+def test_pointwise_refuses_a_slice_with_no_certified_precision(lift_wide):
+    # prec 6 certifies nothing at (2, 1, 0) from m = 14 on: 6 + m/4 - ceil(2 sqrt(6m))/2 <= 0
+    f, _ = lift_wide
+    p = TorsionPoint(2, 1, 0)
+    etas = specializations(f, p)
+    assert etas[12].prec > 0 and etas[13].prec == 0
+    with pytest.raises(PrecisionError, match="slice m = 14 has certified precision 0"):
+        pointwise_convergence_check(f, etas, p, 1j, 0.5, 20)
+    assert pointwise_convergence_check(f, etas, p, 1j, 0.5, 6).witnesses["M"] == 6
 
 
 def test_pointwise_fails_near_disc_boundary(lift_wide):
     f, _ = lift_wide
-    rep = pointwise_convergence_check(f, TorsionPoint(2, 0, 1), 1j, 0.99, 2)
+    p = TorsionPoint(2, 0, 1)
+    rep = pointwise_convergence_check(f, specializations(f, p), p, 1j, 0.99, 2)
     assert rep.verdict == "fail"
     assert "cauchy_witness" in rep.witnesses
     assert rep.witnesses["S_2M"] > rep.witnesses["S_M"]
@@ -402,16 +424,111 @@ def test_pointwise_fails_near_disc_boundary(lift_wide):
 def test_pointwise_validation(lift8):
     f, _ = lift8
     p = TorsionPoint(2, 0, 1)
+    etas = specializations(f, p)
     with pytest.raises(ValueError):
-        pointwise_convergence_check(FormalFJ.one(4, 4), p, 1j, 0.5, 2)
+        pointwise_convergence_check(FormalFJ.one(4, 4), etas, p, 1j, 0.5, 2)
     with pytest.raises(ValueError):
-        pointwise_convergence_check(f, p, 1j, 0.0, 2)
+        pointwise_convergence_check(f, etas, p, 1j, 0.0, 2)
     with pytest.raises(ValueError):
-        pointwise_convergence_check(f, p, 1j, 1.0, 2)
+        pointwise_convergence_check(f, etas, p, 1j, 1.0, 2)
     with pytest.raises(PrecisionError):
-        pointwise_convergence_check(f, p, 1j, 0.5, 5)
+        pointwise_convergence_check(f, etas, p, 1j, 0.5, 5)
     with pytest.raises(ValueError):
-        pointwise_convergence_check(f, p, 1j, 0.5, 0)
+        pointwise_convergence_check(f, etas, p, 1j, 0.5, 0)
+    with pytest.raises(ValueError, match="specializations"):
+        pointwise_convergence_check(f, etas[:3], p, 1j, 0.5, 2)
+    with pytest.raises(ValueError, match="specializations"):
+        pointwise_convergence_check(f, specializations(f, TorsionPoint(3, 0, 1)), p, 1j, 0.5, 2)
+    for tau1 in (-1j, 0j, complex(math.inf, 1)):
+        with pytest.raises(ValueError, match="tau1"):
+            pointwise_convergence_check(f, etas, p, tau1, 0.5, 2)
+
+
+@pytest.mark.parametrize("tau1", [1j, 0.3 + 1.1j, 1e10j, 0.3 + 1e10j], ids=["i", "0.3+1.1i", "1e10i", "0.3+1e10i"])
+@pytest.mark.parametrize("point", [(2, 1, 1), (3, 1, 1), (3, 2, 1)], ids=str)
+def test_decimal_terms_lie_within_their_radius_of_the_sum_at_twice_the_digits(lift12, point, tau1):
+    # N = 3 has level 9: its roots e(j/9) and, off Re tau1 = 0, e(tau1/L)
+    # come from the cos and sin series; N = 2 at tau1 = i is exact up to exp.
+    # At Im tau1 = 1e10 (which the check reaches at lambda = 0, where C = 0)
+    # the exp argument -2 pi Im(tau1) / L has 10 integer digits, whose
+    # rounding every power of e(tau1/L) carries, and the terms lie near
+    # 10^-(10^9): they are compared in decimal's widest exponent range
+    f, _ = lift12
+    etas = list(enumerate(specializations(f, TorsionPoint(*point)), 1))
+    digits = convergence.POINTWISE_DIGITS
+    low = convergence._decimal_terms(etas, tau1, 0.5, digits)
+    high = convergence._decimal_terms(etas, tau1, 0.5, 2 * digits)
+    with localcontext(convergence._context(4 * digits)):
+        for (m, _), (v, r), (v2, r2) in zip(etas, low, high):
+            assert 0 < v and abs(v - v2) <= r + r2 and r2 < r, m
+        assert any(v != v2 for (v, _), (v2, _) in zip(low, high))
+
+
+def test_decimal_terms_agree_with_evaluate_points(lift40):
+    # the two routes at (2, 1, 0): evaluate_points sums every stored row in
+    # floats, the decimal sum the specialization below its certified precision
+    f, _ = lift40
+    p = TorsionPoint(2, 1, 0)
+    rep = pointwise_convergence_check(f, specializations(f, p), p, 1j, 0.5, 20)
+    q2 = rep.witnesses["q2_abs"]
+    floats = jacobi.evaluate_points(f.phis[:41], [(1j, p.z_at(1j))])[0]
+    for m, term, _ in rep.series["terms"][1]:
+        want = abs(floats[m]) * q2**m
+        assert abs(float(term) - want) <= 1e-13 * want, m
+
+
+def test_pointwise_terms_at_2_1_1_are_resolved_where_floats_give_noise(lift40):
+    # phi_m(i, (i + 1)/2) vanishes for even m (weight 10, S fixes the point up
+    # to a lattice shift), so the truncated sums are far below the float noise
+    # of evaluate_points (2.91e1 and 9.70e8 at m = 20 and 30); each even-m term
+    # is resolved, at up to 160 digits
+    f, _ = lift40
+    p = TorsionPoint(2, 1, 1)
+    rep = pointwise_convergence_check(f, specializations(f, p), p, 1j, 0.1, 20)
+    w = rep.witnesses
+    assert "unresolved_terms" not in w and w["max_digits"] == 160
+    rows = rep.series["terms"][1]
+    assert all(0 < Decimal(r) <= Decimal(t) * convergence.TERM_RTOL for _, t, r in rows)
+    phi_abs = {m: float(t) / w["q2_abs"] ** m for m, t, _ in rows}
+    assert phi_abs[20] == pytest.approx(5.17e-21, rel=1e-3)
+    assert phi_abs[30] == pytest.approx(4.05e-3, rel=1e-3)
+    # the verdict still fails, on the decay rule: odd-m terms outgrow the
+    # even-m ones up to the last index.  That is the rule's problem
+    # (ROADMAP item 1), not the terms'
+    assert rep.verdict == "fail" and w["tail_start"] == 39 and "cauchy_witness" not in w
+
+
+def test_pointwise_counts_an_unresolved_term_at_value_plus_radius(lift40, monkeypatch):
+    # with no doubling and too few digits, the even-m terms at (2, 1, 1) stay
+    # above their radius: they are named and summed as value + radius
+    f, _ = lift40
+    p = TorsionPoint(2, 1, 1)
+    monkeypatch.setattr(convergence, "POINTWISE_DOUBLINGS", 0)
+    rep = pointwise_convergence_check(f, specializations(f, p), p, 1j, 0.1, 20)
+    w = rep.witnesses
+    assert w["max_digits"] == convergence.POINTWISE_DIGITS
+    named = [int(m) for m in w["unresolved_terms"].split(":")[0][4:].split(", ")]
+    assert named and all(m % 2 == 0 for m in named)
+    rows = rep.series["terms"][1]
+    sums = rep.series["partial_sums"][1]
+    want = sum(Decimal(t) + (Decimal(r) if m in named else 0) for m, t, r in rows)
+    assert sums[-1][1] == pytest.approx(float(want), rel=1e-15)
+
+
+def test_pointwise_refuses_a_disc_radius_below_the_floats(lift8):
+    f, _ = lift8
+    p = TorsionPoint(2, 1, 0)
+    etas = specializations(f, p)
+    with pytest.raises(ValueError, match="underflows a float"):
+        pointwise_convergence_check(f, etas, p, 1000j, 0.5, 4)
+    # at 300j the disc radius is a float and the terms, down to 1e-616, are not zero
+    rep = pointwise_convergence_check(f, etas, p, 300j, 0.5, 4)
+    assert all(Decimal(t) > 0 for _, t, _ in rep.series["terms"][1])
+    # with lambda = 0 the disc is the unit disc, and a term leaves even
+    # decimal's exponent range before any float does
+    p = TorsionPoint(2, 0, 1)
+    with pytest.raises(ValueError, match="decimal exponent range"):
+        pointwise_convergence_check(f, specializations(f, p), p, 1e300j, 0.5, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -489,8 +606,10 @@ def test_box_checks_make_one_evaluate_points_call(lift8, monkeypatch):
     coeffs = [a for a in q.coeffs[:-1] if not a.is_zero()]
     assert calls == [(ids(a.phis), list(box.U)) for a in coeffs] + [(ids(f.phis[:9]), list(box.U))]
     calls.clear()
-    pointwise_convergence_check(f, TorsionPoint(2, 1, 0), 1j, 0.5, 4)
-    assert calls == [(ids(f.phis[:9]), [(1j, 0.5j)])]
+    # the pointwise check sums the specializations, and evaluates no slice
+    p = TorsionPoint(2, 1, 0)
+    pointwise_convergence_check(f, specializations(f, p), p, 1j, 0.5, 4)
+    assert calls == []
 
 
 def plain_partial_sums(slice_vals, tau2, mtop):
