@@ -464,7 +464,7 @@ def _cmd_bound_report(run: _Run) -> int:
     if not 1 <= mtop <= f.M_max:
         _fail_usage("mmax must lie in [1, %d]" % f.M_max)
     try:
-        rep = partial_sum_bound_check(f, q, box, range(1, mtop + 1), kappa=kappa, points=points)
+        rep = partial_sum_bound_check(f, q, box, mtop, kappa=kappa, points=points)
     except CapacityError as e:
         _fail_usage(str(e))
     except ValueError as e:  # slice values that overflow floats, or a line longer than WINDOW_CAP

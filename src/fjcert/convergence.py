@@ -553,22 +553,27 @@ def partial_sum_bound_check(
     f: FormalFJ,
     q: PolynomialOverM,
     box: CompactBoxSpec,
-    M_list,
+    M: int,
     kappa: float = 1.1,
     points: int = 5,
 ) -> ConvergenceReport:
     """Certify the geometric majorant on the shrunken box.
 
-    For tau sampled in K_{2 eps}(U), every partial sum with M in M_list
-    must stay below kappa * D_eps(U) * e^(-2 pi eps) / (1 - e^(-2 pi eps)).
+    For tau sampled in K_{2 eps}(U), every partial sum S_1, ..., S_M must
+    stay below kappa * D_eps(U) * e^(-2 pi eps) / (1 - e^(-2 pi eps)).
     The sample is k_eps_grid(box, 2.0, points), so eps must lie in
-    (0, 1/2), and kappa must be finite and positive.  Monicity of q,
-    cuspidality of f, a polynomial step equal to the weight of f, and
-    q(f) = 0 are hypotheses; their failure is reported as such, not as a
-    bound violation.
+    (0, 1/2), and kappa must be finite and positive.  M is read by
+    _read_int and must lie in [1, M_max]; a bad M or kappa raises
+    ValueError before anything is computed.  Monicity of q, cuspidality
+    of f, a polynomial step equal to the weight of f, and q(f) = 0 are
+    hypotheses; their failure is reported as such, not as a bound
+    violation.
     """
     if not 0 < kappa < math.inf:
         raise ValueError("kappa must be finite and positive")
+    M = _read_int(M)
+    if not 1 <= M <= f.M_max:
+        raise ValueError("M must lie in [1, M_max]")
     claim = "partial sums on the shrunken box stay below the geometric majorant"
     tolerances = {"kappa": kappa, "eps": box.eps}
     failed = None
@@ -584,44 +589,32 @@ def partial_sum_bound_check(
         return ConvergenceReport(
             "partial-sum-bound", claim, "hypothesis-failure", {"failed_precondition": failed}, tolerances
         )
-    rows = {}  # M -> largest |partial sum| over the grid; a bad entry fails before the rest is read
-    for m in map(int, M_list):
-        if not 1 <= m <= f.M_max:
-            raise ValueError("M_list entries must lie in [1, M_max]")
-        rows[m] = 0.0
-    if not rows:
-        raise ValueError("M_list is empty")
     grid, d_grid = k_eps_grid(box, 2.0, points), k_eps_grid(box, 1.0, points)
     d_val = d_eps(q, box, d_grid)
     decay = math.exp(-2 * math.pi * box.eps)
     bound = kappa * d_val * decay / (1.0 - decay)
-    mtop = max(rows)
-    ms = sorted(rows)
-    tops = [0.0] * len(ms)  # rows[m] for m in ms
+    tops = [0.0] * M  # largest |S_m| over the grid for m = 1 .. M
     max_abs = 0.0
     max_abs_torsion = 0.0
     max_abs_other = 0.0
     argmax = None
-    taus = [siegel_point(tau) for tau in grid]
-    where = list(dict.fromkeys((t1, z) for t1, z, _ in taus))
+    where = list(dict.fromkeys(box.U))  # the (tau1, z) of the grid, in its order
     torsion = [_torsion_search(t1, z, TORSION_TOL, TORSION_N_CAP) is not None for t1, z in where]
-    per_point = dict(zip(where, zip(evaluate_points(f.phis[: mtop + 1], where), torsion)))
-    for t1, z, t2 in taus:
+    per_point = dict(zip(where, zip(evaluate_points(f.phis[: M + 1], where), torsion)))
+    for (t1, z), (_, t2) in grid:
         slice_vals, near = per_point[t1, z]
-        # |partial sum| for M = 0 .. mtop: the powers of q2 and the sums run in the order of a plain loop
-        powers = accumulate(repeat(cmath.exp(2j * math.pi * t2), mtop), mul, initial=1.0 + 0j)
-        sums = list(map(abs, accumulate(map(mul, slice_vals[1:], islice(powers, 1, None)), add, initial=0j)))
-        picked = list(map(sums.__getitem__, ms))
-        tops = list(map(max, tops, picked))
-        a = max(picked)
+        # |S_m| for m = 1 .. M: the powers of q2 and the sums run in the order of a plain loop
+        powers = accumulate(repeat(cmath.exp(2j * math.pi * t2), M), mul, initial=1.0 + 0j)
+        sums = list(map(abs, accumulate(map(mul, slice_vals[1:], islice(powers, 1, None)), add, initial=0j)))[1:]
+        tops = list(map(max, tops, sums))
+        a = max(sums)
         if a > max_abs:  # the first grid point and the least M of the largest sum keep the argmax
             max_abs = a
-            argmax = (ms[picked.index(a)], t1, z, t2)
+            argmax = (sums.index(a) + 1, t1, z, t2)
         if near:
             max_abs_torsion = max(max_abs_torsion, a)
         else:
             max_abs_other = max(max_abs_other, a)
-    rows = dict(zip(ms, tops))
     verdict = "pass" if max_abs <= bound else "fail"
     witnesses = {
         "D_eps": d_val,
@@ -635,7 +628,7 @@ def partial_sum_bound_check(
     }
     if argmax is not None:
         witnesses["argmax"] = "M=%d tau1=%s z=%s tau2=%s" % (argmax[0], _cplx_str(argmax[1]), _cplx_str(argmax[2]), _cplx_str(argmax[3]))
-    series = {"partial_sums": (["M", "max_abs_partial_sum"], [[m, rows[m]] for m in sorted(rows)])}
+    series = {"partial_sums": (["M", "max_abs_partial_sum"], [[m, top] for m, top in enumerate(tops, 1)])}
     sampled = {
         "D_eps": "max over the %d points of k_eps_grid(box, 1.0, %d), not the sup over K_eps(U)" % (len(d_grid), points),
         "max_partial_sum": "max over the %d points of k_eps_grid(box, 2.0, %d), not the sup over K_2eps(U)" % (len(grid), points),

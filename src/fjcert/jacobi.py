@@ -80,8 +80,7 @@ class JacobiFormQExp:
     nonzero integer numerators only, and den is the lcm of the reduced
     denominators, so equal forms have equal (den, num).  Rows are shared
     between forms (truncated, _common_rows) and between the slices of a
-    lift (fjseries._lift), and within one evaluate_points call so are the
-    float rows of float_terms: never mutate a stored row or float row.
+    lift (fjseries._lift): never mutate a stored row.
     coeffs is a read-only (n, r)-keyed Fraction view of the same values.
     For index zero only r = 0 occurs.  Weak forms may carry entries with
     4 n m - r^2 < 0; holomorphic and cusp forms are recognized by
@@ -239,27 +238,25 @@ class JacobiFormQExp:
         slices of one file share."""
         return cls._stored(*_read_form(rec["k"], rec["m"], rec["prec"], rec["coeffs"], texts))
 
-    def float_terms(self, floats: "_Table"):
+    def float_terms(self):
         """(R, rows): R is the largest stored |r|, 0 for a zero form, and rows
         holds, in storage order, one (n, lo, cs) per stored row n, where lo
         is the row's lowest r and cs the array('d') of c(n, lo),
         c(n, lo + 1), ... up to the row's highest r, zeros included, 8 bytes
-        a slot.  cs is floats[den].of(row), floats a _Table(_floats_over)
-        that the forms of one call share, so forms that share a row and a
-        den share its cs.  Raises ValueError, before building anything, when
-        the line r = -R .. R that :func:`evaluate_points` lays out spans
-        more than WINDOW_CAP values of r; no row spans more than the line."""
+        a slot, built afresh for each call.  Raises ValueError, before
+        building anything, when the line r = -R .. R that
+        :func:`evaluate_points` lays out spans more than WINDOW_CAP values
+        of r; no row spans more than the line."""
         ends = [(min(row), max(row)) for row in self.num.values()]
         R = max((max(-lo, hi) for lo, hi in ends), default=0)
         if 2 * R + 1 > WINDOW_CAP:
             raise ValueError("a line spans %d values of r, more than %d" % (2 * R + 1, WINDOW_CAP))
-        of = floats[self.den].of
-        return R, [(n, lo, of(row, lo, hi)) for (n, row), (lo, hi) in zip(self.num.items(), ends)]
+        return R, [(n, lo, _float_row(self.den, row, lo, hi)) for (n, row), (lo, hi) in zip(self.num.items(), ends)]
 
 
 class _Table(dict):
     """A dict that fills a missing key x with make(x) on its first lookup,
-    or, through :meth:`of`, a stored row with make(row, ...) by identity."""
+    or, through :meth:`of`, a stored row with make(row) by identity."""
 
     __slots__ = ("make",)
 
@@ -270,12 +267,11 @@ class _Table(dict):
         value = self[x] = self.make(x)
         return value
 
-    def of(self, row, *args):
-        """make(row, *args), made once per row object, so args must be a
-        function of the row, such as its ends: the entry under id(row) holds
-        the row, so that no id is reused while the table lives."""
+    def of(self, row):
+        """make(row), made once per row object: the entry under id(row)
+        holds the row, so that no id is reused while the table lives."""
         if (hit := self.get(id(row))) is None:
-            hit = self[id(row)] = row, self.make(row, *args)
+            hit = self[id(row)] = row, self.make(row)
         return hit[1]
 
 
@@ -294,11 +290,6 @@ def _texts_over(den: int) -> _Table:
 def _prefixes() -> _Table:
     """The prefix '%d, "' of each r in a row's JSON text, each made on first use."""
     return _Table('%d, "'.__mod__)
-
-
-def _floats_over(den: int) -> _Table:
-    """The float rows of rows over den, each made once per row object."""
-    return _Table(partial(_float_row, den))
 
 
 def _float_row(den: int, row: dict, lo: int, hi: int):
@@ -832,13 +823,16 @@ def specialize_torsion(phi: JacobiFormQExp, p: TorsionPoint) -> SpecializedExpan
 def window_abs(eta: SpecializedExpansion, S) -> list:
     """|c_x(eta)| for each exponent x of the window S, in the order of S.
 
-    S is a list of 1x1 matrices (or plain rationals).  Every requested
-    exponent must lie below the certified precision of eta.
+    S is a list of 1x1 matrices (or plain rationals); a matrix of any
+    other size raises ValueError.  Every requested exponent must lie below
+    the certified precision of eta.
     """
     L, pnum, pden = eta.level, eta.prec.numerator, eta.prec.denominator
     out = []
     for t in S:
         if isinstance(t, SymMatQ):
+            if t.size != 1:
+                raise ValueError("a window matrix must be 1x1, not %dx%d" % (t.size, t.size))
             p, q = t.gram[0][0], t.den
         else:
             x = Fraction(t)
@@ -918,8 +912,7 @@ def evaluate_points(phis, points) -> list:
             raise ValueError("e(z) or e(-z) is 0 or overflows at z = %r" % z) from None
         lines.setdefault((tau1, z.imag + 0.0), []).append(i)  # + 0.0: -0.0 and 0.0 share a line
     out = [[0j] * len(phis) for _ in points]
-    floats = _Table(_floats_over)  # one float row per distinct (row, den) of the call
-    forms = [(j, rows, R) for j, phi in enumerate(phis) for R, rows in (phi.float_terms(floats),) if rows]
+    forms = [(j, rows, R) for j, phi in enumerate(phis) for R, rows in (phi.float_terms(),) if rows]
     if not forms:
         return out
     top = max(R for *_, R in forms)

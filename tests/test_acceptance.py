@@ -208,7 +208,7 @@ def test_criterion_6_locally_bounded_certificate(lift10_40, capfd):
     lo = -0.2 / math.sqrt(2)
     xs = [lo + i * (-2 * lo) / 4 for i in range(5)]
     box = CompactBoxSpec(tuple((1j, complex(x, y)) for x in xs for y in xs), 0.1)
-    rep = partial_sum_bound_check(f, q, box, range(1, 41), kappa=1.1, points=5)
+    rep = partial_sum_bound_check(f, q, box, 40, kappa=1.1, points=5)
     elapsed = build_s + time.perf_counter() - t0
     ok = rep.verdict == "pass" and elapsed < 600.0
     announce(

@@ -349,6 +349,15 @@ def test_growth_fit_degenerate_on_zero_slices():
     assert rep.sampled == {} and "sampled" not in rep.to_record() and "sampled:" not in rep.to_text()
 
 
+def test_growth_fit_refuses_a_window_of_2x2_matrices(lift8):
+    # the genus-3 window holds 2x2 matrices, which window_abs cannot read as one exponent
+    f, _ = lift8
+    S = enumerate_S(2, Fraction(1, 2**32), 3)
+    assert S and {t.size for t in S} == {2}
+    with pytest.raises(ValueError, match="1x1"):
+        growth_fit(lift_etas(f), f.k, 3, S, BoundConfig())
+
+
 def test_growth_fit_needs_eight_slices():
     p = TorsionPoint(2, 1, 0)
     etas = [specialize_torsion(JacobiFormQExp.zero(10, m, 8), p) for m in range(1, 8)]
@@ -601,8 +610,8 @@ def test_box_checks_make_one_evaluate_points_call(lift8, monkeypatch):
     calls = []
     evaluate_points, ids = convergence.evaluate_points, lambda phis: list(map(id, phis))
     monkeypatch.setattr(convergence, "evaluate_points", lambda phis, pts: calls.append((ids(phis), list(pts))) or evaluate_points(phis, pts))
-    partial_sum_bound_check(f, q, box, [1, 2, 4, 8], points=3)
-    # d_eps: one call per nonzero coefficient of q; then one for f up to the largest M
+    partial_sum_bound_check(f, q, box, 8, points=3)
+    # d_eps: one call per nonzero coefficient of q; then one for f up to M
     coeffs = [a for a in q.coeffs[:-1] if not a.is_zero()]
     assert calls == [(ids(a.phis), list(box.U)) for a in coeffs] + [(ids(f.phis[:9]), list(box.U))]
     calls.clear()
@@ -631,9 +640,9 @@ def test_box_certificate_sums_match_a_plain_loop_bit_for_bit(lift8):
     f, _ = lift8
     q = square_relation(f)
     box = CompactBoxSpec(((0.5 + 1j, -0.15j), (1j, 0.1 + 0.05j), (0.5 + 1j, 0.15j)), 0.1)
-    rep = partial_sum_bound_check(f, q, box, [8, 1, 4, 2], points=3)
+    rep = partial_sum_bound_check(f, q, box, 8, points=3)
     assert "tau1=0.5+1j z=-0-0.15j" in rep.witnesses["argmax"]
-    rows, best, argmax = {m: 0.0 for m in (1, 2, 4, 8)}, 0.0, None
+    rows, best, argmax = {m: 0.0 for m in range(1, 9)}, 0.0, None
     for tau in k_eps_grid(box, 2.0, 3):
         t1, z, t2 = siegel_point(tau)
         sums = plain_partial_sums(jacobi.evaluate_points(f.phis[:9], [(t1, z)])[0], t2, 8)
@@ -696,7 +705,7 @@ def test_box_certificate_passes_on_square_relation(lift8):
     f, _ = lift8
     q = square_relation(f)
     box = CompactBoxSpec(((1j, 0.25j), (1j, 0.1 + 0.05j), (0.5 + 1j, 0.15j)), 0.1)
-    rep = partial_sum_bound_check(f, q, box, [1, 2, 4, 8], points=3)
+    rep = partial_sum_bound_check(f, q, box, 8, points=3)
     assert rep.verdict == "pass"
     w = rep.witnesses
     assert w["grid_size"] == 27
@@ -712,7 +721,7 @@ def test_box_certificate_passes_on_square_relation(lift8):
     assert "argmax" in w
     header, rows = rep.series["partial_sums"]
     assert header == ["M", "max_abs_partial_sum"]
-    assert [m for m, _ in rows] == [1, 2, 4, 8]
+    assert [m for m, _ in rows] == list(range(1, 9))
     # both sups are maxima over the sample grids, and say so
     assert sorted(rep.sampled) == ["D_eps", "max_partial_sum"]
     assert rep.sampled["D_eps"].startswith("max over the 27 points of k_eps_grid(box, 1.0, 3)")
@@ -727,25 +736,25 @@ def test_box_certificate_reports_hypothesis_failures(lift8, monkeypatch):
     doubled = PolynomialOverM(
         [FormalFJ.zero(10, f.M_max, f.prec), FormalFJ.one(f.M_max, f.prec).scalar_mul(2)], 0, 10
     )
-    rep = partial_sum_bound_check(f, doubled, box, [1], points=2)
+    rep = partial_sum_bound_check(f, doubled, box, 1, points=2)
     assert rep.verdict == "hypothesis-failure" and not rep.passed
     assert rep.witnesses["failed_precondition"] == "polynomial is not monic"
 
     e4 = schoolbook.pad_index0(4, _eis_dict(4, f.prec), f.M_max, f.prec)
     plain_x4 = PolynomialOverM([FormalFJ.zero(4, f.M_max, f.prec), FormalFJ.one(f.M_max, f.prec)], 0, 4)
-    rep = partial_sum_bound_check(e4, plain_x4, box, [1], points=2)
+    rep = partial_sum_bound_check(e4, plain_x4, box, 1, points=2)
     assert rep.verdict == "hypothesis-failure"
     assert rep.witnesses["failed_precondition"] == "series is not cuspidal"
 
     plain_x = PolynomialOverM([FormalFJ.zero(10, f.M_max, f.prec), FormalFJ.one(f.M_max, f.prec)], 0, 10)
-    rep = partial_sum_bound_check(f, plain_x, box, [1], points=2)
+    rep = partial_sum_bound_check(f, plain_x, box, 1, points=2)
     assert rep.verdict == "hypothesis-failure"
     assert rep.witnesses["failed_precondition"] == "q(f) is nonzero to stored precision"
 
     # a step other than the weight of f is reported before poly_eval would reject it
     step12 = PolynomialOverM([FormalFJ.zero(12, f.M_max, f.prec), FormalFJ.one(f.M_max, f.prec)], 0, 12)
     monkeypatch.setattr(convergence, "poly_eval", None)  # a call would raise TypeError
-    rep = partial_sum_bound_check(f, step12, box, [1], points=2)
+    rep = partial_sum_bound_check(f, step12, box, 1, points=2)
     assert rep.verdict == "hypothesis-failure"
     assert rep.witnesses["failed_precondition"] == "series weight 10 does not match polynomial step 12"
 
@@ -757,12 +766,12 @@ def test_box_certificate_samples_the_shrunken_box(lift8, monkeypatch):
     scales = []
     grid = convergence.k_eps_grid
     monkeypatch.setattr(convergence, "k_eps_grid", lambda b, scale, points: scales.append(scale) or grid(b, scale, points))
-    rep = partial_sum_bound_check(f, q, box, [1, 8], points=3)
+    rep = partial_sum_bound_check(f, q, box, 8, points=3)
     assert sorted(scales) == [1.0, 2.0] and rep.witnesses["grid_size"] == 18
     # from eps = 1/2 on, [2 eps, 1/(2 eps)] is empty
     for eps in (0.5, 0.7):
         with pytest.raises(ValueError):
-            partial_sum_bound_check(f, q, CompactBoxSpec(box.U, eps), [1], points=2)
+            partial_sum_bound_check(f, q, CompactBoxSpec(box.U, eps), 1, points=2)
 
 
 @pytest.mark.parametrize("kappa", [math.inf, math.nan, 0.0, -1.0], ids=["inf", "nan", "zero", "negative"])
@@ -773,7 +782,7 @@ def test_box_certificate_refuses_kappa_outside_the_positive_reals(lift8, monkeyp
     box = CompactBoxSpec(((1j, 0.25j),), 0.1)
     monkeypatch.setattr(convergence, "poly_eval", lambda *args: pytest.fail("poly_eval ran"))
     with pytest.raises(ValueError, match="kappa must be finite and positive"):
-        partial_sum_bound_check(f, q, box, [1], kappa=kappa, points=2)
+        partial_sum_bound_check(f, q, box, 1, kappa=kappa, points=2)
 
 
 def test_k_eps_grid_is_capped(monkeypatch):
@@ -786,34 +795,12 @@ def test_k_eps_grid_is_capped(monkeypatch):
         k_eps_grid(box, points=6)
 
 
-def test_box_certificate_mlist_validation(lift8):
+def test_box_certificate_M_validation(lift8, monkeypatch):
+    # M is read by _read_int and checked before any hypothesis or point is evaluated
     f, _ = lift8
     q = square_relation(f)
     box = CompactBoxSpec(((1j, 0.25j),), 0.1)
-    with pytest.raises(ValueError):
-        partial_sum_bound_check(f, q, box, [], points=2)
-    with pytest.raises(ValueError):
-        partial_sum_bound_check(f, q, box, [0, 1], points=2)
-    with pytest.raises(ValueError):
-        partial_sum_bound_check(f, q, box, [f.M_max + 1], points=2)
-    rep = partial_sum_bound_check(f, q, box, [2, 2.0], points=2)
-    assert [m for m, _ in rep.series["partial_sums"][1]] == [2]
-
-
-def test_box_certificate_checks_mlist_entries_as_read(lift8):
-    # a billion-entry M_list fails at its first entry past M_max, not after collecting it
-    f, _ = lift8
-    q = square_relation(f)
-    box = CompactBoxSpec(((1j, 0.25j),), 0.1)
-    read = []
-
-    def entries():
-        for m in range(1, 10**9 + 1):
-            read.append(m)
-            yield m
-
-    with pytest.raises(ValueError, match="M_max"):
-        partial_sum_bound_check(f, q, box, entries(), points=2)
-    assert len(read) == f.M_max + 1
-    with pytest.raises(ValueError, match="M_max"):
-        partial_sum_bound_check(f, q, box, range(1, 10**9 + 1), points=2)
+    monkeypatch.setattr(convergence, "poly_eval", lambda *args: pytest.fail("poly_eval ran"))
+    for M in (0, f.M_max + 1, 10**9, 2.5, True):
+        with pytest.raises(ValueError):
+            partial_sum_bound_check(f, q, box, M, points=2)

@@ -729,6 +729,9 @@ def test_fe_norm_basic_windows():
     assert fe_norm(eta, [SymMatQ([[Fraction(1)]]), Fraction(2)]) == pytest.approx(3.0)
     with pytest.raises(PrecisionError):
         fe_norm(eta, [Fraction(3)])
+    # a 2x2 matrix is refused, not read as its corner entry 1/8
+    with pytest.raises(ValueError, match="1x1, not 2x2"):
+        fe_norm(eta, [SymMatQ([[Fraction(1, 8), Fraction(5, 8)], [Fraction(5, 8), 9]])])
 
 
 def test_fe_norm_zero_form():

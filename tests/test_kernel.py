@@ -491,17 +491,12 @@ def test_evaluate_where_the_old_tables_overflow():
     assert abs(evaluate(phi, 1j, 0.95j) - want) <= bound
 
 
-def float_rows_alone(phi):
-    """phi.float_terms over a table of its own, as a call that holds phi alone builds them."""
-    return phi.float_terms(jacobi._Table(jacobi._floats_over))
-
-
 def test_float_terms_cost_few_bytes_per_term(lift40):
     # per r of a row's span: one slot in the row's dense list, and one float unless c(n, r) = 0
     f, _ = lift40
     tracemalloc.start()
     try:
-        kept = [float_rows_alone(phi) for phi in f.phis]
+        kept = [phi.float_terms() for phi in f.phis]
         size = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -509,9 +504,9 @@ def test_float_terms_cost_few_bytes_per_term(lift40):
     assert size <= 60 * sum(len(phi.coeffs) for phi in f.phis)
 
 
-def test_evaluate_points_builds_one_float_row_per_distinct_row(lift40, monkeypatch):
-    # slices that share a row object and a den share one array for it, with
-    # the values and the bits of arrays built slice by slice
+def test_evaluate_points_builds_its_lines_from_each_slices_float_rows(lift40, monkeypatch):
+    # the lines are built from the float rows of each slice alone, with the
+    # values and the bits of one-point evaluation
     f, _ = lift40
     points = LIFT_POINTS[:1] + LIFT_POINTS[1::6]
     want = [[evaluate(phi, tau1, z) for phi in f.phis] for tau1, z in points]
@@ -519,13 +514,9 @@ def test_evaluate_points_builds_one_float_row_per_distinct_row(lift40, monkeypat
     monkeypatch.setattr(jacobi, "_line", lambda rows, *rest: lines.append(rows) or line(rows, *rest))
     got = jacobi.evaluate_points(f.phis, points)
     assert all(same_bits(a, b) for got_row, want_row in zip(got, want) for a, b in zip(got_row, want_row))
-    alone = [rows for _, rows in map(float_rows_alone, f.phis) if rows]
+    alone = [rows for _, rows in (phi.float_terms() for phi in f.phis) if rows]
     shared = lines[: len(alone)]
     assert shared == alone and {id(rows) for rows in lines} == {id(rows) for rows in shared}
-    arrays = {id(cs) for rows in shared for _, _, cs in rows}
-    pairs = {(id(row), phi.den) for phi in f.phis for row in phi.num.values()}
-    assert len(arrays) == len(pairs) == 1006
-    assert len({id(cs) for rows in alone for _, _, cs in rows}) == 1560
 
 
 def test_table_looks_rows_up_by_identity_and_holds_them():
