@@ -127,9 +127,9 @@ class _Run:
             try:
                 config = _read_config(args.config)
             except (OSError, ValueError) as e:
-                _fail_usage("cannot read config: %s" % e)
+                _exit(64, "cannot read config: %s" % e)
             if unknown := sorted(config.keys() - _CONFIG_KEYS):
-                _fail_usage("config key %s names no flag of any command" % ", ".join(map(repr, unknown)))
+                _exit(64, "config key %s names no flag of any command" % ", ".join(map(repr, unknown)))
         self.params = {}
         for name, conv, default, _ in flags:
             v = getattr(args, name)
@@ -137,14 +137,14 @@ class _Run:
                 try:
                     v = conv(config[name])
                 except (ValueError, argparse.ArgumentTypeError) as e:
-                    _fail_usage("bad config value for %s: %s" % (name, e))
+                    _exit(64, "bad config value for %s: %s" % (name, e))
             self.params[name] = default if v is None else v
         self.json_out = args.json
 
     def need(self, name):
         v = self.params[name]
         if v is None:
-            _fail_usage("missing required parameter --%s" % name)
+            _exit(64, "missing required parameter --%s" % name)
         return v
 
     def default(self, name, value):
@@ -162,14 +162,10 @@ class _Run:
                 print(line)
 
 
-def _fail_usage(message: str):
+def _exit(code: int, message):
+    """Print message as the command's one error line, then end it with exit code code."""
     print("error: %s" % message, file=sys.stderr)
-    raise SystemExit(64)
-
-
-def _cannot_parse(path: str, e: Exception):
-    print("error: cannot parse %s: %s" % (path, e), file=sys.stderr)
-    raise SystemExit(3)
+    raise SystemExit(code)
 
 
 def _load_json(path: str, object_hook=None):
@@ -180,7 +176,7 @@ def _load_json(path: str, object_hook=None):
         with open(path) as fh:
             return json.load(fh, object_hook=object_hook)
     except (OSError, KeyError, TypeError, ValueError, RecursionError) as e:
-        _cannot_parse(path, e)
+        _exit(3, "cannot parse %s: %s" % (path, e))
 
 
 _SLICE_KEYS = {"k", "m", "prec", "coeffs"}
@@ -207,7 +203,7 @@ def _load_record(path: str, cls):
     try:
         return cls.from_record(rec)
     except (KeyError, TypeError, ValueError) as e:
-        _cannot_parse(path, e)
+        _exit(3, "cannot parse %s: %s" % (path, e))
 
 
 # the fields of a lift record, in the order record_sha256 hashes them
@@ -273,7 +269,7 @@ def _read_lift(path: str):
         if rec["record_sha256"] != _record_sha256(rec) or rec["series_sha256"] != _file_sha256(path):
             return None
         return _lift(k, den, table, mmax, prec)
-    except (OSError, TypeError, ValueError, PrecisionError):
+    except (OSError, TypeError, ValueError):  # PrecisionError included
         return None
 
 
@@ -283,8 +279,7 @@ def _writing(path: str):
     try:
         yield
     except OSError as e:
-        print("error: cannot write %s: %s" % (path, e.strerror or e), file=sys.stderr)
-        raise SystemExit(64)
+        _exit(64, "cannot write %s: %s" % (path, e.strerror or e))
 
 
 def _write_text(path: str, text: str):
@@ -297,11 +292,10 @@ def _write_csv(path: str, header, rows):
         write_csv(path, header, rows)
 
 
-def _hypothesis_failure(report_path: str, reason, code: int) -> int:
-    """Write certify's hypothesis-failure report and error line; return code."""
+def _hypothesis_failure(report_path: str, reason, code: int):
+    """Write certify's hypothesis-failure report, then exit code with reason."""
     _write_text(report_path, "verdict: hypothesis-failure\nfailed_precondition: %s\n" % reason)
-    print("error: %s" % reason, file=sys.stderr)
-    return code
+    _exit(code, reason)
 
 
 def _check_precision_floor(f: FormalFJ, p: TorsionPoint, window) -> None:
@@ -335,19 +329,17 @@ def _cmd_gen_lift(run: _Run) -> int:
     prec, mmax = run.params["prec"], run.params["mmax"]
     out = run.need("out")
     if prec < 1 or mmax < 1:
-        _fail_usage("prec and mmax must be positive")
+        _exit(64, "prec and mmax must be positive")
     gen_prec = (prec - 1) * mmax + 1
     try:
         # the first basis element of jacobi_space, as gritsenko_lift reads it; the rest are not built
         first = next(_space_components(k, True, gen_prec), None)
     except ValueError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
+        _exit(2, e)
     except MemoryError:  # a kernel row of gen_prec slots that cannot be allocated
-        _fail_usage("generator precision %s = (prec - 1) * mmax + 1 needs more memory than is available" % format(gen_prec, ","))
+        _exit(64, "generator precision %s = (prec - 1) * mmax + 1 needs more memory than is available" % format(gen_prec, ","))
     if first is None:
-        print("error: cusp space of weight %d is empty" % k, file=sys.stderr)
-        return 2
+        _exit(2, "cusp space of weight %d is empty" % k)
     # _lift rejects C[0] or C[-1] nonzero and stores only 4nm - r^2 >= 1, so its output is cuspidal
     lift = _lift(k, *first, mmax, prec)
     with _writing(out), open(out, "w") as fh:
@@ -363,15 +355,15 @@ def _cmd_gen_lift(run: _Run) -> int:
 def _cmd_check_symmetry(run: _Run) -> int:
     report_path = run.need("report")
     if run.params["bound"] is not None and run.params["bound"] < 0:
-        _fail_usage("bound must be nonnegative")
+        _exit(64, "bound must be nonnegative")
     f = _load_record(run.need("in"), FormalFJ)
     if run.params["bound"] is None and f.prec < 1:
-        _fail_usage("the series has precision 0, which leaves no window to audit")
+        _exit(64, "the series has precision 0, which leaves no window to audit")
     bound = run.default("bound", min(f.M_max, f.prec - 1))
     try:
         rep = check_symmetry(f, bound)
     except ValueError as e:
-        _fail_usage(str(e))
+        _exit(64, e)
     _write_text(report_path, rep.to_text())
     run.emit(
         rep.to_record(),
@@ -387,21 +379,21 @@ def _cmd_certify(run: _Run) -> int:
     try:
         check_point(tau1)
     except ValueError as e:
-        _fail_usage(str(e))
+        _exit(64, e)
     if not 0 < theta < 1:
-        _fail_usage("theta must lie in (0, 1)")
+        _exit(64, "theta must lie in (0, 1)")
     if par["M"] is not None and par["M"] < 1:
-        _fail_usage("M must satisfy 1 <= M and 2M <= M_max")
+        _exit(64, "M must satisfy 1 <= M and 2M <= M_max")
     try:
         cfg = BoundConfig(b=par["b"], slack=par["slack"], caps=par["cap"])
     except ValueError as e:
-        _fail_usage(str(e))
+        _exit(64, e)
     f = _load_record(run.need("in"), FormalFJ)
     m_terms = run.default("M", f.M_max // 2)
     if m_terms < 1 or 2 * m_terms > f.M_max:
-        _fail_usage("M must satisfy 1 <= M and 2M <= M_max")
+        _exit(64, "M must satisfy 1 <= M and 2M <= M_max")
     if not f.is_cuspidal():
-        return _hypothesis_failure(report_path, "series is not cuspidal", 4)
+        _hypothesis_failure(report_path, "series is not cuspidal", 4)
     try:
         s_window = enumerate_S(p.N, cfg.b, 2, cap=cfg.caps)
         _check_precision_floor(f, p, s_window)
@@ -409,10 +401,9 @@ def _cmd_certify(run: _Run) -> int:
         growth = growth_fit(etas, f.k, 2, s_window, cfg)
         pointwise = pointwise_convergence_check(f, etas, p, tau1, theta, m_terms)
     except CapacityError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 1
-    except (ValueError, PrecisionError) as e:
-        return _hypothesis_failure(report_path, e, 1)
+        _exit(1, e)
+    except ValueError as e:  # PrecisionError included
+        _hypothesis_failure(report_path, e, 1)
     text = growth.to_text() + "\n" + pointwise.to_text()
     _write_text(report_path, text)
     _write_csv(report_path + ".fe_norms.csv", *growth.series["fe_norms"])
@@ -435,41 +426,38 @@ def _cmd_bound_report(run: _Run) -> int:
     par = run.params
     points, kappa = par["points"], par["kappa"]
     if points < 1:
-        _fail_usage("points must be positive")
+        _exit(64, "points must be positive")
     if not 0 < kappa < math.inf:
-        _fail_usage("kappa must be finite and positive")
+        _exit(64, "kappa must be finite and positive")
     # an eps from the box file is checked once the file is read
     if par["eps"] is not None and not 0 < par["eps"] < 0.5:
-        _fail_usage("eps must lie in (0, 1/2)")
+        _exit(64, "eps must lie in (0, 1/2)")
     if par["mmax"] is not None and par["mmax"] < 1:
-        _fail_usage("mmax must be positive")
+        _exit(64, "mmax must be positive")
     f = _load_record(run.need("in"), FormalFJ)
     q = _load_record(run.need("poly"), PolynomialOverM)
     box_rec = _load_json(run.need("box"))
     if not isinstance(box_rec, dict):
-        print("error: cannot parse box: expected a JSON object", file=sys.stderr)
-        return 3
+        _exit(3, "cannot parse box: expected a JSON object")
     eps = run.default("eps", box_rec.get("eps"))
     if eps is None:
-        _fail_usage("no eps given (flag or box file)")
+        _exit(64, "no eps given (flag or box file)")
     try:
         eps = par["eps"] = float(eps)
         if not 0 < eps < 0.5:
-            _fail_usage("eps must lie in (0, 1/2)")
+            _exit(64, "eps must lie in (0, 1/2)")
         box = CompactBoxSpec(tuple(box_rec["U"]), eps)
     except (KeyError, TypeError, ValueError) as e:
-        print("error: cannot parse box: %s" % e, file=sys.stderr)
-        return 3
+        _exit(3, "cannot parse box: %s" % e)
     mtop = run.default("mmax", f.M_max)
     if not 1 <= mtop <= f.M_max:
-        _fail_usage("mmax must lie in [1, %d]" % f.M_max)
+        _exit(64, "mmax must lie in [1, %d]" % f.M_max)
     try:
         rep = partial_sum_bound_check(f, q, box, mtop, kappa=kappa, points=points)
     except CapacityError as e:
-        _fail_usage(str(e))
+        _exit(64, e)
     except ValueError as e:  # slice values that overflow floats, or a line longer than WINDOW_CAP
-        print("error: %s" % e, file=sys.stderr)
-        return 1
+        _exit(1, e)
     _write_text(report_path, rep.to_text())
     if "partial_sums" in rep.series:
         _write_csv(report_path + ".partial_sums.csv", *rep.series["partial_sums"])
@@ -481,8 +469,7 @@ def _cmd_bound_report(run: _Run) -> int:
         ],
     )
     if rep.verdict == "hypothesis-failure":
-        print("error: %s" % rep.witnesses["failed_precondition"], file=sys.stderr)
-        return 5
+        _exit(5, rep.witnesses["failed_precondition"])
     return 0 if rep.passed else 1
 
 
@@ -491,12 +478,11 @@ def _cmd_reduce(run: _Run) -> int:
     try:
         n = SymMatQ.from_text(text)
     except (ValueError, IndexError) as e:
-        _fail_usage("cannot parse matrix %r: %s" % (text, e))
+        _exit(64, "cannot parse matrix %r: %s" % (text, e))
     try:  # this raises ValueError only for a matrix that is not positive definite
         reduced, u = minkowski_reduce(n)
     except ValueError:
-        print("error: matrix is not positive definite", file=sys.stderr)
-        return 6
+        _exit(6, "matrix is not positive definite")
     ok = hermite_check(reduced.gram)
     reduced_text, u_text = reduced.to_text(), u.to_text()
     run.emit(

@@ -225,7 +225,7 @@ def growth_fit(etas, k: int, g: int, S, cfg: BoundConfig) -> ConvergenceReport:
 
     etas lists the specializations for m = 1..M in order.  Passes when the
     fitted log-log slope stays below k + (g-1)/2 + slack.  All-zero norms
-    give a degenerate pass (nothing to fit).
+    give a degenerate pass (nothing to fit).  ValueError on float overflow.
     """
     etas = list(etas)
     m_count = len(etas)
@@ -242,7 +242,10 @@ def growth_fit(etas, k: int, g: int, S, cfg: BoundConfig) -> ConvergenceReport:
     ratio_max = 0.0
     for m, eta in enumerate(etas, 1):
         vals = window_abs(eta, S)
-        norms.append((m, math.fsum(vals)))
+        try:
+            norms.append((m, math.fsum(vals)))
+        except OverflowError:
+            raise ValueError("the FE-norm of slice m = %d overflows a float" % m) from None
         ratio_max = max(ratio_max, max(vals, default=0.0) / m**exponent)
     pts = [(math.log(m), math.log(norm)) for m, norm in norms if norm > 0]
     witnesses = {"b": cfg.b, "ratio_max": ratio_max, "nonzero_points": len(pts), "window_size": len(S)}
@@ -532,7 +535,7 @@ def k_eps_grid(box: CompactBoxSpec, eps_scale: float = 1.0, points: int = 5):
 def d_eps(q: PolynomialOverM, box: CompactBoxSpec, grid) -> float:
     """Sampled sup of 1 + sum of |a_i(tau)| over the grid, i < degree;
     one evaluate_points call per nonzero a_i evaluates its slices at every
-    distinct (tau1, z) of the grid."""
+    distinct (tau1, z) of the grid.  ValueError when the sup overflows a float."""
     if not q.is_monic():
         raise ValueError("polynomial must be monic")
     taus = [siegel_point(tau) for tau in grid]
@@ -544,8 +547,13 @@ def d_eps(q: PolynomialOverM, box: CompactBoxSpec, grid) -> float:
     for t1, z, t2 in taus:
         total = 1.0
         for vals in values:
-            total += abs(q2_sum(vals[t1, z], t2))
+            try:
+                total += abs(q2_sum(vals[t1, z], t2))
+            except OverflowError:
+                raise ValueError("|a_i(tau)| overflows a float at tau1 = %r, z = %r, tau2 = %r" % (t1, z, t2)) from None
         best = max(best, total)
+    if best == math.inf:  # a sum of finite |a_i(tau)|, which would give a bound of inf
+        raise ValueError("the sampled D_eps overflows a float")
     return best
 
 

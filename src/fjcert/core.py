@@ -148,6 +148,26 @@ class _Record:
     __delattr__ = __setattr__
 
 
+class _Algebra:
+    """f + g, -f, f - g, f * g and c * f = f * c over add, scalar_mul, multiply."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        return self.add(other)
+
+    def __neg__(self):
+        return self.scalar_mul(-1)
+
+    def __sub__(self, other):
+        return self.add(other.scalar_mul(-1))
+
+    def __mul__(self, other):
+        return self.multiply(other) if isinstance(other, type(self)) else self.scalar_mul(other)
+
+    __rmul__ = __mul__
+
+
 # ---------------------------------------------------------------------------
 # elementary number theory
 

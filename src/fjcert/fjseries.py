@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import accumulate, compress, repeat
 from operator import attrgetter, floordiv, mul, sub
 
-from .core import PrecisionError, _read_int, rat_str
+from .core import PrecisionError, _Algebra, _read_int, rat_str
 # evaluate and multiply are not called here: bench/spans.py traces calls under these names
 from .jacobi import (  # noqa: F401
     JacobiFormQExp,
@@ -58,7 +58,7 @@ _REFLECTION = ((1, 0), (0, -1))
 _SHEAR = ((1, 0), (1, 1))
 
 
-class FormalFJ:
+class FormalFJ(_Algebra):
     """Formal Fourier-Jacobi series: weight k, slices phis[0..M_max]."""
 
     __slots__ = ("k", "M_max", "phis", "_cuspidal")
@@ -110,32 +110,16 @@ class FormalFJ:
         return all(phi.is_zero() for phi in self.phis)
 
     def add(self, other: "FormalFJ") -> "FormalFJ":
-        if self.k != other.k:
-            raise ValueError("weight mismatch in addition")
+        """The sum to the smaller M_max; the slices' add refuses two weights."""
         mmax = min(self.M_max, other.M_max)
         return FormalFJ(self.k, mmax, [self.phis[m].add(other.phis[m]) for m in range(mmax + 1)])
-
-    __add__ = add
 
     def scalar_mul(self, c) -> "FormalFJ":
         return FormalFJ(self.k, self.M_max, [phi.scalar_mul(c) for phi in self.phis])
 
-    def __neg__(self):
-        return self.scalar_mul(-1)
-
-    def __sub__(self, other):
-        return self.add(other.scalar_mul(-1))
-
     def multiply(self, other: "FormalFJ") -> "FormalFJ":
         slices = _convolve(self.phis, other.phis)
         return FormalFJ(self.k + other.k, len(slices) - 1, slices)
-
-    def __mul__(self, other):
-        if isinstance(other, FormalFJ):
-            return self.multiply(other)
-        return self.scalar_mul(other)
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, FormalFJ):
@@ -490,10 +474,14 @@ def siegel_point(tau):
 
 
 def q2_sum(values, tau2: complex) -> complex:
-    """Sum of values[m] q2^m, q2 = e(tau2), each part added by math.fsum."""
+    """Sum of values[m] q2^m, q2 = e(tau2), each part added by math.fsum;
+    ValueError when a part overflows a float."""
     q2 = cmath.exp(2j * math.pi * tau2)
     terms = list(map(mul, values, accumulate(repeat(q2), mul, initial=1.0 + 0j)))
-    return complex(math.fsum(map(_REAL, terms)), math.fsum(map(_IMAG, terms)))
+    try:
+        return complex(math.fsum(map(_REAL, terms)), math.fsum(map(_IMAG, terms)))
+    except OverflowError:
+        raise ValueError("a sum over q2 overflows a float at tau2 = %r" % tau2) from None
 
 
 def evaluate_partial(f: FormalFJ, tau, M: int) -> complex:

@@ -43,6 +43,7 @@ from operator import add, ge, itemgetter, le, mul, truediv
 
 from .core import (
     PrecisionError,
+    _Algebra,
     _Record,
     _dict_add,
     _dict_div,
@@ -72,7 +73,7 @@ __all__ = [
 ]
 
 
-class JacobiFormQExp:
+class JacobiFormQExp(_Algebra):
     """Truncated Fourier expansion of a Jacobi form of weight k and index m.
 
     The coefficient c(n, r), for 0 <= n < prec, is num[n][r] / den: num maps
@@ -164,8 +165,6 @@ class JacobiFormQExp:
                 num[n] = row
         return JacobiFormQExp._trusted(self.k, self.m, prec, den, num)
 
-    __add__ = add
-
     def scalar_mul(self, c) -> "JacobiFormQExp":
         try:
             c = Fraction(c)
@@ -176,18 +175,8 @@ class JacobiFormQExp:
         num = {n: {r: v * c.numerator for r, v in row.items()} for n, row in self.num.items()}
         return JacobiFormQExp._trusted(self.k, self.m, self.prec, self.den * c.denominator, num)
 
-    def __neg__(self):
-        return self.scalar_mul(-1)
-
-    def __sub__(self, other):
-        return self.add(other.scalar_mul(-1))
-
-    def __mul__(self, other):
-        if isinstance(other, JacobiFormQExp):
-            return multiply(self, other)
-        return self.scalar_mul(other)
-
-    __rmul__ = __mul__
+    def multiply(self, other: "JacobiFormQExp") -> "JacobiFormQExp":
+        return multiply(self, other)
 
     def __eq__(self, other):
         if not isinstance(other, JacobiFormQExp):
@@ -243,15 +232,18 @@ class JacobiFormQExp:
         holds, in storage order, one (n, lo, cs) per stored row n, where lo
         is the row's lowest r and cs the array('d') of c(n, lo),
         c(n, lo + 1), ... up to the row's highest r, zeros included, 8 bytes
-        a slot, built afresh for each call.  Raises ValueError, before
-        building anything, when the line r = -R .. R that
-        :func:`evaluate_points` lays out spans more than WINDOW_CAP values
-        of r; no row spans more than the line."""
+        a slot, built afresh for each call.  Raises ValueError when a
+        coefficient overflows a float and, before building anything, when the
+        line r = -R .. R that :func:`evaluate_points` lays out spans more than
+        WINDOW_CAP values of r; no row spans more than the line."""
         ends = [(min(row), max(row)) for row in self.num.values()]
         R = max((max(-lo, hi) for lo, hi in ends), default=0)
         if 2 * R + 1 > WINDOW_CAP:
             raise ValueError("a line spans %d values of r, more than %d" % (2 * R + 1, WINDOW_CAP))
-        return R, [(n, lo, _float_row(self.den, row, lo, hi)) for (n, row), (lo, hi) in zip(self.num.items(), ends)]
+        try:
+            return R, [(n, lo, _float_row(self.den, row, lo, hi)) for (n, row), (lo, hi) in zip(self.num.items(), ends)]
+        except OverflowError:
+            raise ValueError("a coefficient of the weight-%d index-%d form overflows a float" % (self.k, self.m)) from None
 
 
 class _Table(dict):
@@ -741,10 +733,13 @@ class SpecializedExpansion(_Record):
     def value(self, e: int) -> complex:
         """The coefficient of q^(e / L) as a complex number: each weight
         over den correctly rounded to a float, times its root, the real and
-        imaginary parts each summed by math.fsum."""
+        imaginary parts each summed by math.fsum; ValueError on overflow."""
         L, den = self.level, self.den
-        terms = [v / den * cmath.exp(2j * math.pi * j / L) for j, v in self.coeffs.get(e, {}).items()]
-        return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+        try:
+            terms = [v / den * cmath.exp(2j * math.pi * j / L) for j, v in self.coeffs.get(e, {}).items()]
+            return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+        except OverflowError:
+            raise ValueError("the coefficient of q^(%d/%d) overflows a float" % (e, L)) from None
 
 
 def _ceil_2sqrt(p: int, m: int) -> int:
@@ -824,8 +819,8 @@ def window_abs(eta: SpecializedExpansion, S) -> list:
     """|c_x(eta)| for each exponent x of the window S, in the order of S.
 
     S is a list of 1x1 matrices (or plain rationals); a matrix of any
-    other size raises ValueError.  Every requested exponent must lie below
-    the certified precision of eta.
+    other size raises ValueError, as does a float overflow.  Every requested
+    exponent must lie below the certified precision of eta.
     """
     L, pnum, pden = eta.level, eta.prec.numerator, eta.prec.denominator
     out = []
@@ -841,14 +836,20 @@ def window_abs(eta: SpecializedExpansion, S) -> list:
         if p * pden >= pnum * q:
             raise PrecisionError("window exponent %s is beyond specialized precision %s" % (Fraction(p, q), eta.prec))
         e, rest = divmod(p * L, q)
-        out.append(0.0 if rest else abs(eta.value(e)))
+        try:
+            out.append(0.0 if rest else abs(eta.value(e)))
+        except OverflowError:
+            raise ValueError("|c_x| overflows a float at x = %s" % Fraction(p, q)) from None
     return out
 
 
 def fe_norm(eta: SpecializedExpansion, S) -> float:
     """Sum of coefficient magnitudes of eta over the exponent window S
-    (see :func:`window_abs`)."""
-    return math.fsum(window_abs(eta, S))
+    (see :func:`window_abs`); ValueError when it overflows a float."""
+    try:
+        return math.fsum(window_abs(eta, S))
+    except OverflowError:
+        raise ValueError("the FE-norm overflows a float") from None
 
 
 # ---------------------------------------------------------------------------
@@ -898,10 +899,9 @@ def evaluate_points(phis, points) -> list:
     and -z are bit for bit equal.
 
     Raises ValueError when a point fails :func:`check_point`, when e(z) or
-    e(-z) is 0 or overflows, when a row's start factor or a value
-    overflows ("a term overflows"), and, before building anything for that
-    form, when its line of 2R + 1 values of r is longer than WINDOW_CAP
-    (see :meth:`JacobiFormQExp.float_terms`)."""
+    e(-z) is 0 or overflows, when a row's start factor or a value overflows
+    ("a term overflows"), and, as :meth:`JacobiFormQExp.float_terms` does,
+    when a coefficient overflows a float or a line is too long."""
     points = list(points)
     lines: dict = {}  # (tau1, Im z) -> indices of its points
     for i, (tau1, z) in enumerate(points):

@@ -383,7 +383,7 @@ def _xgcd(a: int, b: int):
 
 
 def _col_reduce(v):
-    """Unimodular W with v @ W = (1, 0, ..., 0) for primitive integer v."""
+    """Unimodular W with v @ W = (1, 0, ..., 0) for primitive integer v, v[-1] != 0."""
     s = len(v)
     w = list(v)
     cols = [[1 if i == j else 0 for i in range(s)] for j in range(s)]  # cols[j][i]
@@ -397,9 +397,6 @@ def _col_reduce(v):
         ]
         cols[0], cols[i] = c0, ci
         w[0], w[i] = g, 0
-    if w[0] == -1:
-        cols[0] = [-x for x in cols[0]]
-        w[0] = 1
     if w[0] != 1:
         raise ValueError("vector must be primitive")
     rows = [[cols[j][i] for j in range(s)] for i in range(s)]

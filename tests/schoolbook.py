@@ -68,6 +68,11 @@ one and drops those at or above the certified precision one by one, where
 the package skips whole rows and reads only the terms below the precision;
 it sums each root weight as a ``Fraction`` and brings the sums over their
 lcm denominator, where the package cancels one gcd from integer sums.
+
+``square_relation`` (the relation X^2 - f f of a series f) and
+``decomposition_sides`` (both sides of the identity that
+``torsion_decomposition`` must satisfy) are not oracles: they are the one
+copy of helpers that several test modules use.
 """
 
 from __future__ import annotations
@@ -80,7 +85,7 @@ from functools import lru_cache
 
 from fjcert.core import PrecisionError, _dict_add, _dict_div, _dict_mul, _dict_scale, _eis_dict, parse_rat
 from fjcert import jacobi
-from fjcert.fjseries import FormalFJ, SymmetryReport
+from fjcert.fjseries import FormalFJ, PolynomialOverM, SymmetryReport
 from fjcert.jacobi import (
     JacobiFormQExp,
     _numerators,
@@ -98,6 +103,7 @@ from fjcert.reduction import (
     _replace,
     _swap,
     act,
+    corner_swap,
 )
 
 
@@ -827,3 +833,74 @@ def coeff_table(f: FormalFJ, bound: int | None = None) -> dict:
         for (n, r), v in f.phis[m].coeffs.items():
             out[n, r, m] = v
     return out
+
+
+def square_relation(f: FormalFJ) -> PolynomialOverM:
+    """Monic witness polynomial X^2 - f*f for a weight-k series f."""
+    prod = f.multiply(f)
+    return PolynomialOverM(
+        [
+            FormalFJ.zero(2 * f.k, prod.M_max, prod.prec) - prod,
+            FormalFJ.zero(f.k, f.M_max, f.prec),
+            FormalFJ.one(f.M_max, f.prec),
+        ],
+        0,
+        f.k,
+    )
+
+
+def decomposition_sides(lam, M, u, rho, xi):
+    """Both sides of the defining identity of reduction.torsion_decomposition,
+    as exact rational matrices."""
+    g = len(lam) + 1
+    left_factor = [[Fraction(int(i == j)) for j in range(g)] for i in range(g)]
+    for j, x in enumerate(lam):
+        left_factor[g - 1][j] = -Fraction(x)
+    left = [
+        [sum(left_factor[i][k] * u.rows[k][j] for k in range(g)) for j in range(g)]
+        for i in range(g)
+    ]
+    right_block = [[Fraction(0)] * g for _ in range(g)]
+    for i in range(g - 1):
+        for j in range(g - 1):
+            right_block[i][j] = Fraction(rho[i][j])
+        right_block[i][g - 1] = Fraction(xi[i])
+    right_block[g - 1][g - 1] = Fraction(1, M)
+    s = corner_swap(g)
+    right = [
+        [sum(right_block[i][k] * s.rows[k][j] for k in range(g)) for j in range(g)]
+        for i in range(g)
+    ]
+    return left, right
+
+
+# bound-report inputs whose float evaluation leaves the float range on the
+# box FLOAT_RANGE_BOX: slice 1 of a weight-10 series f of M_max 2 and prec 3
+# (its other slices zero), the relation q with q(f) = 0 exactly as a function
+# of f, and the start of the error message
+FLOAT_RANGE_BOX = {"U": [["0.25+0.001j", "0j"]], "eps": 0.01}
+PAST_FLOAT_RANGE = {
+    # q = X^2 - f f: a_0 stores -10^800
+    "coefficient": (
+        {(1, 0): 10**400}, square_relation, "a coefficient of the weight-20 index-2 form overflows a float",
+    ),
+    # q = X^2 - f X: both parts of a_1(tau) = -f(tau) are floats, its magnitude is not
+    "magnitude": (
+        {(1, 0): 15 * 10**307, (2, 0): 15 * 10**307},
+        lambda f: PolynomialOverM([FormalFJ.zero(20, 2, 3), -f, FormalFJ.one(2, 3)], 0, 10),
+        "|a_i(tau)| overflows a float",
+    ),
+    # q = (X - f)(X + c f), c = 1.2e308: |a_0(tau)| and |a_1(tau)| are floats, D_eps = 1 + their sum is not
+    "sum": (
+        {(1, 0): 1},
+        lambda f: PolynomialOverM([-12 * 10**307 * (f * f), (12 * 10**307 - 1) * f, FormalFJ.one(2, 3)], 0, 10),
+        "the sampled D_eps overflows a float",
+    ),
+}
+
+
+def past_float_range(case: str):
+    """(f, q, message) of PAST_FLOAT_RANGE[case]."""
+    row, relation, message = PAST_FLOAT_RANGE[case]
+    f = FormalFJ(10, 2, [JacobiFormQExp.zero(10, 0, 3), JacobiFormQExp(10, 1, 3, row), JacobiFormQExp.zero(10, 2, 3)])
+    return f, relation(f), message

@@ -34,7 +34,6 @@ from fjcert.fjseries import (
 from fjcert.jacobi import TorsionPoint, evaluate, jacobi_space, specialize_torsion, weak_generators
 from fjcert.reduction import (
     SymMatQ,
-    corner_swap,
     enumerate_S,
     hermite_check,
     minkowski_reduce,
@@ -45,19 +44,6 @@ from fjcert.reduction import (
 def announce(capfd, num, ok, detail):
     with capfd.disabled():
         print("[criterion %d] %s - %s" % (num, "PASS" if ok else "FAIL", detail))
-
-
-def square_relation(f):
-    prod = f.multiply(f)
-    return PolynomialOverM(
-        [
-            FormalFJ.zero(2 * f.k, prod.M_max, prod.prec) - prod,
-            FormalFJ.zero(f.k, f.M_max, f.prec),
-            FormalFJ.one(f.M_max, f.prec),
-        ],
-        0,
-        f.k,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -107,29 +93,6 @@ def test_criterion_2_reduction_matches_exhaustive_minimum(capfd):
     assert ok
 
 
-def decomposition_sides(lam, M, u, rho, xi):
-    g = len(lam) + 1
-    left_factor = [[Fraction(int(i == j)) for j in range(g)] for i in range(g)]
-    for j, x in enumerate(lam):
-        left_factor[g - 1][j] = -Fraction(x)
-    left = [
-        [sum(left_factor[i][k] * u.rows[k][j] for k in range(g)) for j in range(g)]
-        for i in range(g)
-    ]
-    right_block = [[Fraction(0)] * g for _ in range(g)]
-    for i in range(g - 1):
-        for j in range(g - 1):
-            right_block[i][j] = Fraction(rho[i][j])
-        right_block[i][g - 1] = Fraction(xi[i])
-    right_block[g - 1][g - 1] = Fraction(1, M)
-    s = corner_swap(g)
-    right = [
-        [sum(right_block[i][k] * s.rows[k][j] for k in range(g)) for j in range(g)]
-        for i in range(g)
-    ]
-    return left, right
-
-
 def test_criterion_3_torsion_decomposition_identity(capfd):
     cases = 0
     for M in range(1, 13):
@@ -142,7 +105,7 @@ def test_criterion_3_torsion_decomposition_identity(capfd):
         ]
         for lam in lams:
             u, rho, xi = torsion_decomposition(lam, M)
-            left, right = decomposition_sides(lam, M, u, rho, xi)
+            left, right = schoolbook.decomposition_sides(lam, M, u, rho, xi)
             assert left == right
             det = rho[0][0] if len(rho) == 1 else rho[0][0] * rho[1][1] - rho[0][1] * rho[1][0]
             assert abs(det) == M
@@ -204,7 +167,7 @@ def test_criterion_5_convergence_disc(lift24_90, capfd):
 def test_criterion_6_locally_bounded_certificate(lift10_40, capfd):
     f, build_s = lift10_40
     t0 = time.perf_counter()
-    q = square_relation(f)
+    q = schoolbook.square_relation(f)
     lo = -0.2 / math.sqrt(2)
     xs = [lo + i * (-2 * lo) / 4 for i in range(5)]
     box = CompactBoxSpec(tuple((1j, complex(x, y)) for x in xs for y in xs), 0.1)

@@ -45,19 +45,6 @@ def geometric_file(tmp_path_factory):
     return path
 
 
-def square_relation(f):
-    prod = f.multiply(f)
-    return PolynomialOverM(
-        [
-            FormalFJ.zero(2 * f.k, prod.M_max, prod.prec) - prod,
-            FormalFJ.zero(f.k, f.M_max, f.prec),
-            FormalFJ.one(f.M_max, f.prec),
-        ],
-        0,
-        f.k,
-    )
-
-
 # ---------------------------------------------------------------------------
 # top-level parsing
 
@@ -592,6 +579,30 @@ def test_certify_overflowing_tau1_exits_1(tmp_path, lift_file, capsys):
     assert "hypothesis-failure" in report.read_text() and "underflows a float" in report.read_text()
 
 
+@pytest.mark.parametrize(
+    "slices, keep, text, message",
+    [
+        # a root weight of q^(5/4) past the float range, at the first window exponent it reaches
+        ((1,), lambda n, r: (n, r) == (1, 0), "1" + "0" * 400, "the coefficient of q^(5/4) overflows a float"),
+        # every magnitude a float, but not slice 1's FE-norm, their sum
+        ((1, 2), lambda n, r: n == 1, "9" + "0" * 307, "the FE-norm of slice m = 1 overflows a float"),
+    ],
+    ids=["root-weight", "fe-norm"],
+)
+def test_certify_values_past_the_float_range_exit_1(tmp_path, lift_file, capsys, slices, keep, text, message):
+    rec = json.loads(lift_file.read_text())
+    for m in slices:
+        for entry in rec["phis"][m]["coeffs"]:
+            if keep(entry[0], entry[1]):
+                entry[2] = text
+    series, report = tmp_path / "big.json", tmp_path / "cert.txt"
+    series.write_text(json.dumps(rec))
+    assert main(["certify", "--in", str(series), "--report", str(report), "--torsion", "2,1,0", "--b", "1/128"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: %s\n" % message
+    assert report.read_text() == "verdict: hypothesis-failure\nfailed_precondition: %s\n" % message
+
+
 def test_certify_usage_errors(tmp_path, lift_file):
     report = str(tmp_path / "cert.txt")
     assert main(["certify", "--in", str(lift_file), "--report", report, "--theta", "1.5"]) == 64
@@ -613,7 +624,7 @@ def relation_files(tmp_path_factory, lift8):
     f, _ = lift8
     base = tmp_path_factory.mktemp("cli")
     poly = base / "poly.json"
-    poly.write_text(json.dumps(square_relation(f).to_record()))
+    poly.write_text(json.dumps(schoolbook.square_relation(f).to_record()))
     box = base / "box.json"
     box.write_text(json.dumps(BOX))
     return poly, box
@@ -703,6 +714,28 @@ def test_bound_report_non_finite_or_overflowing_box_point(tmp_path, lift_file, r
     assert main(argv) == code
     err = capsys.readouterr().err
     assert err.count("error:") == 1 and ("finite" if code == 3 else "overflows") in err
+
+
+@pytest.mark.parametrize("case", sorted(schoolbook.PAST_FLOAT_RANGE))
+def test_bound_report_values_past_the_float_range_exit_1(tmp_path, capsys, case):
+    f, q, message = schoolbook.past_float_range(case)
+    files = {"in": f.to_record(), "poly": q.to_record(), "box": schoolbook.FLOAT_RANGE_BOX}
+    argv = ["bound-report", "--report", str(tmp_path / "r.txt")]
+    for flag, rec in files.items():
+        (tmp_path / flag).write_text(json.dumps(rec))
+        argv += ["--" + flag, str(tmp_path / flag)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message) and err.count("\n") == 1
+
+
+def test_bound_report_without_eps_exits_64(tmp_path, lift_file, relation_files, capsys):
+    poly, _ = relation_files
+    box = tmp_path / "box.json"
+    box.write_text(json.dumps({"U": BOX["U"]}))
+    argv = ["bound-report", "--in", str(lift_file), "--poly", str(poly), "--box", str(box), "--report", str(tmp_path / "r.txt")]
+    assert main(argv) == 64
+    assert capsys.readouterr().err == "error: no eps given (flag or box file)\n"
 
 
 def with_zero_denominator(series_rec, text="1/0"):
@@ -1284,7 +1317,7 @@ def fuzz_inputs(tmp_path_factory):
     ladder step 12, which the weight-10 lift cannot satisfy."""
     base = tmp_path_factory.mktemp("fuzz")
     f = gritsenko_lift(jacobi_space(10, True, 3 * 8 + 1)[0], 8, 4)
-    recs = {"in": f.to_record(), "poly": square_relation(f).to_record(), "box": BOX}
+    recs = {"in": f.to_record(), "poly": schoolbook.square_relation(f).to_record(), "box": BOX}
     for name, rec in recs.items():
         (base / (name + ".json")).write_text(json.dumps(rec))
     step12 = PolynomialOverM([FormalFJ.zero(12, f.M_max, f.prec), FormalFJ.one(f.M_max, f.prec)], 0, 12)

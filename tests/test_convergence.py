@@ -34,23 +34,9 @@ from fjcert.convergence import (
     write_csv,
 )
 from fjcert.core import PrecisionError, _eis_dict
-from fjcert.fjseries import FormalFJ, PolynomialOverM, evaluate_partial, gritsenko_lift, q2_sum, siegel_point
+from fjcert.fjseries import FormalFJ, PolynomialOverM, evaluate_partial, gritsenko_lift, poly_eval, q2_sum, siegel_point
 from fjcert.jacobi import JacobiFormQExp, SpecializedExpansion, TorsionPoint, jacobi_space, specialize_torsion
 from fjcert.reduction import CapacityError, enumerate_S
-
-
-def square_relation(f):
-    """Monic witness polynomial X^2 - f*f for a weight-k series f."""
-    prod = f.multiply(f)
-    return PolynomialOverM(
-        [
-            FormalFJ.zero(2 * f.k, prod.M_max, prod.prec) - prod,
-            FormalFJ.zero(f.k, f.M_max, f.prec),
-            FormalFJ.one(f.M_max, f.prec),
-        ],
-        0,
-        f.k,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +344,23 @@ def test_growth_fit_refuses_a_window_of_2x2_matrices(lift8):
         growth_fit(lift_etas(f), f.k, 3, S, BoundConfig())
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ({0: 10**400}, r"the coefficient of q\^\(5/4\) overflows a float"),
+        ({r: 9 * 10**307 for r in (-1, 0, 1)}, "the FE-norm of slice m = 1 overflows a float"),
+    ],
+    ids=["root-weight", "fe-norm"],
+)
+def test_growth_fit_refuses_values_past_the_float_range(row, message):
+    # row is row n = 1 of slice 1, the other slices zero
+    p = TorsionPoint(2, 1, 0)
+    phis = [JacobiFormQExp(10, 1, 8, {(1, r): v for r, v in row.items()})]
+    phis += [JacobiFormQExp.zero(10, m, 8) for m in range(2, 9)]
+    with pytest.raises(ValueError, match=message):
+        growth_fit([specialize_torsion(phi, p) for phi in phis], 10, 2, enumerate_S(2, Fraction(1, 128), 2), BoundConfig())
+
+
 def test_growth_fit_needs_eight_slices():
     p = TorsionPoint(2, 1, 0)
     etas = [specialize_torsion(JacobiFormQExp.zero(10, m, 8), p) for m in range(1, 8)]
@@ -570,7 +573,7 @@ def test_k_eps_grid_rejects_bad_scale():
 
 def test_d_eps_matches_direct_sup(lift8):
     f, _ = lift8
-    q = square_relation(f)
+    q = schoolbook.square_relation(f)
     box = CompactBoxSpec(((1j, 0.25j), (1j, 0.1 + 0.05j)), 0.1)
     grid = k_eps_grid(box, points=3)
     random.Random(7).shuffle(grid)  # repeated (tau1, z) are no longer adjacent
@@ -582,7 +585,7 @@ def test_d_eps_matches_direct_sup(lift8):
 
 def test_d_eps_builds_one_line_per_slice_and_line_and_one_phase_sum_per_point(lift8, monkeypatch):
     f, _ = lift8
-    q = square_relation(f)
+    q = schoolbook.square_relation(f)
     # the second and third points share tau1 = i and Im z = 0.05: one line
     box = CompactBoxSpec(((1j, 0.25j), (1j, 0.1 + 0.05j), (1j, -0.2 + 0.05j), (0.5 + 1j, 0.15j)), 0.1)
     calls, lines, sums = [], [], []
@@ -605,7 +608,7 @@ def test_d_eps_builds_one_line_per_slice_and_line_and_one_phase_sum_per_point(li
 
 def test_box_checks_make_one_evaluate_points_call(lift8, monkeypatch):
     f, _ = lift8
-    q = square_relation(f)
+    q = schoolbook.square_relation(f)
     box = CompactBoxSpec(((1j, 0.25j), (1j, 0.1 + 0.05j), (0.5 + 1j, 0.15j)), 0.1)
     calls = []
     evaluate_points, ids = convergence.evaluate_points, lambda phis: list(map(id, phis))
@@ -638,7 +641,7 @@ def test_box_certificate_sums_match_a_plain_loop_bit_for_bit(lift8):
     # the plain loop over the same slice values; z and -z tie bit for bit,
     # and the first of the twins keeps the argmax
     f, _ = lift8
-    q = square_relation(f)
+    q = schoolbook.square_relation(f)
     box = CompactBoxSpec(((0.5 + 1j, -0.15j), (1j, 0.1 + 0.05j), (0.5 + 1j, 0.15j)), 0.1)
     rep = partial_sum_bound_check(f, q, box, 8, points=3)
     assert "tau1=0.5+1j z=-0-0.15j" in rep.witnesses["argmax"]
@@ -668,6 +671,21 @@ def test_q2_sum_matches_a_plain_loop_bit_for_bit(values, tau2):
     assert (got.real, got.imag) == (want.real, want.imag)
 
 
+def test_q2_sum_refuses_a_sum_past_the_float_range():
+    with pytest.raises(ValueError, match="a sum over q2 overflows a float at tau2 = 0.01j"):
+        q2_sum([1.7e308, 1.7e308], 0.01j)
+
+
+@pytest.mark.parametrize("case", sorted(schoolbook.PAST_FLOAT_RANGE))
+def test_d_eps_refuses_values_past_the_float_range(case):
+    f, q, message = schoolbook.past_float_range(case)
+    assert poly_eval(q, f).is_zero()
+    box = CompactBoxSpec(tuple(schoolbook.FLOAT_RANGE_BOX["U"]), schoolbook.FLOAT_RANGE_BOX["eps"])
+    with pytest.raises(ValueError) as e:
+        d_eps(q, box, k_eps_grid(box))
+    assert str(e.value).startswith(message)
+
+
 def test_d_eps_is_one_for_plain_x():
     q = PolynomialOverM([FormalFJ.zero(10, 2, 3), FormalFJ.one(2, 3)], 0, 10)
     box = CompactBoxSpec(((1j, 0.25j),), 0.1)
@@ -683,7 +701,7 @@ def test_d_eps_validation(lift8):
     with pytest.raises(ValueError):
         d_eps(doubled, box, k_eps_grid(box, points=2))
     with pytest.raises(ValueError):
-        d_eps(square_relation(f), box, [])
+        d_eps(schoolbook.square_relation(f), box, [])
 
 
 def test_near_torsion_detection():
@@ -703,7 +721,7 @@ def test_near_torsion_detection():
 
 def test_box_certificate_passes_on_square_relation(lift8):
     f, _ = lift8
-    q = square_relation(f)
+    q = schoolbook.square_relation(f)
     box = CompactBoxSpec(((1j, 0.25j), (1j, 0.1 + 0.05j), (0.5 + 1j, 0.15j)), 0.1)
     rep = partial_sum_bound_check(f, q, box, 8, points=3)
     assert rep.verdict == "pass"
@@ -761,7 +779,7 @@ def test_box_certificate_reports_hypothesis_failures(lift8, monkeypatch):
 
 def test_box_certificate_samples_the_shrunken_box(lift8, monkeypatch):
     f, _ = lift8
-    q = square_relation(f)
+    q = schoolbook.square_relation(f)
     box = CompactBoxSpec(((1j, 0.25j), (1j, 0.1 + 0.05j)), 0.1)
     scales = []
     grid = convergence.k_eps_grid
@@ -778,7 +796,7 @@ def test_box_certificate_samples_the_shrunken_box(lift8, monkeypatch):
 def test_box_certificate_refuses_kappa_outside_the_positive_reals(lift8, monkeypatch, kappa):
     # an infinite kappa would pass any sums, and nan, 0 or -1 fail them on a meaningless bound
     f, _ = lift8
-    q = square_relation(f)
+    q = schoolbook.square_relation(f)
     box = CompactBoxSpec(((1j, 0.25j),), 0.1)
     monkeypatch.setattr(convergence, "poly_eval", lambda *args: pytest.fail("poly_eval ran"))
     with pytest.raises(ValueError, match="kappa must be finite and positive"):
@@ -798,7 +816,7 @@ def test_k_eps_grid_is_capped(monkeypatch):
 def test_box_certificate_M_validation(lift8, monkeypatch):
     # M is read by _read_int and checked before any hypothesis or point is evaluated
     f, _ = lift8
-    q = square_relation(f)
+    q = schoolbook.square_relation(f)
     box = CompactBoxSpec(((1j, 0.25j),), 0.1)
     monkeypatch.setattr(convergence, "poly_eval", lambda *args: pytest.fail("poly_eval ran"))
     for M in (0, f.M_max + 1, 10**9, 2.5, True):

@@ -133,6 +133,8 @@ def test_bernoulli_values():
     assert bernoulli(3) == 0
     assert bernoulli(4) == Fraction(-1, 30)
     assert bernoulli(12) == Fraction(-691, 2730)
+    with pytest.raises(ValueError, match="bernoulli index must be nonnegative"):
+        bernoulli(-1)
 
 
 def test_bernoulli_recurrence():
@@ -180,3 +182,5 @@ def test_dict_div_needs_constant_term_one():
     for den in ({0: 2, 1: 1}, {0: -1}, {1: 1}, {}, {-1: 1, 0: 1}):
         with pytest.raises(ValueError):
             _dict_div(num, den, 4)
+    with pytest.raises(ValueError, match="quotient would have exponents below zero"):
+        _dict_div({-1: 1}, {0: 1}, 4)

@@ -110,8 +110,35 @@ def test_add_and_scalar(lift8):
     assert (f - f).is_zero()
     with pytest.raises(ValueError):
         f.add(FormalFJ.one(f.M_max, f.prec))
+    # refused by slice 0's add
+    with pytest.raises(ValueError, match="weight mismatch in addition"):
+        f + FormalFJ.zero(12, f.M_max, f.prec)
     short = FormalFJ.zero(10, 3, 4)
     assert (f + short).M_max == 3
+
+
+# each operator of the two series types, and the method it stands for
+OPERATORS = {
+    "f + g": (lambda f, g: f + g, lambda f, g: f.add(g)),
+    "-f": (lambda f, g: -f, lambda f, g: f.scalar_mul(-1)),
+    "f - g": (lambda f, g: f - g, lambda f, g: f.add(g.scalar_mul(-1))),
+    "f * g": (lambda f, g: f * g, lambda f, g: f.multiply(g)),
+    "2 * f": (lambda f, g: 2 * f, lambda f, g: f.scalar_mul(2)),
+    "f * 2": (lambda f, g: f * 2, lambda f, g: f.scalar_mul(2)),
+}
+
+
+@pytest.mark.parametrize("op", sorted(OPERATORS))
+@pytest.mark.parametrize("kind", ["series", "slice"])
+def test_operators_are_their_methods(lift8, kind, op):
+    f, _ = lift8
+    g = FormalFJ(f.k, 5, [phi.truncated(6) for phi in f.phis[:6]]).scalar_mul(Fraction(-1, 3))
+    if kind == "slice":
+        f, g = f.phis[2], g.phis[2]
+    operator, method = OPERATORS[op]
+    got = operator(f, g)
+    assert type(got) is type(f) and not got.is_zero()
+    assert got == method(f, g)
 
 
 def test_record_round_trip(lift8):
@@ -133,17 +160,7 @@ def sha256_of(rec) -> str:
 def test_lift_and_relation_records_are_pinned(lift8):
     f, _ = lift8
     assert sha256_of(f.to_record()) == LIFT8_SHA256
-    prod = f.multiply(f)
-    q = PolynomialOverM(
-        [
-            FormalFJ.zero(2 * f.k, prod.M_max, prod.prec) - prod,
-            FormalFJ.zero(f.k, f.M_max, f.prec),
-            FormalFJ.one(f.M_max, f.prec),
-        ],
-        0,
-        f.k,
-    )
-    assert sha256_of(q.to_record()) == RELATION8_SHA256
+    assert sha256_of(schoolbook.square_relation(f).to_record()) == RELATION8_SHA256
 
 
 @pytest.mark.parametrize("text", ["2/4", " 3 ", "0.25", "-0", "-3/6", "+5", "1_000", "-12345678901234567890123", 3, 0.25])

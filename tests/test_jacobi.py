@@ -228,6 +228,8 @@ def test_constructor_validation():
         JacobiFormQExp(0, 0, 3, {(1, 1): 1})
     with pytest.raises(ValueError):
         JacobiFormQExp(0, -1, 3, {})
+    with pytest.raises(ValueError, match="precision must be nonnegative"):
+        JacobiFormQExp(0, 1, -1, {})
     # zero values are dropped rather than validated
     assert JacobiFormQExp(0, 1, 3, {(0, 0): 0}).is_zero()
 
@@ -261,6 +263,8 @@ def test_add_and_scalar():
     phi_m2, phi_0 = weak_generators(6)
     with pytest.raises(ValueError):
         phi_m2.add(phi_0)
+    with pytest.raises(ValueError, match="index mismatch in addition"):
+        phi_m2.add(JacobiFormQExp.zero(phi_m2.k, 2, 6))
     s = phi_m2 + phi_m2
     assert s.coeff(1, 1) == 2 * phi_m2.coeff(1, 1)
     assert (phi_m2 - phi_m2).is_zero()
@@ -734,6 +738,26 @@ def test_fe_norm_basic_windows():
         fe_norm(eta, [SymMatQ([[Fraction(1, 8), Fraction(5, 8)], [Fraction(5, 8), 9]])])
 
 
+# 1.5e308 is a float; twice it is not
+BIG = 15 * 10**307
+
+
+@pytest.mark.parametrize(
+    "N, coeffs, message",
+    [
+        (2, {1: {0: 10**400}}, r"the coefficient of q\^\(1/4\) overflows a float"),  # a weight over den
+        (3, {1: {0: BIG, 1: BIG}}, r"the coefficient of q\^\(1/9\) overflows a float"),  # BIG (1 + cos 2pi/9)
+        (2, {1: {0: BIG, 1: BIG}}, r"\|c_x\| overflows a float at x = 1/4"),  # the magnitude of BIG (1 + i)
+        (2, {1: {0: BIG}, 2: {0: BIG}}, "the FE-norm overflows a float"),  # two magnitudes, each a float
+    ],
+    ids=["root-weight", "real-part", "magnitude", "fe-norm"],
+)
+def test_fe_norm_refuses_values_past_the_float_range(N, coeffs, message):
+    eta = SpecializedExpansion(10, N, Fraction(3), 1, coeffs)
+    with pytest.raises(ValueError, match=message):
+        fe_norm(eta, [Fraction(e, N * N) for e in coeffs])
+
+
 def test_fe_norm_zero_form():
     eta = specialize_torsion(JacobiFormQExp.zero(8, 1, 5), TorsionPoint(1, 0, 0))
     assert fe_norm(eta, [Fraction(0), Fraction(1), Fraction(2)]) == 0.0
@@ -809,6 +833,19 @@ def test_evaluate_constant_and_zero():
     assert evaluate(one, 1j, 0.3j) == 1
     zero = JacobiFormQExp.zero(5, 1, 5)
     assert evaluate(zero, 1j, 0j) == 0j
+
+
+@pytest.mark.parametrize(
+    "coeffs, message",
+    [
+        ({(1, 0): 10**400}, "a coefficient of the weight-10 index-1 form overflows a float"),
+        ({(0, 1): BIG, (0, -1): BIG}, "a term overflows"),  # each G_r a float, the pair r = +-1 not
+    ],
+    ids=["coefficient", "phase-sum-pair"],
+)
+def test_evaluate_refuses_values_past_the_float_range(coeffs, message):
+    with pytest.raises(ValueError, match=message):
+        evaluate(JacobiFormQExp(10, 1, 2, coeffs), 1j, 0j)
 
 
 def _traced_peak(call):

@@ -547,30 +547,6 @@ def test_hermite_one_by_one():
 # torsion decomposition
 
 
-def decomposition_sides(lam, M, u, rho, xi):
-    """Both sides of the defining identity, as exact rational matrices."""
-    g = len(lam) + 1
-    left_factor = [[Fraction(int(i == j)) for j in range(g)] for i in range(g)]
-    for j, x in enumerate(lam):
-        left_factor[g - 1][j] = -Fraction(x)
-    left = [
-        [sum(left_factor[i][k] * u.rows[k][j] for k in range(g)) for j in range(g)]
-        for i in range(g)
-    ]
-    right_block = [[Fraction(0)] * g for _ in range(g)]
-    for i in range(g - 1):
-        for j in range(g - 1):
-            right_block[i][j] = Fraction(rho[i][j])
-        right_block[i][g - 1] = Fraction(xi[i])
-    right_block[g - 1][g - 1] = Fraction(1, M)
-    s = corner_swap(g)
-    right = [
-        [sum(right_block[i][k] * s.rows[k][j] for k in range(g)) for j in range(g)]
-        for i in range(g)
-    ]
-    return left, right
-
-
 def det_int(rows):
     n = len(rows)
     if n == 1:
@@ -590,7 +566,7 @@ def test_torsion_half_and_third():
         u, rho, xi = torsion_decomposition(lam, M)
         assert u.det() in (1, -1)
         assert abs(det_int(rho)) == M
-        left, right = decomposition_sides(lam, M, u, rho, xi)
+        left, right = schoolbook.decomposition_sides(lam, M, u, rho, xi)
         assert left == right
 
 
@@ -603,7 +579,7 @@ def test_torsion_identity_all_small_denominators():
                 continue
             lam = (Fraction(a, M),)
             u, rho, xi = torsion_decomposition(lam, M)
-            left, right = decomposition_sides(lam, M, u, rho, xi)
+            left, right = schoolbook.decomposition_sides(lam, M, u, rho, xi)
             assert left == right
             assert abs(det_int(rho)) == M
 
@@ -618,7 +594,7 @@ def test_torsion_identity_genus_three():
                     continue
                 lam = (Fraction(a, M), Fraction(c, M))
                 u, rho, xi = torsion_decomposition(lam, M)
-                left, right = decomposition_sides(lam, M, u, rho, xi)
+                left, right = schoolbook.decomposition_sides(lam, M, u, rho, xi)
                 assert left == right
                 assert abs(det_int(rho)) == M
 
@@ -628,7 +604,7 @@ def test_torsion_reduces_target():
     n = mat2(5, 4, 4, 5)
     lam = (Fraction(1, 3), Fraction(2, 3))
     u, rho, xi = torsion_decomposition(lam, 3, n)
-    left, right = decomposition_sides(lam, 3, u, rho, xi)
+    left, right = schoolbook.decomposition_sides(lam, 3, u, rho, xi)
     assert left == right
     assert abs(det_int(rho)) == 3
     image = act(n, [list(r) for r in rho])
@@ -642,6 +618,13 @@ def test_torsion_rejects_bad_denominator():
         torsion_decomposition((Fraction(1, 2),), 4)
     with pytest.raises(ValueError):
         torsion_decomposition((Fraction(1, 3),), 2)
+    with pytest.raises(ValueError, match="denominator must be positive"):
+        torsion_decomposition((0,), 0)
+
+
+def test_torsion_rejects_three_lambda_entries():
+    with pytest.raises(ValueError, match="unsupported genus"):
+        torsion_decomposition((0, 0, 0), 1)
 
 
 # ---------------------------------------------------------------------------
